@@ -3,57 +3,18 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
+#include <iterator>
+#include <limits>
 #include <ostream>
 
 #include "common/log.hh"
+#include "trace/codec.hh"
+#include "trace/varint.hh"
 
 namespace syncron::durability {
 
-namespace {
-
-// -- LEB128 varints (file-local, as in trace/format.cc) ----------------
-
-void
-putVarint(std::ostream &os, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        os.put(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    os.put(static_cast<char>(v));
-}
-
-std::uint64_t
-getVarint(std::istream &is)
-{
-    std::uint64_t v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        const int byte = is.get();
-        if (byte == std::istream::traits_type::eof())
-            SYNCRON_FATAL("persisted image truncated inside a varint");
-        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
-            return v;
-    }
-    SYNCRON_FATAL("persisted-image varint longer than 64 bits "
-                  "(corrupt stream)");
-}
-
-/** Bounds-checks an enum read from the wire. */
-template <typename Enum>
-Enum
-checkedEnum(std::uint64_t raw, std::uint64_t last, const char *what)
-{
-    if (raw > last)
-        SYNCRON_FATAL("persisted image contains out-of-range "
-                      << what << " value " << raw);
-    return static_cast<Enum>(raw);
-}
-
-/** Cap for size-driven reserve() so a corrupt count cannot OOM us. */
-constexpr std::size_t kReserveCap = 1 << 16;
-
-} // namespace
+using trace::putVarint;
+using trace::VarintCursor;
 
 void
 writeImage(std::ostream &os, const PersistedImage &img)
@@ -72,13 +33,7 @@ writeImage(std::ostream &os, const PersistedImage &img)
                                            << img.records.size());
     putVarint(os, img.appended);
 
-    putVarint(os, img.primitives.size());
-    for (const trace::TracePrimitive &p : img.primitives) {
-        putVarint(os, static_cast<std::uint64_t>(p.kind));
-        putVarint(os, p.home);
-        putVarint(os, p.param);
-        putVarint(os, static_cast<std::uint64_t>(p.scope));
-    }
+    trace::encodePrimitives(os, img.primitives);
 
     putVarint(os, img.records.size());
     for (const trace::TraceRecord &r : img.records) {
@@ -102,12 +57,14 @@ writeImage(std::ostream &os, const PersistedImage &img)
 PersistedImage
 readImage(std::istream &is)
 {
-    char magic[sizeof(kImageMagic)];
-    is.read(magic, sizeof(magic));
-    if (!is || !std::equal(magic, magic + sizeof(magic), kImageMagic))
+    const std::string bytes{std::istreambuf_iterator<char>(is),
+                            std::istreambuf_iterator<char>()};
+    const auto *begin = reinterpret_cast<const unsigned char *>(bytes.data());
+    VarintCursor cur(begin, begin + bytes.size(), "persisted image");
+    if (!cur.skipPrefix(kImageMagic, sizeof(kImageMagic)))
         SYNCRON_FATAL("not a SynCron persisted image (bad magic)");
 
-    const std::uint64_t version = getVarint(is);
+    const std::uint64_t version = cur.get();
     if (version != kImageVersion) {
         SYNCRON_FATAL("unsupported persisted-image version "
                       << version << " (this build reads version "
@@ -115,71 +72,53 @@ readImage(std::istream &is)
     }
 
     PersistedImage img;
-    img.numUnits = static_cast<std::uint32_t>(getVarint(is));
-    img.clientCoresPerUnit = static_cast<std::uint32_t>(getVarint(is));
-    img.mode = checkedEnum<PersistMode>(
-        getVarint(is), static_cast<std::uint64_t>(PersistMode::Epoch),
-        "persist mode");
-    img.epochOps = static_cast<std::uint32_t>(getVarint(is));
-    img.crashTick = getVarint(is);
-    img.appended = getVarint(is);
+    img.numUnits = trace::getU32(cur, "unit count");
+    img.clientCoresPerUnit = trace::getU32(cur, "cores-per-unit");
+    img.mode = trace::getEnum(cur, PersistMode::Epoch, "persist mode");
+    img.epochOps = trace::getU32(cur, "epoch size");
+    img.crashTick = cur.get();
+    img.appended = cur.get();
 
     const std::uint64_t cores =
         std::uint64_t{img.numUnits} * img.clientCoresPerUnit;
 
-    const std::uint64_t numPrims = getVarint(is);
-    img.primitives.reserve(
-        std::min<std::uint64_t>(numPrims, kReserveCap));
-    for (std::uint64_t i = 0; i < numPrims; ++i) {
-        trace::TracePrimitive p;
-        p.kind = checkedEnum<trace::PrimKind>(
-            getVarint(is),
-            static_cast<std::uint64_t>(trace::PrimKind::CondVar),
-            "primitive kind");
-        p.home = static_cast<UnitId>(getVarint(is));
-        if (img.numUnits != 0 && p.home >= img.numUnits) {
-            SYNCRON_FATAL("image primitive " << i << " homed in unit "
-                                             << p.home << " of a "
-                                             << img.numUnits
-                                             << "-unit machine");
-        }
-        p.param = static_cast<std::uint32_t>(getVarint(is));
-        p.scope = checkedEnum<sync::BarrierScope>(
-            getVarint(is),
-            static_cast<std::uint64_t>(sync::BarrierScope::AcrossUnits),
-            "barrier scope");
-        img.primitives.push_back(p);
-    }
+    trace::decodePrimitives(cur, img.numUnits, img.primitives);
 
-    const std::uint64_t numRecords = getVarint(is);
+    // SYNCDUR records keep their own layout (absolute issue ticks, the
+    // associated primitive always present); unifying it with SYNCTRC's
+    // would need a version bump.
+    const std::uint64_t numRecords = cur.get();
     if (img.appended < numRecords)
         SYNCRON_FATAL("image appended count " << img.appended
                                               << " below durable count "
                                               << numRecords);
     img.records.reserve(
-        std::min<std::uint64_t>(numRecords, kReserveCap));
+        static_cast<std::size_t>(std::min(numRecords, trace::kReserveCap)));
     for (std::uint64_t i = 0; i < numRecords; ++i) {
         trace::TraceRecord r;
-        r.issued = getVarint(is);
-        r.completed = r.issued + getVarint(is);
-        r.core = static_cast<std::uint32_t>(getVarint(is));
+        r.issued = cur.get();
+        const std::uint64_t latency = cur.get();
+        if (latency > std::numeric_limits<Tick>::max() - r.issued) {
+            SYNCRON_FATAL("image record " << i << " latency " << latency
+                                          << " overflows its completion "
+                                             "tick");
+        }
+        r.completed = r.issued + latency;
+        r.core = trace::getU32(cur, "core");
         if (r.core >= cores) {
             SYNCRON_FATAL("image record " << i << " issued by core "
                                           << r.core << " of a "
                                           << cores << "-core machine");
         }
-        r.kind = checkedEnum<sync::OpKind>(
-            getVarint(is),
-            static_cast<std::uint64_t>(sync::OpKind::CondBroadcast),
-            "op kind");
-        r.prim = static_cast<std::uint32_t>(getVarint(is));
+        r.kind = trace::getEnum(cur, sync::OpKind::CondBroadcast, "OpKind");
+        r.prim = trace::getU32(cur, "primitive id");
         if (r.prim >= img.primitives.size()) {
             SYNCRON_FATAL("image record " << i
                                           << " references primitive "
                                           << r.prim
                                           << " past the table");
         }
-        r.assocPrim = static_cast<std::uint32_t>(getVarint(is));
+        r.assocPrim = trace::getU32(cur, "associated lock");
         if (r.kind == sync::OpKind::CondWait) {
             if (r.assocPrim >= img.primitives.size()) {
                 SYNCRON_FATAL("image cond_wait record "
@@ -195,7 +134,7 @@ readImage(std::istream &is)
         img.records.push_back(r);
     }
 
-    if (is.peek() != std::istream::traits_type::eof())
+    if (!cur.atEnd())
         SYNCRON_FATAL("trailing bytes after the last image record");
     return img;
 }
@@ -207,6 +146,11 @@ writeImageFile(const std::string &path, const PersistedImage &img)
     if (!os)
         SYNCRON_FATAL("cannot write persisted image '" << path << "'");
     writeImage(os, img);
+    // A full disk surfaces at the final flush, not in writeImage().
+    os.close();
+    if (!os)
+        SYNCRON_FATAL("cannot finish writing persisted image '" << path
+                                                                << "'");
 }
 
 PersistedImage

@@ -12,10 +12,12 @@
  * records.size()` is the staged tail an epoch-mode crash lost.
  *
  * On-disk container, versioned like the trace container ("SYNCTRC"):
- * magic "SYNCDUR\0", varint version, header fields, primitive table,
- * delta/zigzag records keyed by dense primitive ids. Readers reject
- * unknown versions, truncation, trailing bytes, and dangling primitive
- * references.
+ * magic "SYNCDUR\0", varint version, header fields, the primitive table
+ * (trace/codec.hh's encoding, shared with SYNCTRC), then records keyed
+ * by dense primitive ids, each with its absolute issue tick and an
+ * always-present associated-primitive field. Readers reject unknown
+ * versions, truncation, trailing bytes, out-of-range fields, and
+ * dangling primitive references.
  */
 
 #ifndef SYNCRON_DURABILITY_IMAGE_HH

@@ -36,8 +36,6 @@ BenchOptions::usage()
            "--jobs=1)\n"
            "  --trace-corpus=<d> mmap-replay every *.trc in directory d "
            "back-to-back\n"
-           "  --trace-stream=<e> mirror the capture to a collector at "
-           "<host:port> or fd:N (needs --jobs=1)\n"
            "  --analyze          run the sync-correctness analyses on "
            "every cell (fatal on findings)\n"
            "  --persist=<m>      SE-state durability: off, eager, or "
@@ -134,13 +132,6 @@ BenchOptions::parse(int argc, char **argv)
                               << usage());
             }
             opts.traceCorpus = val;
-        } else if ((val = optValue(arg, "--trace-stream="))) {
-            if (*val == '\0') {
-                SYNCRON_FATAL("--trace-stream needs an endpoint "
-                              "(host:port or fd:N)\n"
-                              << usage());
-            }
-            opts.traceStream = val;
         } else if (std::strcmp(arg, "--analyze") == 0) {
             opts.analyze = true;
         } else if ((val = optValue(arg, "--persist="))) {
@@ -255,19 +246,6 @@ BenchOptions::parse(int argc, char **argv)
                       "exclusive (one replay source)\n"
                       << usage());
     }
-    // Streaming mirrors a capture; it shares every capture constraint
-    // (one stream per run) and cannot coexist with replaying a file.
-    if (!opts.traceStream.empty() && !opts.traceIn.empty()) {
-        SYNCRON_FATAL("--trace-stream and --trace-in are mutually "
-                      "exclusive (capture or replay, not both)\n"
-                      << usage());
-    }
-    if (!opts.traceStream.empty() && opts.jobs > 1) {
-        SYNCRON_FATAL("--trace-stream requires --jobs=1 (parallel grid "
-                      "cells would interleave on one collector "
-                      "session)\n"
-                      << usage());
-    }
     // Crash injection tears the (single) machine down mid-run; a
     // parallel grid would crash every cell at the same tick, which is
     // never what a deterministic fault-injection run means.
@@ -283,11 +261,6 @@ BenchOptions::parse(int argc, char **argv)
     // need the single-queue kernel.
     if (opts.simShards > 1 && !opts.traceOut.empty()) {
         SYNCRON_FATAL("--trace-out requires --sim-shards=1 (trace "
-                      "capture records one global event order)\n"
-                      << usage());
-    }
-    if (opts.simShards > 1 && !opts.traceStream.empty()) {
-        SYNCRON_FATAL("--trace-stream requires --sim-shards=1 (trace "
                       "capture records one global event order)\n"
                       << usage());
     }
@@ -315,7 +288,6 @@ BenchOptions::makeConfig(Scheme scheme, unsigned numUnits,
         SystemConfig::make(scheme, numUnits, clientCoresPerUnit);
     cfg.backendName = backend;
     cfg.tracePath = traceOut;
-    cfg.traceStream = traceStream;
     cfg.analyze = analyze;
     cfg.persistMode = persist;
     cfg.persistEpochOps = persistEpochOps;

@@ -47,11 +47,6 @@ struct BenchOptions
     /// back-to-back (trace benches; see trace::Corpus). Exclusive with
     /// --trace-in.
     std::string traceCorpus;
-    /// --trace-stream=<ep>: mirror the capture live to a trace
-    /// collector at <host:port> or fd:N (src/tracenet/; best-effort,
-    /// falls back to local capture). Requires --jobs=1 and
-    /// --sim-shards=1, like --trace-out; exclusive with --trace-in.
-    std::string traceStream;
     /// --analyze: run the sync-correctness analyses on every cell
     /// (fatal on findings). Works with --jobs>1: each grid cell's
     /// system owns an independent analysis::LiveAnalyzer.

@@ -122,17 +122,6 @@ struct SystemConfig
     std::string tracePath;
 
     /**
-     * When non-empty, the captured operation stream is additionally
-     * streamed live to a trace collector at this endpoint ("host:port"
-     * or "fd:N"; see src/tracenet/). Streaming is best-effort: when
-     * the collector is unreachable or vanishes mid-run, the system
-     * falls back to writing the complete local capture to tracePath
-     * (or a fallback file when tracePath is empty). Benches expose
-     * this as --trace-stream.
-     */
-    std::string traceStream;
-
-    /**
      * Runs the sync-correctness analyses (analysis::LiveAnalyzer —
      * lockset race checker, lock-order deadlock analyzer, misuse
      * linter) over the operation stream. Composes with tracePath: both

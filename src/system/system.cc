@@ -12,7 +12,6 @@
 #include "sync/registry.hh"
 #include "trace/capture.hh"
 #include "trace/format.hh"
-#include "tracenet/stream_sink.hh"
 
 namespace syncron {
 
@@ -68,21 +67,7 @@ NdpSystem::NdpSystem(const SystemConfig &cfg)
         }
     }
     api_ = std::make_unique<sync::SyncApi>(*machine_, *backend_);
-    if (!conf.traceStream.empty()) {
-        // Streaming capture: the sink owns the (complete) local
-        // capture and mirrors it to the collector; the collector names
-        // its output file after the local capture path when one is set.
-        std::string streamName = "stream.trc";
-        if (!conf.tracePath.empty()) {
-            const std::size_t slash = conf.tracePath.rfind('/');
-            streamName = slash == std::string::npos
-                             ? conf.tracePath
-                             : conf.tracePath.substr(slash + 1);
-        }
-        streamSink_ = std::make_unique<tracenet::StreamingTraceSink>(
-            conf, conf.traceStream, streamName, tracenet::RetryPolicy{});
-        api_->setTraceSink(streamSink_.get());
-    } else if (!conf.tracePath.empty()) {
+    if (!conf.tracePath.empty()) {
         capture_ = std::make_unique<trace::TraceCapture>(conf);
         api_->setTraceSink(capture_.get());
     }
@@ -115,18 +100,6 @@ NdpSystem::NdpSystem(const SystemConfig &cfg)
 }
 
 NdpSystem::~NdpSystem() = default;
-
-trace::TraceCapture *
-NdpSystem::traceCapture()
-{
-    if (streamSink_ != nullptr) {
-        // The streaming sink's capture is logically ours; expose it
-        // through the same accessor so bench/report plumbing that
-        // inspects the capture works unchanged under --trace-stream.
-        return &streamSink_->capture();
-    }
-    return capture_.get();
-}
 
 unsigned
 NdpSystem::numClientCores() const
@@ -205,23 +178,7 @@ NdpSystem::run()
     machine_->mergeShardStats();
     if (durability_ != nullptr)
         durability_->shutdownFlush();
-    if (streamSink_ != nullptr) {
-        const bool streamed = streamSink_->finish();
-        const trace::Trace &t = streamSink_->capture().trace();
-        if (!cfg.tracePath.empty()) {
-            // A requested local file is written regardless of how the
-            // stream fared — the collector copy is a mirror, not a
-            // replacement.
-            trace::writeTraceFile(t, cfg.tracePath);
-        } else if (!streamed) {
-            // Degradation: the stream died and no local path was
-            // requested; the capture is complete, so keep it.
-            const std::string fallback = "trace_stream_fallback.trc";
-            trace::writeTraceFile(t, fallback);
-            SYNCRON_WARN("trace stream failed; wrote local fallback "
-                         << fallback);
-        }
-    } else if (capture_ != nullptr) {
+    if (capture_ != nullptr) {
         trace::writeTraceFile(capture_->trace(),
                               machine_->config().tracePath);
     }

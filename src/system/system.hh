@@ -32,10 +32,6 @@ namespace syncron::trace {
 class TraceCapture;
 } // namespace syncron::trace
 
-namespace syncron::tracenet {
-class StreamingTraceSink;
-} // namespace syncron::tracenet
-
 namespace syncron::analysis {
 class LiveAnalyzer;
 class ShardedObserver;
@@ -114,21 +110,9 @@ class NdpSystem
 
     /**
      * The synchronization-operation capture installed when
-     * SystemConfig::tracePath or ::traceStream is set; nullptr when
-     * not tracing. With traceStream set, this is the capture inside
-     * the streaming sink — still the complete local record.
+     * SystemConfig::tracePath is set; nullptr when not tracing.
      */
-    trace::TraceCapture *traceCapture();
-
-    /**
-     * The streaming sink installed when SystemConfig::traceStream is
-     * set; nullptr otherwise. Exposed so tests can inspect the
-     * degradation state after run().
-     */
-    tracenet::StreamingTraceSink *streamSink()
-    {
-        return streamSink_.get();
-    }
+    trace::TraceCapture *traceCapture() { return capture_.get(); }
 
     /**
      * The live sync-correctness analyzer installed when
@@ -161,7 +145,6 @@ class NdpSystem
     engine::SynCronBackend *engineView_ = nullptr;
     std::unique_ptr<sync::SyncApi> api_;
     std::unique_ptr<trace::TraceCapture> capture_;
-    std::unique_ptr<tracenet::StreamingTraceSink> streamSink_;
     std::unique_ptr<analysis::LiveAnalyzer> analyzer_;
     /// Per-shard buffering front end for the analyzer, installed only
     /// when the machine is sharded (analysis/sharded_observer.hh).

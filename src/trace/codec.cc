@@ -1,0 +1,133 @@
+#include "trace/codec.hh"
+
+#include <algorithm>
+
+#include "common/log.hh"
+
+namespace syncron::trace {
+
+void
+rejectField(const VarintCursor &cur, const char *field, std::uint64_t raw)
+{
+    SYNCRON_FATAL(cur.what() << " contains out-of-range " << field
+                             << " value " << raw);
+}
+
+void
+encodePrimitives(std::ostream &os, const std::vector<TracePrimitive> &prims)
+{
+    putVarint(os, prims.size());
+    for (const TracePrimitive &p : prims) {
+        putVarint(os, static_cast<std::uint64_t>(p.kind));
+        putVarint(os, p.home);
+        putVarint(os, p.param);
+        putVarint(os, static_cast<std::uint64_t>(p.scope));
+    }
+}
+
+void
+decodePrimitives(VarintCursor &cur, std::uint32_t numUnits,
+                 std::vector<TracePrimitive> &out)
+{
+    const std::uint64_t count = cur.get();
+    out.reserve(static_cast<std::size_t>(std::min(count, kReserveCap)));
+    for (std::uint64_t i = 0; i < count; ++i) {
+        TracePrimitive p;
+        p.kind = getEnum(cur, PrimKind::CondVar, "PrimKind");
+        p.home = getU32(cur, "home unit");
+        if (numUnits != 0 && p.home >= numUnits)
+            SYNCRON_FATAL(cur.what() << " primitive " << i
+                                     << " homed in unit " << p.home
+                                     << " of a " << numUnits
+                                     << "-unit machine");
+        p.param = getU32(cur, "primitive parameter");
+        p.scope = getEnum(cur, sync::BarrierScope::AcrossUnits,
+                          "BarrierScope");
+        out.push_back(p);
+    }
+}
+
+std::uint64_t
+decodeTraceHeader(VarintCursor &cur, Trace &shape)
+{
+    if (!cur.skipPrefix(kTraceMagic.data(), kTraceMagic.size()))
+        SYNCRON_FATAL("not a SynCron trace (bad magic)");
+    const std::uint64_t version = cur.get();
+    if (version == 1) {
+        // v1's associated-primitive field was unreliable (see the
+        // format.hh changelog); silently accepting it would hand the
+        // deadlock analyzer cond_waits with no lock.
+        SYNCRON_FATAL("trace version 1 is no longer readable (its "
+                      "cond_wait records carry no reliable associated "
+                      "lock); recapture the trace with this build");
+    }
+    if (version != kTraceVersion) {
+        SYNCRON_FATAL("unsupported trace version " << version
+                                                   << " (this build reads "
+                                                   << kTraceVersion << ")");
+    }
+
+    shape.numUnits = getU32(cur, "unit count");
+    shape.clientCoresPerUnit = getU32(cur, "cores-per-unit");
+    if (shape.numUnits == 0 || shape.clientCoresPerUnit == 0)
+        SYNCRON_FATAL("trace header describes a machine with no cores");
+    const std::uint64_t cores =
+        std::uint64_t{shape.numUnits} * shape.clientCoresPerUnit;
+    if (cores > std::numeric_limits<std::uint32_t>::max())
+        SYNCRON_FATAL("trace header describes a machine with " << cores
+                                                               << " cores");
+
+    decodePrimitives(cur, shape.numUnits, shape.primitives);
+    return cur.get();
+}
+
+void
+decodeRecords(VarintCursor &cur, std::uint64_t count, Trace &trace)
+{
+    trace.records.reserve(
+        static_cast<std::size_t>(std::min(count, kReserveCap)));
+    RecordDecoder decoder(trace, count);
+    TraceRecord r;
+    while (decoder.next(cur, r))
+        trace.records.push_back(r);
+}
+
+void
+RecordDecoder::reject(const VarintCursor &cur, Fault fault,
+                      std::uint64_t value, sync::OpKind kind) const
+{
+    const Trace &s = *shape_;
+    const char *what = cur.what();
+    switch (fault) {
+      case Fault::TrailingBytes:
+        SYNCRON_FATAL("trailing bytes after the last " << what
+                                                       << " record");
+      case Fault::NegativeIssue:
+        SYNCRON_FATAL(what << " record " << index_
+                           << " has a negative issue tick");
+      case Fault::IssueOverflow:
+        SYNCRON_FATAL(what << " record " << index_ << " issue tick "
+                           << value << " overflows");
+      case Fault::CompletionOverflow:
+        SYNCRON_FATAL(what << " record " << index_ << " latency " << value
+                           << " overflows its completion tick");
+      case Fault::CoreOutOfRange:
+        SYNCRON_FATAL(what << " record " << index_ << " issued by core "
+                           << value << " of a " << s.numClientCores()
+                           << "-core machine");
+      case Fault::UnknownPrimitive:
+        SYNCRON_FATAL(what << " record " << index_
+                           << " names unknown primitive " << value);
+      case Fault::KindMismatch:
+        SYNCRON_FATAL(what << " record " << index_ << " applies "
+                           << sync::opKindName(kind) << " to a "
+                           << primKindName(s.primitives[value].kind));
+      case Fault::NoAssociatedLock:
+        SYNCRON_FATAL(what << " record " << index_
+                           << " is a cond_wait without a valid "
+                              "associated lock");
+    }
+    SYNCRON_PANIC("unknown record fault");
+}
+
+} // namespace syncron::trace

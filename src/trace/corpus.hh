@@ -3,14 +3,14 @@
  * Trace corpora: a directory of `SYNCTRC` files treated as one dataset.
  *
  * A corpus is how "scenario diversity" becomes data you accumulate
- * rather than code you write: every capture (local --trace-out, or
- * collected over tracenet) and every generated scenario lands as one
- * more `.trc` file in a directory, and the corpus abstraction gives all
- * consumers the same view of it — deterministic enumeration (sorted by
- * file name, so replay order never depends on readdir order), per-file
- * validation through the zero-copy MappedTraceReader, and back-to-back
- * replay via harness::runCorpus. tools/analyze_trace accepts a corpus
- * directory through the same enumeration.
+ * rather than code you write: every capture (--trace-out) and every
+ * generated scenario lands as one more `.trc` file in a directory, and
+ * the corpus abstraction gives all consumers the same view of it —
+ * deterministic enumeration (sorted by file name, so replay order never
+ * depends on readdir order), per-file validation through the zero-copy
+ * MappedTraceReader, and back-to-back replay via harness::runCorpus.
+ * tools/analyze_trace accepts a corpus directory through the same
+ * enumeration.
  */
 
 #ifndef SYNCRON_TRACE_CORPUS_HH

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 
 #include "common/log.hh"
-#include "trace/varint.hh"
+#include "trace/codec.hh"
+#include "trace/mmap_reader.hh"
 
 namespace syncron::trace {
 
@@ -74,24 +75,6 @@ Trace::hottestLockShare() const
     return static_cast<double>(hottest) / static_cast<double>(lockOps);
 }
 
-namespace {
-
-// LEB128/zigzag primitives live in trace/varint.hh, shared with the
-// mmap'd reader and the tracenet wire marshaller.
-
-/** Bounds-checks an enum read from the wire. */
-template <typename Enum>
-Enum
-checkedEnum(std::uint64_t raw, std::uint64_t last, const char *what)
-{
-    if (raw > last)
-        SYNCRON_FATAL("trace contains out-of-range " << what << " value "
-                                                     << raw);
-    return static_cast<Enum>(raw);
-}
-
-} // namespace
-
 void
 TraceWriter::write(const Trace &trace)
 {
@@ -100,21 +83,17 @@ TraceWriter::write(const Trace &trace)
     putVarint(os_, trace.numUnits);
     putVarint(os_, trace.clientCoresPerUnit);
 
-    putVarint(os_, trace.primitives.size());
-    for (const TracePrimitive &p : trace.primitives) {
-        putVarint(os_, static_cast<std::uint64_t>(p.kind));
-        putVarint(os_, p.home);
-        putVarint(os_, p.param);
-        putVarint(os_, static_cast<std::uint64_t>(p.scope));
-    }
+    encodePrimitives(os_, trace.primitives);
 
     putVarint(os_, trace.records.size());
     Tick prevIssued = 0;
     for (const TraceRecord &r : trace.records) {
         SYNCRON_ASSERT(r.completed >= r.issued,
                        "record completed before it was issued");
-        putVarint(os_, zigzag(static_cast<std::int64_t>(r.issued)
-                              - static_cast<std::int64_t>(prevIssued)));
+        // Modular subtraction, read back as signed: the delta of any
+        // two ticks up to INT64_MAX, without signed overflow.
+        putVarint(os_, zigzag(static_cast<std::int64_t>(r.issued
+                                                        - prevIssued)));
         putVarint(os_, r.completed - r.issued);
         putVarint(os_, r.core);
         putVarint(os_, static_cast<std::uint64_t>(r.kind));
@@ -145,112 +124,12 @@ TraceWriter::write(const Trace &trace)
 Trace
 TraceReader::read()
 {
-    std::array<char, 8> magic{};
-    is_.read(magic.data(), magic.size());
-    if (is_.gcount() != static_cast<std::streamsize>(magic.size())
-        || magic != kTraceMagic) {
-        SYNCRON_FATAL("not a SynCron trace (bad magic)");
-    }
-    const std::uint64_t version = getVarint(is_);
-    if (version == 1) {
-        // v1's associated-primitive field was unreliable (see the
-        // format.hh changelog); silently accepting it would hand the
-        // deadlock analyzer cond_waits with no lock.
-        SYNCRON_FATAL("trace version 1 is no longer readable (its "
-                      "cond_wait records carry no reliable associated "
-                      "lock); recapture the trace with this build");
-    }
-    if (version != kTraceVersion) {
-        SYNCRON_FATAL("unsupported trace version " << version
-                                                   << " (this build reads "
-                                                   << kTraceVersion << ")");
-    }
-
+    const std::string bytes{std::istreambuf_iterator<char>(is_),
+                            std::istreambuf_iterator<char>()};
+    const auto *begin = reinterpret_cast<const unsigned char *>(bytes.data());
+    VarintCursor cur(begin, begin + bytes.size(), "trace");
     Trace trace;
-    trace.numUnits = static_cast<std::uint32_t>(getVarint(is_));
-    trace.clientCoresPerUnit =
-        static_cast<std::uint32_t>(getVarint(is_));
-    if (trace.numUnits == 0 || trace.clientCoresPerUnit == 0)
-        SYNCRON_FATAL("trace header describes a machine with no cores");
-
-    // Counts come off the wire unvalidated: cap the reserve so a
-    // corrupt count fails as a clean truncation fatal inside the read
-    // loop, not as a giant up-front allocation.
-    constexpr std::uint64_t kReserveCap = 1 << 16;
-    const std::uint64_t primCount = getVarint(is_);
-    trace.primitives.reserve(
-        static_cast<std::size_t>(std::min(primCount, kReserveCap)));
-    for (std::uint64_t i = 0; i < primCount; ++i) {
-        TracePrimitive p;
-        p.kind = checkedEnum<PrimKind>(
-            getVarint(is_),
-            static_cast<std::uint64_t>(PrimKind::CondVar), "PrimKind");
-        p.home = static_cast<UnitId>(getVarint(is_));
-        if (p.home >= trace.numUnits)
-            SYNCRON_FATAL("trace primitive " << i << " homed in unit "
-                                             << p.home << " of a "
-                                             << trace.numUnits
-                                             << "-unit machine");
-        p.param = static_cast<std::uint32_t>(getVarint(is_));
-        p.scope = checkedEnum<sync::BarrierScope>(
-            getVarint(is_),
-            static_cast<std::uint64_t>(sync::BarrierScope::AcrossUnits),
-            "BarrierScope");
-        trace.primitives.push_back(p);
-    }
-
-    const std::uint64_t recordCount = getVarint(is_);
-    trace.records.reserve(
-        static_cast<std::size_t>(std::min(recordCount, kReserveCap)));
-    Tick prevIssued = 0;
-    for (std::uint64_t i = 0; i < recordCount; ++i) {
-        TraceRecord r;
-        const std::int64_t issued =
-            static_cast<std::int64_t>(prevIssued)
-            + unzigzag(getVarint(is_));
-        if (issued < 0)
-            SYNCRON_FATAL("trace record " << i
-                                          << " has a negative issue tick");
-        r.issued = static_cast<Tick>(issued);
-        r.completed = r.issued + getVarint(is_);
-        r.core = static_cast<std::uint32_t>(getVarint(is_));
-        if (r.core >= trace.numClientCores())
-            SYNCRON_FATAL("trace record " << i << " issued by core "
-                                          << r.core << " of a "
-                                          << trace.numClientCores()
-                                          << "-core machine");
-        r.kind = checkedEnum<sync::OpKind>(
-            getVarint(is_),
-            static_cast<std::uint64_t>(sync::OpKind::CondBroadcast),
-            "OpKind");
-        r.prim = static_cast<std::uint32_t>(getVarint(is_));
-        if (r.prim >= trace.primitives.size())
-            SYNCRON_FATAL("trace record " << i
-                                          << " names unknown primitive "
-                                          << r.prim);
-        if (primKindOf(r.kind) != trace.primitives[r.prim].kind) {
-            SYNCRON_FATAL(
-                "trace record "
-                << i << " applies " << sync::opKindName(r.kind)
-                << " to a "
-                << primKindName(trace.primitives[r.prim].kind));
-        }
-        if (r.kind == sync::OpKind::CondWait) {
-            r.assocPrim = static_cast<std::uint32_t>(getVarint(is_));
-            if (r.assocPrim >= trace.primitives.size()
-                || trace.primitives[r.assocPrim].kind
-                       != PrimKind::Lock) {
-                SYNCRON_FATAL("trace record "
-                              << i << " is a cond_wait without a valid "
-                                      "associated lock");
-            }
-        }
-        trace.records.push_back(r);
-        prevIssued = r.issued;
-    }
-
-    if (is_.peek() != std::istream::traits_type::eof())
-        SYNCRON_FATAL("trailing bytes after the last trace record");
+    decodeRecords(cur, decodeTraceHeader(cur, trace), trace);
     return trace;
 }
 
@@ -278,19 +157,17 @@ writeTraceFile(const Trace &trace, const std::string &path)
     if (!f)
         SYNCRON_FATAL("cannot write trace file '" << path << "'");
     TraceWriter(f).write(trace);
+    // The last buffered bytes only reach the file at close: a full
+    // disk surfaces here, not in write().
+    f.close();
+    if (!f)
+        SYNCRON_FATAL("cannot finish writing trace file '" << path << "'");
 }
 
 Trace
 readTraceFile(const std::string &path)
 {
-    std::ifstream f(path, std::ios::binary);
-    if (!f)
-        SYNCRON_FATAL("cannot read trace file '" << path << "'");
-    // Pull the whole file through a stringstream so peek()-based
-    // trailing-byte detection is cheap and IO errors surface here.
-    std::stringstream buf;
-    buf << f.rdbuf();
-    return TraceReader(buf).read();
+    return MappedTraceReader(path).materialize();
 }
 
 } // namespace syncron::trace

@@ -25,9 +25,10 @@
  * All multi-byte fields are LEB128 varints; issue ticks are
  * delta-encoded against the previous record (zigzag, so capture order —
  * completion order — need not be issue-ordered). TraceWriter and
- * TraceReader guarantee a lossless round trip; the reader rejects bad
- * magic, unknown versions, truncation, trailing garbage, and records
- * referencing out-of-range primitives or cores.
+ * TraceReader guarantee a lossless round trip; every reader decodes
+ * through trace/codec.hh and rejects bad magic, unknown versions,
+ * truncation, trailing garbage, fields that overflow their types, and
+ * records referencing out-of-range primitives or cores.
  *
  * v1 -> v2: v1 wrote an associated-primitive varint on EVERY record
  * (always 0 outside cond_wait) and did not require writers to populate

@@ -5,27 +5,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
 #include "common/log.hh"
-#include "sync/opcodes.hh"
 
 namespace syncron::trace {
 
 namespace {
-
-/** Bounds-checks an enum read from the mapping. */
-template <typename Enum>
-Enum
-checkedEnum(std::uint64_t raw, std::uint64_t last, const char *what)
-{
-    if (raw > last)
-        SYNCRON_FATAL("trace contains out-of-range " << what << " value "
-                                                     << raw);
-    return static_cast<Enum>(raw);
-}
 
 /**
  * RAII file descriptor so every fatal() path between open and mmap
@@ -61,130 +48,30 @@ MappedTraceReader::MappedTraceReader(const std::string &path)
         SYNCRON_FATAL("not a SynCron trace (empty file '" << path
                                                           << "')");
     }
-    mapBytes_ = static_cast<std::size_t>(st.st_size);
-    void *map =
-        ::mmap(nullptr, mapBytes_, PROT_READ, MAP_PRIVATE, f.fd, 0);
-    if (map == MAP_FAILED) {
-        mapBytes_ = 0;
+    const std::size_t bytes = static_cast<std::size_t>(st.st_size);
+    void *map = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, f.fd, 0);
+    if (map == MAP_FAILED)
         SYNCRON_FATAL("cannot mmap trace file '" << path << "': "
                                                  << std::strerror(errno));
-    }
-    map_ = static_cast<const unsigned char *>(map);
+    map_.data = static_cast<const unsigned char *>(map);
+    map_.bytes = bytes;
 
-    // -- Header + primitive table (eager, same checks as TraceReader)
-    VarintCursor cur(map_, map_ + mapBytes_, "mapped trace");
-    if (mapBytes_ < kTraceMagic.size()
-        || std::memcmp(map_, kTraceMagic.data(), kTraceMagic.size())
-               != 0) {
-        SYNCRON_FATAL("not a SynCron trace (bad magic)");
-    }
-    cur.getBytes(kTraceMagic.size());
-    const std::uint64_t version = cur.get();
-    if (version == 1) {
-        SYNCRON_FATAL("trace version 1 is no longer readable (its "
-                      "cond_wait records carry no reliable associated "
-                      "lock); recapture the trace with this build");
-    }
-    if (version != kTraceVersion) {
-        SYNCRON_FATAL("unsupported trace version " << version
-                                                   << " (this build reads "
-                                                   << kTraceVersion << ")");
-    }
-    numUnits_ = static_cast<std::uint32_t>(cur.get());
-    coresPerUnit_ = static_cast<std::uint32_t>(cur.get());
-    if (numUnits_ == 0 || coresPerUnit_ == 0)
-        SYNCRON_FATAL("trace header describes a machine with no cores");
-
-    constexpr std::uint64_t kReserveCap = 1 << 16;
-    const std::uint64_t primCount = cur.get();
-    primitives_.reserve(
-        static_cast<std::size_t>(std::min(primCount, kReserveCap)));
-    for (std::uint64_t i = 0; i < primCount; ++i) {
-        TracePrimitive p;
-        p.kind = checkedEnum<PrimKind>(
-            cur.get(), static_cast<std::uint64_t>(PrimKind::CondVar),
-            "PrimKind");
-        p.home = static_cast<UnitId>(cur.get());
-        if (p.home >= numUnits_)
-            SYNCRON_FATAL("trace primitive " << i << " homed in unit "
-                                             << p.home << " of a "
-                                             << numUnits_
-                                             << "-unit machine");
-        p.param = static_cast<std::uint32_t>(cur.get());
-        p.scope = checkedEnum<sync::BarrierScope>(
-            cur.get(),
-            static_cast<std::uint64_t>(sync::BarrierScope::AcrossUnits),
-            "BarrierScope");
-        primitives_.push_back(p);
-    }
-
-    recordCount_ = cur.get();
-    recordsBegin_ = cur.position();
+    // -- Header + primitive table (eager)
+    VarintCursor cur(map_.data, map_.end(), "trace");
+    recordCount_ = decodeTraceHeader(cur, shape_);
+    recordsBegin_ = map_.end() - cur.remaining();
 }
 
-MappedTraceReader::~MappedTraceReader()
+MappedTraceReader::Mapping::~Mapping()
 {
-    if (map_ != nullptr)
-        ::munmap(const_cast<unsigned char *>(map_), mapBytes_);
+    if (data != nullptr)
+        ::munmap(const_cast<unsigned char *>(data), bytes);
 }
 
 MappedTraceReader::RecordCursor
 MappedTraceReader::records() const
 {
-    return RecordCursor(*this, recordsBegin_, map_ + mapBytes_);
-}
-
-bool
-MappedTraceReader::RecordCursor::next(TraceRecord &out)
-{
-    const MappedTraceReader &r = reader_;
-    if (index_ == r.recordCount_) {
-        if (!cursor_.atEnd())
-            SYNCRON_FATAL("trailing bytes after the last trace record");
-        return false;
-    }
-
-    const std::int64_t issued = static_cast<std::int64_t>(prevIssued_)
-                                + unzigzag(cursor_.get());
-    if (issued < 0)
-        SYNCRON_FATAL("trace record " << index_
-                                      << " has a negative issue tick");
-    out.issued = static_cast<Tick>(issued);
-    out.completed = out.issued + cursor_.get();
-    out.core = static_cast<std::uint32_t>(cursor_.get());
-    if (out.core >= r.numClientCores())
-        SYNCRON_FATAL("trace record " << index_ << " issued by core "
-                                      << out.core << " of a "
-                                      << r.numClientCores()
-                                      << "-core machine");
-    out.kind = checkedEnum<sync::OpKind>(
-        cursor_.get(),
-        static_cast<std::uint64_t>(sync::OpKind::CondBroadcast),
-        "OpKind");
-    out.prim = static_cast<std::uint32_t>(cursor_.get());
-    if (out.prim >= r.primitives_.size())
-        SYNCRON_FATAL("trace record " << index_
-                                      << " names unknown primitive "
-                                      << out.prim);
-    if (primKindOf(out.kind) != r.primitives_[out.prim].kind) {
-        SYNCRON_FATAL("trace record "
-                      << index_ << " applies "
-                      << sync::opKindName(out.kind) << " to a "
-                      << primKindName(r.primitives_[out.prim].kind));
-    }
-    out.assocPrim = 0;
-    if (out.kind == sync::OpKind::CondWait) {
-        out.assocPrim = static_cast<std::uint32_t>(cursor_.get());
-        if (out.assocPrim >= r.primitives_.size()
-            || r.primitives_[out.assocPrim].kind != PrimKind::Lock) {
-            SYNCRON_FATAL("trace record " << index_
-                                          << " is a cond_wait without a "
-                                             "valid associated lock");
-        }
-    }
-    prevIssued_ = out.issued;
-    ++index_;
-    return true;
+    return RecordCursor(*this);
 }
 
 std::array<std::uint64_t, kNumSyncOpKinds>
@@ -201,17 +88,9 @@ MappedTraceReader::validateAll() const
 Trace
 MappedTraceReader::materialize() const
 {
-    Trace t;
-    t.numUnits = numUnits_;
-    t.clientCoresPerUnit = coresPerUnit_;
-    t.primitives = primitives_;
-    constexpr std::uint64_t kReserveCap = 1 << 16;
-    t.records.reserve(
-        static_cast<std::size_t>(std::min(recordCount_, kReserveCap)));
-    RecordCursor cur = records();
-    TraceRecord rec;
-    while (cur.next(rec))
-        t.records.push_back(rec);
+    Trace t = shape_;
+    VarintCursor cur(recordsBegin_, map_.end(), "trace");
+    decodeRecords(cur, recordCount_, t);
     return t;
 }
 

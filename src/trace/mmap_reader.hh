@@ -3,25 +3,20 @@
  * Zero-copy trace reading: the `SYNCTRC` container mapped into the
  * address space and decoded in place.
  *
- * The streaming TraceReader materializes a whole Trace on the heap —
- * one vector push per record — which is fine for the small capture
- * files PR 4 dealt in but wrong for multi-gigabyte corpora: a corpus
- * replay would spend its time in allocator traffic before the first
- * simulated tick. MappedTraceReader mmap()s the file read-only,
- * validates the header and primitive table once at open, and then hands
- * out records through a RecordCursor that does nothing but
- * bounds-checked pointer arithmetic over the mapping: no per-record
- * allocation, no copy of the record stream, and the file's pages are
- * faulted in lazily as the cursor walks them.
+ * TraceReader materializes a whole Trace on the heap — one vector push
+ * per record — which is fine for small capture files but wrong for
+ * multi-gigabyte corpora: a corpus replay would spend its time in
+ * allocator traffic before the first simulated tick. MappedTraceReader
+ * mmap()s the file read-only, decodes the header and primitive table
+ * once at open, and then hands out records through a RecordCursor that
+ * does nothing but bounds-checked arithmetic over the mapping: no
+ * per-record allocation, no copy of the record stream, and the file's
+ * pages are faulted in lazily as the cursor walks them.
  *
- * The rejection surface is the streaming reader's, byte for byte: bad
- * magic, unknown (and the retired v1) versions, truncation anywhere —
- * including mid-varint at the mapping's end — trailing bytes after the
- * last record, and records referencing out-of-range primitives, cores,
- * or kind-mismatched primitives all fatal() with the same diagnostics.
- * The equivalence is pinned by tests: materialize() must equal what
- * TraceReader::read() produces on the same bytes, for every scenario
- * family.
+ * Both steps run the shared codec (trace/codec.hh) that TraceReader
+ * runs too, so the two readers accept and reject the same bytes with
+ * the same diagnostics. The one difference is the file itself: an
+ * empty or unmappable file fails at open.
  */
 
 #ifndef SYNCRON_TRACE_MMAP_READER_HH
@@ -32,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/codec.hh"
 #include "trace/format.hh"
 #include "trace/varint.hh"
 
@@ -50,35 +46,34 @@ class MappedTraceReader
      * forces it eagerly.
      */
     explicit MappedTraceReader(const std::string &path);
-    ~MappedTraceReader();
 
     MappedTraceReader(const MappedTraceReader &) = delete;
     MappedTraceReader &operator=(const MappedTraceReader &) = delete;
 
     // -- Header (validated at open)
-    std::uint32_t numUnits() const { return numUnits_; }
-    std::uint32_t clientCoresPerUnit() const { return coresPerUnit_; }
-    std::uint32_t
-    numClientCores() const
+    std::uint32_t numUnits() const { return shape_.numUnits; }
+    std::uint32_t clientCoresPerUnit() const
     {
-        return numUnits_ * coresPerUnit_;
+        return shape_.clientCoresPerUnit;
     }
+    std::uint32_t numClientCores() const { return shape_.numClientCores(); }
     const std::vector<TracePrimitive> &primitives() const
     {
-        return primitives_;
+        return shape_.primitives;
     }
     /** Record count from the header (the cursor must yield exactly
      *  this many before hitting the mapping's end). */
     std::uint64_t recordCount() const { return recordCount_; }
     /** Mapped file size in bytes. */
-    std::size_t fileBytes() const { return mapBytes_; }
+    std::size_t fileBytes() const { return map_.bytes; }
     const std::string &path() const { return path_; }
 
     /**
      * Allocation-free forward iteration over the record stream. The
-     * cursor borrows the reader (which must outlive it); next() is pure
-     * pointer arithmetic over the mapping and fatal()s on any record-
-     * level format violation at the exact offending record index.
+     * cursor borrows the reader (which must outlive it); next() is
+     * RecordDecoder::next() over the mapping, inline and allocation-free,
+     * and fatal()s on any record-level format violation at the exact
+     * offending record index.
      */
     class RecordCursor
     {
@@ -89,24 +84,21 @@ class MappedTraceReader
          * cursor has also verified that the mapping holds no trailing
          * bytes. fatal()s on truncation and malformed records.
          */
-        bool next(TraceRecord &out);
+        bool next(TraceRecord &out) { return decoder_.next(cursor_, out); }
 
         /** Records yielded so far. */
-        std::uint64_t index() const { return index_; }
+        std::uint64_t index() const { return decoder_.index(); }
 
       private:
         friend class MappedTraceReader;
-        RecordCursor(const MappedTraceReader &reader,
-                     const unsigned char *begin,
-                     const unsigned char *end)
-            : reader_(reader), cursor_(begin, end, "mapped trace")
+        explicit RecordCursor(const MappedTraceReader &reader)
+            : cursor_(reader.recordsBegin_, reader.map_.end(), "trace"),
+              decoder_(reader.shape_, reader.recordCount_)
         {
         }
 
-        const MappedTraceReader &reader_;
         VarintCursor cursor_;
-        std::uint64_t index_ = 0;
-        Tick prevIssued_ = 0;
+        RecordDecoder decoder_;
     };
 
     /** A fresh cursor positioned at the first record. */
@@ -121,21 +113,35 @@ class MappedTraceReader
 
     /**
      * Copies the mapped trace into an owning Trace — the bridge to
-     * consumers of the PR 4 API (Replayer, analyzers). Byte-for-byte
-     * equivalent to TraceReader::read() on the same file.
+     * consumers of the in-memory API (Replayer, analyzers). Equal to
+     * TraceReader::read() on the same bytes.
      */
     Trace materialize() const;
 
   private:
+    /**
+     * The read-only mapping of the whole file. A member, so it is
+     * unmapped even when the constructor rejects the header and throws.
+     */
+    struct Mapping
+    {
+        const unsigned char *data = nullptr;
+        std::size_t bytes = 0;
+
+        Mapping() = default;
+        Mapping(const Mapping &) = delete;
+        Mapping &operator=(const Mapping &) = delete;
+        ~Mapping();
+
+        const unsigned char *end() const { return data + bytes; }
+    };
+
     std::string path_;
-    const unsigned char *map_ = nullptr; ///< mmap base (whole file)
-    std::size_t mapBytes_ = 0;
+    Mapping map_;
     const unsigned char *recordsBegin_ = nullptr; ///< first record byte
 
-    std::uint32_t numUnits_ = 0;
-    std::uint32_t coresPerUnit_ = 0;
+    Trace shape_; ///< header + primitive table; records stay empty
     std::uint64_t recordCount_ = 0;
-    std::vector<TracePrimitive> primitives_;
 };
 
 } // namespace syncron::trace

@@ -1,22 +1,18 @@
 /**
  * @file
- * The trace container's integer encodings — LEB128 varints and the
- * zigzag mapping for signed deltas — shared by every consumer of the
- * `SYNCTRC` byte layout: the streaming TraceWriter/TraceReader
- * (iostreams), the zero-copy MappedTraceReader (bounds-checked reads
- * from an mmap'd buffer), and the tracenet wire marshaller (append to /
- * cursor over in-memory frame payloads). Single-sourcing them here is
- * what lets the wire protocol's frame header reuse the container's
- * encoding byte-for-byte.
+ * The container integer encodings — LEB128 varints and the zigzag
+ * mapping for signed deltas — shared by the `SYNCTRC` trace and the
+ * `SYNCDUR` persisted image. Writers append varints to an ostream;
+ * every reader decodes through a VarintCursor over an in-memory byte
+ * range (a buffered stream or an mmap'd file), see trace/codec.hh.
  */
 
 #ifndef SYNCRON_TRACE_VARINT_HH
 #define SYNCRON_TRACE_VARINT_HH
 
 #include <cstdint>
-#include <istream>
+#include <cstring>
 #include <ostream>
-#include <string>
 
 #include "common/log.hh"
 
@@ -33,34 +29,10 @@ putVarint(std::ostream &os, std::uint64_t v)
     os.put(static_cast<char>(v));
 }
 
-/** Reads one LEB128 varint from @p is; fatal() on EOF or overlength. */
-inline std::uint64_t
-getVarint(std::istream &is)
-{
-    std::uint64_t v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        const int byte = is.get();
-        if (byte == std::istream::traits_type::eof())
-            SYNCRON_FATAL("trace truncated inside a varint");
-        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
-            return v;
-    }
-    SYNCRON_FATAL("trace varint longer than 64 bits (corrupt stream)");
-}
-
-/** Appends @p v to the byte buffer @p buf as a LEB128 varint. */
-inline void
-appendVarint(std::string &buf, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        buf.push_back(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    buf.push_back(static_cast<char>(v));
-}
-
-/** Maps a signed delta onto the varint-friendly zigzag encoding. */
+/**
+ * Maps a signed delta onto the varint-friendly zigzag encoding (the
+ * inverse, with overflow checks, is RecordDecoder's issue-tick step).
+ */
 inline std::uint64_t
 zigzag(std::int64_t v)
 {
@@ -68,21 +40,12 @@ zigzag(std::int64_t v)
            ^ static_cast<std::uint64_t>(v >> 63);
 }
 
-/** Inverse of zigzag(). */
-inline std::int64_t
-unzigzag(std::uint64_t v)
-{
-    return static_cast<std::int64_t>(v >> 1)
-           ^ -static_cast<std::int64_t>(v & 1);
-}
-
 /**
  * Bounds-checked varint cursor over a borrowed byte range — the
- * allocation-free read primitive under both the mmap'd trace reader and
- * the frame-payload unmarshaller. Every read is range-checked against
- * the end of the buffer; @p what names the enclosing structure in the
- * truncation fatal so a corrupt mmap'd corpus file and a malformed
- * network frame each produce a self-describing error.
+ * allocation-free read primitive under every container reader. Every
+ * read is range-checked against the end of the buffer; @p what names
+ * the container ("trace", "persisted image") in each fatal so a corrupt
+ * file produces a self-describing error.
  */
 class VarintCursor
 {
@@ -101,8 +64,8 @@ class VarintCursor
 
     bool atEnd() const { return cur_ == end_; }
 
-    /** Current position (for offset-based resumption). */
-    const unsigned char *position() const { return cur_; }
+    /** Container name used in diagnostics. */
+    const char *what() const { return what_; }
 
     /** Reads one varint; fatal() when the buffer ends inside it. */
     std::uint64_t
@@ -120,16 +83,18 @@ class VarintCursor
         SYNCRON_FATAL(what_ << " varint longer than 64 bits (corrupt)");
     }
 
-    /** Reads @p n raw bytes; fatal() when fewer remain. */
-    const unsigned char *
-    getBytes(std::size_t n)
+    /**
+     * Consumes the @p n bytes at @p prefix (a container magic) when the
+     * buffer starts with them; returns false, consuming nothing, when it
+     * does not.
+     */
+    bool
+    skipPrefix(const char *prefix, std::size_t n)
     {
-        if (remaining() < n)
-            SYNCRON_FATAL(what_ << " truncated inside a " << n
-                                << "-byte field");
-        const unsigned char *p = cur_;
+        if (remaining() < n || std::memcmp(cur_, prefix, n) != 0)
+            return false;
         cur_ += n;
-        return p;
+        return true;
     }
 
   private:

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -142,6 +143,16 @@ TEST(PersistedImage, ReaderRejectsCorruption)
         std::stringstream in(forged);
         EXPECT_THROW(readImage(in), std::runtime_error);
     }
+}
+
+TEST(PersistedImage, WriteToFullDiskIsFatal)
+{
+    if (!std::ifstream("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this platform";
+    // The image fits in the stream buffer, so the failure only shows
+    // at the final flush.
+    EXPECT_THROW(writeImageFile("/dev/full", sampleImage()),
+                 std::runtime_error);
 }
 
 // --------------------------------------------------------------------

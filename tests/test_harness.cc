@@ -187,7 +187,7 @@ TEST(BenchOptions, RejectsTraceFlagsWithParallelJobs)
     }
 }
 
-TEST(BenchOptions, ParsesTraceCorpusAndStream)
+TEST(BenchOptions, ParsesTraceCorpus)
 {
     auto parse1 = [](const char *a) {
         const char *argv[] = {"bench", a};
@@ -199,35 +199,10 @@ TEST(BenchOptions, ParsesTraceCorpusAndStream)
     };
 
     EXPECT_EQ(parse1("--trace-corpus=traces").traceCorpus, "traces");
-    EXPECT_EQ(parse1("--trace-stream=127.0.0.1:7461").traceStream,
-              "127.0.0.1:7461");
-    // The endpoint flows into every cell's config.
-    EXPECT_EQ(parse1("--trace-stream=fd:7")
-                  .makeConfig(Scheme::SynCron).traceStream,
-              "fd:7");
-
     EXPECT_THROW(parse1("--trace-corpus="), std::runtime_error);
-    EXPECT_THROW(parse1("--trace-stream="), std::runtime_error);
 
     // One replay source: a corpus directory or a single file, not both.
     EXPECT_THROW(parse2("--trace-corpus=traces", "--trace-in=a.trc"),
-                 std::runtime_error);
-
-    // Streaming records one global order, like --trace-out: parallel
-    // grid cells and sharded simulations are rejected either way
-    // around, --jobs=1/--sim-shards=1 are explicitly fine.
-    EXPECT_THROW(parse2("--trace-stream=h:1", "--jobs=2"),
-                 std::runtime_error);
-    EXPECT_THROW(parse2("--jobs=2", "--trace-stream=h:1"),
-                 std::runtime_error);
-    EXPECT_THROW(parse2("--trace-stream=h:1", "--sim-shards=2"),
-                 std::runtime_error);
-    EXPECT_THROW(parse2("--sim-shards=2", "--trace-stream=h:1"),
-                 std::runtime_error);
-    EXPECT_NO_THROW(parse2("--trace-stream=h:1", "--jobs=1"));
-    EXPECT_NO_THROW(parse2("--trace-stream=h:1", "--sim-shards=1"));
-    // Streaming alongside replay makes no sense (nothing is captured).
-    EXPECT_THROW(parse2("--trace-stream=h:1", "--trace-in=a.trc"),
                  std::runtime_error);
 }
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "trace/format.hh"
 #include "trace/replay.hh"
 #include "trace/scenario.hh"
+#include "trace/varint.hh"
 #include "workloads/micro/primitives.hh"
 
 namespace syncron::trace {
@@ -244,6 +246,135 @@ TEST(TraceFormat, RejectsDanglingReferences)
     t.primitives[0].kind = PrimKind::Semaphore;
     t.records[0].kind = sync::OpKind::BarrierWaitAcrossUnits;
     EXPECT_THROW(decode(encode(t)), std::runtime_error);
+}
+
+// -- Crafted containers: values the encoder never writes --------------
+
+std::string
+varint(std::uint64_t v)
+{
+    std::ostringstream os;
+    putVarint(os, v);
+    return os.str();
+}
+
+/**
+ * Header of a 1-unit, 1-core container whose primitive table holds a
+ * lock (id 0) and a condvar (id 1), announcing @p records records.
+ */
+std::string
+craftedHeader(std::uint64_t records, std::uint64_t units = 1,
+              std::uint64_t coresPerUnit = 1, std::uint64_t param = 0)
+{
+    std::string b(kTraceMagic.begin(), kTraceMagic.end());
+    b += varint(kTraceVersion) + varint(units) + varint(coresPerUnit);
+    b += varint(2);
+    b += varint(0) + varint(0) + varint(param) + varint(0); // lock
+    b += varint(3) + varint(0) + varint(0) + varint(0);     // condvar
+    return b + varint(records);
+}
+
+/** One record: issue delta (zigzag'd), latency, core, kind, prim. */
+std::string
+craftedRecord(std::uint64_t zigzagDelta, std::uint64_t latency,
+              std::uint64_t core = 0,
+              sync::OpKind kind = sync::OpKind::LockAcquire,
+              std::uint64_t prim = 0)
+{
+    return varint(zigzagDelta) + varint(latency) + varint(core)
+           + varint(static_cast<std::uint64_t>(kind)) + varint(prim);
+}
+
+/** Decodes @p bytes through both readers (istream and mmap'd file). */
+void
+expectBothReject(const std::string &bytes, const char *what)
+{
+    EXPECT_THROW(decode(bytes), std::runtime_error) << what;
+    const std::string path = "test_trace_crafted.trc";
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_THROW(readTraceFile(path), std::runtime_error) << what;
+    std::remove(path.c_str());
+}
+
+TEST(TraceFormat, RejectsIssueTickOverflow)
+{
+    constexpr std::uint64_t kInt64Max = 0x7fffffffffffffffULL;
+    // Record 0 issues at INT64_MAX; record 1's delta +1 overflows it.
+    const std::string overflow = craftedHeader(2)
+                                 + craftedRecord(zigzag(kInt64Max), 0)
+                                 + craftedRecord(zigzag(1), 0);
+    expectBothReject(overflow, "issue tick past INT64_MAX");
+
+    // At INT64_MAX itself the record is legal...
+    const Trace edge =
+        decode(craftedHeader(1) + craftedRecord(zigzag(kInt64Max), 0));
+    EXPECT_EQ(edge.records.at(0).issued, kInt64Max);
+
+    // ...and the most negative delta is a negative tick, not a wrap.
+    expectBothReject(craftedHeader(1) + craftedRecord(~0ULL, 0),
+                     "INT64_MIN delta from tick 0");
+    expectBothReject(craftedHeader(2) + craftedRecord(zigzag(5), 0)
+                         + craftedRecord(zigzag(-6), 0),
+                     "negative issue tick");
+}
+
+TEST(TraceFormat, RejectsCompletionTickWrap)
+{
+    constexpr std::uint64_t kMax = ~0ULL;
+    // issued 10 + latency (2^64 - 6) wraps past 2^64.
+    expectBothReject(craftedHeader(1) + craftedRecord(zigzag(10), kMax - 5),
+                     "completion tick wraps");
+    const Trace edge =
+        decode(craftedHeader(1) + craftedRecord(zigzag(10), kMax - 10));
+    EXPECT_EQ(edge.records.at(0).completed, kMax);
+}
+
+TEST(TraceFormat, Rejects32BitFieldsThatDoNotFit)
+{
+    constexpr std::uint64_t k2To32 = 1ULL << 32;
+    const std::string lockOp = craftedRecord(0, 0);
+    // Each of these used to truncate silently into a valid value.
+    expectBothReject(craftedHeader(1) + craftedRecord(0, 0, k2To32),
+                     "core 2^32");
+    expectBothReject(craftedHeader(1)
+                         + craftedRecord(0, 0, 0,
+                                         sync::OpKind::LockAcquire,
+                                         k2To32),
+                     "prim 2^32");
+    expectBothReject(craftedHeader(1)
+                         + craftedRecord(0, 0, 0, sync::OpKind::CondWait,
+                                         1)
+                         + varint(k2To32),
+                     "assocPrim 2^32");
+    expectBothReject(craftedHeader(1, 1, 1, k2To32) + lockOp,
+                     "param 2^32");
+    expectBothReject(craftedHeader(1, k2To32 + 1) + lockOp,
+                     "numUnits 2^32 + 1");
+    expectBothReject(craftedHeader(1, 1, k2To32 + 1) + lockOp,
+                     "clientCoresPerUnit 2^32 + 1");
+    // In range, but the machine's core count would wrap 32 bits.
+    expectBothReject(craftedHeader(1, 1u << 16, 1u << 16) + lockOp,
+                     "2^32 client cores");
+
+    // The same containers with in-range values decode.
+    const Trace ok = decode(craftedHeader(1)
+                            + craftedRecord(0, 0, 0,
+                                            sync::OpKind::CondWait, 1)
+                            + varint(0));
+    EXPECT_EQ(ok.records.at(0).assocPrim, 0u);
+}
+
+TEST(TraceFormat, WriteToFullDiskIsFatal)
+{
+    if (!std::ifstream("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this platform";
+    Rng rng(31);
+    // Small enough to sit in the stream buffer until close.
+    const Trace t = randomTrace(rng);
+    EXPECT_THROW(writeTraceFile(t, "/dev/full"), std::runtime_error);
 }
 
 // --------------------------------------------------------------------

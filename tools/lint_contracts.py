@@ -32,16 +32,7 @@ seconds and are wired into CI ahead of the build:
                        PM domain; other simulation code goes through
                        SystemConfig::persistMode and the durability
                        manager.
-  7. tracenet-scope    The POSIX socket API is confined to
-                       src/tracenet/ (the trace-service transport) —
-                       everything else talks through tracenet::Transport
-                       so timeouts, partial sends, and EINTR handling
-                       live in exactly one place. Matched on socket
-                       headers and unambiguous API tokens (socketpair,
-                       AF_INET, sockaddr_in...), not the bare word
-                       "socket", which legitimately appears as the
-                       NUMA-socket concept in coherence code.
-  8. shard-scope       Under --sim-shards the machine has one timing
+  7. shard-scope       Under --sim-shards the machine has one timing
                        wheel per shard and only the PDES coordinator
                        may touch a queue it does not own. Scheduling on
                        the bare shard-0 queue (`eq().schedule[In]`) or
@@ -79,12 +70,6 @@ PERSIST_HOOK_RE = re.compile(r"\bPersistHook\b")
 SHARD0_SCHEDULE_RE = re.compile(
     r"\beq\s*\(\s*\)\s*\.\s*schedule(In)?\s*\(")
 SHARD_QUEUES_RE = re.compile(r"\bshardQueues\s*\(\s*\)")
-SOCKET_INCLUDE_RE = re.compile(
-    r'^\s*#\s*include\s+<(sys/socket\.h|netinet/[\w.]+|arpa/inet\.h)>',
-    re.MULTILINE)
-SOCKET_TOKEN_RE = re.compile(
-    r"\b(socketpair|AF_INET|AF_UNIX|SOCK_STREAM|sockaddr_in"
-    r"|getsockname|setsockopt)\b")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once", re.MULTILINE)
 RELATIVE_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"\.\./', re.MULTILINE)
 GUARD_RE = re.compile(r"^\s*#\s*ifndef\s+(\w+)", re.MULTILINE)
@@ -104,8 +89,6 @@ STD_FUNCTION_ALLOW = {
     "src/common/stats.cc",
     "src/sync/registry.hh",            # backend factory, cold
 }
-# The one component allowed to speak the raw socket API.
-TRACENET_SCOPE_ALLOW_PREFIXES = ("src/tracenet/",)
 # Directory prefixes where the persist hooks legitimately live: the
 # durability subsystem defines them, the SynCron engine invokes them.
 PERSIST_SCOPE_ALLOW_PREFIXES = ("src/durability/", "src/syncron/")
@@ -195,17 +178,6 @@ def lint_tree(root):
                        "+ src/syncron/ - wire through "
                        "DurabilityManager, not the raw hook")
 
-        if not rel.startswith(TRACENET_SCOPE_ALLOW_PREFIXES):
-            for m in SOCKET_INCLUDE_RE.finditer(text):
-                report(rel, line_of(text, m), "tracenet-scope",
-                       "socket header included outside src/tracenet/ - "
-                       "go through tracenet::Transport / Listener")
-            for m in SOCKET_TOKEN_RE.finditer(text):
-                report(rel, line_of(text, m), "tracenet-scope",
-                       "raw socket API ('%s') outside src/tracenet/ - "
-                       "go through tracenet::Transport / Listener"
-                       % m.group(1))
-
         if (rel.startswith("src/")
                 and not rel.startswith(SHARD_SCOPE_ALLOW_PREFIXES)
                 and rel not in SHARD_SCOPE_ALLOW):
@@ -257,9 +229,6 @@ FIXTURES = [
      "#include <functional>\nstd::function<void()> f;\n"),
     ("header-hygiene", "src/fixture.hh",
      "#pragma once\n#include \"../common/log.hh\"\n"),
-    ("tracenet-scope", "src/fixture.cc",
-     "#include <sys/socket.h>\n"
-     "int f(){int sv[2];return socketpair(AF_UNIX,SOCK_STREAM,0,sv);}\n"),
     ("persist-scope", "src/fixture.cc",
      "void f(durability::PersistHook &h) { h.persistCounter(0, 0); }\n"),
     ("shard-scope", "src/fixture.cc",
