@@ -13,8 +13,13 @@
  *   device  — 56-byte captures (engine/overflow-style callbacks: this,
  *             station, typed request, gate); the legacy kernel heap-
  *             allocates every one of these.
- *   far     — half the events land beyond the near wheel's horizon,
- *             exercising the overflow heap and epoch promotion.
+ *   far     — half the devices reschedule beyond the wheel's epoch
+ *             (EventQueue::kEpochTicks), so each of their events goes
+ *             through the overflow heap and an epoch promotion. A far
+ *             device fires once per epoch while a near one fires every
+ *             few ns, so the heap carries only a small share of the
+ *             events; the wheel's promotion count is printed so a
+ *             geometry change cannot silently drop the heap path.
  *
  * The overall events/sec ratio is the PR-gating number (>= 2x).
  */
@@ -25,6 +30,7 @@
 #include <functional>
 #include <iostream>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "common/log.hh"
@@ -134,6 +140,7 @@ struct ScenarioResult
 {
     std::uint64_t events = 0;
     double seconds = 0.0;
+    std::uint64_t promotions = 0; ///< wheel epoch promotions (wheel only)
 
     double
     eventsPerSec() const
@@ -147,11 +154,12 @@ struct ScenarioResult
 constexpr unsigned kDevices = 1024;
 
 /** Device-model latencies in ticks (core cycle, SPU cycle, xbar hop,
- *  pipelined DRAM, row miss); all within the near wheel's horizon. */
+ *  pipelined DRAM, row miss); all within one wheel epoch. */
 constexpr Tick kNearDeltas[] = {400, 1000, 1600, 2800, 12000};
 
-/** Beyond the 2^16-tick near horizon: overflow-heap territory. */
-constexpr Tick kFarDelta = 300000;
+/** Beyond one wheel epoch from any now(): overflow-heap territory. */
+constexpr Tick kFarDelta =
+    sim::EventQueue::kEpochTicks + sim::EventQueue::kEpochTicks / 4;
 
 template <typename Q, typename Seed>
 ScenarioResult
@@ -169,6 +177,8 @@ runScenario(std::uint64_t events, Seed seed)
     r.events = events;
     r.seconds =
         std::chrono::duration<double>(stop - start).count();
+    if constexpr (requires { q.promotions(); })
+        r.promotions = q.promotions();
     return r;
 }
 
@@ -241,7 +251,8 @@ main(int argc, char **argv)
 
     harness::TablePrinter table(
         "kernel_micro: host events/sec, seed kernel vs timing wheel",
-        {"scenario", "legacy [Mev/s]", "wheel [Mev/s]", "speedup"});
+        {"scenario", "legacy [Mev/s]", "wheel [Mev/s]", "speedup",
+         "promotions"});
 
     struct Row
     {
@@ -264,7 +275,8 @@ main(int argc, char **argv)
         totalEvents += events;
         table.addRow({s.name, fmt(l.eventsPerSec() / 1e6, 2),
                       fmt(w.eventsPerSec() / 1e6, 2),
-                      fmtX(l.seconds / w.seconds)});
+                      fmtX(l.seconds / w.seconds),
+                      std::to_string(w.promotions)});
     }
 
     const double legacyRate =
@@ -299,6 +311,7 @@ main(int argc, char **argv)
                 .field("legacyEventsPerSec", r.legacy.eventsPerSec())
                 .field("wheelEventsPerSec", r.wheel.eventsPerSec())
                 .field("speedup", r.legacy.seconds / r.wheel.seconds)
+                .field("wheelPromotions", r.wheel.promotions)
                 .endObject();
         }
         j.endArray();

@@ -140,6 +140,8 @@ BenchReport::writeJson() const
         j.field("hostMs", static_cast<double>(r.out.hostNs) * 1e-6);
         j.field("events", r.out.hostEvents);
         j.field("eventsPerSec", r.out.hostEventsPerSec());
+        j.field("windows", r.out.hostWindows);
+        j.field("promotions", r.out.hostPromotions);
         if (r.out.totalReqs > 0)
             j.field("overflowFrac", r.out.overflowFrac());
         if (r.out.offeredOps > 0) {

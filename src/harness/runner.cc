@@ -387,6 +387,8 @@ void
 finishOutput(RunOutput &out, NdpSystem &sys)
 {
     out.hostEvents = sys.machine().executedEvents();
+    out.hostWindows = sys.kernelWindows();
+    out.hostPromotions = sys.machine().promotions();
     out.stats = sys.stats();
     out.energy = computeEnergy(sys.stats(), sys.config());
     if (engine::SynCronBackend *eng = sys.syncronBackend()) {

@@ -82,15 +82,29 @@ EventQueue::clearSlot(std::size_t slot)
 void
 EventQueue::pushSlot(std::uint32_t idx)
 {
-    const std::size_t slot =
-        static_cast<std::size_t>(pool_[idx].when & kSlotMask);
+    // Precondition: idx's seq exceeds that of every same-tick node
+    // already in the slot — true for every fresh schedule() (seq is
+    // monotonic) and for promotion (heap pops are ordered) — so (when,
+    // seq) order puts it behind the last node with when <= its own.
+    Event &e = pool_[idx];
+    const std::size_t slot = slotOf(e.when);
     Slot &s = slots_[slot];
     if (s.head == kNilIdx) {
         s.head = s.tail = idx;
         markSlot(slot);
-    } else {
+    } else if (pool_[s.tail].when <= e.when) {
         pool_[s.tail].next = idx;
         s.tail = idx;
+    } else if (e.when < pool_[s.head].when) {
+        e.next = s.head;
+        s.head = idx;
+    } else {
+        // head.when <= e.when < tail.when: the walk stops before tail.
+        std::uint32_t prev = s.head;
+        while (pool_[pool_[prev].next].when <= e.when)
+            prev = pool_[prev].next;
+        e.next = pool_[prev].next;
+        pool_[prev].next = idx;
     }
     ++wheelCount_;
 }
@@ -145,12 +159,13 @@ EventQueue::promoteNextEpoch()
 {
     SYNCRON_ASSERT(wheelCount_ == 0 && !heap_.empty(),
                    "promotion with events still in the wheel");
-    epoch_ = heap_.front().when >> kWheelBits;
-    // Heap pops come out ordered by (when, seq), so same-tick events
-    // append to their slot in seq order — FIFO is preserved, and any
-    // event scheduled after this promotion has a larger seq and lands
-    // behind them.
-    while (!heap_.empty() && (heap_.front().when >> kWheelBits) == epoch_) {
+    epoch_ = heap_.front().when >> kEpochBits;
+    ++promotions_;
+    // Heap pops come out ordered by (when, seq), so every promoted event
+    // appends at its slot's tail — (when, seq) order and same-tick FIFO
+    // are preserved, and any event scheduled after this promotion has a
+    // larger seq and lands behind its same-tick peers.
+    while (!heap_.empty() && (heap_.front().when >> kEpochBits) == epoch_) {
         std::pop_heap(heap_.begin(), heap_.end());
         const HeapEntry e = heap_.back();
         heap_.pop_back();
@@ -165,13 +180,12 @@ EventQueue::nextEventTime() const
         // All wheel events live in epoch_, which now_ has entered (or
         // not reached yet, right after construction / a promotion).
         const std::size_t from =
-            (now_ >> kWheelBits) == epoch_
-                ? static_cast<std::size_t>(now_ & kSlotMask)
-                : 0;
+            (now_ >> kEpochBits) == epoch_ ? slotOf(now_) : 0;
         const std::size_t slot = nextSlotFrom(from);
         SYNCRON_ASSERT(slot < kWheelSlots,
                        "wheel count/bitmap disagree");
-        return (Tick{epoch_} << kWheelBits) + slot;
+        // Slots are sorted, so the head is the slot's earliest event.
+        return pool_[slots_[slot].head].when;
     }
     if (!heap_.empty())
         return heap_.front().when;
@@ -183,8 +197,7 @@ EventQueue::popAndRun(Tick when)
 {
     if (wheelCount_ == 0)
         promoteNextEpoch();
-    const std::uint32_t idx =
-        popSlot(static_cast<std::size_t>(when & kSlotMask));
+    const std::uint32_t idx = popSlot(slotOf(when));
     now_ = when;
     --pending_;
     ++executed_;
@@ -207,7 +220,7 @@ EventQueue::schedule(Tick when, Callback cb)
                        << " now=" << now_);
     const std::uint32_t idx = allocNode(when, std::move(cb));
     pool_[idx].seq = nextSeq_++;
-    if ((when >> kWheelBits) == epoch_) {
+    if ((when >> kEpochBits) == epoch_) {
         pushSlot(idx);
     } else {
         // Whenever user code runs, now_ is inside epoch_, so when >=

@@ -11,23 +11,28 @@
  * Events at the same tick execute in scheduling order (FIFO), which makes
  * every simulation deterministic and reproducible.
  *
- * Implementation: a hierarchical timer — a near wheel at 1-tick
- * granularity plus an overflow min-heap for far-future events — backed
- * by a free-list node pool, so schedule()/pop are O(1) for the short
+ * Implementation: a hierarchical timer — a near wheel of coarse slots
+ * plus an overflow min-heap for far-future events — backed by a
+ * free-list node pool, so schedule()/pop are O(1) for the short
  * link/DRAM/SE latencies that dominate and never allocate in steady
  * state. Callbacks are stored inline (common/inplace_callback.hh), so
  * scheduling a coroutine resume or a device callback performs zero heap
  * allocations.
  *
- * Wheel layout: simulated time is divided into epochs of 2^kWheelBits
- * ticks. The wheel holds exactly the pending events of the current
- * epoch (slot = when mod 2^kWheelBits, one FIFO list per slot, with a
- * three-level bitmap for O(1) next-slot scans); all later events wait
- * in the overflow heap, ordered by (when, seq). When the current epoch
- * drains, the queue jumps to the epoch of the heap's minimum and
- * promotes that epoch's events into the wheel in (when, seq) order —
- * same-tick FIFO survives promotion because heap order extends the
- * slot-append order (see runOne()).
+ * Wheel layout: simulated time is divided into epochs of kEpochTicks
+ * (2^22) ticks, and each epoch into 2^16 slots of 2^6 ticks. The wheel
+ * holds exactly the pending events of the current epoch (slot =
+ * (when >> 6) mod 2^16, with a three-level bitmap for O(1) next-slot
+ * scans); all later events wait in the overflow heap, ordered by
+ * (when, seq). Each slot is an intrusive list kept sorted by
+ * (when, seq): a new event carries the largest seq so far, so it
+ * appends in O(1) whenever it is not earlier than the slot's tail —
+ * every same-tick event and all of promotion — and otherwise is
+ * inserted behind the last node with when <= its own. When the current
+ * epoch drains, the queue jumps to the epoch of the heap's minimum and
+ * promotes that epoch's events into the wheel in (when, seq) order.
+ * One epoch spans every device latency and a whole sharded lookahead
+ * window, so promotions stay rare.
  */
 
 #ifndef SYNCRON_SIM_EVENT_QUEUE_HH
@@ -96,18 +101,39 @@ class EventQueue
      */
     Tick nextTime() const { return nextEventTime(); }
 
+    /** Host-side count of epoch promotions from the overflow heap into
+     *  the wheel (perf accounting). */
+    std::uint64_t promotions() const { return promotions_; }
+
+    /** log2 of the wheel epoch: 2^22 ticks (4.2 us), which covers the
+     *  device latencies (core cycle 0.4 ns, SPU cycle 1 ns, links 40 ns,
+     *  DRAM tens of ns) and a whole sharded lookahead window. */
+    static constexpr unsigned kEpochBits = 22;
+    /** Ticks one wheel epoch spans; events beyond the current epoch
+     *  wait in the overflow heap until their epoch is promoted. */
+    static constexpr Tick kEpochTicks = Tick{1} << kEpochBits;
+    /** log2 of the ticks one wheel slot covers. */
+    static constexpr unsigned kSlotBits = 6;
+    /** Ticks one wheel slot covers; distinct ticks sharing a slot are
+     *  kept in (when, seq) order inside it. */
+    static constexpr Tick kSlotTicks = Tick{1} << kSlotBits;
+
   private:
     // -- Geometry ------------------------------------------------------
-    /** log2 of the near-wheel slot count: one epoch = 65536 ticks
-     *  (65.5 ns), which covers the common device latencies (core cycle
-     *  0.4 ns, SPU cycle 1 ns, links 40 ns, DRAM tens of ns). */
-    static constexpr unsigned kWheelBits = 16;
+    /** log2 of the near-wheel slot count (2^16 slots per epoch). */
+    static constexpr unsigned kWheelBits = kEpochBits - kSlotBits;
     static constexpr std::size_t kWheelSlots = std::size_t{1} << kWheelBits;
     static constexpr Tick kSlotMask = Tick{kWheelSlots - 1};
 
+    static std::size_t
+    slotOf(Tick when)
+    {
+        return static_cast<std::size_t>((when >> kSlotBits) & kSlotMask);
+    }
+
     static constexpr std::uint32_t kNilIdx = ~std::uint32_t{0};
 
-    /** Pooled event node; FIFO-chained per wheel slot via `next`. */
+    /** Pooled event node; chained per wheel slot via `next`. */
     struct Event
     {
         Callback cb;
@@ -116,7 +142,8 @@ class EventQueue
         std::uint32_t next = kNilIdx;
     };
 
-    /** One near-wheel slot: intrusive FIFO list of pool indices. */
+    /** One near-wheel slot: intrusive list of pool indices, sorted by
+     *  (when, seq). */
     struct Slot
     {
         std::uint32_t head = kNilIdx;
@@ -180,6 +207,7 @@ class EventQueue
     std::size_t pending_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
+    std::uint64_t promotions_ = 0;
 };
 
 } // namespace syncron::sim

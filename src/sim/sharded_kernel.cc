@@ -17,8 +17,8 @@ ShardedKernel::ShardedKernel(std::vector<EventQueue *> queues, Tick lookahead,
                    "zero lookahead requires lockstep (single shard)");
     if (queues_.size() > 1) {
         errors_.resize(queues_.size());
-        workers_.reserve(queues_.size());
-        for (std::size_t s = 0; s < queues_.size(); ++s)
+        workers_.reserve(queues_.size() - 1);
+        for (std::size_t s = 1; s < queues_.size(); ++s)
             workers_.emplace_back([this, s] { workerLoop(s); });
     }
 }
@@ -26,11 +26,9 @@ ShardedKernel::ShardedKernel(std::vector<EventQueue *> queues, Tick lookahead,
 ShardedKernel::~ShardedKernel()
 {
     if (!workers_.empty()) {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stop_ = true;
-        }
-        cv_.notify_all();
+        stop_ = true;
+        generation_.fetch_add(1, std::memory_order_release);
+        generation_.notify_all();
         for (std::thread &t : workers_)
             t.join();
     }
@@ -46,29 +44,27 @@ ShardedKernel::horizon() const
 }
 
 void
+ShardedKernel::runShard(std::size_t shard, Tick limit)
+{
+    try {
+        queues_[shard]->run(limit);
+    } catch (...) {
+        errors_[shard] = std::current_exception();
+    }
+}
+
+void
 ShardedKernel::workerLoop(std::size_t shard)
 {
-    std::uint64_t seen = 0;
+    std::uint32_t seen = 0;
     for (;;) {
-        Tick limit;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-            if (stop_)
-                return;
-            seen = generation_;
-            limit = windowLimit_;
-        }
-        try {
-            queues_[shard]->run(limit);
-        } catch (...) {
-            errors_[shard] = std::current_exception();
-        }
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --running_;
-        }
-        doneCv_.notify_one();
+        generation_.wait(seen, std::memory_order_acquire);
+        seen = generation_.load(std::memory_order_acquire);
+        if (stop_)
+            return;
+        runShard(shard, windowLimit_);
+        if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            running_.notify_one();
     }
 }
 
@@ -80,17 +76,15 @@ ShardedKernel::runWindow(Tick limit)
         return;
     }
     client_.windowBegin();
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        windowLimit_ = limit;
-        running_ = workers_.size();
-        ++generation_;
-    }
-    cv_.notify_all();
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        doneCv_.wait(lock, [&] { return running_ == 0; });
-    }
+    windowLimit_ = limit;
+    running_.store(static_cast<std::uint32_t>(workers_.size()),
+                   std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+    runShard(0, limit);
+    for (std::uint32_t left = running_.load(std::memory_order_acquire);
+         left != 0; left = running_.load(std::memory_order_acquire))
+        running_.wait(left, std::memory_order_acquire);
     client_.windowEnd();
     // Rethrow the lowest shard's failure so error reporting is
     // deterministic even when several shards fault in one window.

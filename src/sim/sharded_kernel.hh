@@ -32,15 +32,21 @@
  * this. With one queue the coordinator degenerates to bounded serial
  * stepping and never spawns threads, so the windowed path is exercised
  * uniformly at every shard count.
+ *
+ * Threads: N shards use N-1 worker threads; the calling thread runs
+ * shard 0 itself. The barrier is park-only — an atomic window
+ * generation the workers wait on and an atomic running count the
+ * coordinator waits on (std::atomic::wait/notify), with only the last
+ * finisher waking the coordinator. Nothing spins: host CPU time is part
+ * of what the simulator is measured on.
  */
 
 #ifndef SYNCRON_SIM_SHARDED_KERNEL_HH
 #define SYNCRON_SIM_SHARDED_KERNEL_HH
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <exception>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -104,25 +110,30 @@ class ShardedKernel
   private:
     /** Min nextTime() across shards (kTickNever when all empty). */
     Tick horizon() const;
-    /** Runs every queue to @p limit — worker threads when sharded. */
+    /** Runs every queue to @p limit — shard 0 on this thread, the rest
+     *  on the workers. */
     void runWindow(Tick limit);
     void workerLoop(std::size_t shard);
+    /** Runs one shard's window, parking any failure in errors_. */
+    void runShard(std::size_t shard, Tick limit);
 
     std::vector<EventQueue *> queues_;
     Tick lookahead_;
     Client &client_;
     std::uint64_t windows_ = 0;
 
-    // -- Worker pool (only populated when queues_.size() > 1) ----------
-    std::vector<std::thread> workers_;
-    std::mutex mu_;
-    std::condition_variable cv_;       ///< coordinator -> workers
-    std::condition_variable doneCv_;   ///< workers -> coordinator
-    std::uint64_t generation_ = 0;     ///< bumped per window
-    Tick windowLimit_ = 0;
-    std::size_t running_ = 0;          ///< workers still inside a window
-    bool stop_ = false;
+    // -- Window barrier (only used when sharded) ------------------------
+    /// Bumped per window (and once at shutdown); workers park on it.
+    /// 32-bit so std::atomic::wait maps straight onto a futex.
+    std::atomic<std::uint32_t> generation_{0};
+    /// Workers still inside the current window; the coordinator parks
+    /// on it and the last finisher wakes it.
+    std::atomic<std::uint32_t> running_{0};
+    Tick windowLimit_ = 0; ///< published by the generation bump
+    bool stop_ = false;    ///< likewise
     std::vector<std::exception_ptr> errors_; ///< per-shard, rethrown by index
+    /// Shards 1..N-1; declared last so the members above outlive them.
+    std::vector<std::thread> workers_;
 };
 
 } // namespace syncron::sim

@@ -96,6 +96,15 @@ Machine::executedEvents() const
     return total;
 }
 
+std::uint64_t
+Machine::promotions() const
+{
+    std::uint64_t total = 0;
+    for (const auto &s : shards_)
+        total += s->eq.promotions();
+    return total;
+}
+
 std::size_t
 Machine::pendingEvents() const
 {
@@ -297,18 +306,16 @@ Machine::drainMailboxes()
     // per-unit sequence) — a total order independent of the shard
     // count — and schedule one delivery event per envelope. Runs only
     // at window barriers, so touching every queue is safe.
-    std::vector<Envelope> batch;
+    // drainBuf_ persists across barriers and every outbox keeps its
+    // capacity, so steady-state windows never allocate.
     for (auto &s : shards_) {
-        if (batch.empty())
-            batch = std::move(s->outbox);
-        else
-            for (auto &env : s->outbox)
-                batch.push_back(std::move(env));
+        for (auto &env : s->outbox)
+            drainBuf_.push_back(std::move(env));
         s->outbox.clear();
     }
-    if (batch.empty())
+    if (drainBuf_.empty())
         return;
-    std::sort(batch.begin(), batch.end(),
+    std::sort(drainBuf_.begin(), drainBuf_.end(),
               [](const Envelope &a, const Envelope &b) {
                   if (a.when != b.when)
                       return a.when < b.when;
@@ -316,7 +323,7 @@ Machine::drainMailboxes()
                       return a.srcUnit < b.srcUnit;
                   return a.seq < b.seq;
               });
-    for (auto &env : batch) {
+    for (auto &env : drainBuf_) {
         const unsigned destShard = shardOf(env.to);
         Shard &sh = *shards_[destShard];
         const Tick when = env.when;
@@ -328,6 +335,7 @@ Machine::drainMailboxes()
             deliverEnvelope(destShard, idx);
         });
     }
+    drainBuf_.clear();
 }
 
 } // namespace syncron

@@ -117,6 +117,9 @@ class Machine : public sim::ShardedKernel::Client
     /** Sum of executed events across all shard queues (host perf). */
     std::uint64_t executedEvents() const;
 
+    /** Sum of epoch promotions across all shard queues (host perf). */
+    std::uint64_t promotions() const;
+
     /** Sum of pending events across all shard queues + mailboxes. */
     std::size_t pendingEvents() const;
 
@@ -243,6 +246,9 @@ class Machine : public sim::ShardedKernel::Client
     bool statsMerged_ = false;
     unsigned unitsPerShard_ = 1;
     std::vector<std::unique_ptr<Shard>> shards_;
+    /// Barrier-time gather buffer for drainMailboxes(); kept (empty)
+    /// between barriers so its capacity survives.
+    std::vector<Envelope> drainBuf_;
     /// Next envelope sequence number per source unit (only the owning
     /// shard's thread touches a given entry).
     std::vector<std::uint64_t> unitSeq_;

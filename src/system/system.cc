@@ -141,6 +141,7 @@ NdpSystem::run()
                               machine_->lookahead(), *machine_);
     if (cfg.crashAtTick != 0) {
         kernel.run(cfg.crashAtTick);
+        kernelWindows_ += kernel.windows();
         bool pending = false;
         for (const sim::Process &p : processes_) {
             if (!p.done()) {
@@ -162,6 +163,7 @@ NdpSystem::run()
         // normal end-of-run path.
     } else {
         kernel.run();
+        kernelWindows_ += kernel.windows();
     }
     for (const sim::Process &p : processes_) {
         if (!p.done()) {

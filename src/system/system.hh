@@ -136,6 +136,10 @@ class NdpSystem
     /** Simulated time elapsed so far (max across shard queues). */
     Tick elapsed() const;
 
+    /** Lookahead windows the sharded kernel executed over every run()
+     *  so far (host perf accounting). */
+    std::uint64_t kernelWindows() const { return kernelWindows_; }
+
     const SystemStats &stats() const { return machine_->stats(); }
     const SystemConfig &config() const { return machine_->config(); }
 
@@ -151,6 +155,7 @@ class NdpSystem
     std::unique_ptr<analysis::ShardedObserver> shardedObs_;
     std::unique_ptr<durability::DurabilityManager> durability_;
     std::vector<std::unique_ptr<core::Core>> cores_; ///< client cores
+    std::uint64_t kernelWindows_ = 0;
     /// Declared last: coroutine frames are destroyed before the api and
     /// backend they reference (crash teardown unwinds guards mid-op).
     std::vector<sim::Process> processes_;

@@ -1,24 +1,29 @@
 /**
  * @file
  * Tests for the timing-wheel event queue: same-tick FIFO determinism,
- * wheel/overflow-heap promotion at far-future horizons, run(until)
- * boundary semantics, allocation-freedom of steady-state scheduling
- * (via a counting global operator new), and serial-vs-parallel grid
- * determinism.
+ * (when, seq) order inside one coarse wheel slot, wheel/overflow-heap
+ * promotion at far-future horizons, run(until) boundary semantics,
+ * allocation-freedom of steady-state scheduling and of the sharded
+ * machine's mailbox drain (via a counting global operator new), and
+ * serial-vs-parallel grid determinism.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "harness/grid.hh"
 #include "harness/runner.hh"
 #include "sim/event_queue.hh"
 #include "sim/process.hh"
+#include "sim/sharded_kernel.hh"
+#include "system/machine.hh"
 
 // -- Counting allocator ------------------------------------------------
 // Counts every global allocation in this test binary; the steady-state
@@ -87,9 +92,9 @@ void operator delete[](void *p, const std::nothrow_t &) noexcept
 namespace syncron::sim {
 namespace {
 
-// The wheel covers 2^16 ticks; anything further sits in the overflow
+// The wheel covers one epoch; anything further sits in the overflow
 // heap until its epoch is promoted.
-constexpr Tick kHorizon = Tick{1} << 16;
+constexpr Tick kHorizon = EventQueue::kEpochTicks;
 
 TEST(TimingWheel, SameTickFifoAcrossManyEvents)
 {
@@ -169,6 +174,85 @@ TEST(TimingWheel, RandomizedOrderMatchesWhenSeqSort)
     ASSERT_EQ(fired.size(), refs.size());
     for (std::size_t i = 0; i < refs.size(); ++i)
         EXPECT_EQ(fired[i], refs[i].seq) << "at position " << i;
+}
+
+/**
+ * Schedules through a queue while logging (when, schedule order), so a
+ * test can check the execution order against a (when, seq) sort.
+ */
+struct OrderLog
+{
+    EventQueue eq;
+    std::vector<std::pair<Tick, int>> scheduled;
+    std::vector<int> fired;
+
+    template <typename Then>
+    void
+    at(Tick when, Then then)
+    {
+        const int id = static_cast<int>(scheduled.size());
+        scheduled.emplace_back(when, id);
+        eq.schedule(when, [this, id, then] {
+            fired.push_back(id);
+            then();
+        });
+    }
+
+    void at(Tick when) { at(when, [] {}); }
+
+    void
+    expectWhenSeqOrder() const
+    {
+        std::vector<std::pair<Tick, int>> ref = scheduled;
+        std::sort(ref.begin(), ref.end());
+        ASSERT_EQ(fired.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            EXPECT_EQ(fired[i], ref[i].second) << "at position " << i;
+    }
+};
+
+TEST(TimingWheel, DescendingDistinctTicksInOneSlot)
+{
+    // Every tick of one coarse slot, scheduled latest first (each new
+    // event is earlier than the slot's tail), with same-tick repeats
+    // mixed in: the slot must still yield ascending (when, seq).
+    OrderLog log;
+    const Tick base = 7 * EventQueue::kSlotTicks;
+    for (Tick i = 0; i < EventQueue::kSlotTicks; ++i) {
+        const Tick when = base + EventQueue::kSlotTicks - 1 - i;
+        log.at(when);
+        if (i % 3 == 0)
+            log.at(base + EventQueue::kSlotTicks - 1 - i / 2);
+    }
+    log.at(base + EventQueue::kSlotTicks); // the next slot
+    log.at(base);
+    log.eq.run();
+    log.expectWhenSeqOrder();
+    EXPECT_EQ(log.eq.now(), base + EventQueue::kSlotTicks);
+}
+
+TEST(TimingWheel, SchedulingIntoTheDrainingSlotKeepsFifo)
+{
+    // Events scheduled from inside a slot that is being drained — at
+    // the running tick, between pending ticks of the same slot, and
+    // behind its tail — run in (when, seq) order: same-tick FIFO holds
+    // inside a coarse slot.
+    OrderLog log;
+    const Tick base = 3 * EventQueue::kSlotTicks;
+    log.at(base + 10, [&log, base] {
+        log.at(base + 10, [&log, base] { log.at(base + 10); });
+        log.at(base + 20);
+        log.at(base + 40);
+        log.at(base + EventQueue::kSlotTicks - 1);
+        log.at(base + 10);
+        log.at(base + 11);
+    });
+    log.at(base + 10);
+    log.at(base + 40);
+    log.at(base + EventQueue::kSlotTicks - 1);
+    log.eq.run();
+    log.expectWhenSeqOrder();
+    EXPECT_EQ(log.fired.size(), 11u);
 }
 
 TEST(TimingWheel, RunUntilBoundarySemantics)
@@ -395,6 +479,66 @@ TEST(TimingWheelAlloc, CoroutineResumeSchedulingIsAllocationFree)
     EXPECT_EQ(count, 8u * 1000u);
     EXPECT_EQ(after - before, 0u)
         << "coroutine resume scheduling allocated";
+}
+
+// -- Allocation-free mailbox drain -------------------------------------
+
+/** A message hopping unit to unit around the machine's ring. Only the
+ *  shard currently holding it touches it (barriers order handoffs). */
+struct Token
+{
+    Machine *m;
+    unsigned hops;
+    UnitId at;
+};
+
+void
+forwardToken(Token *t)
+{
+    if (t->hops == 0)
+        return;
+    --t->hops;
+    const UnitId from = t->at;
+    t->at = (from + 1) % t->m->config().numUnits;
+    t->m->postMessage(t->m->eq(from).now(), from, t->at, 64,
+                      [t] { forwardToken(t); });
+}
+
+TEST(MailboxAlloc, CrossUnitDrainIsAllocationFreeAcrossWindows)
+{
+    SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 1);
+    cfg.simShards = 4;
+    Machine m(cfg);
+    ASSERT_TRUE(m.mailboxActive());
+    ASSERT_EQ(m.numShards(), 4u);
+    ShardedKernel kernel(m.shardQueues(), m.lookahead(), m);
+
+    std::array<Token, 16> tokens;
+    auto circulate = [&](unsigned hops) {
+        for (std::size_t i = 0; i < tokens.size(); ++i) {
+            const auto u = static_cast<UnitId>(i % cfg.numUnits);
+            tokens[i] = Token{&m, hops, u};
+            m.eq(u).schedule(m.eq(u).now() + 100 * i,
+                             [t = &tokens[i]] { forwardToken(t); });
+        }
+        kernel.run();
+        for (const Token &t : tokens)
+            EXPECT_EQ(t.hops, 0u);
+    };
+
+    // Warm-up grows the outboxes, the drain buffer, the in-flight
+    // envelope slots and the node pools to working size.
+    circulate(200);
+
+    const std::uint64_t windowsBefore = kernel.windows();
+    const std::uint64_t before =
+        gAllocCount.load(std::memory_order_relaxed);
+    circulate(200);
+    const std::uint64_t after =
+        gAllocCount.load(std::memory_order_relaxed);
+    EXPECT_GT(kernel.windows() - windowsBefore, 100u);
+    EXPECT_EQ(after - before, 0u)
+        << "postMessage()/drainMailboxes() allocated across windows";
 }
 
 } // namespace

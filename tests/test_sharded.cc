@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,6 +154,38 @@ TEST(ShardedKernel, CrossShardEnvelopesLandInLaterWindows)
     EXPECT_EQ(client.received, (std::vector<int>{7}));
     EXPECT_EQ(q1.now(), 210u);
     EXPECT_EQ(q1.executed(), 1u);
+}
+
+TEST(ShardedKernel, FailuresRethrowLowestShardFirst)
+{
+    // Shard 0 runs on the coordinator thread, the rest on workers; a
+    // window in which several shards fault must still report the
+    // lowest-numbered one, and the kernel must stay usable afterwards.
+    sim::EventQueue q0;
+    sim::EventQueue q1;
+    sim::EventQueue q2;
+    q2.schedule(10, [] { throw std::runtime_error("shard 2"); });
+    q1.schedule(10, [] { throw std::runtime_error("shard 1"); });
+    q0.schedule(500, [] { throw std::runtime_error("shard 0"); });
+    q2.schedule(505, [] { throw std::runtime_error("shard 2 again"); });
+    int ran = 0;
+    q1.schedule(900, [&] { ++ran; });
+
+    CountingClient client;
+    sim::ShardedKernel kernel({&q0, &q1, &q2}, 100, client);
+    auto failure = [&kernel]() -> std::string {
+        try {
+            kernel.run();
+        } catch (const std::runtime_error &e) {
+            return e.what();
+        }
+        return "";
+    };
+    EXPECT_EQ(failure(), "shard 1");
+    EXPECT_EQ(failure(), "shard 0");
+    EXPECT_EQ(failure(), "");
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(client.begins, client.ends);
 }
 
 TEST(ShardedKernel, ZeroLookaheadRequiresLockstep)
