@@ -10,10 +10,11 @@ analyzeTrace(const trace::Trace &trace)
     AnalysisEngine engine(
         MachineShape{trace.numUnits, trace.clientCoresPerUnit});
 
-    // Records are stored in capture order == completion order, exactly
-    // the stream contract the engine expects. Issue events are not
-    // replayed: every trace record is a completed op, so the
-    // pending-op-leak check has nothing to say offline.
+    // Records are stored in capture order: per-core program order
+    // inside one global hook-fire order, the stream contract the live
+    // engine sees too. Issue events are not replayed: every trace
+    // record is a completed op, so the pending-op-leak check has
+    // nothing to say offline.
     for (const trace::TraceRecord &r : trace.records) {
         OpEvent ev;
         ev.core = r.core;

@@ -19,7 +19,7 @@ void
 DurabilityManager::onComplete(CoreId core, const sync::SyncRequest &req,
                               Tick issued, Tick completed)
 {
-    capture_.record(core, req, issued, completed);
+    capture_.onComplete(core, req, issued, completed);
     ++appended_;
     if (mode_ == PersistMode::Eager) {
         durable_ = appended_;
@@ -34,7 +34,7 @@ DurabilityManager::onComplete(CoreId core, const sync::SyncRequest &req,
 void
 DurabilityManager::onDestroy(Addr addr)
 {
-    capture_.recordDestroy(addr);
+    capture_.onDestroy(addr);
 }
 
 void

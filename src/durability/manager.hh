@@ -5,7 +5,7 @@
  * Installed by NdpSystem when SystemConfig::persistMode != Off, in two
  * roles at once:
  *
- *   - As a sync::OpObserver (auxiliary observer on SyncApi) it appends
+ *   - As a sync::OpObserver (registered on SyncApi) it appends
  *     every completed operation to the WAL — an internal
  *     trace::TraceCapture, so the persisted log is by construction the
  *     same logical stream the trace subsystem captures and the

@@ -126,7 +126,7 @@ runCrashSweep(const SystemConfig &base,
         resumeCfg.crashAtTick = 0;
         NdpSystem resumed(resumeCfg);
         trace::TraceCapture resumedCap(resumed.config());
-        resumed.api().setTraceSink(&resumedCap);
+        resumed.api().addObserver(&resumedCap);
         trace::Replayer replayer(rr.resume);
         replayer.install(resumed);
         resumed.run();

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <memory>
 
 #include "common/log.hh"
@@ -24,6 +25,7 @@ const char *
 BenchOptions::usage()
 {
     return "options:\n"
+           "  -h, --help         print this usage and exit\n"
            "  --full             approach paper-scale inputs (scale x8)\n"
            "  --scale=<f>        input-size multiplier (f > 0)\n"
            "  --jobs=<n>         parallel grid workers (1..256)\n"
@@ -76,7 +78,10 @@ BenchOptions::parse(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         const char *val = nullptr;
-        if (std::strcmp(arg, "--full") == 0) {
+        if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
+            std::cout << usage() << '\n';
+            std::exit(0);
+        } else if (std::strcmp(arg, "--full") == 0) {
             opts.full = true;
         } else if ((val = optValue(arg, "--scale="))) {
             char *end = nullptr;
@@ -254,14 +259,15 @@ BenchOptions::parse(int argc, char **argv)
                       "is a single deterministic run, not a grid)\n"
                       << usage());
     }
-    // Sharded simulation only guarantees one global order for the
-    // simulated machine's events, not for the side channels below: the
-    // trace writer and the durability log both record hook-fire order,
-    // and crash injection stops one queue at an exact tick. All three
-    // need the single-queue kernel.
+    // A sharded run replays the op stream to its observers merged by
+    // (fire tick, core), which breaks same-tick cross-core ties by core
+    // id where a 1-shard run breaks them by event order; a sharded trace
+    // or durability log would not be byte-identical to the 1-shard one.
+    // Crash injection stops one queue at an exact tick. All three need
+    // the single-queue kernel.
     if (opts.simShards > 1 && !opts.traceOut.empty()) {
         SYNCRON_FATAL("--trace-out requires --sim-shards=1 (trace "
-                      "capture records one global event order)\n"
+                      "capture records the 1-shard event order)\n"
                       << usage());
     }
     if (opts.simShards > 1 && opts.crashAt != 0) {
@@ -273,7 +279,7 @@ BenchOptions::parse(int argc, char **argv)
     if (opts.simShards > 1
         && opts.persist != durability::PersistMode::Off) {
         SYNCRON_FATAL("--persist requires --sim-shards=1 (the "
-                      "durability log records one global sync-op "
+                      "durability log records the 1-shard sync-op "
                       "order)\n"
                       << usage());
     }

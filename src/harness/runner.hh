@@ -85,7 +85,8 @@ struct BenchOptions
     /** Maximum accepted --scale value (paper scale is 8.0). */
     static constexpr double kMaxScale = 1e6;
 
-    /** Parses argv; bad/unknown arguments are fatal and print usage. */
+    /** Parses argv; bad/unknown arguments are fatal and print usage.
+     *  --help/-h prints the usage to stdout and exits 0. */
     static BenchOptions parse(int argc, char **argv);
 
     /** The usage text printed on argument errors. */

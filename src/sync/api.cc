@@ -1,5 +1,8 @@
 #include "sync/api.hh"
 
+#include <algorithm>
+#include <tuple>
+
 #include "common/log.hh"
 
 namespace syncron::sync {
@@ -152,6 +155,69 @@ SyncApi::SyncApi(Machine &machine, SyncBackend &backend)
       freeLists_(machine.config().numUnits)
 {}
 
+SyncApi::~SyncApi()
+{
+    if (!lanes_.empty())
+        machine_.setWindowListener(nullptr);
+}
+
+void
+SyncApi::addObserver(OpObserver *observer)
+{
+    SYNCRON_ASSERT(observer != nullptr, "null observer");
+    observers_.push_back(observer);
+    if (machine_.numShards() > 1 && lanes_.empty()) {
+        lanes_.resize(machine_.numShards());
+        machine_.setWindowListener(this);
+    }
+}
+
+void
+SyncApi::buffer(LaneEvent ev)
+{
+    const UnitId unit = ev.core / machine_.config().coresPerUnit;
+    std::vector<LaneEvent> &lane = lanes_[machine_.shardOf(unit)].events;
+    ev.fired = machine_.eq(unit).now();
+    ev.seq = lane.size();
+    lane.push_back(ev);
+}
+
+void
+SyncApi::flushObservers()
+{
+    SYNCRON_ASSERT(!machine_.inParallelRegion(),
+                   "observer flush inside a parallel window");
+    for (Lane &lane : lanes_) {
+        merged_.insert(merged_.end(), lane.events.begin(),
+                       lane.events.end());
+        lane.events.clear();
+    }
+    // Fire ticks of one window all precede the next window's, so a
+    // per-window flush replays exactly the end-of-run merge order.
+    std::sort(merged_.begin(), merged_.end(),
+              [](const LaneEvent &a, const LaneEvent &b) {
+                  return std::tie(a.fired, a.core, a.seq)
+                         < std::tie(b.fired, b.core, b.seq);
+              });
+    for (const LaneEvent &ev : merged_) {
+        for (OpObserver *o : observers_) {
+            switch (ev.kind) {
+              case LaneEvent::Issue:
+                o->onIssue(ev.core, ev.req, ev.issued);
+                break;
+              case LaneEvent::Complete:
+                o->onComplete(ev.core, ev.req, ev.issued, ev.completed);
+                break;
+              case LaneEvent::Access:
+                o->onAccess(ev.core, ev.req.var(), ev.isWrite,
+                            ev.completed);
+                break;
+            }
+        }
+    }
+    merged_.clear();
+}
+
 SyncPrimitive
 SyncApi::allocVar(UnitId unit)
 {
@@ -205,12 +271,9 @@ SyncApi::destroyPrimitive(const SyncPrimitive &prim)
                        << backend_.name()
                        << " still tracks state for it");
     backend_.releaseVar(prim.addr);
-    if (traceSink_ != nullptr)
-        traceSink_->recordDestroy(prim.addr);
-    if (observer_ != nullptr)
-        observer_->onDestroy(prim.addr);
-    for (OpObserver *aux : auxObservers_)
-        aux->onDestroy(prim.addr);
+    flushObservers();
+    for (OpObserver *o : observers_)
+        o->onDestroy(prim.addr);
     ++generations_[prim.addr];
     freeLists_[prim.home()].push_back(prim.addr);
 }

@@ -61,7 +61,6 @@
 #include "sync/observer.hh"
 #include "sync/primitives.hh"
 #include "sync/request.hh"
-#include "sync/trace_sink.hh"
 #include "system/machine.hh"
 
 namespace syncron::sync {
@@ -72,8 +71,8 @@ namespace detail {
 
 /**
  * Records one completed operation in the machine's per-OpKind latency
- * statistics and fans it out through SyncApi::notifyOp() (trace sink +
- * observer). Shared by the blocking SyncOp awaitable and the
+ * statistics and fans it out through SyncApi::notifyOp() to every
+ * registered observer. Shared by the blocking SyncOp awaitable and the
  * asynchronous SyncFuture so both forms are indistinguishable to
  * observers. @p api may be nullptr (an api-less SyncOp built directly
  * against a backend, as some unit tests do).
@@ -81,7 +80,7 @@ namespace detail {
 void recordCompletion(Machine &machine, SyncApi *api, CoreId core,
                       const SyncRequest &req, Tick issued, Tick completed);
 
-/** Forwards an operation-issue event to the api's observer, if any. */
+/** Forwards an operation-issue event to the api's observers, if any. */
 void recordIssue(SyncApi *api, CoreId core, const SyncRequest &req,
                  Tick issued);
 
@@ -108,7 +107,7 @@ struct FutureState
     Tick issuedAt = 0;
     bool recorded = false;
 
-    /** Records latency + notifies sink/observer exactly once. */
+    /** Records latency + notifies the observers exactly once. */
     void
     finalize(Tick completedAt)
     {
@@ -447,10 +446,14 @@ class SyncBatch
 };
 
 /** Factory for synchronization primitives + the Table 2 operations. */
-class SyncApi
+class SyncApi : private Machine::WindowListener
 {
   public:
     SyncApi(Machine &machine, SyncBackend &backend);
+    ~SyncApi() override;
+
+    SyncApi(const SyncApi &) = delete;
+    SyncApi &operator=(const SyncApi &) = delete;
 
     // -- Typed primitive creation --------------------------------------
     /** Allocates a lock homed in @p unit. */
@@ -537,83 +540,76 @@ class SyncApi
     SyncBackend &backend() { return backend_; }
 
     /**
-     * Installs (or, with nullptr, removes) the sink notified of every
-     * completed operation — the capture hook behind
-     * SystemConfig::tracePath. The sink must outlive all operations
-     * issued while it is installed.
+     * Registers @p observer for the operation stream: every issued and
+     * completed operation, every accessHint() and every destroy, in
+     * registration order per event. Observers are single-threaded. A
+     * 1-shard machine calls them directly; on a sharded machine each
+     * hook appends to the issuing shard's lane, and the lanes are
+     * merged by (tick the hook fired, core, lane sequence) and replayed
+     * at every window barrier, before a destroy, and by
+     * flushObservers(). Either way each core's events arrive in program
+     * order inside one global fire order. The observer must outlive
+     * every operation issued while it is registered; there is no
+     * removal.
      */
-    void setTraceSink(TraceSink *sink) { traceSink_ = sink; }
+    void addObserver(OpObserver *observer);
 
-    /** The installed trace sink; nullptr when not tracing. */
-    TraceSink *traceSink() const { return traceSink_; }
+    /** Forwards to addObserver() for the callers in perfbench/; new
+     *  code calls addObserver() (the contract lint enforces it). */
+    void setObserver(OpObserver *observer) { addObserver(observer); }
+    void addAuxObserver(OpObserver *observer) { addObserver(observer); }
 
     /**
-     * Installs (or, with nullptr, removes) the live analysis observer —
-     * the hook behind SystemConfig::analyze. Composes with the trace
-     * sink: both are fed from the same notifyOp() dispatch, so
-     * capture+analyze see identical streams in one run. The observer
-     * must outlive all operations issued while it is installed.
+     * Replays every buffered lane event into the observers (a no-op on
+     * a 1-shard machine). Quiescence only; NdpSystem::run() calls it
+     * when the kernel returns.
      */
-    void setObserver(OpObserver *observer) { observer_ = observer; }
-
-    /** The installed analysis observer; nullptr when not analyzing. */
-    OpObserver *observer() const { return observer_; }
-
-    /**
-     * Registers an additional observer fed from the same notify
-     * dispatch as the primary one (durability's WAL capture hooks in
-     * this way, composing with tracing and analysis). Must outlive all
-     * operations issued while registered; there is no removal — aux
-     * observers live for the system's lifetime.
-     */
-    void addAuxObserver(OpObserver *observer)
-    {
-        auxObservers_.push_back(observer);
-    }
+    void flushObservers();
 
     /**
      * Single completion fan-out: per-OpKind latency statistics are
      * recorded by the caller (detail::recordCompletion); this forwards
-     * the completed operation to the trace sink and the observer.
+     * the completed operation to the observers.
      */
     void
     notifyOp(CoreId core, const SyncRequest &req, Tick issued,
              Tick completed)
     {
-        if (traceSink_ != nullptr)
-            traceSink_->record(core, req, issued, completed);
-        if (observer_ != nullptr)
-            observer_->onComplete(core, req, issued, completed);
-        for (OpObserver *aux : auxObservers_)
-            aux->onComplete(core, req, issued, completed);
+        if (!lanes_.empty())
+            return buffer({LaneEvent::Complete, core, req, issued,
+                           completed});
+        for (OpObserver *o : observers_)
+            o->onComplete(core, req, issued, completed);
     }
 
-    /** Issue-side fan-out (observer only; traces carry completions). */
+    /** Issue-side fan-out (cond_wait releases its lock at issue). */
     void
     notifyIssue(CoreId core, const SyncRequest &req, Tick issued)
     {
-        if (observer_ != nullptr)
-            observer_->onIssue(core, req, issued);
-        for (OpObserver *aux : auxObservers_)
-            aux->onIssue(core, req, issued);
+        if (!lanes_.empty())
+            return buffer({LaneEvent::Issue, core, req, issued, issued});
+        for (OpObserver *o : observers_)
+            o->onIssue(core, req, issued);
     }
 
     /**
-     * Reports a shadow-state access to the analysis observer — the
+     * Reports a shadow-state access to the observers — the
      * workload-side input of the lockset race checker. Call it for
      * reads/writes of data a lock (or LockSet member) is meant to
      * protect; accesses that are lock-free by design (e.g. optimistic
      * traversals that re-validate) should not be hinted. A no-op
-     * without an installed observer.
+     * without an observer.
      */
     void
     accessHint(const core::Core &c, Addr addr, bool isWrite)
     {
         const Tick now = machine_.eq(c.unit()).now();
-        if (observer_ != nullptr)
-            observer_->onAccess(c.id(), addr, isWrite, now);
-        for (OpObserver *aux : auxObservers_)
-            aux->onAccess(c.id(), addr, isWrite, now);
+        if (!lanes_.empty())
+            return buffer({LaneEvent::Access, c.id(),
+                           SyncRequest::lockAcquire(addr), now, now,
+                           isWrite});
+        for (OpObserver *o : observers_)
+            o->onAccess(c.id(), addr, isWrite, now);
     }
 
   private:
@@ -646,11 +642,45 @@ class SyncApi
     void issueDetached(core::Core &c, const SyncPrimitive &prim,
                        const SyncRequest &req);
 
+    /** One observer hook call buffered on a sharded machine. */
+    struct LaneEvent
+    {
+        enum Kind : std::uint8_t
+        {
+            Issue,
+            Complete,
+            Access, ///< req carries the accessed address
+        };
+
+        Kind kind;
+        CoreId core;
+        SyncRequest req;
+        Tick issued;
+        Tick completed; ///< Complete; the access tick for Access
+        bool isWrite = false;
+        Tick fired = 0;        ///< merge key: tick the hook fired...
+        std::uint64_t seq = 0; ///< ...then core, then lane order
+    };
+
+    /** One shard's buffered events; a cache line of its own, since
+     *  every shard thread appends to its lane concurrently. */
+    struct alignas(64) Lane
+    {
+        std::vector<LaneEvent> events;
+    };
+
+    /** Appends @p ev to its core's shard lane, stamped for the merge. */
+    void buffer(LaneEvent ev);
+
+    /** Barrier callout: replays the window's lanes. */
+    void windowEnded() override { flushObservers(); }
+
     Machine &machine_;
     SyncBackend &backend_;
-    TraceSink *traceSink_ = nullptr;
-    OpObserver *observer_ = nullptr;
-    std::vector<OpObserver *> auxObservers_; ///< durability et al.
+    std::vector<OpObserver *> observers_;
+    /// One lane per shard, only when sharded and observed.
+    std::vector<Lane> lanes_;
+    std::vector<LaneEvent> merged_; ///< flush buffer, capacity kept
     std::vector<std::vector<Addr>> freeLists_; ///< per-unit recycled lines
     /// Current allocation generation per line (absent = 0).
     std::unordered_map<Addr, std::uint32_t> generations_;

@@ -1,19 +1,21 @@
 /**
  * @file
- * Observer hook over the synchronization-operation stream — the
- * analysis-facing sibling of TraceSink.
+ * Observer hook over the synchronization-operation stream.
  *
- * A TraceSink records completed operations for later replay; an
- * OpObserver watches the same stream live, plus two events a trace
+ * Every consumer of the stream — trace capture, the live analyzer, the
+ * durability WAL — is an OpObserver registered with
+ * SyncApi::addObserver(), so they compose in one run and see identical
+ * streams. Besides completions an observer sees two events a trace
  * does not carry: operation *issue* (needed to model cond_wait's
  * release-the-lock-at-issue semantics) and shadow-state *accesses*
  * reported by workloads through SyncApi::accessHint() (the input of
  * the Eraser-style lockset race checker).
  *
- * Both hooks are fed from the single SyncApi::notifyOp()/notifyIssue()
- * dispatch point, so capture and analysis compose in one run and see
- * identical streams. Events arrive in simulation-time order; per core
- * that order equals program order (the cores are in-order).
+ * Events arrive in the order their hooks fire, which is not completion
+ * order (a resolved SyncFuture dropped unawaited reports its earlier
+ * ready tick). The contract is per-core program order inside one global
+ * fire order; the cores are in-order. Callbacks run on one thread at a
+ * time, never inside a sharded window.
  */
 
 #ifndef SYNCRON_SYNC_OBSERVER_HH
@@ -37,7 +39,7 @@ class OpObserver
      */
     virtual void onIssue(CoreId, const SyncRequest &, Tick) {}
 
-    /** An operation completed (same event TraceSink::record sees). */
+    /** An operation completed. */
     virtual void onComplete(CoreId core, const SyncRequest &req,
                             Tick issued, Tick completed) = 0;
 

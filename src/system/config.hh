@@ -124,9 +124,10 @@ struct SystemConfig
     /**
      * Runs the sync-correctness analyses (analysis::LiveAnalyzer —
      * lockset race checker, lock-order deadlock analyzer, misuse
-     * linter) over the operation stream. Composes with tracePath: both
-     * hooks hang off the same SyncApi::notifyOp() dispatch. Benches
-     * expose this as --analyze.
+     * linter) over the operation stream. Composes with tracePath and
+     * persistMode: the analyzer, the capture and the WAL are observers
+     * in the one SyncApi::addObserver() list. Benches expose this as
+     * --analyze.
      */
     bool analyze = false;
 

@@ -55,6 +55,15 @@ class Machine : public sim::ShardedKernel::Client
   public:
     using Callback = sim::EventQueue::Callback;
 
+    /** Barrier-time callout run after every parallel window, once all
+     *  shards are quiescent (SyncApi replays its observer lanes). */
+    class WindowListener
+    {
+      public:
+        virtual ~WindowListener() = default;
+        virtual void windowEnded() = 0;
+    };
+
     explicit Machine(const SystemConfig &cfg);
     ~Machine() override;
 
@@ -196,7 +205,16 @@ class Machine : public sim::ShardedKernel::Client
      *  shard-count-invariant. Single-threaded (barrier time only). */
     void drainMailboxes() override;
     void windowBegin() override { inParallelRegion_ = true; }
-    void windowEnd() override { inParallelRegion_ = false; }
+    void
+    windowEnd() override
+    {
+        inParallelRegion_ = false;
+        if (windowListener_ != nullptr)
+            windowListener_->windowEnded();
+    }
+
+    /** Installs (nullptr removes) the one window-end listener. */
+    void setWindowListener(WindowListener *l) { windowListener_ = l; }
 
     // -- Crash injection (durability) ----------------------------------
     /** Marks the machine torn down mid-run by the crash injector. */
@@ -243,6 +261,7 @@ class Machine : public sim::ShardedKernel::Client
     bool crashed_ = false;
     bool mailboxActive_ = false;
     bool inParallelRegion_ = false;
+    WindowListener *windowListener_ = nullptr;
     bool statsMerged_ = false;
     unsigned unitsPerShard_ = 1;
     std::vector<std::unique_ptr<Shard>> shards_;

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "analysis/live.hh"
-#include "analysis/sharded_observer.hh"
 #include "common/log.hh"
 #include "durability/backend.hh"
 #include "durability/manager.hh"
@@ -69,22 +68,14 @@ NdpSystem::NdpSystem(const SystemConfig &cfg)
     api_ = std::make_unique<sync::SyncApi>(*machine_, *backend_);
     if (!conf.tracePath.empty()) {
         capture_ = std::make_unique<trace::TraceCapture>(conf);
-        api_->setTraceSink(capture_.get());
+        api_->addObserver(capture_.get());
     }
     if (conf.analyze) {
         analyzer_ = std::make_unique<analysis::LiveAnalyzer>(conf);
-        if (machine_->numShards() > 1) {
-            // Worker threads must not drive the analyzer's state machine
-            // directly: buffer per shard, replay at quiescence.
-            shardedObs_ = std::make_unique<analysis::ShardedObserver>(
-                *machine_, *analyzer_);
-            api_->setObserver(shardedObs_.get());
-        } else {
-            api_->setObserver(analyzer_.get());
-        }
+        api_->addObserver(analyzer_.get());
     }
     if (durability_ != nullptr)
-        api_->addAuxObserver(durability_.get());
+        api_->addObserver(durability_.get());
 
     const SystemConfig &c = machine_->config();
     cores_.reserve(c.totalClientCores());
@@ -139,9 +130,10 @@ NdpSystem::run()
     const SystemConfig &cfg = machine_->config();
     sim::ShardedKernel kernel(machine_->shardQueues(),
                               machine_->lookahead(), *machine_);
+    kernel.run(cfg.crashAtTick != 0 ? cfg.crashAtTick : kTickNever);
+    kernelWindows_ += kernel.windows();
+    api_->flushObservers();
     if (cfg.crashAtTick != 0) {
-        kernel.run(cfg.crashAtTick);
-        kernelWindows_ += kernel.windows();
         bool pending = false;
         for (const sim::Process &p : processes_) {
             if (!p.done()) {
@@ -161,9 +153,6 @@ NdpSystem::run()
         }
         // The run finished before the crash tick; fall through to the
         // normal end-of-run path.
-    } else {
-        kernel.run();
-        kernelWindows_ += kernel.windows();
     }
     for (const sim::Process &p : processes_) {
         if (!p.done()) {
@@ -184,8 +173,6 @@ NdpSystem::run()
         trace::writeTraceFile(capture_->trace(),
                               machine_->config().tracePath);
     }
-    if (shardedObs_ != nullptr)
-        shardedObs_->flush();
     if (analyzer_ != nullptr && !analyzer_->finished()) {
         const analysis::AnalysisReport &report = analyzer_->finish();
         if (!report.clean()) {

@@ -34,7 +34,6 @@ class TraceCapture;
 
 namespace syncron::analysis {
 class LiveAnalyzer;
-class ShardedObserver;
 } // namespace syncron::analysis
 
 namespace syncron::durability {
@@ -150,9 +149,6 @@ class NdpSystem
     std::unique_ptr<sync::SyncApi> api_;
     std::unique_ptr<trace::TraceCapture> capture_;
     std::unique_ptr<analysis::LiveAnalyzer> analyzer_;
-    /// Per-shard buffering front end for the analyzer, installed only
-    /// when the machine is sharded (analysis/sharded_observer.hh).
-    std::unique_ptr<analysis::ShardedObserver> shardedObs_;
     std::unique_ptr<durability::DurabilityManager> durability_;
     std::vector<std::unique_ptr<core::Core>> cores_; ///< client cores
     std::uint64_t kernelWindows_ = 0;

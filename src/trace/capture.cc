@@ -18,7 +18,7 @@ TraceCapture::primId(Addr addr, PrimKind kind)
         addr, static_cast<std::uint32_t>(trace_.primitives.size()));
     if (!inserted && trace_.primitives[it->second].kind != kind) {
         // Defensive: generation boundaries normally arrive through
-        // recordDestroy() (which erases the mapping), but a sink that
+        // onDestroy() (which erases the mapping), but a capture that
         // missed the destroy must still split on a kind flip rather
         // than conflate two unrelated primitives.
         it->second =
@@ -35,8 +35,8 @@ TraceCapture::primId(Addr addr, PrimKind kind)
 }
 
 void
-TraceCapture::record(CoreId core, const sync::SyncRequest &req,
-                     Tick issued, Tick completed)
+TraceCapture::onComplete(CoreId core, const sync::SyncRequest &req,
+                         Tick issued, Tick completed)
 {
     TraceRecord r;
     r.issued = issued;

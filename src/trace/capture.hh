@@ -2,7 +2,7 @@
  * @file
  * Capture of a live run's synchronization-operation stream.
  *
- * TraceCapture is the sync::TraceSink that NdpSystem installs on its
+ * TraceCapture is the sync::OpObserver that NdpSystem registers on its
  * SyncApi when SystemConfig::tracePath is set (benches reach it through
  * --trace-out). Every completed operation is appended as a TraceRecord;
  * the primitive table is learned on the fly from the typed requests
@@ -11,11 +11,13 @@
  * semaphore resources from the request payload), so any existing bench,
  * example, or test emits a replayable trace without code changes.
  *
- * Record order is completion order (the order the sink observes), which
- * per core equals program order: an in-order core's next sync op issues
- * only after the previous one completed, and detached releases are
- * recorded at issue. The Replayer relies on exactly this per-core
- * ordering.
+ * Record order is the order the completion hooks fire, not completion
+ * order: a resolved SyncFuture dropped without being awaited records its
+ * earlier ready tick, and same-tick completions of different cores
+ * follow event order. The contract is per-core program order inside one
+ * global fire order — an in-order core's next sync op issues only after
+ * the previous one completed, and detached releases are recorded at
+ * issue. The Replayer and analyzeTrace rely on exactly that.
  */
 
 #ifndef SYNCRON_TRACE_CAPTURE_HH
@@ -24,21 +26,21 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "sync/trace_sink.hh"
+#include "sync/observer.hh"
 #include "system/config.hh"
 #include "trace/format.hh"
 
 namespace syncron::trace {
 
 /** Accumulates a Trace from the api's operation stream. */
-class TraceCapture final : public sync::TraceSink
+class TraceCapture final : public sync::OpObserver
 {
   public:
     /** Captures runs of a system built from @p cfg (must outlive us). */
     explicit TraceCapture(const SystemConfig &cfg);
 
-    void record(CoreId core, const sync::SyncRequest &req, Tick issued,
-                Tick completed) override;
+    void onComplete(CoreId core, const sync::SyncRequest &req,
+                    Tick issued, Tick completed) override;
 
     /**
      * Closes the line's logical primitive: a recycled line (same
@@ -46,7 +48,7 @@ class TraceCapture final : public sync::TraceSink
      * two generations whose parameters — or leftover semaphore
      * balance — could differ.
      */
-    void recordDestroy(Addr var) override { addrToPrim_.erase(var); }
+    void onDestroy(Addr var) override { addrToPrim_.erase(var); }
 
     /** The trace accumulated so far. */
     const Trace &trace() const { return trace_; }

@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "analysis/live.hh"
 #include "durability/image.hh"
 #include "durability/manager.hh"
 #include "durability/oracle.hh"
@@ -279,6 +283,46 @@ TEST(Durability, EpochModeFlushesStagedTailOnCleanShutdown)
     EXPECT_GE(sys.stats().pmFlushes, 1u);
     EXPECT_LT(sys.stats().pmWrites, dm->appended())
         << "epoch batching must write fewer PM lines than records";
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+TEST(Durability, CaptureAnalysisAndWalComposeInOneRun)
+{
+    // Capture, the live analyzer and the epoch WAL are three observers
+    // on one stream: together they must see exactly what each sees
+    // alone. Epoch mode charges no latency, so the timing is unchanged.
+    const std::string alone = "test_compose_capture.trc";
+    const std::string all = "test_compose_all.trc";
+    SystemConfig cfg = smallCfg(Scheme::SynCron, PersistMode::Off);
+    cfg.tracePath = alone;
+    {
+        NdpSystem sys(cfg);
+        workloads::ReplicationWorkload w(sys, smallParams());
+        sys.run();
+    }
+    cfg.tracePath = all;
+    cfg.analyze = true;
+    cfg.persistMode = PersistMode::Epoch;
+    NdpSystem sys(cfg);
+    workloads::ReplicationWorkload w(sys, smallParams());
+    sys.run();
+
+    const std::string bytes = fileBytes(all);
+    EXPECT_FALSE(bytes.empty());
+    EXPECT_EQ(bytes, fileBytes(alone));
+    ASSERT_NE(sys.durability(), nullptr);
+    EXPECT_EQ(sys.durability()->walTrace(), trace::readTraceFile(all));
+    ASSERT_NE(sys.analyzer(), nullptr);
+    EXPECT_TRUE(sys.analyzer()->finished());
+    EXPECT_TRUE(sys.analyzer()->report().clean());
+    std::remove(alone.c_str());
+    std::remove(all.c_str());
 }
 
 // --------------------------------------------------------------------

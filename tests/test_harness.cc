@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <iostream>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "harness/grid.hh"
@@ -69,6 +71,25 @@ TEST(BenchOptions, ParsesFlags)
     EXPECT_EQ(o4.json, "out.json");
     EXPECT_EQ(o4.backend, "Hier");
     EXPECT_EQ(o4.makeConfig(Scheme::SynCron).backendName, "Hier");
+}
+
+TEST(BenchOptionsDeathTest, HelpPrintsUsageOnceAndExitsZero)
+{
+    // The usage goes to stdout and the death-test matcher reads stderr,
+    // so the child points stdout there: the whole stream must be the
+    // usage, once, with no error before it.
+    for (const char *flag : {"--help", "-h"}) {
+        const char *argv[] = {"bench", "--scale=0.5", flag};
+        EXPECT_EXIT(
+            {
+                std::cout.rdbuf(std::cerr.rdbuf());
+                BenchOptions::parse(3, const_cast<char **>(argv));
+            },
+            ::testing::ExitedWithCode(0),
+            ::testing::Matcher<const std::string &>(
+                std::string(BenchOptions::usage()) + "\n"))
+            << flag;
+    }
 }
 
 TEST(BenchOptions, RejectsMalformedValues)

@@ -11,10 +11,14 @@
  *    same final tick, same operation counts, same SystemStats, same
  *    per-OpKind latency histograms — on every shardable backend, with
  *    the sync-correctness analyzer attached and finding nothing.
+ *  - Observer lanes: on a sharded machine every registered observer
+ *    runs on one thread between windows and sees one merged stream,
+ *    the same at every shard count.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -24,6 +28,7 @@
 #include "sim/event_queue.hh"
 #include "sim/sharded_kernel.hh"
 #include "system/system.hh"
+#include "workloads/datastructures/structures.hh"
 
 namespace syncron {
 namespace {
@@ -249,8 +254,8 @@ shardedCfg(Scheme scheme, unsigned shards)
     SystemConfig cfg = SystemConfig::make(scheme, 8, 2);
     cfg.simShards = shards;
     // The analyzer rides along on every identity run: its findings are
-    // part of the contract (zero, at every shard count), and its
-    // per-shard buffering front end is exercised by the same runs.
+    // part of the contract (zero, at every shard count), and the
+    // observer lanes are exercised by the same runs.
     cfg.analyze = true;
     return cfg;
 }
@@ -326,6 +331,130 @@ INSTANTIATE_TEST_SUITE_P(Backends, ShardIdentityTest,
                              return std::string(
                                  schemeName(info.param));
                          });
+
+// -- Observer lanes ----------------------------------------------------
+
+/** A plain observer with no locks: it records every hook call and
+ *  counts calls made while a parallel window is in flight. */
+class RecordingObserver : public sync::OpObserver
+{
+  public:
+    struct Event
+    {
+        Tick tick;
+        CoreId core;
+        char kind; ///< 'I'ssue, 'C'omplete, 'A'ccess
+
+        bool operator==(const Event &) const = default;
+    };
+
+    void
+    onIssue(CoreId core, const sync::SyncRequest &, Tick issued) override
+    {
+        add(issued, core, 'I');
+    }
+    void
+    onComplete(CoreId core, const sync::SyncRequest &, Tick,
+               Tick completed) override
+    {
+        add(completed, core, 'C');
+    }
+    void
+    onAccess(CoreId core, Addr, bool, Tick now) override
+    {
+        add(now, core, 'A');
+    }
+
+    std::vector<Event>
+    ofCore(CoreId core) const
+    {
+        std::vector<Event> out;
+        for (const Event &e : events)
+            if (e.core == core)
+                out.push_back(e);
+        return out;
+    }
+
+    const Machine *machine = nullptr;
+    std::vector<Event> events;
+    unsigned insideWindow = 0;
+
+  private:
+    void
+    add(Tick tick, CoreId core, char kind)
+    {
+        if (machine->inParallelRegion())
+            ++insideWindow;
+        events.push_back({tick, core, kind});
+    }
+};
+
+/** Runs @p S 's workers on 8 units x 2 cores under @p obs. */
+template <typename S>
+void
+observeRun(unsigned shards, unsigned size, unsigned ops,
+           RecordingObserver &obs)
+{
+    SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 8, 2);
+    cfg.simShards = shards;
+    NdpSystem sys(cfg);
+    ASSERT_EQ(sys.machine().numShards(), shards);
+    obs.machine = &sys.machine();
+    sys.api().addObserver(&obs);
+    S s(sys, size);
+    for (unsigned i = 0; i < sys.numClientCores(); ++i) {
+        core::Core &c = sys.clientCore(i);
+        sys.spawn(s.worker(c, ops), c);
+    }
+    sys.run();
+}
+
+/** Checks the sharded streams against each other and the 1-shard one;
+ *  returns the event kinds seen. */
+template <typename S>
+std::set<char>
+expectOneStreamAtEveryShardCount(const char *name, unsigned size,
+                                 unsigned ops)
+{
+    RecordingObserver ref;
+    observeRun<S>(1, size, ops, ref);
+    std::set<CoreId> cores;
+    std::set<char> kinds;
+    for (const RecordingObserver::Event &e : ref.events) {
+        cores.insert(e.core);
+        kinds.insert(e.kind);
+    }
+    EXPECT_EQ(cores.size(), 16u) << name;
+    std::vector<RecordingObserver::Event> atTwo;
+    for (unsigned shards : {2u, 4u, 8u}) {
+        const std::string what =
+            std::string(name) + " @" + std::to_string(shards) + " shards";
+        RecordingObserver obs;
+        observeRun<S>(shards, size, ops, obs);
+        EXPECT_EQ(obs.insideWindow, 0u) << what;
+        if (shards == 2)
+            atTwo = obs.events;
+        EXPECT_TRUE(obs.events == atTwo) << what;
+        EXPECT_EQ(obs.events.size(), ref.events.size()) << what;
+        for (CoreId core : cores) {
+            EXPECT_TRUE(obs.ofCore(core) == ref.ofCore(core))
+                << what << " core " << core;
+        }
+    }
+    return kinds;
+}
+
+TEST(ObserverLanes, OneMergedStreamOnOneThreadAtEveryShardCount)
+{
+    std::set<char> kinds =
+        expectOneStreamAtEveryShardCount<workloads::SimStack>("stack", 64,
+                                                              8);
+    kinds.merge(expectOneStreamAtEveryShardCount<workloads::SimSkipList>(
+        "skip list", 96, 6));
+    kinds.merge(expectOneStreamAtEveryShardCount<workloads::SimLinkedList>(
+        "linked list", 48, 6));
+    EXPECT_EQ(kinds, (std::set<char>{'A', 'C', 'I'}));
+}
 
 // -- Shard-count resolution --------------------------------------------
 

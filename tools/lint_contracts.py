@@ -6,8 +6,10 @@ not silently regress (ROADMAP "decided contracts"). The checks are pure
 text scans — no compiler needed — so they run in well under five
 seconds and are wired into CI ahead of the build:
 
-  1. no-syncvar        The deprecated SyncVar shim layer is deleted;
-                       the identifier must not reappear in code.
+  1. retired-ident     Retired identifiers must not reappear in code:
+                       the SyncVar shim layer, and the op-stream hooks
+                       folded into the one observer list (TraceSink,
+                       setTraceSink, ShardedObserver).
   2. no-scheme-switch  Backends are looked up through the string-keyed
                        BackendRegistry; `case Scheme::` dispatch is
                        allowed only in the name-mapping table
@@ -44,6 +46,11 @@ seconds and are wired into CI ahead of the build:
                        allow-listed exceptions are single-queue-by-mode
                        paths (MiSAR overflow fallback, durability log)
                        that are guarded at runtime.
+  8. one-observer-path Op-stream consumers register through
+                       SyncApi::addObserver(). The older names
+                       setObserver() and addAuxObserver() survive only
+                       as forwards in src/sync/api.hh; no code here may
+                       call them.
 
 Usage:
   lint_contracts.py [--root DIR]   lint the tree, exit 1 on violations
@@ -61,7 +68,9 @@ import tempfile
 CODE_DIRS = ("src", "tests", "bench", "examples", "tools")
 CODE_EXTS = (".cc", ".hh")
 
-SYNCVAR_RE = re.compile(r"\bSyncVar\b")
+RETIRED_RE = re.compile(
+    r"\b(SyncVar|TraceSink|setTraceSink|ShardedObserver)\b")
+OLD_OBSERVER_CALL_RE = re.compile(r"\b(setObserver|addAuxObserver)\s*\(")
 SCHEME_SWITCH_RE = re.compile(r"\bcase\s+Scheme::")
 INPLACE_INST_RE = re.compile(r"\bInplaceCallback\s*<")
 STD_FUNCTION_RE = re.compile(r"\bstd::function\b")
@@ -105,6 +114,9 @@ SHARD_SCOPE_ALLOW = {
     "src/syncron/overflow.cc",   # MiSAR fallback asserts numShards()==1
     "src/durability/backend.cc", # durability log requires --sim-shards=1
 }
+OLD_OBSERVER_CALL_ALLOW = {
+    "src/sync/api.hh",  # the forwarding definitions
+}
 
 
 def code_files(root):
@@ -139,10 +151,19 @@ def lint_tree(root):
         with open(os.path.join(root, rel), encoding="utf-8") as f:
             text = f.read()
 
-        for m in SYNCVAR_RE.finditer(text):
-            report(rel, line_of(text, m), "no-syncvar",
-                   "SyncVar reintroduced - use the typed handles "
-                   "(sync::Lock/Barrier/Semaphore/CondVar)")
+        for m in RETIRED_RE.finditer(text):
+            report(rel, line_of(text, m), "retired-ident",
+                   "%s reintroduced - use the typed handles "
+                   "(sync::Lock/Barrier/Semaphore/CondVar) and "
+                   "sync::OpObserver via SyncApi::addObserver()"
+                   % m.group(1))
+
+        if rel not in OLD_OBSERVER_CALL_ALLOW:
+            for m in OLD_OBSERVER_CALL_RE.finditer(text):
+                report(rel, line_of(text, m), "one-observer-path",
+                       "%s() is a forward kept for old callers - "
+                       "register with SyncApi::addObserver()"
+                       % m.group(1))
 
         if rel not in SCHEME_SWITCH_ALLOW:
             for m in SCHEME_SWITCH_RE.finditer(text):
@@ -219,8 +240,14 @@ def lint_tree(root):
 # tree and requires the rule to fire. A rule that no longer fires on its
 # own fixture has gone blind (e.g. a refactor broke its regex).
 FIXTURES = [
-    ("no-syncvar", "src/fixture.cc",
+    ("retired-ident", "src/fixture.cc",
      "SyncVar v = api.create(addr);\n"),
+    ("retired-ident", "src/fixture.hh",
+     "class Cap : public sync::TraceSink {};\n"),
+    ("retired-ident", "tests/fixture.cc",
+     "analysis::ShardedObserver mux(m, an); api.setTraceSink(&cap);\n"),
+    ("one-observer-path", "tests/fixture.cc",
+     "api.setObserver(&an);\napi.addAuxObserver(&wal);\n"),
     ("no-scheme-switch", "src/fixture.cc",
      "int f(Scheme s){switch(s){case Scheme::Ideal: return 1;}return 0;}\n"),
     ("callback-bound", "src/fixture.cc",
@@ -257,7 +284,8 @@ def self_test():
         print("lint_contracts self-test FAILED: %s" % ", ".join(failures),
               file=sys.stderr)
         return 1
-    print("lint_contracts self-test OK (%d rules)" % len(FIXTURES))
+    print("lint_contracts self-test OK (%d rules)"
+          % len({rule for rule, _, _ in FIXTURES}))
     return 0
 
 
