@@ -33,41 +33,21 @@ namespace syncron::common {
 template <std::size_t Capacity>
 class InplaceCallback
 {
+    template <typename F>
+    using EnableIfCallable = std::enable_if_t<
+        !std::is_same_v<std::decay_t<F>, InplaceCallback>
+        && std::is_invocable_r_v<void, std::decay_t<F> &>>;
+
   public:
     static constexpr std::size_t kCapacity = Capacity;
     static constexpr std::size_t kAlign = alignof(std::max_align_t);
 
     InplaceCallback() noexcept = default;
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InplaceCallback>
-                  && std::is_invocable_r_v<void, std::decay_t<F> &>>>
+    template <typename F, typename = EnableIfCallable<F>>
     InplaceCallback(F &&f) // NOLINT: implicit like std::function
     {
-        using G = std::decay_t<F>;
-        static_assert(sizeof(G) <= Capacity,
-                      "callback capture too large for the inline "
-                      "buffer; shrink the capture (capture pointers, "
-                      "not values) or raise the kernel's callback "
-                      "capacity");
-        static_assert(alignof(G) <= kAlign,
-                      "callback capture over-aligned for the inline "
-                      "buffer");
-        static_assert(std::is_nothrow_move_constructible_v<G>,
-                      "callback captures must be nothrow-movable; the "
-                      "kernel relocates events without rollback");
-        ::new (static_cast<void *>(buf_)) G(std::forward<F>(f));
-        invoke_ = [](void *p) { (*static_cast<G *>(p))(); };
-        if constexpr (!std::is_trivially_copyable_v<G>
-                      || !std::is_trivially_destructible_v<G>) {
-            manage_ = [](void *dst, void *src) {
-                G *s = static_cast<G *>(src);
-                if (dst != nullptr)
-                    ::new (dst) G(std::move(*s));
-                s->~G();
-            };
-        }
+        construct(std::forward<F>(f));
     }
 
     InplaceCallback(InplaceCallback &&other) noexcept { moveFrom(other); }
@@ -107,7 +87,50 @@ class InplaceCallback
         manage_ = nullptr;
     }
 
+    /**
+     * Replaces the stored callable with one built from @p f directly in
+     * the inline buffer — no temporary InplaceCallback, so the callable
+     * is never relocated on its way in.
+     */
+    template <typename F, typename = EnableIfCallable<F>>
+    void
+    emplace(F &&f)
+    {
+        reset();
+        construct(std::forward<F>(f));
+    }
+
   private:
+    /** Builds @p f in the (empty) buffer. */
+    template <typename F>
+    void
+    construct(F &&f)
+    {
+        using G = std::decay_t<F>;
+        static_assert(sizeof(G) <= Capacity,
+                      "callback capture too large for the inline "
+                      "buffer; shrink the capture (capture pointers, "
+                      "not values) or raise the kernel's callback "
+                      "capacity");
+        static_assert(alignof(G) <= kAlign,
+                      "callback capture over-aligned for the inline "
+                      "buffer");
+        static_assert(std::is_nothrow_move_constructible_v<G>,
+                      "callback captures must be nothrow-movable; the "
+                      "kernel relocates events without rollback");
+        ::new (static_cast<void *>(buf_)) G(std::forward<F>(f));
+        invoke_ = [](void *p) { (*static_cast<G *>(p))(); };
+        if constexpr (!std::is_trivially_copyable_v<G>
+                      || !std::is_trivially_destructible_v<G>) {
+            manage_ = [](void *dst, void *src) {
+                G *s = static_cast<G *>(src);
+                if (dst != nullptr)
+                    ::new (dst) G(std::move(*s));
+                s->~G();
+            };
+        }
+    }
+
     void
     moveFrom(InplaceCallback &other) noexcept
     {

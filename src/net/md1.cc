@@ -11,12 +11,30 @@ namespace {
 /// single-message noise, large enough to track phase changes within a few
 /// tens of messages.
 constexpr double kAlpha = 0.05;
+
+/** Wq = rho / (2 * mu * (1 - rho)) given @p twoMu = 2 * mu — the one
+ *  evaluation of the formula. */
+inline double
+md1Wait(double rho, double twoMu)
+{
+    SYNCRON_ASSERT(rho >= 0.0 && rho < 1.0,
+                   "utilization " << rho << " outside [0, 1)");
+    if (rho <= 0.0)
+        return 0.0;
+    return rho / (twoMu * (1.0 - rho));
+}
+
+double
+muOf(Tick serviceTicks)
+{
+    return 1.0 / static_cast<double>(serviceTicks);
+}
 } // namespace
 
 Md1Estimator::Md1Estimator(Tick serviceTicks, double maxRho)
-    : serviceTicks_(serviceTicks), maxRho_(maxRho)
+    : mu_(muOf(serviceTicks)), twoMu_(2.0 * mu_), maxRho_(maxRho)
 {
-    SYNCRON_ASSERT(serviceTicks_ > 0, "service time must be positive");
+    SYNCRON_ASSERT(serviceTicks > 0, "service time must be positive");
     SYNCRON_ASSERT(maxRho_ > 0.0 && maxRho_ < 1.0, "maxRho out of range");
 }
 
@@ -38,29 +56,21 @@ Md1Estimator::onArrival(Tick now)
             (1.0 - kAlpha) * avgInterArrival_ + kAlpha * std::max(inter, 1.0);
 
     const double lambda = 1.0 / avgInterArrival_;
-    const double mu = 1.0 / static_cast<double>(serviceTicks_);
-    rho_ = std::min(lambda / mu, maxRho_);
+    rho_ = std::min(lambda / mu_, maxRho_);
     return currentDelay();
 }
 
 Tick
 Md1Estimator::currentDelay() const
 {
-    if (rho_ <= 0.0)
-        return 0;
-    return static_cast<Tick>(waitingTicks(rho_, serviceTicks_));
+    return static_cast<Tick>(md1Wait(rho_, twoMu_));
 }
 
 double
 Md1Estimator::waitingTicks(double rho, Tick serviceTicks)
 {
     SYNCRON_ASSERT(serviceTicks > 0, "service time must be positive");
-    SYNCRON_ASSERT(rho >= 0.0 && rho < 1.0,
-                   "utilization " << rho << " outside [0, 1)");
-    if (rho <= 0.0)
-        return 0.0;
-    const double mu = 1.0 / static_cast<double>(serviceTicks);
-    return rho / (2.0 * mu * (1.0 - rho));
+    return md1Wait(rho, 2.0 * muOf(serviceTicks));
 }
 
 } // namespace syncron::net

@@ -46,14 +46,16 @@ class Md1Estimator
     /**
      * Closed-form M/D/1 mean waiting time in ticks:
      * Wq = rho / (2 * mu * (1 - rho)) with mu = 1 / serviceTicks.
-     * The single source of the formula — currentDelay() evaluates it at
-     * the online rho estimate, and the open-loop load subsystem's
-     * analytic reference (and its tests) evaluate it at a known rho.
+     * It and currentDelay() share one evaluation of the formula (in
+     * md1.cc): currentDelay() at the online rho estimate with 2*mu
+     * hoisted into the constructor, this at a known rho for the
+     * open-loop load subsystem's analytic reference (and its tests).
      */
     static double waitingTicks(double rho, Tick serviceTicks);
 
   private:
-    Tick serviceTicks_;
+    double mu_;    ///< 1 / serviceTicks, hoisted out of the hot path
+    double twoMu_; ///< 2 * mu_
     double maxRho_;
     double rho_ = 0.0;
     Tick lastArrival_ = 0;

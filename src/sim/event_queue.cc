@@ -22,7 +22,7 @@ maskFrom(unsigned b)
 EventQueue::EventQueue()
     : slots_(kWheelSlots), bitsL0_(kWheelSlots / 64, 0)
 {
-    pool_.reserve(256);
+    nodes_.reserve(256);
     heap_.reserve(64);
 }
 
@@ -30,27 +30,21 @@ EventQueue::EventQueue()
 // Node pool
 // --------------------------------------------------------------------
 
-std::uint32_t
-EventQueue::allocNode(Tick when, Callback cb)
+void
+EventQueue::growPool()
 {
-    std::uint32_t idx;
-    if (freeHead_ != kNilIdx) {
-        idx = freeHead_;
-        freeHead_ = pool_[idx].next;
-        pool_[idx].cb = std::move(cb);
-    } else {
-        idx = static_cast<std::uint32_t>(pool_.size());
-        pool_.push_back(Event{std::move(cb), 0, 0, kNilIdx});
-    }
-    pool_[idx].when = when;
-    pool_[idx].next = kNilIdx;
-    return idx;
+    const auto idx = static_cast<std::uint32_t>(nodes_.size());
+    if ((idx & (kChunkNodes - 1)) == 0)
+        chunks_.push_back(std::make_unique<Callback[]>(kChunkNodes));
+    nodes_.push_back(Node{0, 0, freeHead_});
+    freeHead_ = idx;
 }
 
 void
-EventQueue::freeNode(std::uint32_t idx)
+EventQueue::releaseNode(std::uint32_t idx)
 {
-    pool_[idx].next = freeHead_;
+    callbackAt(idx).reset();
+    nodes_[idx].next = freeHead_;
     freeHead_ = idx;
 }
 
@@ -86,41 +80,39 @@ EventQueue::pushSlot(std::uint32_t idx)
     // already in the slot — true for every fresh schedule() (seq is
     // monotonic) and for promotion (heap pops are ordered) — so (when,
     // seq) order puts it behind the last node with when <= its own.
-    Event &e = pool_[idx];
+    Node &e = nodes_[idx];
     const std::size_t slot = slotOf(e.when);
     Slot &s = slots_[slot];
     if (s.head == kNilIdx) {
         s.head = s.tail = idx;
         markSlot(slot);
-    } else if (pool_[s.tail].when <= e.when) {
-        pool_[s.tail].next = idx;
+    } else if (nodes_[s.tail].when <= e.when) {
+        nodes_[s.tail].next = idx;
         s.tail = idx;
-    } else if (e.when < pool_[s.head].when) {
+    } else if (e.when < nodes_[s.head].when) {
         e.next = s.head;
         s.head = idx;
     } else {
         // head.when <= e.when < tail.when: the walk stops before tail.
         std::uint32_t prev = s.head;
-        while (pool_[pool_[prev].next].when <= e.when)
-            prev = pool_[prev].next;
-        e.next = pool_[prev].next;
-        pool_[prev].next = idx;
+        while (nodes_[nodes_[prev].next].when <= e.when)
+            prev = nodes_[prev].next;
+        e.next = nodes_[prev].next;
+        nodes_[prev].next = idx;
     }
     ++wheelCount_;
 }
 
-std::uint32_t
+void
 EventQueue::popSlot(std::size_t slot)
 {
     Slot &s = slots_[slot];
-    const std::uint32_t idx = s.head;
-    s.head = pool_[idx].next;
+    s.head = nodes_[s.head].next;
     if (s.head == kNilIdx) {
         s.tail = kNilIdx;
         clearSlot(slot);
     }
     --wheelCount_;
-    return idx;
 }
 
 std::size_t
@@ -173,39 +165,59 @@ EventQueue::promoteNextEpoch()
     }
 }
 
+std::size_t
+EventQueue::headSlot() const
+{
+    // All wheel events live in epoch_, which now_ has entered (or not
+    // reached yet, right after construction / a promotion).
+    const std::size_t from =
+        (now_ >> kEpochBits) == epoch_ ? slotOf(now_) : 0;
+    const std::size_t slot = nextSlotFrom(from);
+    SYNCRON_ASSERT(slot < kWheelSlots, "wheel count/bitmap disagree");
+    return slot;
+}
+
 Tick
 EventQueue::nextEventTime() const
 {
-    if (wheelCount_ > 0) {
-        // All wheel events live in epoch_, which now_ has entered (or
-        // not reached yet, right after construction / a promotion).
-        const std::size_t from =
-            (now_ >> kEpochBits) == epoch_ ? slotOf(now_) : 0;
-        const std::size_t slot = nextSlotFrom(from);
-        SYNCRON_ASSERT(slot < kWheelSlots,
-                       "wheel count/bitmap disagree");
-        // Slots are sorted, so the head is the slot's earliest event.
-        return pool_[slots_[slot].head].when;
-    }
+    // Slots are sorted, so a slot's head is its earliest event.
+    if (wheelCount_ > 0)
+        return nodes_[slots_[headSlot()].head].when;
     if (!heap_.empty())
         return heap_.front().when;
     return kTickNever;
 }
 
-void
-EventQueue::popAndRun(Tick when)
+bool
+EventQueue::runNext(Tick until)
 {
-    if (wheelCount_ == 0)
+    if (wheelCount_ == 0) {
+        // Promote only an epoch that will run, so stopping early never
+        // strands state.
+        if (heap_.empty() || heap_.front().when > until)
+            return false;
         promoteNextEpoch();
-    const std::uint32_t idx = popSlot(slotOf(when));
+    }
+    const std::size_t slot = headSlot();
+    const std::uint32_t idx = slots_[slot].head;
+    const Tick when = nodes_[idx].when;
+    if (when > until)
+        return false;
+    popSlot(slot);
     now_ = when;
     --pending_;
     ++executed_;
-    // Move the callback out and recycle the node before invoking it, so
-    // the callback may schedule (and reuse the node) freely.
-    Callback cb = std::move(pool_[idx].cb);
-    freeNode(idx);
-    cb();
+    // Run the callback where it sits: its chunk never moves, and the
+    // node stays off the free list until the callback returns (or
+    // throws), so the callback may schedule freely.
+    struct Recycle
+    {
+        EventQueue &q;
+        std::uint32_t idx;
+        ~Recycle() { q.releaseNode(idx); }
+    } recycle{*this, idx};
+    callbackAt(idx)();
+    return true;
 }
 
 // --------------------------------------------------------------------
@@ -213,19 +225,26 @@ EventQueue::popAndRun(Tick when)
 // --------------------------------------------------------------------
 
 void
-EventQueue::schedule(Tick when, Callback cb)
+EventQueue::schedulingIntoThePast(Tick when) const
 {
-    SYNCRON_ASSERT(when >= now_,
-                   "scheduling into the past: when=" << when
-                       << " now=" << now_);
-    const std::uint32_t idx = allocNode(when, std::move(cb));
-    pool_[idx].seq = nextSeq_++;
+    SYNCRON_PANIC("assertion failed: when >= now_: scheduling into the "
+                  "past: when=" << when << " now=" << now_);
+}
+
+void
+EventQueue::enqueue(std::uint32_t idx, Tick when)
+{
+    Node &n = nodes_[idx];
+    freeHead_ = n.next;
+    n.when = when;
+    n.seq = nextSeq_++;
+    n.next = kNilIdx;
     if ((when >> kEpochBits) == epoch_) {
         pushSlot(idx);
     } else {
         // Whenever user code runs, now_ is inside epoch_, so when >=
         // now_ puts later epochs (never earlier ones) in the heap.
-        heap_.push_back(HeapEntry{when, pool_[idx].seq, idx});
+        heap_.push_back(HeapEntry{when, n.seq, idx});
         std::push_heap(heap_.begin(), heap_.end());
     }
     ++pending_;
@@ -234,21 +253,13 @@ EventQueue::schedule(Tick when, Callback cb)
 bool
 EventQueue::runOne()
 {
-    const Tick t = nextEventTime();
-    if (t == kTickNever)
-        return false;
-    popAndRun(t);
-    return true;
+    return runNext(kTickNever);
 }
 
 Tick
 EventQueue::run(Tick until)
 {
-    for (;;) {
-        const Tick t = nextEventTime();
-        if (t == kTickNever || t > until)
-            break;
-        popAndRun(t);
+    while (runNext(until)) {
     }
     return now_;
 }

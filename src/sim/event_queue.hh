@@ -19,6 +19,15 @@
  * scheduling a coroutine resume or a device callback performs zero heap
  * allocations.
  *
+ * Relocation-free callbacks: schedule() builds the callable directly in
+ * its node's callback (an InplaceCallback argument is moved in once),
+ * and the queue invokes it where it sits, recycling the node only after
+ * the callback returns or throws. Callbacks therefore live in
+ * fixed-size chunks of kChunkNodes that never move once allocated, so
+ * a running callback may schedule (and grow the pool) freely; the node
+ * metadata the wheel walks — when, seq, next — sits in its own dense
+ * array.
+ *
  * Wheel layout: simulated time is divided into epochs of kEpochTicks
  * (2^22) ticks, and each epoch into 2^16 slots of 2^6 ticks. The wheel
  * holds exactly the pending events of the current epoch (slot =
@@ -41,6 +50,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/inplace_callback.hh"
@@ -69,11 +81,36 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Schedules @p cb at absolute tick @p when (must be >= now()). */
-    void schedule(Tick when, Callback cb);
+    /**
+     * Schedules @p f at absolute tick @p when (must be >= now()). A
+     * callable is built in place in the event's node; a Callback is
+     * moved in once.
+     */
+    template <typename F>
+    void
+    schedule(Tick when, F &&f)
+    {
+        if (when < now_)
+            schedulingIntoThePast(when);
+        const std::uint32_t idx = nextFreeNode();
+        Callback &cb = callbackAt(idx);
+        if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+            static_assert(std::is_rvalue_reference_v<F &&>,
+                          "pass a Callback by rvalue (std::move)");
+            cb = std::move(f);
+        } else {
+            cb.emplace(std::forward<F>(f));
+        }
+        enqueue(idx, when);
+    }
 
-    /** Schedules @p cb @p delta ticks from now. */
-    void scheduleIn(Tick delta, Callback cb) { schedule(now_ + delta, std::move(cb)); }
+    /** Schedules @p f @p delta ticks from now. */
+    template <typename F>
+    void
+    scheduleIn(Tick delta, F &&f)
+    {
+        schedule(now_ + delta, std::forward<F>(f));
+    }
 
     /** Executes the next event; returns false when the queue is empty. */
     bool runOne();
@@ -133,10 +170,16 @@ class EventQueue
 
     static constexpr std::uint32_t kNilIdx = ~std::uint32_t{0};
 
-    /** Pooled event node; chained per wheel slot via `next`. */
-    struct Event
+    /** log2 of the callbacks per storage chunk. */
+    static constexpr unsigned kChunkBits = 10;
+    /** Callbacks per storage chunk; chunks never move once allocated. */
+    static constexpr std::uint32_t kChunkNodes = std::uint32_t{1}
+                                                 << kChunkBits;
+
+    /** Pooled event node metadata; chained per wheel slot (or on the
+     *  free list) via `next`. Its callback is callbackAt(index). */
+    struct Node
     {
-        Callback cb;
         Tick when = 0;
         std::uint64_t seq = 0; ///< tie-breaker: FIFO among same ticks
         std::uint32_t next = kNilIdx;
@@ -168,12 +211,34 @@ class EventQueue
     };
 
     // -- Pool ----------------------------------------------------------
-    std::uint32_t allocNode(Tick when, Callback cb);
-    void freeNode(std::uint32_t idx);
+    Callback &
+    callbackAt(std::uint32_t idx)
+    {
+        return chunks_[idx >> kChunkBits][idx & (kChunkNodes - 1)];
+    }
+
+    /** Head of the free list (grown by one node when empty). The node
+     *  stays on the list until enqueue(), so a throwing callable
+     *  constructor leaks nothing. */
+    std::uint32_t
+    nextFreeNode()
+    {
+        if (freeHead_ == kNilIdx)
+            growPool();
+        return freeHead_;
+    }
+
+    void growPool();
+    void releaseNode(std::uint32_t idx);
+    /** Takes free-list head @p idx (its callback already stored) and
+     *  files it at @p when with the next sequence number. */
+    void enqueue(std::uint32_t idx, Tick when);
+    [[noreturn]] void schedulingIntoThePast(Tick when) const;
 
     // -- Wheel ---------------------------------------------------------
     void pushSlot(std::uint32_t idx);
-    std::uint32_t popSlot(std::size_t slot);
+    /** Unlinks the head of @p slot. */
+    void popSlot(std::size_t slot);
     /** First non-empty slot index >= @p from, or kWheelSlots. */
     std::size_t nextSlotFrom(std::size_t from) const;
     void markSlot(std::size_t slot);
@@ -183,14 +248,20 @@ class EventQueue
      *  into the (drained) wheel. Precondition: wheel empty, heap not. */
     void promoteNextEpoch();
 
+    /** Earliest non-empty wheel slot. Precondition: wheel not empty. */
+    std::size_t headSlot() const;
+
     /** Tick of the next pending event, or kTickNever. Pure: performs no
-     *  promotion, so stopping early (run(until)) never strands state. */
+     *  promotion. */
     Tick nextEventTime() const;
 
-    /** Pops and runs the event at @p when (the nextEventTime()). */
-    void popAndRun(Tick when);
+    /** Pops and runs the next event if its tick is <= @p until;
+     *  returns false (promoting nothing) otherwise. */
+    bool runNext(Tick until);
 
-    std::vector<Event> pool_;
+    std::vector<Node> nodes_;
+    /// Callback storage, kChunkNodes per chunk, indexed like nodes_.
+    std::vector<std::unique_ptr<Callback[]>> chunks_;
     std::uint32_t freeHead_ = kNilIdx;
 
     std::vector<Slot> slots_;

@@ -25,6 +25,9 @@ Machine::Machine(const SystemConfig &cfg)
     shards_.reserve(actualShards);
     for (unsigned s = 0; s < actualShards; ++s)
         shards_.push_back(std::make_unique<Shard>());
+    unitShard_.reserve(cfg_.numUnits);
+    for (unsigned u = 0; u < cfg_.numUnits; ++u)
+        unitShard_.push_back(shards_[shardOf(u)].get());
     unitSeq_.assign(cfg_.numUnits, 0);
 
     const mem::DramParams dramParams =
@@ -189,9 +192,16 @@ Machine::postMessage(Tick start, UnitId from, UnitId to,
     // shard at the stamped arrival.
     Tick t = xbar(from).transfer(start, bits);
     t = links_->send(t, from, to, (bits + 7) / 8);
-    Shard &src = *shards_[shardOf(from)];
-    src.outbox.push_back(Envelope{t, bits, to, from, unitSeq_[from]++,
-                                  std::move(cont)});
+    // Park the continuation once: drainMailboxes() sorts keys naming
+    // this entry and moves the continuation straight to its in-flight
+    // slot.
+    Envelope &env = unitShard_[from]->outbox.emplace_back();
+    env.when = t;
+    env.bits = bits;
+    env.to = to;
+    env.srcUnit = from;
+    env.seq = unitSeq_[from]++;
+    env.cont = std::move(cont);
 }
 
 void
@@ -211,7 +221,7 @@ Machine::memoryAccessAsync(Tick start, UnitId from, Addr addr,
     // its slot index through both envelopes — nesting the callback
     // itself would overflow the inline-callback bound.
     const std::uint32_t pend =
-        parkMemCallback(*shards_[shardOf(from)], std::move(onDone));
+        unitShard_[from]->memPending.park(std::move(onDone));
     const std::uint32_t reqBits =
         kMemReqHeaderBits + (isWrite ? bytes * 8 : 0);
     postMessage(start, from, home, reqBits,
@@ -253,89 +263,79 @@ Machine::memoryAccessDetached(Tick start, UnitId from, Addr addr,
 }
 
 std::uint32_t
-Machine::allocInflight(Shard &shard, Envelope env)
+Machine::CallbackPark::park(Callback &&cb)
 {
-    if (!shard.inflightFree.empty()) {
-        const std::uint32_t idx = shard.inflightFree.back();
-        shard.inflightFree.pop_back();
-        shard.inflight[idx] = std::move(env);
-        return idx;
+    if (freeSlots.empty()) {
+        slots.push_back(std::move(cb));
+        return static_cast<std::uint32_t>(slots.size() - 1);
     }
-    shard.inflight.push_back(std::move(env));
-    return static_cast<std::uint32_t>(shard.inflight.size() - 1);
+    const std::uint32_t idx = freeSlots.back();
+    freeSlots.pop_back();
+    slots[idx] = std::move(cb);
+    return idx;
 }
 
 void
-Machine::deliverEnvelope(unsigned shard, std::uint32_t idx)
+Machine::deliverEnvelope(Shard &sh, std::uint32_t idx, UnitId to,
+                         std::uint32_t bits)
 {
-    Shard &sh = *shards_[shard];
-    Envelope env = std::move(sh.inflight[idx]);
-    sh.inflightFree.push_back(idx);
     // The envelope's stamp is the link arrival; the destination-crossbar
     // traversal happens now, on the owning shard.
-    const Tick t = xbar(env.to).transfer(sh.eq.now(), env.bits);
-    sh.eq.schedule(t, std::move(env.cont));
-}
-
-std::uint32_t
-Machine::parkMemCallback(Shard &shard, Callback cb)
-{
-    if (!shard.memPendingFree.empty()) {
-        const std::uint32_t idx = shard.memPendingFree.back();
-        shard.memPendingFree.pop_back();
-        shard.memPending[idx] = std::move(cb);
-        return idx;
-    }
-    shard.memPending.push_back(std::move(cb));
-    return static_cast<std::uint32_t>(shard.memPending.size() - 1);
+    const Tick t = xbar(to).transfer(sh.eq.now(), bits);
+    sh.eq.schedule(t, std::move(sh.inflight.slots[idx]));
+    sh.inflight.release(idx);
 }
 
 void
 Machine::completeMemOp(UnitId requester, std::uint32_t idx)
 {
-    Shard &sh = *shards_[shardOf(requester)];
-    Callback cb = std::move(sh.memPending[idx]);
-    sh.memPendingFree.push_back(idx);
+    CallbackPark &pending = unitShard_[requester]->memPending;
+    Callback cb = std::move(pending.slots[idx]);
+    pending.release(idx);
     cb();
 }
 
 void
 Machine::drainMailboxes()
 {
-    // Gather every shard's outbox, order by (arrival, source unit,
-    // per-unit sequence) — a total order independent of the shard
-    // count — and schedule one delivery event per envelope. Runs only
-    // at window barriers, so touching every queue is safe.
-    // drainBuf_ persists across barriers and every outbox keeps its
-    // capacity, so steady-state windows never allocate.
-    for (auto &s : shards_) {
-        for (auto &env : s->outbox)
-            drainBuf_.push_back(std::move(env));
-        s->outbox.clear();
+    // Order every shard's outbox by (arrival, source unit, per-unit
+    // sequence) — a total order independent of the shard count — and
+    // schedule one delivery event per envelope. Runs only at window
+    // barriers, so touching every queue is safe. Only 32-byte keys are
+    // sorted; each continuation then moves once, outbox to in-flight
+    // slot. drainKeys_ persists across barriers and every outbox keeps
+    // its capacity, so steady-state windows never allocate.
+    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+        const std::vector<Envelope> &out = shards_[s]->outbox;
+        for (std::uint32_t i = 0; i < out.size(); ++i)
+            drainKeys_.push_back(
+                DrainKey{out[i].when, out[i].seq, out[i].srcUnit, s, i});
     }
-    if (drainBuf_.empty())
+    if (drainKeys_.empty())
         return;
-    std::sort(drainBuf_.begin(), drainBuf_.end(),
-              [](const Envelope &a, const Envelope &b) {
+    std::sort(drainKeys_.begin(), drainKeys_.end(),
+              [](const DrainKey &a, const DrainKey &b) {
                   if (a.when != b.when)
                       return a.when < b.when;
                   if (a.srcUnit != b.srcUnit)
                       return a.srcUnit < b.srcUnit;
                   return a.seq < b.seq;
               });
-    for (auto &env : drainBuf_) {
-        const unsigned destShard = shardOf(env.to);
-        Shard &sh = *shards_[destShard];
-        const Tick when = env.when;
-        SYNCRON_ASSERT(when >= sh.eq.now(),
-                       "mailbox envelope arrived in the past: " << when
+    for (const DrainKey &k : drainKeys_) {
+        Envelope &env = shards_[k.shard]->outbox[k.pos];
+        Shard &sh = *unitShard_[env.to];
+        SYNCRON_ASSERT(k.when >= sh.eq.now(),
+                       "mailbox envelope arrived in the past: " << k.when
                            << " < " << sh.eq.now());
-        const std::uint32_t idx = allocInflight(sh, std::move(env));
-        sh.eq.schedule(when, [this, destShard, idx] {
-            deliverEnvelope(destShard, idx);
+        const std::uint32_t idx = sh.inflight.park(std::move(env.cont));
+        sh.eq.schedule(k.when, [this, &sh, idx, to = env.to,
+                                bits = env.bits] {
+            deliverEnvelope(sh, idx, to, bits);
         });
     }
-    drainBuf_.clear();
+    drainKeys_.clear();
+    for (auto &s : shards_)
+        s->outbox.clear();
 }
 
 } // namespace syncron

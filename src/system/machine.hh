@@ -18,7 +18,12 @@
  * agents use the asynchronous forms — postMessage() /
  * memoryAccessAsync() — whose cross-unit leg is a mailbox envelope
  * stamped with the earliest-arrival tick and delivered at the next
- * window barrier. The mailbox discipline is active at EVERY shard count
+ * window barrier. The continuation is parked once, in the source
+ * shard's outbox; the barrier drain sorts 32-byte keys naming outbox
+ * entries, moves each continuation once into its destination's
+ * in-flight slot, and the delivery event moves it into the wheel — three
+ * moves end to end. eq(unit)/statsFor(unit) read a per-unit shard
+ * table. The mailbox discipline is active at EVERY shard count
  * (including 1) whenever the lookahead is non-zero, so a sharded run
  * replays exactly the same per-unit event order as a single-threaded one
  * — that is the bit-identity contract the sharded tests enforce.
@@ -78,7 +83,7 @@ class Machine : public sim::ShardedKernel::Client
 
     /** The event queue owning @p unit — all of that unit's activity
      *  (device callbacks, core resumes, gate opens) must run here. */
-    sim::EventQueue &eq(UnitId unit) { return shards_[shardOf(unit)]->eq; }
+    sim::EventQueue &eq(UnitId unit) { return unitShard_[unit]->eq; }
 
     /** Shard 0's stats block (= the merged totals after the run —
      *  NdpSystem folds the other shards in at teardown). */
@@ -86,10 +91,7 @@ class Machine : public sim::ShardedKernel::Client
     const SystemStats &stats() const { return shards_[0]->stats; }
 
     /** The stats block activity of @p unit must be charged to. */
-    SystemStats &statsFor(UnitId unit)
-    {
-        return shards_[shardOf(unit)]->stats;
-    }
+    SystemStats &statsFor(UnitId unit) { return unitShard_[unit]->stats; }
 
     mem::AddressSpace &addrSpace() { return addrSpace_; }
 
@@ -224,7 +226,8 @@ class Machine : public sim::ShardedKernel::Client
     bool crashed() const { return crashed_; }
 
   private:
-    /** Cross-shard message awaiting barrier delivery. */
+    /** Cross-shard message parked in its source shard's outbox until
+     *  the next barrier. */
     struct Envelope
     {
         Tick when = 0;          ///< earliest arrival at the dest unit
@@ -235,6 +238,30 @@ class Machine : public sim::ShardedKernel::Client
         Callback cont;
     };
 
+    /** Callbacks parked by slot index (the index rides a small event
+     *  capture where the callback itself would not fit). */
+    struct CallbackPark
+    {
+        std::vector<Callback> slots;
+        std::vector<std::uint32_t> freeSlots;
+
+        /** Moves @p cb into a free slot; returns its index. */
+        std::uint32_t park(Callback &&cb);
+        void release(std::uint32_t idx) { freeSlots.push_back(idx); }
+    };
+
+    /** Barrier-time sort key naming one outbox envelope, so the drain
+     *  sorts 32-byte keys instead of envelopes. */
+    struct DrainKey
+    {
+        Tick when;
+        std::uint64_t seq;
+        UnitId srcUnit;
+        std::uint32_t shard; ///< source shard of the outbox ...
+        std::uint32_t pos;   ///< ... and the envelope's index in it
+    };
+    static_assert(sizeof(DrainKey) == 32);
+
     /** One shard: private queue + stats + mailbox storage. */
     struct Shard
     {
@@ -242,19 +269,17 @@ class Machine : public sim::ShardedKernel::Client
         SystemStats stats;
         /// Envelopes posted by this shard's units, collected at barriers.
         std::vector<Envelope> outbox;
-        /// Envelopes delivered to this shard, awaiting their event.
-        std::vector<Envelope> inflight;
-        std::vector<std::uint32_t> inflightFree;
-        /// Parked completion callbacks for in-flight async memory ops
-        /// issued by this shard's units (slot index rides the envelopes
-        /// so nested captures never exceed the callback bound).
-        std::vector<Callback> memPending;
-        std::vector<std::uint32_t> memPendingFree;
+        /// Continuations delivered to this shard, awaiting their
+        /// dest-crossbar event.
+        CallbackPark inflight;
+        /// Completion callbacks for in-flight async memory ops issued
+        /// by this shard's units (the slot index rides the envelopes so
+        /// nested captures never exceed the callback bound).
+        CallbackPark memPending;
     };
 
-    std::uint32_t allocInflight(Shard &shard, Envelope env);
-    void deliverEnvelope(unsigned shard, std::uint32_t idx);
-    std::uint32_t parkMemCallback(Shard &shard, Callback cb);
+    void deliverEnvelope(Shard &sh, std::uint32_t idx, UnitId to,
+                         std::uint32_t bits);
     void completeMemOp(UnitId requester, std::uint32_t idx);
 
     SystemConfig cfg_;
@@ -265,9 +290,11 @@ class Machine : public sim::ShardedKernel::Client
     bool statsMerged_ = false;
     unsigned unitsPerShard_ = 1;
     std::vector<std::unique_ptr<Shard>> shards_;
-    /// Barrier-time gather buffer for drainMailboxes(); kept (empty)
+    /// Owning shard of each unit (eq()/statsFor() lookups).
+    std::vector<Shard *> unitShard_;
+    /// Barrier-time sort keys for drainMailboxes(); kept (empty)
     /// between barriers so its capacity survives.
-    std::vector<Envelope> drainBuf_;
+    std::vector<DrainKey> drainKeys_;
     /// Next envelope sequence number per source unit (only the owning
     /// shard's thread touches a given entry).
     std::vector<std::uint64_t> unitSeq_;

@@ -3,9 +3,12 @@
  * Tests for the timing-wheel event queue: same-tick FIFO determinism,
  * (when, seq) order inside one coarse wheel slot, wheel/overflow-heap
  * promotion at far-future horizons, run(until) boundary semantics,
- * allocation-freedom of steady-state scheduling and of the sharded
- * machine's mailbox drain (via a counting global operator new), and
- * serial-vs-parallel grid determinism.
+ * in-place callbacks (stable while the pool grows, recycled when they
+ * throw), allocation-freedom of steady-state scheduling and of the
+ * sharded machine's mailbox drain (via a counting global operator new),
+ * how often a callback is relocated on its way through the kernel and
+ * the mailbox, the mailbox drain order, and serial-vs-parallel grid
+ * determinism.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +17,9 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -391,6 +396,72 @@ TEST(TimingWheel, PendingAndExecutedCounters)
     EXPECT_EQ(eq.executed(), 2u);
 }
 
+// -- In-place callbacks ------------------------------------------------
+
+TEST(TimingWheel, CallbackRunsInPlaceWhilePoolGrows)
+{
+    // A running callback with a full 64-byte capture schedules more
+    // than one storage chunk of events, growing the node pool under
+    // itself; its capture must be intact afterwards.
+    struct Ctx
+    {
+        EventQueue eq;
+        std::vector<Tick> fired;
+        bool intact = false;
+    } ctx;
+    std::array<std::uint64_t, 7> pattern;
+    for (std::size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = 0x0123456789abcdefULL * (i + 1);
+    auto grower = [c = &ctx, pattern] {
+        for (int i = 0; i < 3000; ++i)
+            c->eq.schedule(c->eq.now() + 1 + i % 50,
+                           [c] { c->fired.push_back(c->eq.now()); });
+        bool same = true;
+        for (std::size_t i = 0; i < pattern.size(); ++i)
+            same = same && pattern[i] == 0x0123456789abcdefULL * (i + 1);
+        c->intact = same;
+    };
+    static_assert(sizeof(grower) == EventQueue::kCallbackBytes);
+    EventQueue &eq = ctx.eq;
+    const std::vector<Tick> &fired = ctx.fired;
+    const bool &intact = ctx.intact;
+    eq.schedule(5, grower);
+    eq.run();
+    EXPECT_TRUE(intact);
+    EXPECT_EQ(fired.size(), 3000u);
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+    EXPECT_EQ(eq.executed(), 3001u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(TimingWheel, ThrowingCallbackLeavesQueueUsable)
+{
+    EventQueue eq;
+    std::vector<int> fired;
+    auto held = std::make_shared<int>(7);
+    eq.schedule(10, [&fired] { fired.push_back(1); });
+    eq.schedule(20, [held] { throw std::runtime_error("device fault"); });
+    eq.schedule(20, [&fired] { fired.push_back(2); });
+    eq.schedule(30 + 2 * kHorizon, [&fired] { fired.push_back(3); });
+
+    EXPECT_THROW(eq.run(), std::runtime_error);
+    EXPECT_EQ(eq.now(), 20u);
+    EXPECT_EQ(eq.executed(), 2u);
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_EQ(fired, (std::vector<int>{1}));
+    // The thrower's node was recycled: its capture is destroyed.
+    EXPECT_EQ(held.use_count(), 1);
+
+    // The queue keeps scheduling and running in (when, seq) order.
+    eq.schedule(20, [&fired] { fired.push_back(4); });
+    eq.schedule(25, [&fired] { fired.push_back(5); });
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 2, 4, 5, 3}));
+    EXPECT_EQ(eq.executed(), 6u);
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_TRUE(eq.empty());
+}
+
 // -- Allocation-freedom ------------------------------------------------
 
 /** Self-rescheduling event with a coroutine-resume-sized capture. */
@@ -481,6 +552,62 @@ TEST(TimingWheelAlloc, CoroutineResumeSchedulingIsAllocationFree)
         << "coroutine resume scheduling allocated";
 }
 
+// -- Relocation counts -------------------------------------------------
+
+/**
+ * Callable whose move constructor counts relocations. Copies are free,
+ * so a probe handed over as an lvalue counts only the moves the kernel
+ * makes; invoking it records the count reached so far.
+ */
+struct MoveProbe
+{
+    int *moves;
+    int *movesAtRun;
+
+    MoveProbe(int *m, int *r) : moves(m), movesAtRun(r) {}
+    MoveProbe(const MoveProbe &) = default;
+    MoveProbe(MoveProbe &&o) noexcept
+        : moves(o.moves), movesAtRun(o.movesAtRun)
+    {
+        ++*moves;
+    }
+    MoveProbe &operator=(const MoveProbe &) = delete;
+
+    void operator()() const { *movesAtRun = *moves; }
+};
+
+TEST(TimingWheelAlloc, EventCallbacksRunWithoutRelocation)
+{
+    EventQueue eq;
+    int moves = 0;
+    int atRun = -1;
+    MoveProbe probe{&moves, &atRun}; // non-const: the capture moves
+    auto lambda = [probe] { probe(); };
+
+    // A callable is built in its node and run there — even while 3000
+    // later events grow the pool past several storage chunks.
+    eq.schedule(100, lambda);
+    for (int i = 0; i < 3000; ++i)
+        eq.schedule(1 + i % 90, [] {});
+    eq.run();
+    EXPECT_EQ(atRun, 0) << "schedule() relocated a lambda";
+
+    moves = 0;
+    atRun = -1;
+    eq.scheduleIn(7, lambda);
+    eq.run();
+    EXPECT_EQ(atRun, 0) << "scheduleIn() relocated a lambda";
+
+    // A prebuilt Callback is moved into its node once.
+    moves = 0;
+    atRun = -1;
+    EventQueue::Callback cb{lambda};
+    ASSERT_EQ(moves, 0);
+    eq.schedule(eq.now() + 3 * kHorizon, std::move(cb));
+    eq.run();
+    EXPECT_LE(atRun, 1) << "a Callback argument moved more than once";
+}
+
 // -- Allocation-free mailbox drain -------------------------------------
 
 /** A message hopping unit to unit around the machine's ring. Only the
@@ -539,6 +666,94 @@ TEST(MailboxAlloc, CrossUnitDrainIsAllocationFreeAcrossWindows)
     EXPECT_GT(kernel.windows() - windowsBefore, 100u);
     EXPECT_EQ(after - before, 0u)
         << "postMessage()/drainMailboxes() allocated across windows";
+}
+
+TEST(MailboxAlloc, CrossUnitContinuationMovesAtMostThreeTimes)
+{
+    // postMessage() -> outbox -> drain -> in-flight slot -> delivery ->
+    // wheel -> run: the continuation is moved into the outbox, into the
+    // destination's in-flight slot and into the wheel, and nowhere else.
+    for (const unsigned shards : {1u, 4u}) {
+        SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 1);
+        cfg.simShards = shards;
+        Machine m(cfg);
+        ASSERT_TRUE(m.mailboxActive());
+        ASSERT_EQ(m.numShards(), shards);
+        ShardedKernel kernel(m.shardQueues(), m.lookahead(), m);
+
+        // Warm-up sizes the outboxes and in-flight slots, so no vector
+        // growth relocates the probe.
+        std::array<Token, 16> tokens;
+        for (std::size_t i = 0; i < tokens.size(); ++i) {
+            const auto u = static_cast<UnitId>(i % cfg.numUnits);
+            tokens[i] = Token{&m, 50, u};
+            m.eq(u).schedule(m.eq(u).now() + 100 * i,
+                             [t = &tokens[i]] { forwardToken(t); });
+        }
+        kernel.run();
+
+        int moves = 0;
+        int atRun = -1;
+        const MoveProbe probe{&moves, &atRun};
+        const UnitId from = 1;
+        const UnitId to = 2;
+        m.eq(from).schedule(m.eq(from).now() + 10, [&m, &probe, from, to] {
+            m.postMessage(m.eq(from).now(), from, to, 64, probe);
+        });
+        kernel.run();
+        EXPECT_GE(atRun, 0) << "continuation never ran at " << shards
+                            << " shard(s)";
+        EXPECT_LE(atRun, 3) << "continuation moved " << atRun
+                            << " times at " << shards << " shard(s)";
+    }
+}
+
+TEST(MailboxOrder, SameTickArrivalsDeliverBySourceUnitThenSequence)
+{
+    // Units 3, 2, 1 — posting in that order within one window — each
+    // send three messages to unit 0 from the same start tick. Their
+    // crossbars and links see identical traffic, so message k of every
+    // source lands on the same arrival tick; the drain must deliver by
+    // (arrival, source unit, per-unit sequence) at every shard count.
+    struct Delivery
+    {
+        UnitId src;
+        int k;
+        bool operator==(const Delivery &) const = default;
+    };
+    constexpr int kPerUnit = 3;
+    std::vector<Delivery> expected;
+    for (int k = 0; k < kPerUnit; ++k)
+        for (UnitId u = 1; u <= 3; ++u)
+            expected.push_back(Delivery{u, k});
+
+    for (const unsigned shards : {1u, 2u, 4u}) {
+        SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 1);
+        cfg.simShards = shards;
+        Machine m(cfg);
+        ASSERT_TRUE(m.mailboxActive());
+        ASSERT_EQ(m.numShards(), shards);
+        ShardedKernel kernel(m.shardQueues(), m.lookahead(), m);
+
+        std::vector<Delivery> log; // touched only on unit 0's shard
+        const Tick start = 1000;
+        for (UnitId u = 3; u >= 1; --u) {
+            m.eq(u).schedule(start, [&m, &log, u, start] {
+                for (int k = 0; k < kPerUnit; ++k)
+                    m.postMessage(start, u, 0, 64, [&log, u, k] {
+                        log.push_back(Delivery{u, k});
+                    });
+            });
+        }
+        kernel.run();
+        ASSERT_EQ(log.size(), expected.size()) << shards << " shard(s)";
+        for (std::size_t i = 0; i < log.size(); ++i) {
+            EXPECT_EQ(log[i], expected[i])
+                << "position " << i << " at " << shards
+                << " shard(s): got unit " << log[i].src << " message "
+                << log[i].k;
+        }
+    }
 }
 
 } // namespace
