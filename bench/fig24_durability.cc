@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <functional>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -74,7 +75,8 @@ benchParams(double scale)
 /**
  * --crash-at: one deterministic crash on SynCron. Runs the clean
  * reference for its WAL, reruns with the injected crash, then
- * recovers the persisted image and reports the rollback cut. A
+ * recovers the persisted image after a round trip through its
+ * `SYNCDUR` container and reports the rollback cut. A
  * crashed run has no finalized stats by design, so this never goes
  * through the throughput grid.
  */
@@ -107,12 +109,14 @@ runCrashOnce(const harness::BenchOptions &opts)
         return 0;
     }
 
-    const durability::PersistedImage img = sys.durability()->snapshot();
+    std::stringstream ss;
+    durability::writeImage(ss, sys.durability()->snapshot());
+    const durability::PersistedImage img = durability::readImage(ss);
     const durability::RecoveryResult rr =
         durability::RecoveryEngine(img, refWal).recover();
     std::cout << "crash-at " << opts.crashAt << " ["
               << durability::persistModeName(cfg.persistMode)
-              << "]: " << img.records.size() << " durable of "
+              << "]: " << img.durable() << " durable of "
               << refWal.records.size() << " ops, rollback cut undoes "
               << rr.rolledBack << ", resume replays "
               << rr.resume.records.size() << ": "

@@ -3,21 +3,22 @@
  * The persisted image: what survives a crash.
  *
  * The durability subsystem's write-ahead log is a logical
- * completion-record stream (the same TraceRecord/TracePrimitive values
- * the trace subsystem captures — recovery is a trace consumer), plus
- * the header state needed to interpret it: machine shape, persist mode,
- * and the crash tick. `records` holds the *durable* prefix of the WAL —
- * everything flushed to the PM durability domain before the crash;
- * `appended` counts every record the manager saw, so `appended -
- * records.size()` is the staged tail an epoch-mode crash lost.
+ * completion-record stream (the same trace::Trace the trace subsystem
+ * captures — recovery is a trace consumer), plus the header state
+ * needed to interpret it: persist mode and the crash tick. `log` holds
+ * the machine shape, the primitive table and the *durable* prefix of
+ * the WAL — everything flushed to the PM durability domain before the
+ * crash; `appended` counts every record the manager saw, so `appended
+ * - durable()` is the staged tail an epoch-mode crash lost.
  *
- * On-disk container, versioned like the trace container ("SYNCTRC"):
- * magic "SYNCDUR\0", varint version, header fields, the primitive table
- * (trace/codec.hh's encoding, shared with SYNCTRC), then records keyed
- * by dense primitive ids, each with its absolute issue tick and an
- * always-present associated-primitive field. Readers reject unknown
- * versions, truncation, trailing bytes, out-of-range fields, and
- * dangling primitive references.
+ * On-disk container (v2): magic "SYNCDUR\0", varint version, then
+ * varint mode, epochOps, crashTick and appended, then one complete
+ * `SYNCTRC` container (trace/format.hh) holding `log`. The records are
+ * written by trace::TraceWriter and decoded by trace/codec.hh, so an
+ * image accepts and rejects exactly the record streams a trace file
+ * does. Readers also reject unknown versions (v1 used its own record
+ * layout), `appended` below the durable record count, and trailing
+ * bytes.
  */
 
 #ifndef SYNCRON_DURABILITY_IMAGE_HH
@@ -25,8 +26,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "durability/pm_model.hh"
@@ -39,24 +38,23 @@ inline constexpr char kImageMagic[8] = {'S', 'Y', 'N', 'C',
                                         'D', 'U', 'R', '\0'};
 
 /** Current persisted-image layout version. */
-inline constexpr std::uint32_t kImageVersion = 1;
+inline constexpr std::uint32_t kImageVersion = 2;
 
 /** Snapshot of the PM durability domain at a crash (or clean end). */
 struct PersistedImage
 {
-    std::uint32_t numUnits = 0;
-    std::uint32_t clientCoresPerUnit = 0;
     PersistMode mode = PersistMode::Off;
     std::uint32_t epochOps = 0; ///< flush interval (Epoch mode)
     Tick crashTick = 0;         ///< 0 == clean shutdown
     std::uint64_t appended = 0; ///< WAL records appended (>= durable)
 
-    /** Primitive metadata; persisted eagerly at mint in every mode. */
-    std::vector<trace::TracePrimitive> primitives;
-    /** The durable WAL prefix, in completion order. */
-    std::vector<trace::TraceRecord> records;
+    /**
+     * Machine shape, primitive table (persisted eagerly at mint in
+     * every mode) and the durable WAL prefix, in completion order.
+     */
+    trace::Trace log;
 
-    std::uint64_t durable() const { return records.size(); }
+    std::uint64_t durable() const { return log.records.size(); }
 
     friend bool operator==(const PersistedImage &,
                            const PersistedImage &) = default;
@@ -67,10 +65,6 @@ void writeImage(std::ostream &os, const PersistedImage &img);
 
 /** Parses an image; fatal()s on any corruption (see file comment). */
 PersistedImage readImage(std::istream &is);
-
-/** File variants. */
-void writeImageFile(const std::string &path, const PersistedImage &img);
-PersistedImage readImageFile(const std::string &path);
 
 } // namespace syncron::durability
 

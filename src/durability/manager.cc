@@ -96,8 +96,6 @@ DurabilityManager::snapshot() const
                                     << wal.records.size()
                                     << " records");
     PersistedImage img;
-    img.numUnits = machine_.config().numUnits;
-    img.clientCoresPerUnit = machine_.config().clientCoresPerUnit;
     img.mode = mode_;
     img.epochOps = epochOps_;
     img.crashTick = crashTick_;
@@ -105,10 +103,8 @@ DurabilityManager::snapshot() const
     // Primitive metadata is tiny and persisted eagerly at mint in
     // every mode, so the whole table survives; only record durability
     // depends on the mode.
-    img.primitives = wal.primitives;
-    img.records.assign(wal.records.begin(),
-                       wal.records.begin()
-                           + static_cast<std::ptrdiff_t>(durable_));
+    img.log = wal;
+    img.log.records.resize(static_cast<std::size_t>(durable_));
     return img;
 }
 

@@ -73,17 +73,17 @@ RecoveryEngine::recover() const
     };
 
     // ---- 1. Validate the image against the reference log -------------
-    if (image_.numUnits != ref_.numUnits
-        || image_.clientCoresPerUnit != ref_.clientCoresPerUnit) {
+    if (image_.log.numUnits != ref_.numUnits
+        || image_.log.clientCoresPerUnit != ref_.clientCoresPerUnit) {
         fail("machine shape mismatch between image and reference log");
         return out;
     }
-    if (image_.primitives.size() > ref_.primitives.size()) {
+    if (image_.log.primitives.size() > ref_.primitives.size()) {
         fail("image primitive table larger than the reference's");
         return out;
     }
-    for (std::size_t i = 0; i < image_.primitives.size(); ++i) {
-        if (!(image_.primitives[i] == ref_.primitives[i])) {
+    for (std::size_t i = 0; i < image_.log.primitives.size(); ++i) {
+        if (!(image_.log.primitives[i] == ref_.primitives[i])) {
             std::ostringstream os;
             os << "image primitive " << i
                << " diverges from the reference table";
@@ -91,12 +91,12 @@ RecoveryEngine::recover() const
             return out;
         }
     }
-    if (image_.records.size() > ref_.records.size()) {
+    if (image_.log.records.size() > ref_.records.size()) {
         fail("durable log longer than the reference log");
         return out;
     }
-    for (std::size_t i = 0; i < image_.records.size(); ++i) {
-        if (!(image_.records[i] == ref_.records[i])) {
+    for (std::size_t i = 0; i < image_.log.records.size(); ++i) {
+        if (!(image_.log.records[i] == ref_.records[i])) {
             std::ostringstream os;
             os << "durable record " << i
                << " is not a prefix of the reference log "
@@ -113,11 +113,11 @@ RecoveryEngine::recover() const
     }
 
     const std::uint32_t cores = ref_.numClientCores();
-    out.durableRecords = image_.records.size();
+    out.durableRecords = image_.durable();
 
     // ---- 2. Rebuild the recovered state and check invariants ---------
     out.recovered = ShadowOracle(ref_.primitives);
-    for (const trace::TraceRecord &r : image_.records)
+    for (const trace::TraceRecord &r : image_.log.records)
         out.recovered.apply(r);
     out.recovered.checkInvariants(cores);
     for (const std::string &v : out.recovered.violations())
@@ -132,7 +132,7 @@ RecoveryEngine::recover() const
     for (std::uint32_t i = 0; i < ref_.records.size(); ++i)
         ops[ref_.records[i].core].push_back(i);
     std::vector<std::uint64_t> durable(cores, 0);
-    for (const trace::TraceRecord &r : image_.records)
+    for (const trace::TraceRecord &r : image_.log.records)
         ++durable[r.core];
 
     // Barrier rounds: the k-th wait of each participant on one barrier

@@ -25,6 +25,9 @@ encodePrimitives(std::ostream &os, const std::vector<TracePrimitive> &prims)
     }
 }
 
+namespace {
+
+/** Decodes the primitive table encodePrimitives() wrote into @p out. */
 void
 decodePrimitives(VarintCursor &cur, std::uint32_t numUnits,
                  std::vector<TracePrimitive> &out)
@@ -35,7 +38,7 @@ decodePrimitives(VarintCursor &cur, std::uint32_t numUnits,
         TracePrimitive p;
         p.kind = getEnum(cur, PrimKind::CondVar, "PrimKind");
         p.home = getU32(cur, "home unit");
-        if (numUnits != 0 && p.home >= numUnits)
+        if (p.home >= numUnits)
             SYNCRON_FATAL(cur.what() << " primitive " << i
                                      << " homed in unit " << p.home
                                      << " of a " << numUnits
@@ -46,6 +49,8 @@ decodePrimitives(VarintCursor &cur, std::uint32_t numUnits,
         out.push_back(p);
     }
 }
+
+} // namespace
 
 std::uint64_t
 decodeTraceHeader(VarintCursor &cur, Trace &shape)

@@ -1,17 +1,16 @@
 /**
  * @file
  * The one decoder of the `SYNCTRC` byte layout (trace/format.hh
- * documents the layout), plus the primitive-table encoding the
- * `SYNCDUR` persisted image shares with it.
+ * documents the layout), plus the primitive-table encoder TraceWriter
+ * runs.
  *
- * Every reader runs these functions over a VarintCursor: TraceReader
- * over its istream read into a buffer, MappedTraceReader over the
- * mmap'd file, durability::readImage over its buffered stream. So a
- * byte string is accepted or rejected, with the same diagnostic, by
- * both trace readers alike — by construction, not by test. Past the
- * primitive table decoding allocates nothing: RecordDecoder::next() is
- * inline arithmetic over the cursor, with every diagnostic built out of
- * line.
+ * Every reader runs these functions over a VarintCursor:
+ * MappedTraceReader over the mmap'd file, durability::readImage over
+ * the `SYNCTRC` container embedded in a `SYNCDUR` image. So a record
+ * stream is accepted or rejected, with the same diagnostic, in either
+ * container — by construction, not by test. Past the primitive table
+ * decoding allocates nothing: RecordDecoder::next() is inline
+ * arithmetic over the cursor, with every diagnostic built out of line.
  *
  * Decoded values are validated, never truncated or wrapped: a field
  * wider than its 32-bit slot, an issue tick past INT64_MAX or below 0,
@@ -66,14 +65,6 @@ getU32(VarintCursor &cur, const char *field)
 /** Writes the primitive table: count, then kind/home/param/scope. */
 void encodePrimitives(std::ostream &os,
                       const std::vector<TracePrimitive> &prims);
-
-/**
- * Decodes a primitive table written by encodePrimitives() into @p out.
- * Homes are checked against @p numUnits unless it is 0 (a `SYNCDUR`
- * image may leave the machine shape unset).
- */
-void decodePrimitives(VarintCursor &cur, std::uint32_t numUnits,
-                      std::vector<TracePrimitive> &out);
 
 /**
  * Decodes a `SYNCTRC` container up to its record stream — magic,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <istream>
-#include <iterator>
 #include <map>
 #include <mutex>
 #include <ostream>
@@ -119,18 +117,6 @@ TraceWriter::write(const Trace &trace)
 
     if (!os_)
         SYNCRON_FATAL("stream error while writing trace");
-}
-
-Trace
-TraceReader::read()
-{
-    const std::string bytes{std::istreambuf_iterator<char>(is_),
-                            std::istreambuf_iterator<char>()};
-    const auto *begin = reinterpret_cast<const unsigned char *>(bytes.data());
-    VarintCursor cur(begin, begin + bytes.size(), "trace");
-    Trace trace;
-    decodeRecords(cur, decodeTraceHeader(cur, trace), trace);
-    return trace;
 }
 
 void

@@ -25,10 +25,12 @@
  * All multi-byte fields are LEB128 varints; issue ticks are
  * delta-encoded against the previous record (zigzag, so capture order —
  * completion order — need not be issue-ordered). TraceWriter and
- * TraceReader guarantee a lossless round trip; every reader decodes
- * through trace/codec.hh and rejects bad magic, unknown versions,
- * truncation, trailing garbage, fields that overflow their types, and
- * records referencing out-of-range primitives or cores.
+ * MappedTraceReader (trace/mmap_reader.hh) guarantee a lossless round
+ * trip. Every reader decodes through trace/codec.hh and rejects bad
+ * magic, unknown versions, truncation, trailing garbage, fields that
+ * overflow their types, and records referencing out-of-range
+ * primitives or cores. The `SYNCDUR` persisted image
+ * (durability/image.hh) embeds one complete container of this layout.
  *
  * v1 -> v2: v1 wrote an associated-primitive varint on EVERY record
  * (always 0 outside cond_wait) and did not require writers to populate
@@ -150,27 +152,6 @@ class TraceWriter
 
   private:
     std::ostream &os_;
-};
-
-/** Deserializes and validates the varint container format. */
-class TraceReader
-{
-  public:
-    /** Reads from @p is; the stream must outlive the reader. */
-    explicit TraceReader(std::istream &is) : is_(is) {}
-
-    TraceReader(const TraceReader &) = delete;
-    TraceReader &operator=(const TraceReader &) = delete;
-
-    /**
-     * Parses one complete trace. fatal()s on bad magic, unknown
-     * version, truncation, trailing bytes, or records referencing
-     * out-of-range primitives/cores.
-     */
-    Trace read();
-
-  private:
-    std::istream &is_;
 };
 
 /** Writes @p trace to @p path; fatal() when the file cannot be written. */

@@ -1,22 +1,21 @@
 /**
  * @file
  * Zero-copy trace reading: the `SYNCTRC` container mapped into the
- * address space and decoded in place.
+ * address space and decoded in place — the one trace-file reader.
  *
- * TraceReader materializes a whole Trace on the heap — one vector push
- * per record — which is fine for small capture files but wrong for
- * multi-gigabyte corpora: a corpus replay would spend its time in
- * allocator traffic before the first simulated tick. MappedTraceReader
+ * Multi-gigabyte corpora must not be materialized on the heap before
+ * the first simulated tick (one vector push per record is allocator
+ * traffic a corpus replay would spend its time in). MappedTraceReader
  * mmap()s the file read-only, decodes the header and primitive table
  * once at open, and then hands out records through a RecordCursor that
  * does nothing but bounds-checked arithmetic over the mapping: no
  * per-record allocation, no copy of the record stream, and the file's
  * pages are faulted in lazily as the cursor walks them.
  *
- * Both steps run the shared codec (trace/codec.hh) that TraceReader
- * runs too, so the two readers accept and reject the same bytes with
- * the same diagnostics. The one difference is the file itself: an
- * empty or unmappable file fails at open.
+ * Both steps run the shared codec (trace/codec.hh), the same one that
+ * decodes the trace embedded in a `SYNCDUR` image, so the two
+ * containers accept and reject the same record streams with the same
+ * diagnostics. An empty or unmappable file fails at open.
  */
 
 #ifndef SYNCRON_TRACE_MMAP_READER_HH
@@ -113,8 +112,7 @@ class MappedTraceReader
 
     /**
      * Copies the mapped trace into an owning Trace — the bridge to
-     * consumers of the in-memory API (Replayer, analyzers). Equal to
-     * TraceReader::read() on the same bytes.
+     * consumers of the in-memory API (Replayer, analyzers).
      */
     Trace materialize() const;
 

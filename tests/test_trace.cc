@@ -22,10 +22,13 @@
 #include "system/system.hh"
 #include "trace/capture.hh"
 #include "trace/format.hh"
+#include "trace/mmap_reader.hh"
 #include "trace/replay.hh"
 #include "trace/scenario.hh"
 #include "trace/varint.hh"
 #include "workloads/micro/primitives.hh"
+
+#include "scratch_file.hh"
 
 namespace syncron::trace {
 namespace {
@@ -108,8 +111,8 @@ encode(const Trace &t)
 Trace
 decode(const std::string &bytes)
 {
-    std::istringstream is(bytes);
-    return TraceReader(is).read();
+    const ScratchFile file;
+    return MappedTraceReader(file.write(bytes)).materialize();
 }
 
 TEST(TraceFormat, RoundTripsRandomStreams)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Zero-copy trace reading and corpus tests: MappedTraceReader
- * equivalence with the streaming TraceReader on every scenario family,
- * the full rejection surface at mmap boundaries (truncation at every
- * byte, bad magic/version, trailing bytes, dangling refs, empty and
- * short files), and corpus enumeration/validation.
+ * Zero-copy trace reading and corpus tests: the writeTraceFile ->
+ * MappedTraceReader round trip on every scenario family, the full
+ * rejection surface at mmap boundaries (truncation at every byte, bad
+ * magic/version, trailing bytes, dangling refs, empty and short
+ * files), and corpus enumeration/validation.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,8 @@
 #include "trace/format.hh"
 #include "trace/mmap_reader.hh"
 #include "trace/scenario.hh"
+
+#include "scratch_file.hh"
 
 namespace syncron::trace {
 namespace {
@@ -41,12 +43,12 @@ writeBytes(const std::string &path, const std::string &bytes)
     ASSERT_TRUE(os.good()) << "cannot write " << path;
 }
 
-/** Opens + fully validates @p path through the mmap reader. */
+/** Maps @p bytes from a memfd and fully validates them. */
 void
-mmapDecode(const std::string &path)
+mmapDecode(const std::string &bytes)
 {
-    MappedTraceReader reader(path);
-    reader.validateAll();
+    const ScratchFile file;
+    MappedTraceReader(file.write(bytes)).validateAll();
 }
 
 /** A small but fully populated scenario trace. */
@@ -73,7 +75,7 @@ class TempFile
     std::string path_;
 };
 
-TEST(MmapReader, MatchesStreamingReaderOnEveryFamily)
+TEST(MmapReader, RoundTripsEveryFamilyThroughAFile)
 {
     for (ScenarioFamily family : kAllScenarioFamilies) {
         const Trace t = familyTrace(family);
@@ -87,11 +89,11 @@ TEST(MmapReader, MatchesStreamingReaderOnEveryFamily)
         EXPECT_EQ(reader.recordCount(), t.records.size());
         EXPECT_EQ(reader.primitives(), t.primitives);
 
-        // materialize() must equal both the original trace and what
-        // the streaming reader produces from the same bytes.
+        // materialize() and readTraceFile() must both give back the
+        // trace that was written.
         EXPECT_EQ(reader.materialize(), t)
             << scenarioFamilyName(family);
-        EXPECT_EQ(reader.materialize(), readTraceFile(file.path()))
+        EXPECT_EQ(readTraceFile(file.path()), t)
             << scenarioFamilyName(family);
 
         // The validation walk counts exactly the trace's op mix.
@@ -129,11 +131,9 @@ TEST(MmapReader, RejectsTruncationAtEveryBoundary)
 
     // Every proper prefix must be rejected — header truncation at
     // open, record truncation during the walk, never a silent accept.
-    TempFile file("test_mmap_trunc.trc");
     for (std::size_t len = 0; len < good.size();
          len += (len < 64 ? 1 : 97)) {
-        writeBytes(file.path(), good.substr(0, len));
-        EXPECT_THROW(mmapDecode(file.path()), std::runtime_error)
+        EXPECT_THROW(mmapDecode(good.substr(0, len)), std::runtime_error)
             << "prefix of " << len << " bytes accepted";
     }
 }
@@ -141,26 +141,21 @@ TEST(MmapReader, RejectsTruncationAtEveryBoundary)
 TEST(MmapReader, RejectsBadMagicAndVersions)
 {
     const std::string good = encode(familyTrace(ScenarioFamily::BurstyLock));
-    TempFile file("test_mmap_magic.trc");
 
     std::string badMagic = good;
     badMagic[0] = 'X';
-    writeBytes(file.path(), badMagic);
-    EXPECT_THROW(mmapDecode(file.path()), std::runtime_error);
+    EXPECT_THROW(mmapDecode(badMagic), std::runtime_error);
 
     // Version varint sits right after the 8-byte magic.
     std::string badVersion = good;
     badVersion[8] = '\x7f';
-    writeBytes(file.path(), badVersion);
-    EXPECT_THROW(mmapDecode(file.path()), std::runtime_error);
+    EXPECT_THROW(mmapDecode(badVersion), std::runtime_error);
 
-    // v1 must be rejected with the recapture hint, like the streaming
-    // reader.
+    // v1 must be rejected with the recapture hint.
     std::string v1 = good;
     v1[8] = '\x01';
-    writeBytes(file.path(), v1);
     try {
-        mmapDecode(file.path());
+        mmapDecode(v1);
         FAIL() << "a version-1 trace was accepted";
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find("recapture"),
@@ -173,40 +168,34 @@ TEST(MmapReader, RejectsTrailingBytes)
 {
     const std::string good =
         encode(familyTrace(ScenarioFamily::ReaderSemaphore));
-    TempFile file("test_mmap_trailing.trc");
-    writeBytes(file.path(), good + "junk");
-    EXPECT_THROW(mmapDecode(file.path()), std::runtime_error);
+    EXPECT_THROW(mmapDecode(good + "junk"), std::runtime_error);
 }
 
 TEST(MmapReader, RejectsDanglingReferences)
 {
     // The writer serializes whatever it is given; the reader is the
-    // validation boundary — same contract as the streaming reader.
+    // validation boundary.
     Trace t = familyTrace(ScenarioFamily::ZipfLock);
     ASSERT_FALSE(t.records.empty());
-    TempFile file("test_mmap_dangling.trc");
 
     Trace badPrim = t;
     badPrim.records[0].prim =
         static_cast<std::uint32_t>(badPrim.primitives.size());
-    writeBytes(file.path(), encode(badPrim));
-    EXPECT_THROW(mmapDecode(file.path()), std::runtime_error);
+    EXPECT_THROW(mmapDecode(encode(badPrim)), std::runtime_error);
 
     Trace badCore = t;
     badCore.records[0].core = badCore.numClientCores();
-    writeBytes(file.path(), encode(badCore));
-    EXPECT_THROW(mmapDecode(file.path()), std::runtime_error);
+    EXPECT_THROW(mmapDecode(encode(badCore)), std::runtime_error);
 }
 
 TEST(MmapReader, RejectsEmptyAndShortFiles)
 {
-    TempFile file("test_mmap_empty.trc");
-    writeBytes(file.path(), "");
-    EXPECT_THROW(MappedTraceReader reader(file.path()),
+    const ScratchFile file;
+    EXPECT_THROW(MappedTraceReader reader(file.write("")),
                  std::runtime_error);
 
-    writeBytes(file.path(), "SYN"); // shorter than the magic
-    EXPECT_THROW(MappedTraceReader reader(file.path()),
+    // Shorter than the magic.
+    EXPECT_THROW(MappedTraceReader reader(file.write("SYN")),
                  std::runtime_error);
 
     EXPECT_THROW(MappedTraceReader reader("no_such_trace_file.trc"),

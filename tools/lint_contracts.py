@@ -7,9 +7,11 @@ text scans — no compiler needed — so they run in well under five
 seconds and are wired into CI ahead of the build:
 
   1. retired-ident     Retired identifiers must not reappear in code:
-                       the SyncVar shim layer, and the op-stream hooks
+                       the SyncVar shim layer, the op-stream hooks
                        folded into the one observer list (TraceSink,
-                       setTraceSink, ShardedObserver).
+                       setTraceSink, ShardedObserver), and the istream
+                       trace reader that MappedTraceReader replaced
+                       (the word-bounded match leaves the latter be).
   2. no-scheme-switch  Backends are looked up through the string-keyed
                        BackendRegistry; `case Scheme::` dispatch is
                        allowed only in the name-mapping table
@@ -69,7 +71,7 @@ CODE_DIRS = ("src", "tests", "bench", "examples", "tools")
 CODE_EXTS = (".cc", ".hh")
 
 RETIRED_RE = re.compile(
-    r"\b(SyncVar|TraceSink|setTraceSink|ShardedObserver)\b")
+    r"\b(SyncVar|Trace(?:Sink|Reader)|setTraceSink|ShardedObserver)\b")
 OLD_OBSERVER_CALL_RE = re.compile(r"\b(setObserver|addAuxObserver)\s*\(")
 SCHEME_SWITCH_RE = re.compile(r"\bcase\s+Scheme::")
 INPLACE_INST_RE = re.compile(r"\bInplaceCallback\s*<")
@@ -154,9 +156,9 @@ def lint_tree(root):
         for m in RETIRED_RE.finditer(text):
             report(rel, line_of(text, m), "retired-ident",
                    "%s reintroduced - use the typed handles "
-                   "(sync::Lock/Barrier/Semaphore/CondVar) and "
-                   "sync::OpObserver via SyncApi::addObserver()"
-                   % m.group(1))
+                   "(sync::Lock/Barrier/Semaphore/CondVar), "
+                   "sync::OpObserver via SyncApi::addObserver(), and "
+                   "trace::MappedTraceReader" % m.group(1))
 
         if rel not in OLD_OBSERVER_CALL_ALLOW:
             for m in OLD_OBSERVER_CALL_RE.finditer(text):
@@ -246,6 +248,10 @@ FIXTURES = [
      "class Cap : public sync::TraceSink {};\n"),
     ("retired-ident", "tests/fixture.cc",
      "analysis::ShardedObserver mux(m, an); api.setTraceSink(&cap);\n"),
+    # Spelled in two pieces so the retired name stays out of the tree
+    # (`grep -rnw` over tools/ included).
+    ("retired-ident", "tests/fixture.cc",
+     "Trace t = Trace" "Reader(is).read();\n"),
     ("one-observer-path", "tests/fixture.cc",
      "api.setObserver(&an);\napi.addAuxObserver(&wal);\n"),
     ("no-scheme-switch", "src/fixture.cc",
