@@ -1,16 +1,13 @@
 #include "durability/backend.hh"
 
 #include "common/log.hh"
-#include "durability/manager.hh"
 #include "system/machine.hh"
 
 namespace syncron::durability {
 
 PersistingBackend::PersistingBackend(
-    std::unique_ptr<sync::SyncBackend> inner, Machine &machine,
-    DurabilityManager &durability)
-    : inner_(std::move(inner)), machine_(machine),
-      durability_(durability)
+    std::unique_ptr<sync::SyncBackend> inner, Machine &machine)
+    : inner_(std::move(inner)), machine_(machine)
 {
     SYNCRON_ASSERT(inner_ != nullptr,
                    "PersistingBackend wrapping nothing");
@@ -20,27 +17,23 @@ void
 PersistingBackend::request(core::Core &requester,
                            const sync::SyncRequest &req, sim::Gate *gate)
 {
-    const sync::SyncRequest stamped =
-        req.withWalSeq(durability_.nextIntentSeq());
-    if (stamped.releaseType()) {
+    if (req.releaseType()) {
         // req_async commits at issue; its WAL append rides completion.
-        inner_->request(requester, stamped, gate);
+        inner_->request(requester, req, gate);
         return;
     }
 
     // Write-ahead: the intent record reaches the PM durability domain
     // before the operation is admitted to the SE.
-    ++pending_[stamped.var()];
+    ++pending_[req.var()];
     machine_.eq().scheduleIn(
-        machine_.config().pm.writeTicks,
-        [this, &requester, stamped, gate] {
-            auto it = pending_.find(stamped.var());
+        machine_.config().pm.writeTicks, [this, &requester, req, gate] {
+            auto it = pending_.find(req.var());
             SYNCRON_ASSERT(it != pending_.end() && it->second > 0,
-                           "persist-delay accounting lost @"
-                               << stamped.var());
+                           "persist-delay accounting lost @" << req.var());
             if (--it->second == 0)
                 pending_.erase(it);
-            inner_->request(requester, stamped, gate);
+            inner_->request(requester, req, gate);
         });
 }
 

@@ -3,11 +3,10 @@
  * PersistingBackend: the write-ahead PM latency on the request path.
  *
  * A decorator over any registered sync backend (SynCron, Central, …),
- * installed by NdpSystem in PersistMode::Eager only. Every operation
- * is stamped with a WAL intent sequence; acquire-type operations are
- * then held for PmParams::writeTicks — the modeled time for the intent
- * record to reach the PM durability domain — before being admitted to
- * the inner backend. Release-type operations are forwarded
+ * installed by NdpSystem in PersistMode::Eager only. Acquire-type
+ * operations are held for PmParams::writeTicks — the modeled time for
+ * the intent record to reach the PM durability domain — before being
+ * admitted to the inner backend. Release-type operations are forwarded
  * immediately: req_async semantics commit at issue (SyncApi asserts
  * the gate opened synchronously), and their WAL append is charged on
  * the completion path by DurabilityManager.
@@ -31,14 +30,12 @@ class Machine;
 
 namespace syncron::durability {
 
-class DurabilityManager;
-
 /** Eager-persist request decorator; see the file comment. */
 class PersistingBackend final : public sync::SyncBackend
 {
   public:
     PersistingBackend(std::unique_ptr<sync::SyncBackend> inner,
-                      Machine &machine, DurabilityManager &durability);
+                      Machine &machine);
 
     void request(core::Core &requester, const sync::SyncRequest &req,
                  sim::Gate *gate) override;
@@ -51,13 +48,9 @@ class PersistingBackend final : public sync::SyncBackend
     void releaseVar(Addr var) override;
     const char *name() const override { return inner_->name(); }
 
-    /** The wrapped backend (engine-specific wiring needs it). */
-    sync::SyncBackend &inner() { return *inner_; }
-
   private:
     std::unique_ptr<sync::SyncBackend> inner_;
     Machine &machine_;
-    DurabilityManager &durability_;
     /** Per-variable count of requests inside their persist delay. */
     std::unordered_map<Addr, std::uint32_t> pending_;
 };

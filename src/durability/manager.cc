@@ -23,8 +23,7 @@ DurabilityManager::onComplete(CoreId core, const sync::SyncRequest &req,
     ++appended_;
     if (mode_ == PersistMode::Eager) {
         durable_ = appended_;
-        ++machine_.stats().pmWrites;
-        machine_.stats().pmBitsWritten += kWalRecordBits;
+        chargePmWrite(machine_.stats(), kWalRecordBits);
         return;
     }
     if (++staged_ >= epochOps_)
@@ -43,47 +42,9 @@ DurabilityManager::flushStaged()
     if (staged_ == 0)
         return;
     ++machine_.stats().pmFlushes;
-    ++machine_.stats().pmWrites;
-    machine_.stats().pmBitsWritten += staged_ * kWalRecordBits;
+    chargePmWrite(machine_.stats(), staged_ * kWalRecordBits);
     durable_ = appended_;
     staged_ = 0;
-}
-
-Tick
-DurabilityManager::persistStation(UnitId, Addr, std::uint64_t,
-                                  Tick done)
-{
-    // The WAL record itself is charged by onComplete(); the station
-    // call is the correlation point (walSeq) and is counted for tests.
-    ++stationPersists_;
-    return done;
-}
-
-void
-DurabilityManager::persistTableEntry(UnitId, Addr, bool)
-{
-    if (mode_ != PersistMode::Eager)
-        return; // epoch flushes subsume the per-transition images
-    ++machine_.stats().pmWrites;
-    machine_.stats().pmBitsWritten += kStEntryBits;
-}
-
-void
-DurabilityManager::persistCounter(UnitId, Addr)
-{
-    if (mode_ != PersistMode::Eager)
-        return;
-    ++machine_.stats().pmWrites;
-    machine_.stats().pmBitsWritten += kCounterBits;
-}
-
-void
-DurabilityManager::persistMemVar(UnitId, Addr)
-{
-    if (mode_ != PersistMode::Eager)
-        return;
-    ++machine_.stats().pmWrites;
-    machine_.stats().pmBitsWritten += kMemVarBits;
 }
 
 PersistedImage

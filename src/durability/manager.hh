@@ -2,24 +2,19 @@
  * @file
  * DurabilityManager: the write-ahead log for SE state.
  *
- * Installed by NdpSystem when SystemConfig::persistMode != Off, in two
- * roles at once:
+ * Installed by NdpSystem when SystemConfig::persistMode != Off as a
+ * sync::OpObserver (registered on SyncApi): it appends every completed
+ * operation to the WAL — an internal trace::TraceCapture, so the
+ * persisted log is by construction the same logical stream the trace
+ * subsystem captures and the recovery engine replays. Eager mode makes
+ * each record durable as it lands (one PM write per record); Epoch mode
+ * stages records and flushes every epochOps completions (one batched PM
+ * write), so a crash loses the staged tail.
  *
- *   - As a sync::OpObserver (registered on SyncApi) it appends
- *     every completed operation to the WAL — an internal
- *     trace::TraceCapture, so the persisted log is by construction the
- *     same logical stream the trace subsystem captures and the
- *     recovery engine replays. Eager mode makes each record durable as
- *     it lands (one PM write per record); Epoch mode stages records
- *     and flushes every epochOps completions (one batched PM write),
- *     so a crash loses the staged tail.
- *
- *   - As a durability::PersistHook (installed on the SynCron engine)
- *     it accounts the PM writes of the SE-state images themselves: ST
- *     entry allocate/release, indexing-counter updates, and overflowed
- *     in-memory records.
- *
- * PM write latency is charged on the request path by
+ * The PM writes of the SE-state images themselves (ST entry
+ * allocate/release, indexing-counter updates, overflowed in-memory
+ * records) are charged by the SynCron engine in Eager mode; PM write
+ * latency is charged on the request path by
  * durability::PersistingBackend (Eager mode only); energy is derived
  * from the pmBitsWritten counter by system/energy.
  *
@@ -33,7 +28,6 @@
 #include <cstdint>
 
 #include "durability/image.hh"
-#include "durability/persist.hh"
 #include "durability/pm_model.hh"
 #include "sync/observer.hh"
 #include "trace/capture.hh"
@@ -44,9 +38,8 @@ class Machine;
 
 namespace syncron::durability {
 
-/** WAL + PM accounting for one system; see the file comment. */
-class DurabilityManager final : public sync::OpObserver,
-                               public PersistHook
+/** The WAL of one system; see the file comment. */
+class DurabilityManager final : public sync::OpObserver
 {
   public:
     explicit DurabilityManager(Machine &machine);
@@ -59,17 +52,7 @@ class DurabilityManager final : public sync::OpObserver,
                     Tick issued, Tick completed) override;
     void onDestroy(Addr addr) override;
 
-    // -- durability::PersistHook ---------------------------------------
-    Tick persistStation(UnitId unit, Addr var, std::uint64_t walSeq,
-                        Tick done) override;
-    void persistTableEntry(UnitId unit, Addr var, bool alloc) override;
-    void persistCounter(UnitId unit, Addr var) override;
-    void persistMemVar(UnitId unit, Addr var) override;
-
     // -- Lifecycle -----------------------------------------------------
-    /** Next write-ahead intent sequence (stamped on requests). */
-    std::uint64_t nextIntentSeq() { return ++intentSeq_; }
-
     /** The machine tore down mid-run at @p tick. */
     void noteCrash(Tick tick) { crashTick_ = tick; }
 
@@ -84,7 +67,6 @@ class DurabilityManager final : public sync::OpObserver,
 
     std::uint64_t appended() const { return appended_; }
     std::uint64_t durable() const { return durable_; }
-    std::uint64_t stationPersists() const { return stationPersists_; }
     PersistMode mode() const { return mode_; }
 
   private:
@@ -97,8 +79,6 @@ class DurabilityManager final : public sync::OpObserver,
     std::uint64_t appended_ = 0;
     std::uint64_t durable_ = 0;
     std::uint64_t staged_ = 0;
-    std::uint64_t intentSeq_ = 0;
-    std::uint64_t stationPersists_ = 0;
     Tick crashTick_ = 0;
 };
 

@@ -6,8 +6,9 @@
  * synchronization state (ST entries, indexing counters, overflowed
  * in-memory records) can be made crash-consistent by logging every
  * state transition through a modeled PM write. This header carries only
- * the knobs and record geometries so SystemConfig can embed them
- * without pulling the durability subsystem into every translation unit.
+ * the knobs, the record geometries and the one PM-write charge, so
+ * SystemConfig and the SE structures can use them without pulling the
+ * durability subsystem into every translation unit.
  *
  * Two persist granularities are modeled:
  *   - Eager: every completed sync op is persisted before the next one
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace syncron::durability {
@@ -89,6 +91,14 @@ inline constexpr unsigned kStEntryBits = 256;
 inline constexpr unsigned kCounterBits = 32;
 /** One overflowed in-memory syncronVar record (16 B, Section 4.3.2). */
 inline constexpr unsigned kMemVarBits = 128;
+
+/** Charges one PM write of @p bits to @p stats. */
+inline void
+chargePmWrite(SystemStats &stats, std::uint64_t bits)
+{
+    ++stats.pmWrites;
+    stats.pmBitsWritten += bits;
+}
 
 } // namespace syncron::durability
 

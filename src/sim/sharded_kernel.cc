@@ -13,8 +13,8 @@ ShardedKernel::ShardedKernel(std::vector<EventQueue *> queues, Tick lookahead,
     SYNCRON_ASSERT(!queues_.empty(), "ShardedKernel needs at least one shard");
     for (EventQueue *q : queues_)
         SYNCRON_ASSERT(q, "null shard queue");
-    SYNCRON_ASSERT(queues_.size() == 1 || lookahead_ > 0,
-                   "zero lookahead requires lockstep (single shard)");
+    SYNCRON_ASSERT(lookahead_ > 0,
+                   "ShardedKernel needs a non-zero lookahead");
     if (queues_.size() > 1) {
         errors_.resize(queues_.size());
         workers_.reserve(queues_.size() - 1);
@@ -106,16 +106,11 @@ ShardedKernel::run(Tick until)
         Tick w = horizon();
         if (w == kTickNever || w > until)
             break;
-        Tick limit = w;
-        if (lookahead_ > 0) {
-            // run(until) is inclusive: the window covers
-            // [w, w + lookahead - 1] so no event inside it can produce a
-            // cross-shard arrival (stamped >= t + lookahead) that lands
-            // inside the same window.
-            limit = w + lookahead_ - 1;
-        }
-        limit = std::min(limit, until);
-        runWindow(limit);
+        // run(until) is inclusive: the window covers
+        // [w, w + lookahead - 1] so no event inside it can produce a
+        // cross-shard arrival (stamped >= t + lookahead) that lands
+        // inside the same window.
+        runWindow(std::min(w + lookahead_ - 1, until));
         ++windows_;
     }
     Tick maxNow = 0;

@@ -27,9 +27,9 @@
  * an event in its past, which is what makes the parallel run bit-identical
  * to the single-threaded one.
  *
- * When lookahead collapses to zero (zero-latency link sweeps) the caller
- * must fall back to a single shard (lockstep); the coordinator asserts
- * this. With one queue the coordinator degenerates to bounded serial
+ * The lookahead must be non-zero at every shard count; the coordinator
+ * asserts this (Machine rejects a configuration whose lookahead is
+ * zero). With one queue the coordinator degenerates to bounded serial
  * stepping and never spawns threads, so the windowed path is exercised
  * uniformly at every shard count.
  *
@@ -82,8 +82,7 @@ class ShardedKernel
 
     /**
      * @param queues    one EventQueue per shard (non-owning, stable).
-     * @param lookahead minimum cross-shard latency in ticks; must be > 0
-     *                  when more than one queue is given.
+     * @param lookahead minimum cross-shard latency in ticks; must be > 0.
      * @param client    mailbox owner called at every barrier.
      */
     ShardedKernel(std::vector<EventQueue *> queues, Tick lookahead,

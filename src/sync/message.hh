@@ -97,13 +97,6 @@ struct SyncMessage
     std::uint32_t coreId = 0; ///< local core id, or global SE id
     std::uint64_t info = 0;   ///< MessageInfo (Fig. 5)
 
-    /**
-     * Durability sidecar, not part of the Fig. 5 wire format: the WAL
-     * intent sequence stamped by the persist path (0 when durability is
-     * off), threaded through so the SE station can account the persist.
-     */
-    std::uint64_t walSeq = 0;
-
     // -- Typed MessageInfo views (meaning fixed by the opcode) ----------
     /** Lock address associated with a cond_wait-family message. */
     Addr condLockAddr() const { return static_cast<Addr>(info); }
@@ -114,6 +107,8 @@ struct SyncMessage
     /** Semaphore initial-resource count carried by sem_wait messages. */
     std::uint64_t semResources() const { return info; }
 };
+// Captured by value in the SE's event callbacks: no sidecar fields.
+static_assert(sizeof(SyncMessage) == 24);
 
 } // namespace syncron::sync
 

@@ -152,26 +152,8 @@ class SyncRequest
     /** MessageInfo wire encoding (Fig. 5) for SyncMessage::info. */
     std::uint64_t messageInfo() const { return payload_; }
 
-    // -- Durability metadata -------------------------------------------
-    /** WAL intent sequence stamped by the persist path (0 = none). */
-    std::uint64_t walSeq() const { return walSeq_; }
-
-    /** Copy of this request carrying WAL intent sequence @p seq. */
-    SyncRequest
-    withWalSeq(std::uint64_t seq) const
-    {
-        SyncRequest r = *this;
-        r.walSeq_ = seq;
-        return r;
-    }
-
-    /** Equality ignores durability metadata: same op, var, payload. */
-    friend bool
-    operator==(const SyncRequest &a, const SyncRequest &b)
-    {
-        return a.var_ == b.var_ && a.payload_ == b.payload_
-               && a.kind_ == b.kind_;
-    }
+    friend bool operator==(const SyncRequest &,
+                           const SyncRequest &) = default;
 
   private:
     SyncRequest(OpKind kind, Addr var, std::uint64_t payload)
@@ -180,9 +162,9 @@ class SyncRequest
 
     Addr var_ = 0;
     std::uint64_t payload_ = 0; ///< discriminated by kind_
-    std::uint64_t walSeq_ = 0;  ///< durability WAL intent (0 = none)
     OpKind kind_;
 };
+static_assert(sizeof(SyncRequest) == 24);
 
 /**
  * Completion record of one synchronization operation, carried back

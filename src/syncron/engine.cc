@@ -5,7 +5,7 @@
 #include "common/bits.hh"
 #include "common/log.hh"
 #include "common/units.hh"
-#include "durability/persist.hh"
+#include "durability/pm_model.hh"
 #include "sync/registry.hh"
 
 namespace syncron::engine {
@@ -41,27 +41,26 @@ localOpcodeFor(OpKind kind)
 
 SynCronBackend::Station::Station(UnitId u, std::uint32_t entries,
                                  std::uint32_t counterCount,
-                                 SystemStats &stats)
-    : unit(u), table(entries, stats), counters(counterCount)
+                                 SystemStats &stats, bool persistEager)
+    : unit(u), table(entries, stats, persistEager),
+      counters(counterCount, stats, persistEager)
 {}
 
 SynCronBackend::SynCronBackend(Machine &machine, EngineOptions opts)
-    : machine_(machine), opts_(opts)
+    : machine_(machine), opts_(opts),
+      persistEager_(machine.config().persistMode
+                    == durability::PersistMode::Eager)
 {
     const SystemConfig &cfg = machine.config();
     const std::uint32_t entries =
-        opts_.stEntries != 0 ? opts_.stEntries
-        : opts_.station == StationKind::ServerCore
+        opts_.station == StationKind::ServerCore
             ? (1u << 20) // Hier: state lives in memory, no ST limit
             : cfg.stEntries;
 
-    name_ = opts_.name != nullptr ? opts_.name
-            : opts_.station == StationKind::ServerCore ? "Hier"
-                                                       : "SynCron";
-
     for (unsigned u = 0; u < cfg.numUnits; ++u) {
         stations_.push_back(std::make_unique<Station>(
-            u, entries, cfg.indexingCounters, machine.statsFor(u)));
+            u, entries, cfg.indexingCounters, machine.statsFor(u),
+            persistEager_));
         if (opts_.station == StationKind::ServerCore) {
             Station &s = *stations_.back();
             s.l1 = std::make_unique<cache::Cache>(cfg.l1,
@@ -93,6 +92,19 @@ SynCronBackend::SynCronBackend(Machine &machine, EngineOptions opts)
 }
 
 SynCronBackend::~SynCronBackend() = default;
+
+const char *
+SynCronBackend::name() const
+{
+    if (opts_.station == StationKind::ServerCore)
+        return "Hier";
+    switch (opts_.overflow) {
+      case OverflowPolicy::Integrated: return "SynCron";
+      case OverflowPolicy::MisarCentral: return "SynCron_CentralOvrfl";
+      case OverflowPolicy::MisarDistrib: return "SynCron_DistribOvrfl";
+    }
+    SYNCRON_PANIC("unknown OverflowPolicy");
+}
 
 bool
 SynCronBackend::isMaster(const Station &s, Addr var) const
@@ -133,16 +145,6 @@ SynCronBackend::totalRequests() const
     for (const auto &s : stations_)
         n += s->totalReqs;
     return n;
-}
-
-void
-SynCronBackend::setPersistHook(durability::PersistHook *hook)
-{
-    persistHook_ = hook;
-    for (auto &s : stations_) {
-        s->table.setPersistHook(hook, s->unit);
-        s->counters.setPersistHook(hook, s->unit);
-    }
 }
 
 std::uint32_t
@@ -240,7 +242,6 @@ SynCronBackend::request(core::Core &requester, const SyncRequest &req,
     msg.opcode = localOpcodeFor(req.kind());
     msg.coreId = requester.localId();
     msg.info = req.messageInfo();
-    msg.walSeq = req.walSeq();
 
     const UnitId unit = requester.unit();
     const Tick arrival = machine_.routeMessage(
@@ -290,7 +291,6 @@ SynCronBackend::requestBatch(core::Core &requester,
         msg.opcode = localOpcodeFor(req.kind());
         msg.coreId = requester.localId();
         msg.info = req.messageInfo();
-        msg.walSeq = req.walSeq();
         msgs.push_back(msg);
         ++local.inFlightLocal[req.var()];
     }
@@ -452,14 +452,6 @@ SynCronBackend::handle(Station &s, SyncMessage msg)
         done = serverStateAccess(s, msg.addr, done);
     s.busyUntil = std::max(s.busyUntil, done);
 
-    if (persistHook_ != nullptr) {
-        // Durability: the station's state transition for this message
-        // reaches the PM domain before the operation may proceed.
-        done = persistHook_->persistStation(s.unit, msg.addr, msg.walSeq,
-                                            done);
-        s.busyUntil = std::max(s.busyUntil, done);
-    }
-
     switch (msg.opcode) {
       case Op::LockAcquireLocal: onLockAcquireLocal(s, msg, done); break;
       case Op::LockReleaseLocal: onLockReleaseLocal(s, msg, done); break;
@@ -605,18 +597,13 @@ SynCronBackend::localGrantNext(Station &s, StEntry &e, Tick done)
     e.localWaitBits = withoutBit(e.localWaitBits, c);
     e.ownerKind = LockOwner::LocalCore;
     e.ownerId = c;
-    ++e.grantStreak;
     grantCore(s.unit, globalCoreId(s.unit, c), e.addr, done);
 }
 
 void
 SynCronBackend::masterNextGrant(Station &s, StEntry &e, Tick done)
 {
-    const std::uint32_t threshold = machine_.config().localGrantThreshold;
-    const bool transferDue = threshold > 0 && e.grantStreak >= threshold
-                             && e.globalWaitBits != 0;
-
-    if (e.localWaitBits != 0 && !transferDue) {
+    if (e.localWaitBits != 0) {
         // The Master SE prioritizes its local waiting list (Section 3.2).
         localGrantNext(s, e, done);
     } else if (e.globalWaitBits != 0) {
@@ -624,17 +611,13 @@ SynCronBackend::masterNextGrant(Station &s, StEntry &e, Tick done)
         e.globalWaitBits = withoutBit(e.globalWaitBits, j);
         e.ownerKind = LockOwner::Unit;
         e.ownerId = j;
-        e.grantStreak = 0;
         SyncMessage grant;
         grant.addr = e.addr;
         grant.opcode = Op::LockGrantGlobal;
         grant.coreId = s.unit;
         sendToStation(s.unit, j, grant, done);
-    } else if (e.localWaitBits != 0) {
-        localGrantNext(s, e, done);
     } else {
         e.ownerKind = LockOwner::None;
-        e.grantStreak = 0;
         maybeFree(s, e, machine_.eq(s.unit).now());
     }
 }
@@ -663,7 +646,6 @@ SynCronBackend::onLockAcquireLocal(Station &s, const SyncMessage &m,
         if (e.ownerKind == LockOwner::None) {
             e.ownerKind = LockOwner::LocalCore;
             e.ownerId = c;
-            ++e.grantStreak;
             grantCore(s.unit, globalCoreId(s.unit, c), m.addr, done);
         } else {
             e.localWaitBits = withBit(e.localWaitBits, c);
@@ -675,7 +657,6 @@ SynCronBackend::onLockAcquireLocal(Station &s, const SyncMessage &m,
     if (e.holdsGrant && e.ownerKind == LockOwner::None) {
         e.ownerKind = LockOwner::LocalCore;
         e.ownerId = c;
-        ++e.grantStreak;
         grantCore(s.unit, globalCoreId(s.unit, c), m.addr, done);
         return;
     }
@@ -728,35 +709,20 @@ SynCronBackend::onLockReleaseLocal(Station &s, const SyncMessage &m,
     }
 
     // Non-master local SE: serve successive local requests while any
-    // exist (Section 3.2), unless the fairness threshold forces a
-    // transfer (Section 4.4.2 extension).
-    const std::uint32_t threshold = machine_.config().localGrantThreshold;
-    const bool transferDue = threshold > 0 && e.grantStreak >= threshold;
-    if (e.localWaitBits != 0 && !transferDue) {
+    // exist (Section 3.2).
+    if (e.localWaitBits != 0) {
         localGrantNext(s, e, done);
         return;
     }
 
     // Release the unit's hold with one aggregated global message.
     e.holdsGrant = false;
-    e.grantStreak = 0;
     SyncMessage rel;
     rel.addr = m.addr;
     rel.opcode = Op::LockReleaseGlobal;
     rel.coreId = s.unit;
     sendToStation(s.unit, masterOf(m.addr), rel, done);
-    if (e.localWaitBits != 0) {
-        // Fairness transfer: local waiters re-request at the master's
-        // queue tail.
-        e.requestedGlobal = true;
-        SyncMessage req;
-        req.addr = m.addr;
-        req.opcode = Op::LockAcquireGlobal;
-        req.coreId = s.unit;
-        sendToStation(s.unit, masterOf(m.addr), req, done);
-    } else {
-        maybeFree(s, e, machine_.eq(s.unit).now());
-    }
+    maybeFree(s, e, machine_.eq(s.unit).now());
 }
 
 void
@@ -1434,6 +1400,28 @@ SynCronBackend::onCondGrantGlobal(Station &s, const SyncMessage &m, bool,
 
 SYNCRON_REGISTER_BACKEND_SHARDABLE("SynCron", [](Machine &m) {
     return std::make_unique<SynCronBackend>(m);
+});
+
+// Hier (paper Section 5): the same hierarchy with a software server
+// core as each unit's station.
+SYNCRON_REGISTER_BACKEND_SHARDABLE("Hier", [](Machine &m) {
+    return std::make_unique<SynCronBackend>(
+        m, EngineOptions{StationKind::ServerCore,
+                         OverflowPolicy::Integrated});
+});
+
+// The Fig. 23 MiSAR overflow ablations. Not shardable: the software
+// fallback servers run on shard 0's queue.
+SYNCRON_REGISTER_BACKEND("SynCron_CentralOvrfl", [](Machine &m) {
+    return std::make_unique<SynCronBackend>(
+        m, EngineOptions{StationKind::SyncronSe,
+                         OverflowPolicy::MisarCentral});
+});
+
+SYNCRON_REGISTER_BACKEND("SynCron_DistribOvrfl", [](Machine &m) {
+    return std::make_unique<SynCronBackend>(
+        m, EngineOptions{StationKind::SyncronSe,
+                         OverflowPolicy::MisarDistrib});
 });
 
 } // namespace syncron::engine

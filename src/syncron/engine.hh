@@ -22,6 +22,14 @@
  *   - MisarCentral / MisarDistrib: MiSAR-style abort to an alternative
  *     software solution (one global server core / one server core per
  *     unit), with abort/switch-back notification traffic.
+ *
+ * The four configurations register in engine.cc as "SynCron", "Hier",
+ * "SynCron_CentralOvrfl" and "SynCron_DistribOvrfl"; name() is derived
+ * from the station kind and the overflow policy.
+ *
+ * Under eager durability (SystemConfig::persistMode) the ST, the
+ * indexing counters and the syncronVar path charge their state-image
+ * writes to the PM counters directly.
  */
 
 #ifndef SYNCRON_SYNCRON_ENGINE_HH
@@ -42,10 +50,6 @@
 #include "syncron/indexing_counters.hh"
 #include "syncron/sync_table.hh"
 #include "system/machine.hh"
-
-namespace syncron::durability {
-class PersistHook;
-} // namespace syncron::durability
 
 namespace syncron::engine {
 
@@ -69,10 +73,6 @@ struct EngineOptions
 {
     StationKind station = StationKind::SyncronSe;
     OverflowPolicy overflow = OverflowPolicy::Integrated;
-    /// ST entries per SE; 0 = take SystemConfig::stEntries.
-    std::uint32_t stEntries = 0;
-    /// Reported scheme name (defaults by station kind).
-    const char *name = nullptr;
 };
 
 /** The hierarchical SynCron/Hier backend. */
@@ -100,19 +100,11 @@ class SynCronBackend : public sync::SyncBackend
     bool idleVar(Addr var) const override;
     void releaseVar(Addr var) override;
 
-    const char *name() const override { return name_; }
+    /** "Hier", or "SynCron" plus the MiSAR overflow suffix. */
+    const char *name() const override;
 
     /** Closes ST occupancy integrals (call once after the run). */
     void finalizeStats();
-
-    /**
-     * Installs the durability persist hook: station state transitions
-     * (ST entry alloc/free, indexing-counter updates, syncronVar
-     * writes, WAL completion records) are mirrored into the modeled PM
-     * write path. nullptr (the default) models no durability. The hook
-     * must outlive the backend.
-     */
-    void setPersistHook(durability::PersistHook *hook);
 
     // -- Introspection for tests and the harness ------------------------
     std::uint32_t stOccupied(UnitId unit) const;
@@ -183,7 +175,7 @@ class SynCronBackend : public sync::SyncBackend
         std::unordered_map<Addr, std::uint32_t> redirected;
 
         Station(UnitId u, std::uint32_t entries, std::uint32_t counters,
-                SystemStats &stats);
+                SystemStats &stats, bool persistEager);
 
         void redirectedInc(Addr var) { ++redirected[var]; }
         void
@@ -366,7 +358,6 @@ class SynCronBackend : public sync::SyncBackend
 
     Machine &machine_;
     EngineOptions opts_;
-    const char *name_;
     std::vector<std::unique_ptr<Station>> stations_;
     /// Pending gates per global core id, FIFO within a matching key —
     /// one entry per in-flight acquire-type operation (plural since the
@@ -375,7 +366,8 @@ class SynCronBackend : public sync::SyncBackend
     /// (requests are added there, and grants always come from the core's
     /// local station).
     std::vector<std::vector<PendingGate>> gates_;
-    durability::PersistHook *persistHook_ = nullptr;
+    /// Eager durability: syncronVar writes charge the PM counters.
+    bool persistEager_;
 
     // MiSAR ablation state
     std::unordered_set<Addr> misarVars_;

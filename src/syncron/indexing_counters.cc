@@ -2,12 +2,14 @@
 
 #include "common/bits.hh"
 #include "common/log.hh"
-#include "durability/persist.hh"
+#include "durability/pm_model.hh"
 
 namespace syncron::engine {
 
-IndexingCounters::IndexingCounters(std::uint32_t count)
-    : counters_(count, 0), mask_(count - 1)
+IndexingCounters::IndexingCounters(std::uint32_t count, SystemStats &stats,
+                                   bool persistEager)
+    : counters_(count, 0), mask_(count - 1), stats_(stats),
+      persistEager_(persistEager)
 {
     SYNCRON_ASSERT(isPowerOfTwo(count),
                    "indexing counter count must be a power of two");
@@ -31,8 +33,8 @@ void
 IndexingCounters::increment(Addr var)
 {
     ++counters_[indexOf(var)];
-    if (persistHook_ != nullptr)
-        persistHook_->persistCounter(unit_, var);
+    if (persistEager_)
+        durability::chargePmWrite(stats_, durability::kCounterBits);
 }
 
 void
@@ -41,8 +43,8 @@ IndexingCounters::decrement(Addr var)
     std::uint32_t &c = counters_[indexOf(var)];
     if (c > 0)
         --c;
-    if (persistHook_ != nullptr)
-        persistHook_->persistCounter(unit_, var);
+    if (persistEager_)
+        durability::chargePmWrite(stats_, durability::kCounterBits);
 }
 
 std::uint32_t

@@ -9,6 +9,8 @@
  * (line-granular) variable address. Different variables may alias to the
  * same counter; aliasing only forces a variable onto the memory path
  * unnecessarily — it never affects correctness (Section 4.2.3).
+ * Under eager durability every update also charges one counter image
+ * write to the PM counters.
  */
 
 #ifndef SYNCRON_SYNCRON_INDEXING_COUNTERS_HH
@@ -17,11 +19,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/stats.hh"
 #include "common/types.hh"
-
-namespace syncron::durability {
-class PersistHook;
-} // namespace syncron::durability
 
 namespace syncron::engine {
 
@@ -29,7 +28,9 @@ namespace syncron::engine {
 class IndexingCounters
 {
   public:
-    explicit IndexingCounters(std::uint32_t count);
+    /** @param persistEager charge each update as a PM write */
+    IndexingCounters(std::uint32_t count, SystemStats &stats,
+                     bool persistEager);
 
     /** Counter index for @p var (line-granular low address bits). */
     std::uint32_t indexOf(Addr var) const;
@@ -46,19 +47,11 @@ class IndexingCounters
     /** Raw counter value (tests/debug). */
     std::uint32_t value(Addr var) const;
 
-    /** Mirrors counter updates into the durability persist path. */
-    void
-    setPersistHook(durability::PersistHook *hook, UnitId unit)
-    {
-        persistHook_ = hook;
-        unit_ = unit;
-    }
-
   private:
     std::vector<std::uint32_t> counters_;
     std::uint32_t mask_;
-    durability::PersistHook *persistHook_ = nullptr;
-    UnitId unit_ = 0;
+    SystemStats &stats_;
+    bool persistEager_;
 };
 
 } // namespace syncron::engine

@@ -21,7 +21,7 @@
 #include "common/bits.hh"
 #include "common/log.hh"
 #include "common/units.hh"
-#include "durability/persist.hh"
+#include "durability/pm_model.hh"
 #include "syncron/engine.hh"
 
 namespace syncron::engine {
@@ -105,8 +105,10 @@ SynCronBackend::memVarAccess(Station &s, Addr var, Tick start)
     t = machine_.memoryAccess(t, s.unit, var, true,
                               sync::kSyncronVarBytes);
     machine_.statsFor(s.unit).syncMemAccesses += 2;
-    if (persistHook_ != nullptr)
-        persistHook_->persistMemVar(s.unit, var);
+    if (persistEager_) {
+        durability::chargePmWrite(machine_.statsFor(s.unit),
+                                  durability::kMemVarBits);
+    }
     return t;
 }
 

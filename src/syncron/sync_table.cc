@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "durability/persist.hh"
+#include "durability/pm_model.hh"
 
 namespace syncron::engine {
 
@@ -17,8 +17,9 @@ StEntry::idle() const
            && !semArmed && !condArmed && condPending == 0;
 }
 
-SyncTable::SyncTable(std::uint32_t capacity, SystemStats &stats)
-    : capacity_(capacity), stats_(stats)
+SyncTable::SyncTable(std::uint32_t capacity, SystemStats &stats,
+                     bool persistEager)
+    : capacity_(capacity), stats_(stats), persistEager_(persistEager)
 {
     SYNCRON_ASSERT(capacity_ >= 1, "ST needs at least one entry");
 }
@@ -55,8 +56,8 @@ SyncTable::alloc(Addr var, Tick now)
     e = StEntry{};
     e.addr = var;
     e.occupied = true;
-    if (persistHook_ != nullptr)
-        persistHook_->persistTableEntry(unit_, var, true);
+    if (persistEager_)
+        durability::chargePmWrite(stats_, durability::kStEntryBits);
     return &e;
 }
 
@@ -71,8 +72,8 @@ SyncTable::release(Addr var, Tick now)
     accountOccupancy(now);
     SYNCRON_ASSERT(occupied_ > 0, "occupancy underflow");
     --occupied_;
-    if (persistHook_ != nullptr)
-        persistHook_->persistTableEntry(unit_, var, false);
+    if (persistEager_)
+        durability::chargePmWrite(stats_, durability::kStEntryBits);
     entries_.erase(it);
 }
 

@@ -15,6 +15,8 @@
  *
  * Occupancy is tracked as a time integral (sum of occupied-entries x
  * elapsed ticks) to reproduce Table 7's max/avg occupancy statistics.
+ * Under eager durability every alloc/release also charges one ST-entry
+ * image write to the PM counters.
  */
 
 #ifndef SYNCRON_SYNCRON_SYNC_TABLE_HH
@@ -27,10 +29,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sync/opcodes.hh"
-
-namespace syncron::durability {
-class PersistHook;
-} // namespace syncron::durability
 
 namespace syncron::engine {
 
@@ -65,7 +63,6 @@ struct StEntry
     std::uint32_t ownerId = 0;   ///< local core id or SE global id
     bool holdsGrant = false;     ///< local role: unit holds the lock
     bool requestedGlobal = false;///< local role: acquire_global in flight
-    std::uint32_t grantStreak = 0; ///< consecutive local grants (4.4.2)
 
     // -- Barrier
     std::uint32_t barrierArrived = 0;      ///< local arrivals (or total
@@ -96,8 +93,10 @@ class SyncTable
     /**
      * @param capacity number of entries (Table 5: 64)
      * @param stats    global stat sink (occupancy integral, max, allocs)
+     * @param persistEager charge each alloc/release as a PM write
      */
-    SyncTable(std::uint32_t capacity, SystemStats &stats);
+    SyncTable(std::uint32_t capacity, SystemStats &stats,
+              bool persistEager);
 
     /** Returns the entry for @p var, or nullptr. */
     StEntry *find(Addr var);
@@ -125,21 +124,12 @@ class SyncTable
     /** Closes the occupancy integral at simulation end. */
     void finalize(Tick now);
 
-    /** Mirrors entry alloc/free into the durability persist path. */
-    void
-    setPersistHook(durability::PersistHook *hook, UnitId unit)
-    {
-        persistHook_ = hook;
-        unit_ = unit;
-    }
-
   private:
     void accountOccupancy(Tick now);
 
     std::uint32_t capacity_;
     SystemStats &stats_;
-    durability::PersistHook *persistHook_ = nullptr;
-    UnitId unit_ = 0;
+    bool persistEager_;
     std::unordered_map<Addr, StEntry> entries_;
     std::uint32_t occupied_ = 0;
     Tick lastChange_ = 0;

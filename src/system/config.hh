@@ -93,15 +93,6 @@ struct SystemConfig
      */
     std::uint32_t serverSwOverheadCycles = 40;
 
-    /**
-     * Optional lock-fairness threshold (paper Section 4.4.2, left as
-     * future work there; implemented here as an extension). 0 disables:
-     * an SE keeps serving local requesters while any exist — the paper's
-     * default behaviour. N > 0 transfers the lock to a remote waiter
-     * after N consecutive local grants.
-     */
-    std::uint32_t localGrantThreshold = 0;
-
     // -- Scheme / workload
     Scheme scheme = Scheme::SynCron;
 
@@ -172,8 +163,7 @@ struct SystemConfig
      * through Machine's mailbox with a conservative lookahead derived
      * from the link + crossbar latencies. Results are bit-identical to
      * simShards = 1. Clamped to numUnits; collapses to 1 when the
-     * selected backend is not shard-safe (sync::BackendRegistry) or
-     * when the lookahead is zero (zero-latency sweeps -> lockstep).
+     * selected backend is not shard-safe (sync::BackendRegistry).
      */
     unsigned simShards = 1;
 

@@ -11,14 +11,16 @@ Machine::Machine(const SystemConfig &cfg)
 {
     cfg_.validate();
 
-    const Tick la = lookahead();
-    unsigned shardCount = std::min(cfg_.simShards, cfg_.numUnits);
-    if (la == 0) {
-        // Zero-latency sweep: no conservative window exists, fall back
-        // to lockstep (one shard, synchronous transport).
-        shardCount = 1;
+    if (lookahead() == 0) {
+        SYNCRON_FATAL("zero cross-unit lookahead: xbar.cyclePeriod="
+                      << cfg_.xbar.cyclePeriod << ", link.ctrlCycles="
+                      << cfg_.link.ctrlCycles << ", link.cyclePeriod="
+                      << cfg_.link.cyclePeriod << ", link.flightTicks="
+                      << cfg_.link.flightTicks
+                      << " - the crossbar period or the link latency "
+                         "must be non-zero");
     }
-    mailboxActive_ = la > 0;
+    const unsigned shardCount = std::min(cfg_.simShards, cfg_.numUnits);
     unitsPerShard_ = (cfg_.numUnits + shardCount - 1) / shardCount;
     const unsigned actualShards =
         (cfg_.numUnits + unitsPerShard_ - 1) / unitsPerShard_;
@@ -180,12 +182,6 @@ Machine::postMessage(Tick start, UnitId from, UnitId to,
         eq(from).schedule(t, std::move(cont));
         return;
     }
-    if (!mailboxActive_) {
-        // Zero-lookahead fallback: single shard, synchronous transport.
-        const Tick t = routeMessage(start, from, to, bits);
-        eq(to).schedule(t, std::move(cont));
-        return;
-    }
     // Source-side legs run synchronously on the caller's shard (it owns
     // both the source crossbar and every (from, *) link direction); the
     // destination crossbar is paid by deliverEnvelope() on the owning
@@ -212,7 +208,7 @@ Machine::memoryAccessAsync(Tick start, UnitId from, Addr addr,
     const UnitId home = mem::unitOfAddr(addr);
     SYNCRON_ASSERT(home < cfg_.numUnits,
                    "access to address outside the system: " << addr);
-    if (home == from || !mailboxActive_) {
+    if (home == from) {
         const Tick done = memoryAccess(start, from, addr, isWrite, bytes);
         eq(from).schedule(done, std::move(onDone));
         return;
@@ -244,7 +240,7 @@ Machine::memoryAccessDetached(Tick start, UnitId from, Addr addr,
     const UnitId home = mem::unitOfAddr(addr);
     SYNCRON_ASSERT(home < cfg_.numUnits,
                    "access to address outside the system: " << addr);
-    if (home == from || !mailboxActive_) {
+    if (home == from) {
         memoryAccess(start, from, addr, isWrite, bytes);
         return;
     }

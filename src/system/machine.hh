@@ -24,9 +24,11 @@
  * in-flight slot, and the delivery event moves it into the wheel — three
  * moves end to end. eq(unit)/statsFor(unit) read a per-unit shard
  * table. The mailbox discipline is active at EVERY shard count
- * (including 1) whenever the lookahead is non-zero, so a sharded run
- * replays exactly the same per-unit event order as a single-threaded one
- * — that is the bit-identity contract the sharded tests enforce.
+ * (including 1), so a sharded run replays exactly the same per-unit
+ * event order as a single-threaded one — that is the bit-identity
+ * contract the sharded tests enforce. A configuration whose lookahead
+ * is zero (zero crossbar period and zero link latency) leaves no
+ * conservative window and is rejected at construction.
  */
 
 #ifndef SYNCRON_SYSTEM_MACHINE_HH
@@ -116,14 +118,10 @@ class Machine : public sim::ShardedKernel::Client
      * Conservative PDES lookahead: the minimum number of ticks any
      * cross-unit message needs (source crossbar floor + link controller
      * + flight). Envelopes are always stamped at least this far in the
-     * future, which is what makes parallel windows safe.
+     * future, which is what makes parallel windows safe. Never zero:
+     * the constructor rejects such a configuration.
      */
     Tick lookahead() const;
-
-    /** True when cross-unit traffic goes through mailbox envelopes
-     *  (lookahead > 0). False only on zero-latency sweeps, which run
-     *  single-shard with the synchronous path. */
-    bool mailboxActive() const { return mailboxActive_; }
 
     /** Sum of executed events across all shard queues (host perf). */
     std::uint64_t executedEvents() const;
@@ -284,7 +282,6 @@ class Machine : public sim::ShardedKernel::Client
 
     SystemConfig cfg_;
     bool crashed_ = false;
-    bool mailboxActive_ = false;
     bool inParallelRegion_ = false;
     WindowListener *windowListener_ = nullptr;
     bool statsMerged_ = false;

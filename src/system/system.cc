@@ -53,16 +53,11 @@ NdpSystem::NdpSystem(const SystemConfig &cfg)
     if (conf.persistMode != durability::PersistMode::Off) {
         durability_ =
             std::make_unique<durability::DurabilityManager>(*machine_);
-        // SE-based backends mirror station state transitions into the
-        // PM path; backends with no engine (Central et al.) are covered
-        // by the WAL observer + (in Eager mode) the decorator below.
-        if (engineView_ != nullptr)
-            engineView_->setPersistHook(durability_.get());
         if (conf.persistMode == durability::PersistMode::Eager) {
             // Eager: every acquire-type request pays the PM write
             // before the backend may service it.
             backend_ = std::make_unique<durability::PersistingBackend>(
-                std::move(backend_), *machine_, *durability_);
+                std::move(backend_), *machine_);
         }
     }
     api_ = std::make_unique<sync::SyncApi>(*machine_, *backend_);

@@ -2,7 +2,7 @@
  * @file
  * SynCron-engine-specific tests: ST allocation/occupancy, hierarchical
  * aggregation, the overflow path (integrated and MiSAR-style), indexing
- * counters, the fairness extension, and determinism.
+ * counters, and determinism.
  */
 
 #include <gtest/gtest.h>
@@ -34,7 +34,7 @@ lockLoop(Core &c, SyncApi &api, sync::Lock lock, int iters,
 TEST(SyncTable, AllocFindReleaseAndCapacity)
 {
     SystemStats stats;
-    engine::SyncTable table(2, stats);
+    engine::SyncTable table(2, stats, false);
     EXPECT_NE(table.alloc(0x100, 0), nullptr);
     EXPECT_NE(table.alloc(0x200, 10), nullptr);
     EXPECT_TRUE(table.full());
@@ -52,7 +52,7 @@ TEST(SyncTable, AllocFindReleaseAndCapacity)
 TEST(SyncTable, ReleasingNonIdleEntryPanics)
 {
     SystemStats stats;
-    engine::SyncTable table(4, stats);
+    engine::SyncTable table(4, stats, false);
     engine::StEntry *e = table.alloc(0x100, 0);
     e->localWaitBits = 0b10;
     EXPECT_THROW(table.release(0x100, 10), std::logic_error);
@@ -60,7 +60,8 @@ TEST(SyncTable, ReleasingNonIdleEntryPanics)
 
 TEST(IndexingCounters, AliasingSharesCounters)
 {
-    engine::IndexingCounters counters(256);
+    SystemStats stats;
+    engine::IndexingCounters counters(256, stats, false);
     const Addr a = 0x40ull;             // line 1
     const Addr aliased = a + 256 * 64;  // same index, 256 lines later
     counters.increment(a);
@@ -186,36 +187,6 @@ TEST(Engine, IntegratedOverflowBeatsMisarStyle)
     const Tick integrated = timeWith(Scheme::SynCron);
     const Tick central = timeWith(Scheme::SynCronCentralOvrfl);
     EXPECT_LT(integrated, central);
-}
-
-TEST(Engine, FairnessThresholdBoundsLocalStreaks)
-{
-    // With the Section 4.4.2 extension enabled, a unit hammering a lock
-    // must hand it over after N local grants; the run still completes
-    // and mutual exclusion holds (counter check).
-    SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 2, 6);
-    cfg.localGrantThreshold = 3;
-    NdpSystem sys(cfg);
-    sync::Lock lock = sys.api().createLock(0);
-    int counter = 0;
-    for (unsigned i = 0; i < sys.numClientCores(); ++i)
-        sys.spawn(lockLoop(sys.clientCore(i), sys.api(), lock, 8,
-                           &counter));
-    sys.run();
-    EXPECT_EQ(counter, static_cast<int>(sys.numClientCores()) * 8);
-
-    // Fairness costs extra transfers: more global messages than the
-    // unbounded-streak default.
-    SystemConfig base = SystemConfig::make(Scheme::SynCron, 2, 6);
-    NdpSystem sysBase(base);
-    sync::Lock lock2 = sysBase.api().createLock(0);
-    int counter2 = 0;
-    for (unsigned i = 0; i < sysBase.numClientCores(); ++i)
-        sysBase.spawn(lockLoop(sysBase.clientCore(i), sysBase.api(),
-                               lock2, 8, &counter2));
-    sysBase.run();
-    EXPECT_GE(sys.stats().syncGlobalMsgs,
-              sysBase.stats().syncGlobalMsgs);
 }
 
 TEST(Engine, DeterministicAcrossRuns)

@@ -636,7 +636,6 @@ TEST(MailboxAlloc, CrossUnitDrainIsAllocationFreeAcrossWindows)
     SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 1);
     cfg.simShards = 4;
     Machine m(cfg);
-    ASSERT_TRUE(m.mailboxActive());
     ASSERT_EQ(m.numShards(), 4u);
     ShardedKernel kernel(m.shardQueues(), m.lookahead(), m);
 
@@ -677,7 +676,6 @@ TEST(MailboxAlloc, CrossUnitContinuationMovesAtMostThreeTimes)
         SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 1);
         cfg.simShards = shards;
         Machine m(cfg);
-        ASSERT_TRUE(m.mailboxActive());
         ASSERT_EQ(m.numShards(), shards);
         ShardedKernel kernel(m.shardQueues(), m.lookahead(), m);
 
@@ -731,7 +729,6 @@ TEST(MailboxOrder, SameTickArrivalsDeliverBySourceUnitThenSequence)
         SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 1);
         cfg.simShards = shards;
         Machine m(cfg);
-        ASSERT_TRUE(m.mailboxActive());
         ASSERT_EQ(m.numShards(), shards);
         ShardedKernel kernel(m.shardQueues(), m.lookahead(), m);
 

@@ -5,7 +5,7 @@
  * Two layers:
  *  - ShardedKernel mechanics: conservative windows sized by the
  *    lookahead, mailbox drains at every barrier, serial degeneration at
- *    one shard, and the zero-lookahead lockstep guard.
+ *    one shard, and the rejection of a zero lookahead.
  *  - The bit-identity contract: a machine split across host threads
  *    (--sim-shards) must reproduce the single-threaded run exactly —
  *    same final tick, same operation counts, same SystemStats, same
@@ -193,16 +193,20 @@ TEST(ShardedKernel, FailuresRethrowLowestShardFirst)
     EXPECT_EQ(client.begins, client.ends);
 }
 
-TEST(ShardedKernel, ZeroLookaheadRequiresLockstep)
+TEST(ShardedKernel, ZeroLookaheadIsRejected)
 {
     sim::EventQueue q0;
-    sim::EventQueue q1;
     CountingClient client;
-    // One shard is fine (lockstep fallback)...
-    EXPECT_NO_THROW(sim::ShardedKernel({&q0}, 0, client));
-    // ...multiple shards without lookahead are a coordinator bug.
-    EXPECT_THROW(sim::ShardedKernel({&q0, &q1}, 0, client),
-                 std::logic_error);
+    // No conservative window exists without lookahead, at any shard
+    // count: the coordinator refuses it...
+    EXPECT_THROW(sim::ShardedKernel({&q0}, 0, client), std::logic_error);
+
+    // ...and so does a machine whose crossbar and links are all free.
+    SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 2, 1);
+    cfg.xbar.cyclePeriod = 0;
+    cfg.link.ctrlCycles = 0;
+    cfg.link.flightTicks = 0;
+    EXPECT_THROW(Machine m(cfg), std::runtime_error);
 }
 
 // -- Bit-identity contract ---------------------------------------------

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sync/registry.hh"
+#include "syncron/engine.hh"
 #include "system/system.hh"
 #include "workloads/micro/primitives.hh"
 
@@ -529,20 +530,36 @@ TEST(DestroyPrimitive, RefusedWhileBackendTracksState)
 
 TEST(Registry, AllSevenSchemesConstructibleByName)
 {
-    for (Scheme s : {Scheme::Ideal, Scheme::Central, Scheme::Hier,
-                     Scheme::SynCron, Scheme::SynCronFlat,
-                     Scheme::SynCronCentralOvrfl,
-                     Scheme::SynCronDistribOvrfl}) {
-        const std::string name = schemeName(s);
+    struct Expect
+    {
+        Scheme scheme;
+        bool shardable;
+        bool engine; ///< built by engine::SynCronBackend
+    };
+    for (const Expect x : {Expect{Scheme::Ideal, false, false},
+                           Expect{Scheme::Central, true, false},
+                           Expect{Scheme::Hier, true, true},
+                           Expect{Scheme::SynCron, true, true},
+                           Expect{Scheme::SynCronFlat, true, false},
+                           Expect{Scheme::SynCronCentralOvrfl, false, true},
+                           Expect{Scheme::SynCronDistribOvrfl, false,
+                                  true}}) {
+        const std::string name = schemeName(x.scheme);
         EXPECT_TRUE(BackendRegistry::instance().contains(name)) << name;
+        EXPECT_EQ(BackendRegistry::instance().shardable(name), x.shardable)
+            << name;
 
         // Round trip: name -> create -> name().
-        SystemConfig cfg = SystemConfig::make(s, 2, 4);
+        SystemConfig cfg = SystemConfig::make(x.scheme, 2, 4);
         Machine machine(cfg);
         auto backend =
             BackendRegistry::instance().tryCreate(name, machine);
         ASSERT_NE(backend, nullptr) << name;
         EXPECT_EQ(backend->name(), name);
+        EXPECT_EQ(dynamic_cast<engine::SynCronBackend *>(backend.get())
+                      != nullptr,
+                  x.engine)
+            << name;
     }
 }
 

@@ -9,9 +9,14 @@ seconds and are wired into CI ahead of the build:
   1. retired-ident     Retired identifiers must not reappear in code:
                        the SyncVar shim layer, the op-stream hooks
                        folded into the one observer list (TraceSink,
-                       setTraceSink, ShardedObserver), and the istream
+                       setTraceSink, ShardedObserver), the istream
                        trace reader that MappedTraceReader replaced
-                       (the word-bounded match leaves the latter be).
+                       (the word-bounded match leaves the latter be),
+                       the SE persist-hook interface and the request
+                       stamp it needed, the lock-fairness knob, and the
+                       engine subclasses that only passed options
+                       (Hier and the two MiSAR overflow variants now
+                       register engine::SynCronBackend directly).
   2. no-scheme-switch  Backends are looked up through the string-keyed
                        BackendRegistry; `case Scheme::` dispatch is
                        allowed only in the name-mapping table
@@ -29,13 +34,12 @@ seconds and are wired into CI ahead of the build:
                        derived from its path (SYNCRON_<DIR>_<NAME>_HH),
                        no `#pragma once`, and no `../` relative
                        includes (all includes are src/-rooted).
-  6. persist-scope     The PM persist hooks (durability::PersistHook
-                       and its persist*() calls) appear only in
-                       src/durability/ and src/syncron/ — the engine is
-                       the sole component that mirrors state into the
-                       PM domain; other simulation code goes through
-                       SystemConfig::persistMode and the durability
-                       manager.
+  6. persist-scope     PM writes are charged (pmWrites / pmBitsWritten
+                       incremented) only in src/durability/ (the WAL)
+                       and src/syncron/ (the SE-state images), plus the
+                       shard merge in src/common/stats.cc; other
+                       simulation code goes through
+                       SystemConfig::persistMode.
   7. shard-scope       Under --sim-shards the machine has one timing
                        wheel per shard and only the PDES coordinator
                        may touch a queue it does not own. Scheduling on
@@ -70,14 +74,18 @@ import tempfile
 CODE_DIRS = ("src", "tests", "bench", "examples", "tools")
 CODE_EXTS = (".cc", ".hh")
 
+# Some names are spelled with a group so the retired word itself stays
+# out of the tree (`grep -rnw` over tools/ included).
 RETIRED_RE = re.compile(
-    r"\b(SyncVar|Trace(?:Sink|Reader)|setTraceSink|ShardedObserver)\b")
+    r"\b(SyncVar|Trace(?:Sink|Reader)|setTraceSink|ShardedObserver"
+    r"|Persist(?:Hook)|withWal(?:Seq)|localGrant(?:Threshold)"
+    r"|(?:Hier|CentralOvrfl|DistribOvrfl)Backend)\b")
 OLD_OBSERVER_CALL_RE = re.compile(r"\b(setObserver|addAuxObserver)\s*\(")
 SCHEME_SWITCH_RE = re.compile(r"\bcase\s+Scheme::")
 INPLACE_INST_RE = re.compile(r"\bInplaceCallback\s*<")
 STD_FUNCTION_RE = re.compile(r"\bstd::function\b")
-PERSIST_CALL_RE = re.compile(r"(\.|->)\s*persist[A-Z]\w*\s*\(")
-PERSIST_HOOK_RE = re.compile(r"\bPersistHook\b")
+PM_CHARGE_RE = re.compile(r"\bpm(?:Writes|BitsWritten)\s*(?:\+\+|\+=)"
+                          r"|\+\+[\w.()>\s-]*?\bpm(?:Writes|BitsWritten)\b")
 SHARD0_SCHEDULE_RE = re.compile(
     r"\beq\s*\(\s*\)\s*\.\s*schedule(In)?\s*\(")
 SHARD_QUEUES_RE = re.compile(r"\bshardQueues\s*\(\s*\)")
@@ -100,9 +108,12 @@ STD_FUNCTION_ALLOW = {
     "src/common/stats.cc",
     "src/sync/registry.hh",            # backend factory, cold
 }
-# Directory prefixes where the persist hooks legitimately live: the
-# durability subsystem defines them, the SynCron engine invokes them.
+# Where PM writes may be charged: the durability subsystem (WAL records)
+# and the SynCron engine (SE-state images), plus the shard-stats merge.
 PERSIST_SCOPE_ALLOW_PREFIXES = ("src/durability/", "src/syncron/")
+PERSIST_SCOPE_ALLOW = {
+    "src/common/stats.cc",  # SystemStats::merge folds shard counters
+}
 # Where the per-shard queue topology may be touched directly: the PDES
 # kernel itself, the Machine (mailbox drain delivers onto foreign
 # queues), and the system driver that hands the queue set to the
@@ -157,8 +168,10 @@ def lint_tree(root):
             report(rel, line_of(text, m), "retired-ident",
                    "%s reintroduced - use the typed handles "
                    "(sync::Lock/Barrier/Semaphore/CondVar), "
-                   "sync::OpObserver via SyncApi::addObserver(), and "
-                   "trace::MappedTraceReader" % m.group(1))
+                   "sync::OpObserver via SyncApi::addObserver(), "
+                   "trace::MappedTraceReader, SystemConfig::persistMode "
+                   "and engine::SynCronBackend with EngineOptions"
+                   % m.group(1))
 
         if rel not in OLD_OBSERVER_CALL_ALLOW:
             for m in OLD_OBSERVER_CALL_RE.finditer(text):
@@ -188,18 +201,14 @@ def lint_tree(root):
                        "parameter")
 
         if (rel.startswith("src/")
-                and not rel.startswith(PERSIST_SCOPE_ALLOW_PREFIXES)):
-            for m in PERSIST_CALL_RE.finditer(text):
+                and not rel.startswith(PERSIST_SCOPE_ALLOW_PREFIXES)
+                and rel not in PERSIST_SCOPE_ALLOW):
+            for m in PM_CHARGE_RE.finditer(text):
                 report(rel, line_of(text, m), "persist-scope",
-                       "persist hook invoked outside src/durability/ + "
-                       "src/syncron/ - PM mirroring is the engine's "
-                       "job; configure SystemConfig::persistMode "
-                       "instead")
-            for m in PERSIST_HOOK_RE.finditer(text):
-                report(rel, line_of(text, m), "persist-scope",
-                       "PersistHook referenced outside src/durability/ "
-                       "+ src/syncron/ - wire through "
-                       "DurabilityManager, not the raw hook")
+                       "PM write charged outside src/durability/ + "
+                       "src/syncron/ - only the WAL and the SE engine "
+                       "charge PM writes; configure "
+                       "SystemConfig::persistMode instead")
 
         if (rel.startswith("src/")
                 and not rel.startswith(SHARD_SCOPE_ALLOW_PREFIXES)
@@ -252,6 +261,14 @@ FIXTURES = [
     # (`grep -rnw` over tools/ included).
     ("retired-ident", "tests/fixture.cc",
      "Trace t = Trace" "Reader(is).read();\n"),
+    ("retired-ident", "src/fixture.cc",
+     "durability::Persist" "Hook *h; cfg.localGrant" "Threshold = 3;\n"),
+    ("retired-ident", "src/fixture.cc",
+     "auto r = req.withWal" "Seq(1);\n"),
+    ("retired-ident", "src/fixture.hh",
+     "class X : public baselines::Hier" "Backend {};\n"
+     "baselines::CentralOvrfl" "Backend a(m); baselines::DistribOvrfl"
+     "Backend b(m);\n"),
     ("one-observer-path", "tests/fixture.cc",
      "api.setObserver(&an);\napi.addAuxObserver(&wal);\n"),
     ("no-scheme-switch", "src/fixture.cc",
@@ -263,7 +280,9 @@ FIXTURES = [
     ("header-hygiene", "src/fixture.hh",
      "#pragma once\n#include \"../common/log.hh\"\n"),
     ("persist-scope", "src/fixture.cc",
-     "void f(durability::PersistHook &h) { h.persistCounter(0, 0); }\n"),
+     "void f(SystemStats &s) { ++s.pmWrites; s.pmBitsWritten += 8; }\n"),
+    ("persist-scope", "src/fixture.cc",
+     "void f(Machine &m) { ++m.stats().pmWrites; }\n"),
     ("shard-scope", "src/fixture.cc",
      "void f(Machine &m) { m.eq().schedule(0, [] {});"
      " auto qs = m.shardQueues(); }\n"),
