@@ -2,38 +2,27 @@
 
 namespace syncron::net {
 
-namespace {
-
-/** Deterministic service time of one message (used by the M/D/1 model). */
-Tick
-serviceTicks(const CrossbarParams &p, std::uint32_t bits)
-{
-    const std::uint32_t flits = (bits + p.flitBits - 1) / p.flitBits;
-    return static_cast<Tick>(p.arbiterCycles + p.hops * p.hopCycles + flits)
-           * p.cyclePeriod;
-}
-
-} // namespace
-
 Crossbar::Crossbar(const CrossbarParams &params, SystemStats &stats)
-    : params_(params), stats_(stats),
+    : params_(params),
+      fixedCycles_(params.arbiterCycles + params.hops * params.hopCycles),
+      stats_(stats),
       // Model the M/D/1 server as the crossbar switching one
       // average-sized (one-flit payload) message.
-      md1_(serviceTicks(params, params.flitBits))
+      md1_(traversalTicks(1))
 {}
 
 Tick
 Crossbar::transfer(Tick start, std::uint32_t bits)
 {
     const Tick queue = md1_.onArrival(start);
-    const Tick traversal = serviceTicks(params_, bits);
+    const std::uint32_t flits = flitsOf(bits);
 
     ++stats_.xbarMessages;
     stats_.xbarBitHops += static_cast<std::uint64_t>(bits) * params_.hops;
-    stats_.xbarFlits += (bits + params_.flitBits - 1) / params_.flitBits;
+    stats_.xbarFlits += flits;
     stats_.bytesInsideUnits += (bits + 7) / 8;
 
-    Tick arrival = start + queue + traversal;
+    Tick arrival = start + queue + traversalTicks(flits);
     if (arrival < lastArrival_)
         arrival = lastArrival_;
     lastArrival_ = arrival;
@@ -43,7 +32,7 @@ Crossbar::transfer(Tick start, std::uint32_t bits)
 Tick
 Crossbar::unloadedLatency(std::uint32_t bits) const
 {
-    return serviceTicks(params_, bits);
+    return traversalTicks(flitsOf(bits));
 }
 
 } // namespace syncron::net

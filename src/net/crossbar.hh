@@ -53,7 +53,22 @@ class Crossbar
     const CrossbarParams &params() const { return params_; }
 
   private:
+    /** ceil(bits / flitBits). */
+    std::uint32_t
+    flitsOf(std::uint32_t bits) const
+    {
+        return (bits + params_.flitBits - 1) / params_.flitBits;
+    }
+
+    /** Deterministic traversal time of a @p flits -flit message. */
+    Tick
+    traversalTicks(std::uint32_t flits) const
+    {
+        return static_cast<Tick>(fixedCycles_ + flits) * params_.cyclePeriod;
+    }
+
     CrossbarParams params_;
+    std::uint32_t fixedCycles_; ///< arbiter + hops * hopCycles
     SystemStats &stats_;
     Md1Estimator md1_;
     /// Arrival monotonicity clamp: the M/D/1 estimate can shrink between

@@ -14,7 +14,9 @@ LinkFabric::LinkFabric(unsigned numUnits, const LinkParams &params,
 
 LinkFabric::LinkFabric(unsigned numUnits, const LinkParams &params,
                        std::vector<SystemStats *> perUnitStats)
-    : numUnits_(numUnits), params_(params), stats_(std::move(perUnitStats)),
+    : numUnits_(numUnits), params_(params),
+      ctrlTicks_(static_cast<Tick>(params.ctrlCycles) * params.cyclePeriod),
+      stats_(std::move(perUnitStats)),
       busyUntil_(static_cast<std::size_t>(numUnits) * numUnits, 0)
 {
     SYNCRON_ASSERT(stats_.size() == numUnits_,
@@ -37,9 +39,7 @@ LinkFabric::send(Tick start, UnitId from, UnitId to, std::uint32_t bytes)
                    "link endpoints out of range: " << from << "->" << to);
 
     Tick &busy = busyUntil_[static_cast<std::size_t>(from) * numUnits_ + to];
-    const Tick ctrl =
-        static_cast<Tick>(params_.ctrlCycles) * params_.cyclePeriod;
-    const Tick begin = std::max(start + ctrl, busy);
+    const Tick begin = std::max(start + ctrlTicks_, busy);
     const Tick serial = serializationTicks(bytes);
     busy = begin + serial;
 
@@ -55,8 +55,7 @@ LinkFabric::send(Tick start, UnitId from, UnitId to, std::uint32_t bytes)
 Tick
 LinkFabric::unloadedLatency(std::uint32_t bytes) const
 {
-    return static_cast<Tick>(params_.ctrlCycles) * params_.cyclePeriod
-           + serializationTicks(bytes) + params_.flightTicks;
+    return ctrlTicks_ + serializationTicks(bytes) + params_.flightTicks;
 }
 
 } // namespace syncron::net

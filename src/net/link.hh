@@ -66,6 +66,7 @@ class LinkFabric
 
     unsigned numUnits_;
     LinkParams params_;
+    Tick ctrlTicks_; ///< ctrlCycles * cyclePeriod
     std::vector<SystemStats *> stats_; ///< per source unit
     std::vector<Tick> busyUntil_; ///< per ordered (from, to) pair
 };

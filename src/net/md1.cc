@@ -32,7 +32,9 @@ muOf(Tick serviceTicks)
 } // namespace
 
 Md1Estimator::Md1Estimator(Tick serviceTicks, double maxRho)
-    : mu_(muOf(serviceTicks)), twoMu_(2.0 * mu_), maxRho_(maxRho)
+    : mu_(muOf(serviceTicks)), twoMu_(2.0 * mu_), maxRho_(maxRho),
+      zeroWaitAbove_(static_cast<double>(serviceTicks)
+                     * (static_cast<double>(serviceTicks) + 2.0))
 {
     SYNCRON_ASSERT(serviceTicks > 0, "service time must be positive");
     SYNCRON_ASSERT(maxRho_ > 0.0 && maxRho_ < 1.0, "maxRho out of range");
@@ -55,15 +57,24 @@ Md1Estimator::onArrival(Tick now)
         avgInterArrival_ =
             (1.0 - kAlpha) * avgInterArrival_ + kAlpha * std::max(inter, 1.0);
 
-    const double lambda = 1.0 / avgInterArrival_;
-    rho_ = std::min(lambda / mu_, maxRho_);
+    if (avgInterArrival_ > zeroWaitAbove_)
+        return 0;
     return currentDelay();
+}
+
+double
+Md1Estimator::rho() const
+{
+    if (avgInterArrival_ <= 0.0)
+        return 0.0;
+    const double lambda = 1.0 / avgInterArrival_;
+    return std::min(lambda / mu_, maxRho_);
 }
 
 Tick
 Md1Estimator::currentDelay() const
 {
-    return static_cast<Tick>(md1Wait(rho_, twoMu_));
+    return static_cast<Tick>(md1Wait(rho(), twoMu_));
 }
 
 double

@@ -12,6 +12,12 @@
  * exponentially weighted moving average of message inter-arrival times,
  * and clamp rho below 1 so transient bursts produce large-but-finite
  * latencies instead of infinities.
+ *
+ * Zero-wait short-circuit: with S = serviceTicks, an average
+ * inter-arrival time above S*(S+2) means rho < 1/(S+2), so
+ * Wq = rho*S / (2*(1 - rho)) < S / (2*(S+1)) < 1/2 and the truncated
+ * wait is 0 ticks whatever the rounding. onArrival() then returns 0
+ * without evaluating the formula; the result is bit-identical.
  */
 
 #ifndef SYNCRON_NET_MD1_HH
@@ -38,7 +44,7 @@ class Md1Estimator
     Tick onArrival(Tick now);
 
     /** Current utilization estimate rho in [0, maxRho]. */
-    double rho() const { return rho_; }
+    double rho() const;
 
     /** Queueing delay at the current utilization (no state update). */
     Tick currentDelay() const;
@@ -57,7 +63,8 @@ class Md1Estimator
     double mu_;    ///< 1 / serviceTicks, hoisted out of the hot path
     double twoMu_; ///< 2 * mu_
     double maxRho_;
-    double rho_ = 0.0;
+    /// S*(S+2): above this average inter-arrival the wait truncates to 0
+    double zeroWaitAbove_;
     Tick lastArrival_ = 0;
     bool seenArrival_ = false;
     double avgInterArrival_ = 0.0; ///< EWMA of inter-arrival ticks

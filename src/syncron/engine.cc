@@ -167,8 +167,8 @@ SynCronBackend::idleVar(Addr var) const
         return false;
     }
     for (const auto &s : stations_) {
-        if (s->table.entries().count(var) != 0 || s->hasRedirected(var)
-            || s->inFlightLocal.count(var) != 0
+        if (s->table.contains(var) || s->hasRedirected(var)
+            || s->inFlightLocal.contains(var)
             || s->memVars.count(var) != 0) {
             return false;
         }
@@ -423,11 +423,11 @@ SynCronBackend::handle(Station &s, SyncMessage msg)
     // station consumes one, the variable's state is resident somewhere
     // (ST entry, in-memory record, or the misar pending counter).
     if (!sync::isGlobalOp(msg.opcode)) {
-        auto it = s.inFlightLocal.find(msg.addr);
-        SYNCRON_ASSERT(it != s.inFlightLocal.end() && it->second > 0,
+        std::uint32_t *inFlight = s.inFlightLocal.find(msg.addr);
+        SYNCRON_ASSERT(inFlight != nullptr && *inFlight > 0,
                        "local message with no in-flight accounting");
-        if (--it->second == 0)
-            s.inFlightLocal.erase(it);
+        if (--*inFlight == 0)
+            s.inFlightLocal.erase(msg.addr);
     }
 
     // MiSAR ablation: local operations on a variable in software mode

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "common/addr_map.hh"
 #include "core/core.hh"
 #include "sim/process.hh"
 #include "sync/backend.hh"
@@ -163,7 +164,7 @@ class SynCronBackend : public sync::SyncBackend
         /// by the station (keeps idleVar() honest about messages still in
         /// flight; once the station handles a message the variable has
         /// resident state).
-        std::unordered_map<Addr, std::uint32_t> inFlightLocal;
+        common::AddrMap<std::uint32_t> inFlightLocal;
         std::uint64_t totalReqs = 0;
         std::uint64_t overflowedReqs = 0;
         /// Exact per-variable count of redirected acquire-type
@@ -172,7 +173,7 @@ class SynCronBackend : public sync::SyncBackend
         /// there is only a performance hazard, but the model keeps an
         /// exact count so a variable never splits between a fresh ST
         /// entry here and in-memory state at the master.
-        std::unordered_map<Addr, std::uint32_t> redirected;
+        common::AddrMap<std::uint32_t> redirected;
 
         Station(UnitId u, std::uint32_t entries, std::uint32_t counters,
                 SystemStats &stats, bool persistEager);
@@ -181,15 +182,11 @@ class SynCronBackend : public sync::SyncBackend
         void
         redirectedDec(Addr var)
         {
-            auto it = redirected.find(var);
-            if (it != redirected.end() && --it->second == 0)
-                redirected.erase(it);
+            std::uint32_t *n = redirected.find(var);
+            if (n != nullptr && --*n == 0)
+                redirected.erase(var);
         }
-        bool
-        hasRedirected(Addr var) const
-        {
-            return redirected.count(var) != 0;
-        }
+        bool hasRedirected(Addr var) const { return redirected.contains(var); }
     };
 
     /** How a message is serviced (Fig. 8 control flow). */

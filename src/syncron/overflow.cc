@@ -149,7 +149,7 @@ SynCronBackend::misarCanEnter(Addr var) const
     if (stations_[masterOf(var)]->memVars.count(var) != 0)
         return false;
     for (const auto &station : stations_) {
-        if (station->table.entries().count(var) != 0
+        if (station->table.contains(var)
             || station->hasRedirected(var))
             return false;
     }

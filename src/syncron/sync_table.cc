@@ -37,8 +37,8 @@ SyncTable::accountOccupancy(Tick now)
 StEntry *
 SyncTable::find(Addr var)
 {
-    auto it = entries_.find(var);
-    return it == entries_.end() ? nullptr : &it->second;
+    StEntry **e = index_.find(var);
+    return e == nullptr ? nullptr : *e;
 }
 
 StEntry *
@@ -52,29 +52,35 @@ SyncTable::alloc(Addr var, Tick now)
     stats_.stMaxOccupied =
         std::max<std::uint64_t>(stats_.stMaxOccupied, occupied_);
     ++stats_.stAllocs;
-    StEntry &e = entries_[var];
-    e = StEntry{};
-    e.addr = var;
-    e.occupied = true;
+    StEntry *e;
+    if (free_.empty()) {
+        e = &pool_.emplace_back();
+    } else {
+        e = free_.back();
+        free_.pop_back();
+        *e = StEntry{};
+    }
+    e->addr = var;
+    e->occupied = true;
+    index_[var] = e;
     if (persistEager_)
         durability::chargePmWrite(stats_, durability::kStEntryBits);
-    return &e;
+    return e;
 }
 
 void
 SyncTable::release(Addr var, Tick now)
 {
-    auto it = entries_.find(var);
-    SYNCRON_ASSERT(it != entries_.end(), "release of absent entry @"
-                                             << var);
-    SYNCRON_ASSERT(it->second.idle(),
-                   "releasing non-idle ST entry @" << var);
+    StEntry *e = find(var);
+    SYNCRON_ASSERT(e != nullptr, "release of absent entry @" << var);
+    SYNCRON_ASSERT(e->idle(), "releasing non-idle ST entry @" << var);
     accountOccupancy(now);
     SYNCRON_ASSERT(occupied_ > 0, "occupancy underflow");
     --occupied_;
     if (persistEager_)
         durability::chargePmWrite(stats_, durability::kStEntryBits);
-    entries_.erase(it);
+    index_.erase(var);
+    free_.push_back(e);
 }
 
 void

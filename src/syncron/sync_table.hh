@@ -13,6 +13,12 @@
  * 64 entries per ST (Table 5); the size is a constructor parameter so
  * Fig. 22/23 can sweep it.
  *
+ * Entries live in a pool with stable addresses (SPU handlers hold
+ * StEntry* across calls) and a free list, indexed by an AddrMap, so
+ * once a run has reached its peak occupancy alloc/release touch no
+ * allocator; the pool grows only with occupancy, never to capacity
+ * (Hier's software table is 2^20 entries).
+ *
  * Occupancy is tracked as a time integral (sum of occupied-entries x
  * elapsed ticks) to reproduce Table 7's max/avg occupancy statistics.
  * Under eager durability every alloc/release also charges one ST-entry
@@ -24,8 +30,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
+#include <vector>
 
+#include "common/addr_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sync/opcodes.hh"
@@ -114,12 +121,8 @@ class SyncTable
     std::uint32_t occupied() const { return occupied_; }
     std::uint32_t capacity() const { return capacity_; }
 
-    /** Read-only view of the live entries (model introspection). */
-    const std::unordered_map<Addr, StEntry> &
-    entries() const
-    {
-        return entries_;
-    }
+    /** True when @p var holds an entry. */
+    bool contains(Addr var) const { return index_.contains(var); }
 
     /** Closes the occupancy integral at simulation end. */
     void finalize(Tick now);
@@ -130,7 +133,9 @@ class SyncTable
     std::uint32_t capacity_;
     SystemStats &stats_;
     bool persistEager_;
-    std::unordered_map<Addr, StEntry> entries_;
+    common::AddrMap<StEntry *> index_;
+    std::deque<StEntry> pool_;     ///< entry storage; never shrinks
+    std::vector<StEntry *> free_;  ///< released pool entries
     std::uint32_t occupied_ = 0;
     Tick lastChange_ = 0;
 };

@@ -2,7 +2,8 @@
  * @file
  * SynCron-engine-specific tests: ST allocation/occupancy, hierarchical
  * aggregation, the overflow path (integrated and MiSAR-style), indexing
- * counters, and determinism.
+ * counters, determinism, and allocation-free steady-state lock rounds
+ * (via a counting global operator new).
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include "syncron/indexing_counters.hh"
 #include "syncron/sync_table.hh"
 #include "system/system.hh"
+
+#include "counting_alloc.hh"
 
 namespace syncron {
 namespace {
@@ -207,6 +210,59 @@ TEST(Engine, DeterministicAcrossRuns)
     const auto b = runOnce();
     EXPECT_EQ(a.first, b.first);
     EXPECT_EQ(a.second, b.second);
+}
+
+sim::Process
+measuredLockLoop(Core &c, SyncApi &api, const sync::LockSet &locks,
+                 int warm, int rounds, std::uint64_t *allocs)
+{
+    // Each round takes every lock once: a mix of ST hits, fresh ST
+    // entries, local grants and (for remotely-mastered locks) global
+    // acquire/release traffic.
+    std::uint64_t before = 0;
+    for (int i = 0; i < warm + rounds; ++i) {
+        if (i == warm)
+            before = allocCount();
+        for (std::size_t l = 0; l < locks.size(); ++l) {
+            co_await api.acquire(c, locks[l]);
+            co_await c.compute(20);
+            co_await api.release(c, locks[l]);
+            co_await c.compute(30);
+        }
+    }
+    if (allocs != nullptr)
+        *allocs = allocCount() - before;
+}
+
+TEST(EngineAlloc, StResidentLockRoundsAreAllocationFree)
+{
+    // Locks mastered in both units, few enough to stay ST-resident: once
+    // the warm-up has sized the ST pool, its index, the in-flight
+    // counters and the kernel's node pools, acquire/release allocates
+    // nothing.
+    SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 2, 4);
+    NdpSystem sys(cfg);
+    const sync::LockSet locks = sys.api().createLockSet(4);
+
+    constexpr int kWarm = 20;
+    constexpr int kRounds = 200;
+    std::uint64_t allocs = ~std::uint64_t{0};
+    // Core 0 measures while every other core is in steady state too:
+    // they start together and keep going past core 0's window.
+    sys.spawn(measuredLockLoop(sys.clientCore(0), sys.api(), locks, kWarm,
+                               kRounds, &allocs));
+    for (unsigned i = 1; i < sys.numClientCores(); ++i)
+        sys.spawn(measuredLockLoop(sys.clientCore(i), sys.api(), locks,
+                                   kWarm, 2 * kRounds, nullptr));
+    sys.run();
+
+    engine::SynCronBackend *eng = sys.syncronBackend();
+    ASSERT_NE(eng, nullptr);
+    EXPECT_EQ(eng->overflowedRequests(), 0u) << "locks must stay ST-resident";
+    EXPECT_GT(sys.stats().stAllocs, static_cast<std::uint64_t>(kRounds))
+        << "rounds must allocate and free ST entries";
+    EXPECT_EQ(allocs, 0u) << "heap allocations across " << kRounds
+                          << " steady-state lock rounds";
 }
 
 } // namespace

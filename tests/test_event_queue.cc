@@ -15,10 +15,7 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -30,69 +27,7 @@
 #include "sim/sharded_kernel.hh"
 #include "system/machine.hh"
 
-// -- Counting allocator ------------------------------------------------
-// Counts every global allocation in this test binary; the steady-state
-// test asserts the delta across a schedule/run region is zero. Atomic
-// because the grid test runs worker threads in the same process.
-//
-// GCC cannot see that this operator new (malloc) pairs with this
-// operator delete (free) and warns at every inlined call site.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-namespace {
-std::atomic<std::uint64_t> gAllocCount{0};
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    gAllocCount.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    gAllocCount.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n))
-        return p;
-    throw std::bad_alloc();
-}
-
-// The nothrow forms must be replaced too (std::get_temporary_buffer
-// allocates through them but deallocates through sized delete): a
-// partial replacement set mixes this malloc/free pool with the
-// library's, which AddressSanitizer rejects as alloc-dealloc-mismatch.
-void *
-operator new(std::size_t n, const std::nothrow_t &) noexcept
-{
-    gAllocCount.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(n);
-}
-
-void *
-operator new[](std::size_t n, const std::nothrow_t &) noexcept
-{
-    gAllocCount.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(n);
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-void operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-void operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
+#include "counting_alloc.hh"
 
 namespace syncron::sim {
 namespace {
@@ -504,11 +439,9 @@ TEST(TimingWheelAlloc, SteadyStateSchedulingIsAllocationFree)
     // Warm-up grows the node pool and overflow heap to working size.
     seed(20000);
 
-    const std::uint64_t before =
-        gAllocCount.load(std::memory_order_relaxed);
+    const std::uint64_t before = allocCount();
     seed(20000);
-    const std::uint64_t after =
-        gAllocCount.load(std::memory_order_relaxed);
+    const std::uint64_t after = allocCount();
     EXPECT_EQ(after - before, 0u)
         << "schedule()/scheduleIn()/run() allocated in steady state";
 }
@@ -537,13 +470,11 @@ TEST(TimingWheelAlloc, CoroutineResumeSchedulingIsAllocationFree)
     for (auto &p : procs)
         p = delayTicker(eq, 1000, count);
 
-    const std::uint64_t before =
-        gAllocCount.load(std::memory_order_relaxed);
+    const std::uint64_t before = allocCount();
     for (auto &p : procs)
         p.start(eq);
     eq.run();
-    const std::uint64_t after =
-        gAllocCount.load(std::memory_order_relaxed);
+    const std::uint64_t after = allocCount();
 
     for (auto &p : procs)
         EXPECT_TRUE(p.done());
@@ -657,11 +588,9 @@ TEST(MailboxAlloc, CrossUnitDrainIsAllocationFreeAcrossWindows)
     circulate(200);
 
     const std::uint64_t windowsBefore = kernel.windows();
-    const std::uint64_t before =
-        gAllocCount.load(std::memory_order_relaxed);
+    const std::uint64_t before = allocCount();
     circulate(200);
-    const std::uint64_t after =
-        gAllocCount.load(std::memory_order_relaxed);
+    const std::uint64_t after = allocCount();
     EXPECT_GT(kernel.windows() - windowsBefore, 100u);
     EXPECT_EQ(after - before, 0u)
         << "postMessage()/drainMailboxes() allocated across windows";
