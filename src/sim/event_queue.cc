@@ -36,7 +36,7 @@ EventQueue::growPool()
     const auto idx = static_cast<std::uint32_t>(nodes_.size());
     if ((idx & (kChunkNodes - 1)) == 0)
         chunks_.push_back(std::make_unique<Callback[]>(kChunkNodes));
-    nodes_.push_back(Node{0, 0, freeHead_});
+    nodes_.push_back(Node{0, 0, freeHead_, 0});
     freeHead_ = idx;
 }
 
@@ -76,26 +76,29 @@ EventQueue::clearSlot(std::size_t slot)
 void
 EventQueue::pushSlot(std::uint32_t idx)
 {
-    // Precondition: idx's seq exceeds that of every same-tick node
-    // already in the slot — true for every fresh schedule() (seq is
-    // monotonic) and for promotion (heap pops are ordered) — so (when,
-    // seq) order puts it behind the last node with when <= its own.
+    // A fresh local event carries the largest key of its window, so it
+    // appends whenever it is not earlier than the slot's tail — every
+    // same-tick local event and all of promotion (heap pops are
+    // ordered). A local event landing on a tick that already holds a
+    // delivery posted in the same window, or a delivery filed behind a
+    // later-window event, is inserted behind the last node that
+    // precedes it.
     Node &e = nodes_[idx];
     const std::size_t slot = slotOf(e.when);
     Slot &s = slots_[slot];
     if (s.head == kNilIdx) {
         s.head = s.tail = idx;
         markSlot(slot);
-    } else if (nodes_[s.tail].when <= e.when) {
+    } else if (!before(e, nodes_[s.tail])) {
         nodes_[s.tail].next = idx;
         s.tail = idx;
-    } else if (e.when < nodes_[s.head].when) {
+    } else if (before(e, nodes_[s.head])) {
         e.next = s.head;
         s.head = idx;
     } else {
-        // head.when <= e.when < tail.when: the walk stops before tail.
+        // head <= e < tail: the walk stops before tail.
         std::uint32_t prev = s.head;
-        while (nodes_[nodes_[prev].next].when <= e.when)
+        while (!before(e, nodes_[nodes_[prev].next]))
             prev = nodes_[prev].next;
         e.next = nodes_[prev].next;
         nodes_[prev].next = idx;
@@ -154,9 +157,7 @@ EventQueue::promoteNextEpoch()
     epoch_ = heap_.front().when >> kEpochBits;
     ++promotions_;
     // Heap pops come out ordered by (when, seq), so every promoted event
-    // appends at its slot's tail — (when, seq) order and same-tick FIFO
-    // are preserved, and any event scheduled after this promotion has a
-    // larger seq and lands behind its same-tick peers.
+    // appends at its slot's tail and (when, seq) order is preserved.
     while (!heap_.empty() && (heap_.front().when >> kEpochBits) == epoch_) {
         std::pop_heap(heap_.begin(), heap_.end());
         const HeapEntry e = heap_.back();
@@ -188,6 +189,7 @@ EventQueue::nextEventTime() const
     return kTickNever;
 }
 
+template <bool kSelfOpen>
 bool
 EventQueue::runNext(Tick until)
 {
@@ -203,10 +205,20 @@ EventQueue::runNext(Tick until)
     const Tick when = nodes_[idx].when;
     if (when > until)
         return false;
+    if constexpr (kSelfOpen) {
+        if (!windowOpen_ || when > windowEnd_) [[unlikely]]
+            openWindow(until - when < lookahead_ - 1
+                           ? until
+                           : when + (lookahead_ - 1));
+    }
     popSlot(slot);
     now_ = when;
     --pending_;
     ++executed_;
+    if (nodes_[idx].seq & kDeliveryBit) [[unlikely]] {
+        arrive(idx);
+        return true;
+    }
     // Run the callback where it sits: its chunk never moves, and the
     // node stays off the free list until the callback returns (or
     // throws), so the callback may schedule freely.
@@ -218,6 +230,36 @@ EventQueue::runNext(Tick until)
     } recycle{*this, idx};
     callbackAt(idx)();
     return true;
+}
+
+void
+EventQueue::arrive(std::uint32_t idx)
+{
+    // The node keeps its callback and goes back into the queue; only a
+    // failure (hook fault, key overflow) recycles it.
+    struct Refile
+    {
+        EventQueue &q;
+        std::uint32_t idx;
+        bool done = false;
+        ~Refile()
+        {
+            if (!done)
+                q.releaseNode(idx);
+        }
+    } refile{*this, idx};
+    SYNCRON_ASSERT(hook_ != nullptr,
+                   "delivery arrived at a queue without a DeliveryHook");
+    const Tick at = hook_->arrive(nodes_[idx].tag);
+    if (at < now_)
+        schedulingIntoThePast(at);
+    Node &n = nodes_[idx];
+    n.seq = localKey();
+    n.when = at;
+    n.next = kNilIdx;
+    file(idx);
+    ++pending_;
+    refile.done = true;
 }
 
 // --------------------------------------------------------------------
@@ -232,36 +274,97 @@ EventQueue::schedulingIntoThePast(Tick when) const
 }
 
 void
-EventQueue::enqueue(std::uint32_t idx, Tick when)
+EventQueue::keyOverflow(const char *field) const
+{
+    SYNCRON_PANIC("event key overflow: " << field << " does not fit "
+                  "window " << window_ << " (local count "
+                  << localCount_ << ", delivery count " << deliveryCount_
+                  << ")");
+}
+
+void
+EventQueue::enqueue(std::uint32_t idx, Tick when, std::uint64_t seq,
+                    std::uint32_t tag)
 {
     Node &n = nodes_[idx];
     freeHead_ = n.next;
     n.when = when;
-    n.seq = nextSeq_++;
+    n.seq = seq;
     n.next = kNilIdx;
-    if ((when >> kEpochBits) == epoch_) {
+    n.tag = tag;
+    file(idx);
+    ++pending_;
+}
+
+void
+EventQueue::file(std::uint32_t idx)
+{
+    const Node &n = nodes_[idx];
+    if ((n.when >> kEpochBits) == epoch_) {
         pushSlot(idx);
     } else {
-        // Whenever user code runs, now_ is inside epoch_, so when >=
-        // now_ puts later epochs (never earlier ones) in the heap.
-        heap_.push_back(HeapEntry{when, n.seq, idx});
+        // now_ is always inside epoch_ (or before it, right after
+        // construction), so when >= now_ puts later epochs (never
+        // earlier ones) in the heap.
+        heap_.push_back(HeapEntry{n.when, n.seq, idx});
         std::push_heap(heap_.begin(), heap_.end());
     }
-    ++pending_;
+}
+
+void
+EventQueue::setLookahead(Tick lookahead)
+{
+    SYNCRON_ASSERT(lookahead > 0, "EventQueue needs a non-zero lookahead");
+    lookahead_ = lookahead;
+}
+
+void
+EventQueue::openWindow(Tick end)
+{
+    closeWindow();
+    windowOpen_ = true;
+    windowEnd_ = end;
+    ++windows_;
+}
+
+void
+EventQueue::closeWindow()
+{
+    if (!windowOpen_)
+        return;
+    windowOpen_ = false;
+    if (window_ + 1 == kWindowLimit) [[unlikely]]
+        keyOverflow("window index");
+    ++window_;
+    windowBase_ = window_ << (kCountBits + 1);
+    localCount_ = 0;
+    deliveryCount_ = 0;
 }
 
 bool
 EventQueue::runOne()
 {
-    return runNext(kTickNever);
+    return runNext<true>(kTickNever);
 }
 
 Tick
 EventQueue::run(Tick until)
 {
-    while (runNext(until)) {
+    // A window still open here was left by a throwing run() or by
+    // runOne(): events scheduled since then sorted before its
+    // deliveries, and this run starts a fresh window.
+    closeWindow();
+    while (runNext<true>(until)) {
     }
+    closeWindow();
     return now_;
+}
+
+void
+EventQueue::runWindow()
+{
+    while (runNext<false>(windowEnd_)) {
+    }
 }
 
 } // namespace syncron::sim

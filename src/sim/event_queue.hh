@@ -8,8 +8,30 @@
  * callbacks; simulated NDP cores are coroutines (sim/process.hh) that the
  * queue resumes when their pending operation completes.
  *
- * Events at the same tick execute in scheduling order (FIFO), which makes
- * every simulation deterministic and reproducible.
+ * Events at the same tick execute in key order, which makes every
+ * simulation deterministic and reproducible. The key ("seq") is a
+ * window key, not a plain counter:
+ *
+ *   local event scheduled in window k:       (k, 0, schedule order)
+ *   delivery posted in window k:             (k, 1, source unit, post order)
+ *
+ * Windows are the conservative lookahead windows of the sharded kernel
+ * (sim/sharded_kernel.hh). A cross-unit delivery therefore runs after
+ * every same-tick event scheduled in the window it was posted in and
+ * before any scheduled in the next, with same-tick deliveries ordered
+ * by (source unit, post order) — the order a barrier drain would give
+ * them, without a drain. With one queue the queue opens its windows
+ * itself: a window starts at the first event popped past the previous
+ * window's end and spans min(start + lookahead - 1, until); run()
+ * returning closes it. With several queues the coordinator opens and
+ * closes the window on every queue (openWindow()/closeWindow()). For
+ * local events alone the key is plain schedule order (same-tick FIFO).
+ * Overflow of any key field panics; nothing wraps.
+ *
+ * A delivery is one node filed twice: at its arrival tick the queue asks
+ * its DeliveryHook for the tick the callback runs at (the destination
+ * crossbar exit) and refiles the same node there with a fresh local key
+ * — the callback never moves.
  *
  * Implementation: a hierarchical timer — a near wheel of coarse slots
  * plus an overflow min-heap for far-future events — backed by a
@@ -34,14 +56,13 @@
  * (when >> 6) mod 2^16, with a three-level bitmap for O(1) next-slot
  * scans); all later events wait in the overflow heap, ordered by
  * (when, seq). Each slot is an intrusive list kept sorted by
- * (when, seq): a new event carries the largest seq so far, so it
- * appends in O(1) whenever it is not earlier than the slot's tail —
- * every same-tick event and all of promotion — and otherwise is
- * inserted behind the last node with when <= its own. When the current
- * epoch drains, the queue jumps to the epoch of the heap's minimum and
- * promotes that epoch's events into the wheel in (when, seq) order.
- * One epoch spans every device latency and a whole sharded lookahead
- * window, so promotions stay rare.
+ * (when, seq): a new event appends in O(1) whenever it is not earlier
+ * than the slot's tail — every same-tick local event and all of
+ * promotion — and otherwise is inserted behind the last node that
+ * precedes it. When the current epoch drains, the queue jumps to the
+ * epoch of the heap's minimum and promotes that epoch's events into the
+ * wheel in (when, seq) order. One epoch spans every device latency and
+ * a whole sharded lookahead window, so promotions stay rare.
  */
 
 #ifndef SYNCRON_SIM_EVENT_QUEUE_HH
@@ -74,6 +95,28 @@ class EventQueue
     static constexpr std::size_t kCallbackBytes = 64;
     using Callback = common::InplaceCallback<kCallbackBytes>;
 
+    /** Called when a delivery reaches its arrival tick. */
+    class DeliveryHook
+    {
+      public:
+        virtual ~DeliveryHook() = default;
+        /** Charges the arrival of the delivery tagged @p tag at now()
+         *  and returns the tick (>= now()) its callback runs at. */
+        virtual Tick arrive(std::uint32_t tag) = 0;
+    };
+
+    // -- Key layout: window | phase | (source unit | count) or count ----
+    /** Bits of a local event's per-window schedule counter. */
+    static constexpr unsigned kCountBits = 27;
+    /** Bits of a delivery's source-unit field. */
+    static constexpr unsigned kSourceBits = 4;
+    /** Bits of a delivery's per-window post counter. */
+    static constexpr unsigned kDeliveryCountBits = kCountBits - kSourceBits;
+    /** Bits of the window index (above the phase bit). */
+    static constexpr unsigned kWindowBits = 64 - 1 - kCountBits;
+    /** Source units a delivery key can name (ids 0 .. N-1). */
+    static constexpr unsigned kMaxDeliverySources = 1u << kSourceBits;
+
     EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -92,16 +135,9 @@ class EventQueue
     {
         if (when < now_)
             schedulingIntoThePast(when);
-        const std::uint32_t idx = nextFreeNode();
-        Callback &cb = callbackAt(idx);
-        if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
-            static_assert(std::is_rvalue_reference_v<F &&>,
-                          "pass a Callback by rvalue (std::move)");
-            cb = std::move(f);
-        } else {
-            cb.emplace(std::forward<F>(f));
-        }
-        enqueue(idx, when);
+        const std::uint64_t key = localKey();
+        const std::uint32_t idx = emplaceCallback(std::forward<F>(f));
+        enqueue(idx, when, key, 0);
     }
 
     /** Schedules @p f @p delta ticks from now. */
@@ -112,14 +148,57 @@ class EventQueue
         schedule(now_ + delta, std::forward<F>(f));
     }
 
-    /** Executes the next event; returns false when the queue is empty. */
+    /**
+     * Files a cross-unit delivery from unit @p src arriving at @p when:
+     * it sorts after every same-tick event scheduled in the current
+     * window, before any scheduled in the next, and among same-tick
+     * deliveries by (source unit, post order). At @p when the queue
+     * calls the DeliveryHook with @p tag and runs @p f at the tick the
+     * hook returns. Panics when @p src does not fit the key.
+     */
+    template <typename F>
+    void
+    scheduleDelivery(Tick when, std::uint32_t src, std::uint32_t tag,
+                     F &&f)
+    {
+        if (when < now_)
+            schedulingIntoThePast(when);
+        const std::uint64_t key = deliveryKey(src);
+        const std::uint32_t idx = emplaceCallback(std::forward<F>(f));
+        enqueue(idx, when, key, tag);
+    }
+
+    /** Installs the hook deliveries call at their arrival tick. */
+    void setDeliveryHook(DeliveryHook *hook) { hook_ = hook; }
+
+    /** Lookahead self-opened windows span (default 1 tick); a sharded
+     *  kernel over this one queue sets its own. Must be > 0. */
+    void setLookahead(Tick lookahead);
+
+    /** Executes the next event; returns false when the queue is empty.
+     *  Opens windows like run() but leaves the last one open. */
     bool runOne();
 
     /**
      * Runs events until the queue is empty or simulated time would exceed
-     * @p until. Returns the tick of the last executed event.
+     * @p until, opening lookahead windows as it goes; closes the last
+     * window on return. Returns the tick of the last executed event.
      */
     Tick run(Tick until = kTickNever);
+
+    // -- Coordinator API (several queues, one global window) ----------
+    /** Closes the current window and opens the next, ending at @p end
+     *  (inclusive). */
+    void openWindow(Tick end);
+    /** Closes the open window (no-op when none is open): events
+     *  scheduled from here on sort after its deliveries. */
+    void closeWindow();
+    /** Runs every event up to the open window's end; opens nothing and
+     *  leaves the window open. */
+    void runWindow();
+
+    /** Windows opened so far (self-opened or by the coordinator). */
+    std::uint64_t windows() const { return windows_; }
 
     /** True when no events are pending. */
     bool empty() const { return pending_ == 0; }
@@ -127,14 +206,15 @@ class EventQueue
     /** Number of pending events. */
     std::size_t pending() const { return pending_; }
 
-    /** Host-side count of events executed so far (perf accounting). */
+    /** Host-side count of events executed so far (perf accounting). A
+     *  delivery counts twice: its arrival and its callback. */
     std::uint64_t executed() const { return executed_; }
 
     /**
      * Tick of the earliest pending event, or kTickNever when empty.
      * Pure (performs no epoch promotion), so a sharded coordinator can
-     * poll every shard's horizon between bounded run(until) windows
-     * without perturbing queue state.
+     * poll every shard's horizon between bounded windows without
+     * perturbing queue state.
      */
     Tick nextTime() const { return nextEventTime(); }
 
@@ -156,6 +236,40 @@ class EventQueue
     static constexpr Tick kSlotTicks = Tick{1} << kSlotBits;
 
   private:
+    // -- Keys ----------------------------------------------------------
+    static constexpr std::uint64_t kDeliveryBit = std::uint64_t{1}
+                                                  << kCountBits;
+    static constexpr std::uint64_t kLocalCountLimit = std::uint64_t{1}
+                                                      << kCountBits;
+    static constexpr std::uint64_t kDeliveryCountLimit =
+        std::uint64_t{1} << kDeliveryCountBits;
+    static constexpr std::uint64_t kWindowLimit = std::uint64_t{1}
+                                                  << kWindowBits;
+
+    /** Key of a local event scheduled now; bumps the window's count. */
+    std::uint64_t
+    localKey()
+    {
+        if (localCount_ == kLocalCountLimit) [[unlikely]]
+            keyOverflow("local schedule count");
+        return windowBase_ | localCount_++;
+    }
+
+    /** Key of a delivery from @p src posted now. */
+    std::uint64_t
+    deliveryKey(std::uint32_t src)
+    {
+        if (src >= kMaxDeliverySources) [[unlikely]]
+            keyOverflow("delivery source unit");
+        if (deliveryCount_ == kDeliveryCountLimit) [[unlikely]]
+            keyOverflow("delivery post count");
+        return windowBase_ | kDeliveryBit
+               | (std::uint64_t{src} << kDeliveryCountBits)
+               | deliveryCount_++;
+    }
+
+    [[noreturn]] void keyOverflow(const char *field) const;
+
     // -- Geometry ------------------------------------------------------
     /** log2 of the near-wheel slot count (2^16 slots per epoch). */
     static constexpr unsigned kWheelBits = kEpochBits - kSlotBits;
@@ -181,9 +295,17 @@ class EventQueue
     struct Node
     {
         Tick when = 0;
-        std::uint64_t seq = 0; ///< tie-breaker: FIFO among same ticks
+        std::uint64_t seq = 0; ///< window key: orders same-tick events
         std::uint32_t next = kNilIdx;
+        std::uint32_t tag = 0; ///< delivery tag for the DeliveryHook
     };
+
+    /** (when, seq) order. */
+    static bool
+    before(const Node &a, const Node &b)
+    {
+        return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+    }
 
     /** One near-wheel slot: intrusive list of pool indices, sorted by
      *  (when, seq). */
@@ -217,22 +339,35 @@ class EventQueue
         return chunks_[idx >> kChunkBits][idx & (kChunkNodes - 1)];
     }
 
-    /** Head of the free list (grown by one node when empty). The node
-     *  stays on the list until enqueue(), so a throwing callable
-     *  constructor leaks nothing. */
+    /** Builds @p f in the free-list head's callback; returns its index.
+     *  The node stays on the list until enqueue(), so a throwing
+     *  callable constructor leaks nothing. */
+    template <typename F>
     std::uint32_t
-    nextFreeNode()
+    emplaceCallback(F &&f)
     {
         if (freeHead_ == kNilIdx)
             growPool();
-        return freeHead_;
+        const std::uint32_t idx = freeHead_;
+        Callback &cb = callbackAt(idx);
+        if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+            static_assert(std::is_rvalue_reference_v<F &&>,
+                          "pass a Callback by rvalue (std::move)");
+            cb = std::move(f);
+        } else {
+            cb.emplace(std::forward<F>(f));
+        }
+        return idx;
     }
 
     void growPool();
     void releaseNode(std::uint32_t idx);
     /** Takes free-list head @p idx (its callback already stored) and
-     *  files it at @p when with the next sequence number. */
-    void enqueue(std::uint32_t idx, Tick when);
+     *  files it at @p when under key @p seq. */
+    void enqueue(std::uint32_t idx, Tick when, std::uint64_t seq,
+                 std::uint32_t tag);
+    /** Files node @p idx (when/seq set) in the wheel or the heap. */
+    void file(std::uint32_t idx);
     [[noreturn]] void schedulingIntoThePast(Tick when) const;
 
     // -- Wheel ---------------------------------------------------------
@@ -256,8 +391,14 @@ class EventQueue
     Tick nextEventTime() const;
 
     /** Pops and runs the next event if its tick is <= @p until;
-     *  returns false (promoting nothing) otherwise. */
+     *  returns false (promoting nothing) otherwise. With @p kSelfOpen
+     *  an event past the open window opens the next one. */
+    template <bool kSelfOpen>
     bool runNext(Tick until);
+
+    /** Refiles delivery @p idx, popped at its arrival tick, at the tick
+     *  the DeliveryHook returns, under a fresh local key. */
+    void arrive(std::uint32_t idx);
 
     std::vector<Node> nodes_;
     /// Callback storage, kChunkNodes per chunk, indexed like nodes_.
@@ -276,9 +417,19 @@ class EventQueue
     std::uint64_t epoch_ = 0; ///< epoch currently mapped onto the wheel
     std::size_t wheelCount_ = 0;
     std::size_t pending_ = 0;
-    std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t promotions_ = 0;
+
+    // -- Windows -------------------------------------------------------
+    std::uint64_t window_ = 0;     ///< index keys are stamped with
+    std::uint64_t windowBase_ = 0; ///< window_ << (kCountBits + 1)
+    std::uint64_t localCount_ = 0;
+    std::uint64_t deliveryCount_ = 0;
+    bool windowOpen_ = false;
+    Tick windowEnd_ = 0; ///< inclusive end of the open window
+    Tick lookahead_ = 1;
+    std::uint64_t windows_ = 0;
+    DeliveryHook *hook_ = nullptr;
 };
 
 } // namespace syncron::sim

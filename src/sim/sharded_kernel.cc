@@ -15,7 +15,9 @@ ShardedKernel::ShardedKernel(std::vector<EventQueue *> queues, Tick lookahead,
         SYNCRON_ASSERT(q, "null shard queue");
     SYNCRON_ASSERT(lookahead_ > 0,
                    "ShardedKernel needs a non-zero lookahead");
-    if (queues_.size() > 1) {
+    if (queues_.size() == 1) {
+        queues_[0]->setLookahead(lookahead_);
+    } else {
         errors_.resize(queues_.size());
         workers_.reserve(queues_.size() - 1);
         for (std::size_t s = 1; s < queues_.size(); ++s)
@@ -44,10 +46,10 @@ ShardedKernel::horizon() const
 }
 
 void
-ShardedKernel::runShard(std::size_t shard, Tick limit)
+ShardedKernel::runShard(std::size_t shard)
 {
     try {
-        queues_[shard]->run(limit);
+        queues_[shard]->runWindow();
     } catch (...) {
         errors_[shard] = std::current_exception();
     }
@@ -62,7 +64,7 @@ ShardedKernel::workerLoop(std::size_t shard)
         seen = generation_.load(std::memory_order_acquire);
         if (stop_)
             return;
-        runShard(shard, windowLimit_);
+        runShard(shard);
         if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1)
             running_.notify_one();
     }
@@ -71,17 +73,14 @@ ShardedKernel::workerLoop(std::size_t shard)
 void
 ShardedKernel::runWindow(Tick limit)
 {
-    if (queues_.size() == 1) {
-        queues_[0]->run(limit);
-        return;
-    }
+    for (EventQueue *q : queues_)
+        q->openWindow(limit);
     client_.windowBegin();
-    windowLimit_ = limit;
     running_.store(static_cast<std::uint32_t>(workers_.size()),
                    std::memory_order_relaxed);
     generation_.fetch_add(1, std::memory_order_release);
     generation_.notify_all();
-    runShard(0, limit);
+    runShard(0);
     for (std::uint32_t left = running_.load(std::memory_order_acquire);
          left != 0; left = running_.load(std::memory_order_acquire))
         running_.wait(left, std::memory_order_acquire);
@@ -101,6 +100,15 @@ ShardedKernel::runWindow(Tick limit)
 Tick
 ShardedKernel::run(Tick until)
 {
+    if (queues_.size() == 1) {
+        // The queue opens the same windows itself, keyed exactly as the
+        // loop below keys them.
+        EventQueue &q = *queues_[0];
+        const std::uint64_t before = q.windows();
+        q.run(until);
+        windows_ += q.windows() - before;
+        return q.now();
+    }
     for (;;) {
         client_.drainMailboxes();
         Tick w = horizon();
@@ -113,6 +121,8 @@ ShardedKernel::run(Tick until)
         runWindow(std::min(w + lookahead_ - 1, until));
         ++windows_;
     }
+    for (EventQueue *q : queues_)
+        q->closeWindow();
     Tick maxNow = 0;
     for (const EventQueue *q : queues_)
         maxNow = std::max(maxNow, q->now());

@@ -11,11 +11,18 @@
  * Window protocol (classic conservative PDES with a global window):
  *
  *   loop:
- *     drain mailboxes (single-threaded; delivers cross-shard envelopes
- *       into destination queues in a deterministic order)
+ *     drain mailboxes (single-threaded; files cross-shard envelopes
+ *       into destination queues under the window they were posted in)
  *     W = min over shards of nextTime()          // global horizon
  *     stop when no shard has work (or W > until)
- *     run every shard to min(W + lookahead - 1, until) in parallel
+ *     open the window [W, min(W + lookahead - 1, until)] on every
+ *       queue and run every shard through it in parallel
+ *
+ * Order: each queue's same-tick order is its window key ("seq", see
+ * sim/event_queue.hh), so a cross-shard delivery sorts after every
+ * event its destination scheduled in the posting window and before any
+ * it schedules later — by key, not by the drain. The drain files each
+ * outbox in post order with no sort.
  *
  * Safety: a cross-shard message posted at tick t carries an
  * earliest-arrival stamp >= t + lookahead (the mailbox owner guarantees
@@ -29,9 +36,9 @@
  *
  * The lookahead must be non-zero at every shard count; the coordinator
  * asserts this (Machine rejects a configuration whose lookahead is
- * zero). With one queue the coordinator degenerates to bounded serial
- * stepping and never spawns threads, so the windowed path is exercised
- * uniformly at every shard count.
+ * zero). With one queue there is no mailbox, barrier or horizon poll:
+ * the coordinator hands the lookahead to the queue, which opens the
+ * same windows itself, and never spawns threads.
  *
  * Threads: N shards use N-1 worker threads; the calling thread runs
  * shard 0 itself. The barrier is park-only — an atomic window
@@ -67,9 +74,10 @@ class ShardedKernel
 
         /**
          * Deliver all queued cross-shard envelopes into destination
-         * queues. Called single-threaded, only at window barriers (no
-         * shard is running). Must be deterministic: delivery order may
-         * not depend on the shard count or host thread timing.
+         * queues. Called single-threaded, only at window barriers of a
+         * run over several queues (no shard is running). Must be
+         * deterministic: delivery order may not depend on the shard
+         * count or host thread timing.
          */
         virtual void drainMailboxes() = 0;
 
@@ -100,7 +108,8 @@ class ShardedKernel
      */
     Tick run(Tick until = kTickNever);
 
-    /** Number of parallel windows executed so far. */
+    /** Number of lookahead windows executed so far (self-opened by
+     *  the queue at one shard). */
     std::uint64_t windows() const { return windows_; }
 
     Tick lookahead() const { return lookahead_; }
@@ -109,12 +118,12 @@ class ShardedKernel
   private:
     /** Min nextTime() across shards (kTickNever when all empty). */
     Tick horizon() const;
-    /** Runs every queue to @p limit — shard 0 on this thread, the rest
-     *  on the workers. */
+    /** Opens the window ending at @p limit on every queue and runs it —
+     *  shard 0 on this thread, the rest on the workers. */
     void runWindow(Tick limit);
     void workerLoop(std::size_t shard);
-    /** Runs one shard's window, parking any failure in errors_. */
-    void runShard(std::size_t shard, Tick limit);
+    /** Runs one shard's open window, parking any failure in errors_. */
+    void runShard(std::size_t shard);
 
     std::vector<EventQueue *> queues_;
     Tick lookahead_;
@@ -128,8 +137,7 @@ class ShardedKernel
     /// Workers still inside the current window; the coordinator parks
     /// on it and the last finisher wakes it.
     std::atomic<std::uint32_t> running_{0};
-    Tick windowLimit_ = 0; ///< published by the generation bump
-    bool stop_ = false;    ///< likewise
+    bool stop_ = false; ///< published by the generation bump
     std::vector<std::exception_ptr> errors_; ///< per-shard, rethrown by index
     /// Shards 1..N-1; declared last so the members above outlive them.
     std::vector<std::thread> workers_;

@@ -320,8 +320,9 @@ SynCronBackend::sendToStation(UnitId from, UnitId to, SyncMessage msg,
     } else {
         ++machine_.statsFor(from).syncGlobalMsgs;
     }
-    // The engine's only cross-unit transport: under sharded simulation
-    // this becomes a mailbox envelope delivered on @p to 's shard.
+    // The engine's only cross-unit transport: a keyed delivery on @p
+    // to 's shard (through a mailbox envelope when that shard is
+    // another).
     machine_.postMessage(depart, from, to, sync::kSyncReqBits,
                          [this, to, msg] { receive(to, msg); });
 }

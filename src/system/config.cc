@@ -1,8 +1,20 @@
 #include "system/config.hh"
 
 #include "common/log.hh"
+#include "sim/event_queue.hh"
 
 namespace syncron {
+
+namespace {
+
+/** Most units a machine may have. Every unit id must fit the event
+ *  key's source-unit field (sim/event_queue.hh), which orders same-tick
+ *  cross-unit deliveries. */
+constexpr unsigned kMaxUnits = 16;
+static_assert(kMaxUnits <= sim::EventQueue::kMaxDeliverySources,
+              "unit ids must fit the delivery key's source-unit field");
+
+} // namespace
 
 const char *
 schemeName(Scheme scheme)
@@ -37,8 +49,9 @@ schemeFromName(std::string_view name, Scheme &out)
 void
 SystemConfig::validate() const
 {
-    if (numUnits < 1 || numUnits > 16)
-        SYNCRON_FATAL("numUnits must be in [1, 16], got " << numUnits);
+    if (numUnits < 1 || numUnits > kMaxUnits)
+        SYNCRON_FATAL("numUnits must be in [1, " << kMaxUnits << "], got "
+                                                 << numUnits);
     if (coresPerUnit < 1 || coresPerUnit > 64)
         SYNCRON_FATAL("coresPerUnit must be in [1, 64], got "
                       << coresPerUnit);

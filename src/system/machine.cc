@@ -6,6 +6,23 @@
 
 namespace syncron {
 
+namespace {
+
+/** Delivery tag: the destination unit in the low bits (unit ids fit
+ *  the event key's source-unit field), the message size above. */
+constexpr unsigned kTagUnitBits = sim::EventQueue::kSourceBits;
+
+std::uint32_t
+deliveryTag(UnitId to, std::uint32_t bits)
+{
+    SYNCRON_ASSERT(bits < (std::uint32_t{1} << (32 - kTagUnitBits)),
+                   "message of " << bits << " bits overflows the "
+                                    "delivery tag");
+    return bits << kTagUnitBits | to;
+}
+
+} // namespace
+
 Machine::Machine(const SystemConfig &cfg)
     : cfg_(cfg), addrSpace_(cfg.numUnits)
 {
@@ -25,12 +42,13 @@ Machine::Machine(const SystemConfig &cfg)
     const unsigned actualShards =
         (cfg_.numUnits + unitsPerShard_ - 1) / unitsPerShard_;
     shards_.reserve(actualShards);
-    for (unsigned s = 0; s < actualShards; ++s)
+    for (unsigned s = 0; s < actualShards; ++s) {
         shards_.push_back(std::make_unique<Shard>());
+        shards_.back()->eq.setDeliveryHook(this);
+    }
     unitShard_.reserve(cfg_.numUnits);
     for (unsigned u = 0; u < cfg_.numUnits; ++u)
         unitShard_.push_back(shards_[shardOf(u)].get());
-    unitSeq_.assign(cfg_.numUnits, 0);
 
     const mem::DramParams dramParams =
         mem::DramParams::forTech(cfg_.dramTech);
@@ -184,19 +202,22 @@ Machine::postMessage(Tick start, UnitId from, UnitId to,
     }
     // Source-side legs run synchronously on the caller's shard (it owns
     // both the source crossbar and every (from, *) link direction); the
-    // destination crossbar is paid by deliverEnvelope() on the owning
-    // shard at the stamped arrival.
+    // destination crossbar is paid by arrive() on the owning shard at
+    // the stamped arrival.
     Tick t = xbar(from).transfer(start, bits);
     t = links_->send(t, from, to, (bits + 7) / 8);
-    // Park the continuation once: drainMailboxes() sorts keys naming
-    // this entry and moves the continuation straight to its in-flight
-    // slot.
-    Envelope &env = unitShard_[from]->outbox.emplace_back();
+    Shard &src = *unitShard_[from];
+    Shard &dst = *unitShard_[to];
+    if (&src == &dst) {
+        dst.eq.scheduleDelivery(t, from, deliveryTag(to, bits),
+                                std::move(cont));
+        return;
+    }
+    Envelope &env = src.outbox.emplace_back();
     env.when = t;
     env.bits = bits;
     env.to = to;
     env.srcUnit = from;
-    env.seq = unitSeq_[from]++;
     env.cont = std::move(cont);
 }
 
@@ -271,15 +292,11 @@ Machine::CallbackPark::park(Callback &&cb)
     return idx;
 }
 
-void
-Machine::deliverEnvelope(Shard &sh, std::uint32_t idx, UnitId to,
-                         std::uint32_t bits)
+Tick
+Machine::arrive(std::uint32_t tag)
 {
-    // The envelope's stamp is the link arrival; the destination-crossbar
-    // traversal happens now, on the owning shard.
-    const Tick t = xbar(to).transfer(sh.eq.now(), bits);
-    sh.eq.schedule(t, std::move(sh.inflight.slots[idx]));
-    sh.inflight.release(idx);
+    const UnitId to = tag & ((1u << kTagUnitBits) - 1);
+    return xbar(to).transfer(eq(to).now(), tag >> kTagUnitBits);
 }
 
 void
@@ -294,44 +311,19 @@ Machine::completeMemOp(UnitId requester, std::uint32_t idx)
 void
 Machine::drainMailboxes()
 {
-    // Order every shard's outbox by (arrival, source unit, per-unit
-    // sequence) — a total order independent of the shard count — and
-    // schedule one delivery event per envelope. Runs only at window
-    // barriers, so touching every queue is safe. Only 32-byte keys are
-    // sorted; each continuation then moves once, outbox to in-flight
-    // slot. drainKeys_ persists across barriers and every outbox keeps
-    // its capacity, so steady-state windows never allocate.
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-        const std::vector<Envelope> &out = shards_[s]->outbox;
-        for (std::uint32_t i = 0; i < out.size(); ++i)
-            drainKeys_.push_back(
-                DrainKey{out[i].when, out[i].seq, out[i].srcUnit, s, i});
-    }
-    if (drainKeys_.empty())
-        return;
-    std::sort(drainKeys_.begin(), drainKeys_.end(),
-              [](const DrainKey &a, const DrainKey &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  if (a.srcUnit != b.srcUnit)
-                      return a.srcUnit < b.srcUnit;
-                  return a.seq < b.seq;
-              });
-    for (const DrainKey &k : drainKeys_) {
-        Envelope &env = shards_[k.shard]->outbox[k.pos];
-        Shard &sh = *unitShard_[env.to];
-        SYNCRON_ASSERT(k.when >= sh.eq.now(),
-                       "mailbox envelope arrived in the past: " << k.when
-                           << " < " << sh.eq.now());
-        const std::uint32_t idx = sh.inflight.park(std::move(env.cont));
-        sh.eq.schedule(k.when, [this, &sh, idx, to = env.to,
-                                bits = env.bits] {
-            deliverEnvelope(sh, idx, to, bits);
-        });
-    }
-    drainKeys_.clear();
-    for (auto &s : shards_)
+    // Runs only at window barriers, so touching every queue is safe. A
+    // source unit's envelopes sit in one outbox in post order and the
+    // key orders sources by unit id, so filing in outbox order needs no
+    // sort. Every outbox keeps its capacity, so steady-state windows
+    // never allocate.
+    for (auto &s : shards_) {
+        for (Envelope &env : s->outbox) {
+            unitShard_[env.to]->eq.scheduleDelivery(
+                env.when, env.srcUnit, deliveryTag(env.to, env.bits),
+                std::move(env.cont));
+        }
         s->outbox.clear();
+    }
 }
 
 } // namespace syncron

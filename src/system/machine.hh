@@ -16,19 +16,23 @@
  * (sim/sharded_kernel.hh). The synchronous routeMessage()/memoryAccess()
  * above stay valid only within one unit (or at one shard); sharded-aware
  * agents use the asynchronous forms — postMessage() /
- * memoryAccessAsync() — whose cross-unit leg is a mailbox envelope
- * stamped with the earliest-arrival tick and delivered at the next
- * window barrier. The continuation is parked once, in the source
- * shard's outbox; the barrier drain sorts 32-byte keys naming outbox
- * entries, moves each continuation once into its destination's
- * in-flight slot, and the delivery event moves it into the wheel — three
- * moves end to end. eq(unit)/statsFor(unit) read a per-unit shard
- * table. The mailbox discipline is active at EVERY shard count
- * (including 1), so a sharded run replays exactly the same per-unit
- * event order as a single-threaded one — that is the bit-identity
- * contract the sharded tests enforce. A configuration whose lookahead
- * is zero (zero crossbar period and zero link latency) leaves no
- * conservative window and is rejected at construction.
+ * memoryAccessAsync() — whose cross-unit leg is a delivery keyed by the
+ * window it was posted in (the queue's seq is a window key, see
+ * sim/event_queue.hh): it sorts after every same-tick event scheduled in
+ * that window and before any scheduled later, same-tick deliveries by
+ * (source unit, post order). A post to a unit on the same shard — every
+ * post at one shard — is keyed straight into the destination wheel,
+ * moving its continuation once; a cross-shard post waits in the source
+ * shard's outbox until the next window barrier, whose drain files it
+ * under the same key (two moves). At the arrival tick the queue calls
+ * arrive(), which charges the destination crossbar, and refiles the
+ * same node at the crossbar exit. The order is the key at every shard
+ * count, so a sharded run replays exactly the per-unit event order of
+ * a single-threaded one — the bit-identity contract the sharded tests
+ * enforce. eq(unit)/statsFor(unit) read a per-unit shard table. A
+ * configuration whose lookahead is zero (zero crossbar period and zero
+ * link latency) leaves no conservative window and is rejected at
+ * construction.
  */
 
 #ifndef SYNCRON_SYSTEM_MACHINE_HH
@@ -57,7 +61,8 @@ constexpr std::uint32_t kMemReqHeaderBits = 80;
 constexpr std::uint32_t kMemRespHeaderBits = 16;
 
 /** One simulated NDP platform instance. */
-class Machine : public sim::ShardedKernel::Client
+class Machine : public sim::ShardedKernel::Client,
+                public sim::EventQueue::DeliveryHook
 {
   public:
     using Callback = sim::EventQueue::Callback;
@@ -179,8 +184,10 @@ class Machine : public sim::ShardedKernel::Client
      * @p cont on @p to's shard at the arrival tick (after the
      * destination-crossbar traversal; read the arrival via
      * eq(to).now()). Same-unit messages schedule directly; cross-unit
-     * messages become mailbox envelopes delivered at the next window
-     * barrier. Must be called from @p from's shard.
+     * messages are keyed deliveries — filed straight into @p to's queue
+     * on the same shard, or as mailbox envelopes filed at the next
+     * window barrier across shards. Must be called from @p from's
+     * shard.
      */
     void postMessage(Tick start, UnitId from, UnitId to,
                      std::uint32_t bits, Callback cont);
@@ -200,9 +207,9 @@ class Machine : public sim::ShardedKernel::Client
                               bool isWrite, std::uint32_t bytes);
 
     // -- ShardedKernel::Client -----------------------------------------
-    /** Delivers queued envelopes into destination queues, ordered by
-     *  (arrival, source unit, source sequence) — deterministic and
-     *  shard-count-invariant. Single-threaded (barrier time only). */
+    /** Files queued cross-shard envelopes into destination queues in
+     *  outbox order; their keys order them. Single-threaded (barrier
+     *  time only). */
     void drainMailboxes() override;
     void windowBegin() override { inParallelRegion_ = true; }
     void
@@ -212,6 +219,11 @@ class Machine : public sim::ShardedKernel::Client
         if (windowListener_ != nullptr)
             windowListener_->windowEnded();
     }
+
+    // -- EventQueue::DeliveryHook ---------------------------------------
+    /** A delivery reached its destination unit: pays the destination
+     *  crossbar and returns its exit tick. */
+    Tick arrive(std::uint32_t tag) override;
 
     /** Installs (nullptr removes) the one window-end listener. */
     void setWindowListener(WindowListener *l) { windowListener_ = l; }
@@ -231,8 +243,7 @@ class Machine : public sim::ShardedKernel::Client
         Tick when = 0;          ///< earliest arrival at the dest unit
         std::uint32_t bits = 0; ///< pays the dest-crossbar traversal
         UnitId to = 0;
-        UnitId srcUnit = 0;     ///< deterministic drain order key ...
-        std::uint64_t seq = 0;  ///< ... (when, srcUnit, seq) is total
+        UnitId srcUnit = 0;     ///< orders same-tick deliveries
         Callback cont;
     };
 
@@ -248,36 +259,20 @@ class Machine : public sim::ShardedKernel::Client
         void release(std::uint32_t idx) { freeSlots.push_back(idx); }
     };
 
-    /** Barrier-time sort key naming one outbox envelope, so the drain
-     *  sorts 32-byte keys instead of envelopes. */
-    struct DrainKey
-    {
-        Tick when;
-        std::uint64_t seq;
-        UnitId srcUnit;
-        std::uint32_t shard; ///< source shard of the outbox ...
-        std::uint32_t pos;   ///< ... and the envelope's index in it
-    };
-    static_assert(sizeof(DrainKey) == 32);
-
     /** One shard: private queue + stats + mailbox storage. */
     struct Shard
     {
         sim::EventQueue eq;
         SystemStats stats;
-        /// Envelopes posted by this shard's units, collected at barriers.
+        /// Cross-shard envelopes posted by this shard's units, in post
+        /// order, filed at the next barrier.
         std::vector<Envelope> outbox;
-        /// Continuations delivered to this shard, awaiting their
-        /// dest-crossbar event.
-        CallbackPark inflight;
         /// Completion callbacks for in-flight async memory ops issued
         /// by this shard's units (the slot index rides the envelopes so
         /// nested captures never exceed the callback bound).
         CallbackPark memPending;
     };
 
-    void deliverEnvelope(Shard &sh, std::uint32_t idx, UnitId to,
-                         std::uint32_t bits);
     void completeMemOp(UnitId requester, std::uint32_t idx);
 
     SystemConfig cfg_;
@@ -289,12 +284,6 @@ class Machine : public sim::ShardedKernel::Client
     std::vector<std::unique_ptr<Shard>> shards_;
     /// Owning shard of each unit (eq()/statsFor() lookups).
     std::vector<Shard *> unitShard_;
-    /// Barrier-time sort keys for drainMailboxes(); kept (empty)
-    /// between barriers so its capacity survives.
-    std::vector<DrainKey> drainKeys_;
-    /// Next envelope sequence number per source unit (only the owning
-    /// shard's thread touches a given entry).
-    std::vector<std::uint64_t> unitSeq_;
     mem::AddressSpace addrSpace_;
     std::vector<std::unique_ptr<net::Crossbar>> xbars_;
     std::vector<std::unique_ptr<mem::Dram>> drams_;

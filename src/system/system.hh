@@ -89,8 +89,8 @@ class NdpSystem
     /**
      * Runs the simulation until every spawned process completes, driving
      * the per-shard event queues through the conservative-PDES windowed
-     * loop (sim::ShardedKernel; a single-shard machine degenerates to
-     * the plain event loop plus mailbox barriers).
+     * loop (sim::ShardedKernel; on a single-shard machine the queue
+     * opens the same windows itself, with no barrier).
      * fatal()s on deadlock (event queues empty, processes pending).
      * With SystemConfig::tracePath set, writes the captured
      * synchronization-operation trace there on completion.

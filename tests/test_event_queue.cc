@@ -5,9 +5,10 @@
  * promotion at far-future horizons, run(until) boundary semantics,
  * in-place callbacks (stable while the pool grows, recycled when they
  * throw), allocation-freedom of steady-state scheduling and of the
- * sharded machine's mailbox drain (via a counting global operator new),
- * how often a callback is relocated on its way through the kernel and
- * the mailbox, the mailbox drain order, and serial-vs-parallel grid
+ * machine's cross-unit message path (via a counting global operator
+ * new), how often a continuation is relocated on its way to its
+ * destination, the window-key overflow checks, the delivery order
+ * against a reference drain-based kernel, and serial-vs-parallel grid
  * determinism.
  */
 
@@ -15,8 +16,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -539,7 +543,7 @@ TEST(TimingWheelAlloc, EventCallbacksRunWithoutRelocation)
     EXPECT_LE(atRun, 1) << "a Callback argument moved more than once";
 }
 
-// -- Allocation-free mailbox drain -------------------------------------
+// -- Allocation-free cross-unit messages -------------------------------
 
 /** A message hopping unit to unit around the machine's ring. Only the
  *  shard currently holding it touches it (barriers order handoffs). */
@@ -564,43 +568,8 @@ forwardToken(Token *t)
 
 TEST(MailboxAlloc, CrossUnitDrainIsAllocationFreeAcrossWindows)
 {
-    SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 1);
-    cfg.simShards = 4;
-    Machine m(cfg);
-    ASSERT_EQ(m.numShards(), 4u);
-    ShardedKernel kernel(m.shardQueues(), m.lookahead(), m);
-
-    std::array<Token, 16> tokens;
-    auto circulate = [&](unsigned hops) {
-        for (std::size_t i = 0; i < tokens.size(); ++i) {
-            const auto u = static_cast<UnitId>(i % cfg.numUnits);
-            tokens[i] = Token{&m, hops, u};
-            m.eq(u).schedule(m.eq(u).now() + 100 * i,
-                             [t = &tokens[i]] { forwardToken(t); });
-        }
-        kernel.run();
-        for (const Token &t : tokens)
-            EXPECT_EQ(t.hops, 0u);
-    };
-
-    // Warm-up grows the outboxes, the drain buffer, the in-flight
-    // envelope slots and the node pools to working size.
-    circulate(200);
-
-    const std::uint64_t windowsBefore = kernel.windows();
-    const std::uint64_t before = allocCount();
-    circulate(200);
-    const std::uint64_t after = allocCount();
-    EXPECT_GT(kernel.windows() - windowsBefore, 100u);
-    EXPECT_EQ(after - before, 0u)
-        << "postMessage()/drainMailboxes() allocated across windows";
-}
-
-TEST(MailboxAlloc, CrossUnitContinuationMovesAtMostThreeTimes)
-{
-    // postMessage() -> outbox -> drain -> in-flight slot -> delivery ->
-    // wheel -> run: the continuation is moved into the outbox, into the
-    // destination's in-flight slot and into the wheel, and nowhere else.
+    // At one shard every post is keyed straight into the wheel; at four
+    // every cross-unit post crosses shards through an outbox.
     for (const unsigned shards : {1u, 4u}) {
         SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 1);
         cfg.simShards = shards;
@@ -608,7 +577,49 @@ TEST(MailboxAlloc, CrossUnitContinuationMovesAtMostThreeTimes)
         ASSERT_EQ(m.numShards(), shards);
         ShardedKernel kernel(m.shardQueues(), m.lookahead(), m);
 
-        // Warm-up sizes the outboxes and in-flight slots, so no vector
+        std::array<Token, 16> tokens;
+        auto circulate = [&](unsigned hops) {
+            for (std::size_t i = 0; i < tokens.size(); ++i) {
+                const auto u = static_cast<UnitId>(i % cfg.numUnits);
+                tokens[i] = Token{&m, hops, u};
+                m.eq(u).schedule(m.eq(u).now() + 100 * i,
+                                 [t = &tokens[i]] { forwardToken(t); });
+            }
+            kernel.run();
+            for (const Token &t : tokens)
+                EXPECT_EQ(t.hops, 0u);
+        };
+
+        // Warm-up grows the outboxes and the node pools to working
+        // size.
+        circulate(200);
+
+        const std::uint64_t windowsBefore = kernel.windows();
+        const std::uint64_t before = allocCount();
+        circulate(200);
+        const std::uint64_t after = allocCount();
+        EXPECT_GT(kernel.windows() - windowsBefore, 100u)
+            << shards << " shard(s)";
+        EXPECT_EQ(after - before, 0u)
+            << "postMessage()/drainMailboxes() allocated across windows at "
+            << shards << " shard(s)";
+    }
+}
+
+TEST(MailboxAlloc, CrossUnitContinuationMovesOnceSameShardTwiceAcross)
+{
+    // A post to a unit on the same shard is keyed straight into the
+    // destination wheel: one move. A cross-shard post moves into the
+    // source outbox and, at the barrier, into the destination wheel:
+    // two. The arrival refiles the node without touching the callback.
+    for (const unsigned shards : {1u, 2u, 4u}) {
+        SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 1);
+        cfg.simShards = shards;
+        Machine m(cfg);
+        ASSERT_EQ(m.numShards(), shards);
+        ShardedKernel kernel(m.shardQueues(), m.lookahead(), m);
+
+        // Warm-up sizes the outboxes and node pools, so no vector
         // growth relocates the probe.
         std::array<Token, 16> tokens;
         for (std::size_t i = 0; i < tokens.size(); ++i) {
@@ -619,19 +630,25 @@ TEST(MailboxAlloc, CrossUnitContinuationMovesAtMostThreeTimes)
         }
         kernel.run();
 
-        int moves = 0;
-        int atRun = -1;
-        const MoveProbe probe{&moves, &atRun};
-        const UnitId from = 1;
-        const UnitId to = 2;
-        m.eq(from).schedule(m.eq(from).now() + 10, [&m, &probe, from, to] {
-            m.postMessage(m.eq(from).now(), from, to, 64, probe);
-        });
-        kernel.run();
-        EXPECT_GE(atRun, 0) << "continuation never ran at " << shards
-                            << " shard(s)";
-        EXPECT_LE(atRun, 3) << "continuation moved " << atRun
-                            << " times at " << shards << " shard(s)";
+        // Units 0 and 1 share a shard below four shards; 1 and 2 share
+        // one only at one shard.
+        for (const auto &[from, to] :
+             {std::pair<UnitId, UnitId>{0, 1}, {1, 2}}) {
+            const bool sameShard = m.shardOf(from) == m.shardOf(to);
+            int moves = 0;
+            int atRun = -1;
+            const MoveProbe probe{&moves, &atRun};
+            m.eq(from).schedule(
+                m.eq(from).now() + 10, [&m, &probe, from = from, to = to] {
+                    m.postMessage(m.eq(from).now(), from, to, 64, probe);
+                });
+            kernel.run();
+            EXPECT_GE(atRun, 0) << "continuation never ran at " << shards
+                                << " shard(s)";
+            EXPECT_LE(atRun, sameShard ? 1 : 2)
+                << "continuation " << from << "->" << to << " moved "
+                << atRun << " times at " << shards << " shard(s)";
+        }
     }
 }
 
@@ -640,7 +657,7 @@ TEST(MailboxOrder, SameTickArrivalsDeliverBySourceUnitThenSequence)
     // Units 3, 2, 1 — posting in that order within one window — each
     // send three messages to unit 0 from the same start tick. Their
     // crossbars and links see identical traffic, so message k of every
-    // source lands on the same arrival tick; the drain must deliver by
+    // source lands on the same arrival tick; they must deliver by
     // (arrival, source unit, per-unit sequence) at every shard count.
     struct Delivery
     {
@@ -680,6 +697,488 @@ TEST(MailboxOrder, SameTickArrivalsDeliverBySourceUnitThenSequence)
                 << log[i].k;
         }
     }
+}
+
+// -- Window keys -------------------------------------------------------
+
+/** Hook that runs each delivery's callback at its arrival tick and
+ *  logs the arrival's tag when given a log. */
+struct ArrivalHook : EventQueue::DeliveryHook
+{
+    EventQueue *q = nullptr;
+    std::vector<int> *log = nullptr;
+    Tick
+    arrive(std::uint32_t tag) override
+    {
+        if (log != nullptr)
+            log->push_back(static_cast<int>(tag));
+        return q->now();
+    }
+};
+
+TEST(WindowKey, DeliveryFromUnitBeyondSourceFieldIsRejected)
+{
+    EventQueue eq;
+    ArrivalHook hook;
+    hook.q = &eq;
+    eq.setDeliveryHook(&hook);
+    int ran = 0;
+    EXPECT_THROW(eq.scheduleDelivery(10, EventQueue::kMaxDeliverySources,
+                                     0, [&ran] { ++ran; }),
+                 std::logic_error);
+    EXPECT_THROW(eq.scheduleDelivery(10, ~std::uint32_t{0}, 0,
+                                     [&ran] { ++ran; }),
+                 std::logic_error);
+    EXPECT_TRUE(eq.empty());
+
+    // The widest id that fits is accepted.
+    eq.scheduleDelivery(10, EventQueue::kMaxDeliverySources - 1, 0,
+                        [&ran] { ++ran; });
+    eq.run();
+    EXPECT_EQ(ran, 1);
+}
+
+TEST(WindowKey, DeliveriesFollowTheirWindowsLocalEvents)
+{
+    // Lookahead 100. The window [0, 99] posts deliveries to tick 150
+    // from sources 2, 1, 2, then schedules a local event (0) at 150.
+    // The next window, [120, 219], schedules another (4) at 150. The
+    // arrivals sort after 0, by source unit then post order, and before
+    // 4.
+    EventQueue eq;
+    std::vector<int> order;
+    ArrivalHook hook;
+    hook.q = &eq;
+    hook.log = &order;
+    eq.setDeliveryHook(&hook);
+    eq.setLookahead(100);
+    eq.schedule(0, [&] {
+        eq.scheduleDelivery(150, 2, 2, [] {});
+        eq.scheduleDelivery(150, 1, 1, [] {});
+        eq.scheduleDelivery(150, 2, 3, [] {});
+        eq.schedule(150, [&order] { order.push_back(0); });
+    });
+    eq.schedule(120, [&] {
+        eq.schedule(150, [&order] { order.push_back(4); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(eq.windows(), 2u);
+    // Arrival and callback each count as an executed event.
+    EXPECT_EQ(eq.executed(), 2u + 3u * 2u + 2u);
+}
+
+// -- Reference delivery order ------------------------------------------
+
+/**
+ * Reference-order test. A test-local oracle keeps the delivery order of
+ * a drain-based kernel: one plain (when, seq) queue, a lookahead window
+ * loop, and at every barrier a drain that sorts the window's cross-unit
+ * posts by (arrival, source unit, per-unit sequence) and schedules one
+ * arrival event each, which pays the destination crossbar and schedules
+ * the continuation. The same deterministic traffic program runs on the
+ * oracle and on a real Machine at 1, 2 and 4 shards; every execution
+ * log must match.
+ */
+constexpr unsigned kRefUnits = 4;
+constexpr unsigned kRefGenerations = 7;
+
+struct Fired
+{
+    UnitId unit;
+    Tick when;
+    std::uint32_t id;
+    bool operator==(const Fired &) const = default;
+};
+
+std::uint64_t
+mix(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+/** Where the traffic program runs: the oracle or a real Machine. */
+class World
+{
+  public:
+    virtual ~World() = default;
+    virtual Tick now(UnitId u) = 0;
+    virtual void local(UnitId u, Tick when, std::uint32_t id) = 0;
+    virtual void post(Tick start, UnitId from, UnitId to,
+                      std::uint32_t bits, std::uint32_t id) = 0;
+    virtual void log(UnitId u, std::uint32_t id) = 0;
+
+    Tick lookahead = 0;
+    /// Uncontended cross-unit latency of a 64-bit message to the link
+    /// exit: a local event this far out lands on the arrival tick of a
+    /// same-tick post from the neighbouring unit.
+    Tick hop = 0;
+};
+
+/** One traffic event on unit @p u: logs itself, then posts and
+ *  schedules children derived from its id alone. */
+void
+fire(World &w, UnitId u, std::uint32_t id)
+{
+    w.log(u, id);
+    const std::uint32_t gen = id >> 24;
+    if (gen >= kRefGenerations)
+        return;
+    std::uint64_t r = mix(id);
+    auto next = [&r] { return r = mix(r); };
+    const unsigned children = 1 + next() % 3;
+    for (unsigned k = 0; k < children; ++k) {
+        const std::uint32_t child =
+            ((gen + 1) << 24)
+            | static_cast<std::uint32_t>(next() & 0xffffff);
+        const Tick now = w.now(u);
+        const auto other = static_cast<UnitId>(
+            (u + 1 + next() % (kRefUnits - 1)) % kRefUnits);
+        switch (next() % 8) {
+          case 0: // same tick or just after
+            w.local(u, now + next() % 3, child);
+            break;
+          case 1: // exactly one lookahead out (the next window's first
+                  // tick when now opened this one), or a few windows
+            w.local(u,
+                    now + (next() % 2 == 0 ? w.lookahead
+                                           : next() % (4 * w.lookahead)),
+                    child);
+            break;
+          case 2: // on the arrival tick of a post from unit u - 1
+            w.local(u, now + w.hop, child);
+            break;
+          case 3: // ring post, colliding with case 2 downstream
+            w.post(now, u, (u + 1) % kRefUnits, 64, child);
+            break;
+          case 4: // many sources, one destination, one size
+            w.post(now, u, 0, 64, child);
+            break;
+          case 5: // same-unit message
+            w.post(now, u, u, 64, child);
+            break;
+          default:
+            w.post(now, u, other,
+                   64 + 8 * static_cast<std::uint32_t>(next() % 32),
+                   child);
+            break;
+        }
+    }
+}
+
+/** Drain-based reference kernel over its own (device-only) Machine. */
+class Oracle : public World
+{
+  public:
+    explicit Oracle(const SystemConfig &cfg)
+        : perUnit(kRefUnits), dev_(cfg)
+    {
+    }
+
+    Tick now(UnitId) override { return now_; }
+
+    void
+    local(UnitId u, Tick when, std::uint32_t id) override
+    {
+        push(when, false, u, id, 0);
+    }
+
+    void
+    post(Tick start, UnitId from, UnitId to, std::uint32_t bits,
+         std::uint32_t id) override
+    {
+        if (from == to) {
+            push(dev_.xbar(from).transfer(start, bits), false, to, id, 0);
+            return;
+        }
+        Tick t = dev_.xbar(from).transfer(start, bits);
+        t = dev_.links().send(t, from, to, (bits + 7) / 8);
+        outbox_.push_back(
+            Post{t, from, unitSeq_[from]++, to, bits, id, window_});
+        if (!running_)
+            ++postsBetweenRuns;
+    }
+
+    void
+    log(UnitId u, std::uint32_t id) override
+    {
+        all.push_back(Fired{u, now_, id});
+        perUnit[u].push_back(all.back());
+    }
+
+    /** The drain-based window loop of a run bounded by @p until. */
+    void
+    run(Tick until)
+    {
+        running_ = true;
+        for (;;) {
+            drain();
+            if (pending_.empty() || pending_.begin()->when > until)
+                break;
+            const Tick w = pending_.begin()->when;
+            const Tick limit = std::min(w + lookahead - 1, until);
+            while (!pending_.empty() && pending_.begin()->when <= limit) {
+                const Ev ev = *pending_.begin();
+                pending_.erase(pending_.begin());
+                now_ = ev.when;
+                if (ev.arrival) {
+                    push(dev_.xbar(ev.unit).transfer(now_, ev.bits), false,
+                         ev.unit, ev.id, 0);
+                } else {
+                    fire(*this, ev.unit, ev.id);
+                }
+            }
+            ++window_;
+            ++windows;
+        }
+        running_ = false;
+    }
+
+    /** (unit, tick) of every pending arrival. */
+    std::vector<std::pair<UnitId, Tick>>
+    pendingArrivals() const
+    {
+        std::vector<std::pair<UnitId, Tick>> out;
+        for (const Ev &ev : pending_)
+            if (ev.arrival)
+                out.emplace_back(ev.unit, ev.when);
+        return out;
+    }
+
+    std::vector<Fired> all;
+    std::vector<std::vector<Fired>> perUnit;
+    std::uint64_t windows = 0;
+    // Coverage of the order's corner cases.
+    unsigned sameTickSources = 0;   ///< same-tick arrivals, two sources
+    unsigned onLocalTick = 0;       ///< arrival on a same-window local
+    unsigned postsBetweenRuns = 0;
+
+  private:
+    struct Ev
+    {
+        Tick when;
+        std::uint64_t seq;
+        bool arrival;
+        UnitId unit;
+        std::uint32_t id;
+        std::uint32_t bits;
+        std::uint64_t window; ///< window it was scheduled in
+
+        bool
+        operator<(const Ev &o) const
+        {
+            return when != o.when ? when < o.when : seq < o.seq;
+        }
+    };
+
+    struct Post
+    {
+        Tick when;
+        UnitId src;
+        std::uint64_t seq;
+        UnitId to;
+        std::uint32_t bits;
+        std::uint32_t id;
+        std::uint64_t window;
+    };
+
+    void
+    push(Tick when, bool arrival, UnitId u, std::uint32_t id,
+         std::uint32_t bits)
+    {
+        ASSERT_GE(when, now_);
+        pending_.insert(Ev{when, seq_++, arrival, u, id, bits, window_});
+    }
+
+    void
+    drain()
+    {
+        std::sort(outbox_.begin(), outbox_.end(),
+                  [](const Post &a, const Post &b) {
+                      if (a.when != b.when)
+                          return a.when < b.when;
+                      if (a.src != b.src)
+                          return a.src < b.src;
+                      return a.seq < b.seq;
+                  });
+        for (std::size_t i = 0; i < outbox_.size(); ++i) {
+            const Post &p = outbox_[i];
+            if (i > 0 && outbox_[i - 1].when == p.when
+                && outbox_[i - 1].to == p.to && outbox_[i - 1].src != p.src)
+                ++sameTickSources;
+            for (auto it = pending_.lower_bound(Ev{p.when, 0, false, 0, 0,
+                                                   0, 0});
+                 it != pending_.end() && it->when == p.when; ++it) {
+                if (!it->arrival && it->unit == p.to
+                    && it->window == p.window)
+                    ++onLocalTick;
+            }
+            push(p.when, true, p.to, p.id, p.bits);
+        }
+        outbox_.clear();
+    }
+
+    Machine dev_; ///< crossbars and links only
+    std::set<Ev> pending_;
+    std::vector<Post> outbox_;
+    std::array<std::uint64_t, kRefUnits> unitSeq_{};
+    std::uint64_t seq_ = 0;
+    std::uint64_t window_ = 0;
+    Tick now_ = 0;
+    bool running_ = false;
+};
+
+/** The traffic program on a real Machine driven by ShardedKernel. */
+class MachineWorld : public World
+{
+  public:
+    explicit MachineWorld(const SystemConfig &cfg)
+        : m(cfg), kernel(m.shardQueues(), m.lookahead(), m),
+          perUnit(kRefUnits)
+    {
+    }
+
+    Tick now(UnitId u) override { return m.eq(u).now(); }
+
+    void
+    local(UnitId u, Tick when, std::uint32_t id) override
+    {
+        m.eq(u).schedule(when, [this, u, id] { fire(*this, u, id); });
+    }
+
+    void
+    post(Tick start, UnitId from, UnitId to, std::uint32_t bits,
+         std::uint32_t id) override
+    {
+        m.postMessage(start, from, to, bits,
+                      [this, to, id] { fire(*this, to, id); });
+    }
+
+    void
+    log(UnitId u, std::uint32_t id) override
+    {
+        // Each unit's log is touched only by its own shard's thread; the
+        // global log only exists on one thread.
+        perUnit[u].push_back(Fired{u, m.eq(u).now(), id});
+        if (m.numShards() == 1)
+            all.push_back(perUnit[u].back());
+    }
+
+    Machine m;
+    ShardedKernel kernel;
+    std::vector<Fired> all;
+    std::vector<std::vector<Fired>> perUnit;
+};
+
+using Aims = std::vector<std::pair<UnitId, Tick>>;
+
+/**
+ * Seeds, three bounded runs with traffic injected between them, and a
+ * final unbounded run. Between runs, local events also land on the
+ * ticks @p aims returns for that gap — the oracle's pending arrivals —
+ * so they collide with deliveries posted in the run's last window.
+ */
+template <typename RunTo, typename AimsAt>
+void
+driveTraffic(World &w, std::uint64_t seed, RunTo runTo, AimsAt aimsAt)
+{
+    std::uint64_t r = mix(seed);
+    auto next = [&r] { return r = mix(r); };
+    // Every unit starts on the same ticks, so posts collide.
+    auto inject = [&](Tick base, bool withPosts) {
+        for (unsigned j = 0; j < 6; ++j) {
+            for (UnitId u = 0; u < kRefUnits; ++u) {
+                const auto id =
+                    static_cast<std::uint32_t>(next() & 0xffffff);
+                w.local(u, base + j * (w.lookahead / 2), id);
+                if (withPosts)
+                    w.post(base, u, (u + 1 + j) % kRefUnits, 64,
+                           static_cast<std::uint32_t>(next() & 0xffffff));
+            }
+        }
+    };
+    inject(0, false);
+    Tick until = 0;
+    for (unsigned gap = 0; gap < 3; ++gap) {
+        until += 3 * w.lookahead + next() % w.lookahead;
+        runTo(until);
+        // Between runs: local events on pending arrival ticks (one
+        // generation of children, which contend for the arrival's
+        // crossbar), local seeds, and posts from outside any window.
+        for (const auto &[u, when] : aimsAt(gap))
+            w.local(u, when, ((kRefGenerations - 1) << 24) | gap);
+        inject(until + 1, true);
+    }
+    runTo(kTickNever);
+}
+
+TEST(ReferenceOrder, KeyedDeliveryMatchesDrainOrderAtEveryShardCount)
+{
+    const SystemConfig base = SystemConfig::make(Scheme::SynCron,
+                                                 kRefUnits, 1);
+    Tick hop = 0;
+    {
+        Machine probe(base);
+        hop = probe.links().send(probe.xbar(0).transfer(0, 64), 0, 1, 8);
+    }
+    unsigned sameTickSources = 0;
+    unsigned onLocalTick = 0;
+    unsigned aimed = 0;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        Oracle ref(base);
+        ref.lookahead = Machine(base).lookahead();
+        ref.hop = hop;
+        std::vector<Aims> aims;
+        driveTraffic(
+            ref, seed, [&ref](Tick until) { ref.run(until); },
+            [&ref, &aims](unsigned) -> const Aims & {
+                aims.push_back(ref.pendingArrivals());
+                return aims.back();
+            });
+        for (const Aims &a : aims)
+            aimed += static_cast<unsigned>(a.size());
+        ASSERT_GT(ref.all.size(), 1000u);
+        EXPECT_GT(ref.postsBetweenRuns, 0u);
+        sameTickSources += ref.sameTickSources;
+        onLocalTick += ref.onLocalTick;
+
+        for (const unsigned shards : {1u, 2u, 4u}) {
+            SystemConfig cfg = base;
+            cfg.simShards = shards;
+            MachineWorld real(cfg);
+            ASSERT_EQ(real.m.numShards(), shards);
+            real.lookahead = real.m.lookahead();
+            real.hop = hop;
+            driveTraffic(
+                real, seed,
+                [&real](Tick until) { real.kernel.run(until); },
+                [&aims](unsigned gap) -> const Aims & {
+                    return aims[gap];
+                });
+            const std::string what = "seed " + std::to_string(seed)
+                                     + " at " + std::to_string(shards)
+                                     + " shard(s)";
+            for (UnitId u = 0; u < kRefUnits; ++u) {
+                EXPECT_TRUE(real.perUnit[u] == ref.perUnit[u])
+                    << what << ", unit " << u;
+            }
+            if (shards == 1) {
+                EXPECT_TRUE(real.all == ref.all) << what;
+            }
+            EXPECT_EQ(real.kernel.windows(), ref.windows) << what;
+        }
+    }
+    // The traffic reached the corner cases the key exists for.
+    EXPECT_GT(sameTickSources, 0u);
+    EXPECT_GT(onLocalTick, 0u);
+    EXPECT_GT(aimed, 0u);
+    std::printf("same-tick arrivals from two sources: %u, arrivals on a "
+                "same-window local tick: %u, between-run locals on an "
+                "arrival tick: %u\n",
+                sameTickSources, onLocalTick, aimed);
 }
 
 } // namespace

@@ -4,12 +4,13 @@
  *
  * Two layers:
  *  - ShardedKernel mechanics: conservative windows sized by the
- *    lookahead, mailbox drains at every barrier, serial degeneration at
- *    one shard, and the rejection of a zero lookahead.
+ *    lookahead, mailbox drains at every barrier, self-opened windows
+ *    at one shard, and the rejection of a zero lookahead.
  *  - The bit-identity contract: a machine split across host threads
  *    (--sim-shards) must reproduce the single-threaded run exactly —
  *    same final tick, same operation counts, same SystemStats, same
- *    per-OpKind latency histograms — on every shardable backend, with
+ *    per-OpKind latency histograms, the same lookahead windows — on
+ *    every shardable backend, with
  *    the sync-correctness analyzer attached and finding nothing.
  *  - Observer lanes: on a sharded machine every registered observer
  *    runs on one thread between windows and sees one merged stream,
@@ -60,9 +61,10 @@ TEST(ShardedKernel, SingleShardDegeneratesToSerialStepping)
     EXPECT_EQ(kernel.shards(), 1u);
     EXPECT_EQ(kernel.run(), 100000u);
     EXPECT_EQ(fired, (std::vector<Tick>{5, 100, 100000}));
-    // Mailboxes are still drained per window (the uniform loop), but
-    // the single-queue path never announces parallel windows.
-    EXPECT_GT(client.drains, 0);
+    // The queue opens the lookahead windows itself — [5, 1004] holds 5
+    // and 100 — with no mailbox drain, barrier or parallel window.
+    EXPECT_EQ(kernel.windows(), 2u);
+    EXPECT_EQ(client.drains, 0);
     EXPECT_EQ(client.begins, 0);
     EXPECT_EQ(client.ends, 0);
 }
@@ -247,6 +249,11 @@ expectIdentical(const harness::RunOutput &a, const harness::RunOutput &b,
     EXPECT_EQ(a.ops, b.ops) << what;
     EXPECT_EQ(a.overflowedReqs, b.overflowedReqs) << what;
     EXPECT_EQ(a.totalReqs, b.totalReqs) << what;
+    // The single queue opens its own windows; the coordinator opens them
+    // at several shards. Both must walk the same window sequence.
+    EXPECT_EQ(a.hostWindows, b.hostWindows) << what;
+    EXPECT_GT(a.hostWindows, 0u) << what;
+    EXPECT_EQ(a.hostEvents, b.hostEvents) << what;
     expectSameStats(a.stats, b.stats, what);
 }
 

@@ -51,7 +51,12 @@ seconds and are wired into CI ahead of the build:
                        keep every event on its unit's own shard. The
                        allow-listed exceptions are single-queue-by-mode
                        paths (MiSAR overflow fallback, durability log)
-                       that are guarded at runtime.
+                       that are guarded at runtime. Filing a keyed
+                       cross-unit delivery (`scheduleDelivery(`) is
+                       confined to src/sim/ and src/system/machine.*:
+                       its key orders it against the destination's
+                       window, which only the Machine's message path
+                       keeps consistent.
   8. one-observer-path Op-stream consumers register through
                        SyncApi::addObserver(). The older names
                        setObserver() and addAuxObserver() survive only
@@ -89,6 +94,7 @@ PM_CHARGE_RE = re.compile(r"\bpm(?:Writes|BitsWritten)\s*(?:\+\+|\+=)"
 SHARD0_SCHEDULE_RE = re.compile(
     r"\beq\s*\(\s*\)\s*\.\s*schedule(In)?\s*\(")
 SHARD_QUEUES_RE = re.compile(r"\bshardQueues\s*\(\s*\)")
+DELIVERY_SCHEDULE_RE = re.compile(r"\bscheduleDelivery\s*\(")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once", re.MULTILINE)
 RELATIVE_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"\.\./', re.MULTILINE)
 GUARD_RE = re.compile(r"^\s*#\s*ifndef\s+(\w+)", re.MULTILINE)
@@ -126,6 +132,12 @@ SHARD_SCOPE_ALLOW = {
     # Single-queue-by-mode paths, each guarded at runtime:
     "src/syncron/overflow.cc",   # MiSAR fallback asserts numShards()==1
     "src/durability/backend.cc", # durability log requires --sim-shards=1
+}
+# Where keyed cross-unit deliveries may be filed: the kernel and the
+# Machine's message path (postMessage() and the barrier drain).
+DELIVERY_SCOPE_ALLOW = {
+    "src/system/machine.hh",
+    "src/system/machine.cc",
 }
 OLD_OBSERVER_CALL_ALLOW = {
     "src/sync/api.hh",  # the forwarding definitions
@@ -224,6 +236,14 @@ def lint_tree(root):
                        "shardQueues() outside the PDES coordinator "
                        "path - only sim/ and the Machine may touch "
                        "queues they do not own")
+        if (rel.startswith("src/")
+                and not rel.startswith(SHARD_SCOPE_ALLOW_PREFIXES)
+                and rel not in DELIVERY_SCOPE_ALLOW):
+            for m in DELIVERY_SCHEDULE_RE.finditer(text):
+                report(rel, line_of(text, m), "shard-scope",
+                       "scheduleDelivery() outside sim/ and the Machine "
+                       "- cross-unit messages go through postMessage() "
+                       "or memoryAccessAsync()")
 
         if rel.startswith("src/") and rel.endswith(".hh"):
             m = PRAGMA_ONCE_RE.search(text)
@@ -286,6 +306,8 @@ FIXTURES = [
     ("shard-scope", "src/fixture.cc",
      "void f(Machine &m) { m.eq().schedule(0, [] {});"
      " auto qs = m.shardQueues(); }\n"),
+    ("shard-scope", "src/system/system.cc",
+     "void f(Machine &m) { m.eq(1).scheduleDelivery(5, 0, 0, [] {}); }\n"),
 ]
 
 
