@@ -9,12 +9,14 @@ namespace syncron::analysis {
 
 namespace {
 
-std::string
-primName(std::uint64_t prim)
+/** @p v[@p i], growing the per-core vector @p v to cover it. */
+template <typename T>
+T &
+grown(std::vector<T> &v, std::size_t i)
 {
-    std::ostringstream os;
-    os << "prim#" << prim;
-    return os.str();
+    if (i >= v.size())
+        v.resize(i + 1);
+    return v[i];
 }
 
 } // namespace
@@ -26,20 +28,19 @@ primName(std::uint64_t prim)
 std::vector<AnalysisEngine::HeldLock> &
 AnalysisEngine::heldOf(std::uint32_t core)
 {
-    return held_[core];
+    return grown(held_, core);
 }
 
-bool
+void
 AnalysisEngine::removeHeld(std::uint32_t core, std::uint64_t prim)
 {
     std::vector<HeldLock> &held = heldOf(core);
     for (auto it = held.rbegin(); it != held.rend(); ++it) {
         if (it->prim == prim) {
             held.erase(std::next(it).base());
-            return true;
+            return;
         }
     }
-    return false;
 }
 
 // --------------------------------------------------------------------
@@ -53,7 +54,11 @@ AnalysisEngine::noteCrashRecovery(Tick tick,
     SYNCRON_ASSERT(!finished_, "analysis event after finish()");
     crashSeen_ = true;
     crashTick_ = tick;
-    stalePrims_ = seenPrims_;
+    stalePrims_.clear();
+    for (std::uint64_t prim = 0; prim < seenPrims_.size(); ++prim) {
+        if (seenPrims_[prim])
+            stalePrims_.insert(prim);
+    }
     for (std::uint64_t prim : reminted)
         stalePrims_.erase(prim);
 }
@@ -87,9 +92,10 @@ AnalysisEngine::onIssue(const OpEvent &ev)
 {
     SYNCRON_ASSERT(!finished_, "analysis event after finish()");
     sawIssues_ = true;
-    ++outstanding_[ev.core];
+    ++grown(outstanding_, ev.core);
     lintStaleGeneration(ev, ev.issued);
-    seenPrims_.insert(ev.prim);
+    grown(seenPrims_, ev.prim) = 1;
+    model_.onIssue(ev);
 
     switch (ev.kind) {
       case sync::OpKind::LockAcquire:
@@ -106,12 +112,6 @@ AnalysisEngine::onIssue(const OpEvent &ev)
         // maintained here (see commitRelease).
         commitRelease(ev.core, ev.prim, ev.issued);
         break;
-      case sync::OpKind::BarrierWaitWithinUnit:
-      case sync::OpKind::BarrierWaitAcrossUnits:
-        // Checked at issue so an over-subscribed barrier (whose waits
-        // never complete) is still diagnosed.
-        lintBarrier(ev);
-        break;
       default:
         break;
     }
@@ -122,9 +122,10 @@ AnalysisEngine::onComplete(const OpEvent &ev)
 {
     SYNCRON_ASSERT(!finished_, "analysis event after finish()");
     if (sawIssues_)
-        --outstanding_[ev.core];
+        --grown(outstanding_, ev.core);
     lintStaleGeneration(ev, ev.completed);
-    seenPrims_.insert(ev.prim);
+    grown(seenPrims_, ev.prim) = 1;
+    model_.onComplete(ev);
 
     switch (ev.kind) {
       case sync::OpKind::LockAcquire: {
@@ -132,7 +133,6 @@ AnalysisEngine::onComplete(const OpEvent &ev)
             it != inflightAcquires_.end() && --it->second == 0) {
             inflightAcquires_.erase(it);
         }
-        lintAcquire(ev);
         addOrderEdges(ev.core, ev.prim, ev.completed);
         heldOf(ev.core).push_back(HeldLock{ev.prim, ev.completed});
         // A coalesced acquire+release pair: the release was issued
@@ -148,91 +148,29 @@ AnalysisEngine::onComplete(const OpEvent &ev)
       }
 
       case sync::OpKind::LockRelease:
-        if (sawIssues_)
-            break; // committed at its issue event
-        lintRelease(ev);
-        removeHeld(ev.core, ev.prim);
+        if (!sawIssues_)
+            removeHeld(ev.core, ev.prim); // else committed at issue
         break;
 
-      case sync::OpKind::BarrierWaitWithinUnit:
-      case sync::OpKind::BarrierWaitAcrossUnits:
-        lintBarrier(ev);
-        break;
-
-      case sync::OpKind::SemWait: {
-        SemState &s = sems_[ev.prim];
-        if (!s.initKnown) {
-            s.initKnown = true;
-            s.initial = ev.resources;
-        }
-        s.grants.push_back(SemState::Grant{ev.completed, ev.core});
-        break;
-      }
-
-      case sync::OpKind::SemPost:
-        // Accounted at the ISSUE tick: req_async posts commit at issue
-        // but may be recorded later (an awaited batch future), and a
-        // grant they enabled can be recorded in between. The finish()
-        // balance replay merges posts and grants by tick, so record
-        // order never skews the accounting.
-        sems_[ev.prim].postTicks.push_back(ev.issued);
-        break;
-
-      case sync::OpKind::CondWait: {
+      case sync::OpKind::CondWait:
         // cond_wait = release of the associated lock at issue +
         // reacquisition at completion. The waiting core is blocked in
         // between (blocking form only, in-order core), so processing
-        // both halves here keeps its held set exact.
-        if (!removeHeld(ev.core, ev.assoc)) {
-            Finding f;
-            f.kind = FindingKind::ReleaseWithoutAcquire;
-            f.message = "cond_wait on " + primName(ev.prim)
-                        + " releases associated lock "
-                        + primName(ev.assoc)
-                        + " the core does not hold";
-            f.core = ev.core;
-            f.prim = ev.assoc;
-            f.tick = ev.issued;
-            report_.findings.push_back(std::move(f));
-        }
+        // both halves here keeps its held set exact. (The model
+        // reports a release of a lock the core does not hold.)
+        removeHeld(ev.core, ev.assoc);
         addOrderEdges(ev.core, ev.assoc, ev.completed);
         heldOf(ev.core).push_back(HeldLock{ev.assoc, ev.completed});
-        takeOwnership(locks_[ev.assoc], ev.core, ev.completed);
         break;
-      }
 
-      case sync::OpKind::CondSignal:
-      case sync::OpKind::CondBroadcast:
+      default:
         break;
     }
 }
 
 // --------------------------------------------------------------------
-// Misuse linter
+// Release commit
 // --------------------------------------------------------------------
-
-void
-AnalysisEngine::takeOwnership(LockState &s, std::uint32_t core,
-                              Tick tick)
-{
-    if (s.owned && s.owner != core)
-        ++s.pendingReleases[s.owner];
-    s.owned = true;
-    s.owner = core;
-    s.ownedSince = tick;
-}
-
-void
-AnalysisEngine::lintAcquire(const OpEvent &ev)
-{
-    // No owned-at-acquire check: with cond_wait recorded at completion,
-    // a signaler's acquire of the associated lock legitimately appears
-    // in the stream while the waiter's (already SE-released) ownership
-    // record is still pending. Releases carry the checkable invariant;
-    // a displaced owner goes on the pending-release list so its delayed
-    // record is matched, not flagged.
-    takeOwnership(locks_[ev.prim], ev.core, ev.completed);
-}
 
 void
 AnalysisEngine::commitRelease(std::uint32_t core, std::uint64_t prim,
@@ -250,154 +188,8 @@ AnalysisEngine::commitRelease(std::uint32_t core, std::uint64_t prim,
         return;
     }
 
-    OpEvent ev;
-    ev.kind = sync::OpKind::LockRelease;
-    ev.core = core;
-    ev.prim = prim;
-    ev.issued = tick;
-    ev.completed = tick;
-    lintRelease(ev);
+    model_.release(core, prim, tick, tick);
     removeHeld(core, prim);
-}
-
-void
-AnalysisEngine::lintRelease(const OpEvent &ev)
-{
-    LockState &s = locks_[ev.prim];
-    if (s.owned && s.owner == ev.core) {
-        s.owned = false;
-        s.everReleased = true;
-        s.lastReleaser = ev.core;
-        s.lastReleaseTick = ev.completed;
-        return;
-    }
-    if (auto it = s.pendingReleases.find(ev.core);
-        it != s.pendingReleases.end()) {
-        // Delayed record of a release the SE already processed (the
-        // next owner's acquire was recorded first) — legitimate.
-        if (--it->second == 0)
-            s.pendingReleases.erase(it);
-        return;
-    }
-
-    Finding f;
-    f.core = ev.core;
-    f.prim = ev.prim;
-    f.tick = ev.issued;
-    if (!s.owned && s.everReleased && s.lastReleaser == ev.core) {
-        f.kind = FindingKind::DoubleRelease;
-        f.message = "lock " + primName(ev.prim)
-                    + " released twice by core "
-                    + std::to_string(ev.core) + " without reacquiring";
-        f.witness.push_back(WitnessStep{s.lastReleaser, ev.prim,
-                                        s.lastReleaseTick,
-                                        "previous release"});
-    } else if (s.owned) {
-        f.kind = FindingKind::ReleaseWithoutAcquire;
-        f.message = "lock " + primName(ev.prim) + " released by core "
-                    + std::to_string(ev.core)
-                    + " while owned by core " + std::to_string(s.owner);
-        f.witness.push_back(WitnessStep{s.owner, ev.prim, s.ownedSince,
-                                        "owner's acquire"});
-    } else {
-        f.kind = FindingKind::ReleaseWithoutAcquire;
-        f.message = "lock " + primName(ev.prim) + " released by core "
-                    + std::to_string(ev.core)
-                    + " which never acquired it";
-    }
-    f.witness.push_back(
-        WitnessStep{ev.core, ev.prim, ev.issued, "offending release"});
-    report_.findings.push_back(std::move(f));
-}
-
-void
-AnalysisEngine::lintBarrier(const OpEvent &ev)
-{
-    BarrierState &b = barriers_[ev.prim];
-    if (b.reported)
-        return;
-
-    const bool withinUnit =
-        ev.kind == sync::OpKind::BarrierWaitWithinUnit;
-    const std::uint32_t capacity = withinUnit
-                                       ? shape_.clientCoresPerUnit
-                                       : shape_.totalClientCores();
-
-    std::string why;
-    if (ev.participants == 0) {
-        why = "zero participants";
-    } else if (capacity != 0 && ev.participants > capacity) {
-        why = std::to_string(ev.participants) + " participants exceed "
-              + (withinUnit ? "the unit's " : "the machine's ")
-              + std::to_string(capacity) + " client cores";
-    } else if (b.seen && b.participants != ev.participants) {
-        why = "arity changed across waits ("
-              + std::to_string(b.participants) + " vs "
-              + std::to_string(ev.participants) + ")";
-    }
-    if (!b.seen) {
-        b.seen = true;
-        b.participants = ev.participants;
-    }
-    if (why.empty())
-        return;
-
-    b.reported = true;
-    Finding f;
-    f.kind = FindingKind::BarrierArityMismatch;
-    f.message = "barrier " + primName(ev.prim) + ": " + why;
-    f.core = ev.core;
-    f.prim = ev.prim;
-    f.tick = ev.issued;
-    f.witness.push_back(
-        WitnessStep{ev.core, ev.prim, ev.issued, "offending wait"});
-    report_.findings.push_back(std::move(f));
-}
-
-void
-AnalysisEngine::checkSemaphores(AnalysisReport &report)
-{
-    for (auto &[prim, s] : sems_) {
-        if (s.grants.empty())
-            continue;
-        std::sort(s.postTicks.begin(), s.postTicks.end());
-        std::stable_sort(s.grants.begin(), s.grants.end(),
-                         [](const SemState::Grant &a,
-                            const SemState::Grant &b) {
-                             return a.tick < b.tick;
-                         });
-        std::int64_t balance = s.initial;
-        std::size_t post = 0;
-        std::uint64_t waits = 0;
-        for (const SemState::Grant &g : s.grants) {
-            // Posts at the grant's own tick count as available: an
-            // ideal backend can post and grant in the same tick.
-            while (post < s.postTicks.size()
-                   && s.postTicks[post] <= g.tick) {
-                ++post;
-                ++balance;
-            }
-            ++waits;
-            --balance;
-            if (balance < 0) {
-                Finding f;
-                f.kind = FindingKind::SemaphoreUnderflow;
-                f.message = "semaphore " + primName(prim) + ": wait #"
-                            + std::to_string(waits)
-                            + " granted with no resources available "
-                              "(initial " + std::to_string(s.initial)
-                            + ", posts so far " + std::to_string(post)
-                            + ")";
-                f.core = g.core;
-                f.prim = prim;
-                f.tick = g.tick;
-                f.witness.push_back(WitnessStep{
-                    g.core, prim, g.tick, "over-granted wait"});
-                report.findings.push_back(std::move(f));
-                break;
-            }
-        }
-    }
 }
 
 // --------------------------------------------------------------------
@@ -591,24 +383,14 @@ AnalysisEngine::finish()
     finished_ = true;
 
     reportCycles(report_);
-    checkSemaphores(report_);
-
-    for (const auto &[prim, s] : locks_) {
-        if (!s.owned)
-            continue;
-        Finding f;
-        f.kind = FindingKind::LockHeldAtTeardown;
-        f.message = "lock " + primName(prim) + " still owned by core "
-                    + std::to_string(s.owner)
-                    + " when the run finished";
-        f.core = s.owner;
-        f.prim = prim;
-        f.tick = s.ownedSince;
-        report_.findings.push_back(std::move(f));
-    }
+    model_.checkInvariants(true);
+    report_.findings.insert(report_.findings.end(),
+                            model_.findings().begin(),
+                            model_.findings().end());
 
     if (sawIssues_) {
-        for (const auto &[core, count] : outstanding_) {
+        for (std::uint32_t core = 0; core < outstanding_.size(); ++core) {
+            const std::int64_t count = outstanding_[core];
             if (count <= 0)
                 continue;
             Finding f;

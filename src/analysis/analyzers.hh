@@ -21,14 +21,11 @@
  *     holding A, with the first (core, ticks) witness kept per edge.
  *     finish() reports every cycle with its full witness path.
  *
- *  3. Misuse linter. Release-without-acquire and double-release
- *     (per-lock owner tracking), barrier arity vs the machine shape
- *     and vs the first-seen arity of the same barrier, semaphore
- *     underflow (waits granted beyond initial resources + posts, on a
- *     tick-ordered merge so asynchronous post completion never
- *     reorders the accounting), pending-operation leaks at teardown
- *     (live only: issue events have no offline counterpart), and locks
- *     still held at teardown.
+ *  3. Misuse linter: the checks of the engine's SyncStateModel (lock
+ *     ownership, barrier arity and arrival conservation, semaphore
+ *     underflow, locks held at teardown; see analysis/state_model.hh)
+ *     plus pending-operation leaks at teardown (live only: issue
+ *     events have no offline counterpart).
  *
  * The engine is deliberately driven by plain OpEvent values rather
  * than live simulator types: the live path (analysis::LiveAnalyzer)
@@ -51,42 +48,19 @@
 #include <vector>
 
 #include "analysis/report.hh"
+#include "analysis/state_model.hh"
 #include "common/types.hh"
-#include "sync/opcodes.hh"
 
 namespace syncron::analysis {
-
-/** Machine shape the analyzed stream ran on (barrier arity checks). */
-struct MachineShape
-{
-    std::uint32_t numUnits = 0;
-    std::uint32_t clientCoresPerUnit = 0;
-
-    std::uint32_t
-    totalClientCores() const
-    {
-        return numUnits * clientCoresPerUnit;
-    }
-};
-
-/** One synchronization operation, decoupled from simulator types. */
-struct OpEvent
-{
-    std::uint32_t core = 0; ///< dense client-core index
-    sync::OpKind kind = sync::OpKind::LockAcquire;
-    std::uint64_t prim = 0;  ///< primitive identity (dense id)
-    std::uint64_t assoc = 0; ///< cond_wait's associated lock identity
-    Tick issued = 0;
-    Tick completed = 0;
-    std::uint32_t participants = 0; ///< barrier arity (barrier_wait)
-    std::uint32_t resources = 0;    ///< initial resources (sem_wait)
-};
 
 /** The combined analysis engine; see the file comment. */
 class AnalysisEngine
 {
   public:
-    explicit AnalysisEngine(MachineShape shape) : shape_(shape) {}
+    explicit AnalysisEngine(MachineShape shape)
+        : model_(shape), held_(shape.totalClientCores()),
+          outstanding_(shape.totalClientCores())
+    {}
 
     /** First witness of one held-before edge (public for reporting). */
     struct EdgeWitness
@@ -136,35 +110,11 @@ class AnalysisEngine
     };
 
     std::vector<HeldLock> &heldOf(std::uint32_t core);
-    bool removeHeld(std::uint32_t core, std::uint64_t prim);
+    void removeHeld(std::uint32_t core, std::uint64_t prim);
 
     // -- Lock-order analyzer -------------------------------------------
     void addOrderEdges(std::uint32_t core, std::uint64_t to, Tick toTick);
     void reportCycles(AnalysisReport &report);
-
-    // -- Misuse linter --------------------------------------------------
-    struct LockState
-    {
-        bool owned = false;
-        std::uint32_t owner = 0;
-        Tick ownedSince = 0;
-        bool everReleased = false;
-        std::uint32_t lastReleaser = 0;
-        Tick lastReleaseTick = 0;
-        /**
-         * Former owners whose release record has not arrived yet. A
-         * fire-and-forget release (req_async) commits SE-side at issue
-         * but is recorded at future drop, so the next owner's acquire
-         * can legitimately be recorded first; the displaced owner's
-         * eventual release must then not be flagged. Counted, since a
-         * core can be displaced again before its old record drains.
-         */
-        std::map<std::uint32_t, unsigned> pendingReleases;
-    };
-
-    /** Transfers @p s to @p core, displacing any current owner. */
-    static void takeOwnership(LockState &s, std::uint32_t core,
-                              Tick tick);
 
     /**
      * Processes a release at its SE-side commit point. When issue
@@ -179,31 +129,7 @@ class AnalysisEngine
     void commitRelease(std::uint32_t core, std::uint64_t prim,
                        Tick tick);
 
-    struct BarrierState
-    {
-        bool seen = false;
-        std::uint32_t participants = 0;
-        bool reported = false;
-    };
-
-    struct SemState
-    {
-        bool initKnown = false;
-        std::uint32_t initial = 0;
-        std::vector<Tick> postTicks; ///< post issue ticks
-        struct Grant
-        {
-            Tick tick; ///< wait completion tick
-            std::uint32_t core;
-        };
-        std::vector<Grant> grants;
-    };
-
-    void lintAcquire(const OpEvent &ev);
-    void lintRelease(const OpEvent &ev);
-    void lintBarrier(const OpEvent &ev);
     void lintStaleGeneration(const OpEvent &ev, Tick tick);
-    void checkSemaphores(AnalysisReport &report);
 
     // -- Lockset race checker ------------------------------------------
     enum class AccessState
@@ -226,19 +152,16 @@ class AnalysisEngine
         Tick lastWriteTick = 0;
     };
 
-    MachineShape shape_;
+    SyncStateModel model_;
     AnalysisReport report_;
     bool finished_ = false;
 
-    std::map<std::uint32_t, std::vector<HeldLock>> held_;
+    std::vector<std::vector<HeldLock>> held_; ///< per core
     /// held-before graph: from -> (to -> first witness)
     std::map<std::uint64_t, std::map<std::uint64_t, EdgeWitness>> order_;
-    std::map<std::uint64_t, LockState> locks_;
-    std::map<std::uint64_t, BarrierState> barriers_;
-    std::map<std::uint64_t, SemState> sems_;
     std::map<Addr, ShadowWord> shadow_;
     /// live only: per-core outstanding (issued - completed) op count
-    std::map<std::uint32_t, std::int64_t> outstanding_;
+    std::vector<std::int64_t> outstanding_;
     /// live only: (core, lock) -> acquires issued but not yet completed
     std::map<std::pair<std::uint32_t, std::uint64_t>, unsigned>
         inflightAcquires_;
@@ -250,7 +173,7 @@ class AnalysisEngine
 
     // -- Crash/recovery generation tracking ----------------------------
     /// every primitive identity seen so far (issue or completion)
-    std::set<std::uint64_t> seenPrims_;
+    std::vector<std::uint8_t> seenPrims_; ///< by dense id
     bool crashSeen_ = false;
     Tick crashTick_ = 0;
     /// identities live before the crash, minus those recovery re-minted

@@ -22,6 +22,9 @@ findingKindName(FindingKind kind)
       case FindingKind::LockHeldAtTeardown: return "lock-held-at-teardown";
       case FindingKind::StaleGenerationUse:
         return "stale-generation-use";
+      case FindingKind::DoubleGrant: return "double-grant";
+      case FindingKind::BarrierNotConserved:
+        return "barrier-not-conserved";
     }
     return "?";
 }

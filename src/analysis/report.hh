@@ -39,6 +39,8 @@ enum class FindingKind
     LockHeldAtTeardown,    ///< lock still owned when the run finished
     StaleGenerationUse,    ///< pre-crash primitive used after recovery
                            ///< without being re-minted
+    DoubleGrant,           ///< live grant of a lock another core owns
+    BarrierNotConserved,   ///< barrier arrivals two rounds apart
 };
 
 /** Printable name for @p kind (stable, used in JSON). */

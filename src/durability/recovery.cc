@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "analysis/trace_analysis.hh"
 #include "common/log.hh"
 
 namespace syncron::durability {
@@ -116,12 +117,12 @@ RecoveryEngine::recover() const
     out.durableRecords = image_.durable();
 
     // ---- 2. Rebuild the recovered state and check invariants ---------
-    out.recovered = ShadowOracle(ref_.primitives);
+    analysis::SyncStateModel recovered(analysis::traceShape(ref_));
     for (const trace::TraceRecord &r : image_.log.records)
-        out.recovered.apply(r);
-    out.recovered.checkInvariants(cores);
-    for (const std::string &v : out.recovered.violations())
-        fail("recovered state: " + v);
+        recovered.onComplete(analysis::traceEvent(ref_, r));
+    recovered.checkInvariants();
+    for (const analysis::Finding &f : recovered.findings())
+        fail("recovered state: " + f.message);
 
     // ---- 3. Consistent rollback cut ----------------------------------
     // Per-core program order: the per-core subsequence of the (global,

@@ -14,9 +14,10 @@
  * recover() then:
  *   1. validates the image against the reference (shape, primitive
  *      table prefix, record-stream prefix);
- *   2. rebuilds the recovered state as a ShadowOracle over the durable
- *      records and runs the conservation invariants (no double grants,
- *      no lost wakeups, barrier arrivals conserved);
+ *   2. rebuilds the recovered state as an analysis::SyncStateModel
+ *      over the durable records and runs its checks (every release
+ *      matches a grant, no semaphore wait granted without a resource,
+ *      barrier arrivals conserved);
  *   3. computes a consistent rollback cut: per core, the latest
  *      quiescent point (no lock held, semaphore wait/post balanced) at
  *      or before its durable frontier, globally aligned so that every
@@ -40,7 +41,6 @@
 #include <vector>
 
 #include "durability/image.hh"
-#include "durability/oracle.hh"
 #include "trace/format.hh"
 
 namespace syncron::durability {
@@ -54,9 +54,6 @@ struct RecoveryResult
     std::uint64_t durableRecords = 0;
     /** Durable records undone to reach the consistent cut. */
     std::uint64_t rolledBack = 0;
-
-    /** Oracle over the durable records (the recovered SE state). */
-    ShadowOracle recovered;
 
     /** Reference records that stand (per-core prefix of the cut). */
     trace::Trace prefix;

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <sstream>
 
+#include "analysis/trace_analysis.hh"
 #include "common/log.hh"
 #include "durability/image.hh"
 #include "durability/manager.hh"
-#include "durability/oracle.hh"
 #include "durability/recovery.hh"
 #include "system/system.hh"
 #include "trace/capture.hh"
@@ -14,22 +14,30 @@
 
 namespace syncron::harness {
 
+using analysis::SyncStateModel;
 using durability::PersistedImage;
 using durability::RecoveryEngine;
 using durability::RecoveryResult;
-using durability::ShadowOracle;
 
 namespace {
 
-/** Oracle over a full record stream, invariants included. */
-ShadowOracle
-oracleOver(const trace::Trace &t)
+/** Feeds @p records, numbered against @p t's table, into @p model. */
+void
+feed(SyncStateModel &model, const trace::Trace &t,
+     const std::vector<trace::TraceRecord> &records)
 {
-    ShadowOracle o(t.primitives);
-    for (const trace::TraceRecord &r : t.records)
-        o.apply(r);
-    o.checkInvariants(t.numClientCores());
-    return o;
+    for (const trace::TraceRecord &r : records)
+        model.onComplete(analysis::traceEvent(t, r));
+}
+
+/** Model over a full record stream, invariants included. */
+SyncStateModel
+modelOver(const trace::Trace &t)
+{
+    SyncStateModel m(analysis::traceShape(t));
+    feed(m, t, t.records);
+    m.checkInvariants();
+    return m;
 }
 
 void
@@ -67,10 +75,10 @@ runCrashSweep(const SystemConfig &base,
         refWal = ref.durability()->walTrace();
     }
     result.referenceRecords = refWal.records.size();
-    ShadowOracle refOracle = oracleOver(refWal);
-    for (const std::string &v : refOracle.violations())
-        result.violations.push_back("reference run: " + v);
-    if (!refOracle.idle())
+    const SyncStateModel refModel = modelOver(refWal);
+    for (const analysis::Finding &f : refModel.findings())
+        result.violations.push_back("reference run: " + f.message);
+    if (!refModel.idle())
         result.violations.push_back(
             "reference run: final state not idle");
 
@@ -142,9 +150,10 @@ runCrashSweep(const SystemConfig &base,
         //     Its capture numbers primitives by first use and its
         //     clock restarts at zero (fresh system), so the check runs
         //     entirely in the resumed capture's own namespace.
-        ShadowOracle live = oracleOver(resumedCap.trace());
-        for (const std::string &v : live.violations())
-            tagged(result.violations, crashTick, "resumed run: " + v);
+        const SyncStateModel live = modelOver(resumedCap.trace());
+        for (const analysis::Finding &f : live.findings())
+            tagged(result.violations, crashTick,
+                   "resumed run: " + f.message);
         if (!live.idle())
             tagged(result.violations, crashTick,
                    "resumed run's final state not idle");
@@ -154,19 +163,17 @@ runCrashSweep(const SystemConfig &base,
         //     reaches the clean run's final state with no invariant
         //     violations. A recovery that dropped or duplicated a
         //     record fails here.
-        ShadowOracle fin(refWal.primitives);
-        for (const trace::TraceRecord &r : rr.prefix.records)
-            fin.apply(r);
-        for (const trace::TraceRecord &r : rr.resume.records)
-            fin.apply(r);
-        fin.checkInvariants(refWal.numClientCores());
-        for (const std::string &v : fin.violations())
+        SyncStateModel fin(analysis::traceShape(refWal));
+        feed(fin, refWal, rr.prefix.records);
+        feed(fin, refWal, rr.resume.records);
+        fin.checkInvariants();
+        for (const analysis::Finding &f : fin.findings())
             tagged(result.violations, crashTick,
-                   "recovered+resumed: " + v);
+                   "recovered+resumed: " + f.message);
         if (!fin.idle())
             tagged(result.violations, crashTick,
                    "recovered+resumed state not idle");
-        if (!fin.sameStateAs(refOracle))
+        if (!fin.sameStateAs(refModel))
             tagged(result.violations, crashTick,
                    "recovered+resumed state differs from the clean "
                    "run's final state");

@@ -7,15 +7,15 @@
  *
  *   1. a clean reference run captures the full WAL (deterministic
  *      simulation: every crashed run's WAL is a strict prefix of it)
- *      and its shadow-oracle final state;
+ *      and its final sync state (an analysis::SyncStateModel);
  *   2. for every nth sync-op completion boundary of the reference WAL,
  *      an identical run is crashed just past that boundary and its
  *      persisted image snapshotted;
  *   3. each image round-trips through the SYNCDUR container, feeds
  *      RecoveryEngine against the reference WAL, and the recovery's
  *      `resume` trace is replayed on a fresh system;
- *   4. the oracle over (recovery prefix + resumed records) must be
- *      violation-free, idle, and logically identical to the reference
+ *   4. the model over (recovery prefix + resumed records) must be
+ *      finding-free, idle, and logically identical to the reference
  *      final state.
  *
  * Any deviation lands in CrashSweepResult::violations; an empty vector

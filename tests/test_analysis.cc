@@ -16,6 +16,7 @@
 #include "analysis/analyzers.hh"
 #include "analysis/live.hh"
 #include "analysis/report.hh"
+#include "analysis/state_model.hh"
 #include "analysis/trace_analysis.hh"
 #include "harness/runner.hh"
 #include "system/system.hh"
@@ -316,6 +317,165 @@ TEST(AnalysisEngine, JsonReportCarriesKindAndWitness)
     std::ostringstream clean;
     AnalysisReport{}.writeJson(clean);
     EXPECT_NE(clean.str().find("true"), std::string::npos);
+}
+
+TEST(AnalysisEngine, CondHandoffLeavesNoStalePendingRelease)
+{
+    // Offline handoff: the signaler's grant displaces the waiter W, and
+    // W's cond_wait completion reclaims the lock. W's own displaced-
+    // owner entry must be consumed there, or W's bogus second release
+    // is silently absorbed.
+    AnalysisEngine eng(MachineShape{1, 2});
+    eng.onComplete(ev(sync::OpKind::LockAcquire, 0, 1, 10)); // W
+    eng.onComplete(ev(sync::OpKind::LockAcquire, 1, 1, 20)); // S
+    eng.onComplete(ev(sync::OpKind::CondSignal, 1, 2, 30));
+    eng.onComplete(ev(sync::OpKind::LockRelease, 1, 1, 40));
+    OpEvent wait = ev(sync::OpKind::CondWait, 0, 2, 15);
+    wait.assoc = 1;
+    wait.completed = 50;
+    eng.onComplete(wait);
+    eng.onComplete(ev(sync::OpKind::LockRelease, 0, 1, 60));
+    eng.onComplete(ev(sync::OpKind::LockRelease, 0, 1, 70));
+
+    const AnalysisReport r = eng.finish();
+    ASSERT_EQ(r.findings.size(), 1u);
+    const Finding &f = firstOfKind(r, FindingKind::DoubleRelease);
+    EXPECT_EQ(f.core, 0u);
+    EXPECT_EQ(f.tick, 70u);
+}
+
+/** Feeds @p e as an issue and, unless @p inFlight, its completion. */
+void
+live(AnalysisEngine &eng, const OpEvent &e, bool inFlight = false)
+{
+    eng.onIssue(e);
+    if (!inFlight)
+        eng.onComplete(e);
+}
+
+TEST(AnalysisEngine, LiveDoubleGrantIsFlagged)
+{
+    // One release, two grants: core 1's grant is legitimate, core 2's
+    // lands while core 1 still owns the lock.
+    AnalysisEngine eng(MachineShape{1, 4});
+    live(eng, ev(sync::OpKind::LockAcquire, 0, 1, 10));
+    live(eng, ev(sync::OpKind::LockRelease, 0, 1, 20));
+    live(eng, ev(sync::OpKind::LockAcquire, 1, 1, 30));
+    live(eng, ev(sync::OpKind::LockAcquire, 2, 1, 31));
+    live(eng, ev(sync::OpKind::LockRelease, 1, 1, 40));
+    live(eng, ev(sync::OpKind::LockRelease, 2, 1, 50));
+
+    const AnalysisReport r = eng.finish();
+    ASSERT_EQ(r.findings.size(), 1u) << "one bug, one finding";
+    const Finding &f = firstOfKind(r, FindingKind::DoubleGrant);
+    EXPECT_EQ(f.core, 2u);
+    EXPECT_EQ(f.prim, 1u);
+    EXPECT_EQ(f.tick, 32u);
+    ASSERT_EQ(f.witness.size(), 2u);
+    EXPECT_EQ(f.witness[0].core, 1u) << "the owner's grant";
+    EXPECT_EQ(f.witness[0].tick, 31u);
+    EXPECT_STREQ(findingKindName(FindingKind::DoubleGrant),
+                 "double-grant");
+}
+
+TEST(AnalysisEngine, LiveCondWaitHandoffStaysClean)
+{
+    // W (core 0) waits on cond #2 holding lock #1; the SE releases #1
+    // at the wait's issue, so the signaler's grant is no double grant.
+    auto handoff = [](AnalysisEngine &eng) {
+        live(eng, ev(sync::OpKind::LockAcquire, 0, 1, 10));
+        live(eng, ev(sync::OpKind::LockAcquire, 1, 1, 15), true);
+        OpEvent wait = ev(sync::OpKind::CondWait, 0, 2, 20);
+        wait.assoc = 1;
+        eng.onIssue(wait);
+        OpEvent grant = ev(sync::OpKind::LockAcquire, 1, 1, 15);
+        grant.completed = 25;
+        eng.onComplete(grant);
+        live(eng, ev(sync::OpKind::CondSignal, 1, 2, 30));
+        live(eng, ev(sync::OpKind::LockRelease, 1, 1, 35));
+        wait.completed = 40;
+        eng.onComplete(wait);
+        live(eng, ev(sync::OpKind::LockRelease, 0, 1, 50));
+    };
+
+    AnalysisEngine clean(MachineShape{1, 2});
+    handoff(clean);
+    EXPECT_TRUE(clean.finish().clean());
+
+    // The same handoff plus a bogus second release by W.
+    AnalysisEngine bogus(MachineShape{1, 2});
+    handoff(bogus);
+    live(bogus, ev(sync::OpKind::LockRelease, 0, 1, 60));
+    const AnalysisReport r = bogus.finish();
+    ASSERT_EQ(r.findings.size(), 1u);
+    EXPECT_EQ(firstOfKind(r, FindingKind::DoubleRelease).core, 0u);
+}
+
+TEST(AnalysisEngine, BarrierArrivalSpreadOfTwoRoundsReported)
+{
+    AnalysisEngine eng(MachineShape{2, 2});
+    // Within-unit barrier #10, used for many rounds by unit 1 alone:
+    // its scope is unit 1's cores, so unit 0's silence is no spread.
+    for (Tick t = 10; t < 100; t += 10) {
+        for (std::uint32_t core : {2u, 3u}) {
+            OpEvent e = ev(sync::OpKind::BarrierWaitWithinUnit, core, 10,
+                           t);
+            e.participants = 2;
+            eng.onComplete(e);
+        }
+    }
+    // Across-units barrier #9: core 0 completes two rounds while the
+    // other three cores complete none.
+    for (Tick t : {200, 210}) {
+        OpEvent e = ev(sync::OpKind::BarrierWaitAcrossUnits, 0, 9, t);
+        e.participants = 4;
+        eng.onComplete(e);
+    }
+
+    const AnalysisReport r = eng.finish();
+    ASSERT_EQ(r.findings.size(), 1u);
+    const Finding &f = firstOfKind(r, FindingKind::BarrierNotConserved);
+    EXPECT_EQ(f.prim, 9u);
+    EXPECT_EQ(f.core, 0u);
+    EXPECT_EQ(f.tick, 211u);
+}
+
+// --------------------------------------------------------------------
+// Sync-state model (the state recovery and the crash sweep check)
+// --------------------------------------------------------------------
+
+TEST(SyncStateModel, CleanLockStreamIsIdleAndSelfEqual)
+{
+    SyncStateModel a(MachineShape{1, 2});
+    a.onComplete(ev(sync::OpKind::LockAcquire, 0, 0, 10));
+    a.onComplete(ev(sync::OpKind::LockRelease, 0, 0, 20));
+    a.onComplete(ev(sync::OpKind::LockAcquire, 1, 0, 30));
+    a.onComplete(ev(sync::OpKind::LockRelease, 1, 0, 40));
+    a.checkInvariants();
+    EXPECT_TRUE(a.findings().empty());
+    EXPECT_TRUE(a.idle());
+
+    SyncStateModel b(MachineShape{1, 2});
+    b.onComplete(ev(sync::OpKind::LockAcquire, 1, 0, 5));
+    b.onComplete(ev(sync::OpKind::LockRelease, 1, 0, 6));
+    EXPECT_TRUE(a.sameStateAs(b)) << "ticks must not affect equality";
+
+    SyncStateModel held(MachineShape{1, 2});
+    held.onComplete(ev(sync::OpKind::LockAcquire, 0, 0, 10));
+    EXPECT_FALSE(held.idle());
+    EXPECT_FALSE(a.sameStateAs(held));
+}
+
+TEST(SyncStateModel, DetectsSemaphoreUnderflow)
+{
+    SyncStateModel m(MachineShape{1, 2});
+    // A wait granted against zero initial resources and no post.
+    OpEvent wait = ev(sync::OpKind::SemWait, 0, 0, 10);
+    wait.resources = 0;
+    m.onComplete(wait);
+    m.checkInvariants();
+    ASSERT_EQ(m.findings().size(), 1u);
+    EXPECT_EQ(m.findings()[0].kind, FindingKind::SemaphoreUnderflow);
 }
 
 // --------------------------------------------------------------------

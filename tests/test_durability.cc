@@ -1,10 +1,10 @@
 /**
  * @file
- * Durability tests: the SYNCDUR persisted-image container, the shadow
- * oracle, the WAL/PM accounting of the durability manager, the crash
- * lifecycle, and the end-to-end crash-injection sweep — recovery at
- * every sync-op boundary on multiple backends, with the recovered +
- * resumed state matching the clean run's final state.
+ * Durability tests: the SYNCDUR persisted-image container, the WAL/PM
+ * accounting of the durability manager, the crash lifecycle, and the
+ * end-to-end crash-injection sweep — recovery at every sync-op boundary
+ * on multiple backends, with the recovered + resumed state matching the
+ * clean run's final state.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "analysis/live.hh"
 #include "durability/image.hh"
 #include "durability/manager.hh"
-#include "durability/oracle.hh"
 #include "durability/pm_model.hh"
 #include "durability/recovery.hh"
 #include "harness/crash_sweep.hh"
@@ -189,47 +188,6 @@ TEST(PersistedImage, RejectsRecordOfTheWrongPrimitiveKind)
     EXPECT_NE(why.find("applies lock_acquire to a semaphore"),
               std::string::npos)
         << why;
-}
-
-// --------------------------------------------------------------------
-// Shadow oracle
-// --------------------------------------------------------------------
-
-TEST(ShadowOracle, CleanLockStreamIsIdleAndSelfEqual)
-{
-    std::vector<TracePrimitive> prims{
-        TracePrimitive{PrimKind::Lock, 0, 0,
-                       sync::BarrierScope::AcrossUnits}};
-    ShadowOracle a(prims);
-    a.apply(rec(sync::OpKind::LockAcquire, 0, 0, 10));
-    a.apply(rec(sync::OpKind::LockRelease, 0, 0, 20));
-    a.apply(rec(sync::OpKind::LockAcquire, 1, 0, 30));
-    a.apply(rec(sync::OpKind::LockRelease, 1, 0, 40));
-    a.checkInvariants(2);
-    EXPECT_TRUE(a.violations().empty());
-    EXPECT_TRUE(a.idle());
-
-    ShadowOracle b(prims);
-    b.apply(rec(sync::OpKind::LockAcquire, 1, 0, 5));
-    b.apply(rec(sync::OpKind::LockRelease, 1, 0, 6));
-    EXPECT_TRUE(a.sameStateAs(b)) << "ticks must not affect equality";
-
-    ShadowOracle held(prims);
-    held.apply(rec(sync::OpKind::LockAcquire, 0, 0, 10));
-    EXPECT_FALSE(held.idle());
-    EXPECT_FALSE(a.sameStateAs(held));
-}
-
-TEST(ShadowOracle, DetectsSemaphoreUnderflow)
-{
-    std::vector<TracePrimitive> prims{
-        TracePrimitive{PrimKind::Semaphore, 0, 0,
-                       sync::BarrierScope::AcrossUnits}};
-    ShadowOracle o(prims);
-    // A wait granted against zero initial resources and no post.
-    o.apply(rec(sync::OpKind::SemWait, 0, 0, 10));
-    o.checkInvariants(2);
-    EXPECT_FALSE(o.violations().empty());
 }
 
 // --------------------------------------------------------------------

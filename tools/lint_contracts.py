@@ -16,7 +16,9 @@ seconds and are wired into CI ahead of the build:
                        stamp it needed, the lock-fairness knob, and the
                        engine subclasses that only passed options
                        (Hier and the two MiSAR overflow variants now
-                       register engine::SynCronBackend directly).
+                       register engine::SynCronBackend directly), and
+                       the durability shadow oracle (recovery and the
+                       crash sweep drive analysis::SyncStateModel).
   2. no-scheme-switch  Backends are looked up through the string-keyed
                        BackendRegistry; `case Scheme::` dispatch is
                        allowed only in the name-mapping table
@@ -84,7 +86,7 @@ CODE_EXTS = (".cc", ".hh")
 RETIRED_RE = re.compile(
     r"\b(SyncVar|Trace(?:Sink|Reader)|setTraceSink|ShardedObserver"
     r"|Persist(?:Hook)|withWal(?:Seq)|localGrant(?:Threshold)"
-    r"|(?:Hier|CentralOvrfl|DistribOvrfl)Backend)\b")
+    r"|(?:Hier|CentralOvrfl|DistribOvrfl)Backend|Shadow(?:Oracle))\b")
 OLD_OBSERVER_CALL_RE = re.compile(r"\b(setObserver|addAuxObserver)\s*\(")
 SCHEME_SWITCH_RE = re.compile(r"\bcase\s+Scheme::")
 INPLACE_INST_RE = re.compile(r"\bInplaceCallback\s*<")
@@ -181,8 +183,9 @@ def lint_tree(root):
                    "%s reintroduced - use the typed handles "
                    "(sync::Lock/Barrier/Semaphore/CondVar), "
                    "sync::OpObserver via SyncApi::addObserver(), "
-                   "trace::MappedTraceReader, SystemConfig::persistMode "
-                   "and engine::SynCronBackend with EngineOptions"
+                   "trace::MappedTraceReader, SystemConfig::persistMode, "
+                   "engine::SynCronBackend with EngineOptions and "
+                   "analysis::SyncStateModel"
                    % m.group(1))
 
         if rel not in OLD_OBSERVER_CALL_ALLOW:
@@ -289,6 +292,8 @@ FIXTURES = [
      "class X : public baselines::Hier" "Backend {};\n"
      "baselines::CentralOvrfl" "Backend a(m); baselines::DistribOvrfl"
      "Backend b(m);\n"),
+    ("retired-ident", "src/fixture.cc",
+     "durability::Shadow" "Oracle o(trace.primitives);\n"),
     ("one-observer-path", "tests/fixture.cc",
      "api.setObserver(&an);\napi.addAuxObserver(&wal);\n"),
     ("no-scheme-switch", "src/fixture.cc",
