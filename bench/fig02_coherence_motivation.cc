@@ -15,14 +15,11 @@
  */
 
 #include <deque>
-#include <functional>
 #include <iostream>
 #include <vector>
 
 #include "coherence/mesi.hh"
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 #include "mem/allocator.hh"
 
@@ -107,14 +104,8 @@ stackWorker(MesiSystem &mesi, StackState &stack, unsigned core,
     }
 }
 
-struct StackRunResult
-{
-    Tick time = 0;
-    std::uint64_t pushes = 0;
-};
-
-/** One configuration's runtime with the chosen lock. */
-StackRunResult
+/** One configuration's runtime and push count with the chosen lock. */
+harness::RunOutput
 runStack(unsigned numUnits, unsigned coresPerUnit, unsigned totalCores,
          unsigned ops, bool useMesiLock)
 {
@@ -145,50 +136,51 @@ runStack(unsigned numUnits, unsigned coresPerUnit, unsigned totalCores,
         if (!p.done())
             SYNCRON_FATAL("fig02: worker deadlocked");
     }
-    return StackRunResult{machine.eq().now(), pushes};
+    harness::RunOutput out;
+    out.time = machine.eq().now();
+    out.ops = pushes;
+    return out;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig02_coherence_motivation", opts);
+    const harness::BenchOptions &opts = bench.opts();
     const unsigned ops =
-        static_cast<unsigned>(12 * opts.effectiveScale());
+        static_cast<unsigned>(12 * opts.scale);
     const unsigned coreCounts[] = {15, 30, 45, 60};
     const unsigned unitCounts[] = {1, 2, 3, 4};
 
     // (a) cells (ideal, mesi per core count), then (b) cells.
-    std::vector<std::function<StackRunResult()>> tasks;
     for (unsigned cores : coreCounts) {
         for (bool mesiLock : {false, true}) {
-            tasks.push_back([cores, ops, mesiLock] {
-                return runStack(1, cores, cores, ops, mesiLock);
-            });
+            bench.cell(std::to_string(cores) + "cores/"
+                           + (mesiLock ? "mesi-lock" : "ideal-lock"),
+                       [cores, ops, mesiLock] {
+                           return runStack(1, cores, cores, ops,
+                                           mesiLock);
+                       });
         }
     }
     for (unsigned units : unitCounts) {
         for (bool mesiLock : {false, true}) {
-            tasks.push_back([units, ops, mesiLock] {
-                return runStack(units, 60 / units, 60, ops, mesiLock);
-            });
+            bench.cell(std::to_string(units) + "units/"
+                           + (mesiLock ? "mesi-lock" : "ideal-lock"),
+                       [units, ops, mesiLock] {
+                           return runStack(units, 60 / units, 60, ops,
+                                           mesiLock);
+                       });
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     std::size_t i = 0;
     harness::TablePrinter a(
         "Fig. 2a: stack slowdown, mesi-lock vs ideal-lock, one NDP unit",
         {"cores", "ideal-lock", "mesi-lock slowdown"});
     for (unsigned cores : coreCounts) {
-        const StackRunResult ideal = results[i++];
-        const StackRunResult mesi = results[i++];
-        report.addScalar(std::to_string(cores) + "cores/ideal-lock",
-                         ideal.time, ideal.pushes);
-        report.addScalar(std::to_string(cores) + "cores/mesi-lock",
-                         mesi.time, mesi.pushes);
+        const harness::RunOutput &ideal = results[i++];
+        const harness::RunOutput &mesi = results[i++];
         a.addRow({std::to_string(cores), fmt(1.0, 2),
                   fmt(static_cast<double>(mesi.time)
                           / static_cast<double>(ideal.time),
@@ -201,12 +193,8 @@ main(int argc, char **argv)
         "Fig. 2b: stack slowdown at 60 cores, varying NDP units",
         {"units", "ideal-lock", "mesi-lock slowdown"});
     for (unsigned units : unitCounts) {
-        const StackRunResult ideal = results[i++];
-        const StackRunResult mesi = results[i++];
-        report.addScalar(std::to_string(units) + "units/ideal-lock",
-                         ideal.time, ideal.pushes);
-        report.addScalar(std::to_string(units) + "units/mesi-lock",
-                         mesi.time, mesi.pushes);
+        const harness::RunOutput &ideal = results[i++];
+        const harness::RunOutput &mesi = results[i++];
         b.addRow({std::to_string(units), fmt(1.0, 2),
                   fmt(static_cast<double>(mesi.time)
                           / static_cast<double>(ideal.time),
@@ -214,6 +202,9 @@ main(int argc, char **argv)
     }
     b.addNote("paper: slowdown grows to 2.66x at 4 units");
     b.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig02_coherence_motivation", run)

@@ -10,13 +10,11 @@
  * instructions) and approaches them as the interval grows.
  */
 
-#include <functional>
 #include <iostream>
+#include <string>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 #include "workloads/micro/primitives.hh"
 
@@ -47,44 +45,32 @@ intervalsFor(Primitive p)
     return lock;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig10_primitives", opts);
-    const unsigned ops =
-        static_cast<unsigned>(16 * opts.effectiveScale());
+    const harness::BenchOptions &opts = bench.opts();
+    const unsigned ops = static_cast<unsigned>(16 * opts.scale);
 
     const Scheme schemes[] = {Scheme::Central, Scheme::Hier,
                               Scheme::SynCron, Scheme::Ideal};
     const Primitive prims[] = {Primitive::Lock, Primitive::Barrier,
                                Primitive::Semaphore, Primitive::CondVar};
 
-    struct Cell
-    {
-        Primitive p;
-        unsigned interval;
-        Scheme scheme;
-    };
-    std::vector<Cell> cells;
     for (Primitive p : prims) {
         for (unsigned interval : intervalsFor(p)) {
-            for (Scheme scheme : schemes)
-                cells.push_back({p, interval, scheme});
+            for (Scheme scheme : schemes) {
+                bench.cell(std::string(workloads::primitiveName(p)) + "/"
+                               + std::to_string(interval) + "/"
+                               + schemeName(scheme),
+                           [&opts, p, interval, scheme, ops] {
+                               return harness::runPrimitive(
+                                   opts.makeConfig(scheme), p, interval,
+                                   ops);
+                           });
+            }
         }
     }
-
-    std::vector<std::function<harness::RunOutput()>> tasks;
-    tasks.reserve(cells.size());
-    for (const Cell &c : cells) {
-        tasks.push_back([&opts, c, ops] {
-            return harness::runPrimitive(opts.makeConfig(c.scheme), c.p,
-                                         c.interval, ops);
-        });
-    }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     double sum200SynCronVsCentral = 0.0, sum200SynCronVsHier = 0.0;
     int count200 = 0;
@@ -98,13 +84,8 @@ main(int argc, char **argv)
 
         for (unsigned interval : intervalsFor(p)) {
             double time[4];
-            for (int s = 0; s < 4; ++s, ++i) {
+            for (int s = 0; s < 4; ++s, ++i)
                 time[s] = static_cast<double>(results[i].time);
-                report.add(std::string(workloads::primitiveName(p)) + "/"
-                               + std::to_string(interval) + "/"
-                               + schemeName(schemes[s]),
-                           results[i]);
-            }
             table.addRow({std::to_string(interval), fmtX(1.0),
                           fmtX(time[0] / time[1]),
                           fmtX(time[0] / time[2]),
@@ -126,6 +107,9 @@ main(int argc, char **argv)
                   << " (paper: ~3.05x / ~1.40x averaged over all "
                      "primitives)\n";
     }
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig10_primitives", run)

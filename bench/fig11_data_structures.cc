@@ -10,57 +10,48 @@
  * Hier; BST_Drachsler is insensitive to the scheme.
  */
 
-#include <functional>
 #include <iostream>
+#include <string>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmt;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig11_data_structures", opts);
+    const harness::BenchOptions &opts = bench.opts();
     const Scheme schemes[] = {Scheme::Central, Scheme::Hier,
                               Scheme::SynCron, Scheme::Ideal};
 
-    struct Cell
-    {
-        harness::DsKind kind;
-        unsigned units;
-        Scheme scheme;
-    };
-    std::vector<Cell> cells;
     for (harness::DsKind kind : harness::kAllDsKinds) {
         for (unsigned units = 1; units <= 4; ++units) {
-            for (Scheme scheme : schemes)
-                cells.push_back({kind, units, scheme});
+            for (Scheme scheme : schemes) {
+                bench.cell(std::string(harness::dsName(kind)) + "/"
+                               + std::to_string(units * 15) + "cores/"
+                               + schemeName(scheme),
+                           [&opts, kind, units, scheme] {
+                               const harness::DsParams params =
+                                   harness::dsDefaults(kind, opts.scale);
+                               return harness::runDataStructure(
+                                   opts.makeConfig(scheme, units, 15),
+                                   kind, params.initialSize,
+                                   params.opsPerCore);
+                           });
+            }
         }
     }
-
-    std::vector<std::function<harness::RunOutput()>> tasks;
-    tasks.reserve(cells.size());
-    for (const Cell &c : cells) {
-        tasks.push_back([&opts, c] {
-            const harness::DsParams params =
-                harness::dsDefaults(c.kind, opts.effectiveScale());
-            return harness::runDataStructure(
-                opts.makeConfig(c.scheme, c.units, 15), c.kind,
-                params.initialSize, params.opsPerCore);
-        });
-    }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     std::size_t i = 0;
     for (harness::DsKind kind : harness::kAllDsKinds) {
         const harness::DsParams params =
-            harness::dsDefaults(kind, opts.effectiveScale());
+            harness::dsDefaults(kind, opts.scale);
         harness::TablePrinter table(
             std::string("Fig. 11 (") + harness::dsName(kind)
                 + "): throughput [ops/ms], size "
@@ -70,18 +61,15 @@ main(int argc, char **argv)
         for (unsigned units = 1; units <= 4; ++units) {
             std::vector<std::string> row{
                 std::to_string(units * 15)};
-            for (Scheme scheme : schemes) {
-                const harness::RunOutput &out = results[i++];
-                row.push_back(fmt(out.opsPerMs(), 1));
-                report.add(std::string(harness::dsName(kind)) + "/"
-                               + std::to_string(units * 15) + "cores/"
-                               + schemeName(scheme),
-                           out);
-            }
+            for (std::size_t s = 0; s < std::size(schemes); ++s)
+                row.push_back(fmt(results[i++].opsPerMs(), 1));
             table.addRow(std::move(row));
         }
         table.print(std::cout);
     }
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig11_data_structures", run)

@@ -10,25 +10,23 @@
  */
 
 #include <cmath>
-#include <functional>
 #include <iostream>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmtX;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig12_real_apps", opts);
+    const harness::BenchOptions &opts = bench.opts();
     // Graphs are already scaled-down proxies; keep default runs brisk.
-    const double scale = 0.35 * opts.effectiveScale();
+    const double scale = 0.35 * opts.scale;
 
     harness::TablePrinter table(
         "Fig. 12: real-application speedup vs Central",
@@ -41,16 +39,17 @@ main(int argc, char **argv)
     inputs.prepare(appInputs, scale);
     inputs.preparePartitions(appInputs, 4);
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (const harness::AppInput &ai : appInputs) {
         for (Scheme scheme : schemes) {
-            tasks.push_back([&opts, &inputs, ai, scheme] {
-                return harness::runAppInput(
-                    opts.makeConfig(scheme, 4, 15), ai, inputs);
-            });
+            bench.cell(ai.app + "." + ai.input + "/" + schemeName(scheme),
+                       [&opts, &inputs, ai, scheme] {
+                           return harness::runAppInput(
+                               opts.makeConfig(scheme, 4, 15), ai,
+                               inputs);
+                       });
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     double geoHier = 0, geoSynCron = 0, geoIdeal = 0;
     int n = 0;
@@ -58,12 +57,8 @@ main(int argc, char **argv)
 
     for (const harness::AppInput &ai : appInputs) {
         double time[4];
-        for (int s = 0; s < 4; ++s, ++i) {
+        for (int s = 0; s < 4; ++s, ++i)
             time[s] = static_cast<double>(results[i].time);
-            report.add(ai.app + "." + ai.input + "/"
-                           + schemeName(schemes[s]),
-                       results[i]);
-        }
         table.addRow({ai.app + "." + ai.input, fmtX(1.0),
                       fmtX(time[0] / time[1]), fmtX(time[0] / time[2]),
                       fmtX(time[0] / time[3])});
@@ -86,6 +81,9 @@ main(int argc, char **argv)
                                      / std::exp(geoSynCron / n)
                                  - 1.0)
               << " (paper: 9.5%)\n";
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig12_real_apps", run)

@@ -9,24 +9,22 @@
  */
 
 #include <cmath>
-#include <functional>
 #include <iostream>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmtX;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig13_scalability", opts);
-    const double scale = 0.35 * opts.effectiveScale();
+    const harness::BenchOptions &opts = bench.opts();
+    const double scale = 0.35 * opts.scale;
 
     const std::vector<harness::AppInput> combos = {
         {"bfs", "sl"}, {"cc", "sx"},  {"sssp", "co"}, {"pr", "wk"},
@@ -37,17 +35,18 @@ main(int argc, char **argv)
     for (unsigned units = 1; units <= 4; ++units)
         inputs.preparePartitions(combos, units);
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (const harness::AppInput &ai : combos) {
         for (unsigned units = 1; units <= 4; ++units) {
-            tasks.push_back([&opts, &inputs, ai, units] {
-                return harness::runAppInput(
-                    opts.makeConfig(Scheme::SynCron, units, 15), ai,
-                    inputs);
-            });
+            bench.cell(ai.app + "." + ai.input + "/"
+                           + std::to_string(units * 15) + "cores",
+                       [&opts, &inputs, ai, units] {
+                           return harness::runAppInput(
+                               opts.makeConfig(Scheme::SynCron, units, 15),
+                               ai, inputs);
+                       });
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter table(
         "Fig. 13: SynCron scalability (speedup vs 1 NDP unit)",
@@ -58,12 +57,8 @@ main(int argc, char **argv)
     std::size_t i = 0;
     for (const harness::AppInput &ai : combos) {
         double time[4];
-        for (unsigned units = 1; units <= 4; ++units, ++i) {
+        for (unsigned units = 1; units <= 4; ++units, ++i)
             time[units - 1] = static_cast<double>(results[i].time);
-            report.add(ai.app + "." + ai.input + "/"
-                           + std::to_string(units * 15) + "cores",
-                       results[i]);
-        }
         table.addRow({ai.app + "." + ai.input, fmtX(1.0),
                       fmtX(time[0] / time[1]), fmtX(time[0] / time[2]),
                       fmtX(time[0] / time[3])});
@@ -74,6 +69,9 @@ main(int argc, char **argv)
     table.print(std::cout);
     std::cout << "geomean 4-unit scaling: " << fmtX(std::exp(geo4 / n))
               << "\n";
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig13_scalability", run)

@@ -9,24 +9,22 @@
  * dominates Central's overhead.
  */
 
-#include <functional>
 #include <iostream>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmt;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig14_energy_breakdown", opts);
-    const double scale = 0.35 * opts.effectiveScale();
+    const harness::BenchOptions &opts = bench.opts();
+    const double scale = 0.35 * opts.scale;
 
     const std::vector<harness::AppInput> combos = {
         {"bfs", "sl"}, {"cc", "sx"},  {"sssp", "co"}, {"pr", "wk"},
@@ -39,16 +37,17 @@ main(int argc, char **argv)
     inputs.prepare(combos, scale);
     inputs.preparePartitions(combos, 4);
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (const harness::AppInput &ai : combos) {
         for (Scheme scheme : schemes) {
-            tasks.push_back([&opts, &inputs, ai, scheme] {
-                return harness::runAppInput(
-                    opts.makeConfig(scheme, 4, 15), ai, inputs);
-            });
+            bench.cell(ai.app + "." + ai.input + "/" + schemeName(scheme),
+                       [&opts, &inputs, ai, scheme] {
+                           return harness::runAppInput(
+                               opts.makeConfig(scheme, 4, 15), ai,
+                               inputs);
+                       });
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter table(
         "Fig. 14: energy breakdown normalized to Central's total",
@@ -60,12 +59,8 @@ main(int argc, char **argv)
 
     for (const harness::AppInput &ai : combos) {
         EnergyBreakdown e[4];
-        for (int s = 0; s < 4; ++s, ++i) {
+        for (int s = 0; s < 4; ++s, ++i)
             e[s] = results[i].energy;
-            report.add(ai.app + "." + ai.input + "/"
-                           + schemeName(schemes[s]),
-                       results[i]);
-        }
         const double base = e[0].total();
         for (int s = 0; s < 4; ++s) {
             table.addRow({ai.app + "." + ai.input, tag[s],
@@ -86,6 +81,9 @@ main(int argc, char **argv)
               << harness::fmtX(sumCentralOverSynCron / n)
               << ", Hier/SynCron "
               << harness::fmtX(sumHierOverSynCron / n) << "\n";
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig14_energy_breakdown", run)

@@ -8,24 +8,22 @@
  * average; Central is dominated by cross-unit traffic.
  */
 
-#include <functional>
 #include <iostream>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmt;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig15_data_movement", opts);
-    const double scale = 0.35 * opts.effectiveScale();
+    const harness::BenchOptions &opts = bench.opts();
+    const double scale = 0.35 * opts.scale;
 
     const std::vector<harness::AppInput> combos = {
         {"bfs", "sl"}, {"cc", "sx"},  {"sssp", "co"}, {"pr", "wk"},
@@ -38,16 +36,17 @@ main(int argc, char **argv)
     inputs.prepare(combos, scale);
     inputs.preparePartitions(combos, 4);
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (const harness::AppInput &ai : combos) {
         for (Scheme scheme : schemes) {
-            tasks.push_back([&opts, &inputs, ai, scheme] {
-                return harness::runAppInput(
-                    opts.makeConfig(scheme, 4, 15), ai, inputs);
-            });
+            bench.cell(ai.app + "." + ai.input + "/" + schemeName(scheme),
+                       [&opts, &inputs, ai, scheme] {
+                           return harness::runAppInput(
+                               opts.makeConfig(scheme, 4, 15), ai,
+                               inputs);
+                       });
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter table(
         "Fig. 15: data movement normalized to Central's total",
@@ -64,9 +63,6 @@ main(int argc, char **argv)
                 static_cast<double>(results[i].stats.bytesInsideUnits);
             across[s] =
                 static_cast<double>(results[i].stats.bytesAcrossUnits);
-            report.add(ai.app + "." + ai.input + "/"
-                           + schemeName(schemes[s]),
-                       results[i]);
         }
         const double base = inside[0] + across[0];
         for (int s = 0; s < 4; ++s) {
@@ -83,6 +79,9 @@ main(int argc, char **argv)
     table.print(std::cout);
     std::cout << "movement reduction Central/SynCron: "
               << harness::fmtX(sumCentralOverSynCron / n) << "\n";
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig15_data_movement", run)

@@ -9,48 +9,47 @@
  * ahead of Hier (paper: 1.06x / 1.04x).
  */
 
-#include <functional>
 #include <iostream>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmt;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig16_high_contention_links", opts);
+    const harness::BenchOptions &opts = bench.opts();
     const double latenciesUs[] = {0.04, 0.1, 0.2, 0.5, 1, 2, 4.5, 9};
     const Scheme schemes[] = {Scheme::Central, Scheme::Hier,
                               Scheme::SynCron, Scheme::Ideal};
     const harness::DsKind kinds[] = {harness::DsKind::Stack,
                                      harness::DsKind::PriorityQueue};
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (harness::DsKind kind : kinds) {
         for (double us : latenciesUs) {
             for (Scheme scheme : schemes) {
-                tasks.push_back([&opts, kind, us, scheme] {
-                    const harness::DsParams params =
-                        harness::dsDefaults(kind,
-                                            opts.effectiveScale());
-                    SystemConfig cfg = opts.makeConfig(scheme, 4, 15);
-                    cfg.link.flightTicks =
-                        static_cast<Tick>(us * kTicksPerUs);
-                    return harness::runDataStructure(
-                        cfg, kind, params.initialSize,
-                        params.opsPerCore);
-                });
+                bench.cell(std::string(harness::dsName(kind)) + "/"
+                               + fmt(us, 2) + "us/" + schemeName(scheme),
+                           [&opts, kind, us, scheme] {
+                               const harness::DsParams params =
+                                   harness::dsDefaults(kind, opts.scale);
+                               SystemConfig cfg =
+                                   opts.makeConfig(scheme, 4, 15);
+                               cfg.link.flightTicks =
+                                   static_cast<Tick>(us * kTicksPerUs);
+                               return harness::runDataStructure(
+                                   cfg, kind, params.initialSize,
+                                   params.opsPerCore);
+                           });
             }
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     std::size_t i = 0;
     for (harness::DsKind kind : kinds) {
@@ -61,20 +60,17 @@ main(int argc, char **argv)
 
         for (double us : latenciesUs) {
             std::vector<std::string> row{fmt(us, 2)};
-            for (Scheme scheme : schemes) {
-                const harness::RunOutput &out = results[i++];
-                row.push_back(fmt(out.opsPerMs(), 1));
-                report.add(std::string(harness::dsName(kind)) + "/"
-                               + fmt(us, 2) + "us/"
-                               + schemeName(scheme),
-                           out);
-            }
+            for (std::size_t s = 0; s < std::size(schemes); ++s)
+                row.push_back(fmt(results[i++].opsPerMs(), 1));
             table.addRow(std::move(row));
         }
         table.addNote("paper: SynCron best hides slow links; Central "
                       "collapses");
         table.print(std::cout);
     }
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig16_high_contention_links", run)

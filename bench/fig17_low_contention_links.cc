@@ -9,24 +9,22 @@
  *   Central 1.61/1.87/2.23/2.67.
  */
 
-#include <functional>
 #include <iostream>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmt;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig17_low_contention_links", opts);
-    const double scale = 0.35 * opts.effectiveScale();
+    const harness::BenchOptions &opts = bench.opts();
+    const double scale = 0.35 * opts.scale;
     const unsigned latenciesNs[] = {40, 100, 200, 500};
     const Scheme schemes[] = {Scheme::Ideal, Scheme::SynCron,
                               Scheme::Hier, Scheme::Central};
@@ -35,20 +33,23 @@ main(int argc, char **argv)
     inputs.prepareGraph("wk", scale);
     inputs.preparePartition("wk", 4);
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (unsigned ns : latenciesNs) {
         for (Scheme scheme : schemes) {
-            tasks.push_back([&opts, &inputs, ns, scheme] {
-                SystemConfig cfg = opts.makeConfig(scheme, 4, 15);
-                cfg.link.flightTicks =
-                    static_cast<Tick>(ns) * kTicksPerNs;
-                return harness::runGraph(cfg, inputs.graph("wk"),
-                                         workloads::GraphApp::Pr,
-                                         inputs.partition("wk", 4));
-            });
+            bench.cell("pr.wk/" + std::to_string(ns) + "ns/"
+                           + schemeName(scheme),
+                       [&opts, &inputs, ns, scheme] {
+                           SystemConfig cfg =
+                               opts.makeConfig(scheme, 4, 15);
+                           cfg.link.flightTicks =
+                               static_cast<Tick>(ns) * kTicksPerNs;
+                           return harness::runGraph(
+                               cfg, inputs.graph("wk"),
+                               workloads::GraphApp::Pr,
+                               inputs.partition("wk", 4));
+                       });
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter table(
         "Fig. 17 (pr.wk): slowdown vs Ideal at the same link latency",
@@ -57,12 +58,8 @@ main(int argc, char **argv)
     std::size_t i = 0;
     for (unsigned ns : latenciesNs) {
         double time[4];
-        for (int s = 0; s < 4; ++s, ++i) {
+        for (int s = 0; s < 4; ++s, ++i)
             time[s] = static_cast<double>(results[i].time);
-            report.add("pr.wk/" + std::to_string(ns) + "ns/"
-                           + schemeName(schemes[s]),
-                       results[i]);
-        }
         table.addRow({std::to_string(ns), fmt(1.0, 2),
                       fmt(time[1] / time[0], 2),
                       fmt(time[2] / time[0], 2),
@@ -70,6 +67,9 @@ main(int argc, char **argv)
     }
     table.addNote("paper @500ns: SynCron 1.17, Hier 1.37, Central 2.67");
     table.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig17_low_contention_links", run)

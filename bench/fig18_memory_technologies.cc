@@ -10,24 +10,22 @@
  * DDR4).
  */
 
-#include <functional>
 #include <iostream>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmtX;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig18_memory_technologies", opts);
-    const double scale = 0.35 * opts.effectiveScale();
+    const harness::BenchOptions &opts = bench.opts();
+    const double scale = 0.35 * opts.scale;
 
     const std::vector<harness::AppInput> combos = {
         {"cc", "wk"}, {"pr", "wk"}, {"ts", "pow"}};
@@ -41,19 +39,23 @@ main(int argc, char **argv)
     inputs.prepare(combos, scale);
     inputs.preparePartitions(combos, 4);
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (const harness::AppInput &ai : combos) {
         for (mem::DramTech tech : techs) {
             for (Scheme scheme : schemes) {
-                tasks.push_back([&opts, &inputs, ai, tech, scheme] {
-                    SystemConfig cfg = opts.makeConfig(scheme, 4, 15);
-                    cfg.dramTech = tech;
-                    return harness::runAppInput(cfg, ai, inputs);
-                });
+                bench.cell(ai.app + "." + ai.input + "/"
+                               + mem::dramTechName(tech) + "/"
+                               + schemeName(scheme),
+                           [&opts, &inputs, ai, tech, scheme] {
+                               SystemConfig cfg =
+                                   opts.makeConfig(scheme, 4, 15);
+                               cfg.dramTech = tech;
+                               return harness::runAppInput(cfg, ai,
+                                                           inputs);
+                           });
             }
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter table(
         "Fig. 18: speedup vs Central per memory technology",
@@ -64,13 +66,8 @@ main(int argc, char **argv)
     for (const harness::AppInput &ai : combos) {
         for (mem::DramTech tech : techs) {
             double time[4];
-            for (int s = 0; s < 4; ++s, ++i) {
+            for (int s = 0; s < 4; ++s, ++i)
                 time[s] = static_cast<double>(results[i].time);
-                report.add(ai.app + "." + ai.input + "/"
-                               + mem::dramTechName(tech) + "/"
-                               + schemeName(schemes[s]),
-                           results[i]);
-            }
             table.addRow({ai.app + "." + ai.input,
                           mem::dramTechName(tech),
                           fmtX(time[0] / time[1]),
@@ -82,6 +79,9 @@ main(int argc, char **argv)
     table.addNote("paper ts.pow SynCron/Hier: HBM 1.41x, DDR4 2.49x — "
                   "the gap widens with slower memory");
     table.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig18_memory_technologies", run)

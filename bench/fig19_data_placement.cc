@@ -8,25 +8,23 @@
  * fewer variables need both a local-SE and a Master-SE entry.
  */
 
-#include <functional>
 #include <iostream>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmtPct;
 using harness::fmtX;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig19_data_placement", opts);
-    const double scale = 0.35 * opts.effectiveScale();
+    const harness::BenchOptions &opts = bench.opts();
+    const double scale = 0.35 * opts.scale;
     const Scheme schemes[] = {Scheme::Central, Scheme::Hier,
                               Scheme::SynCron, Scheme::Ideal};
     const char *inputs[] = {"wk", "sl", "sx", "co"};
@@ -38,20 +36,23 @@ main(int argc, char **argv)
             shared.preparePartition(input, 4, metis);
     }
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (const char *input : inputs) {
         for (bool metis : {false, true}) {
             for (Scheme scheme : schemes) {
-                tasks.push_back([&opts, &shared, input, metis, scheme] {
-                    return harness::runGraph(
-                        opts.makeConfig(scheme, 4, 15),
-                        shared.graph(input), workloads::GraphApp::Pr,
-                        shared.partition(input, 4, metis));
-                });
+                bench.cell(std::string("pr.") + input + "/"
+                               + (metis ? "greedy" : "range") + "/"
+                               + schemeName(scheme),
+                           [&opts, &shared, input, metis, scheme] {
+                               return harness::runGraph(
+                                   opts.makeConfig(scheme, 4, 15),
+                                   shared.graph(input),
+                                   workloads::GraphApp::Pr,
+                                   shared.partition(input, 4, metis));
+                           });
             }
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter speed(
         "Fig. 19: pr speedup vs Central/no-partitioning",
@@ -70,10 +71,6 @@ main(int argc, char **argv)
                 time[s] = static_cast<double>(results[i].time);
                 if (schemes[s] == Scheme::SynCron)
                     (metis ? occYes : occNo) = results[i].stMaxFrac;
-                report.add(std::string("pr.") + input + "/"
-                               + (metis ? "greedy" : "range") + "/"
-                               + schemeName(schemes[s]),
-                           results[i]);
             }
             if (!metis)
                 base = time[0];
@@ -88,6 +85,9 @@ main(int argc, char **argv)
     speed.print(std::cout);
     occ.addNote("paper: max ST occupancy drops (e.g. pr.wk 62% -> 39%)");
     occ.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig19_data_placement", run)

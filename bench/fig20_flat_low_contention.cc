@@ -10,24 +10,22 @@
  */
 
 #include <cmath>
-#include <functional>
 #include <iostream>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmt;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig20_flat_low_contention", opts);
-    const double scale = 0.35 * opts.effectiveScale();
+    const harness::BenchOptions &opts = bench.opts();
+    const double scale = 0.35 * opts.scale;
     const Scheme schemes[] = {Scheme::SynCronFlat, Scheme::SynCron};
 
     // Fig. 20 is the 24 graph combinations (no ts rows).
@@ -41,16 +39,17 @@ main(int argc, char **argv)
     inputs.prepare(combos, scale);
     inputs.preparePartitions(combos, 4);
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (const harness::AppInput &ai : combos) {
         for (Scheme scheme : schemes) {
-            tasks.push_back([&opts, &inputs, ai, scheme] {
-                return harness::runAppInput(
-                    opts.makeConfig(scheme, 4, 15), ai, inputs);
-            });
+            bench.cell(ai.app + "." + ai.input + "/" + schemeName(scheme),
+                       [&opts, &inputs, ai, scheme] {
+                           return harness::runAppInput(
+                               opts.makeConfig(scheme, 4, 15), ai,
+                               inputs);
+                       });
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter table(
         "Fig. 20: SynCron speedup normalized to flat (40 ns links)",
@@ -62,8 +61,6 @@ main(int argc, char **argv)
     for (const harness::AppInput &ai : combos) {
         const harness::RunOutput &flat = results[i++];
         const harness::RunOutput &hier = results[i++];
-        report.add(ai.app + "." + ai.input + "/SynCron-flat", flat);
-        report.add(ai.app + "." + ai.input + "/SynCron", hier);
         const double ratio = static_cast<double>(flat.time)
                              / static_cast<double>(hier.time);
         table.addRow({ai.app + "." + ai.input, fmt(ratio, 3)});
@@ -74,6 +71,9 @@ main(int argc, char **argv)
     table.print(std::cout);
     std::cout << "geomean SynCron/flat: " << fmt(std::exp(geo / n), 3)
               << "\n";
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig20_flat_low_contention", run)

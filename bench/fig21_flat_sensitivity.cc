@@ -10,23 +10,21 @@
  * (paper: up to 2.14x at 500 ns / 60 cores).
  */
 
-#include <functional>
 #include <iostream>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmt;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig21_flat_sensitivity", opts);
+    const harness::BenchOptions &opts = bench.opts();
     const unsigned latenciesNs[] = {40, 100, 200, 500};
     const Scheme schemes[] = {Scheme::SynCronFlat, Scheme::SynCron};
     const char *inputs[] = {"air", "pow"};
@@ -34,42 +32,50 @@ main(int argc, char **argv)
 
     harness::SharedInputs shared;
     for (const char *input : inputs)
-        shared.prepareSeries(input, 0.35 * opts.effectiveScale());
+        shared.prepareSeries(input, 0.35 * opts.scale);
 
     // (a) time series cells, then (b) queue cells, flat before hier.
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (const char *input : inputs) {
         for (unsigned ns : latenciesNs) {
             for (Scheme scheme : schemes) {
-                tasks.push_back([&opts, &shared, input, ns, scheme] {
-                    SystemConfig cfg = opts.makeConfig(scheme, 4, 15);
-                    cfg.link.flightTicks =
-                        static_cast<Tick>(ns) * kTicksPerNs;
-                    return harness::runTimeSeries(cfg,
-                                                  shared.series(input));
-                });
+                bench.cell(std::string("ts.") + input + "/"
+                               + std::to_string(ns) + "ns/"
+                               + schemeName(scheme),
+                           [&opts, &shared, input, ns, scheme] {
+                               SystemConfig cfg =
+                                   opts.makeConfig(scheme, 4, 15);
+                               cfg.link.flightTicks =
+                                   static_cast<Tick>(ns) * kTicksPerNs;
+                               return harness::runTimeSeries(
+                                   cfg, shared.series(input));
+                           });
             }
         }
     }
     for (unsigned units : unitCounts) {
         for (unsigned ns : latenciesNs) {
             for (Scheme scheme : schemes) {
-                tasks.push_back([&opts, units, ns, scheme] {
-                    const harness::DsParams params =
-                        harness::dsDefaults(harness::DsKind::Queue,
-                                            opts.effectiveScale());
-                    SystemConfig cfg =
-                        opts.makeConfig(scheme, units, 15);
-                    cfg.link.flightTicks =
-                        static_cast<Tick>(ns) * kTicksPerNs;
-                    return harness::runDataStructure(
-                        cfg, harness::DsKind::Queue,
-                        params.initialSize, params.opsPerCore);
-                });
+                bench.cell("queue/" + std::to_string(units * 15)
+                               + "cores/" + std::to_string(ns) + "ns/"
+                               + schemeName(scheme),
+                           [&opts, units, ns, scheme] {
+                               const harness::DsParams params =
+                                   harness::dsDefaults(
+                                       harness::DsKind::Queue,
+                                       opts.scale);
+                               SystemConfig cfg =
+                                   opts.makeConfig(scheme, units, 15);
+                               cfg.link.flightTicks =
+                                   static_cast<Tick>(ns) * kTicksPerNs;
+                               return harness::runDataStructure(
+                                   cfg, harness::DsKind::Queue,
+                                   params.initialSize,
+                                   params.opsPerCore);
+                           });
             }
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     std::size_t i = 0;
     harness::TablePrinter a(
@@ -77,15 +83,9 @@ main(int argc, char **argv)
         {"input", "40ns", "100ns", "200ns", "500ns"});
     for (const char *input : inputs) {
         std::vector<std::string> row{input};
-        for (unsigned ns : latenciesNs) {
+        for (std::size_t n = 0; n < std::size(latenciesNs); ++n) {
             const harness::RunOutput &flat = results[i++];
             const harness::RunOutput &hier = results[i++];
-            report.add(std::string("ts.") + input + "/"
-                           + std::to_string(ns) + "ns/SynCron-flat",
-                       flat);
-            report.add(std::string("ts.") + input + "/"
-                           + std::to_string(ns) + "ns/SynCron",
-                       hier);
             row.push_back(fmt(static_cast<double>(flat.time)
                                   / static_cast<double>(hier.time),
                               3));
@@ -100,15 +100,9 @@ main(int argc, char **argv)
         {"cores", "40ns", "100ns", "200ns", "500ns"});
     for (unsigned units : unitCounts) {
         std::vector<std::string> row{std::to_string(units * 15)};
-        for (unsigned ns : latenciesNs) {
+        for (std::size_t n = 0; n < std::size(latenciesNs); ++n) {
             const harness::RunOutput &flat = results[i++];
             const harness::RunOutput &hier = results[i++];
-            report.add("queue/" + std::to_string(units * 15) + "cores/"
-                           + std::to_string(ns) + "ns/SynCron-flat",
-                       flat);
-            report.add("queue/" + std::to_string(units * 15) + "cores/"
-                           + std::to_string(ns) + "ns/SynCron",
-                       hier);
             row.push_back(fmt(static_cast<double>(flat.time)
                                   / static_cast<double>(hier.time),
                               2));
@@ -118,6 +112,9 @@ main(int argc, char **argv)
     b.addNote("paper: 30 cores 1.23x-1.76x; 60 cores up to 2.14x at "
               "500ns");
     b.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig21_flat_sensitivity", run)

@@ -10,25 +10,23 @@
  * down gracefully (integrated overflow).
  */
 
-#include <functional>
 #include <iostream>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmt;
 using harness::fmtPct;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig22_st_size", opts);
-    const double scale = 0.35 * opts.effectiveScale();
+    const harness::BenchOptions &opts = bench.opts();
+    const double scale = 0.35 * opts.scale;
     const unsigned sizes[] = {64, 48, 32, 16, 8};
     const std::vector<harness::AppInput> combos = {
         {"cc", "wk"}, {"pr", "wk"}, {"ts", "air"}, {"ts", "pow"}};
@@ -36,18 +34,19 @@ main(int argc, char **argv)
     inputs.prepare(combos, scale);
     inputs.preparePartitions(combos, 4);
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (const harness::AppInput &ai : combos) {
         for (unsigned entries : sizes) {
-            tasks.push_back([&opts, &inputs, ai, entries] {
-                SystemConfig cfg =
-                    opts.makeConfig(Scheme::SynCron, 4, 15);
-                cfg.stEntries = entries;
-                return harness::runAppInput(cfg, ai, inputs);
-            });
+            bench.cell(ai.app + "." + ai.input + "/ST_"
+                           + std::to_string(entries),
+                       [&opts, &inputs, ai, entries] {
+                           SystemConfig cfg =
+                               opts.makeConfig(Scheme::SynCron, 4, 15);
+                           cfg.stEntries = entries;
+                           return harness::runAppInput(cfg, ai, inputs);
+                       });
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter table(
         "Fig. 22: slowdown vs 64-entry ST (overflowed requests in "
@@ -64,15 +63,15 @@ main(int argc, char **argv)
                 base = static_cast<double>(out.time);
             row.push_back(fmt(static_cast<double>(out.time) / base, 2)
                           + " (" + fmtPct(out.overflowFrac()) + ")");
-            report.add(ai.app + "." + ai.input + "/ST_"
-                           + std::to_string(entries),
-                       out);
         }
         table.addRow(std::move(row));
     }
     table.addNote("paper: 64-entry ST never overflows; ts.pow reaches "
                   "83.7% overflowed requests at ST_8");
     table.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig22_st_size", run)

@@ -15,15 +15,12 @@
  * messagesSaved counters advance) for every width >= 2.
  */
 
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
@@ -42,35 +39,34 @@ msgsPerOp(const harness::RunOutput &out)
                               / static_cast<double>(out.ops);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig23_async_batching", opts);
+    const harness::BenchOptions &opts = bench.opts();
 
     const unsigned widths[] = {1, 2, 4, 8};
     const bool contentions[] = {false, true};
     const Scheme schemes[] = {Scheme::SynCron, Scheme::Central,
                               Scheme::SynCronFlat};
     const unsigned rounds =
-        std::max(1u, static_cast<unsigned>(12 * opts.effectiveScale()));
+        std::max(1u, static_cast<unsigned>(12 * opts.scale));
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (bool contended : contentions) {
         for (unsigned width : widths) {
             for (Scheme scheme : schemes) {
-                tasks.push_back([&opts, width, rounds, contended,
-                                 scheme] {
-                    SystemConfig cfg = opts.makeConfig(scheme, 4, 15);
-                    return harness::runSemFanout(cfg, width, rounds,
-                                                 contended);
-                });
+                bench.cell("fanout/" + std::string(contended ? "high" : "low")
+                               + "/w" + std::to_string(width) + "/"
+                               + schemeName(scheme),
+                           [&opts, width, rounds, contended, scheme] {
+                               SystemConfig cfg =
+                                   opts.makeConfig(scheme, 4, 15);
+                               return harness::runSemFanout(
+                                   cfg, width, rounds, contended);
+                           });
             }
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter table(
         "Async batching (sem fan-out): sync messages per op",
@@ -113,10 +109,6 @@ main(int argc, char **argv)
                     row.push_back(
                         std::to_string(out.stats.messagesSaved));
                 }
-                report.add("fanout/" + cont + "/w"
-                               + std::to_string(width) + "/"
-                               + schemeName(scheme),
-                           out);
             }
             table.addRow(std::move(row));
         }
@@ -126,6 +118,9 @@ main(int argc, char **argv)
     table.addNote("checked: SynCron msgs/op strictly decreasing with "
                   "width at low contention");
     table.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig23_async_batching", run)

@@ -10,45 +10,45 @@
  * ~10-12% (paper, at 30.5% overflowed requests with a 64-entry ST).
  */
 
-#include <functional>
 #include <iostream>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmt;
 using harness::fmtPct;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("fig23_overflow", opts);
+    const harness::BenchOptions &opts = bench.opts();
     const unsigned sizes[] = {16, 32, 48, 64, 128, 256};
     const Scheme schemes[] = {Scheme::SynCron,
                               Scheme::SynCronCentralOvrfl,
                               Scheme::SynCronDistribOvrfl};
 
     const harness::DsParams params = harness::dsDefaults(
-        harness::DsKind::BstFg, opts.effectiveScale());
+        harness::DsKind::BstFg, opts.scale);
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (unsigned entries : sizes) {
         for (Scheme scheme : schemes) {
-            tasks.push_back([&opts, entries, scheme, params] {
-                SystemConfig cfg = opts.makeConfig(scheme, 4, 15);
-                cfg.stEntries = entries;
-                return harness::runDataStructure(
-                    cfg, harness::DsKind::BstFg, params.initialSize,
-                    params.opsPerCore);
-            });
+            bench.cell("BST_FG/ST_" + std::to_string(entries) + "/"
+                           + schemeName(scheme),
+                       [&opts, entries, scheme, params] {
+                           SystemConfig cfg =
+                               opts.makeConfig(scheme, 4, 15);
+                           cfg.stEntries = entries;
+                           return harness::runDataStructure(
+                               cfg, harness::DsKind::BstFg,
+                               params.initialSize, params.opsPerCore);
+                       });
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter table(
         "Fig. 23 (BST_FG): throughput [ops/ms] per overflow scheme",
@@ -65,9 +65,6 @@ main(int argc, char **argv)
             if (scheme == Scheme::SynCron)
                 overflowFrac = out.overflowFrac();
             cells.push_back(fmt(out.opsPerMs(), 1));
-            report.add("BST_FG/ST_" + std::to_string(entries) + "/"
-                           + schemeName(scheme),
-                       out);
         }
         row.push_back(fmtPct(overflowFrac));
         row.insert(row.end(), cells.begin(), cells.end());
@@ -76,6 +73,9 @@ main(int argc, char **argv)
     table.addNote("paper @64 entries: 30.5% overflowed; integrated "
                   "-3.2% vs CentralOvrfl -12.3% / DistribOvrfl -10.4%");
     table.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig23_overflow", run)

@@ -21,7 +21,6 @@
  */
 
 #include <algorithm>
-#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -33,9 +32,7 @@
 #include "durability/pm_model.hh"
 #include "durability/recovery.hh"
 #include "harness/crash_sweep.hh"
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 #include "system/system.hh"
 #include "workloads/replication/replication.hh"
@@ -84,7 +81,7 @@ int
 runCrashOnce(const harness::BenchOptions &opts)
 {
     const workloads::ReplicationParams params =
-        benchParams(opts.effectiveScale());
+        benchParams(opts.scale);
     SystemConfig cfg = opts.makeConfig(Scheme::SynCron, 4, 15);
     if (cfg.persistMode == durability::PersistMode::Off)
         cfg.persistMode = durability::PersistMode::Eager;
@@ -157,34 +154,33 @@ runSweepMode(const harness::BenchOptions &opts)
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
+    const harness::BenchOptions &opts = bench.opts();
     if (opts.crashSweepEvery > 0)
         return runSweepMode(opts);
     if (opts.crashAt != 0)
         return runCrashOnce(opts);
 
-    harness::BenchReport report("fig24_durability", opts);
     const Scheme schemes[] = {Scheme::SynCron, Scheme::Central};
     const workloads::ReplicationParams params =
-        benchParams(opts.effectiveScale());
+        benchParams(opts.scale);
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (Scheme scheme : schemes) {
         for (const ModeSpec &m : kModes) {
-            tasks.push_back([&opts, scheme, m, params] {
-                SystemConfig cfg = opts.makeConfig(scheme, 4, 15);
-                cfg.persistMode = m.mode;
-                cfg.persistEpochOps = m.epochOps;
-                return harness::runReplication(cfg, params);
-            });
+            bench.cell(std::string("replication/") + schemeName(scheme)
+                           + "/" + m.label,
+                       [&opts, scheme, m, params] {
+                           SystemConfig cfg =
+                               opts.makeConfig(scheme, 4, 15);
+                           cfg.persistMode = m.mode;
+                           cfg.persistEpochOps = m.epochOps;
+                           return harness::runReplication(cfg, params);
+                       });
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter table(
         "Durability (replication): ops/ms by persist granularity",
@@ -223,14 +219,11 @@ main(int argc, char **argv)
                           fmt(out.opsPerMs(), 1), fmt(overhead, 1),
                           std::to_string(out.stats.pmWrites),
                           std::to_string(out.stats.pmFlushes)});
-            const std::string key = std::string("replication/")
-                                    + schemeName(scheme) + "/" + m.label;
-            report.add(key, out);
             if (m.mode != durability::PersistMode::Off)
-                report.addMetric("overheadPct/"
-                                     + std::string(schemeName(scheme))
-                                     + "/" + m.label,
-                                 overhead);
+                bench.metric("overheadPct/"
+                                 + std::string(schemeName(scheme)) + "/"
+                                 + m.label,
+                             overhead);
         }
     }
     table.addNote("overhead% is throughput lost vs the no-durability "
@@ -239,6 +232,9 @@ main(int argc, char **argv)
                   "the request path; epoch:N batches N WAL records per "
                   "flush");
     table.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("fig24_durability", run)

@@ -26,16 +26,13 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <queue>
 #include <string>
 #include <vector>
 
-#include "common/log.hh"
-#include "harness/json.hh"
-#include "harness/runner.hh"
+#include "harness/report.hh"
 #include "harness/table.hh"
 #include "sim/event_queue.hh"
 
@@ -225,14 +222,11 @@ runFar(std::uint64_t events)
     });
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
     const auto events = static_cast<std::uint64_t>(
-        2'000'000 * opts.effectiveScale());
+        2'000'000 * bench.opts().scale);
 
     struct Scenario
     {
@@ -254,12 +248,7 @@ main(int argc, char **argv)
         {"scenario", "legacy [Mev/s]", "wheel [Mev/s]", "speedup",
          "promotions"});
 
-    struct Row
-    {
-        const char *name;
-        ScenarioResult legacy, wheel;
-    };
-    std::vector<Row> rows;
+    bench.metric("eventsPerScenario", static_cast<double>(events));
     double legacySec = 0, wheelSec = 0;
     std::uint64_t totalEvents = 0;
 
@@ -269,7 +258,12 @@ main(int argc, char **argv)
         s.wheel(events / 10);
         const ScenarioResult l = s.legacy(events);
         const ScenarioResult w = s.wheel(events);
-        rows.push_back(Row{s.name, l, w});
+        const std::string key = std::string(s.name) + "/";
+        bench.metric(key + "legacyEventsPerSec", l.eventsPerSec());
+        bench.metric(key + "wheelEventsPerSec", w.eventsPerSec());
+        bench.metric(key + "speedup", l.seconds / w.seconds);
+        bench.metric(key + "wheelPromotions",
+                     static_cast<double>(w.promotions));
         legacySec += l.seconds;
         wheelSec += w.seconds;
         totalEvents += events;
@@ -289,41 +283,12 @@ main(int argc, char **argv)
     std::cout << "kernel_micro overall speedup: "
               << fmtX(wheelRate / legacyRate) << " (gate: >= 2.00x)\n";
 
-    if (!opts.json.empty()) {
-        std::ofstream f(opts.json);
-        if (!f)
-            SYNCRON_FATAL("cannot write --json file '" << opts.json
-                                                       << "'");
-        harness::JsonWriter j(f);
-        j.beginObject();
-        j.field("bench", "kernel_micro");
-        j.key("options");
-        j.beginObject()
-            .field("scale", opts.scale)
-            .field("full", opts.full)
-            .endObject();
-        j.field("eventsPerScenario", events);
-        j.key("scenarios");
-        j.beginArray();
-        for (const Row &r : rows) {
-            j.beginObject()
-                .field("name", r.name)
-                .field("legacyEventsPerSec", r.legacy.eventsPerSec())
-                .field("wheelEventsPerSec", r.wheel.eventsPerSec())
-                .field("speedup", r.legacy.seconds / r.wheel.seconds)
-                .field("wheelPromotions", r.wheel.promotions)
-                .endObject();
-        }
-        j.endArray();
-        j.key("overall");
-        j.beginObject()
-            .field("legacyEventsPerSec", legacyRate)
-            .field("wheelEventsPerSec", wheelRate)
-            .field("speedup", wheelRate / legacyRate)
-            .endObject();
-        j.endObject();
-        f << "\n";
-        std::cout << "wrote " << opts.json << "\n";
-    }
+    bench.metric("overall/legacyEventsPerSec", legacyRate);
+    bench.metric("overall/wheelEventsPerSec", wheelRate);
+    bench.metric("overall/speedup", wheelRate / legacyRate);
     return wheelRate / legacyRate >= 2.0 ? 0 : 1;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("kernel_micro", run)

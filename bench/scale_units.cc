@@ -20,12 +20,10 @@
 #include <iostream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/log.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 #include "system/system.hh"
 
@@ -42,79 +40,67 @@ constexpr double kGateSpeedup = 1.5;
 constexpr unsigned kGateShards = 4;
 constexpr unsigned kGateMinHostThreads = 4;
 
-struct Row
-{
-    unsigned shards = 0;
-    harness::RunOutput out;
-};
-
 void
-assertIdentical(const Row &ref, const Row &row)
+assertIdentical(const harness::RunOutput &ref,
+                const harness::RunOutput &out, unsigned shards)
 {
-    SYNCRON_ASSERT(ref.out.time == row.out.time,
-                   "sharded run diverged: simTicks " << row.out.time
-                       << " @" << row.shards << " shards vs "
-                       << ref.out.time << " @1");
-    SYNCRON_ASSERT(ref.out.ops == row.out.ops,
-                   "sharded run diverged: ops " << row.out.ops << " @"
-                       << row.shards << " shards vs " << ref.out.ops
-                       << " @1");
+    SYNCRON_ASSERT(ref.time == out.time,
+                   "sharded run diverged: simTicks " << out.time << " @"
+                       << shards << " shards vs " << ref.time << " @1");
+    SYNCRON_ASSERT(ref.ops == out.ops,
+                   "sharded run diverged: ops " << out.ops << " @"
+                       << shards << " shards vs " << ref.ops << " @1");
     std::vector<double> a;
     std::vector<double> b;
-    ref.out.stats.forEach(
+    ref.stats.forEach(
         [&](const std::string &, double v) { a.push_back(v); });
-    row.out.stats.forEach(
+    out.stats.forEach(
         [&](const std::string &, double v) { b.push_back(v); });
     SYNCRON_ASSERT(a == b, "sharded run diverged: SystemStats differ @"
-                               << row.shards << " shards");
+                               << shards << " shards");
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    const double scale = opts.effectiveScale();
+    const double scale = bench.opts().scale;
     const auto initialSize = static_cast<unsigned>(2000 * scale);
     const auto opsPerCore = static_cast<unsigned>(24 * scale);
     const unsigned hostThreads = std::thread::hardware_concurrency();
 
-    harness::BenchReport report("scale_units", opts);
-
-    std::vector<Row> rows;
     for (unsigned shards : kShardCounts) {
-        SystemConfig cfg =
-            SystemConfig::make(Scheme::SynCron, kUnits, kCoresPerUnit);
-        cfg.simShards = shards;
-        Row row;
-        row.shards = shards;
-        row.out = harness::runDataStructure(
-            cfg, harness::DsKind::SkipList, initialSize, opsPerCore);
-        if (!rows.empty())
-            assertIdentical(rows.front(), row);
-        report.add("shards=" + std::to_string(shards), row.out);
-        rows.push_back(std::move(row));
+        bench.cell("shards=" + std::to_string(shards),
+                   [shards, initialSize, opsPerCore] {
+                       SystemConfig cfg = SystemConfig::make(
+                           Scheme::SynCron, kUnits, kCoresPerUnit);
+                       cfg.simShards = shards;
+                       return harness::runDataStructure(
+                           cfg, harness::DsKind::SkipList, initialSize,
+                           opsPerCore);
+                   });
     }
+    // One row at a time whatever --jobs says: each row times the host.
+    const auto results = bench.run(1);
+    for (std::size_t i = 1; i < results.size(); ++i)
+        assertIdentical(results.front(), results[i], kShardCounts[i]);
 
-    const double baseRate = rows.front().out.hostEventsPerSec();
+    const double baseRate = results.front().hostEventsPerSec();
     harness::TablePrinter table(
         "scale_units: one 16-unit machine, host threads vs events/sec",
         {"shards", "sim ticks", "host events", "host [ms]", "Mev/s",
          "speedup"});
     double gateSpeedup = 0.0;
-    for (const Row &r : rows) {
-        const double rate = r.out.hostEventsPerSec();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const unsigned shards = kShardCounts[i];
+        const harness::RunOutput &out = results[i];
+        const double rate = out.hostEventsPerSec();
         const double speedup = baseRate > 0.0 ? rate / baseRate : 0.0;
-        if (r.shards == kGateShards)
+        if (shards == kGateShards)
             gateSpeedup = speedup;
-        report.addMetric("speedup.shards"
-                             + std::to_string(r.shards),
-                         speedup);
-        table.addRow({std::to_string(r.shards),
-                      std::to_string(r.out.time),
-                      std::to_string(r.out.hostEvents),
-                      fmt(static_cast<double>(r.out.hostNs) / 1e6, 2),
+        bench.metric("speedup.shards" + std::to_string(shards), speedup);
+        table.addRow({std::to_string(shards), std::to_string(out.time),
+                      std::to_string(out.hostEvents),
+                      fmt(static_cast<double>(out.hostNs) / 1e6, 2),
                       fmt(rate / 1e6, 2), fmtX(speedup)});
     }
     table.addNote("all rows bit-identical (asserted): same final tick, "
@@ -129,9 +115,8 @@ main(int argc, char **argv)
                   + std::to_string(kGateMinHostThreads));
     table.print(std::cout);
 
-    report.addMetric("gateActive", gateActive ? 1.0 : 0.0);
-    report.addMetric("hostThreads", hostThreads);
-    report.finish(std::cout);
+    bench.metric("gateActive", gateActive ? 1.0 : 0.0);
+    bench.metric("hostThreads", hostThreads);
 
     if (gateActive && gateSpeedup < kGateSpeedup) {
         std::cout << "scale_units gate FAILED: " << fmtX(gateSpeedup)
@@ -141,3 +126,7 @@ main(int argc, char **argv)
     }
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("scale_units", run)

@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <iostream>
 #include <iterator>
 #include <string>
@@ -32,9 +31,7 @@
 
 #include "common/log.hh"
 #include "common/units.hh"
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 #include "load/slo.hh"
 #include "system/config.hh"
@@ -77,13 +74,11 @@ rateLabel(double rate)
     return s;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    const double scale = opts.effectiveScale();
+    const harness::BenchOptions &opts = bench.opts();
+    const double scale = opts.scale;
 
     load::LoadSpec base;
     base.kind = load::ArrivalKind::Poisson;
@@ -107,8 +102,6 @@ main(int argc, char **argv)
             backends.emplace_back(s, schemeName(s));
     }
 
-    harness::BenchReport report("slo_curves", opts);
-
     // One schedule expansion per rate, shared read-only by every
     // backend's cell at that rate (and by the SLO probes' rerun of the
     // same spec in spirit — probes expand their own rates).
@@ -124,38 +117,26 @@ main(int argc, char **argv)
             load::buildArrivalSchedule(spec, numCores));
     }
 
-    struct Cell
-    {
-        unsigned backendIdx;
-        unsigned rateIdx;
-    };
-    std::vector<Cell> cells;
-    std::vector<std::function<harness::RunOutput()>> tasks;
-    for (unsigned b = 0; b < backends.size(); ++b) {
+    for (const auto &[scheme, name] : backends) {
         for (unsigned r = 0; r < std::size(kRates); ++r) {
-            cells.push_back(Cell{b, r});
-            const Scheme scheme = backends[b].first;
-            tasks.push_back([&, scheme, r] {
-                const SystemConfig cfg = opts.makeConfig(scheme);
-                return harness::runOpenLoop(cfg, specs[r],
-                                            schedules[r]);
-            });
+            bench.cell(name + "/" + rateLabel(kRates[r]),
+                       [&, scheme = scheme, r] {
+                           const SystemConfig cfg =
+                               opts.makeConfig(scheme);
+                           return harness::runOpenLoop(cfg, specs[r],
+                                                       schedules[r]);
+                       });
         }
     }
-    const std::vector<harness::RunOutput> results =
-        harness::runGrid(std::move(tasks), opts.jobs);
+    const std::vector<harness::RunOutput> results = bench.run();
 
-    // -- Assemble curves + BENCH records ------------------------------
+    // -- Assemble curves ----------------------------------------------
     std::vector<load::SloCurve> curves(backends.size());
-    for (unsigned b = 0; b < backends.size(); ++b)
+    std::size_t i = 0;
+    for (unsigned b = 0; b < backends.size(); ++b) {
         curves[b].backend = backends[b].second;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const Cell &cell = cells[i];
-        curves[cell.backendIdx].points.push_back(
-            pointFrom(results[i], kRates[cell.rateIdx]));
-        report.add(backends[cell.backendIdx].second + "/"
-                       + rateLabel(kRates[cell.rateIdx]),
-                   results[i]);
+        for (double rate : kRates)
+            curves[b].points.push_back(pointFrom(results[i++], rate));
     }
 
     // -- Inline determinism / cross-shard identity check --------------
@@ -205,10 +186,10 @@ main(int argc, char **argv)
                           : fmt(res.maxRatePerUs, 3)
                                 + (res.hiPassed ? "+" : ""),
              fmt(res.p99NsAtMax, 1), std::to_string(res.probes)});
-        report.addMetric("maxRatePerUs." + backends[b].second,
-                         res.maxRatePerUs);
-        report.addMetric("p99AtMaxNs." + backends[b].second,
-                         res.p99NsAtMax);
+        bench.metric("maxRatePerUs." + backends[b].second,
+                     res.maxRatePerUs);
+        bench.metric("p99AtMaxNs." + backends[b].second,
+                     res.p99NsAtMax);
     }
 
     // -- Terminal output ----------------------------------------------
@@ -235,6 +216,9 @@ main(int argc, char **argv)
     for (const load::SloCurve &curve : curves)
         std::cout << "curve " << load::curveToJson(curve) << "\n";
 
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("slo_curves", run)

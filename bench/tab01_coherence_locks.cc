@@ -12,14 +12,11 @@
  *      socket (non-uniform lock-line transfers).
  */
 
-#include <functional>
 #include <iostream>
 #include <vector>
 
 #include "coherence/mesi.hh"
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 #include "mem/allocator.hh"
 
@@ -30,18 +27,13 @@ using harness::fmt;
 
 namespace {
 
-struct LockBenchResult
-{
-    double mopsPerSec = 0.0;
-    Tick time = 0;
-    std::uint64_t acquired = 0;
-};
-
 /**
+ * One variant's runtime and acquire count.
+ *
  * @param threads    worker count
  * @param sameSocket false: spread threads over both sockets
  */
-LockBenchResult
+harness::RunOutput
 runLockBench(bool ttas, unsigned threads, bool sameSocket, unsigned ops)
 {
     // Two sockets, 14 "hardware threads" each.
@@ -72,23 +64,18 @@ runLockBench(bool ttas, unsigned threads, bool sameSocket, unsigned ops)
     }
     machine.eq().run();
 
-    const double seconds = ticksToSeconds(machine.eq().now());
-    LockBenchResult r;
-    r.time = machine.eq().now();
-    r.acquired = acquired;
-    r.mopsPerSec = static_cast<double>(acquired) / seconds / 1e6;
-    return r;
+    harness::RunOutput out;
+    out.time = machine.eq().now();
+    out.ops = acquired;
+    return out;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("tab01_coherence_locks", opts);
+    const harness::BenchOptions &opts = bench.opts();
     const unsigned ops =
-        static_cast<unsigned>(60 * opts.effectiveScale());
+        static_cast<unsigned>(60 * opts.scale);
 
     struct Cell
     {
@@ -103,15 +90,16 @@ main(int argc, char **argv)
         {"2thr-diff-socket", 2, false},
     };
 
-    std::vector<std::function<LockBenchResult()>> tasks;
     for (bool ttas : {true, false}) {
         for (const Cell &c : variants) {
-            tasks.push_back([ttas, c, ops] {
-                return runLockBench(ttas, c.threads, c.sameSocket, ops);
-            });
+            bench.cell(std::string(ttas ? "TTAS" : "HTL") + "/" + c.label,
+                       [ttas, c, ops] {
+                           return runLockBench(ttas, c.threads,
+                                               c.sameSocket, ops);
+                       });
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter table(
         "Table 1 (simulated substitute): coherence-lock throughput "
@@ -122,12 +110,11 @@ main(int argc, char **argv)
     std::size_t i = 0;
     for (bool ttas : {true, false}) {
         std::vector<std::string> row{ttas ? "TTAS" : "Hier. Ticket"};
-        for (const Cell &c : variants) {
-            const LockBenchResult &r = results[i++];
-            row.push_back(fmt(r.mopsPerSec, 2));
-            report.addScalar(std::string(ttas ? "TTAS" : "HTL") + "/"
-                                 + c.label,
-                             r.time, r.acquired);
+        for (std::size_t v = 0; v < std::size(variants); ++v) {
+            const harness::RunOutput &r = results[i++];
+            row.push_back(fmt(static_cast<double>(r.ops)
+                                  / ticksToSeconds(r.time) / 1e6,
+                              2));
         }
         table.addRow(std::move(row));
     }
@@ -135,6 +122,9 @@ main(int argc, char **argv)
                   "HTL 8.06 / 2.91 / 9.01 / 6.79 — shape, not absolute "
                   "values, is the target");
     table.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("tab01_coherence_locks", run)

@@ -8,37 +8,34 @@
  * ~44% average / ~84-89% max without ever overflowing the 64-entry ST.
  */
 
-#include <functional>
 #include <iostream>
 #include <vector>
 
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace syncron;
 using harness::fmtPct;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("tab07_st_occupancy", opts);
-    const double scale = 0.35 * opts.effectiveScale();
+    const harness::BenchOptions &opts = bench.opts();
+    const double scale = 0.35 * opts.scale;
     const auto appInputs = harness::allAppInputs();
     harness::SharedInputs inputs;
     inputs.prepare(appInputs, scale);
     inputs.preparePartitions(appInputs, 4);
 
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (const harness::AppInput &ai : appInputs) {
-        tasks.push_back([&opts, &inputs, ai] {
+        bench.cell(ai.app + "." + ai.input, [&opts, &inputs, ai] {
             return harness::runAppInput(
                 opts.makeConfig(Scheme::SynCron, 4, 15), ai, inputs);
         });
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter table(
         "Table 7: ST occupancy (SynCron, 64-entry STs)",
@@ -50,11 +47,13 @@ main(int argc, char **argv)
         table.addRow({ai.app + "." + ai.input, fmtPct(out.stMaxFrac),
                       fmtPct(out.stAvgFrac, 2),
                       fmtPct(out.overflowFrac())});
-        report.add(ai.app + "." + ai.input, out);
     }
     table.addNote("paper: graphs avg 1.2-6.1% / max <= 63%; "
                   "ts avg ~44% / max 84-89%; no overflow at 64 entries");
     table.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("tab07_st_occupancy", run)

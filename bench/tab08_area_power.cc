@@ -13,19 +13,17 @@
 #include <iostream>
 
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 #include "syncron/area_model.hh"
 
 using namespace syncron;
 using harness::fmt;
 
-int
-main(int argc, char **argv)
-{
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("tab08_area_power", opts);
+namespace {
 
+int
+run(harness::Bench &)
+{
     std::cout << engine::formatAreaPowerTable(engine::seAreaPower())
               << "\n";
 
@@ -52,6 +50,9 @@ main(int argc, char **argv)
                 "partially integrated", "handled by programmer",
                 "fully integrated"});
     cmp.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("tab08_area_power", run)

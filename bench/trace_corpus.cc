@@ -8,16 +8,17 @@
  *   1. Corpus. With --trace-corpus=<dir>, the existing directory is
  *      used as-is. Otherwise the bench generates its own: every
  *      scenario family (trace::kAllScenarioFamilies) at two scales —
- *      ten traces — written into a fresh temporary directory.
+ *      ten traces — written into a fresh temporary directory that is
+ *      removed again when the run ends, whether it passed or failed.
  *   2. Zero-copy scan. Every trace is mmap-read through
  *      trace::MappedTraceReader and scanned record-by-record; the
  *      steady-state record loop is asserted allocation-free with a
  *      counting global operator new (the zero-copy contract: views
  *      into the mapping, no per-record heap traffic).
- *   3. Replay. harness::runCorpus replays the whole corpus
- *      back-to-back on SynCron, Central, and SynCron-flat; every
- *      replay must reproduce its trace's per-OpKind operation counts
- *      exactly (fatal otherwise).
+ *   3. Replay. One grid cell per (backend, trace) replays the whole
+ *      corpus on SynCron, Central, and SynCron-flat; every replay must
+ *      reproduce its trace's per-OpKind operation counts exactly
+ *      (fatal otherwise, naming the cell).
  *
  * Emits BENCH_trace_corpus.json with --json; CI smokes a small corpus
  * and gates host-side scan/replay speed with tools/perf_trend.py.
@@ -28,18 +29,20 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <new>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/log.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 #include "trace/corpus.hh"
 #include "trace/format.hh"
 #include "trace/mmap_reader.hh"
+#include "trace/replay.hh"
 #include "trace/scenario.hh"
 
 // -- Counting allocator ------------------------------------------------
@@ -112,14 +115,32 @@ namespace {
 constexpr Scheme kReplaySchemes[] = {Scheme::SynCron, Scheme::Central,
                                      Scheme::SynCronFlat};
 
-/** Generates the default corpus: every family at two scales. */
+/** Removes the directory it names, files and all, when the run ends
+ *  (also when it fails). */
+struct RemoveOnExit
+{
+    std::string dir;
+
+    RemoveOnExit() = default;
+    RemoveOnExit(const RemoveOnExit &) = delete;
+    RemoveOnExit &operator=(const RemoveOnExit &) = delete;
+    ~RemoveOnExit()
+    {
+        std::error_code ec;
+        if (!dir.empty())
+            std::filesystem::remove_all(dir, ec);
+    }
+};
+
+/** Generates the default corpus: every family at two scales, in a
+ *  fresh directory that @p cleanup removes. */
 std::string
-generateCorpus(double scale, std::uint64_t seed)
+generateCorpus(double scale, std::uint64_t seed, RemoveOnExit &cleanup)
 {
     char tmpl[] = "trace_corpus_XXXXXX";
     if (::mkdtemp(tmpl) == nullptr)
         SYNCRON_FATAL("cannot create corpus directory " << tmpl);
-    const std::string dir = tmpl;
+    const std::string dir = cleanup.dir = tmpl;
 
     for (trace::ScenarioFamily family : trace::kAllScenarioFamilies) {
         for (unsigned step = 0; step < 2; ++step) {
@@ -142,19 +163,58 @@ generateCorpus(double scale, std::uint64_t seed)
     return dir;
 }
 
-} // namespace
+/**
+ * Replays one corpus trace under @p scheme: the file is mmap-read,
+ * materialized, and driven through runTrace() on the machine shape the
+ * trace dictates, with only the CLI-wide knobs carried over.
+ */
+harness::RunOutput
+replayFile(const harness::BenchOptions &opts,
+           const trace::CorpusFile &file, Scheme scheme)
+{
+    trace::MappedTraceReader reader(file.path);
+    const auto opCounts = reader.validateAll();
+    const trace::Trace t = reader.materialize();
+    SystemConfig cfg = trace::replayConfig(t, scheme);
+    cfg.backendName = opts.backend;
+    cfg.analyze = opts.analyze;
+    cfg.simShards = opts.simShards;
+    const harness::RunOutput out = harness::runTrace(cfg, t);
+
+    // The round-trip guarantee: a correct backend executes exactly the
+    // operation mix the mmap scan counted.
+    std::uint64_t records = 0;
+    for (unsigned k = 0; k < kNumSyncOpKinds; ++k)
+        records += opCounts[k];
+    if (out.ops != records) {
+        SYNCRON_FATAL("replay of '" << file.name << "' on "
+                                    << schemeName(scheme) << " executed "
+                                    << out.ops << " of " << records
+                                    << " records");
+    }
+    for (unsigned k = 0; k < kNumSyncOpKinds; ++k) {
+        const std::uint64_t got = out.stats.syncLatency[k].count;
+        if (got != opCounts[k]) {
+            SYNCRON_FATAL("replay of '"
+                          << file.name << "' on " << schemeName(scheme)
+                          << " performed " << got << " "
+                          << sync::opKindName(static_cast<sync::OpKind>(k))
+                          << " ops, trace has " << opCounts[k]);
+        }
+    }
+    return out;
+}
 
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("trace_corpus", opts);
-    const double scale = opts.effectiveScale();
+    const harness::BenchOptions &opts = bench.opts();
 
     // -- Stage 1: the corpus -------------------------------------------
     std::string dir = opts.traceCorpus;
+    RemoveOnExit generated;
     if (dir.empty()) {
-        dir = generateCorpus(scale, 1);
+        dir = generateCorpus(opts.scale, 1, generated);
         std::cout << "generated corpus -> " << dir << "\n";
     }
     const trace::Corpus corpus = trace::Corpus::open(dir);
@@ -193,50 +253,28 @@ main(int argc, char **argv)
               << " traces; record loops allocation-free\n";
 
     // -- Stage 3: replay the corpus on every backend -------------------
+    for (Scheme scheme : kReplaySchemes) {
+        for (const trace::CorpusFile &file : corpus.files()) {
+            bench.cell(file.name + "/" + schemeName(scheme),
+                       [&opts, &file, scheme] {
+                           return replayFile(opts, file, scheme);
+                       });
+        }
+    }
+    const auto results = bench.run();
+
     harness::TablePrinter table(
         "Corpus replay: throughput [ops/ms] per backend",
         {"trace", "records", "SynCron", "Central", "SynCron-flat"});
     std::vector<std::vector<std::string>> rows;
     for (const trace::CorpusFile &file : corpus.files())
         rows.push_back({file.name, ""});
-
-    for (Scheme scheme : kReplaySchemes) {
-        const SystemConfig base = opts.makeConfig(scheme);
-        const std::vector<harness::CorpusRunOutput> outs =
-            harness::runCorpus(base, scheme, corpus);
-        for (std::size_t i = 0; i < outs.size(); ++i) {
-            const harness::CorpusRunOutput &out = outs[i];
-            rows[i][1] = std::to_string(out.run.ops);
-            rows[i].push_back(fmt(out.run.opsPerMs(), 1));
-            report.add(out.file.name + "/" + schemeName(scheme),
-                       out.run);
-
-            // The round-trip guarantee: a correct backend executes
-            // exactly the operation mix the mmap scan counted.
-            std::uint64_t records = 0;
-            for (unsigned k = 0; k < kNumSyncOpKinds; ++k)
-                records += out.opCounts[k];
-            if (out.run.ops != records) {
-                SYNCRON_FATAL("replay of '"
-                              << out.file.name << "' on "
-                              << schemeName(scheme) << " executed "
-                              << out.run.ops << " of " << records
-                              << " records");
-            }
-            for (unsigned k = 0; k < kNumSyncOpKinds; ++k) {
-                const std::uint64_t got =
-                    out.run.stats.syncLatency[k].count;
-                if (got != out.opCounts[k]) {
-                    SYNCRON_FATAL(
-                        "replay of '"
-                        << out.file.name << "' on "
-                        << schemeName(scheme) << " performed " << got
-                        << " "
-                        << sync::opKindName(
-                               static_cast<sync::OpKind>(k))
-                        << " ops, trace has " << out.opCounts[k]);
-                }
-            }
+    std::size_t i = 0;
+    for (std::size_t s = 0; s < std::size(kReplaySchemes); ++s) {
+        for (auto &row : rows) {
+            const harness::RunOutput &out = results[i++];
+            row[1] = std::to_string(out.ops);
+            row.push_back(fmt(out.opsPerMs(), 1));
         }
     }
 
@@ -246,6 +284,9 @@ main(int argc, char **argv)
                   "counts on every backend (checked); mmap record "
                   "loops are allocation-free (counted)");
     table.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("trace_corpus", run)

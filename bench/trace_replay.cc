@@ -2,7 +2,7 @@
  * @file
  * Trace-driven evaluation: capture → generate → cross-backend replay.
  *
- * Three stages, all funneled through harness::runGrid / BenchReport
+ * Three stages, all run as labeled grid cells of harness::benchMain
  * like every other bench:
  *
  *   1. Capture. A small fig11-style data-structure run (Queue, the
@@ -23,16 +23,13 @@
  * generate+replay grid and gates it with tools/perf_trend.py.
  */
 
-#include <functional>
 #include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/log.hh"
-#include "harness/grid.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 #include "trace/format.hh"
 #include "trace/replay.hh"
@@ -47,14 +44,11 @@ namespace {
 constexpr Scheme kReplaySchemes[] = {Scheme::SynCron, Scheme::Central,
                                      Scheme::SynCronFlat};
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(harness::Bench &bench)
 {
-    const auto opts = harness::BenchOptions::parse(argc, argv);
-    harness::BenchReport report("trace_replay", opts);
-    const double scale = opts.effectiveScale();
+    const harness::BenchOptions &opts = bench.opts();
+    const double scale = opts.scale;
 
     // -- Stage 1: capture (or load) a real run's stream ----------------
     std::vector<std::pair<std::string, trace::Trace>> traces;
@@ -73,12 +67,14 @@ main(int argc, char **argv)
                                            : opts.backend;
         const harness::DsParams params =
             harness::dsDefaults(harness::DsKind::Queue, 0.05 * scale);
-        const harness::RunOutput capOut = harness::runDataStructure(
-            capCfg, harness::DsKind::Queue, params.initialSize,
-            params.opsPerCore);
         // "capture.run" (not "capture.queue") so the label can never
         // collide with the replay cells of the same trace below.
-        report.add("capture.run/" + capBackend, capOut);
+        bench.cell("capture.run/" + capBackend, [capCfg, params] {
+            return harness::runDataStructure(
+                capCfg, harness::DsKind::Queue, params.initialSize,
+                params.opsPerCore);
+        });
+        bench.run();
 
         trace::Trace captured = trace::readTraceFile(capPath);
         std::cout << "captured " << captured.records.size()
@@ -96,19 +92,19 @@ main(int argc, char **argv)
     }
 
     // -- Stage 3: replay everything on every backend -------------------
-    std::vector<std::function<harness::RunOutput()>> tasks;
     for (const auto &[name, trc] : traces) {
-        (void)name;
         for (Scheme scheme : kReplaySchemes) {
             const trace::Trace *t = &trc;
-            tasks.push_back([&opts, t, scheme] {
-                SystemConfig cfg = trace::replayConfig(*t, scheme);
-                cfg.backendName = opts.backend;
-                return harness::runTrace(cfg, *t);
-            });
+            bench.cell(name + "/" + schemeName(scheme),
+                       [&opts, t, scheme] {
+                           SystemConfig cfg =
+                               trace::replayConfig(*t, scheme);
+                           cfg.backendName = opts.backend;
+                           return harness::runTrace(cfg, *t);
+                       });
         }
     }
-    const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const auto results = bench.run();
 
     harness::TablePrinter table(
         "Trace replay: throughput [ops/ms] per backend",
@@ -120,7 +116,6 @@ main(int argc, char **argv)
         for (Scheme scheme : kReplaySchemes) {
             const harness::RunOutput &out = results[i++];
             row.push_back(fmt(out.opsPerMs(), 1));
-            report.add(name + "/" + schemeName(scheme), out);
 
             if (out.ops != trc.records.size()) {
                 SYNCRON_FATAL("replay of '"
@@ -150,6 +145,9 @@ main(int argc, char **argv)
     table.addNote("every replay reproduces its trace's per-OpKind "
                   "counts on every backend (checked)");
     table.print(std::cout);
-    report.finish(std::cout);
     return 0;
 }
+
+} // namespace
+
+SYNCRON_BENCH_MAIN("trace_replay", run)

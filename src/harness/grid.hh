@@ -33,6 +33,8 @@ namespace syncron::harness {
  * @param tasks  callables returning the per-cell result (e.g. RunOutput)
  * @param jobs   worker threads; 1 runs inline, n is capped at the task
  *               count
+ * @param failedIndex  when a task throws, receives the index of the
+ *                     task whose exception is rethrown
  *
  * The first exception thrown by a task (lowest submission index) is
  * rethrown after all workers finish, matching what a serial loop would
@@ -40,38 +42,32 @@ namespace syncron::harness {
  */
 template <typename Task>
 auto
-runGrid(std::vector<Task> tasks, unsigned jobs)
+runGrid(std::vector<Task> tasks, unsigned jobs,
+        std::size_t *failedIndex = nullptr)
     -> std::vector<std::invoke_result_t<Task &>>
 {
     using Result = std::invoke_result_t<Task &>;
     std::vector<Result> results(tasks.size());
     std::vector<std::exception_ptr> errors(tasks.size());
 
-    if (jobs <= 1 || tasks.size() <= 1) {
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
+    std::atomic<std::size_t> cursor{0};
+    auto worker = [&] {
+        for (;;) {
+            const std::size_t i =
+                cursor.fetch_add(1, std::memory_order_relaxed);
+            if (i >= tasks.size())
+                return;
             try {
                 results[i] = tasks[i]();
             } catch (...) {
                 errors[i] = std::current_exception();
             }
         }
+    };
+    const std::size_t n = std::min<std::size_t>(jobs, tasks.size());
+    if (n <= 1) {
+        worker();
     } else {
-        std::atomic<std::size_t> cursor{0};
-        auto worker = [&] {
-            for (;;) {
-                const std::size_t i =
-                    cursor.fetch_add(1, std::memory_order_relaxed);
-                if (i >= tasks.size())
-                    return;
-                try {
-                    results[i] = tasks[i]();
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            }
-        };
-        const std::size_t n =
-            std::min<std::size_t>(jobs, tasks.size());
         std::vector<std::thread> pool;
         pool.reserve(n);
         for (std::size_t t = 0; t < n; ++t)
@@ -80,9 +76,12 @@ runGrid(std::vector<Task> tasks, unsigned jobs)
             t.join();
     }
 
-    for (const std::exception_ptr &e : errors) {
-        if (e)
-            std::rethrow_exception(e);
+    for (std::size_t i = 0; i < errors.size(); ++i) {
+        if (errors[i]) {
+            if (failedIndex != nullptr)
+                *failedIndex = i;
+            std::rethrow_exception(errors[i]);
+        }
     }
     return results;
 }

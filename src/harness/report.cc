@@ -1,11 +1,13 @@
 #include "harness/report.hh"
 
 #include <array>
+#include <exception>
 #include <fstream>
-#include <ostream>
+#include <iostream>
 
 #include "common/log.hh"
 #include "common/units.hh"
+#include "harness/grid.hh"
 #include "harness/json.hh"
 #include "harness/table.hh"
 #include "sync/opcodes.hh"
@@ -23,16 +25,6 @@ BenchReport::add(std::string label, const RunOutput &out)
 }
 
 void
-BenchReport::addScalar(std::string label, Tick simTime,
-                       std::uint64_t ops)
-{
-    RunOutput out;
-    out.time = simTime;
-    out.ops = ops;
-    records_.push_back(Record{std::move(label), std::move(out)});
-}
-
-void
 BenchReport::addMetric(std::string label, double value)
 {
     metrics_.emplace_back(std::move(label), value);
@@ -41,6 +33,8 @@ BenchReport::addMetric(std::string label, double value)
 void
 BenchReport::finish(std::ostream &os)
 {
+    if (records_.empty() && metrics_.empty() && opts_.json.empty())
+        return;
     wallNs_ = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start_)
@@ -117,7 +111,6 @@ BenchReport::writeJson() const
     j.key("options");
     j.beginObject()
         .field("scale", opts_.scale)
-        .field("full", opts_.full)
         .field("jobs", opts_.jobs)
         .field("backend", opts_.backend)
         .endObject();
@@ -216,6 +209,82 @@ BenchReport::writeJson() const
     }
     j.endObject();
     f << "\n";
+}
+
+void
+Bench::cell(std::string label, std::function<RunOutput()> task)
+{
+    labels_.push_back(std::move(label));
+    tasks_.push_back(std::move(task));
+}
+
+std::vector<RunOutput>
+Bench::run(unsigned jobs)
+{
+    std::vector<std::string> labels = std::exchange(labels_, {});
+    std::vector<RunOutput> results;
+    std::size_t failed = 0;
+    try {
+        results = runGrid(std::exchange(tasks_, {}),
+                          jobs != 0 ? jobs : opts_.jobs, &failed);
+    } catch (...) {
+        failedCell_ = labels[failed];
+        throw;
+    }
+    for (std::size_t i = 0; i < results.size(); ++i)
+        report_.add(std::move(labels[i]), results[i]);
+    return results;
+}
+
+void
+Bench::metric(std::string label, double value)
+{
+    report_.addMetric(std::move(label), value);
+}
+
+namespace {
+
+/** Prints @p e's message unless SYNCRON_FATAL/PANIC already did. */
+void
+printUnlessReported(const std::exception &e)
+{
+    const std::string what = e.what();
+    if (what.rfind("fatal: ", 0) != 0 && what.rfind("panic: ", 0) != 0)
+        std::cerr << "error: " << what << "\n";
+}
+
+} // namespace
+
+int
+benchMain(const char *name, int argc, char **argv, BenchBody body)
+{
+    BenchOptions opts;
+    try {
+        opts = BenchOptions::parse(argc, argv);
+    } catch (const std::exception &e) {
+        printUnlessReported(e);
+        std::cerr << "error: " << name << ": bad arguments\n";
+        return 2;
+    }
+
+    Bench bench(name, opts);
+    try {
+        const int rc = body(bench);
+        bench.report_.finish(std::cout);
+        return rc;
+    } catch (const std::exception &e) {
+        printUnlessReported(e);
+    } catch (...) {
+        std::cerr << "error: unknown exception\n";
+    }
+    std::cerr << "error: " << name << " failed";
+    if (!bench.failedCell_.empty())
+        std::cerr << " in cell '" << bench.failedCell_ << "'";
+    std::cerr << " (--backend="
+              << (opts.backend.empty() ? "default" : opts.backend)
+              << " --scale=" << opts.scale
+              << " --sim-shards=" << opts.simShards << ")\n";
+    return 2;
 }
 
 } // namespace syncron::harness

@@ -6,27 +6,22 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
 
 #include "common/log.hh"
 #include "load/openloop.hh"
 #include "sync/registry.hh"
 #include "system/system.hh"
-#include "trace/mmap_reader.hh"
 #include "trace/replay.hh"
 #include "workloads/datastructures/structures.hh"
 #include "workloads/timeseries/scrimp.hh"
 
 namespace syncron::harness {
 
-using workloads::DsResult;
-
 const char *
 BenchOptions::usage()
 {
     return "options:\n"
            "  -h, --help         print this usage and exit\n"
-           "  --full             approach paper-scale inputs (scale x8)\n"
            "  --scale=<f>        input-size multiplier (f > 0)\n"
            "  --jobs=<n>         parallel grid workers (1..256)\n"
            "  --json=<path>      write a machine-readable BENCH_*.json\n"
@@ -81,8 +76,6 @@ BenchOptions::parse(int argc, char **argv)
         if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
             std::cout << usage() << '\n';
             std::exit(0);
-        } else if (std::strcmp(arg, "--full") == 0) {
-            opts.full = true;
         } else if ((val = optValue(arg, "--scale="))) {
             char *end = nullptr;
             errno = 0;
@@ -220,8 +213,6 @@ BenchOptions::parse(int argc, char **argv)
                               << usage());
             }
             opts.sloP99Ns = ns;
-        } else if (std::strncmp(arg, "--benchmark", 11) == 0) {
-            // Tolerate google-benchmark's standard flags.
         } else {
             SYNCRON_FATAL("unknown argument '" << arg << "'\n"
                                                << usage());
@@ -323,7 +314,7 @@ DsParams
 dsDefaults(DsKind kind, double scale)
 {
     // Table 6 sizes, scaled down for simulation speed at scale 1.0;
-    // --full (scale 8) approaches the paper's configuration.
+    // --scale=8 approaches the paper's configuration.
     auto s = [scale](unsigned base) {
         return std::max(8u, static_cast<unsigned>(base * scale));
     };
@@ -370,41 +361,65 @@ RunOutput::hostEventsPerSec() const
 
 namespace {
 
-/** Wall-clock of one run, feeding RunOutput's host perf fields. */
-class HostTimer
+/**
+ * The sequence every run shares: start the host clock and build the
+ * system; the caller installs its workload on sys and runs it, then
+ * finish() fills the output while that workload is still alive.
+ */
+struct SystemRun
 {
-  public:
-    std::uint64_t
-    elapsedNs() const
-    {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start_)
-                .count());
-    }
-
-  private:
-    std::chrono::steady_clock::time_point start_ =
+    std::chrono::steady_clock::time_point start =
         std::chrono::steady_clock::now();
+    NdpSystem sys;
+
+    explicit SystemRun(const SystemConfig &cfg) : sys(cfg) {}
+
+    /** The output of a run that took @p time and completed @p ops. */
+    RunOutput
+    finish(Tick time, std::uint64_t ops)
+    {
+        RunOutput out;
+        out.time = time;
+        out.ops = ops;
+        out.hostEvents = sys.machine().executedEvents();
+        out.hostWindows = sys.kernelWindows();
+        out.hostPromotions = sys.machine().promotions();
+        out.stats = sys.stats();
+        out.energy = computeEnergy(sys.stats(), sys.config());
+        if (engine::SynCronBackend *eng = sys.syncronBackend()) {
+            out.stMaxFrac =
+                static_cast<double>(sys.stats().stMaxOccupied)
+                / sys.config().stEntries;
+            out.stAvgFrac =
+                sys.stats().avgStOccupancy() / sys.config().stEntries;
+            out.overflowedReqs = eng->overflowedRequests();
+            out.totalReqs = eng->totalRequests();
+        }
+        out.hostNs = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count());
+        return out;
+    }
 };
 
-/** Fills the scheme-independent tail of a RunOutput. */
-void
-finishOutput(RunOutput &out, NdpSystem &sys)
+/** Builds one @p Structure, then spawns its worker on every client
+ *  core (the structure must exist before any worker runs). */
+template <typename Structure>
+RunOutput
+runStructure(const SystemConfig &cfg, unsigned initialSize,
+             unsigned opsPerCore)
 {
-    out.hostEvents = sys.machine().executedEvents();
-    out.hostWindows = sys.kernelWindows();
-    out.hostPromotions = sys.machine().promotions();
-    out.stats = sys.stats();
-    out.energy = computeEnergy(sys.stats(), sys.config());
-    if (engine::SynCronBackend *eng = sys.syncronBackend()) {
-        out.stMaxFrac = static_cast<double>(sys.stats().stMaxOccupied)
-                        / sys.config().stEntries;
-        out.stAvgFrac =
-            sys.stats().avgStOccupancy() / sys.config().stEntries;
-        out.overflowedReqs = eng->overflowedRequests();
-        out.totalReqs = eng->totalRequests();
+    SystemRun run(cfg);
+    Structure structure(run.sys, initialSize);
+    const unsigned n = run.sys.numClientCores();
+    for (unsigned i = 0; i < n; ++i) {
+        core::Core &c = run.sys.clientCore(i);
+        run.sys.spawn(structure.worker(c, opsPerCore), c);
     }
+    run.sys.run();
+    return run.finish(run.sys.elapsed(),
+                      static_cast<std::uint64_t>(n) * opsPerCore);
 }
 
 } // namespace
@@ -413,140 +428,62 @@ RunOutput
 runDataStructure(const SystemConfig &cfg, DsKind kind,
                  unsigned initialSize, unsigned opsPerCore)
 {
-    HostTimer timer;
-    NdpSystem sys(cfg);
-    const unsigned n = sys.numClientCores();
-
-    // The structure object must outlive the run.
-    std::unique_ptr<workloads::SimStack> stack;
-    std::unique_ptr<workloads::SimQueue> queue;
-    std::unique_ptr<workloads::SimArrayMap> map;
-    std::unique_ptr<workloads::SimPriorityQueue> pq;
-    std::unique_ptr<workloads::SimSkipList> skip;
-    std::unique_ptr<workloads::SimHashTable> hash;
-    std::unique_ptr<workloads::SimLinkedList> list;
-    std::unique_ptr<workloads::SimBstFg> bstFg;
-    std::unique_ptr<workloads::SimBstDrachsler> bstDr;
-
-    for (unsigned i = 0; i < n; ++i) {
-        core::Core &c = sys.clientCore(i);
-        switch (kind) {
-          case DsKind::Stack:
-            if (!stack)
-                stack = std::make_unique<workloads::SimStack>(
-                    sys, initialSize);
-            sys.spawn(stack->worker(c, opsPerCore), c);
-            break;
-          case DsKind::Queue:
-            if (!queue)
-                queue = std::make_unique<workloads::SimQueue>(
-                    sys, initialSize);
-            sys.spawn(queue->worker(c, opsPerCore), c);
-            break;
-          case DsKind::ArrayMap:
-            if (!map)
-                map = std::make_unique<workloads::SimArrayMap>(
-                    sys, initialSize);
-            sys.spawn(map->worker(c, opsPerCore), c);
-            break;
-          case DsKind::PriorityQueue:
-            if (!pq)
-                pq = std::make_unique<workloads::SimPriorityQueue>(
-                    sys, initialSize);
-            sys.spawn(pq->worker(c, opsPerCore), c);
-            break;
-          case DsKind::SkipList:
-            if (!skip)
-                skip = std::make_unique<workloads::SimSkipList>(
-                    sys, initialSize);
-            sys.spawn(skip->worker(c, opsPerCore), c);
-            break;
-          case DsKind::HashTable:
-            if (!hash)
-                hash = std::make_unique<workloads::SimHashTable>(
-                    sys, initialSize);
-            sys.spawn(hash->worker(c, opsPerCore), c);
-            break;
-          case DsKind::LinkedList:
-            if (!list)
-                list = std::make_unique<workloads::SimLinkedList>(
-                    sys, initialSize);
-            sys.spawn(list->worker(c, opsPerCore), c);
-            break;
-          case DsKind::BstFg:
-            if (!bstFg)
-                bstFg = std::make_unique<workloads::SimBstFg>(
-                    sys, initialSize);
-            sys.spawn(bstFg->worker(c, opsPerCore), c);
-            break;
-          case DsKind::BstDrachsler:
-            if (!bstDr)
-                bstDr = std::make_unique<workloads::SimBstDrachsler>(
-                    sys, initialSize);
-            sys.spawn(bstDr->worker(c, opsPerCore), c);
-            break;
-        }
+    using namespace workloads;
+    switch (kind) {
+      case DsKind::Stack:
+        return runStructure<SimStack>(cfg, initialSize, opsPerCore);
+      case DsKind::Queue:
+        return runStructure<SimQueue>(cfg, initialSize, opsPerCore);
+      case DsKind::ArrayMap:
+        return runStructure<SimArrayMap>(cfg, initialSize, opsPerCore);
+      case DsKind::PriorityQueue:
+        return runStructure<SimPriorityQueue>(cfg, initialSize,
+                                              opsPerCore);
+      case DsKind::SkipList:
+        return runStructure<SimSkipList>(cfg, initialSize, opsPerCore);
+      case DsKind::HashTable:
+        return runStructure<SimHashTable>(cfg, initialSize, opsPerCore);
+      case DsKind::LinkedList:
+        return runStructure<SimLinkedList>(cfg, initialSize, opsPerCore);
+      case DsKind::BstFg:
+        return runStructure<SimBstFg>(cfg, initialSize, opsPerCore);
+      case DsKind::BstDrachsler:
+        return runStructure<SimBstDrachsler>(cfg, initialSize,
+                                             opsPerCore);
     }
-
-    sys.run();
-    RunOutput out;
-    out.time = sys.elapsed();
-    out.ops = static_cast<std::uint64_t>(n) * opsPerCore;
-    finishOutput(out, sys);
-    out.hostNs = timer.elapsedNs();
-    return out;
+    SYNCRON_PANIC("unknown data structure");
 }
 
 RunOutput
 runPrimitive(const SystemConfig &cfg, workloads::Primitive primitive,
              unsigned interval, unsigned opsPerCore)
 {
-    HostTimer timer;
-    NdpSystem sys(cfg);
-    workloads::PrimitiveWorkload workload(sys, primitive, interval,
+    SystemRun run(cfg);
+    workloads::PrimitiveWorkload workload(run.sys, primitive, interval,
                                           opsPerCore);
-    sys.run();
-
-    RunOutput out;
-    out.time = sys.elapsed();
-    out.ops = sys.stats().syncOps;
-    finishOutput(out, sys);
-    out.hostNs = timer.elapsedNs();
-    return out;
+    run.sys.run();
+    return run.finish(run.sys.elapsed(), run.sys.stats().syncOps);
 }
 
 RunOutput
 runSemFanout(const SystemConfig &cfg, unsigned width, unsigned rounds,
              bool contended)
 {
-    HostTimer timer;
-    NdpSystem sys(cfg);
-    workloads::SemFanoutWorkload workload(sys, width, rounds, contended);
-    sys.run();
-
-    RunOutput out;
-    out.time = sys.elapsed();
-    out.ops = sys.stats().syncOps;
-    finishOutput(out, sys);
-    out.hostNs = timer.elapsedNs();
-    return out;
+    SystemRun run(cfg);
+    workloads::SemFanoutWorkload workload(run.sys, width, rounds,
+                                          contended);
+    run.sys.run();
+    return run.finish(run.sys.elapsed(), run.sys.stats().syncOps);
 }
 
 RunOutput
 runReplication(const SystemConfig &cfg,
                const workloads::ReplicationParams &params)
 {
-    HostTimer timer;
-    NdpSystem sys(cfg);
-    workloads::ReplicationWorkload workload(sys, params);
-    sys.run();
-
-    RunOutput out;
-    out.time = sys.elapsed();
-    out.ops = sys.stats().syncOps;
-    finishOutput(out, sys);
-    out.hostNs = timer.elapsedNs();
-    return out;
+    SystemRun run(cfg);
+    workloads::ReplicationWorkload workload(run.sys, params);
+    run.sys.run();
+    return run.finish(run.sys.elapsed(), run.sys.stats().syncOps);
 }
 
 void
@@ -574,19 +511,6 @@ SharedInputs::prepareSeries(const std::string &input, double scale)
         series_.emplace(input, workloads::makeProxySeries(input, scale));
 }
 
-namespace {
-
-/** Partition policy selection shared by every compute site. */
-std::vector<UnitId>
-computePartition(const workloads::Graph &g, unsigned numUnits,
-                 bool metisPartition)
-{
-    return metisPartition ? workloads::greedyPartition(g, numUnits)
-                          : workloads::rangePartition(g, numUnits);
-}
-
-} // namespace
-
 std::string
 SharedInputs::partitionKey(const std::string &input, unsigned numUnits,
                            bool metis)
@@ -602,8 +526,10 @@ SharedInputs::preparePartition(const std::string &input,
     const std::string key = partitionKey(input, numUnits, metis);
     if (partitions_.count(key))
         return;
-    partitions_.emplace(key,
-                        computePartition(graph(input), numUnits, metis));
+    const workloads::Graph &g = graph(input);
+    partitions_.emplace(key, metis
+                                 ? workloads::greedyPartition(g, numUnits)
+                                 : workloads::rangePartition(g, numUnits));
 }
 
 void
@@ -648,22 +574,19 @@ SharedInputs::partition(const std::string &input, unsigned numUnits,
     return it->second;
 }
 
-namespace {
 
-/** Shared body of the runGraph overloads; owns the graph + partition. */
 RunOutput
-runGraphOwned(const SystemConfig &cfg, workloads::Graph g,
-              workloads::GraphApp app, std::vector<UnitId> part)
+runGraph(const SystemConfig &cfg, const workloads::Graph &g,
+         workloads::GraphApp app, const std::vector<UnitId> &partition)
 {
-    // Pre-computed (shared) partitions arrive from the caller, so the
-    // old derive-from-cfg invariant no longer holds by construction:
-    // catch a partition prepared for another graph or unit count here
-    // instead of deep inside placement.
-    if (part.size() != g.numVertices)
-        SYNCRON_FATAL("partition covers " << part.size()
+    // Pre-computed (shared) partitions arrive from the caller: catch a
+    // partition prepared for another graph or unit count here instead
+    // of deep inside placement.
+    if (partition.size() != g.numVertices)
+        SYNCRON_FATAL("partition covers " << partition.size()
                                           << " vertices, graph has "
                                           << g.numVertices);
-    for (UnitId u : part) {
+    for (UnitId u : partition) {
         if (u >= cfg.numUnits)
             SYNCRON_FATAL("partition places a vertex in unit "
                           << u << " of a " << cfg.numUnits
@@ -671,71 +594,21 @@ runGraphOwned(const SystemConfig &cfg, workloads::Graph g,
                              "different unit count?)");
     }
 
-    HostTimer timer;
-    NdpSystem sys(cfg);
-    workloads::PlacedGraph placed(sys, std::move(g), std::move(part));
-
-    workloads::GraphRunResult r =
-        workloads::runGraphApp(sys, placed, app);
-
-    RunOutput out;
-    out.time = r.time;
-    out.ops = r.updates;
-    finishOutput(out, sys);
-    out.hostNs = timer.elapsedNs();
-    return out;
-}
-
-} // namespace
-
-RunOutput
-runGraph(const SystemConfig &cfg, const workloads::Graph &g,
-         workloads::GraphApp app, bool metisPartition)
-{
-    return runGraphOwned(cfg, g, app,
-                         computePartition(g, cfg.numUnits,
-                                          metisPartition));
-}
-
-RunOutput
-runGraph(const SystemConfig &cfg, const workloads::Graph &g,
-         workloads::GraphApp app, const std::vector<UnitId> &partition)
-{
-    return runGraphOwned(cfg, g, app, partition);
-}
-
-RunOutput
-runGraph(const SystemConfig &cfg, const std::string &input,
-         workloads::GraphApp app, double scale, bool metisPartition)
-{
-    workloads::Graph g = workloads::makeProxyInput(input, scale);
-    std::vector<UnitId> part =
-        computePartition(g, cfg.numUnits, metisPartition);
-    return runGraphOwned(cfg, std::move(g), app, std::move(part));
+    SystemRun run(cfg);
+    workloads::PlacedGraph placed(run.sys, g, partition);
+    const workloads::GraphRunResult r =
+        workloads::runGraphApp(run.sys, placed, app);
+    return run.finish(r.time, r.updates);
 }
 
 RunOutput
 runTimeSeries(const SystemConfig &cfg,
               const workloads::ProxySeries &input)
 {
-    HostTimer timer;
-    NdpSystem sys(cfg);
-    workloads::ScrimpWorkload ts(sys, input);
+    SystemRun run(cfg);
+    workloads::ScrimpWorkload ts(run.sys, input);
     const Tick time = ts.run();
-
-    RunOutput out;
-    out.time = time;
-    out.ops = ts.updates();
-    finishOutput(out, sys);
-    out.hostNs = timer.elapsedNs();
-    return out;
-}
-
-RunOutput
-runTimeSeries(const SystemConfig &cfg, const std::string &input,
-              double scale)
-{
-    return runTimeSeries(cfg, workloads::makeProxySeries(input, scale));
+    return run.finish(time, ts.updates());
 }
 
 std::vector<AppInput>
@@ -764,37 +637,21 @@ runAppInput(const SystemConfig &cfg, const AppInput &ai,
 }
 
 RunOutput
-runAppInput(const SystemConfig &cfg, const AppInput &ai, double scale,
-            bool metisPartition)
-{
-    SharedInputs inputs;
-    inputs.prepare({ai}, scale);
-    if (ai.app != "ts")
-        inputs.preparePartition(ai.input, cfg.numUnits, metisPartition);
-    return runAppInput(cfg, ai, inputs, metisPartition);
-}
-
-RunOutput
 runOpenLoop(const SystemConfig &cfg, const load::LoadSpec &spec,
             const load::ArrivalSchedule &sched)
 {
-    HostTimer timer;
-    NdpSystem sys(cfg);
-    load::OpenLoopWorkload workload(sys, spec, sched);
-    sys.run();
+    SystemRun run(cfg);
+    load::OpenLoopWorkload workload(run.sys, spec, sched);
+    run.sys.run();
 
-    RunOutput out;
-    out.time = sys.elapsed();
     const load::LoadCounters totals = workload.totals();
-    out.ops = totals.issued;
+    RunOutput out = run.finish(run.sys.elapsed(), totals.issued);
     out.offeredOps = sched.totalArrivals();
     out.issuedOps = totals.issued;
     out.droppedOps = totals.dropped;
     out.queuedOps = totals.queued;
     out.queueDelayTicks = totals.queueDelayTicks;
     out.offeredRatePerUs = spec.ratePerUs;
-    finishOutput(out, sys);
-    out.hostNs = timer.elapsedNs();
     return out;
 }
 
@@ -809,45 +666,11 @@ runOpenLoop(const SystemConfig &cfg, const load::LoadSpec &spec)
 RunOutput
 runTrace(const SystemConfig &cfg, const trace::Trace &t)
 {
-    HostTimer timer;
-    NdpSystem sys(cfg);
+    SystemRun run(cfg);
     trace::Replayer replayer(t);
-    replayer.install(sys);
-    sys.run();
-
-    RunOutput out;
-    out.time = sys.elapsed();
-    out.ops = replayer.opsReplayed();
-    finishOutput(out, sys);
-    out.hostNs = timer.elapsedNs();
-    return out;
-}
-
-std::vector<CorpusRunOutput>
-runCorpus(const SystemConfig &base, Scheme scheme,
-          const trace::Corpus &corpus)
-{
-    std::vector<CorpusRunOutput> outputs;
-    outputs.reserve(corpus.size());
-    for (const trace::CorpusFile &file : corpus.files()) {
-        trace::MappedTraceReader reader(file.path);
-
-        CorpusRunOutput out;
-        out.file = file;
-        out.opCounts = reader.validateAll();
-
-        // Each trace dictates its own machine shape; only the
-        // CLI-wide knobs carry over from the base config.
-        const trace::Trace t = reader.materialize();
-        SystemConfig cfg = trace::replayConfig(t, scheme);
-        cfg.backendName = base.backendName;
-        cfg.analyze = base.analyze;
-        cfg.analyzeFatal = base.analyzeFatal;
-        cfg.simShards = base.simShards;
-        out.run = runTrace(cfg, t);
-        outputs.push_back(std::move(out));
-    }
-    return outputs;
+    replayer.install(run.sys);
+    run.sys.run();
+    return run.finish(run.sys.elapsed(), replayer.opsReplayed());
 }
 
 } // namespace syncron::harness

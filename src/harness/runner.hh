@@ -20,7 +20,6 @@
 #include "load/arrival.hh"
 #include "system/config.hh"
 #include "system/energy.hh"
-#include "trace/corpus.hh"
 #include "trace/format.hh"
 #include "workloads/graph/kernels.hh"
 #include "workloads/micro/primitives.hh"
@@ -32,7 +31,6 @@ namespace syncron::harness {
 /** Command-line options common to all bench binaries. */
 struct BenchOptions
 {
-    bool full = false;    ///< --full: approach paper-scale inputs
     double scale = 1.0;   ///< --scale=<f>: input size multiplier
     unsigned jobs = 1;    ///< --jobs=<n>: parallel grid workers
     std::string json;     ///< --json=<path>: machine-readable record
@@ -92,9 +90,6 @@ struct BenchOptions
     /** The usage text printed on argument errors. */
     static const char *usage();
 
-    /** Effective workload scale (full implies a larger multiplier). */
-    double effectiveScale() const { return full ? scale * 8.0 : scale; }
-
     /**
      * SystemConfig::make plus the CLI-wide settings (--backend,
      * --trace-out) every grid cell must inherit; benches build their
@@ -135,7 +130,8 @@ struct DsParams
     unsigned opsPerCore;
 };
 
-/** Table 6 defaults scaled for simulation (x8 under --full). */
+/** Table 6 defaults scaled for simulation (--scale=8 approaches the
+ *  paper's sizes). */
 DsParams dsDefaults(DsKind kind, double scale);
 
 /** Everything a bench needs from one run. */
@@ -202,10 +198,10 @@ std::vector<AppInput> allAppInputs();
  * Proxy inputs generated once per bench and shared read-only by every
  * grid cell. Benches prepare() the inputs they sweep — and
  * preparePartitions() the graph partitions their cells place with —
- * before building their runGrid() tasks; the cells then receive const
+ * before queuing their grid cells; the cells then receive const
  * references instead of regenerating the same CSR/series/partition per
  * cell. Preparation is not thread-safe (call it from the main thread,
- * before runGrid()); the lookups are const and safe from any number of
+ * before Bench::run()); the lookups are const and safe from any number of
  * grid workers.
  */
 class SharedInputs
@@ -253,28 +249,15 @@ class SharedInputs
     std::map<std::string, std::vector<UnitId>> partitions_;
 };
 
-/** Runs one graph application on a pre-generated (shared) input. */
-RunOutput runGraph(const SystemConfig &cfg, const workloads::Graph &g,
-                   workloads::GraphApp app, bool metisPartition = false);
-
 /** Runs one graph application on a shared input with a pre-computed
  *  (shared) partition — the zero-recompute grid-cell path. */
 RunOutput runGraph(const SystemConfig &cfg, const workloads::Graph &g,
                    workloads::GraphApp app,
                    const std::vector<UnitId> &partition);
 
-/** Convenience: generates the proxy input, then runs on it. */
-RunOutput runGraph(const SystemConfig &cfg, const std::string &input,
-                   workloads::GraphApp app, double scale,
-                   bool metisPartition = false);
-
 /** Runs SCRIMP on a pre-generated (shared) series. */
 RunOutput runTimeSeries(const SystemConfig &cfg,
                         const workloads::ProxySeries &input);
-
-/** Convenience: generates the proxy series, then runs on it. */
-RunOutput runTimeSeries(const SystemConfig &cfg,
-                        const std::string &input, double scale);
 
 /**
  * Runs one Fig. 12 combination on prepared shared inputs. Graph
@@ -286,36 +269,12 @@ RunOutput runAppInput(const SystemConfig &cfg, const AppInput &ai,
                       const SharedInputs &inputs,
                       bool metisPartition = false);
 
-/** Convenience: generates the combination's input, then runs on it. */
-RunOutput runAppInput(const SystemConfig &cfg, const AppInput &ai,
-                      double scale, bool metisPartition = false);
-
 /**
  * Replays a synchronization-operation trace (captured or synthesized)
  * through @p cfg's backend. The config's machine shape must match the
  * trace header (see trace::replayConfig()).
  */
 RunOutput runTrace(const SystemConfig &cfg, const trace::Trace &t);
-
-/** One corpus file replayed through runTrace(). */
-struct CorpusRunOutput
-{
-    trace::CorpusFile file;
-    RunOutput run;
-    /** Per-OpKind operation counts of the trace (from the mmap scan). */
-    std::array<std::uint64_t, kNumSyncOpKinds> opCounts{};
-};
-
-/**
- * Replays every trace of @p corpus back-to-back under @p scheme: each
- * file is mmap-read (trace::MappedTraceReader), materialized, and
- * driven through runTrace() on a config shaped by replayConfig() with
- * @p base's CLI-wide settings (backendName, analyze, simShards)
- * carried over. fatal()s on the first malformed trace.
- */
-std::vector<CorpusRunOutput> runCorpus(const SystemConfig &base,
-                                       Scheme scheme,
-                                       const trace::Corpus &corpus);
 
 /**
  * Runs one open-loop load point: @p sched (prebuilt, so grid cells

@@ -8,14 +8,20 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "common/log.hh"
+#include "harness/report.hh"
 #include "harness/grid.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
+#include "scratch_file.hh"
 #include "sync/registry.hh"
 #include "workloads/graph/csr.hh"
 
@@ -51,14 +57,13 @@ TEST(Table, Formatters)
 
 TEST(BenchOptions, ParsesFlags)
 {
-    const char *argv1[] = {"bench", "--full"};
+    const char *argv1[] = {"bench", "--scale=8"};
     auto o1 = BenchOptions::parse(2, const_cast<char **>(argv1));
-    EXPECT_TRUE(o1.full);
-    EXPECT_GT(o1.effectiveScale(), 1.0);
+    EXPECT_DOUBLE_EQ(o1.scale, 8.0);
 
     const char *argv2[] = {"bench", "--scale=0.5"};
     auto o2 = BenchOptions::parse(2, const_cast<char **>(argv2));
-    EXPECT_DOUBLE_EQ(o2.effectiveScale(), 0.5);
+    EXPECT_DOUBLE_EQ(o2.scale, 0.5);
 
     const char *argv3[] = {"bench", "--bogus"};
     EXPECT_THROW(BenchOptions::parse(2, const_cast<char **>(argv3)),
@@ -116,6 +121,10 @@ TEST(BenchOptions, RejectsMalformedValues)
     // --json/--backend need values; backends must be registered.
     EXPECT_THROW(parse1("--json="), std::runtime_error);
     EXPECT_THROW(parse1("--backend="), std::runtime_error);
+    // Retired flags: --full (use --scale=8) and the google-benchmark
+    // pass-through.
+    EXPECT_THROW(parse1("--full"), std::runtime_error);
+    EXPECT_THROW(parse1("--benchmark_filter=x"), std::runtime_error);
 
     // Unknown backends are rejected at parse time (not later inside
     // SystemConfig), and the error lists the registered set.
@@ -430,7 +439,7 @@ TEST(Runner, DsDefaultsCoverAllStructures)
         EXPECT_GE(p.initialSize, 8u) << dsName(kind);
         EXPECT_GE(p.opsPerCore, 1u) << dsName(kind);
         EXPECT_STRNE(dsName(kind), "?");
-        // --full scales sizes up.
+        // --scale=8 scales sizes up.
         EXPECT_GE(dsDefaults(kind, 8.0).initialSize, p.initialSize);
     }
 }
@@ -462,8 +471,14 @@ TEST(Runner, DataStructureRunProducesConsistentOutput)
 TEST(Runner, GraphRunRespectsPartitioningFlag)
 {
     SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 4);
-    auto range = runGraph(cfg, "wk", workloads::GraphApp::Tf, 0.1, false);
-    auto metis = runGraph(cfg, "wk", workloads::GraphApp::Tf, 0.1, true);
+    SharedInputs inputs;
+    inputs.prepareGraph("wk", 0.1);
+    inputs.preparePartition("wk", 4, false);
+    inputs.preparePartition("wk", 4, true);
+    auto range = runGraph(cfg, inputs.graph("wk"), workloads::GraphApp::Tf,
+                          inputs.partition("wk", 4, false));
+    auto metis = runGraph(cfg, inputs.graph("wk"), workloads::GraphApp::Tf,
+                          inputs.partition("wk", 4, true));
     EXPECT_GT(range.ops, 0u);
     EXPECT_EQ(range.ops, metis.ops) << "same updates, different layout";
     // Better placement must not increase cross-unit traffic.
@@ -474,7 +489,7 @@ TEST(Runner, GraphRunRespectsPartitioningFlag)
 TEST(Runner, TimeSeriesRunReportsOccupancy)
 {
     SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 4);
-    auto out = runTimeSeries(cfg, "air", 0.3);
+    auto out = runTimeSeries(cfg, workloads::makeProxySeries("air", 0.3));
     EXPECT_GT(out.ops, 0u);
     EXPECT_GT(out.stMaxFrac, 0.0);
     EXPECT_LE(out.stMaxFrac, 1.0);
@@ -501,12 +516,15 @@ TEST(Runner, SharedInputsMatchPerCellGeneration)
     inputs.preparePartitions({{"tf", "wk"}, {"ts", "air"}}, 4);
 
     auto tfShared = runAppInput(cfg, {"tf", "wk"}, inputs);
-    auto tfFresh = runGraph(cfg, "wk", workloads::GraphApp::Tf, 0.1);
+    const workloads::Graph wk = workloads::makeProxyInput("wk", 0.1);
+    auto tfFresh = runGraph(cfg, wk, workloads::GraphApp::Tf,
+                            workloads::rangePartition(wk, 4));
     EXPECT_EQ(tfShared.time, tfFresh.time);
     EXPECT_EQ(tfShared.ops, tfFresh.ops);
 
     auto tsShared = runAppInput(cfg, {"ts", "air"}, inputs);
-    auto tsFresh = runTimeSeries(cfg, "air", 0.1);
+    auto tsFresh =
+        runTimeSeries(cfg, workloads::makeProxySeries("air", 0.1));
     EXPECT_EQ(tsShared.time, tsFresh.time);
     EXPECT_EQ(tsShared.ops, tsFresh.ops);
 
@@ -543,13 +561,13 @@ TEST(Runner, SharedInputsCachePartitions)
     EXPECT_THROW(inputs.preparePartition("sl", 4),
                  std::runtime_error);
 
-    // The shared-partition run path matches the compute-per-cell
-    // convenience path bit for bit.
+    // The shared-partition run path matches a freshly computed
+    // partition bit for bit.
     SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 4);
     auto shared = runGraph(cfg, g, workloads::GraphApp::Tf,
                            inputs.partition("wk", 4, true));
     auto fresh = runGraph(cfg, g, workloads::GraphApp::Tf,
-                          /*metisPartition=*/true);
+                          workloads::greedyPartition(g, 4));
     EXPECT_EQ(shared.time, fresh.time);
     EXPECT_EQ(shared.ops, fresh.ops);
     EXPECT_EQ(shared.stats.bytesAcrossUnits,
@@ -587,6 +605,178 @@ TEST(Grid, UnevenTasksKeepAllWorkersBusyAndResultsOrdered)
     // While task 0 sleeps, the claim index must hand the short cells
     // to the other workers.
     EXPECT_GE(maxConcurrent.load(), 2u);
+}
+
+/** Occurrences of @p needle in @p hay. */
+std::size_t
+countOf(const std::string &hay, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = hay.find(needle); at != std::string::npos;
+         at = hay.find(needle, at + 1))
+        ++n;
+    return n;
+}
+
+/** The last non-empty line of @p text. */
+std::string
+lastLine(const std::string &text)
+{
+    const std::size_t end = text.find_last_not_of('\n');
+    if (end == std::string::npos)
+        return "";
+    const std::size_t nl = text.rfind('\n', end);
+    return text.substr(nl == std::string::npos ? 0 : nl + 1,
+                       end - (nl == std::string::npos ? 0 : nl + 1) + 1);
+}
+
+/** A death-test stderr matcher from a predicate. */
+::testing::Matcher<const std::string &>
+stderrWhere(bool (*pred)(const std::string &))
+{
+    struct Impl : ::testing::MatcherInterface<const std::string &>
+    {
+        explicit Impl(bool (*p)(const std::string &)) : pred(p) {}
+        bool
+        MatchAndExplain(const std::string &err,
+                        ::testing::MatchResultListener *) const override
+        {
+            return pred(err);
+        }
+        void
+        DescribeTo(std::ostream *os) const override
+        {
+            *os << "stderr satisfying the test's predicate";
+        }
+        bool (*pred)(const std::string &);
+    };
+    return ::testing::Matcher<const std::string &>(new Impl(pred));
+}
+
+RunOutput
+cellOutput(Tick time)
+{
+    RunOutput out;
+    out.time = time;
+    out.ops = 1;
+    return out;
+}
+
+/** Two failing cells between good ones: the lower one is at fault. */
+int
+failingCellsBody(Bench &bench)
+{
+    bench.cell("good/0", [] { return cellOutput(1); });
+    bench.cell("bad/A", []() -> RunOutput { SYNCRON_FATAL("boom-A"); });
+    bench.cell("good/1", [] { return cellOutput(2); });
+    bench.cell("bad/B", []() -> RunOutput { SYNCRON_FATAL("boom-B"); });
+    bench.run();
+    return 0;
+}
+
+TEST(BenchMainDeathTest, FailingCellExitsTwoNamingTheFirstFailingCell)
+{
+    for (const char *jobs : {"--jobs=1", "--jobs=4"}) {
+        const char *argv[] = {"bench", jobs, "--scale=0.5"};
+        EXPECT_EXIT(
+            std::exit(benchMain("demo_bench", 3,
+                                const_cast<char **>(argv),
+                                failingCellsBody)),
+            ::testing::ExitedWithCode(2),
+            stderrWhere([](const std::string &err) {
+                const std::string last = lastLine(err);
+                return countOf(err, "boom-A") == 1
+                       && countOf(err, "boom-B") == 1
+                       && countOf(err, "demo_bench") == 1
+                       && countOf(last, "demo_bench") == 1
+                       && countOf(last, "'bad/A'") == 1
+                       && countOf(last, "--scale=0.5") == 1
+                       && countOf(last, "--sim-shards=1") == 1
+                       && countOf(err, "bad/B") == 0
+                       && countOf(err, "terminate called") == 0;
+            }))
+            << jobs;
+    }
+}
+
+TEST(BenchMainDeathTest, UnknownFlagExitsTwoWithOneMessage)
+{
+    const char *argv[] = {"bench", "--bogus"};
+    EXPECT_EXIT(
+        std::exit(benchMain("demo_bench", 2, const_cast<char **>(argv),
+                            [](Bench &) { return 0; })),
+        ::testing::ExitedWithCode(2),
+        stderrWhere([](const std::string &err) {
+            return countOf(err, "unknown argument '--bogus'") == 1
+                   && countOf(lastLine(err), "demo_bench") == 1
+                   && countOf(err, "terminate called") == 0;
+        }));
+}
+
+TEST(BenchMainDeathTest, GateFailureExitsOne)
+{
+    const char *argv[] = {"bench"};
+    EXPECT_EXIT(
+        std::exit(benchMain("demo_bench", 1, const_cast<char **>(argv),
+                            [](Bench &bench) {
+                                bench.cell("only", [] {
+                                    return cellOutput(1);
+                                });
+                                bench.run();
+                                return 1;
+                            })),
+        ::testing::ExitedWithCode(1), "");
+}
+
+/** Twelve cells whose labels sort opposite to submission order. */
+int
+labeledBody(Bench &bench)
+{
+    for (int i = 0; i < 12; ++i) {
+        bench.cell("cell" + std::to_string(99 - i), [i] {
+            // Early cells finish last under parallel workers.
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(12 - i));
+            return cellOutput(static_cast<Tick>(i + 1));
+        });
+    }
+    const std::vector<RunOutput> results = bench.run();
+    for (int i = 0; i < 12; ++i)
+        EXPECT_EQ(results[i].time, static_cast<Tick>(i + 1));
+    return 0;
+}
+
+/** The report's labels, in record order, with @p jobs grid workers. */
+std::vector<std::string>
+reportedLabels(const char *jobs)
+{
+    trace::ScratchFile json;
+    const std::string path = json.write("");
+    const std::string jsonArg = "--json=" + path;
+    const char *argv[] = {"bench", jobs, jsonArg.c_str()};
+    EXPECT_EQ(benchMain("demo_bench", 3, const_cast<char **>(argv),
+                        labeledBody),
+              0);
+    std::stringstream ss;
+    ss << std::ifstream(path).rdbuf();
+    const std::string text = ss.str();
+    std::vector<std::string> labels;
+    const std::string key = "\"label\": \"";
+    for (std::size_t at = text.find(key); at != std::string::npos;
+         at = text.find(key, at + 1)) {
+        const std::size_t begin = at + key.size();
+        labels.push_back(text.substr(begin, text.find('"', begin) - begin));
+    }
+    return labels;
+}
+
+TEST(BenchMain, ReportLabelsFollowSubmissionOrderForAnyJobs)
+{
+    std::vector<std::string> want;
+    for (int i = 0; i < 12; ++i)
+        want.push_back("cell" + std::to_string(99 - i));
+    EXPECT_EQ(reportedLabels("--jobs=1"), want);
+    EXPECT_EQ(reportedLabels("--jobs=4"), want);
 }
 
 } // namespace

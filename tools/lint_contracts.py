@@ -29,9 +29,10 @@ seconds and are wired into CI ahead of the build:
                        EventQueue::Callback alias, never instantiate
                        InplaceCallback<N> with their own bound.
   4. no-std-function   std::function allocates per capture and is banned
-                       from simulation code (src/); the registry factory
-                       and the cold stats visitor are the only allowed
-                       uses. Bench/test driver code is exempt.
+                       from simulation code (src/); the registry factory,
+                       the cold stats visitor and the bench driver's grid
+                       cells are the only allowed uses. Bench/test driver
+                       code is exempt.
   5. header-hygiene    Every header under src/ carries an include guard
                        derived from its path (SYNCRON_<DIR>_<NAME>_HH),
                        no `#pragma once`, and no `../` relative
@@ -64,6 +65,12 @@ seconds and are wired into CI ahead of the build:
                        setObserver() and addAuxObserver() survive only
                        as forwards in src/sync/api.hh; no code here may
                        call them.
+  9. one-bench-entry   Every bench binary runs through
+                       harness::benchMain, which parses the options,
+                       owns the report and runs the labeled grid. No
+                       file under bench/ may call BenchOptions::parse,
+                       construct a BenchReport, or call runGrid(
+                       directly.
 
 Usage:
   lint_contracts.py [--root DIR]   lint the tree, exit 1 on violations
@@ -88,6 +95,8 @@ RETIRED_RE = re.compile(
     r"|Persist(?:Hook)|withWal(?:Seq)|localGrant(?:Threshold)"
     r"|(?:Hier|CentralOvrfl|DistribOvrfl)Backend|Shadow(?:Oracle))\b")
 OLD_OBSERVER_CALL_RE = re.compile(r"\b(setObserver|addAuxObserver)\s*\(")
+BENCH_PLUMBING_RE = re.compile(
+    r"\bBenchOptions::parse\b|\bBenchReport\b|\brunGrid\s*\(")
 SCHEME_SWITCH_RE = re.compile(r"\bcase\s+Scheme::")
 INPLACE_INST_RE = re.compile(r"\bInplaceCallback\s*<")
 STD_FUNCTION_RE = re.compile(r"\bstd::function\b")
@@ -115,6 +124,8 @@ STD_FUNCTION_ALLOW = {
     "src/common/stats.hh",             # cold end-of-run visitor
     "src/common/stats.cc",
     "src/sync/registry.hh",            # backend factory, cold
+    "src/harness/report.hh",           # bench driver: one task per cell
+    "src/harness/report.cc",
 }
 # Where PM writes may be charged: the durability subsystem (WAL records)
 # and the SynCron engine (SE-state images), plus the shard-stats merge.
@@ -194,6 +205,13 @@ def lint_tree(root):
                        "%s() is a forward kept for old callers - "
                        "register with SyncApi::addObserver()"
                        % m.group(1))
+
+        if rel.startswith("bench/"):
+            for m in BENCH_PLUMBING_RE.finditer(text):
+                report(rel, line_of(text, m), "one-bench-entry",
+                       "%s in a bench - run the bench through "
+                       "harness::benchMain and queue its grid with "
+                       "Bench::cell()/run()" % m.group(0).strip())
 
         if rel not in SCHEME_SWITCH_ALLOW:
             for m in SCHEME_SWITCH_RE.finditer(text):
@@ -296,6 +314,10 @@ FIXTURES = [
      "durability::Shadow" "Oracle o(trace.primitives);\n"),
     ("one-observer-path", "tests/fixture.cc",
      "api.setObserver(&an);\napi.addAuxObserver(&wal);\n"),
+    ("one-bench-entry", "bench/fixture.cc",
+     "auto opts = harness::BenchOptions::parse(argc, argv);\n"
+     "harness::BenchReport report(\"x\", opts);\n"
+     "auto r = harness::runGrid(std::move(tasks), opts.jobs);\n"),
     ("no-scheme-switch", "src/fixture.cc",
      "int f(Scheme s){switch(s){case Scheme::Ideal: return 1;}return 0;}\n"),
     ("callback-bound", "src/fixture.cc",
