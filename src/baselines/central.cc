@@ -22,24 +22,7 @@ CentralBackend::CentralBackend(Machine &machine, UnitId serverUnit)
 bool
 CentralBackend::idleVar(Addr var) const
 {
-    std::lock_guard<std::mutex> lock(pendingMu_);
-    return pending_.count(var) == 0 && state_.idle(var);
-}
-
-void
-CentralBackend::pendingInc(Addr var)
-{
-    std::lock_guard<std::mutex> lock(pendingMu_);
-    ++pending_[var];
-}
-
-void
-CentralBackend::pendingDec(Addr var)
-{
-    std::lock_guard<std::mutex> lock(pendingMu_);
-    auto it = pending_.find(var);
-    if (it != pending_.end() && --it->second == 0)
-        pending_.erase(it);
+    return !pending_.any(var) && state_.idle(var);
 }
 
 void
@@ -60,7 +43,7 @@ CentralBackend::request(core::Core &requester,
 
     const CoreId core = requester.id();
     sim::Gate *acquireGate = acquire ? gate : nullptr;
-    pendingInc(req.var());
+    pending_.inc(req.var());
     machine_.postMessage(machine_.eq(from).now(), from, serverUnit_,
                          sync::kSyncReqBits,
                          [this, req, core, acquireGate] {
@@ -96,7 +79,7 @@ CentralBackend::requestBatch(core::Core &requester,
         const bool acquire = req.acquireType();
         if (!acquire)
             gates[i]->open(0, requester.cyclePeriod());
-        pendingInc(req.var());
+        pending_.inc(req.var());
         members.push_back(Member{req, acquire ? gates[i] : nullptr});
     }
 
@@ -194,7 +177,7 @@ CentralBackend::completeFront()
     queue_.pop_front();
     const Tick when = machine_.eq(serverUnit_).now();
     auto grants = state_.apply(job.req, job.core, job.gate);
-    pendingDec(job.req.var());
+    pending_.dec(job.req.var());
     for (const sync::SyncGrant &g : grants) {
         const UnitId unit = g.core / machine_.config().coresPerUnit;
         SystemStats &st = machine_.statsFor(serverUnit_);

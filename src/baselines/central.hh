@@ -15,8 +15,6 @@
 
 #include <deque>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "cache/cache.hh"
 #include "sync/backend.hh"
@@ -78,9 +76,6 @@ class CentralBackend : public sync::SyncBackend
     /** Applies the head job, sends its grants, serves the next one. */
     void completeFront();
 
-    void pendingInc(Addr var);
-    void pendingDec(Addr var);
-
     Machine &machine_;
     cache::Cache l1_;
     sync::FlatSyncState state_;
@@ -91,12 +86,8 @@ class CentralBackend : public sync::SyncBackend
     /// shared with requester shards.
     std::deque<Job> queue_;
     bool serving_ = false;
-    /// Requests issued but not yet applied at the server, per variable
-    /// (keeps idleVar() honest about messages still in flight).
-    /// Incremented on the requester's shard, decremented on the
-    /// server's; only read for its keys at quiescence.
-    std::unordered_map<Addr, std::uint32_t> pending_;
-    mutable std::mutex pendingMu_;
+    /// Requests issued but not yet applied at the server.
+    sync::PendingOps pending_;
 };
 
 } // namespace syncron::baselines

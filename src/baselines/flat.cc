@@ -18,8 +18,7 @@ FlatSynCronBackend::FlatSynCronBackend(Machine &machine)
 bool
 FlatSynCronBackend::idleVar(Addr var) const
 {
-    std::lock_guard<std::mutex> lock(pendingMu_);
-    if (pending_.count(var) != 0)
+    if (pending_.any(var))
         return false;
     // Condition variables are homed at their lock's master, not their
     // own, so check every unit's state rather than unitOfAddr(var)'s.
@@ -34,22 +33,6 @@ FlatSynCronBackend::releaseVar(Addr var)
 {
     for (sync::FlatSyncState &s : state_)
         s.destroy(var);
-}
-
-void
-FlatSynCronBackend::pendingInc(Addr var)
-{
-    std::lock_guard<std::mutex> lock(pendingMu_);
-    ++pending_[var];
-}
-
-void
-FlatSynCronBackend::pendingDec(Addr var)
-{
-    std::lock_guard<std::mutex> lock(pendingMu_);
-    auto it = pending_.find(var);
-    if (it != pending_.end() && --it->second == 0)
-        pending_.erase(it);
 }
 
 void
@@ -69,7 +52,7 @@ FlatSynCronBackend::request(core::Core &requester,
 
     const CoreId core = requester.id();
     sim::Gate *acquireGate = acquire ? gate : nullptr;
-    pendingInc(req.var());
+    pending_.inc(req.var());
     machine_.postMessage(machine_.eq(from).now(), from, master,
                          sync::kSyncReqBits,
                          [this, master, req, core, acquireGate] {
@@ -97,7 +80,7 @@ FlatSynCronBackend::process(UnitId se, const sync::SyncRequest &req,
         // its lock may be homed at different units.
         std::vector<sync::FlatSyncState::LockOp> fwd;
         auto grants = state_[se].apply(req, core, gate, &fwd);
-        pendingDec(req.var());
+        pending_.dec(req.var());
         for (const sync::FlatSyncState::LockOp &op : fwd) {
             const UnitId lockSe = mem::unitOfAddr(op.lock);
             const sync::SyncRequest lockReq =
@@ -110,7 +93,7 @@ FlatSynCronBackend::process(UnitId se, const sync::SyncRequest &req,
                 ++st.syncLocalMsgs;
             else
                 ++st.syncGlobalMsgs;
-            pendingInc(op.lock);
+            pending_.inc(op.lock);
             const CoreId lockCore = op.core;
             sim::Gate *lockGate = op.gate;
             machine_.postMessage(when, se, lockSe, sync::kSyncReqBits,

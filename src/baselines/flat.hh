@@ -12,8 +12,6 @@
 #ifndef SYNCRON_BASELINES_FLAT_HH
 #define SYNCRON_BASELINES_FLAT_HH
 
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "sync/backend.hh"
@@ -41,20 +39,13 @@ class FlatSynCronBackend : public sync::SyncBackend
     void process(UnitId se, const sync::SyncRequest &req, CoreId core,
                  sim::Gate *gate);
 
-    void pendingInc(Addr var);
-    void pendingDec(Addr var);
-
     Machine &machine_;
     /// Per-master-unit tracking state: a variable's state lives at its
     /// Master SE and is only touched from that unit's shard.
     std::vector<sync::FlatSyncState> state_;
     std::vector<Tick> busyUntil_; ///< per-unit SE SPU
-    /// Requests issued but not yet applied at their Master SE, per
-    /// variable (keeps idleVar() honest about in-flight messages).
-    /// Incremented on requester shards, decremented at the master;
-    /// only read for its keys at quiescence.
-    std::unordered_map<Addr, std::uint32_t> pending_;
-    mutable std::mutex pendingMu_;
+    /// Requests issued but not yet applied at their Master SE.
+    sync::PendingOps pending_;
 };
 
 } // namespace syncron::baselines

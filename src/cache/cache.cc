@@ -106,13 +106,4 @@ Cache::invalidate(Addr addr)
     return false;
 }
 
-void
-Cache::invalidateAll()
-{
-    for (Line &line : lines_) {
-        line.valid = false;
-        line.dirty = false;
-    }
-}
-
 } // namespace syncron::cache

@@ -66,9 +66,6 @@ class Cache
      */
     bool invalidate(Addr addr);
 
-    /** Drops every line (e.g. at kernel offload boundaries). */
-    void invalidateAll();
-
     const CacheParams &params() const { return params_; }
     std::uint32_t numSets() const { return numSets_; }
 

@@ -29,14 +29,6 @@ OpenLoopWorkload::OpenLoopWorkload(NdpSystem &sys, const LoadSpec &spec,
     }
 }
 
-const LoadCounters &
-OpenLoopWorkload::coreCounters(unsigned core) const
-{
-    SYNCRON_ASSERT(core < state_.size(),
-                   "core " << core << " out of range");
-    return state_[core].counters;
-}
-
 LoadCounters
 OpenLoopWorkload::totals() const
 {

@@ -88,9 +88,6 @@ class OpenLoopWorkload
     OpenLoopWorkload(const OpenLoopWorkload &) = delete;
     OpenLoopWorkload &operator=(const OpenLoopWorkload &) = delete;
 
-    /** Per-core accounting after the run. */
-    const LoadCounters &coreCounters(unsigned core) const;
-
     /** Aggregate accounting after the run. */
     LoadCounters totals() const;
 

@@ -151,10 +151,4 @@ Dram::access(Tick start, Addr addr, bool isWrite, std::uint32_t bytes)
     return done;
 }
 
-Tick
-Dram::unloadedReadLatency() const
-{
-    return params_.tRcdRead + params_.tBurst;
-}
-
 } // namespace syncron::mem

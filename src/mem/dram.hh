@@ -88,9 +88,6 @@ class Dram
      */
     Tick access(Tick start, Addr addr, bool isWrite, std::uint32_t bytes);
 
-    /** Latency of an ideal row-hit read with no queueing (for tests). */
-    Tick unloadedReadLatency() const;
-
     const DramParams &params() const { return params_; }
 
   private:

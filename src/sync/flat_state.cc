@@ -154,4 +154,11 @@ FlatSyncState::idle(Addr var) const
     return it == vars_.end() || it->second.idle();
 }
 
+bool
+FlatSyncState::holdsSemaphore(Addr var) const
+{
+    auto it = vars_.find(var);
+    return it != vars_.end() && it->second.semInitialized;
+}
+
 } // namespace syncron::sync

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -34,6 +35,44 @@ struct SyncGrant
 {
     CoreId core = kInvalidCore;
     sim::Gate *gate = nullptr;
+};
+
+/**
+ * Requests issued but not yet applied at their server, per variable:
+ * keeps a backend's idleVar() honest about messages still in flight.
+ * Counted up on the requester's shard and down on the server's, hence
+ * the mutex; only read for its keys at quiescence.
+ */
+class PendingOps
+{
+  public:
+    void
+    inc(Addr var)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++counts_[var];
+    }
+
+    void
+    dec(Addr var)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = counts_.find(var);
+        if (it != counts_.end() && --it->second == 0)
+            counts_.erase(it);
+    }
+
+    /** True while some request on @p var is in flight. */
+    bool
+    any(Addr var) const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return counts_.count(var) != 0;
+    }
+
+  private:
+    std::unordered_map<Addr, std::uint32_t> counts_;
+    mutable std::mutex mu_;
 };
 
 /** Flat semantics for locks, barriers, semaphores, condition variables. */
@@ -76,8 +115,9 @@ class FlatSyncState
     /** True when @p var has no owner, waiters, or residual state. */
     bool idle(Addr var) const;
 
-    /** Number of variables with live state. */
-    std::size_t liveVars() const { return vars_.size(); }
+    /** True when @p var is a semaphore: its count is state idle()
+     *  leaves out, since it outlives every waiter. */
+    bool holdsSemaphore(Addr var) const;
 
     /** Drops state for @p var (destroy_syncvar). */
     void destroy(Addr var) { vars_.erase(var); }

@@ -91,94 +91,4 @@ opName(Op op)
     return "?";
 }
 
-bool
-isGlobalOp(Op op)
-{
-    switch (op) {
-      case Op::LockAcquireGlobal:
-      case Op::LockReleaseGlobal:
-      case Op::LockGrantGlobal:
-      case Op::BarrierWaitGlobal:
-      case Op::BarrierDepartGlobal:
-      case Op::SemWaitGlobal:
-      case Op::SemGrantGlobal:
-      case Op::SemPostGlobal:
-      case Op::CondWaitGlobal:
-      case Op::CondSignalGlobal:
-      case Op::CondBroadGlobal:
-      case Op::CondGrantGlobal:
-      case Op::DecreaseIndexingCounter:
-        return true;
-      default:
-        return isOverflowOp(op);
-    }
-}
-
-bool
-isOverflowOp(Op op)
-{
-    switch (op) {
-      case Op::LockAcquireOverflow:
-      case Op::LockReleaseOverflow:
-      case Op::LockGrantOverflow:
-      case Op::BarrierWaitOverflow:
-      case Op::BarrierDepartureOverflow:
-      case Op::SemWaitOverflow:
-      case Op::SemGrantOverflow:
-      case Op::SemPostOverflow:
-      case Op::CondWaitOverflow:
-      case Op::CondSignalOverflow:
-      case Op::CondBroadOverflow:
-      case Op::CondGrantOverflow:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isAcquireOp(Op op)
-{
-    switch (op) {
-      case Op::LockAcquireGlobal:
-      case Op::LockAcquireLocal:
-      case Op::LockAcquireOverflow:
-      case Op::BarrierWaitGlobal:
-      case Op::BarrierWaitLocalWithinUnit:
-      case Op::BarrierWaitLocalAcrossUnits:
-      case Op::BarrierWaitOverflow:
-      case Op::SemWaitGlobal:
-      case Op::SemWaitLocal:
-      case Op::SemWaitOverflow:
-      case Op::CondWaitGlobal:
-      case Op::CondWaitLocal:
-      case Op::CondWaitOverflow:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isReleaseOp(Op op)
-{
-    switch (op) {
-      case Op::LockReleaseGlobal:
-      case Op::LockReleaseLocal:
-      case Op::LockReleaseOverflow:
-      case Op::SemPostGlobal:
-      case Op::SemPostLocal:
-      case Op::SemPostOverflow:
-      case Op::CondSignalGlobal:
-      case Op::CondSignalLocal:
-      case Op::CondSignalOverflow:
-      case Op::CondBroadGlobal:
-      case Op::CondBroadLocal:
-      case Op::CondBroadOverflow:
-        return true;
-      default:
-        return false;
-    }
-}
-
 } // namespace syncron::sync

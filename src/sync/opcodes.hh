@@ -94,17 +94,101 @@ enum class Op : std::uint8_t
 /** Returns a printable name for @p op. */
 const char *opName(Op op);
 
-/** True for opcodes exchanged between SEs (global/overflow/decrease). */
-bool isGlobalOp(Op op);
+// Inline: the SE consults these on every message it services.
 
 /** True for the overflow-path opcodes. */
-bool isOverflowOp(Op op);
+constexpr bool
+isOverflowOp(Op op)
+{
+    switch (op) {
+      case Op::LockAcquireOverflow:
+      case Op::LockReleaseOverflow:
+      case Op::LockGrantOverflow:
+      case Op::BarrierWaitOverflow:
+      case Op::BarrierDepartureOverflow:
+      case Op::SemWaitOverflow:
+      case Op::SemGrantOverflow:
+      case Op::SemPostOverflow:
+      case Op::CondWaitOverflow:
+      case Op::CondSignalOverflow:
+      case Op::CondBroadOverflow:
+      case Op::CondGrantOverflow:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** True for opcodes exchanged between SEs (global/overflow/decrease). */
+constexpr bool
+isGlobalOp(Op op)
+{
+    switch (op) {
+      case Op::LockAcquireGlobal:
+      case Op::LockReleaseGlobal:
+      case Op::LockGrantGlobal:
+      case Op::BarrierWaitGlobal:
+      case Op::BarrierDepartGlobal:
+      case Op::SemWaitGlobal:
+      case Op::SemGrantGlobal:
+      case Op::SemPostGlobal:
+      case Op::CondWaitGlobal:
+      case Op::CondSignalGlobal:
+      case Op::CondBroadGlobal:
+      case Op::CondGrantGlobal:
+      case Op::DecreaseIndexingCounter:
+        return true;
+      default:
+        return isOverflowOp(op);
+    }
+}
 
 /** True for opcodes with acquire-type semantics (indexing counter ++). */
-bool isAcquireOp(Op op);
+constexpr bool
+isAcquireOp(Op op)
+{
+    switch (op) {
+      case Op::LockAcquireGlobal:
+      case Op::LockAcquireLocal:
+      case Op::LockAcquireOverflow:
+      case Op::BarrierWaitGlobal:
+      case Op::BarrierWaitLocalWithinUnit:
+      case Op::BarrierWaitLocalAcrossUnits:
+      case Op::BarrierWaitOverflow:
+      case Op::SemWaitGlobal:
+      case Op::SemWaitLocal:
+      case Op::SemWaitOverflow:
+      case Op::CondWaitGlobal:
+      case Op::CondWaitLocal:
+      case Op::CondWaitOverflow:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** True for opcodes with release-type semantics (indexing counter --). */
-bool isReleaseOp(Op op);
+constexpr bool
+isReleaseOp(Op op)
+{
+    switch (op) {
+      case Op::LockReleaseGlobal:
+      case Op::LockReleaseLocal:
+      case Op::LockReleaseOverflow:
+      case Op::SemPostGlobal:
+      case Op::SemPostLocal:
+      case Op::SemPostOverflow:
+      case Op::CondSignalGlobal:
+      case Op::CondSignalLocal:
+      case Op::CondSignalOverflow:
+      case Op::CondBroadGlobal:
+      case Op::CondBroadLocal:
+      case Op::CondBroadOverflow:
+        return true;
+      default:
+        return false;
+    }
+}
 
 } // namespace syncron::sync
 

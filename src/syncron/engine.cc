@@ -217,9 +217,9 @@ SynCronBackend::takePendingGate(CoreId core, Addr key)
                           << key);
 }
 
-void
-SynCronBackend::request(core::Core &requester, const SyncRequest &req,
-                        sim::Gate *gate)
+SyncMessage
+SynCronBackend::admit(core::Core &requester, const SyncRequest &req,
+                      sim::Gate *gate)
 {
     ++stations_[requester.unit()]->totalReqs;
     if (req.acquireType()) {
@@ -228,13 +228,6 @@ SynCronBackend::request(core::Core &requester, const SyncRequest &req,
         // req_async: commits once the message is issued to the network.
         gate->open(0, requester.cyclePeriod());
     }
-
-    // MiSAR ablation: variables in software mode bypass the SEs.
-    if (misarActive() && misarVars_.count(req.var()) != 0) {
-        misarRequest(requester, req, gate);
-        return;
-    }
-
     // The sole spot where a typed request becomes a Fig. 5 hardware
     // message; MessageInfo is the request payload's wire encoding.
     SyncMessage msg;
@@ -242,6 +235,20 @@ SynCronBackend::request(core::Core &requester, const SyncRequest &req,
     msg.opcode = localOpcodeFor(req.kind());
     msg.coreId = requester.localId();
     msg.info = req.messageInfo();
+    return msg;
+}
+
+void
+SynCronBackend::request(core::Core &requester, const SyncRequest &req,
+                        sim::Gate *gate)
+{
+    const SyncMessage msg = admit(requester, req, gate);
+
+    // MiSAR ablation: variables in software mode bypass the SEs.
+    if (misarActive() && misarVars_.count(req.var()) != 0) {
+        misarRequest(requester, req, gate);
+        return;
+    }
 
     const UnitId unit = requester.unit();
     const Tick arrival = machine_.routeMessage(
@@ -279,20 +286,8 @@ SynCronBackend::requestBatch(core::Core &requester,
     std::vector<SyncMessage> msgs;
     msgs.reserve(reqs.size());
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-        const SyncRequest &req = reqs[i];
-        ++local.totalReqs;
-        if (req.acquireType()) {
-            addPendingGate(requester.id(), gateKeyFor(req), gates[i]);
-        } else {
-            gates[i]->open(0, requester.cyclePeriod());
-        }
-        SyncMessage msg;
-        msg.addr = req.var();
-        msg.opcode = localOpcodeFor(req.kind());
-        msg.coreId = requester.localId();
-        msg.info = req.messageInfo();
-        msgs.push_back(msg);
-        ++local.inFlightLocal[req.var()];
+        msgs.push_back(admit(requester, reqs[i], gates[i]));
+        ++local.inFlightLocal[reqs[i].var()];
     }
 
     const auto n = static_cast<std::uint32_t>(reqs.size());
@@ -325,6 +320,18 @@ SynCronBackend::sendToStation(UnitId from, UnitId to, SyncMessage msg,
     // another).
     machine_.postMessage(depart, from, to, sync::kSyncReqBits,
                          [this, to, msg] { receive(to, msg); });
+}
+
+void
+SynCronBackend::sendGlobal(Station &s, UnitId to, Op op, Addr var,
+                           Tick depart, std::uint64_t info)
+{
+    SyncMessage msg;
+    msg.addr = var;
+    msg.opcode = op;
+    msg.coreId = s.unit;
+    msg.info = info;
+    sendToStation(s.unit, to, msg, depart);
 }
 
 void
@@ -452,84 +459,105 @@ SynCronBackend::handle(Station &s, SyncMessage msg)
     if (opts_.station == StationKind::ServerCore)
         done = serverStateAccess(s, msg.addr, done);
     s.busyUntil = std::max(s.busyUntil, done);
-
-    switch (msg.opcode) {
-      case Op::LockAcquireLocal: onLockAcquireLocal(s, msg, done); break;
-      case Op::LockReleaseLocal: onLockReleaseLocal(s, msg, done); break;
-      case Op::LockAcquireGlobal: onLockAcquireGlobal(s, msg, done); break;
-      case Op::LockReleaseGlobal: onLockReleaseGlobal(s, msg, done); break;
-      case Op::LockGrantGlobal: onLockGrantGlobal(s, msg, done); break;
-
-      case Op::BarrierWaitLocalWithinUnit:
-        onBarrierWaitLocal(s, msg, true, done);
-        break;
-      case Op::BarrierWaitLocalAcrossUnits:
-        onBarrierWaitLocal(s, msg, false, done);
-        break;
-      case Op::BarrierWaitGlobal: onBarrierWaitGlobal(s, msg, done); break;
-      case Op::BarrierDepartGlobal:
-        onBarrierDepartGlobal(s, msg, done);
-        break;
-
-      case Op::SemWaitLocal: onSemWaitLocal(s, msg, done); break;
-      case Op::SemPostLocal: onSemPostLocal(s, msg, done); break;
-      case Op::SemWaitGlobal: onSemWaitGlobal(s, msg, done); break;
-      case Op::SemPostGlobal: onSemPostGlobal(s, msg, done); break;
-      case Op::SemGrantGlobal: onSemGrantGlobal(s, msg, done); break;
-
-      case Op::CondWaitLocal: onCondWaitLocal(s, msg, done); break;
-      case Op::CondSignalLocal:
-        onCondSignalLocal(s, msg, false, done);
-        break;
-      case Op::CondBroadLocal:
-        onCondSignalLocal(s, msg, true, done);
-        break;
-      case Op::CondWaitGlobal: onCondWaitGlobal(s, msg, done); break;
-      case Op::CondSignalGlobal:
-        onCondSignalGlobal(s, msg, false, done);
-        break;
-      case Op::CondBroadGlobal:
-        // Used in both directions: SE -> Master (forwarded broadcast)
-        // and Master -> SE (wake-all grant).
-        if (isMaster(s, msg.addr))
-            onCondSignalGlobal(s, msg, true, done);
-        else
-            onCondGrantGlobal(s, msg, true, done);
-        break;
-      case Op::CondGrantGlobal:
-        onCondGrantGlobal(s, msg, false, done);
-        break;
-
-      case Op::LockAcquireOverflow:
-      case Op::LockReleaseOverflow:
-      case Op::BarrierWaitOverflow:
-      case Op::SemWaitOverflow:
-      case Op::SemPostOverflow:
-      case Op::CondWaitOverflow:
-      case Op::CondSignalOverflow:
-      case Op::CondBroadOverflow:
-        handleOverflowAtMaster(s, msg, done);
-        break;
-
-      case Op::LockGrantOverflow:
-      case Op::SemGrantOverflow:
-      case Op::CondGrantOverflow:
-      case Op::BarrierDepartureOverflow:
-        onOverflowGrant(s, msg, done);
-        break;
-
-      case Op::DecreaseIndexingCounter:
-        onDecreaseIndexingCounter(s, msg);
-        break;
-
-      default:
-        SYNCRON_PANIC("unhandled opcode " << opName(msg.opcode));
-    }
+    dispatch(s, msg, done);
 }
 
 // --------------------------------------------------------------------
 // Fig. 8 control flow
 // --------------------------------------------------------------------
+
+void
+SynCronBackend::dispatch(Station &s, const SyncMessage &m, Tick done)
+{
+    switch (m.opcode) {
+      // Replies to this SE's own requests, and the Master SE's counter
+      // release: their state is already here, nothing to route.
+      case Op::LockGrantGlobal: onLockGrantGlobal(s, m, done); return;
+      case Op::BarrierDepartGlobal: onBarrierDepartGlobal(s, m, done); return;
+      case Op::SemGrantGlobal: onSemGrantGlobal(s, m, done); return;
+      case Op::CondGrantGlobal: onCondGrantGlobal(s, m, done); return;
+      case Op::LockGrantOverflow:
+      case Op::SemGrantOverflow:
+      case Op::CondGrantOverflow:
+      case Op::BarrierDepartureOverflow: onOverflowGrant(s, m, done); return;
+      case Op::DecreaseIndexingCounter: s.counters.decrement(m.addr); return;
+      case Op::CondBroadGlobal:
+        // Used in both directions: SE -> Master (forwarded broadcast)
+        // and Master -> SE (wake-all grant).
+        if (!isMaster(s, m.addr)) {
+            onCondGrantGlobal(s, m, done);
+            return;
+        }
+        break;
+      case Op::SemPostLocal:
+      case Op::CondSignalLocal:
+      case Op::CondBroadLocal:
+        if (!isMaster(s, m.addr)) {
+            combineLocally(s, m, done);
+            return;
+        }
+        break;
+      default:
+        break;
+    }
+
+    // A redirected request is always serviced in the syncronVar record.
+    if (sync::isOverflowOp(m.opcode)) {
+        memOp(s, m, done);
+        return;
+    }
+    const Route route = routeFor(s, m.addr, sync::isAcquireOp(m.opcode),
+                                 sync::isGlobalOp(m.opcode));
+    if (route != Route::Table) {
+        if (route == Route::Redirect)
+            redirectOverflow(s, m, done);
+        else
+            memOp(s, m, done);
+        // Either way the core's cond_wait releases its lock here.
+        if (m.opcode == Op::CondWaitLocal) {
+            internalLockOp(s, Op::LockReleaseLocal, m.coreId,
+                           m.condLockAddr(), done);
+        }
+        return;
+    }
+
+    StEntry &e = *entryOf(s, m.addr);
+    switch (m.opcode) {
+      case Op::LockAcquireLocal: onLockAcquireLocal(s, e, m, done); break;
+      case Op::LockReleaseLocal: onLockReleaseLocal(s, e, m, done); break;
+      case Op::LockAcquireGlobal: onLockAcquireGlobal(s, e, m, done); break;
+      case Op::LockReleaseGlobal:
+        SYNCRON_ASSERT(e.ownerKind == LockOwner::Unit
+                           && e.ownerId == m.coreId,
+                       "global release by non-owner unit " << m.coreId);
+        e.ownerKind = LockOwner::None;
+        masterNextGrant(s, e, done);
+        break;
+      case Op::BarrierWaitLocalWithinUnit:
+      case Op::BarrierWaitLocalAcrossUnits:
+        onBarrierWaitLocal(s, e, m, done);
+        break;
+      case Op::BarrierWaitGlobal: onBarrierWaitGlobal(s, e, m, done); break;
+      case Op::SemWaitLocal: onSemWaitLocal(s, e, m, done); break;
+      case Op::SemWaitGlobal: onSemWaitGlobal(s, e, m, done); break;
+      case Op::SemPostLocal:
+      case Op::SemPostGlobal:
+        // Master only. Global posts may carry a batch count (returned
+        // grant excess).
+        e.initSem(0);
+        for (std::uint64_t n = m.info > 0 ? m.info : 1; n > 0; --n)
+            masterSemPost(s, e, done);
+        break;
+      case Op::CondWaitLocal: onCondWaitLocal(s, e, m, done); break;
+      case Op::CondWaitGlobal: onCondWaitGlobal(s, e, m, done); break;
+      case Op::CondSignalLocal:
+      case Op::CondSignalGlobal: masterCondSignal(s, e, false, done); break;
+      case Op::CondBroadLocal:
+      case Op::CondBroadGlobal: masterCondSignal(s, e, true, done); break;
+      default:
+        SYNCRON_PANIC("unhandled opcode " << opName(m.opcode));
+    }
+}
 
 SynCronBackend::Route
 SynCronBackend::routeFor(Station &s, Addr var, bool acquireType,
@@ -569,6 +597,52 @@ SynCronBackend::routeFor(Station &s, Addr var, bool acquireType,
     StEntry *e = s.table.alloc(var, machine_.eq(s.unit).now());
     SYNCRON_ASSERT(e != nullptr, "alloc failed with non-full table");
     return Route::Table;
+}
+
+void
+SynCronBackend::internalLockOp(Station &s, Op op, unsigned localCore,
+                               Addr lock, Tick done)
+{
+    SyncMessage m;
+    m.addr = lock;
+    m.opcode = op;
+    m.coreId = localCore;
+    if (misarActive() && misarVars_.count(lock) != 0)
+        misarDivertLocal(s, m, done);
+    else
+        dispatch(s, m, done);
+}
+
+void
+SynCronBackend::combineLocally(Station &s, const SyncMessage &m, Tick done)
+{
+    // Hierarchical combining: a post or a signal that finds a local
+    // waiter serves it without a round trip to the Master SE (a
+    // broadcast must reach every waiter, so it always goes on).
+    StEntry *e = s.table.find(m.addr);
+    if (m.opcode != Op::CondBroadLocal && e != nullptr
+        && e->localWaitBits != 0) {
+        const unsigned c = lowestSetBit(e->localWaitBits);
+        e->localWaitBits = withoutBit(e->localWaitBits, c);
+        if (m.opcode == Op::SemPostLocal) {
+            grantCore(s.unit, globalCoreId(s.unit, c), m.addr, done);
+        } else {
+            // The woken core re-acquires the associated lock first.
+            internalLockOp(s, Op::LockAcquireLocal, c,
+                           static_cast<Addr>(e->tableInfo), done);
+        }
+        return;
+    }
+    // Otherwise forward (or redirect) to the master without reserving
+    // an ST entry.
+    if (s.counters.servicedViaMemory(m.addr) || s.hasRedirected(m.addr)) {
+        redirectOverflow(s, m, done);
+        return;
+    }
+    const Op fwd = m.opcode == Op::SemPostLocal     ? Op::SemPostGlobal
+                   : m.opcode == Op::CondSignalLocal ? Op::CondSignalGlobal
+                                                     : Op::CondBroadGlobal;
+    sendGlobal(s, masterOf(m.addr), fwd, m.addr, done);
 }
 
 StEntry *
@@ -612,11 +686,7 @@ SynCronBackend::masterNextGrant(Station &s, StEntry &e, Tick done)
         e.globalWaitBits = withoutBit(e.globalWaitBits, j);
         e.ownerKind = LockOwner::Unit;
         e.ownerId = j;
-        SyncMessage grant;
-        grant.addr = e.addr;
-        grant.opcode = Op::LockGrantGlobal;
-        grant.coreId = s.unit;
-        sendToStation(s.unit, j, grant, done);
+        sendGlobal(s, j, Op::LockGrantGlobal, e.addr, done);
     } else {
         e.ownerKind = LockOwner::None;
         maybeFree(s, e, machine_.eq(s.unit).now());
@@ -624,23 +694,9 @@ SynCronBackend::masterNextGrant(Station &s, StEntry &e, Tick done)
 }
 
 void
-SynCronBackend::onLockAcquireLocal(Station &s, const SyncMessage &m,
-                                   Tick done)
+SynCronBackend::onLockAcquireLocal(Station &s, StEntry &e,
+                                   const SyncMessage &m, Tick done)
 {
-    const Route route = routeFor(s, m.addr, true, false);
-    if (route == Route::Redirect) {
-        redirectOverflow(s, m, done);
-        return;
-    }
-    if (route == Route::Memory) {
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memLockOp(s, v, m, true, s.unit, static_cast<int>(m.coreId), false,
-                  done);
-        return;
-    }
-
-    StEntry &e = *entryOf(s, m.addr);
     const unsigned c = m.coreId;
 
     if (isMaster(s, m.addr)) {
@@ -664,32 +720,14 @@ SynCronBackend::onLockAcquireLocal(Station &s, const SyncMessage &m,
     e.localWaitBits = withBit(e.localWaitBits, c);
     if (!e.holdsGrant && !e.requestedGlobal) {
         e.requestedGlobal = true;
-        SyncMessage req;
-        req.addr = m.addr;
-        req.opcode = Op::LockAcquireGlobal;
-        req.coreId = s.unit;
-        sendToStation(s.unit, masterOf(m.addr), req, done);
+        sendGlobal(s, masterOf(m.addr), Op::LockAcquireGlobal, m.addr, done);
     }
 }
 
 void
-SynCronBackend::onLockReleaseLocal(Station &s, const SyncMessage &m,
-                                   Tick done)
+SynCronBackend::onLockReleaseLocal(Station &s, StEntry &e,
+                                   const SyncMessage &m, Tick done)
 {
-    const Route route = routeFor(s, m.addr, false, false);
-    if (route == Route::Redirect) {
-        redirectOverflow(s, m, done);
-        return;
-    }
-    if (route == Route::Memory) {
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memLockOp(s, v, m, false, s.unit, static_cast<int>(m.coreId),
-                  false, done);
-        return;
-    }
-
-    StEntry &e = *entryOf(s, m.addr);
     SYNCRON_ASSERT(e.ownerKind == LockOwner::LocalCore
                        && e.ownerId == m.coreId,
                    "lock release by non-owner core "
@@ -718,56 +756,22 @@ SynCronBackend::onLockReleaseLocal(Station &s, const SyncMessage &m,
 
     // Release the unit's hold with one aggregated global message.
     e.holdsGrant = false;
-    SyncMessage rel;
-    rel.addr = m.addr;
-    rel.opcode = Op::LockReleaseGlobal;
-    rel.coreId = s.unit;
-    sendToStation(s.unit, masterOf(m.addr), rel, done);
+    sendGlobal(s, masterOf(m.addr), Op::LockReleaseGlobal, m.addr, done);
     maybeFree(s, e, machine_.eq(s.unit).now());
 }
 
 void
-SynCronBackend::onLockAcquireGlobal(Station &s, const SyncMessage &m,
-                                    Tick done)
+SynCronBackend::onLockAcquireGlobal(Station &s, StEntry &e,
+                                    const SyncMessage &m, Tick done)
 {
-    const Route route = routeFor(s, m.addr, true, true);
-    if (route == Route::Memory) {
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memLockOp(s, v, m, true, m.coreId, -1, true, done);
-        return;
-    }
-    StEntry &e = *entryOf(s, m.addr);
     const unsigned j = m.coreId;
     if (e.ownerKind == LockOwner::None) {
         e.ownerKind = LockOwner::Unit;
         e.ownerId = j;
-        SyncMessage grant;
-        grant.addr = m.addr;
-        grant.opcode = Op::LockGrantGlobal;
-        grant.coreId = s.unit;
-        sendToStation(s.unit, j, grant, done);
+        sendGlobal(s, j, Op::LockGrantGlobal, m.addr, done);
     } else {
         e.globalWaitBits = withBit(e.globalWaitBits, j);
     }
-}
-
-void
-SynCronBackend::onLockReleaseGlobal(Station &s, const SyncMessage &m,
-                                    Tick done)
-{
-    const Route route = routeFor(s, m.addr, false, true);
-    if (route == Route::Memory) {
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memLockOp(s, v, m, false, m.coreId, -1, true, done);
-        return;
-    }
-    StEntry &e = *entryOf(s, m.addr);
-    SYNCRON_ASSERT(e.ownerKind == LockOwner::Unit && e.ownerId == m.coreId,
-                   "global release by non-owner unit " << m.coreId);
-    e.ownerKind = LockOwner::None;
-    masterNextGrant(s, e, done);
 }
 
 void
@@ -785,48 +789,22 @@ SynCronBackend::onLockGrantGlobal(Station &s, const SyncMessage &m,
         // All local waiters vanished (possible only through exotic
         // interleavings); return the lock immediately.
         e->holdsGrant = false;
-        SyncMessage rel;
-        rel.addr = m.addr;
-        rel.opcode = Op::LockReleaseGlobal;
-        rel.coreId = s.unit;
-        sendToStation(s.unit, masterOf(m.addr), rel, done);
+        sendGlobal(s, masterOf(m.addr), Op::LockReleaseGlobal, m.addr,
+                   done);
         maybeFree(s, *e, machine_.eq(s.unit).now());
     }
-}
-
-void
-SynCronBackend::internalLockAcquire(Station &s, unsigned localCore,
-                                    Addr lock, Tick done)
-{
-    SyncMessage m;
-    m.addr = lock;
-    m.opcode = Op::LockAcquireLocal;
-    m.coreId = localCore;
-    if (misarActive() && misarVars_.count(lock) != 0) {
-        misarDivertLocal(s, m, done);
-        return;
-    }
-    onLockAcquireLocal(s, m, done);
-}
-
-void
-SynCronBackend::internalLockRelease(Station &s, unsigned localCore,
-                                    Addr lock, Tick done)
-{
-    SyncMessage m;
-    m.addr = lock;
-    m.opcode = Op::LockReleaseLocal;
-    m.coreId = localCore;
-    if (misarActive() && misarVars_.count(lock) != 0) {
-        misarDivertLocal(s, m, done);
-        return;
-    }
-    onLockReleaseLocal(s, m, done);
 }
 
 // --------------------------------------------------------------------
 // Barrier protocol (Section 4.1)
 // --------------------------------------------------------------------
+
+bool
+SynCronBackend::hierBarrier(std::uint64_t total) const
+{
+    const SystemConfig &cfg = machine_.config();
+    return total == cfg.totalClientCores() && cfg.numUnits > 1;
+}
 
 void
 SynCronBackend::departLocalWaiters(Station &s, StEntry &e, Tick done)
@@ -845,16 +823,11 @@ SynCronBackend::masterBarrierCheck(Station &s, StEntry &e,
                                    std::uint64_t total, Tick done)
 {
     const SystemConfig &cfg = machine_.config();
-    const bool hier =
-        total == cfg.totalClientCores() && cfg.numUnits > 1;
-
-    bool complete;
-    if (hier) {
-        complete = e.barrierArrived == cfg.clientCoresPerUnit
-                   && e.barrierUnitsArrived == cfg.numUnits - 1;
-    } else {
-        complete = e.barrierArrived == total;
-    }
+    const bool complete =
+        hierBarrier(total)
+            ? e.barrierArrived == cfg.clientCoresPerUnit
+                  && e.barrierUnitsArrived == cfg.numUnits - 1
+            : e.barrierArrived == total;
     if (!complete)
         return;
 
@@ -865,39 +838,20 @@ SynCronBackend::masterBarrierCheck(Station &s, StEntry &e,
     while (units != 0) {
         const unsigned j = lowestSetBit(units);
         units = withoutBit(units, j);
-        SyncMessage depart;
-        depart.addr = e.addr;
-        depart.opcode = Op::BarrierDepartGlobal;
-        depart.coreId = s.unit;
-        sendToStation(s.unit, j, depart, done);
+        sendGlobal(s, j, Op::BarrierDepartGlobal, e.addr, done);
     }
     departLocalWaiters(s, e, done);
     maybeFree(s, e, machine_.eq(s.unit).now());
 }
 
 void
-SynCronBackend::onBarrierWaitLocal(Station &s, const SyncMessage &m,
-                                   bool withinUnit, Tick done)
+SynCronBackend::onBarrierWaitLocal(Station &s, StEntry &e,
+                                   const SyncMessage &m, Tick done)
 {
-    const Route route = routeFor(s, m.addr, true, false);
-    if (route == Route::Redirect) {
-        redirectOverflow(s, m, done);
-        return;
-    }
-    if (route == Route::Memory) {
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memBarrierOp(s, v, m, s.unit, static_cast<int>(m.coreId), false,
-                     done);
-        return;
-    }
-
-    StEntry &e = *entryOf(s, m.addr);
-    const SystemConfig &cfg = machine_.config();
     e.localWaitBits = withBit(e.localWaitBits, m.coreId);
     ++e.barrierArrived;
 
-    if (withinUnit) {
+    if (m.opcode == Op::BarrierWaitLocalWithinUnit) {
         // Coordinated entirely by the local SE.
         if (e.barrierArrived == m.barrierTotal()) {
             e.barrierArrived = 0;
@@ -912,51 +866,27 @@ SynCronBackend::onBarrierWaitLocal(Station &s, const SyncMessage &m,
         return;
     }
 
-    const bool hier =
-        m.barrierTotal() == cfg.totalClientCores() && cfg.numUnits > 1;
-    if (hier) {
+    if (hierBarrier(m.barrierTotal())) {
         // Two-level: one aggregated message once every local core of
         // this unit has arrived (Section 3.2).
-        if (e.barrierArrived == cfg.clientCoresPerUnit
-            && !e.barrierGlobalSent) {
-            e.barrierGlobalSent = true;
-            SyncMessage wait;
-            wait.addr = m.addr;
-            wait.opcode = Op::BarrierWaitGlobal;
-            wait.coreId = s.unit;
-            wait.info = m.info;
-            sendToStation(s.unit, masterOf(m.addr), wait, done);
+        if (e.barrierArrived != machine_.config().clientCoresPerUnit
+            || e.barrierGlobalSent) {
+            return;
         }
-    } else {
-        // Partial participation: one-level communication — re-direct
-        // every local arrival to the Master SE (Section 4.1).
-        SyncMessage wait;
-        wait.addr = m.addr;
-        wait.opcode = Op::BarrierWaitGlobal;
-        wait.coreId = s.unit;
-        wait.info = m.info;
-        sendToStation(s.unit, masterOf(m.addr), wait, done);
+        e.barrierGlobalSent = true;
     }
+    // Otherwise partial participation: one-level communication —
+    // re-direct every local arrival to the Master SE (Section 4.1).
+    sendGlobal(s, masterOf(m.addr), Op::BarrierWaitGlobal, m.addr, done,
+               m.info);
 }
 
 void
-SynCronBackend::onBarrierWaitGlobal(Station &s, const SyncMessage &m,
-                                    Tick done)
+SynCronBackend::onBarrierWaitGlobal(Station &s, StEntry &e,
+                                    const SyncMessage &m, Tick done)
 {
-    const Route route = routeFor(s, m.addr, true, true);
-    if (route == Route::Memory) {
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memBarrierOp(s, v, m, m.coreId, -1, true, done);
-        return;
-    }
-    StEntry &e = *entryOf(s, m.addr);
-    const SystemConfig &cfg = machine_.config();
-    const bool hier =
-        m.barrierTotal() == cfg.totalClientCores() && cfg.numUnits > 1;
-
     e.globalWaitBits = withBit(e.globalWaitBits, m.coreId);
-    if (hier)
+    if (hierBarrier(m.barrierTotal()))
         ++e.barrierUnitsArrived;
     else
         ++e.barrierArrived;
@@ -979,17 +909,6 @@ SynCronBackend::onBarrierDepartGlobal(Station &s, const SyncMessage &m,
 // Semaphore protocol
 // --------------------------------------------------------------------
 
-namespace {
-void
-initSem(StEntry &e, std::uint64_t info)
-{
-    if (!e.semInit) {
-        e.semInit = true;
-        e.semAvail = static_cast<std::int64_t>(info);
-    }
-}
-} // namespace
-
 void
 SynCronBackend::masterSemPost(Station &s, StEntry &e, Tick done)
 {
@@ -1000,35 +919,18 @@ SynCronBackend::masterSemPost(Station &s, StEntry &e, Tick done)
     } else if (e.globalWaitBits != 0) {
         const unsigned j = lowestSetBit(e.globalWaitBits);
         e.globalWaitBits = withoutBit(e.globalWaitBits, j);
-        SyncMessage grant;
-        grant.addr = e.addr;
-        grant.opcode = Op::SemGrantGlobal;
-        grant.coreId = s.unit;
-        sendToStation(s.unit, j, grant, done);
+        sendGlobal(s, j, Op::SemGrantGlobal, e.addr, done);
     } else {
         ++e.semAvail;
     }
 }
 
 void
-SynCronBackend::onSemWaitLocal(Station &s, const SyncMessage &m, Tick done)
+SynCronBackend::onSemWaitLocal(Station &s, StEntry &e, const SyncMessage &m,
+                               Tick done)
 {
-    const Route route = routeFor(s, m.addr, true, false);
-    if (route == Route::Redirect) {
-        redirectOverflow(s, m, done);
-        return;
-    }
-    if (route == Route::Memory) {
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memSemOp(s, v, m, true, s.unit, static_cast<int>(m.coreId), false,
-                 done);
-        return;
-    }
-
-    StEntry &e = *entryOf(s, m.addr);
     if (isMaster(s, m.addr)) {
-        initSem(e, m.semResources());
+        e.initSem(m.semResources());
         if (e.semAvail > 0) {
             --e.semAvail;
             grantCore(s.unit, globalCoreId(s.unit, m.coreId), m.addr,
@@ -1042,70 +944,16 @@ SynCronBackend::onSemWaitLocal(Station &s, const SyncMessage &m, Tick done)
     e.localWaitBits = withBit(e.localWaitBits, m.coreId);
     if (!e.semArmed) {
         e.semArmed = true;
-        SyncMessage wait;
-        wait.addr = m.addr;
-        wait.opcode = Op::SemWaitGlobal;
-        wait.coreId = s.unit;
-        wait.info = m.info;
-        sendToStation(s.unit, masterOf(m.addr), wait, done);
+        sendGlobal(s, masterOf(m.addr), Op::SemWaitGlobal, m.addr, done,
+                   m.info);
     }
 }
 
 void
-SynCronBackend::onSemPostLocal(Station &s, const SyncMessage &m, Tick done)
-{
-    if (!isMaster(s, m.addr)) {
-        // Hierarchical combining: a local post can satisfy a local
-        // waiter directly — the resource never needs to travel to the
-        // Master SE and back.
-        if (StEntry *e = s.table.find(m.addr);
-            e != nullptr && e->localWaitBits != 0) {
-            const unsigned c = lowestSetBit(e->localWaitBits);
-            e->localWaitBits = withoutBit(e->localWaitBits, c);
-            grantCore(s.unit, globalCoreId(s.unit, c), m.addr, done);
-            return;
-        }
-        // Otherwise forward (or redirect) to the master without
-        // reserving an ST entry.
-        if (s.counters.servicedViaMemory(m.addr)
-            || s.hasRedirected(m.addr)) {
-            redirectOverflow(s, m, done);
-            return;
-        }
-        SyncMessage post;
-        post.addr = m.addr;
-        post.opcode = Op::SemPostGlobal;
-        post.coreId = s.unit;
-        sendToStation(s.unit, masterOf(m.addr), post, done);
-        return;
-    }
-
-    const Route route = routeFor(s, m.addr, false, false);
-    if (route == Route::Memory) {
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memSemOp(s, v, m, false, s.unit, static_cast<int>(m.coreId), false,
-                 done);
-        return;
-    }
-    StEntry &e = *entryOf(s, m.addr);
-    initSem(e, 0);
-    masterSemPost(s, e, done);
-}
-
-void
-SynCronBackend::onSemWaitGlobal(Station &s, const SyncMessage &m,
+SynCronBackend::onSemWaitGlobal(Station &s, StEntry &e, const SyncMessage &m,
                                 Tick done)
 {
-    const Route route = routeFor(s, m.addr, true, true);
-    if (route == Route::Memory) {
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memSemOp(s, v, m, true, m.coreId, -1, true, done);
-        return;
-    }
-    StEntry &e = *entryOf(s, m.addr);
-    initSem(e, m.semResources());
+    e.initSem(m.semResources());
     if (e.semAvail > 0) {
         // Batched grant: hand the requesting SE up to a unit's worth of
         // resources in one message (MessageInfo carries the count); the
@@ -1114,34 +962,11 @@ SynCronBackend::onSemWaitGlobal(Station &s, const SyncMessage &m,
         const std::int64_t batch = std::min<std::int64_t>(
             e.semAvail, machine_.config().clientCoresPerUnit);
         e.semAvail -= batch;
-        SyncMessage grant;
-        grant.addr = m.addr;
-        grant.opcode = Op::SemGrantGlobal;
-        grant.coreId = s.unit;
-        grant.info = static_cast<std::uint64_t>(batch);
-        sendToStation(s.unit, m.coreId, grant, done);
+        sendGlobal(s, m.coreId, Op::SemGrantGlobal, m.addr, done,
+                   static_cast<std::uint64_t>(batch));
     } else {
         e.globalWaitBits = withBit(e.globalWaitBits, m.coreId);
     }
-}
-
-void
-SynCronBackend::onSemPostGlobal(Station &s, const SyncMessage &m,
-                                Tick done)
-{
-    const Route route = routeFor(s, m.addr, false, true);
-    if (route == Route::Memory) {
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memSemOp(s, v, m, false, m.coreId, -1, true, done);
-        return;
-    }
-    StEntry &e = *entryOf(s, m.addr);
-    initSem(e, 0);
-    // Global posts may carry a batch count (returned grant excess).
-    const std::uint64_t count = m.info > 0 ? m.info : 1;
-    for (std::uint64_t i = 0; i < count; ++i)
-        masterSemPost(s, e, done);
 }
 
 void
@@ -1163,20 +988,12 @@ SynCronBackend::onSemGrantGlobal(Station &s, const SyncMessage &m,
     if (granted > 0) {
         // Excess resources (waiters were satisfied by locally-combined
         // posts, or the batch was generous): return them to the master.
-        SyncMessage post;
-        post.addr = m.addr;
-        post.opcode = Op::SemPostGlobal;
-        post.coreId = s.unit;
-        post.info = granted;
-        sendToStation(s.unit, masterOf(m.addr), post, done);
+        sendGlobal(s, masterOf(m.addr), Op::SemPostGlobal, m.addr, done,
+                   granted);
     }
     if (e->localWaitBits != 0) {
         // Bit-queue semantics: re-arm the request for remaining waiters.
-        SyncMessage wait;
-        wait.addr = m.addr;
-        wait.opcode = Op::SemWaitGlobal;
-        wait.coreId = s.unit;
-        sendToStation(s.unit, masterOf(m.addr), wait, done);
+        sendGlobal(s, masterOf(m.addr), Op::SemWaitGlobal, m.addr, done);
     } else {
         e->semArmed = false;
         maybeFree(s, *e, machine_.eq(s.unit).now());
@@ -1198,17 +1015,13 @@ SynCronBackend::masterCondSignal(Station &s, StEntry &e, bool broadcast,
             e.localWaitBits = withoutBit(e.localWaitBits, c);
             // The woken core re-acquires the associated lock before its
             // cond_wait returns; the SE issues the acquire on its behalf.
-            internalLockAcquire(s, c, lockAddr, done);
+            internalLockOp(s, Op::LockAcquireLocal, c, lockAddr, done);
         } else if (e.globalWaitBits != 0) {
             const unsigned j = lowestSetBit(e.globalWaitBits);
             e.globalWaitBits = withoutBit(e.globalWaitBits, j);
-            SyncMessage grant;
-            grant.addr = e.addr;
-            grant.opcode =
-                broadcast ? Op::CondBroadGlobal : Op::CondGrantGlobal;
-            grant.coreId = s.unit;
-            grant.info = lockAddr;
-            sendToStation(s.unit, j, grant, done);
+            sendGlobal(s, j,
+                       broadcast ? Op::CondBroadGlobal : Op::CondGrantGlobal,
+                       e.addr, done, lockAddr);
         } else {
             // No waiter is recorded yet. A waiter may logically precede
             // this signal but its arming message may still be in flight;
@@ -1223,29 +1036,9 @@ SynCronBackend::masterCondSignal(Station &s, StEntry &e, bool broadcast,
 }
 
 void
-SynCronBackend::onCondWaitLocal(Station &s, const SyncMessage &m,
+SynCronBackend::onCondWaitLocal(Station &s, StEntry &e, const SyncMessage &m,
                                 Tick done)
 {
-    const Route route = routeFor(s, m.addr, true, false);
-    if (route == Route::Redirect) {
-        redirectOverflow(s, m, done);
-        // Still release the lock locally on the core's behalf.
-        internalLockRelease(s, m.coreId, m.condLockAddr(), done);
-        return;
-    }
-    if (route == Route::Memory) {
-        // Condition variables always use the integrated memory path,
-        // even under the MiSAR ablation: their lock coupling cannot
-        // straddle the hardware/software boundary.
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memCondOp(s, v, m, OpKind::CondWait, s.unit,
-                  static_cast<int>(m.coreId), false, done);
-        internalLockRelease(s, m.coreId, m.condLockAddr(), done);
-        return;
-    }
-
-    StEntry &e = *entryOf(s, m.addr);
     SYNCRON_ASSERT(e.tableInfo == 0 || e.tableInfo == m.condLockAddr(),
                    "condition variable used with two different locks");
     e.tableInfo = m.info;
@@ -1253,15 +1046,12 @@ SynCronBackend::onCondWaitLocal(Station &s, const SyncMessage &m,
 
     if (!isMaster(s, m.addr) && !e.condArmed) {
         e.condArmed = true;
-        SyncMessage wait;
-        wait.addr = m.addr;
-        wait.opcode = Op::CondWaitGlobal;
-        wait.coreId = s.unit;
-        wait.info = m.info;
-        sendToStation(s.unit, masterOf(m.addr), wait, done);
+        sendGlobal(s, masterOf(m.addr), Op::CondWaitGlobal, m.addr, done,
+                   m.info);
     }
     // Queue first, then release the associated lock — no missed wakeups.
-    internalLockRelease(s, m.coreId, m.condLockAddr(), done);
+    internalLockOp(s, Op::LockReleaseLocal, m.coreId, m.condLockAddr(),
+                   done);
 
     // Consume a signal that raced ahead of this wait (master role only;
     // must happen after the lock release above so the woken core can
@@ -1273,62 +1063,9 @@ SynCronBackend::onCondWaitLocal(Station &s, const SyncMessage &m,
 }
 
 void
-SynCronBackend::onCondSignalLocal(Station &s, const SyncMessage &m,
-                                  bool broadcast, Tick done)
-{
-    if (!isMaster(s, m.addr)) {
-        // Hierarchical combining (signal only): waking a local waiter
-        // satisfies "wake one" without a round trip to the master.
-        if (!broadcast) {
-            if (StEntry *e = s.table.find(m.addr);
-                e != nullptr && e->localWaitBits != 0) {
-                const unsigned c = lowestSetBit(e->localWaitBits);
-                e->localWaitBits = withoutBit(e->localWaitBits, c);
-                internalLockAcquire(s, c,
-                                    static_cast<Addr>(e->tableInfo),
-                                    done);
-                return;
-            }
-        }
-        if (s.counters.servicedViaMemory(m.addr)
-            || s.hasRedirected(m.addr)) {
-            redirectOverflow(s, m, done);
-            return;
-        }
-        SyncMessage sig;
-        sig.addr = m.addr;
-        sig.opcode =
-            broadcast ? Op::CondBroadGlobal : Op::CondSignalGlobal;
-        sig.coreId = s.unit;
-        sendToStation(s.unit, masterOf(m.addr), sig, done);
-        return;
-    }
-
-    const Route route = routeFor(s, m.addr, false, false);
-    if (route == Route::Memory) {
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memCondOp(s, v, m,
-                  broadcast ? OpKind::CondBroadcast : OpKind::CondSignal,
-                  s.unit, static_cast<int>(m.coreId), false, done);
-        return;
-    }
-    StEntry &e = *entryOf(s, m.addr);
-    masterCondSignal(s, e, broadcast, done);
-}
-
-void
-SynCronBackend::onCondWaitGlobal(Station &s, const SyncMessage &m,
+SynCronBackend::onCondWaitGlobal(Station &s, StEntry &e, const SyncMessage &m,
                                  Tick done)
 {
-    const Route route = routeFor(s, m.addr, true, true);
-    if (route == Route::Memory) {
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memCondOp(s, v, m, OpKind::CondWait, m.coreId, -1, true, done);
-        return;
-    }
-    StEntry &e = *entryOf(s, m.addr);
     e.tableInfo = m.info;
     e.globalWaitBits = withBit(e.globalWaitBits, m.coreId);
     if (e.condPending > 0) {
@@ -1338,24 +1075,7 @@ SynCronBackend::onCondWaitGlobal(Station &s, const SyncMessage &m,
 }
 
 void
-SynCronBackend::onCondSignalGlobal(Station &s, const SyncMessage &m,
-                                   bool broadcast, Tick done)
-{
-    const Route route = routeFor(s, m.addr, false, true);
-    if (route == Route::Memory) {
-        MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
-                        .first->second;
-        memCondOp(s, v, m,
-                  broadcast ? OpKind::CondBroadcast : OpKind::CondSignal,
-                  m.coreId, -1, true, done);
-        return;
-    }
-    StEntry &e = *entryOf(s, m.addr);
-    masterCondSignal(s, e, broadcast, done);
-}
-
-void
-SynCronBackend::onCondGrantGlobal(Station &s, const SyncMessage &m, bool,
+SynCronBackend::onCondGrantGlobal(Station &s, const SyncMessage &m,
                                   Tick done)
 {
     StEntry *e = s.table.find(m.addr);
@@ -1370,11 +1090,8 @@ SynCronBackend::onCondGrantGlobal(Station &s, const SyncMessage &m, bool,
         // which is now nobody.
         e->condArmed = false;
         if (!broadcast) {
-            SyncMessage sig;
-            sig.addr = m.addr;
-            sig.opcode = Op::CondSignalGlobal;
-            sig.coreId = s.unit;
-            sendToStation(s.unit, masterOf(m.addr), sig, done);
+            sendGlobal(s, masterOf(m.addr), Op::CondSignalGlobal, m.addr,
+                       done);
         }
         maybeFree(s, *e, machine_.eq(s.unit).now());
         return;
@@ -1382,17 +1099,13 @@ SynCronBackend::onCondGrantGlobal(Station &s, const SyncMessage &m, bool,
     do {
         const unsigned c = lowestSetBit(e->localWaitBits);
         e->localWaitBits = withoutBit(e->localWaitBits, c);
-        internalLockAcquire(s, c, lockAddr, done);
+        internalLockOp(s, Op::LockAcquireLocal, c, lockAddr, done);
     } while (broadcast && e->localWaitBits != 0);
 
     if (e->localWaitBits != 0) {
         // Waiters remain after a single grant: re-arm at the master.
-        SyncMessage wait;
-        wait.addr = m.addr;
-        wait.opcode = Op::CondWaitGlobal;
-        wait.coreId = s.unit;
-        wait.info = lockAddr;
-        sendToStation(s.unit, masterOf(m.addr), wait, done);
+        sendGlobal(s, masterOf(m.addr), Op::CondWaitGlobal, m.addr, done,
+                   lockAddr);
     } else {
         e->condArmed = false;
         maybeFree(s, *e, machine_.eq(s.unit).now());

@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -197,6 +198,18 @@ class SynCronBackend : public sync::SyncBackend
         Redirect, ///< non-master SE overflowed: forward to Master SE
     };
 
+    /**
+     * Who a syncronVar operation serves: core @c core of unit @c unit
+     * (core-granular, Waitlist[unit]), or with @c core < 0 the whole
+     * unit's SE (unit-granular, the global waiting list).
+     */
+    struct Requester
+    {
+        UnitId unit = 0;
+        int core = -1;
+        bool unitLevel() const { return core < 0; }
+    };
+
     /** MiSAR-ablation software fallback server. */
     struct SoftServer
     {
@@ -209,13 +222,22 @@ class SynCronBackend : public sync::SyncBackend
     UnitId masterOf(Addr var) const { return mem::unitOfAddr(var); }
     bool isMaster(const Station &s, Addr var) const;
     CoreId globalCoreId(UnitId unit, unsigned local) const;
+    /** A barrier of @p total cores runs the two-level protocol (one
+     *  aggregated arrival per SE) when it spans every client core of a
+     *  multi-unit machine. */
+    bool hierBarrier(std::uint64_t total) const;
 
     // -- Transport ------------------------------------------------------
-    /** Core -> its local station (request issue). */
-    void sendRequest(core::Core &core, sync::SyncMessage msg);
+    /** Counts @p req at its core's station, registers its gate, and
+     *  encodes it as a local-opcode message (Fig. 5). */
+    sync::SyncMessage admit(core::Core &requester,
+                            const sync::SyncRequest &req, sim::Gate *gate);
     /** Station -> station (global / overflow opcodes). */
     void sendToStation(UnitId from, UnitId to, sync::SyncMessage msg,
                        Tick depart);
+    /** Global-opcode message from @p s, stamped with its unit id. */
+    void sendGlobal(Station &s, UnitId to, sync::Op op, Addr var,
+                    Tick depart, std::uint64_t info = 0);
     /** Station -> core grant: opens the core's pending gate for @p var. */
     void grantCore(UnitId seUnit, CoreId core, Addr var, Tick depart);
 
@@ -239,89 +261,85 @@ class SynCronBackend : public sync::SyncBackend
     /** Station service latency excluding overflow memory accesses. */
     Tick baseServiceTicks(Station &s, Addr var);
 
-    // -- Fig. 8 routing ---------------------------------------------------
+    // -- Fig. 8 dispatch --------------------------------------------------
+    /**
+     * Sends @p m to the store that services it: its ST entry, the
+     * master's syncronVar record, or (from an overflowed non-master SE)
+     * the Master SE. The one decision point for every opcode.
+     */
+    void dispatch(Station &s, const sync::SyncMessage &m, Tick done);
     Route routeFor(Station &s, Addr var, bool acquireType, bool global);
+    /** Lock acquire/release on behalf of @p localCore (cond-var path). */
+    void internalLockOp(Station &s, sync::Op op, unsigned localCore,
+                        Addr lock, Tick done);
+    /** Non-master sem_post / cond_signal / cond_broadcast: served by a
+     *  local waiter, or forwarded without reserving an ST entry. */
+    void combineLocally(Station &s, const sync::SyncMessage &m, Tick done);
 
-    // -- Lock -------------------------------------------------------------
-    void onLockAcquireLocal(Station &s, const sync::SyncMessage &m,
-                            Tick done);
-    void onLockReleaseLocal(Station &s, const sync::SyncMessage &m,
-                            Tick done);
-    void onLockAcquireGlobal(Station &s, const sync::SyncMessage &m,
-                             Tick done);
-    void onLockReleaseGlobal(Station &s, const sync::SyncMessage &m,
-                             Tick done);
+    // -- ST-resident handlers (entry found or reserved by dispatch) -------
+    void onLockAcquireLocal(Station &s, StEntry &e,
+                            const sync::SyncMessage &m, Tick done);
+    void onLockReleaseLocal(Station &s, StEntry &e,
+                            const sync::SyncMessage &m, Tick done);
+    void onLockAcquireGlobal(Station &s, StEntry &e,
+                             const sync::SyncMessage &m, Tick done);
     void onLockGrantGlobal(Station &s, const sync::SyncMessage &m,
                            Tick done);
     void masterNextGrant(Station &s, StEntry &e, Tick done);
     void localGrantNext(Station &s, StEntry &e, Tick done);
-    /** Lock acquire/release on behalf of @p localCore (cond-var path). */
-    void internalLockAcquire(Station &s, unsigned localCore, Addr lock,
-                             Tick done);
-    void internalLockRelease(Station &s, unsigned localCore, Addr lock,
-                             Tick done);
 
-    // -- Barrier ------------------------------------------------------------
-    void onBarrierWaitLocal(Station &s, const sync::SyncMessage &m,
-                            bool withinUnit, Tick done);
-    void onBarrierWaitGlobal(Station &s, const sync::SyncMessage &m,
-                             Tick done);
+    void onBarrierWaitLocal(Station &s, StEntry &e,
+                            const sync::SyncMessage &m, Tick done);
+    void onBarrierWaitGlobal(Station &s, StEntry &e,
+                             const sync::SyncMessage &m, Tick done);
     void onBarrierDepartGlobal(Station &s, const sync::SyncMessage &m,
                                Tick done);
     void masterBarrierCheck(Station &s, StEntry &e, std::uint64_t total,
                             Tick done);
     void departLocalWaiters(Station &s, StEntry &e, Tick done);
 
-    // -- Semaphore ------------------------------------------------------------
-    void onSemWaitLocal(Station &s, const sync::SyncMessage &m, Tick done);
-    void onSemPostLocal(Station &s, const sync::SyncMessage &m, Tick done);
-    void onSemWaitGlobal(Station &s, const sync::SyncMessage &m,
-                         Tick done);
-    void onSemPostGlobal(Station &s, const sync::SyncMessage &m,
+    void onSemWaitLocal(Station &s, StEntry &e, const sync::SyncMessage &m,
+                        Tick done);
+    void onSemWaitGlobal(Station &s, StEntry &e, const sync::SyncMessage &m,
                          Tick done);
     void onSemGrantGlobal(Station &s, const sync::SyncMessage &m,
                           Tick done);
     void masterSemPost(Station &s, StEntry &e, Tick done);
 
-    // -- Condition variable ----------------------------------------------------
-    void onCondWaitLocal(Station &s, const sync::SyncMessage &m,
+    void onCondWaitLocal(Station &s, StEntry &e, const sync::SyncMessage &m,
                          Tick done);
-    void onCondSignalLocal(Station &s, const sync::SyncMessage &m,
-                           bool broadcast, Tick done);
-    void onCondWaitGlobal(Station &s, const sync::SyncMessage &m,
-                          Tick done);
-    void onCondSignalGlobal(Station &s, const sync::SyncMessage &m,
-                            bool broadcast, Tick done);
+    void onCondWaitGlobal(Station &s, StEntry &e,
+                          const sync::SyncMessage &m, Tick done);
     void onCondGrantGlobal(Station &s, const sync::SyncMessage &m,
-                           bool broadcast, Tick done);
+                           Tick done);
     void masterCondSignal(Station &s, StEntry &e, bool broadcast,
                           Tick done);
 
     // -- Overflow: integrated hardware scheme (overflow.cc) -------------
     void redirectOverflow(Station &s, const sync::SyncMessage &m,
                           Tick done);
-    void handleOverflowAtMaster(Station &s, const sync::SyncMessage &m,
-                                Tick done);
-    void memLockOp(Station &s, MemVar &v, const sync::SyncMessage &m,
-                   bool acquire, UnitId fromUnit, int fromCore,
-                   bool unitLevel, Tick done);
-    void memBarrierOp(Station &s, MemVar &v, const sync::SyncMessage &m,
-                      UnitId fromUnit, int fromCore, bool unitLevel,
-                      Tick done);
-    void memSemOp(Station &s, MemVar &v, const sync::SyncMessage &m,
-                  bool wait, UnitId fromUnit, int fromCore, bool unitLevel,
-                  Tick done);
-    void memCondOp(Station &s, MemVar &v, const sync::SyncMessage &m,
-                   sync::OpKind kind, UnitId fromUnit, int fromCore,
-                   bool unitLevel, Tick done);
-    void memNextLockGrant(Station &s, MemVar &v, Tick done);
-    void memGrantTo(Station &s, MemVar &v, sync::Op grantOp,
-                    UnitId unit, int coreBit, bool unitLevel, Tick done);
+    /**
+     * Services @p m in the master's syncronVar record of its variable
+     * (Fig. 9): creates the record, migrates a live ST entry into it
+     * when an overflow opcode first reaches the master, pays the
+     * record's read-modify-write, and applies the operation for the
+     * requester the opcode names.
+     */
+    void memOp(Station &s, const sync::SyncMessage &m, Tick done);
+    /** Adds @p r to the record's waiting lists. */
+    static void memEnqueue(MemVar &v, Requester r);
+    /**
+     * Dequeues the next waiter: the master's local cores first (Section
+     * 3.2's local priority), then the other units' cores, then waiting
+     * SEs. Empty when nobody waits.
+     */
+    static std::optional<Requester> memNextWaiter(const Station &s,
+                                                  MemVar &v);
+    void memGrantTo(Station &s, MemVar &v, sync::Op grantOp, Requester to,
+                    Tick done);
     void memMaybeCleanup(Station &s, Addr var, MemVar &v, Tick done);
     /** Timed syncronVar read-modify-write at the master's local memory. */
     Tick memVarAccess(Station &s, Addr var, Tick start);
-    void onDecreaseIndexingCounter(Station &s,
-                                   const sync::SyncMessage &m);
     void onOverflowGrant(Station &s, const sync::SyncMessage &m,
                          Tick done);
 

@@ -17,6 +17,7 @@
  */
 
 #include <algorithm>
+#include <optional>
 
 #include "common/bits.hh"
 #include "common/log.hh"
@@ -53,24 +54,54 @@ overflowOpcodeFor(Op local)
     }
 }
 
-/** Local opcode -> API operation (for the MiSAR software fallback). */
+/** Request opcode (local, global or overflow form) -> API operation. */
 OpKind
-opKindOfLocal(Op local)
+opKindOf(Op op)
 {
-    switch (local) {
-      case Op::LockAcquireLocal: return OpKind::LockAcquire;
-      case Op::LockReleaseLocal: return OpKind::LockRelease;
+    switch (op) {
+      case Op::LockAcquireLocal:
+      case Op::LockAcquireGlobal:
+      case Op::LockAcquireOverflow: return OpKind::LockAcquire;
+      case Op::LockReleaseLocal:
+      case Op::LockReleaseGlobal:
+      case Op::LockReleaseOverflow: return OpKind::LockRelease;
       case Op::BarrierWaitLocalWithinUnit:
         return OpKind::BarrierWaitWithinUnit;
       case Op::BarrierWaitLocalAcrossUnits:
-        return OpKind::BarrierWaitAcrossUnits;
-      case Op::SemWaitLocal: return OpKind::SemWait;
-      case Op::SemPostLocal: return OpKind::SemPost;
-      case Op::CondWaitLocal: return OpKind::CondWait;
-      case Op::CondSignalLocal: return OpKind::CondSignal;
-      case Op::CondBroadLocal: return OpKind::CondBroadcast;
+      case Op::BarrierWaitGlobal:
+      case Op::BarrierWaitOverflow: return OpKind::BarrierWaitAcrossUnits;
+      case Op::SemWaitLocal:
+      case Op::SemWaitGlobal:
+      case Op::SemWaitOverflow: return OpKind::SemWait;
+      case Op::SemPostLocal:
+      case Op::SemPostGlobal:
+      case Op::SemPostOverflow: return OpKind::SemPost;
+      case Op::CondWaitLocal:
+      case Op::CondWaitGlobal:
+      case Op::CondWaitOverflow: return OpKind::CondWait;
+      case Op::CondSignalLocal:
+      case Op::CondSignalGlobal:
+      case Op::CondSignalOverflow: return OpKind::CondSignal;
+      case Op::CondBroadLocal:
+      case Op::CondBroadGlobal:
+      case Op::CondBroadOverflow: return OpKind::CondBroadcast;
       default:
-        SYNCRON_PANIC("not a local opcode: " << opName(local));
+        SYNCRON_PANIC("not a request opcode: " << opName(op));
+    }
+}
+
+/** Overflow grant -> the global opcode that grants a whole unit. */
+Op
+unitGrantFor(Op grant)
+{
+    switch (grant) {
+      case Op::LockGrantOverflow: return Op::LockGrantGlobal;
+      case Op::SemGrantOverflow: return Op::SemGrantGlobal;
+      case Op::CondGrantOverflow: return Op::CondGrantGlobal;
+      case Op::CondBroadOverflow: return Op::CondBroadGlobal;
+      case Op::BarrierDepartureOverflow: return Op::BarrierDepartGlobal;
+      default:
+        SYNCRON_PANIC("not an overflow grant: " << opName(grant));
     }
 }
 
@@ -121,7 +152,7 @@ SynCronBackend::misarDivertLocal(Station &s, const SyncMessage &m,
                                  Tick done)
 {
     const Addr var = m.addr;
-    const OpKind kind = opKindOfLocal(m.opcode);
+    const OpKind kind = opKindOf(m.opcode);
     const CoreId core = globalCoreId(s.unit, m.coreId % 256);
     // Re-type the in-flight hardware message for the software fallback.
     const SyncRequest req = SyncRequest::fromMessageInfo(kind, var, m.info);
@@ -191,236 +222,117 @@ SynCronBackend::redirectOverflow(Station &s, const SyncMessage &m,
 // --------------------------------------------------------------------
 
 void
-SynCronBackend::handleOverflowAtMaster(Station &s, const SyncMessage &m,
-                                       Tick done)
+SynCronBackend::memOp(Station &s, const SyncMessage &m, Tick done)
 {
-    SYNCRON_ASSERT(isMaster(s, m.addr),
-                   "overflow message at non-master SE");
-
-    // If the Master SE still holds an ST entry for this variable, its
-    // state migrates to the in-memory record: core-granular tracking for
-    // the overflowed unit cannot be expressed in the ST.
     MemVar &v = s.memVars.try_emplace(m.addr, machine_.config().numUnits)
                     .first->second;
-    if (StEntry *e = s.table.find(m.addr)) {
-        v.st.ownerKind = e->ownerKind;
-        v.st.ownerId = e->ownerKind == LockOwner::LocalCore
-                           ? packSeCore(s.unit, e->ownerId)
-                           : e->ownerId;
-        v.st.globalWaitBits = e->globalWaitBits;
-        v.coreBits[s.unit] |= static_cast<std::uint16_t>(e->localWaitBits);
-        v.st.barrierArrived = e->barrierArrived;
-        // Unit-aggregates already arrived keep their headcount.
-        v.st.barrierArrived +=
-            e->barrierUnitsArrived * machine_.config().clientCoresPerUnit;
-        v.st.semInit = e->semInit;
-        v.st.semAvail = e->semAvail;
-        v.st.tableInfo = e->tableInfo;
-        *e = StEntry{};
-        e->addr = m.addr;
-        e->occupied = true;
-        s.table.release(m.addr, machine_.eq(s.unit).now());
-    }
+    // Whom the opcode names: a local core, a whole SE (global), or a
+    // redirected core of an overflowed SE.
+    Requester from{s.unit, static_cast<int>(m.coreId)};
+    if (sync::isOverflowOp(m.opcode))
+        from = Requester{m.coreId / 256, static_cast<int>(m.coreId % 256)};
+    else if (sync::isGlobalOp(m.opcode))
+        from = Requester{m.coreId, -1};
 
-    const UnitId fromSe = m.coreId / 256;
-    const int fromCore = static_cast<int>(m.coreId % 256);
-    v.overflowInfo |= static_cast<std::uint16_t>(1u << fromSe);
-
-    switch (m.opcode) {
-      case Op::LockAcquireOverflow:
-        memLockOp(s, v, m, true, fromSe, fromCore, false, done);
-        break;
-      case Op::LockReleaseOverflow:
-        memLockOp(s, v, m, false, fromSe, fromCore, false, done);
-        break;
-      case Op::BarrierWaitOverflow:
-        memBarrierOp(s, v, m, fromSe, fromCore, false, done);
-        break;
-      case Op::SemWaitOverflow:
-        memSemOp(s, v, m, true, fromSe, fromCore, false, done);
-        break;
-      case Op::SemPostOverflow:
-        memSemOp(s, v, m, false, fromSe, fromCore, false, done);
-        break;
-      case Op::CondWaitOverflow:
-        memCondOp(s, v, m, OpKind::CondWait, fromSe, fromCore, false,
-                  done);
-        break;
-      case Op::CondSignalOverflow:
-        memCondOp(s, v, m, OpKind::CondSignal, fromSe, fromCore, false,
-                  done);
-        break;
-      case Op::CondBroadOverflow:
-        memCondOp(s, v, m, OpKind::CondBroadcast, fromSe, fromCore, false,
-                  done);
-        break;
-      default:
-        SYNCRON_PANIC("unexpected overflow opcode "
-                      << opName(m.opcode));
-    }
-}
-
-void
-SynCronBackend::memGrantTo(Station &s, MemVar &v, Op grantOp, UnitId unit,
-                           int coreBit, bool unitLevel, Tick done)
-{
-    if (unitLevel) {
-        SyncMessage grant;
-        grant.addr = v.st.addr;
-        grant.opcode = grantOp == Op::LockGrantOverflow ? Op::LockGrantGlobal
-                       : grantOp == Op::SemGrantOverflow ? Op::SemGrantGlobal
-                       : grantOp == Op::CondGrantOverflow
-                           ? Op::CondGrantGlobal
-                           : Op::BarrierDepartGlobal;
-        grant.coreId = s.unit;
-        grant.info = v.st.tableInfo;
-        sendToStation(s.unit, unit, grant, done);
-        return;
-    }
-    if (unit == s.unit && grantOp != Op::CondGrantOverflow) {
-        grantCore(s.unit, globalCoreId(unit, coreBit), v.st.addr, done);
-        return;
-    }
-    if (unit == s.unit) {
-        // Master's own local core woken from a condition variable:
-        // re-acquire the associated lock on its behalf.
-        internalLockAcquire(s, coreBit,
-                            static_cast<Addr>(v.st.tableInfo), done);
-        return;
-    }
-    SyncMessage grant;
-    grant.addr = v.st.addr;
-    grant.opcode = grantOp;
-    grant.coreId = packSeCore(unit, coreBit);
-    grant.info = v.st.tableInfo;
-    sendToStation(s.unit, unit, grant, done);
-}
-
-void
-SynCronBackend::memNextLockGrant(Station &s, MemVar &v, Tick done)
-{
-    // Master-local cores first (Section 3.2's local priority), then the
-    // other units' core-granular waiters, then unit-granular waiters.
-    if (v.coreBits[s.unit] != 0) {
-        const unsigned c = lowestSetBit(v.coreBits[s.unit]);
-        v.coreBits[s.unit] =
-            static_cast<std::uint16_t>(withoutBit(v.coreBits[s.unit], c));
-        v.st.ownerKind = LockOwner::LocalCore;
-        v.st.ownerId = packSeCore(s.unit, c);
-        memGrantTo(s, v, Op::LockGrantOverflow, s.unit,
-                   static_cast<int>(c), false, done);
-        return;
-    }
-    for (UnitId j = 0; j < v.coreBits.size(); ++j) {
-        if (v.coreBits[j] != 0) {
-            const unsigned c = lowestSetBit(v.coreBits[j]);
-            v.coreBits[j] =
-                static_cast<std::uint16_t>(withoutBit(v.coreBits[j], c));
-            v.st.ownerKind = LockOwner::LocalCore;
-            v.st.ownerId = packSeCore(j, c);
-            memGrantTo(s, v, Op::LockGrantOverflow, j,
-                       static_cast<int>(c), false, done);
-            return;
+    if (sync::isOverflowOp(m.opcode)) {
+        SYNCRON_ASSERT(isMaster(s, m.addr),
+                       "overflow message at non-master SE");
+        // If the Master SE still holds an ST entry for this variable,
+        // its state migrates to the in-memory record: core-granular
+        // tracking for the overflowed unit cannot be expressed in the ST.
+        if (StEntry *e = s.table.find(m.addr)) {
+            v.st.ownerKind = e->ownerKind;
+            v.st.ownerId = e->ownerKind == LockOwner::LocalCore
+                               ? packSeCore(s.unit, e->ownerId)
+                               : e->ownerId;
+            v.st.globalWaitBits = e->globalWaitBits;
+            v.coreBits[s.unit] |=
+                static_cast<std::uint16_t>(e->localWaitBits);
+            v.st.barrierArrived = e->barrierArrived;
+            // Unit-aggregates already arrived keep their headcount.
+            v.st.barrierArrived += e->barrierUnitsArrived
+                                   * machine_.config().clientCoresPerUnit;
+            v.st.semInit = e->semInit;
+            v.st.semAvail = e->semAvail;
+            v.st.tableInfo = e->tableInfo;
+            *e = StEntry{};
+            e->addr = m.addr;
+            e->occupied = true;
+            s.table.release(m.addr, machine_.eq(s.unit).now());
         }
+        v.overflowInfo |= static_cast<std::uint16_t>(1u << from.unit);
     }
-    if (v.st.globalWaitBits != 0) {
-        const unsigned j = lowestSetBit(v.st.globalWaitBits);
-        v.st.globalWaitBits = withoutBit(v.st.globalWaitBits, j);
-        v.st.ownerKind = LockOwner::Unit;
-        v.st.ownerId = j;
-        memGrantTo(s, v, Op::LockGrantOverflow, j, -1, true, done);
-        return;
-    }
-    v.st.ownerKind = LockOwner::None;
-}
 
-void
-SynCronBackend::memLockOp(Station &s, MemVar &v, const SyncMessage &m,
-                          bool acquire, UnitId fromUnit, int fromCore,
-                          bool unitLevel, Tick done)
-{
     v.st.addr = m.addr;
-    const Tick done2 = memVarAccess(s, m.addr, done);
-    s.busyUntil = std::max(s.busyUntil, done2);
+    done = memVarAccess(s, m.addr, done);
+    s.busyUntil = std::max(s.busyUntil, done);
 
-    if (acquire) {
+    // The Master SE's indexing counter follows the acquire-type
+    // operations serviced here (drained again at cleanup).
+    const auto acquired = [&] {
         s.counters.increment(m.addr);
         ++v.outstanding;
-        if (v.st.ownerKind == LockOwner::None) {
-            if (unitLevel) {
-                v.st.ownerKind = LockOwner::Unit;
-                v.st.ownerId = fromUnit;
-                memGrantTo(s, v, Op::LockGrantOverflow, fromUnit, -1, true,
-                           done2);
-            } else {
-                v.st.ownerKind = LockOwner::LocalCore;
-                v.st.ownerId = packSeCore(fromUnit, fromCore);
-                memGrantTo(s, v, Op::LockGrantOverflow, fromUnit, fromCore,
-                           false, done2);
-            }
-        } else if (unitLevel) {
-            v.st.globalWaitBits = withBit(v.st.globalWaitBits, fromUnit);
-        } else {
-            v.coreBits[fromUnit] = static_cast<std::uint16_t>(
-                withBit(v.coreBits[fromUnit], fromCore));
-        }
-    } else {
+    };
+    const auto released = [&] {
         s.counters.decrement(m.addr);
         if (v.outstanding > 0)
             --v.outstanding;
-        if (unitLevel) {
-            SYNCRON_ASSERT(v.st.ownerKind == LockOwner::Unit
-                               && v.st.ownerId == fromUnit,
-                           "memory-mode release by non-owner unit");
-        } else {
-            SYNCRON_ASSERT(
-                v.st.ownerKind == LockOwner::LocalCore
-                    && v.st.ownerId
-                           == packSeCore(fromUnit,
-                                         static_cast<unsigned>(fromCore)),
-                "memory-mode release by non-owner core");
-        }
+    };
+    const auto ownerId = [](Requester r) {
+        return r.unitLevel() ? r.unit
+                             : packSeCore(r.unit,
+                                          static_cast<unsigned>(r.core));
+    };
+    const auto grantLock = [&](Requester to) {
+        v.st.ownerKind =
+            to.unitLevel() ? LockOwner::Unit : LockOwner::LocalCore;
+        v.st.ownerId = ownerId(to);
+        memGrantTo(s, v, Op::LockGrantOverflow, to, done);
+    };
+
+    switch (const OpKind kind = opKindOf(m.opcode)) {
+      case OpKind::LockAcquire:
+        acquired();
+        if (v.st.ownerKind == LockOwner::None)
+            grantLock(from);
+        else
+            memEnqueue(v, from);
+        break;
+
+      case OpKind::LockRelease:
+        released();
+        SYNCRON_ASSERT(v.st.ownerKind
+                               == (from.unitLevel() ? LockOwner::Unit
+                                                    : LockOwner::LocalCore)
+                           && v.st.ownerId == ownerId(from),
+                       "memory-mode release by non-owner "
+                           << (from.unitLevel() ? "unit " : "core ")
+                           << ownerId(from));
         v.st.ownerKind = LockOwner::None;
-        memNextLockGrant(s, v, done2);
-    }
-    memMaybeCleanup(s, m.addr, v, done2);
-}
+        if (std::optional<Requester> next = memNextWaiter(s, v))
+            grantLock(*next);
+        break;
 
-void
-SynCronBackend::memBarrierOp(Station &s, MemVar &v, const SyncMessage &m,
-                             UnitId fromUnit, int fromCore, bool unitLevel,
-                             Tick done)
-{
-    v.st.addr = m.addr;
-    const Tick done2 = memVarAccess(s, m.addr, done);
-    s.busyUntil = std::max(s.busyUntil, done2);
-
-    const SystemConfig &cfg = machine_.config();
-    const std::uint64_t total = m.info != 0 ? m.info : v.st.tableInfo;
-    v.st.tableInfo = total;
-    const bool hier =
-        total == cfg.totalClientCores() && cfg.numUnits > 1;
-
-    s.counters.increment(m.addr);
-    ++v.outstanding;
-
-    if (unitLevel) {
-        v.st.globalWaitBits = withBit(v.st.globalWaitBits, fromUnit);
-        v.st.barrierArrived += hier ? cfg.clientCoresPerUnit : 1;
-    } else {
-        v.coreBits[fromUnit] = static_cast<std::uint16_t>(
-            withBit(v.coreBits[fromUnit], fromCore));
-        ++v.st.barrierArrived;
-    }
-
-    if (v.st.barrierArrived >= total) {
+      case OpKind::BarrierWaitWithinUnit:
+      case OpKind::BarrierWaitAcrossUnits: {
+        const std::uint64_t total = m.info != 0 ? m.info : v.st.tableInfo;
+        v.st.tableInfo = total;
+        acquired();
+        memEnqueue(v, from);
+        // A unit-level arrival of the two-level protocol stands for all
+        // of its unit's cores.
+        v.st.barrierArrived += from.unitLevel() && hierBarrier(total)
+                                   ? machine_.config().clientCoresPerUnit
+                                   : 1;
+        if (v.st.barrierArrived < total)
+            break;
         std::uint64_t units = v.st.globalWaitBits;
         v.st.globalWaitBits = 0;
         while (units != 0) {
             const unsigned j = lowestSetBit(units);
             units = withoutBit(units, j);
-            memGrantTo(s, v, Op::BarrierDepartureOverflow, j, -1, true,
-                       done2);
+            memGrantTo(s, v, Op::BarrierDepartureOverflow, Requester{j, -1},
+                       done);
         }
         for (UnitId j = 0; j < v.coreBits.size(); ++j) {
             std::uint16_t bits = v.coreBits[j];
@@ -428,12 +340,8 @@ SynCronBackend::memBarrierOp(Station &s, MemVar &v, const SyncMessage &m,
             while (bits != 0) {
                 const unsigned c = lowestSetBit(bits);
                 bits = static_cast<std::uint16_t>(withoutBit(bits, c));
-                if (j == s.unit) {
-                    grantCore(s.unit, globalCoreId(j, c), m.addr, done2);
-                } else {
-                    memGrantTo(s, v, Op::BarrierDepartureOverflow, j,
-                               static_cast<int>(c), false, done2);
-                }
+                memGrantTo(s, v, Op::BarrierDepartureOverflow,
+                           Requester{j, static_cast<int>(c)}, done);
             }
         }
         v.st.barrierArrived = 0;
@@ -443,152 +351,123 @@ SynCronBackend::memBarrierOp(Station &s, MemVar &v, const SyncMessage &m,
             s.counters.decrement(m.addr);
             --v.outstanding;
         }
-    }
-    memMaybeCleanup(s, m.addr, v, done2);
-}
+        break;
+      }
 
-void
-SynCronBackend::memSemOp(Station &s, MemVar &v, const SyncMessage &m,
-                         bool wait, UnitId fromUnit, int fromCore,
-                         bool unitLevel, Tick done)
-{
-    v.st.addr = m.addr;
-    const Tick done2 = memVarAccess(s, m.addr, done);
-    s.busyUntil = std::max(s.busyUntil, done2);
-
-    if (!v.st.semInit) {
-        v.st.semInit = true;
-        v.st.semAvail = wait ? static_cast<std::int64_t>(m.info) : 0;
-    }
-
-    if (wait) {
-        s.counters.increment(m.addr);
-        ++v.outstanding;
+      case OpKind::SemWait:
+        v.st.initSem(m.semResources());
+        acquired();
         if (v.st.semAvail > 0) {
             --v.st.semAvail;
-            memGrantTo(s, v, Op::SemGrantOverflow, fromUnit, fromCore,
-                       unitLevel, done2);
-        } else if (unitLevel) {
-            v.st.globalWaitBits = withBit(v.st.globalWaitBits, fromUnit);
+            memGrantTo(s, v, Op::SemGrantOverflow, from, done);
         } else {
-            v.coreBits[fromUnit] = static_cast<std::uint16_t>(
-                withBit(v.coreBits[fromUnit], fromCore));
+            memEnqueue(v, from);
         }
-        return;
-    }
+        break;
 
-    // Post.
-    s.counters.decrement(m.addr);
-    if (v.outstanding > 0)
-        --v.outstanding;
-    if (v.coreBits[s.unit] != 0) {
-        const unsigned c = lowestSetBit(v.coreBits[s.unit]);
-        v.coreBits[s.unit] =
-            static_cast<std::uint16_t>(withoutBit(v.coreBits[s.unit], c));
-        grantCore(s.unit, globalCoreId(s.unit, c), m.addr, done2);
-        return;
-    }
-    for (UnitId j = 0; j < v.coreBits.size(); ++j) {
-        if (v.coreBits[j] != 0) {
-            const unsigned c = lowestSetBit(v.coreBits[j]);
-            v.coreBits[j] =
-                static_cast<std::uint16_t>(withoutBit(v.coreBits[j], c));
-            memGrantTo(s, v, Op::SemGrantOverflow, j, static_cast<int>(c),
-                       false, done2);
-            return;
+      case OpKind::SemPost:
+        v.st.initSem(0);
+        released();
+        // A global post may return a batch grant's excess, its count in
+        // MessageInfo (as at an ST-resident master).
+        for (std::uint64_t n = m.info > 0 ? m.info : 1; n > 0; --n) {
+            if (std::optional<Requester> next = memNextWaiter(s, v))
+                memGrantTo(s, v, Op::SemGrantOverflow, *next, done);
+            else
+                ++v.st.semAvail;
         }
+        break;
+
+      case OpKind::CondWait:
+        acquired();
+        v.st.tableInfo = m.info; // associated lock address
+        memEnqueue(v, from);
+        break;
+
+      case OpKind::CondSignal:
+      case OpKind::CondBroadcast: {
+        const bool broadcast = kind == OpKind::CondBroadcast;
+        released();
+        for (bool first = true; std::optional<Requester> next =
+                                    memNextWaiter(s, v);
+             first = false) {
+            // A unit's SE takes a broadcast as a wake-all grant.
+            memGrantTo(s, v,
+                       broadcast && next->unitLevel()
+                           ? Op::CondBroadOverflow
+                           : Op::CondGrantOverflow,
+                       *next, done);
+            // Each wake beyond the one covered by the signal's own
+            // release-decrement drains another acquire contribution.
+            if (!first)
+                released();
+            if (!broadcast)
+                break;
+        }
+        break;
+      }
     }
-    if (v.st.globalWaitBits != 0) {
-        const unsigned j = lowestSetBit(v.st.globalWaitBits);
-        v.st.globalWaitBits = withoutBit(v.st.globalWaitBits, j);
-        memGrantTo(s, v, Op::SemGrantOverflow, j, -1, true, done2);
-        return;
-    }
-    ++v.st.semAvail;
+    memMaybeCleanup(s, m.addr, v, done);
 }
 
 void
-SynCronBackend::memCondOp(Station &s, MemVar &v, const SyncMessage &m,
-                          OpKind kind, UnitId fromUnit, int fromCore,
-                          bool unitLevel, Tick done)
+SynCronBackend::memEnqueue(MemVar &v, Requester r)
 {
-    v.st.addr = m.addr;
-    const Tick done2 = memVarAccess(s, m.addr, done);
-    s.busyUntil = std::max(s.busyUntil, done2);
-
-    if (kind == OpKind::CondWait) {
-        s.counters.increment(m.addr);
-        ++v.outstanding;
-        v.st.tableInfo = m.info; // associated lock address
-        if (unitLevel) {
-            v.st.globalWaitBits = withBit(v.st.globalWaitBits, fromUnit);
-        } else {
-            v.coreBits[fromUnit] = static_cast<std::uint16_t>(
-                withBit(v.coreBits[fromUnit], fromCore));
-        }
-        if (v.st.condPending > 0) {
-            // A signal raced ahead of this wait: wake immediately.
-            --v.st.condPending;
-            SyncMessage sig;
-            sig.addr = m.addr;
-            sig.info = v.st.tableInfo;
-            memCondOp(s, v, sig, OpKind::CondSignal, s.unit, -1, false,
-                      done);
-        }
-        return;
+    if (r.unitLevel()) {
+        v.st.globalWaitBits = withBit(v.st.globalWaitBits, r.unit);
+    } else {
+        v.coreBits[r.unit] = static_cast<std::uint16_t>(
+            withBit(v.coreBits[r.unit], static_cast<unsigned>(r.core)));
     }
+}
 
-    // Signal / broadcast.
-    const bool broadcast = kind == OpKind::CondBroadcast;
-    s.counters.decrement(m.addr);
-    if (v.outstanding > 0)
-        --v.outstanding;
-
-    bool first = true;
-    for (;;) {
-        bool woke = false;
-        if (v.coreBits[s.unit] != 0) {
-            const unsigned c = lowestSetBit(v.coreBits[s.unit]);
-            v.coreBits[s.unit] = static_cast<std::uint16_t>(
-                withoutBit(v.coreBits[s.unit], c));
-            memGrantTo(s, v, Op::CondGrantOverflow, s.unit,
-                       static_cast<int>(c), false, done2);
-            woke = true;
-        } else {
-            for (UnitId j = 0; j < v.coreBits.size() && !woke; ++j) {
-                if (v.coreBits[j] != 0) {
-                    const unsigned c = lowestSetBit(v.coreBits[j]);
-                    v.coreBits[j] = static_cast<std::uint16_t>(
-                        withoutBit(v.coreBits[j], c));
-                    memGrantTo(s, v, Op::CondGrantOverflow, j,
-                               static_cast<int>(c), false, done2);
-                    woke = true;
-                }
-            }
-            if (!woke && v.st.globalWaitBits != 0) {
-                const unsigned j = lowestSetBit(v.st.globalWaitBits);
-                v.st.globalWaitBits = withoutBit(v.st.globalWaitBits, j);
-                memGrantTo(s, v,
-                           broadcast ? Op::CondBroadOverflow
-                                     : Op::CondGrantOverflow,
-                           j, -1, true, done2);
-                woke = true;
-            }
-        }
-        if (!woke)
-            break;
-        if (!first) {
-            // Each wake beyond the one covered by the signal's own
-            // release-decrement drains another acquire contribution.
-            s.counters.decrement(m.addr);
-            if (v.outstanding > 0)
-                --v.outstanding;
-        }
-        first = false;
-        if (!broadcast)
-            break;
+std::optional<SynCronBackend::Requester>
+SynCronBackend::memNextWaiter(const Station &s, MemVar &v)
+{
+    UnitId j = s.unit;
+    if (v.coreBits[j] == 0) {
+        j = 0;
+        while (j < v.coreBits.size() && v.coreBits[j] == 0)
+            ++j;
     }
-    memMaybeCleanup(s, m.addr, v, done2);
+    if (j < v.coreBits.size()) {
+        const unsigned c = lowestSetBit(v.coreBits[j]);
+        v.coreBits[j] =
+            static_cast<std::uint16_t>(withoutBit(v.coreBits[j], c));
+        return Requester{j, static_cast<int>(c)};
+    }
+    if (v.st.globalWaitBits == 0)
+        return std::nullopt;
+    const unsigned u = lowestSetBit(v.st.globalWaitBits);
+    v.st.globalWaitBits = withoutBit(v.st.globalWaitBits, u);
+    return Requester{u, -1};
+}
+
+void
+SynCronBackend::memGrantTo(Station &s, MemVar &v, Op grantOp, Requester to,
+                           Tick done)
+{
+    if (to.unitLevel()) {
+        sendGlobal(s, to.unit, unitGrantFor(grantOp), v.st.addr, done,
+                   v.st.tableInfo);
+    } else if (to.unit != s.unit) {
+        SyncMessage grant;
+        grant.addr = v.st.addr;
+        grant.opcode = grantOp;
+        grant.coreId = packSeCore(to.unit, static_cast<unsigned>(to.core));
+        grant.info = v.st.tableInfo;
+        sendToStation(s.unit, to.unit, grant, done);
+    } else if (grantOp == Op::CondGrantOverflow) {
+        // Master's own local core woken from a condition variable:
+        // re-acquire the associated lock on its behalf.
+        internalLockOp(s, Op::LockAcquireLocal,
+                       static_cast<unsigned>(to.core),
+                       static_cast<Addr>(v.st.tableInfo), done);
+    } else {
+        grantCore(s.unit,
+                  globalCoreId(s.unit, static_cast<unsigned>(to.core)),
+                  v.st.addr, done);
+    }
 }
 
 void
@@ -603,13 +482,8 @@ SynCronBackend::memMaybeCleanup(Station &s, Addr var, MemVar &v, Tick done)
     while (info != 0) {
         const unsigned j = lowestSetBit(info);
         info = static_cast<std::uint16_t>(withoutBit(info, j));
-        if (j == s.unit)
-            continue;
-        SyncMessage dec;
-        dec.addr = var;
-        dec.opcode = Op::DecreaseIndexingCounter;
-        dec.coreId = s.unit;
-        sendToStation(s.unit, j, dec, done);
+        if (j != s.unit)
+            sendGlobal(s, j, Op::DecreaseIndexingCounter, var, done);
     }
     while (v.outstanding > 0) {
         s.counters.decrement(var);
@@ -619,41 +493,24 @@ SynCronBackend::memMaybeCleanup(Station &s, Addr var, MemVar &v, Tick done)
 }
 
 void
-SynCronBackend::onDecreaseIndexingCounter(Station &s, const SyncMessage &m)
-{
-    s.counters.decrement(m.addr);
-}
-
-void
 SynCronBackend::onOverflowGrant(Station &s, const SyncMessage &m,
                                 Tick done)
 {
     const unsigned core = m.coreId % 256;
     SYNCRON_ASSERT(m.coreId / 256 == s.unit,
                    "overflow grant delivered to wrong SE");
-    switch (m.opcode) {
-      case Op::LockGrantOverflow:
-        // The lock's release will decrement the counter; grants do not.
-        grantCore(s.unit, globalCoreId(s.unit, core), m.addr, done);
-        break;
-      case Op::SemGrantOverflow:
+    // Every grant but a lock's ends a redirected acquire; a lock's ends
+    // at its release, which decrements the counter instead.
+    if (m.opcode != Op::LockGrantOverflow) {
         s.counters.decrement(m.addr);
         s.redirectedDec(m.addr);
-        grantCore(s.unit, globalCoreId(s.unit, core), m.addr, done);
-        break;
-      case Op::BarrierDepartureOverflow:
-        s.counters.decrement(m.addr);
-        s.redirectedDec(m.addr);
-        grantCore(s.unit, globalCoreId(s.unit, core), m.addr, done);
-        break;
-      case Op::CondGrantOverflow:
-        s.counters.decrement(m.addr);
-        s.redirectedDec(m.addr);
+    }
+    if (m.opcode == Op::CondGrantOverflow) {
         // Re-acquire the associated lock before cond_wait returns.
-        internalLockAcquire(s, core, m.condLockAddr(), done);
-        break;
-      default:
-        SYNCRON_PANIC("unexpected grant opcode " << opName(m.opcode));
+        internalLockOp(s, Op::LockAcquireLocal, core, m.condLockAddr(),
+                       done);
+    } else {
+        grantCore(s.unit, globalCoreId(s.unit, core), m.addr, done);
     }
 }
 
@@ -792,8 +649,11 @@ SynCronBackend::misarProcess(SoftServer &server, const SyncRequest &req,
 void
 SynCronBackend::misarMaybeExit(Addr var, Tick when)
 {
+    // A semaphore stays in software mode: leaving would drop its count,
+    // and the next hardware wait would re-seed it from its initial
+    // resources (as the master's ST entry of a semaphore never frees).
     if (misarVars_.count(var) == 0 || !misarState_.idle(var)
-        || misarPending_.count(var) != 0)
+        || misarState_.holdsSemaphore(var) || misarPending_.count(var) != 0)
         return;
     misarVars_.erase(var);
     misarReadyAt_.erase(var);

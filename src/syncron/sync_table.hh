@@ -89,6 +89,17 @@ struct StEntry
     /// would-be lost wakeup into a Mesa-legal spurious wakeup.
     std::uint32_t condPending = 0;
 
+    /** Sets the semaphore's first count, once: the first wait's
+     *  initial resources, or 0 when a post arrives first. */
+    void
+    initSem(std::uint64_t resources)
+    {
+        if (!semInit) {
+            semInit = true;
+            semAvail = static_cast<std::int64_t>(resources);
+        }
+    }
+
     /** True when the entry holds no live protocol state. */
     bool idle() const;
 };

@@ -128,17 +128,6 @@ Machine::promotions() const
     return total;
 }
 
-std::size_t
-Machine::pendingEvents() const
-{
-    std::size_t total = 0;
-    for (const auto &s : shards_) {
-        total += s->eq.pending();
-        total += s->outbox.size();
-    }
-    return total;
-}
-
 Tick
 Machine::maxNow() const
 {

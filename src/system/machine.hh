@@ -134,9 +134,6 @@ class Machine : public sim::ShardedKernel::Client,
     /** Sum of epoch promotions across all shard queues (host perf). */
     std::uint64_t promotions() const;
 
-    /** Sum of pending events across all shard queues + mailboxes. */
-    std::size_t pendingEvents() const;
-
     /** Max now() across shard queues. */
     Tick maxNow() const;
 

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "syncron/engine.hh"
 #include "syncron/indexing_counters.hh"
 #include "syncron/sync_table.hh"
@@ -156,6 +159,273 @@ TEST_P(OverflowSchemeTest, TinyStOverflowsButStaysCorrect)
     ASSERT_NE(eng, nullptr);
     EXPECT_GT(eng->overflowedRequests(), 0u)
         << "a 4-entry ST must overflow under 64 hot locks";
+}
+
+// -- One-entry STs: every primitive kind reaches the overflow path ------
+
+/** A config whose STs hold one variable, with the live analyzer on. */
+SystemConfig
+tinyStConfig(Scheme scheme, unsigned units, unsigned cores)
+{
+    SystemConfig cfg = SystemConfig::make(scheme, units, cores);
+    cfg.stEntries = 1;
+    cfg.analyze = true;
+    return cfg;
+}
+
+struct SemCount
+{
+    int available = 0; ///< resources posted minus resources granted
+    int consumed = 0;
+    bool negative = false;
+};
+
+sim::Process
+semUser(Core &c, SyncApi &api, sync::Semaphore sem, bool consumer,
+        int iters, std::uint64_t pace, SemCount &count)
+{
+    for (int i = 0; i < iters; ++i) {
+        if (consumer) {
+            co_await api.wait(c, sem);
+            if (--count.available < 0)
+                count.negative = true;
+            ++count.consumed;
+            co_await c.compute(15);
+        } else {
+            co_await c.compute(pace);
+            ++count.available;
+            co_await api.post(c, sem);
+        }
+    }
+}
+
+TEST_P(OverflowSchemeTest, TinyStOverflowsSemaphores)
+{
+    // Two semaphores homed in one unit: the master's single entry holds
+    // one, so the other lives in its syncronVar record, and the other
+    // units' single entries overflow too. Fast producers make batch
+    // grants return their excess to a record the ST entry migrated
+    // into; slow ones make waits queue in the record.
+    for (std::uint64_t pace : {30u, 300u}) {
+        SCOPED_TRACE("producer pace " + std::to_string(pace));
+        SystemConfig cfg = tinyStConfig(GetParam(), 4, 4);
+        NdpSystem sys(cfg);
+        const sync::Semaphore sems[] = {sys.api().createSemaphore(2, 1),
+                                        sys.api().createSemaphore(2, 1)};
+        SemCount counts[2];
+        for (SemCount &c : counts)
+            c.available = 1;
+
+        const int iters = 6;
+        for (unsigned i = 0; i < sys.numClientCores(); ++i) {
+            const unsigned which = i % 2;
+            sys.spawn(semUser(sys.clientCore(i), sys.api(), sems[which],
+                              (i / 2) % 2 == 0, iters, pace,
+                              counts[which]));
+        }
+        sys.run();
+
+        const int perSem =
+            static_cast<int>(sys.numClientCores() / 4) * iters;
+        for (const SemCount &c : counts) {
+            EXPECT_FALSE(c.negative) << "a wait was granted with no resource";
+            EXPECT_EQ(c.consumed, perSem);
+            EXPECT_EQ(c.available, 1);
+        }
+        engine::SynCronBackend *eng = sys.syncronBackend();
+        ASSERT_NE(eng, nullptr);
+        EXPECT_GT(eng->overflowedRequests(), 0u);
+    }
+}
+
+struct CondItems
+{
+    int items = 0;
+    int consumed = 0;
+    int woken = 0;
+    bool go = false;
+};
+
+sim::Process
+condTaker(Core &c, SyncApi &api, sync::CondVar cond, sync::Lock lock,
+          int want, CondItems &shared)
+{
+    for (int got = 0; got < want; ++got) {
+        co_await api.acquire(c, lock);
+        while (shared.items == 0)
+            co_await api.wait(c, cond, lock);
+        --shared.items;
+        ++shared.consumed;
+        co_await api.release(c, lock);
+    }
+}
+
+sim::Process
+condGiver(Core &c, SyncApi &api, sync::CondVar cond, sync::Lock lock,
+          int iters, CondItems &shared)
+{
+    for (int i = 0; i < iters; ++i) {
+        co_await c.compute(40);
+        co_await api.acquire(c, lock);
+        ++shared.items;
+        co_await api.signal(c, cond);
+        co_await api.release(c, lock);
+    }
+}
+
+TEST_P(OverflowSchemeTest, TinyStOverflowsCondVarSignals)
+{
+    // The cond var shares its master's single entry with the lock (both
+    // homed in unit 0), or is homed in the other unit.
+    for (UnitId condHome : {0u, 1u}) {
+        SCOPED_TRACE("cond var homed in unit " + std::to_string(condHome));
+        SystemConfig cfg = tinyStConfig(GetParam(), 2, 4);
+        NdpSystem sys(cfg);
+        sync::Lock lock = sys.api().createLock(0);
+        sync::CondVar cond = sys.api().createCondVar(condHome);
+        CondItems shared;
+
+        const int iters = 5;
+        const unsigned n = sys.numClientCores();
+        for (unsigned i = 0; i < n; ++i) {
+            if (i % 2 == 0) {
+                sys.spawn(condTaker(sys.clientCore(i), sys.api(), cond,
+                                    lock, iters, shared));
+            } else {
+                sys.spawn(condGiver(sys.clientCore(i), sys.api(), cond,
+                                    lock, iters, shared));
+            }
+        }
+        sys.run();
+
+        EXPECT_EQ(shared.consumed, static_cast<int>(n / 2) * iters);
+        EXPECT_EQ(shared.items, 0);
+        engine::SynCronBackend *eng = sys.syncronBackend();
+        ASSERT_NE(eng, nullptr);
+        EXPECT_GT(eng->overflowedRequests(), 0u);
+    }
+}
+
+sim::Process
+broadcastWaiter(Core &c, SyncApi &api, sync::CondVar cond, sync::Lock lock,
+                CondItems &shared)
+{
+    co_await api.acquire(c, lock);
+    while (!shared.go)
+        co_await api.wait(c, cond, lock);
+    ++shared.woken;
+    co_await api.release(c, lock);
+}
+
+sim::Process
+broadcaster(Core &c, SyncApi &api, sync::CondVar cond, sync::Lock lock,
+            CondItems &shared)
+{
+    co_await c.compute(5000); // let the waiters queue up
+    co_await api.acquire(c, lock);
+    shared.go = true;
+    co_await api.broadcast(c, cond);
+    co_await api.release(c, lock);
+}
+
+TEST_P(OverflowSchemeTest, TinyStOverflowsCondVarBroadcast)
+{
+    for (UnitId condHome : {0u, 1u}) {
+        SCOPED_TRACE("cond var homed in unit " + std::to_string(condHome));
+        SystemConfig cfg = tinyStConfig(GetParam(), 2, 4);
+        NdpSystem sys(cfg);
+        sync::Lock lock = sys.api().createLock(0);
+        sync::CondVar cond = sys.api().createCondVar(condHome);
+        CondItems shared;
+
+        const unsigned n = sys.numClientCores();
+        for (unsigned i = 0; i + 1 < n; ++i)
+            sys.spawn(broadcastWaiter(sys.clientCore(i), sys.api(), cond,
+                                      lock, shared));
+        sys.spawn(broadcaster(sys.clientCore(n - 1), sys.api(), cond, lock,
+                              shared));
+        sys.run();
+
+        EXPECT_EQ(shared.woken, static_cast<int>(n - 1));
+        engine::SynCronBackend *eng = sys.syncronBackend();
+        ASSERT_NE(eng, nullptr);
+        EXPECT_GT(eng->overflowedRequests(), 0u);
+    }
+}
+
+sim::Process
+hogLock(Core &c, SyncApi &api, sync::Lock lock, std::uint64_t hold)
+{
+    co_await api.acquire(c, lock);
+    co_await c.compute(hold);
+    co_await api.release(c, lock);
+}
+
+TEST_P(OverflowSchemeTest, SmallStBroadcastWakesUnitLevelWaiters)
+{
+    // The master's two entries hold the lock and a hogged lock, so the
+    // cond var lives in its syncronVar record; unit 1's SE still has an
+    // entry for it and waits there as a whole unit. The broadcast must
+    // reach that unit as a wake-all grant.
+    SystemConfig cfg = tinyStConfig(GetParam(), 2, 4);
+    cfg.stEntries = 2;
+    NdpSystem sys(cfg);
+    sync::Lock lock = sys.api().createLock(0);
+    sync::Lock hog = sys.api().createLock(0);
+    sync::CondVar cond = sys.api().createCondVar(0);
+    CondItems shared;
+
+    sys.spawn(hogLock(sys.clientCore(0), sys.api(), hog, 20000));
+    for (unsigned i = 4; i < 8; ++i)
+        sys.spawn(broadcastWaiter(sys.clientCore(i), sys.api(), cond, lock,
+                                  shared));
+    sys.spawn(broadcaster(sys.clientCore(3), sys.api(), cond, lock, shared));
+    sys.run();
+
+    EXPECT_EQ(shared.woken, 4);
+    engine::SynCronBackend *eng = sys.syncronBackend();
+    ASSERT_NE(eng, nullptr);
+    EXPECT_GT(eng->overflowedRequests(), 0u);
+}
+
+sim::Process
+phasedWaiter(Core &c, SyncApi &api, sync::Barrier bar, int phases,
+             std::vector<int> &phase, unsigned idx, bool &violated)
+{
+    for (int p = 0; p < phases; ++p) {
+        co_await c.compute(10 + c.rng().below(200));
+        phase[idx] = p;
+        co_await api.wait(c, bar);
+        for (int other : phase) {
+            if (other < p)
+                violated = true;
+        }
+    }
+}
+
+TEST_P(OverflowSchemeTest, TinyStOverflowsBarriers)
+{
+    // Two barriers live at once, half the cores on each: barriers waited
+    // back to back never hold two entries, so they never overflow.
+    SystemConfig cfg = tinyStConfig(GetParam(), 4, 4);
+    NdpSystem sys(cfg);
+    const unsigned half = sys.numClientCores() / 2;
+    const sync::Barrier bars[] = {sys.api().createBarrier(1, half),
+                                  sys.api().createBarrier(1, half)};
+    std::vector<int> phases[2] = {std::vector<int>(half, -1),
+                                  std::vector<int>(half, -1)};
+    bool violated = false;
+    for (unsigned i = 0; i < sys.numClientCores(); ++i) {
+        const unsigned which = i % 2;
+        sys.spawn(phasedWaiter(sys.clientCore(i), sys.api(), bars[which],
+                               5, phases[which], i / 2, violated));
+    }
+    sys.run();
+
+    EXPECT_FALSE(violated) << "a core passed a barrier phase early";
+    engine::SynCronBackend *eng = sys.syncronBackend();
+    ASSERT_NE(eng, nullptr);
+    EXPECT_GT(eng->overflowedRequests(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
