@@ -41,7 +41,7 @@ BenchOptions::usage()
            "--jobs=1)\n"
            "  --crash-sweep=<n>  durability benches: crash-inject at "
            "every nth sync-op boundary\n"
-           "  --sim-shards=<n>   host threads per simulated machine "
+           "  --sim-shards=<n>   event-queue shards per simulated machine "
            "(bit-identical results; incompatible with --trace-out, "
            "--crash-at, --persist)\n"
            "  --load=<spec>      open-loop arrival process: "

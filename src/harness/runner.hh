@@ -61,10 +61,11 @@ struct BenchOptions
     /// performance grid, run the crash-injection sweep at every nth
     /// sync-op boundary (0 = disabled).
     unsigned crashSweepEvery = 0;
-    /// --sim-shards=<n>: host threads sharding each simulated machine
-    /// (conservative PDES). Results are bit-identical to a
-    /// single-threaded run. Incompatible with --trace-out, --crash-at,
-    /// and --persist, which all assume one global event order.
+    /// --sim-shards=<n>: event-queue shards each simulated machine is
+    /// split into, stepped in conservative windows on one thread.
+    /// Results are bit-identical to a single-queue run. Incompatible
+    /// with --trace-out, --crash-at, and --persist, which all assume
+    /// one global event order.
     unsigned simShards = 1;
     /// --load=<spec>: open-loop arrival-process override for benches
     /// that sweep offered load (see load::LoadSpec::fromString).

@@ -15,25 +15,8 @@ ShardedKernel::ShardedKernel(std::vector<EventQueue *> queues, Tick lookahead,
         SYNCRON_ASSERT(q, "null shard queue");
     SYNCRON_ASSERT(lookahead_ > 0,
                    "ShardedKernel needs a non-zero lookahead");
-    if (queues_.size() == 1) {
+    if (queues_.size() == 1)
         queues_[0]->setLookahead(lookahead_);
-    } else {
-        errors_.resize(queues_.size());
-        workers_.reserve(queues_.size() - 1);
-        for (std::size_t s = 1; s < queues_.size(); ++s)
-            workers_.emplace_back([this, s] { workerLoop(s); });
-    }
-}
-
-ShardedKernel::~ShardedKernel()
-{
-    if (!workers_.empty()) {
-        stop_ = true;
-        generation_.fetch_add(1, std::memory_order_release);
-        generation_.notify_all();
-        for (std::thread &t : workers_)
-            t.join();
-    }
 }
 
 Tick
@@ -46,55 +29,19 @@ ShardedKernel::horizon() const
 }
 
 void
-ShardedKernel::runShard(std::size_t shard)
-{
-    try {
-        queues_[shard]->runWindow();
-    } catch (...) {
-        errors_[shard] = std::current_exception();
-    }
-}
-
-void
-ShardedKernel::workerLoop(std::size_t shard)
-{
-    std::uint32_t seen = 0;
-    for (;;) {
-        generation_.wait(seen, std::memory_order_acquire);
-        seen = generation_.load(std::memory_order_acquire);
-        if (stop_)
-            return;
-        runShard(shard);
-        if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            running_.notify_one();
-    }
-}
-
-void
 ShardedKernel::runWindow(Tick limit)
 {
     for (EventQueue *q : queues_)
         q->openWindow(limit);
     client_.windowBegin();
-    running_.store(static_cast<std::uint32_t>(workers_.size()),
-                   std::memory_order_relaxed);
-    generation_.fetch_add(1, std::memory_order_release);
-    generation_.notify_all();
-    runShard(0);
-    for (std::uint32_t left = running_.load(std::memory_order_acquire);
-         left != 0; left = running_.load(std::memory_order_acquire))
-        running_.wait(left, std::memory_order_acquire);
-    client_.windowEnd();
-    // Rethrow the lowest shard's failure so error reporting is
-    // deterministic even when several shards fault in one window.
-    for (std::size_t s = 0; s < errors_.size(); ++s) {
-        if (errors_[s]) {
-            std::exception_ptr ep = errors_[s];
-            for (auto &e : errors_)
-                e = nullptr;
-            std::rethrow_exception(ep);
-        }
+    try {
+        for (EventQueue *q : queues_)
+            q->runWindow();
+    } catch (...) {
+        client_.windowEnd();
+        throw;
     }
+    client_.windowEnd();
 }
 
 Tick
@@ -110,7 +57,6 @@ ShardedKernel::run(Tick until)
         return q.now();
     }
     for (;;) {
-        client_.drainMailboxes();
         Tick w = horizon();
         if (w == kTickNever || w > until)
             break;

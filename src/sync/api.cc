@@ -185,8 +185,8 @@ SyncApi::buffer(LaneEvent ev)
 void
 SyncApi::flushObservers()
 {
-    SYNCRON_ASSERT(!machine_.inParallelRegion(),
-                   "observer flush inside a parallel window");
+    SYNCRON_ASSERT(!machine_.inShardedWindow(),
+                   "observer flush inside a sharded window");
     for (Lane &lane : lanes_) {
         merged_.insert(merged_.end(), lane.events.begin(),
                        lane.events.end());
@@ -223,7 +223,7 @@ SyncApi::allocVar(UnitId unit)
 {
     SYNCRON_ASSERT(unit < freeLists_.size(),
                    "primitive creation in unknown unit " << unit);
-    SYNCRON_ASSERT(!machine_.inParallelRegion(),
+    SYNCRON_ASSERT(!machine_.inShardedWindow(),
                    "primitive creation while a sharded window is running "
                    "(create primitives before run())");
     if (!freeLists_[unit].empty()) {
@@ -262,7 +262,7 @@ SyncApi::checkLive(const SyncPrimitive &prim) const
 void
 SyncApi::destroyPrimitive(const SyncPrimitive &prim)
 {
-    SYNCRON_ASSERT(!machine_.inParallelRegion(),
+    SYNCRON_ASSERT(!machine_.inShardedWindow(),
                    "destroy while a sharded window is running (idleVar "
                    "sweeps foreign shards; destroy at quiescence)");
     checkLive(prim);

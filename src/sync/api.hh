@@ -546,7 +546,7 @@ class SyncApi : private Machine::WindowListener
      * 1-shard machine calls them directly; on a sharded machine each
      * hook appends to the issuing shard's lane, and the lanes are
      * merged by (tick the hook fired, core, lane sequence) and replayed
-     * at every window barrier, before a destroy, and by
+     * at every window end, before a destroy, and by
      * flushObservers(). Either way each core's events arrive in program
      * order inside one global fire order. The observer must outlive
      * every operation issued while it is registered; there is no
@@ -662,9 +662,8 @@ class SyncApi : private Machine::WindowListener
         std::uint64_t seq = 0; ///< ...then core, then lane order
     };
 
-    /** One shard's buffered events; a cache line of its own, since
-     *  every shard thread appends to its lane concurrently. */
-    struct alignas(64) Lane
+    /** One shard's buffered events. */
+    struct Lane
     {
         std::vector<LaneEvent> events;
     };
@@ -672,7 +671,7 @@ class SyncApi : private Machine::WindowListener
     /** Appends @p ev to its core's shard lane, stamped for the merge. */
     void buffer(LaneEvent ev);
 
-    /** Barrier callout: replays the window's lanes. */
+    /** Window-end callout: replays the window's lanes. */
     void windowEnded() override { flushObservers(); }
 
     Machine &machine_;

@@ -8,8 +8,8 @@ bool
 FlatSyncState::VarState::idle() const
 {
     return !locked && lockWaiters.empty() && barrierArrived == 0
-           && barrierWaiters.empty() && semWaiters.empty()
-           && condWaiters.empty();
+           && barrierWaiters.empty() && semDelta == 0
+           && semWaiters.empty() && condWaiters.empty();
 }
 
 void
@@ -76,12 +76,8 @@ FlatSyncState::apply(const SyncRequest &req, CoreId core, sim::Gate *gate,
       }
 
       case OpKind::SemWait: {
-        if (!st.semInitialized) {
-            st.semInitialized = true;
-            st.semCount = static_cast<std::int64_t>(req.resources());
-        }
-        if (st.semCount > 0) {
-            --st.semCount;
+        if (static_cast<std::int64_t>(req.resources()) + st.semDelta > 0) {
+            --st.semDelta;
             out.push_back(SyncGrant{core, gate});
         } else {
             st.semWaiters.push_back(SyncGrant{core, gate});
@@ -90,16 +86,12 @@ FlatSyncState::apply(const SyncRequest &req, CoreId core, sim::Gate *gate,
       }
 
       case OpKind::SemPost: {
-        if (!st.semInitialized) {
-            st.semInitialized = true;
-            st.semCount = 0;
-        }
         if (!st.semWaiters.empty()) {
             SyncGrant next = st.semWaiters.front();
             st.semWaiters.pop_front();
             out.push_back(next);
         } else {
-            ++st.semCount;
+            ++st.semDelta;
         }
         break;
       }
@@ -152,13 +144,6 @@ FlatSyncState::idle(Addr var) const
 {
     auto it = vars_.find(var);
     return it == vars_.end() || it->second.idle();
-}
-
-bool
-FlatSyncState::holdsSemaphore(Addr var) const
-{
-    auto it = vars_.find(var);
-    return it != vars_.end() && it->second.semInitialized;
 }
 
 } // namespace syncron::sync

@@ -112,12 +112,9 @@ class FlatSyncState
                                  sim::Gate *gate,
                                  std::vector<LockOp> *forward = nullptr);
 
-    /** True when @p var has no owner, waiters, or residual state. */
+    /** True when @p var has no owner, waiters, or residual state (a
+     *  semaphore whose count differs from its initial resources). */
     bool idle(Addr var) const;
-
-    /** True when @p var is a semaphore: its count is state idle()
-     *  leaves out, since it outlives every waiter. */
-    bool holdsSemaphore(Addr var) const;
 
     /** Drops state for @p var (destroy_syncvar). */
     void destroy(Addr var) { vars_.erase(var); }
@@ -139,9 +136,10 @@ class FlatSyncState
         // Barrier
         std::uint32_t barrierArrived = 0;
         std::vector<SyncGrant> barrierWaiters;
-        // Semaphore
-        bool semInitialized = false;
-        std::int64_t semCount = 0;
+        // Semaphore: posts minus grants. The count is the initial
+        // resources every sem_wait carries plus this, so a post that
+        // arrives first loses nothing.
+        std::int64_t semDelta = 0;
         std::deque<SyncGrant> semWaiters;
         // Condition variable
         std::deque<CondWaiter> condWaiters;

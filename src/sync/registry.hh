@@ -46,10 +46,10 @@ class BackendRegistry
      * Registers @p factory under @p name; duplicate names are fatal.
      * @p shardable declares the backend safe for sharded simulation
      * (SystemConfig::simShards > 1): its agents reach other units only
-     * through Machine's mailbox primitives. Backends that touch foreign
-     * units synchronously (Ideal's zero-latency grants, the MiSAR
-     * overflow ablations) stay non-shardable and collapse sharded runs
-     * to one shard.
+     * through Machine's keyed deliveries (postMessage()). Backends that
+     * touch foreign units synchronously (Ideal's zero-latency grants,
+     * the MiSAR overflow ablations) stay non-shardable and collapse
+     * sharded runs to one shard.
      */
     void add(std::string name, Factory factory, bool shardable = false);
 

@@ -315,9 +315,8 @@ SynCronBackend::sendToStation(UnitId from, UnitId to, SyncMessage msg,
     } else {
         ++machine_.statsFor(from).syncGlobalMsgs;
     }
-    // The engine's only cross-unit transport: a keyed delivery on @p
-    // to 's shard (through a mailbox envelope when that shard is
-    // another).
+    // The engine's only cross-unit transport: a keyed delivery filed
+    // into @p to 's shard queue.
     machine_.postMessage(depart, from, to, sync::kSyncReqBits,
                          [this, to, msg] { receive(to, msg); });
 }
@@ -544,9 +543,9 @@ SynCronBackend::dispatch(Station &s, const SyncMessage &m, Tick done)
       case Op::SemPostGlobal:
         // Master only. Global posts may carry a batch count (returned
         // grant excess).
-        e.initSem(0);
         for (std::uint64_t n = m.info > 0 ? m.info : 1; n > 0; --n)
             masterSemPost(s, e, done);
+        maybeFree(s, e, machine_.eq(s.unit).now());
         break;
       case Op::CondWaitLocal: onCondWaitLocal(s, e, m, done); break;
       case Op::CondWaitGlobal: onCondWaitGlobal(s, e, m, done); break;
@@ -921,7 +920,7 @@ SynCronBackend::masterSemPost(Station &s, StEntry &e, Tick done)
         e.globalWaitBits = withoutBit(e.globalWaitBits, j);
         sendGlobal(s, j, Op::SemGrantGlobal, e.addr, done);
     } else {
-        ++e.semAvail;
+        ++e.semDelta;
     }
 }
 
@@ -930,17 +929,19 @@ SynCronBackend::onSemWaitLocal(Station &s, StEntry &e, const SyncMessage &m,
                                Tick done)
 {
     if (isMaster(s, m.addr)) {
-        e.initSem(m.semResources());
-        if (e.semAvail > 0) {
-            --e.semAvail;
+        if (e.semAvail(m.semResources()) > 0) {
+            --e.semDelta;
             grantCore(s.unit, globalCoreId(s.unit, m.coreId), m.addr,
                       done);
+            maybeFree(s, e, machine_.eq(s.unit).now());
         } else {
             e.localWaitBits = withBit(e.localWaitBits, m.coreId);
         }
         return;
     }
 
+    // Re-arms after a partial grant carry the initial resources too.
+    e.tableInfo = m.semResources();
     e.localWaitBits = withBit(e.localWaitBits, m.coreId);
     if (!e.semArmed) {
         e.semArmed = true;
@@ -953,17 +954,18 @@ void
 SynCronBackend::onSemWaitGlobal(Station &s, StEntry &e, const SyncMessage &m,
                                 Tick done)
 {
-    e.initSem(m.semResources());
-    if (e.semAvail > 0) {
+    const std::int64_t avail = e.semAvail(m.semResources());
+    if (avail > 0) {
         // Batched grant: hand the requesting SE up to a unit's worth of
         // resources in one message (MessageInfo carries the count); the
         // SE returns any excess. This amortizes the serial SE<->master
         // round trips of the bit-queue.
         const std::int64_t batch = std::min<std::int64_t>(
-            e.semAvail, machine_.config().clientCoresPerUnit);
-        e.semAvail -= batch;
+            avail, machine_.config().clientCoresPerUnit);
+        e.semDelta -= batch;
         sendGlobal(s, m.coreId, Op::SemGrantGlobal, m.addr, done,
                    static_cast<std::uint64_t>(batch));
+        maybeFree(s, e, machine_.eq(s.unit).now());
     } else {
         e.globalWaitBits = withBit(e.globalWaitBits, m.coreId);
     }
@@ -993,7 +995,8 @@ SynCronBackend::onSemGrantGlobal(Station &s, const SyncMessage &m,
     }
     if (e->localWaitBits != 0) {
         // Bit-queue semantics: re-arm the request for remaining waiters.
-        sendGlobal(s, masterOf(m.addr), Op::SemWaitGlobal, m.addr, done);
+        sendGlobal(s, masterOf(m.addr), Op::SemWaitGlobal, m.addr, done,
+                   e->tableInfo);
     } else {
         e->semArmed = false;
         maybeFree(s, *e, machine_.eq(s.unit).now());

@@ -117,7 +117,7 @@ bool
 SynCronBackend::MemVar::idle() const
 {
     if (st.ownerKind != LockOwner::None || st.globalWaitBits != 0
-        || st.barrierArrived != 0 || st.semInit)
+        || st.barrierArrived != 0 || st.semDelta != 0)
         return false;
     for (std::uint16_t bits : coreBits) {
         if (bits != 0)
@@ -252,8 +252,7 @@ SynCronBackend::memOp(Station &s, const SyncMessage &m, Tick done)
             // Unit-aggregates already arrived keep their headcount.
             v.st.barrierArrived += e->barrierUnitsArrived
                                    * machine_.config().clientCoresPerUnit;
-            v.st.semInit = e->semInit;
-            v.st.semAvail = e->semAvail;
+            v.st.semDelta = e->semDelta;
             v.st.tableInfo = e->tableInfo;
             *e = StEntry{};
             e->addr = m.addr;
@@ -355,10 +354,9 @@ SynCronBackend::memOp(Station &s, const SyncMessage &m, Tick done)
       }
 
       case OpKind::SemWait:
-        v.st.initSem(m.semResources());
         acquired();
-        if (v.st.semAvail > 0) {
-            --v.st.semAvail;
+        if (v.st.semAvail(m.semResources()) > 0) {
+            --v.st.semDelta;
             memGrantTo(s, v, Op::SemGrantOverflow, from, done);
         } else {
             memEnqueue(v, from);
@@ -366,7 +364,6 @@ SynCronBackend::memOp(Station &s, const SyncMessage &m, Tick done)
         break;
 
       case OpKind::SemPost:
-        v.st.initSem(0);
         released();
         // A global post may return a batch grant's excess, its count in
         // MessageInfo (as at an ST-resident master).
@@ -374,7 +371,7 @@ SynCronBackend::memOp(Station &s, const SyncMessage &m, Tick done)
             if (std::optional<Requester> next = memNextWaiter(s, v))
                 memGrantTo(s, v, Op::SemGrantOverflow, *next, done);
             else
-                ++v.st.semAvail;
+                ++v.st.semDelta;
         }
         break;
 
@@ -529,9 +526,9 @@ SynCronBackend::softServerFor(Addr var)
 {
     // The software fallback runs every diverted op through one shared
     // server on shard 0's queue (eq()) with synchronous routeMessage
-    // hops — a single-queue path. Under sharding that would be a
-    // cross-shard schedule from a foreign worker thread, so fail loudly
-    // instead of racing. (Both divert entry points come through here.)
+    // hops — a single-queue path. Under sharding that would touch other
+    // shards' crossbars and queues outside the keyed delivery order, so
+    // fail loudly instead. (Both divert entry points come through here.)
     SYNCRON_ASSERT(machine_.numShards() == 1,
                    "ST overflow software fallback is a single-queue "
                    "path; run overflow configs with --sim-shards=1");
@@ -649,11 +646,11 @@ SynCronBackend::misarProcess(SoftServer &server, const SyncRequest &req,
 void
 SynCronBackend::misarMaybeExit(Addr var, Tick when)
 {
-    // A semaphore stays in software mode: leaving would drop its count,
-    // and the next hardware wait would re-seed it from its initial
-    // resources (as the master's ST entry of a semaphore never frees).
+    // A semaphore leaves software mode only with its count back at its
+    // initial resources (idle()): the hardware re-seeds a fresh entry
+    // from the next wait's resources, so leaving then drops nothing.
     if (misarVars_.count(var) == 0 || !misarState_.idle(var)
-        || misarState_.holdsSemaphore(var) || misarPending_.count(var) != 0)
+        || misarPending_.count(var) != 0)
         return;
     misarVars_.erase(var);
     misarReadyAt_.erase(var);

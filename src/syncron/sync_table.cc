@@ -13,8 +13,8 @@ StEntry::idle() const
     return localWaitBits == 0 && globalWaitBits == 0
            && ownerKind == LockOwner::None && !holdsGrant
            && !requestedGlobal && barrierArrived == 0
-           && barrierUnitsArrived == 0 && !barrierGlobalSent && !semInit
-           && !semArmed && !condArmed && condPending == 0;
+           && barrierUnitsArrived == 0 && !barrierGlobalSent
+           && semDelta == 0 && !semArmed && !condArmed && condPending == 0;
 }
 
 SyncTable::SyncTable(std::uint32_t capacity, SystemStats &stats,

@@ -78,8 +78,11 @@ struct StEntry
     bool barrierGlobalSent = false;        ///< local role: aggregate sent
 
     // -- Semaphore
-    bool semInit = false;
-    std::int64_t semAvail = 0; ///< master: available resources
+    /// Master role: posts minus grants so far. The available count is
+    /// the semaphore's initial resources, which every wait message
+    /// carries, plus this; so a post that arrives before any wait
+    /// loses nothing, and an entry back at zero holds no state.
+    std::int64_t semDelta = 0;
     bool semArmed = false;     ///< local role: sem_wait_global in flight
 
     // -- Condition variable
@@ -89,15 +92,12 @@ struct StEntry
     /// would-be lost wakeup into a Mesa-legal spurious wakeup.
     std::uint32_t condPending = 0;
 
-    /** Sets the semaphore's first count, once: the first wait's
-     *  initial resources, or 0 when a post arrives first. */
-    void
-    initSem(std::uint64_t resources)
+    /** Resources available to a wait carrying the semaphore's
+     *  @p initial resources. */
+    std::int64_t
+    semAvail(std::uint64_t initial) const
     {
-        if (!semInit) {
-            semInit = true;
-            semAvail = static_cast<std::int64_t>(resources);
-        }
+        return static_cast<std::int64_t>(initial) + semDelta;
     }
 
     /** True when the entry holds no live protocol state. */

@@ -157,13 +157,15 @@ struct SystemConfig
 
     // -- Sharded simulation (conservative PDES; sim/sharded_kernel.hh)
     /**
-     * Host threads the one simulation is sharded across. Units are
-     * split into contiguous blocks, one per shard, each owning a
-     * private EventQueue; cross-unit traffic crosses shard boundaries
-     * through Machine's mailbox with a conservative lookahead derived
-     * from the link + crossbar latencies. Results are bit-identical to
-     * simShards = 1. Clamped to numUnits; collapses to 1 when the
-     * selected backend is not shard-safe (sync::BackendRegistry).
+     * Shards the one simulation is split into. Units are split into
+     * contiguous blocks, one per shard, each owning a private
+     * EventQueue; the shards are stepped through conservative windows
+     * (lookahead derived from the link + crossbar latencies) on one
+     * host thread, and cross-unit traffic crosses shard boundaries as
+     * keyed deliveries (Machine::postMessage). Results are
+     * bit-identical to simShards = 1. Clamped to numUnits; collapses to
+     * 1 when the selected backend is not shard-safe
+     * (sync::BackendRegistry).
      */
     unsigned simShards = 1;
 

@@ -98,7 +98,7 @@ Machine::lookahead() const
     // Floor of any cross-unit path: the source-crossbar traversal of a
     // minimal (one-flit) message, the link controller overhead, and the
     // link flight time. Serialization (>= 1 tick) and the destination
-    // crossbar add further margin on top — envelopes stamp the real,
+    // crossbar add further margin on top — deliveries carry the real,
     // larger arrival tick; this bound only has to be conservative.
     const net::CrossbarParams &x = cfg_.xbar;
     const Tick srcXbar =
@@ -192,22 +192,12 @@ Machine::postMessage(Tick start, UnitId from, UnitId to,
     // Source-side legs run synchronously on the caller's shard (it owns
     // both the source crossbar and every (from, *) link direction); the
     // destination crossbar is paid by arrive() on the owning shard at
-    // the stamped arrival.
+    // the arrival tick, which lies past the open window (>= start +
+    // lookahead), so filing into another shard's queue is safe whether
+    // that shard has run the window yet or not.
     Tick t = xbar(from).transfer(start, bits);
     t = links_->send(t, from, to, (bits + 7) / 8);
-    Shard &src = *unitShard_[from];
-    Shard &dst = *unitShard_[to];
-    if (&src == &dst) {
-        dst.eq.scheduleDelivery(t, from, deliveryTag(to, bits),
-                                std::move(cont));
-        return;
-    }
-    Envelope &env = src.outbox.emplace_back();
-    env.when = t;
-    env.bits = bits;
-    env.to = to;
-    env.srcUnit = from;
-    env.cont = std::move(cont);
+    eq(to).scheduleDelivery(t, from, deliveryTag(to, bits), std::move(cont));
 }
 
 void
@@ -223,11 +213,10 @@ Machine::memoryAccessAsync(Tick start, UnitId from, Addr addr,
         eq(from).schedule(done, std::move(onDone));
         return;
     }
-    // Park the completion callback at the requester's shard and thread
-    // its slot index through both envelopes — nesting the callback
-    // itself would overflow the inline-callback bound.
-    const std::uint32_t pend =
-        unitShard_[from]->memPending.park(std::move(onDone));
+    // Park the completion callback and thread its slot index through
+    // both messages — nesting the callback itself would overflow the
+    // inline-callback bound.
+    const std::uint32_t pend = memPending_.park(std::move(onDone));
     const std::uint32_t reqBits =
         kMemReqHeaderBits + (isWrite ? bytes * 8 : 0);
     postMessage(start, from, home, reqBits,
@@ -237,9 +226,8 @@ Machine::memoryAccessAsync(Tick start, UnitId from, Addr addr,
                                                   isWrite, bytes);
                     const std::uint32_t respBits =
                         kMemRespHeaderBits + (isWrite ? 0 : bytes * 8);
-                    postMessage(t, h, from, respBits, [this, from, pend] {
-                        completeMemOp(from, pend);
-                    });
+                    postMessage(t, h, from, respBits,
+                                [this, pend] { completeMemOp(pend); });
                 });
 }
 
@@ -289,30 +277,11 @@ Machine::arrive(std::uint32_t tag)
 }
 
 void
-Machine::completeMemOp(UnitId requester, std::uint32_t idx)
+Machine::completeMemOp(std::uint32_t idx)
 {
-    CallbackPark &pending = unitShard_[requester]->memPending;
-    Callback cb = std::move(pending.slots[idx]);
-    pending.release(idx);
+    Callback cb = std::move(memPending_.slots[idx]);
+    memPending_.release(idx);
     cb();
-}
-
-void
-Machine::drainMailboxes()
-{
-    // Runs only at window barriers, so touching every queue is safe. A
-    // source unit's envelopes sit in one outbox in post order and the
-    // key orders sources by unit id, so filing in outbox order needs no
-    // sort. Every outbox keeps its capacity, so steady-state windows
-    // never allocate.
-    for (auto &s : shards_) {
-        for (Envelope &env : s->outbox) {
-            unitShard_[env.to]->eq.scheduleDelivery(
-                env.when, env.srcUnit, deliveryTag(env.to, env.bits),
-                std::move(env.cont));
-        }
-        s->outbox.clear();
-    }
 }
 
 } // namespace syncron

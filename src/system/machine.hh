@@ -12,7 +12,7 @@
  *
  * Sharded simulation (SystemConfig::simShards): units are split into
  * contiguous blocks, one per shard, each owning a private EventQueue and
- * SystemStats block so shards can run on separate host threads
+ * SystemStats block; the shards are windows stepped on one thread
  * (sim/sharded_kernel.hh). The synchronous routeMessage()/memoryAccess()
  * above stay valid only within one unit (or at one shard); sharded-aware
  * agents use the asynchronous forms — postMessage() /
@@ -20,16 +20,14 @@
  * window it was posted in (the queue's seq is a window key, see
  * sim/event_queue.hh): it sorts after every same-tick event scheduled in
  * that window and before any scheduled later, same-tick deliveries by
- * (source unit, post order). A post to a unit on the same shard — every
- * post at one shard — is keyed straight into the destination wheel,
- * moving its continuation once; a cross-shard post waits in the source
- * shard's outbox until the next window barrier, whose drain files it
- * under the same key (two moves). At the arrival tick the queue calls
- * arrive(), which charges the destination crossbar, and refiles the
- * same node at the crossbar exit. The order is the key at every shard
- * count, so a sharded run replays exactly the per-unit event order of
- * a single-threaded one — the bit-identity contract the sharded tests
- * enforce. eq(unit)/statsFor(unit) read a per-unit shard table. A
+ * (source unit, post order). Every post is keyed straight into the
+ * destination unit's wheel, on its own shard or another, moving its
+ * continuation once. At the arrival tick the queue calls arrive(),
+ * which charges the destination crossbar, and refiles the same node at
+ * the crossbar exit. The order is the key at every shard count, so a
+ * sharded run replays exactly the per-unit event order of a single-
+ * queue one — the bit-identity contract the sharded tests enforce.
+ * eq(unit)/statsFor(unit) read a per-unit shard table. A
  * configuration whose lookahead is zero (zero crossbar period and zero
  * link latency) leaves no conservative window and is rejected at
  * construction.
@@ -67,8 +65,8 @@ class Machine : public sim::ShardedKernel::Client,
   public:
     using Callback = sim::EventQueue::Callback;
 
-    /** Barrier-time callout run after every parallel window, once all
-     *  shards are quiescent (SyncApi replays its observer lanes). */
+    /** Callout run after every window of a sharded run, once every
+     *  shard has run it (SyncApi replays its observer lanes). */
     class WindowListener
     {
       public:
@@ -122,8 +120,8 @@ class Machine : public sim::ShardedKernel::Client,
     /**
      * Conservative PDES lookahead: the minimum number of ticks any
      * cross-unit message needs (source crossbar floor + link controller
-     * + flight). Envelopes are always stamped at least this far in the
-     * future, which is what makes parallel windows safe. Never zero:
+     * + flight). Cross-unit deliveries always arrive at least this far
+     * in the future, which is what makes the windows safe. Never zero:
      * the constructor rejects such a configuration.
      */
     Tick lookahead() const;
@@ -144,10 +142,10 @@ class Machine : public sim::ShardedKernel::Client,
      */
     void mergeShardStats();
 
-    /** True while a parallel window is in flight on worker threads.
-     *  Quiescent-only operations (primitive alloc/destroy, idleVar
-     *  sweeps) assert this is false. */
-    bool inParallelRegion() const { return inParallelRegion_; }
+    /** True while a window of a sharded run is in flight. Quiescent-
+     *  only operations (primitive alloc/destroy, idleVar sweeps) assert
+     *  this is false. */
+    bool inShardedWindow() const { return inShardedWindow_; }
 
     // -- Synchronous transport (single-unit / single-shard callers) ----
     /**
@@ -181,10 +179,8 @@ class Machine : public sim::ShardedKernel::Client,
      * @p cont on @p to's shard at the arrival tick (after the
      * destination-crossbar traversal; read the arrival via
      * eq(to).now()). Same-unit messages schedule directly; cross-unit
-     * messages are keyed deliveries — filed straight into @p to's queue
-     * on the same shard, or as mailbox envelopes filed at the next
-     * window barrier across shards. Must be called from @p from's
-     * shard.
+     * messages are keyed deliveries filed straight into @p to's queue.
+     * Must be called from @p from's shard.
      */
     void postMessage(Tick start, UnitId from, UnitId to,
                      std::uint32_t bits, Callback cont);
@@ -204,15 +200,11 @@ class Machine : public sim::ShardedKernel::Client,
                               bool isWrite, std::uint32_t bytes);
 
     // -- ShardedKernel::Client -----------------------------------------
-    /** Files queued cross-shard envelopes into destination queues in
-     *  outbox order; their keys order them. Single-threaded (barrier
-     *  time only). */
-    void drainMailboxes() override;
-    void windowBegin() override { inParallelRegion_ = true; }
+    void windowBegin() override { inShardedWindow_ = true; }
     void
     windowEnd() override
     {
-        inParallelRegion_ = false;
+        inShardedWindow_ = false;
         if (windowListener_ != nullptr)
             windowListener_->windowEnded();
     }
@@ -233,17 +225,6 @@ class Machine : public sim::ShardedKernel::Client,
     bool crashed() const { return crashed_; }
 
   private:
-    /** Cross-shard message parked in its source shard's outbox until
-     *  the next barrier. */
-    struct Envelope
-    {
-        Tick when = 0;          ///< earliest arrival at the dest unit
-        std::uint32_t bits = 0; ///< pays the dest-crossbar traversal
-        UnitId to = 0;
-        UnitId srcUnit = 0;     ///< orders same-tick deliveries
-        Callback cont;
-    };
-
     /** Callbacks parked by slot index (the index rides a small event
      *  capture where the callback itself would not fit). */
     struct CallbackPark
@@ -256,27 +237,24 @@ class Machine : public sim::ShardedKernel::Client,
         void release(std::uint32_t idx) { freeSlots.push_back(idx); }
     };
 
-    /** One shard: private queue + stats + mailbox storage. */
+    /** One shard: private queue + stats. */
     struct Shard
     {
         sim::EventQueue eq;
         SystemStats stats;
-        /// Cross-shard envelopes posted by this shard's units, in post
-        /// order, filed at the next barrier.
-        std::vector<Envelope> outbox;
-        /// Completion callbacks for in-flight async memory ops issued
-        /// by this shard's units (the slot index rides the envelopes so
-        /// nested captures never exceed the callback bound).
-        CallbackPark memPending;
     };
 
-    void completeMemOp(UnitId requester, std::uint32_t idx);
+    void completeMemOp(std::uint32_t idx);
 
     SystemConfig cfg_;
     bool crashed_ = false;
-    bool inParallelRegion_ = false;
+    bool inShardedWindow_ = false;
     WindowListener *windowListener_ = nullptr;
     bool statsMerged_ = false;
+    /// Completion callbacks of in-flight async memory ops (the slot
+    /// index rides the message captures so nested captures never exceed
+    /// the callback bound).
+    CallbackPark memPending_;
     unsigned unitsPerShard_ = 1;
     std::vector<std::unique_ptr<Shard>> shards_;
     /// Owning shard of each unit (eq()/statsFor() lookups).

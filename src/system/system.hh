@@ -80,7 +80,7 @@ class NdpSystem
 
     /**
      * Registers and starts a workload coroutine on @p core 's shard, so
-     * every segment of the coroutine executes on the thread that owns
+     * every segment of the coroutine executes on the queue that owns
      * the core's unit. The workload must drive only @p core (the usual
      * one-coroutine-per-core shape).
      */

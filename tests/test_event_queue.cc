@@ -566,10 +566,10 @@ forwardToken(Token *t)
                       [t] { forwardToken(t); });
 }
 
-TEST(MailboxAlloc, CrossUnitDrainIsAllocationFreeAcrossWindows)
+TEST(MailboxAlloc, CrossUnitPostIsAllocationFreeAcrossWindows)
 {
-    // At one shard every post is keyed straight into the wheel; at four
-    // every cross-unit post crosses shards through an outbox.
+    // Every post is keyed straight into the destination wheel; at four
+    // shards every cross-unit post lands in another shard's queue.
     for (const unsigned shards : {1u, 4u}) {
         SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 1);
         cfg.simShards = shards;
@@ -590,8 +590,7 @@ TEST(MailboxAlloc, CrossUnitDrainIsAllocationFreeAcrossWindows)
                 EXPECT_EQ(t.hops, 0u);
         };
 
-        // Warm-up grows the outboxes and the node pools to working
-        // size.
+        // Warm-up grows the node pools to working size.
         circulate(200);
 
         const std::uint64_t windowsBefore = kernel.windows();
@@ -601,17 +600,16 @@ TEST(MailboxAlloc, CrossUnitDrainIsAllocationFreeAcrossWindows)
         EXPECT_GT(kernel.windows() - windowsBefore, 100u)
             << shards << " shard(s)";
         EXPECT_EQ(after - before, 0u)
-            << "postMessage()/drainMailboxes() allocated across windows at "
+            << "postMessage() allocated across windows at "
             << shards << " shard(s)";
     }
 }
 
-TEST(MailboxAlloc, CrossUnitContinuationMovesOnceSameShardTwiceAcross)
+TEST(MailboxAlloc, CrossUnitContinuationMovesOnceAtEveryShardCount)
 {
-    // A post to a unit on the same shard is keyed straight into the
-    // destination wheel: one move. A cross-shard post moves into the
-    // source outbox and, at the barrier, into the destination wheel:
-    // two. The arrival refiles the node without touching the callback.
+    // A post is keyed straight into the destination wheel, on the same
+    // shard or another: one move. The arrival refiles the node without
+    // touching the callback.
     for (const unsigned shards : {1u, 2u, 4u}) {
         SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 1);
         cfg.simShards = shards;
@@ -619,8 +617,8 @@ TEST(MailboxAlloc, CrossUnitContinuationMovesOnceSameShardTwiceAcross)
         ASSERT_EQ(m.numShards(), shards);
         ShardedKernel kernel(m.shardQueues(), m.lookahead(), m);
 
-        // Warm-up sizes the outboxes and node pools, so no vector
-        // growth relocates the probe.
+        // Warm-up sizes the node pools, so no vector growth relocates
+        // the probe.
         std::array<Token, 16> tokens;
         for (std::size_t i = 0; i < tokens.size(); ++i) {
             const auto u = static_cast<UnitId>(i % cfg.numUnits);
@@ -645,8 +643,9 @@ TEST(MailboxAlloc, CrossUnitContinuationMovesOnceSameShardTwiceAcross)
             kernel.run();
             EXPECT_GE(atRun, 0) << "continuation never ran at " << shards
                                 << " shard(s)";
-            EXPECT_LE(atRun, sameShard ? 1 : 2)
-                << "continuation " << from << "->" << to << " moved "
+            EXPECT_EQ(atRun, 1)
+                << "continuation " << from << "->" << to << " ("
+                << (sameShard ? "same" : "cross") << " shard) moved "
                 << atRun << " times at " << shards << " shard(s)";
         }
     }

@@ -4,24 +4,27 @@
  *
  * Two layers:
  *  - ShardedKernel mechanics: conservative windows sized by the
- *    lookahead, mailbox drains at every barrier, self-opened windows
- *    at one shard, and the rejection of a zero lookahead.
- *  - The bit-identity contract: a machine split across host threads
- *    (--sim-shards) must reproduce the single-threaded run exactly —
+ *    lookahead, every shard stepped on the calling thread, cross-shard
+ *    posts landing in later windows, self-opened windows at one shard,
+ *    and the rejection of a zero lookahead.
+ *  - The bit-identity contract: a machine split into shards
+ *    (--sim-shards) must reproduce the single-queue run exactly —
  *    same final tick, same operation counts, same SystemStats, same
  *    per-OpKind latency histograms, the same lookahead windows — on
  *    every shardable backend, with
  *    the sync-correctness analyzer attached and finding nothing.
  *  - Observer lanes: on a sharded machine every registered observer
- *    runs on one thread between windows and sees one merged stream,
+ *    runs between windows and sees one merged stream,
  *    the same at every shard count.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -36,15 +39,13 @@ namespace {
 
 // -- ShardedKernel mechanics -------------------------------------------
 
-/** Client that only counts barrier callouts (no cross-shard traffic). */
+/** Client that only counts window callouts. */
 class CountingClient : public sim::ShardedKernel::Client
 {
   public:
-    void drainMailboxes() override { ++drains; }
     void windowBegin() override { ++begins; }
     void windowEnd() override { ++ends; }
 
-    int drains = 0;
     int begins = 0;
     int ends = 0;
 };
@@ -62,9 +63,8 @@ TEST(ShardedKernel, SingleShardDegeneratesToSerialStepping)
     EXPECT_EQ(kernel.run(), 100000u);
     EXPECT_EQ(fired, (std::vector<Tick>{5, 100, 100000}));
     // The queue opens the lookahead windows itself — [5, 1004] holds 5
-    // and 100 — with no mailbox drain, barrier or parallel window.
+    // and 100 — with no coordinator window or horizon poll.
     EXPECT_EQ(kernel.windows(), 2u);
-    EXPECT_EQ(client.drains, 0);
     EXPECT_EQ(client.begins, 0);
     EXPECT_EQ(client.ends, 0);
 }
@@ -89,9 +89,6 @@ TEST(ShardedKernel, WindowsCoverLookaheadAndStopAtHorizon)
     EXPECT_EQ(kernel.windows(), 2u);
     EXPECT_EQ(client.begins, 2);
     EXPECT_EQ(client.ends, 2);
-    // One drain per loop iteration: before each window and once more
-    // before discovering the horizon is empty.
-    EXPECT_EQ(client.drains, 3);
     EXPECT_EQ(fired0,
               (std::vector<std::pair<int, Tick>>{{0, 0}, {0, 250}}));
     EXPECT_EQ(fired1,
@@ -115,59 +112,107 @@ TEST(ShardedKernel, BoundedRunLeavesLaterEventsQueued)
     EXPECT_EQ(ran, 2);
 }
 
-/** Minimal mailbox: envelopes stamped now + lookahead, delivered in a
- *  deterministic order at barriers — the Machine protocol in miniature. */
-class PingPongClient : public sim::ShardedKernel::Client
+/** Client that numbers the windows, so a callback can tell which one
+ *  it runs in. */
+class WindowCountingClient : public sim::ShardedKernel::Client
 {
   public:
-    struct Envelope
-    {
-        Tick when = 0;
-        int payload = 0;
-        sim::EventQueue *dest = nullptr;
-    };
+    void windowBegin() override { ++window; }
 
-    void drainMailboxes() override
-    {
-        for (Envelope &env : outbox) {
-            const Tick when = env.when;
-            const int payload = env.payload;
-            received.push_back(payload);
-            env.dest->schedule(when, [] {});
-        }
-        outbox.clear();
-    }
-
-    std::vector<Envelope> outbox;
-    std::vector<int> received;
+    int window = 0;
 };
 
-TEST(ShardedKernel, CrossShardEnvelopesLandInLaterWindows)
+TEST(ShardedKernel, CrossShardPostsLandInLaterWindows)
 {
-    // Shard 0 posts an envelope to shard 1 from inside a window; the
-    // stamp (now + lookahead) guarantees delivery happens at a barrier
-    // before any shard could have advanced past it.
+    // Shard 0 files a message straight into shard 1's queue from inside
+    // a window, before shard 1 runs it; shard 1 answers into shard 0's
+    // queue, which has already run the window. The stamp (now +
+    // lookahead) puts each arrival past the window it was posted in,
+    // so neither runs early and neither lands in a shard's past.
     constexpr Tick kLookahead = 200;
     sim::EventQueue q0;
     sim::EventQueue q1;
-    PingPongClient client;
+    WindowCountingClient client;
+    std::vector<std::pair<int, int>> postedRan; // (post window, run window)
     q0.schedule(10, [&] {
-        client.outbox.push_back(
-            {q0.now() + kLookahead, 7, &q1});
+        const int posted = client.window;
+        q1.schedule(q0.now() + kLookahead, [&, posted] {
+            postedRan.emplace_back(posted, client.window);
+            const int answered = client.window;
+            q0.schedule(q1.now() + kLookahead, [&, answered] {
+                postedRan.emplace_back(answered, client.window);
+            });
+        });
     });
 
     sim::ShardedKernel kernel({&q0, &q1}, kLookahead, client);
     kernel.run();
-    EXPECT_EQ(client.received, (std::vector<int>{7}));
+    EXPECT_EQ(postedRan, (std::vector<std::pair<int, int>>{{1, 2}, {2, 3}}));
     EXPECT_EQ(q1.now(), 210u);
+    EXPECT_EQ(q0.now(), 410u);
     EXPECT_EQ(q1.executed(), 1u);
+    EXPECT_EQ(q0.executed(), 2u);
+    EXPECT_EQ(kernel.windows(), 3u);
+}
+
+/** Forwards a token around the units' ring with postMessage(),
+ *  recording the host thread of every callback. */
+struct RingToken
+{
+    Machine *m = nullptr;
+    unsigned hops = 0;
+    UnitId at = 0;
+    std::vector<std::thread::id> *threads = nullptr;
+};
+
+void
+forwardRingToken(RingToken *t)
+{
+    t->threads->push_back(std::this_thread::get_id());
+    if (t->hops == 0)
+        return;
+    --t->hops;
+    const UnitId from = t->at;
+    t->at = (from + 1) % t->m->config().numUnits;
+    t->m->postMessage(t->m->eq(from).now(), from, t->at, 64,
+                      [t] { forwardRingToken(t); });
+}
+
+TEST(ShardedKernel, FourShardRunStaysOnTheCallingThread)
+{
+    // Every shard's window runs on the thread that called run(): no
+    // callback of a 4-shard run, local or cross-shard, sees another.
+    SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 1);
+    cfg.simShards = 4;
+    Machine m(cfg);
+    ASSERT_EQ(m.numShards(), 4u);
+    CountingClient client;
+    sim::ShardedKernel kernel(m.shardQueues(), m.lookahead(), client);
+
+    std::vector<std::thread::id> threads;
+    std::array<RingToken, 8> tokens;
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        const auto u = static_cast<UnitId>(i % cfg.numUnits);
+        tokens[i] = RingToken{&m, 40, u, &threads};
+        m.eq(u).schedule(100 * i,
+                         [t = &tokens[i]] { forwardRingToken(t); });
+    }
+    kernel.run();
+    for (const RingToken &t : tokens)
+        EXPECT_EQ(t.hops, 0u);
+    ASSERT_EQ(threads.size(), tokens.size() * 41);
+    EXPECT_GT(kernel.windows(), 40u);
+    const std::thread::id self = std::this_thread::get_id();
+    for (const std::thread::id &id : threads)
+        EXPECT_EQ(id, self);
 }
 
 TEST(ShardedKernel, FailuresRethrowLowestShardFirst)
 {
-    // Shard 0 runs on the coordinator thread, the rest on workers; a
-    // window in which several shards fault must still report the
-    // lowest-numbered one, and the kernel must stay usable afterwards.
+    // Shards run their window in index order, so a window in which
+    // several shards fault reports the lowest-numbered one. The shards
+    // after it have not run the window yet; the next run() resumes them
+    // and nothing is lost, and the kernel stays usable afterwards.
     sim::EventQueue q0;
     sim::EventQueue q1;
     sim::EventQueue q2;
@@ -189,7 +234,9 @@ TEST(ShardedKernel, FailuresRethrowLowestShardFirst)
         return "";
     };
     EXPECT_EQ(failure(), "shard 1");
+    EXPECT_EQ(failure(), "shard 2");
     EXPECT_EQ(failure(), "shard 0");
+    EXPECT_EQ(failure(), "shard 2 again");
     EXPECT_EQ(failure(), "");
     EXPECT_EQ(ran, 1);
     EXPECT_EQ(client.begins, client.ends);
@@ -345,8 +392,8 @@ INSTANTIATE_TEST_SUITE_P(Backends, ShardIdentityTest,
 
 // -- Observer lanes ----------------------------------------------------
 
-/** A plain observer with no locks: it records every hook call and
- *  counts calls made while a parallel window is in flight. */
+/** A plain observer: it records every hook call and counts calls made
+ *  while a sharded window is in flight. */
 class RecordingObserver : public sync::OpObserver
 {
   public:
@@ -394,7 +441,7 @@ class RecordingObserver : public sync::OpObserver
     void
     add(Tick tick, CoreId core, char kind)
     {
-        if (machine->inParallelRegion())
+        if (machine->inShardedWindow())
             ++insideWindow;
         events.push_back({tick, core, kind});
     }

@@ -373,12 +373,93 @@ TEST(IdleVarTest, OutstandingBatchBlocksDestroyOnEveryBackend)
         sys.run();
         EXPECT_TRUE(checked) << name;
         // Once every future resolved (and the lock was released),
-        // destroy() must succeed on the very same handle. (The
-        // semaphore is not destroyed: a used semaphore's resource
-        // count is persistent state, so SE backends keep its ST entry
-        // live for the primitive's lifetime by design.)
+        // destroy() must succeed on the very same handle. The semaphore
+        // is back at its initial count, so it holds no state either.
         EXPECT_TRUE(sys.backend().idleVar(lock.addr)) << name;
         api.destroy(lock);
+        EXPECT_TRUE(sys.backend().idleVar(sem.addr)) << name;
+        EXPECT_NO_THROW(api.destroy(sem)) << name;
+    }
+}
+
+// ----------------------------------------------------------------------
+// Semaphore counts
+// ----------------------------------------------------------------------
+
+sim::Process
+postNow(Core &c, SyncApi &api, sync::Semaphore sem)
+{
+    co_await api.post(c, sem);
+}
+
+sim::Process
+waitLater(Core &c, SyncApi &api, sync::Semaphore sem, int &granted)
+{
+    co_await c.compute(2000);
+    co_await api.wait(c, sem);
+    ++granted;
+}
+
+TEST(SemaphoreCount, PostBeforeAnyWaitKeepsInitialResourcesOnEveryBackend)
+{
+    // Only a sem_wait carries the initial resources. A post that reaches
+    // the semaphore's state first must add to them, not replace them:
+    // 2 resources + 1 post fund all three later waits.
+    for (const std::string &name :
+         BackendRegistry::instance().names()) {
+        SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 2, 4);
+        cfg.backendName = name;
+        NdpSystem sys(cfg);
+        SyncApi &api = sys.api();
+        sync::Semaphore sem = api.createSemaphore(0, 2);
+        int granted = 0;
+        // The post comes from the non-home unit; the waits from both.
+        sys.spawn(postNow(sys.clientCore(4), api, sem), sys.clientCore(4));
+        for (unsigned core : {0u, 1u, 5u}) {
+            sys.spawn(waitLater(sys.clientCore(core), api, sem, granted),
+                      sys.clientCore(core));
+        }
+        EXPECT_NO_THROW(sys.run()) << name;
+        EXPECT_EQ(granted, 3) << name;
+        // 2 + 1 - 3: the count is back at zero, one below its initial
+        // resources, so the semaphore still holds state.
+        EXPECT_FALSE(sys.backend().idleVar(sem.addr)) << name;
+    }
+}
+
+sim::Process
+waitThenPost(Core &c, SyncApi &api, sync::Semaphore sem, unsigned rounds)
+{
+    for (unsigned i = 0; i < rounds; ++i) {
+        co_await api.wait(c, sem);
+        co_await c.compute(50);
+        co_await api.post(c, sem);
+    }
+}
+
+TEST(SemaphoreCount, UsedSemaphoreBackAtInitialCountFreesItsState)
+{
+    // A semaphore whose count equals its initial resources and that has
+    // no waiter holds no state: SynCron frees its master ST entry (and
+    // any in-memory record), and destroy() succeeds on every backend.
+    for (const std::string &name :
+         BackendRegistry::instance().names()) {
+        SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 2, 4);
+        cfg.backendName = name;
+        NdpSystem sys(cfg);
+        SyncApi &api = sys.api();
+        sync::Semaphore sem = api.createSemaphore(1, 1);
+        for (unsigned core = 0; core < sys.numClientCores(); ++core) {
+            sys.spawn(waitThenPost(sys.clientCore(core), api, sem, 3),
+                      sys.clientCore(core));
+        }
+        sys.run();
+        if (const engine::SynCronBackend *eng = sys.syncronBackend()) {
+            for (UnitId u = 0; u < cfg.numUnits; ++u)
+                EXPECT_EQ(eng->stOccupied(u), 0u) << name << " unit " << u;
+        }
+        EXPECT_TRUE(sys.backend().idleVar(sem.addr)) << name;
+        EXPECT_NO_THROW(api.destroy(sem)) << name;
     }
 }
 

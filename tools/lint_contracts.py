@@ -134,20 +134,20 @@ PERSIST_SCOPE_ALLOW = {
     "src/common/stats.cc",  # SystemStats::merge folds shard counters
 }
 # Where the per-shard queue topology may be touched directly: the PDES
-# kernel itself, the Machine (mailbox drain delivers onto foreign
-# queues), and the system driver that hands the queue set to the
-# ShardedKernel coordinator.
+# kernel itself, the Machine (postMessage() files deliveries onto
+# foreign queues), and the system driver that hands the queue set to
+# the ShardedKernel coordinator.
 SHARD_SCOPE_ALLOW_PREFIXES = ("src/sim/",)
 SHARD_SCOPE_ALLOW = {
     "src/system/machine.hh",   # eq()/shardQueues() definitions
-    "src/system/machine.cc",   # mailbox drain + queue-set accessor
+    "src/system/machine.cc",   # keyed deliveries + queue-set accessor
     "src/system/system.cc",    # builds the ShardedKernel from the set
     # Single-queue-by-mode paths, each guarded at runtime:
     "src/syncron/overflow.cc",   # MiSAR fallback asserts numShards()==1
     "src/durability/backend.cc", # durability log requires --sim-shards=1
 }
 # Where keyed cross-unit deliveries may be filed: the kernel and the
-# Machine's message path (postMessage() and the barrier drain).
+# Machine's message path (postMessage()).
 DELIVERY_SCOPE_ALLOW = {
     "src/system/machine.hh",
     "src/system/machine.cc",
