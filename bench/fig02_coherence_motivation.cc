@@ -129,15 +129,15 @@ runStack(unsigned numUnits, unsigned coresPerUnit, unsigned totalCores,
     for (unsigned c = 0; c < totalCores; ++c) {
         procs.push_back(stackWorker(mesi, stack, c, ops, useMesiLock,
                                     lockAddr, ideal, &pushes));
-        procs.back().start(machine.eq());
+        procs.back().start(machine.eq(0));
     }
-    machine.eq().run();
+    machine.eq(0).run();
     for (const auto &p : procs) {
         if (!p.done())
             SYNCRON_FATAL("fig02: worker deadlocked");
     }
     harness::RunOutput out;
-    out.time = machine.eq().now();
+    out.time = machine.eq(0).now();
     out.ops = pushes;
     return out;
 }

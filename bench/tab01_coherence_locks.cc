@@ -60,12 +60,12 @@ runLockBench(bool ttas, unsigned threads, bool sameSocket, unsigned ops)
             procs.push_back(coherence::hierTicketLockLoop(
                 mesi, htl, core, ops, 30, &acquired));
         }
-        procs.back().start(machine.eq());
+        procs.back().start(machine.eq(0));
     }
-    machine.eq().run();
+    machine.eq(0).run();
 
     harness::RunOutput out;
-    out.time = machine.eq().now();
+    out.time = machine.eq(0).now();
     out.ops = acquired;
     return out;
 }

@@ -12,7 +12,7 @@ namespace syncron::baselines {
 
 CentralBackend::CentralBackend(Machine &machine, UnitId serverUnit)
     : machine_(machine),
-      l1_(machine.config().l1, machine.statsFor(serverUnit)),
+      l1_(machine.config().l1, machine.stats()),
       serverUnit_(serverUnit)
 {
     SYNCRON_ASSERT(serverUnit < machine.config().numUnits,
@@ -37,9 +37,9 @@ CentralBackend::request(core::Core &requester,
 
     const UnitId from = requester.unit();
     if (from == serverUnit_)
-        ++machine_.statsFor(from).syncLocalMsgs;
+        ++machine_.stats().syncLocalMsgs;
     else
-        ++machine_.statsFor(from).syncGlobalMsgs;
+        ++machine_.stats().syncGlobalMsgs;
 
     const CoreId core = requester.id();
     sim::Gate *acquireGate = acquire ? gate : nullptr;
@@ -85,7 +85,7 @@ CentralBackend::requestBatch(core::Core &requester,
 
     const UnitId from = requester.unit();
     const auto n = static_cast<std::uint32_t>(reqs.size());
-    SystemStats &st = machine_.statsFor(from);
+    SystemStats &st = machine_.stats();
     if (from == serverUnit_)
         ++st.syncLocalMsgs;
     else
@@ -180,7 +180,7 @@ CentralBackend::completeFront()
     pending_.dec(job.req.var());
     for (const sync::SyncGrant &g : grants) {
         const UnitId unit = g.core / machine_.config().coresPerUnit;
-        SystemStats &st = machine_.statsFor(serverUnit_);
+        SystemStats &st = machine_.stats();
         if (unit == serverUnit_)
             ++st.syncLocalMsgs;
         else

@@ -46,9 +46,9 @@ FlatSynCronBackend::request(core::Core &requester,
     const UnitId master = mem::unitOfAddr(req.var());
     const UnitId from = requester.unit();
     if (from == master)
-        ++machine_.statsFor(from).syncLocalMsgs;
+        ++machine_.stats().syncLocalMsgs;
     else
-        ++machine_.statsFor(from).syncGlobalMsgs;
+        ++machine_.stats().syncGlobalMsgs;
 
     const CoreId core = requester.id();
     sim::Gate *acquireGate = acquire ? gate : nullptr;
@@ -88,7 +88,7 @@ FlatSynCronBackend::process(UnitId se, const sync::SyncRequest &req,
                     op.acquire ? sync::OpKind::LockAcquire
                                : sync::OpKind::LockRelease,
                     op.lock, 0);
-            SystemStats &st = machine_.statsFor(se);
+            SystemStats &st = machine_.stats();
             if (lockSe == se)
                 ++st.syncLocalMsgs;
             else
@@ -105,7 +105,7 @@ FlatSynCronBackend::process(UnitId se, const sync::SyncRequest &req,
         }
         for (const sync::SyncGrant &g : grants) {
             const UnitId unit = g.core / machine_.config().coresPerUnit;
-            SystemStats &st = machine_.statsFor(se);
+            SystemStats &st = machine_.stats();
             if (unit == se)
                 ++st.syncLocalMsgs;
             else

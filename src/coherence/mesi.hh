@@ -82,7 +82,7 @@ class MesiSystem
     }
 
     /** The platform's event queue (spin loops pace themselves on it). */
-    sim::EventQueue &machineEq() { return machine_.eq(); }
+    sim::EventQueue &machineEq() { return machine_.eq(0); }
 
   private:
     enum class DirState : std::uint8_t { Invalid, Shared, Modified };

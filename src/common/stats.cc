@@ -143,12 +143,6 @@ SystemStats::forEach(
     }
 }
 
-void
-SystemStats::reset()
-{
-    *this = SystemStats{};
-}
-
 SystemStats &
 SystemStats::operator+=(const SystemStats &other)
 {

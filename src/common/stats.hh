@@ -139,17 +139,15 @@ struct SystemStats
     std::uint64_t stRequests = 0;        ///< requests that consulted an ST
     std::uint64_t stMaxOccupied = 0;     ///< max entries occupied (any ST)
     /// sum(occupied * dt) over time. Integer (entries are integers,
-    /// dt is ticks) so merging per-shard stat blocks is exact — sharded
-    /// runs must reproduce single-threaded stats bit-identically.
+    /// dt is ticks), so the total does not depend on the order in
+    /// which the STs charge it — sharded runs must reproduce 1-shard
+    /// stats bit-identically.
     std::uint64_t stOccupancyIntegral = 0;
     Tick stOccupancyTime = 0;            ///< total observed time
 
     /** Visits every scalar counter as (name, value-as-double). */
     void forEach(
         const std::function<void(const std::string &, double)> &fn) const;
-
-    /** Resets all counters to zero. */
-    void reset();
 
     /** Adds another stat set into this one (for aggregation). */
     SystemStats &operator+=(const SystemStats &other);

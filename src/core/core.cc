@@ -5,7 +5,7 @@
 namespace syncron::core {
 
 Core::Core(Machine &machine, CoreId id, UnitId unit, unsigned localId)
-    : machine_(machine), l1_(machine.config().l1, machine.statsFor(unit)),
+    : machine_(machine), l1_(machine.config().l1, machine.stats()),
       rng_(machine.config().seed * 0x9e3779b97f4a7c15ULL + id + 1),
       id_(id), unit_(unit), localId_(localId)
 {}
@@ -13,21 +13,21 @@ Core::Core(Machine &machine, CoreId id, UnitId unit, unsigned localId)
 sim::Delay
 Core::compute(std::uint64_t instructions)
 {
-    machine_.statsFor(unit_).instructions += instructions;
+    machine_.stats().instructions += instructions;
     return sim::Delay{machine_.eq(unit_), instructions * cyclePeriod()};
 }
 
 MemOp
 Core::load(Addr addr, std::uint32_t bytes, MemKind kind)
 {
-    ++machine_.statsFor(unit_).memOps;
+    ++machine_.stats().memOps;
     return MemOp{*this, addr, bytes, false, kind};
 }
 
 MemOp
 Core::store(Addr addr, std::uint32_t bytes, MemKind kind)
 {
-    ++machine_.statsFor(unit_).memOps;
+    ++machine_.stats().memOps;
     return MemOp{*this, addr, bytes, true, kind};
 }
 

@@ -1,6 +1,7 @@
 #include "durability/backend.hh"
 
 #include "common/log.hh"
+#include "core/core.hh"
 #include "system/machine.hh"
 
 namespace syncron::durability {
@@ -26,7 +27,7 @@ PersistingBackend::request(core::Core &requester,
     // Write-ahead: the intent record reaches the PM durability domain
     // before the operation is admitted to the SE.
     ++pending_[req.var()];
-    machine_.eq().scheduleIn(
+    machine_.eq(requester.unit()).scheduleIn(
         machine_.config().pm.writeTicks, [this, &requester, req, gate] {
             auto it = pending_.find(req.var());
             SYNCRON_ASSERT(it != pending_.end() && it->second > 0,

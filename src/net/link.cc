@@ -8,20 +8,11 @@ namespace syncron::net {
 
 LinkFabric::LinkFabric(unsigned numUnits, const LinkParams &params,
                        SystemStats &stats)
-    : LinkFabric(numUnits, params,
-                 std::vector<SystemStats *>(numUnits, &stats))
-{}
-
-LinkFabric::LinkFabric(unsigned numUnits, const LinkParams &params,
-                       std::vector<SystemStats *> perUnitStats)
     : numUnits_(numUnits), params_(params),
       ctrlTicks_(static_cast<Tick>(params.ctrlCycles) * params.cyclePeriod),
-      stats_(std::move(perUnitStats)),
+      stats_(stats),
       busyUntil_(static_cast<std::size_t>(numUnits) * numUnits, 0)
-{
-    SYNCRON_ASSERT(stats_.size() == numUnits_,
-                   "LinkFabric needs one stats block per unit");
-}
+{}
 
 Tick
 LinkFabric::serializationTicks(std::uint32_t bytes) const
@@ -43,11 +34,10 @@ LinkFabric::send(Tick start, UnitId from, UnitId to, std::uint32_t bytes)
     const Tick serial = serializationTicks(bytes);
     busy = begin + serial;
 
-    SystemStats &st = *stats_[from];
-    ++st.linkMessages;
-    st.linkBits += static_cast<std::uint64_t>(bytes) * 8;
-    st.linkFlits += (static_cast<std::uint64_t>(bytes) * 8 + 127) / 128;
-    st.bytesAcrossUnits += bytes;
+    ++stats_.linkMessages;
+    stats_.linkBits += static_cast<std::uint64_t>(bytes) * 8;
+    stats_.linkFlits += (static_cast<std::uint64_t>(bytes) * 8 + 127) / 128;
+    stats_.bytesAcrossUnits += bytes;
 
     return busy + params_.flightTicks;
 }

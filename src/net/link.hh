@@ -41,15 +41,6 @@ class LinkFabric
                SystemStats &stats);
 
     /**
-     * Sharded wiring: traffic originating at unit u is charged to
-     * @p perUnitStats[u], so concurrently-running shards never touch
-     * each other's counters. @p perUnitStats must have numUnits entries
-     * and outlive the fabric.
-     */
-    LinkFabric(unsigned numUnits, const LinkParams &params,
-               std::vector<SystemStats *> perUnitStats);
-
-    /**
      * Sends @p bytes from @p from to @p to (must differ), starting at
      * @p start.
      * @return absolute arrival tick at the destination unit
@@ -67,7 +58,7 @@ class LinkFabric
     unsigned numUnits_;
     LinkParams params_;
     Tick ctrlTicks_; ///< ctrlCycles * cyclePeriod
-    std::vector<SystemStats *> stats_; ///< per source unit
+    SystemStats &stats_;
     std::vector<Tick> busyUntil_; ///< per ordered (from, to) pair
 };
 

@@ -19,10 +19,7 @@ void
 recordCompletion(Machine &machine, SyncApi *api, CoreId core,
                  const SyncRequest &req, Tick issued, Tick completed)
 {
-    // Charge the latency to the issuing core's shard (the core-ID
-    // layout invariant: id = unit * coresPerUnit + local).
-    const UnitId unit = core / machine.config().coresPerUnit;
-    machine.statsFor(unit).recordSyncLatency(
+    machine.stats().recordSyncLatency(
         static_cast<unsigned>(req.kind()), completed - issued);
     if (api != nullptr)
         api->notifyOp(core, req, issued, completed);
@@ -283,7 +280,7 @@ SyncApi::makeOp(core::Core &c, const SyncPrimitive &prim,
                 const SyncRequest &req)
 {
     checkLive(prim);
-    ++machine_.statsFor(c.unit()).syncOps;
+    ++machine_.stats().syncOps;
     return SyncOp{c, backend_, req, this};
 }
 
@@ -293,7 +290,7 @@ SyncApi::makeFutureState(core::Core &c, const SyncRequest &req)
     SYNCRON_ASSERT(req.kind() != OpKind::CondWait,
                    "cond_wait cannot be submitted asynchronously; use "
                    "the blocking SyncApi::wait(core, cond, lock)");
-    ++machine_.statsFor(c.unit()).syncOps;
+    ++machine_.stats().syncOps;
     auto state = std::make_unique<detail::FutureState>(machine_, c.id(),
                                                        c.unit(), req, this);
     state->issuedAt = machine_.eq(c.unit()).now();
@@ -394,7 +391,7 @@ SyncApi::issueDetached(core::Core &c, const SyncPrimitive &prim,
         return;
     }
     checkLive(prim);
-    ++machine_.statsFor(c.unit()).syncOps;
+    ++machine_.stats().syncOps;
     sim::Gate gate(machine_.eq(c.unit()));
     const Tick issued = machine_.eq(c.unit()).now();
     notifyIssue(c.id(), req, issued);
@@ -402,7 +399,7 @@ SyncApi::issueDetached(core::Core &c, const SyncPrimitive &prim,
     SYNCRON_ASSERT(gate.opened(),
                    "backend " << backend_.name() << " did not commit "
                               << opKindName(req.kind()) << " at issue");
-    machine_.statsFor(c.unit()).recordSyncLatency(
+    machine_.stats().recordSyncLatency(
         static_cast<unsigned>(req.kind()),
         machine_.eq(c.unit()).now() + c.cyclePeriod() - issued);
     // req_async commits at issue and no coroutine ever observes this
@@ -506,7 +503,7 @@ ScopedLockOp
 SyncApi::scoped(core::Core &c, const Lock &lock)
 {
     checkLive(lock);
-    ++machine_.statsFor(c.unit()).syncOps;
+    ++machine_.stats().syncOps;
     return ScopedLockOp{*this, c, lock, backend_};
 }
 

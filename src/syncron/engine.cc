@@ -59,12 +59,12 @@ SynCronBackend::SynCronBackend(Machine &machine, EngineOptions opts)
 
     for (unsigned u = 0; u < cfg.numUnits; ++u) {
         stations_.push_back(std::make_unique<Station>(
-            u, entries, cfg.indexingCounters, machine.statsFor(u),
+            u, entries, cfg.indexingCounters, machine.stats(),
             persistEager_));
         if (opts_.station == StationKind::ServerCore) {
             Station &s = *stations_.back();
             s.l1 = std::make_unique<cache::Cache>(cfg.l1,
-                                                  machine.statsFor(u));
+                                                  machine.stats());
             // Shadow tracking records come from a per-station region
             // reserved here (host side, deterministic order) rather than
             // the shared allocator, whose state would otherwise depend
@@ -253,7 +253,7 @@ SynCronBackend::request(core::Core &requester, const SyncRequest &req,
     const UnitId unit = requester.unit();
     const Tick arrival = machine_.routeMessage(
         machine_.eq(unit).now(), unit, unit, sync::kSyncReqBits);
-    ++machine_.statsFor(unit).syncLocalMsgs;
+    ++machine_.stats().syncLocalMsgs;
     ++stations_[unit]->inFlightLocal[req.var()];
     machine_.eq(unit).schedule(arrival,
                                [this, unit, msg] { receive(unit, msg); });
@@ -293,7 +293,7 @@ SynCronBackend::requestBatch(core::Core &requester,
     const auto n = static_cast<std::uint32_t>(reqs.size());
     const Tick arrival = machine_.routeMessage(
         machine_.eq(unit).now(), unit, unit, sync::batchReqBits(reqs));
-    SystemStats &st = machine_.statsFor(unit);
+    SystemStats &st = machine_.stats();
     ++st.syncLocalMsgs;
     st.batchedOps += n;
     st.messagesSaved += n - 1;
@@ -311,9 +311,9 @@ SynCronBackend::sendToStation(UnitId from, UnitId to, SyncMessage msg,
     SYNCRON_ASSERT(from != to, "station self-send of " << opName(msg.opcode));
     if (sync::isOverflowOp(msg.opcode)
         || msg.opcode == Op::DecreaseIndexingCounter) {
-        ++machine_.statsFor(from).syncOverflowMsgs;
+        ++machine_.stats().syncOverflowMsgs;
     } else {
-        ++machine_.statsFor(from).syncGlobalMsgs;
+        ++machine_.stats().syncGlobalMsgs;
     }
     // The engine's only cross-unit transport: a keyed delivery filed
     // into @p to 's shard queue.
@@ -341,7 +341,7 @@ SynCronBackend::grantCore(UnitId seUnit, CoreId core, Addr var,
                    "grant must come from the core's own unit");
     const Tick arrival = machine_.routeMessage(depart, seUnit, seUnit,
                                                sync::kSyncRespBits);
-    ++machine_.statsFor(seUnit).syncLocalMsgs;
+    ++machine_.stats().syncLocalMsgs;
     sim::Gate *gate = takePendingGate(core, var);
     gate->open(0, arrival - machine_.eq(seUnit).now());
 }
@@ -562,7 +562,7 @@ SynCronBackend::Route
 SynCronBackend::routeFor(Station &s, Addr var, bool acquireType,
                          bool global)
 {
-    ++machine_.statsFor(s.unit).stRequests;
+    ++machine_.stats().stRequests;
     if (s.table.find(var) != nullptr)
         return Route::Table;
 
@@ -572,13 +572,13 @@ SynCronBackend::routeFor(Station &s, Addr var, bool acquireType,
         if (s.memVars.count(var) != 0
             || s.counters.servicedViaMemory(var) || s.table.full()) {
             ++s.overflowedReqs;
-            ++machine_.statsFor(s.unit).stOverflowEvents;
+            ++machine_.stats().stOverflowEvents;
             return Route::Memory;
         }
     } else if (s.counters.servicedViaMemory(var) || s.table.full()
                || s.hasRedirected(var)) {
         ++s.overflowedReqs;
-        ++machine_.statsFor(s.unit).stOverflowEvents;
+        ++machine_.stats().stOverflowEvents;
         SYNCRON_ASSERT(!global, "global message routed to non-master");
         // Non-master overflowed SE: redirect to the Master SE and track
         // the variable as serviced-via-memory (Section 4.3.2). Under the
@@ -1128,7 +1128,7 @@ SYNCRON_REGISTER_BACKEND_SHARDABLE("Hier", [](Machine &m) {
 });
 
 // The Fig. 23 MiSAR overflow ablations. Not shardable: the software
-// fallback servers run on shard 0's queue.
+// fallback servers use synchronous single-queue hops.
 SYNCRON_REGISTER_BACKEND("SynCron_CentralOvrfl", [](Machine &m) {
     return std::make_unique<SynCronBackend>(
         m, EngineOptions{StationKind::SyncronSe,

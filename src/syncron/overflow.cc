@@ -135,9 +135,9 @@ SynCronBackend::memVarAccess(Station &s, Addr var, Tick start)
                                    sync::kSyncronVarBytes);
     t = machine_.memoryAccess(t, s.unit, var, true,
                               sync::kSyncronVarBytes);
-    machine_.statsFor(s.unit).syncMemAccesses += 2;
+    machine_.stats().syncMemAccesses += 2;
     if (persistEager_) {
-        durability::chargePmWrite(machine_.statsFor(s.unit),
+        durability::chargePmWrite(machine_.stats(),
                                   durability::kMemVarBits);
     }
     return t;
@@ -164,7 +164,8 @@ SynCronBackend::misarDivertLocal(Station &s, const SyncMessage &m,
                                                sync::kSyncReqBits);
     ++machine_.stats().syncOverflowMsgs;
     ++misarPending_[var];
-    machine_.eq().schedule(arrival, [this, &server, req, core, gate] {
+    machine_.eq(server.unit).schedule(arrival, [this, &server, req, core,
+                                                gate] {
         misarProcess(server, req, core, gate);
     });
 }
@@ -525,8 +526,8 @@ SynCronBackend::SoftServer &
 SynCronBackend::softServerFor(Addr var)
 {
     // The software fallback runs every diverted op through one shared
-    // server on shard 0's queue (eq()) with synchronous routeMessage
-    // hops — a single-queue path. Under sharding that would touch other
+    // server on its unit's queue with synchronous routeMessage hops —
+    // a single-queue path. Under sharding that would touch other
     // shards' crossbars and queues outside the keyed delivery order, so
     // fail loudly instead. (Both divert entry points come through here.)
     SYNCRON_ASSERT(machine_.numShards() == 1,
@@ -580,12 +581,13 @@ SynCronBackend::misarRequest(core::Core &core, const SyncRequest &req,
     }
     SoftServer &server = softServerFor(req.var());
     const Tick arrival = machine_.routeMessage(
-        machine_.eq().now(), core.unit(), server.unit, sync::kSyncReqBits);
+        machine_.eq(core.unit()).now(), core.unit(), server.unit,
+        sync::kSyncReqBits);
     ++machine_.stats().syncOverflowMsgs;
     ++misarPending_[req.var()];
     const CoreId coreId = core.id();
-    machine_.eq().schedule(arrival, [this, &server, req, coreId,
-                                     acquireGate] {
+    machine_.eq(server.unit).schedule(arrival, [this, &server, req, coreId,
+                                                acquireGate] {
         misarProcess(server, req, coreId, acquireGate);
     });
 }
@@ -596,7 +598,7 @@ SynCronBackend::misarProcess(SoftServer &server, const SyncRequest &req,
 {
     const Addr var = req.var();
     const SystemConfig &cfg = machine_.config();
-    const Tick now = machine_.eq().now();
+    const Tick now = machine_.eq(server.unit).now();
     Tick start = std::max(now, server.busyUntil);
     if (auto it = misarReadyAt_.find(var); it != misarReadyAt_.end())
         start = std::max(start, it->second);
@@ -621,9 +623,10 @@ SynCronBackend::misarProcess(SoftServer &server, const SyncRequest &req,
     done += hit;
     server.busyUntil = done;
 
-    machine_.eq().schedule(done, [this, &server, req, core, gate] {
+    machine_.eq(server.unit).schedule(done, [this, &server, req, core,
+                                             gate] {
         const Addr var = req.var();
-        const Tick when = machine_.eq().now();
+        const Tick when = machine_.eq(server.unit).now();
         auto grants = misarState_.apply(req, core, gate);
         for (const sync::SyncGrant &g : grants) {
             const UnitId coreUnit = g.core / machine_.config().coresPerUnit;

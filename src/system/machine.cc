@@ -41,29 +41,26 @@ Machine::Machine(const SystemConfig &cfg)
     unitsPerShard_ = (cfg_.numUnits + shardCount - 1) / shardCount;
     const unsigned actualShards =
         (cfg_.numUnits + unitsPerShard_ - 1) / unitsPerShard_;
-    shards_.reserve(actualShards);
+    queues_.reserve(actualShards);
     for (unsigned s = 0; s < actualShards; ++s) {
-        shards_.push_back(std::make_unique<Shard>());
-        shards_.back()->eq.setDeliveryHook(this);
+        queues_.push_back(std::make_unique<sim::EventQueue>());
+        queues_.back()->setDeliveryHook(this);
     }
-    unitShard_.reserve(cfg_.numUnits);
+    unitQueue_.reserve(cfg_.numUnits);
     for (unsigned u = 0; u < cfg_.numUnits; ++u)
-        unitShard_.push_back(shards_[shardOf(u)].get());
+        unitQueue_.push_back(queues_[shardOf(u)].get());
 
     const mem::DramParams dramParams =
         mem::DramParams::forTech(cfg_.dramTech);
     xbars_.reserve(cfg_.numUnits);
     drams_.reserve(cfg_.numUnits);
-    std::vector<SystemStats *> linkStats;
-    linkStats.reserve(cfg_.numUnits);
     for (unsigned u = 0; u < cfg_.numUnits; ++u) {
-        SystemStats &st = statsFor(u);
-        xbars_.push_back(std::make_unique<net::Crossbar>(cfg_.xbar, st));
-        drams_.push_back(std::make_unique<mem::Dram>(dramParams, st));
-        linkStats.push_back(&st);
+        xbars_.push_back(
+            std::make_unique<net::Crossbar>(cfg_.xbar, stats_));
+        drams_.push_back(std::make_unique<mem::Dram>(dramParams, stats_));
     }
     links_ = std::make_unique<net::LinkFabric>(cfg_.numUnits, cfg_.link,
-                                               std::move(linkStats));
+                                               stats_);
 }
 
 Machine::~Machine() = default;
@@ -86,9 +83,9 @@ std::vector<sim::EventQueue *>
 Machine::shardQueues()
 {
     std::vector<sim::EventQueue *> queues;
-    queues.reserve(shards_.size());
-    for (auto &s : shards_)
-        queues.push_back(&s->eq);
+    queues.reserve(queues_.size());
+    for (auto &q : queues_)
+        queues.push_back(q.get());
     return queues;
 }
 
@@ -114,8 +111,8 @@ std::uint64_t
 Machine::executedEvents() const
 {
     std::uint64_t total = 0;
-    for (const auto &s : shards_)
-        total += s->eq.executed();
+    for (const auto &q : queues_)
+        total += q->executed();
     return total;
 }
 
@@ -123,8 +120,8 @@ std::uint64_t
 Machine::promotions() const
 {
     std::uint64_t total = 0;
-    for (const auto &s : shards_)
-        total += s->eq.promotions();
+    for (const auto &q : queues_)
+        total += q->promotions();
     return total;
 }
 
@@ -132,21 +129,9 @@ Tick
 Machine::maxNow() const
 {
     Tick t = 0;
-    for (const auto &s : shards_)
-        t = std::max(t, s->eq.now());
+    for (const auto &q : queues_)
+        t = std::max(t, q->now());
     return t;
-}
-
-void
-Machine::mergeShardStats()
-{
-    if (statsMerged_)
-        return;
-    statsMerged_ = true;
-    for (std::size_t s = 1; s < shards_.size(); ++s) {
-        shards_[0]->stats += shards_[s]->stats;
-        shards_[s]->stats.reset();
-    }
 }
 
 Tick

@@ -11,9 +11,10 @@
  *     message, DRAM access at the owning unit, response message.
  *
  * Sharded simulation (SystemConfig::simShards): units are split into
- * contiguous blocks, one per shard, each owning a private EventQueue and
- * SystemStats block; the shards are windows stepped on one thread
- * (sim/sharded_kernel.hh). The synchronous routeMessage()/memoryAccess()
+ * contiguous blocks, one per shard, each owning a private EventQueue;
+ * the shards are windows stepped on one thread
+ * (sim/sharded_kernel.hh), and every unit charges the one SystemStats
+ * block. The synchronous routeMessage()/memoryAccess()
  * above stay valid only within one unit (or at one shard); sharded-aware
  * agents use the asynchronous forms — postMessage() /
  * memoryAccessAsync() — whose cross-unit leg is a delivery keyed by the
@@ -27,7 +28,8 @@
  * the crossbar exit. The order is the key at every shard count, so a
  * sharded run replays exactly the per-unit event order of a single-
  * queue one — the bit-identity contract the sharded tests enforce.
- * eq(unit)/statsFor(unit) read a per-unit shard table. A
+ * eq(unit) reads a per-unit queue table; there is no unit-less queue
+ * accessor, so every caller names the unit whose queue it means. A
  * configuration whose lookahead is zero (zero crossbar period and zero
  * link latency) leaves no conservative window and is rejected at
  * construction.
@@ -82,21 +84,13 @@ class Machine : public sim::ShardedKernel::Client,
 
     const SystemConfig &config() const { return cfg_; }
 
-    /** Shard 0's queue — the only queue when the machine is unsharded.
-     *  Callers that hold a unit should prefer eq(unit). */
-    sim::EventQueue &eq() { return shards_[0]->eq; }
-
     /** The event queue owning @p unit — all of that unit's activity
      *  (device callbacks, core resumes, gate opens) must run here. */
-    sim::EventQueue &eq(UnitId unit) { return unitShard_[unit]->eq; }
+    sim::EventQueue &eq(UnitId unit) { return *unitQueue_[unit]; }
 
-    /** Shard 0's stats block (= the merged totals after the run —
-     *  NdpSystem folds the other shards in at teardown). */
-    SystemStats &stats() { return shards_[0]->stats; }
-    const SystemStats &stats() const { return shards_[0]->stats; }
-
-    /** The stats block activity of @p unit must be charged to. */
-    SystemStats &statsFor(UnitId unit) { return unitShard_[unit]->stats; }
+    /** The machine's one stats block; every unit charges it. */
+    SystemStats &stats() { return stats_; }
+    const SystemStats &stats() const { return stats_; }
 
     mem::AddressSpace &addrSpace() { return addrSpace_; }
 
@@ -108,7 +102,7 @@ class Machine : public sim::ShardedKernel::Client,
     /** Number of shards actually materialized (after clamping). */
     unsigned numShards() const
     {
-        return static_cast<unsigned>(shards_.size());
+        return static_cast<unsigned>(queues_.size());
     }
 
     /** Shard owning @p unit (contiguous unit blocks). */
@@ -134,13 +128,6 @@ class Machine : public sim::ShardedKernel::Client,
 
     /** Max now() across shard queues. */
     Tick maxNow() const;
-
-    /**
-     * Folds every shard's stats block into shard 0 (exact: all counters
-     * are integers) and zeroes the others. Idempotent; called by
-     * NdpSystem once the run ends.
-     */
-    void mergeShardStats();
 
     /** True while a window of a sharded run is in flight. Quiescent-
      *  only operations (primitive alloc/destroy, idleVar sweeps) assert
@@ -237,28 +224,22 @@ class Machine : public sim::ShardedKernel::Client,
         void release(std::uint32_t idx) { freeSlots.push_back(idx); }
     };
 
-    /** One shard: private queue + stats. */
-    struct Shard
-    {
-        sim::EventQueue eq;
-        SystemStats stats;
-    };
-
     void completeMemOp(std::uint32_t idx);
 
     SystemConfig cfg_;
     bool crashed_ = false;
     bool inShardedWindow_ = false;
     WindowListener *windowListener_ = nullptr;
-    bool statsMerged_ = false;
+    SystemStats stats_;
     /// Completion callbacks of in-flight async memory ops (the slot
     /// index rides the message captures so nested captures never exceed
     /// the callback bound).
     CallbackPark memPending_;
     unsigned unitsPerShard_ = 1;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    /// Owning shard of each unit (eq()/statsFor() lookups).
-    std::vector<Shard *> unitShard_;
+    /// One queue per shard.
+    std::vector<std::unique_ptr<sim::EventQueue>> queues_;
+    /// Owning shard's queue of each unit (eq(unit) lookups).
+    std::vector<sim::EventQueue *> unitQueue_;
     mem::AddressSpace addrSpace_;
     std::vector<std::unique_ptr<net::Crossbar>> xbars_;
     std::vector<std::unique_ptr<mem::Dram>> drams_;

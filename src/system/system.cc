@@ -108,7 +108,7 @@ NdpSystem::spawn(sim::Process process)
                    "spawn(process) without a core on a sharded machine — "
                    "use spawn(process, core) so the coroutine is homed on "
                    "its core's shard");
-    process.start(machine_->eq());
+    process.start(machine_->eq(0));
     processes_.push_back(std::move(process));
 }
 
@@ -143,7 +143,7 @@ NdpSystem::run()
             // only the durability manager's persisted image survives.
             machine_->markCrashed();
             if (durability_ != nullptr)
-                durability_->noteCrash(machine_->eq().now());
+                durability_->noteCrash(machine_->eq(0).now());
             return;
         }
         // The run finished before the crash tick; fall through to the
@@ -161,7 +161,6 @@ NdpSystem::run()
     }
     if (engineView_ != nullptr)
         engineView_->finalizeStats();
-    machine_->mergeShardStats();
     if (durability_ != nullptr)
         durability_->shutdownFlush();
     if (capture_ != nullptr) {

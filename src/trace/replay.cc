@@ -75,7 +75,7 @@ Replayer::replayCore(NdpSystem &sys, core::Core &core,
                      std::vector<std::uint32_t> recordIdxs)
 {
     sync::SyncApi &api = sys.api();
-    sim::EventQueue &eq = core.machine().eq();
+    sim::EventQueue &eq = core.machine().eq(core.unit());
 
     /** One submitted-but-not-yet-awaited operation. */
     struct InFlight

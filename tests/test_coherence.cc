@@ -94,9 +94,9 @@ TEST(Mesi, TtasLockEnforcesMutualProgress)
     for (unsigned c = 0; c < 8; ++c) {
         procs.push_back(
             ttasLockLoop(mesi, c, lock, 5, 25, &acquired));
-        procs.back().start(machine.eq());
+        procs.back().start(machine.eq(0));
     }
-    machine.eq().run();
+    machine.eq(0).run();
     for (const auto &p : procs)
         EXPECT_TRUE(p.done());
     EXPECT_EQ(acquired, 40u);
@@ -117,9 +117,9 @@ TEST(Mesi, HierTicketLockCompletesAllAcquisitions)
     for (unsigned c : {0u, 1u, 14u, 15u}) {
         procs.push_back(
             hierTicketLockLoop(mesi, lock, c, 6, 25, &acquired));
-        procs.back().start(machine.eq());
+        procs.back().start(machine.eq(0));
     }
-    machine.eq().run();
+    machine.eq(0).run();
     for (const auto &p : procs)
         EXPECT_TRUE(p.done());
     EXPECT_EQ(acquired, 24u);

@@ -130,12 +130,12 @@ memKinds(core::Core &c, Addr privAddr, Addr rwAddr, Tick *privT,
     // Warm the cacheable private line, then time a hit vs an uncached
     // shared-RW access.
     co_await c.load(privAddr, 8, core::MemKind::Private);
-    const Tick t0 = c.machine().eq().now();
+    const Tick t0 = c.machine().eq(c.unit()).now();
     co_await c.load(privAddr, 8, core::MemKind::Private);
-    *privT = c.machine().eq().now() - t0;
-    const Tick t1 = c.machine().eq().now();
+    *privT = c.machine().eq(c.unit()).now() - t0;
+    const Tick t1 = c.machine().eq(c.unit()).now();
     co_await c.load(rwAddr, 8, core::MemKind::SharedRW);
-    *rwT = c.machine().eq().now() - t1;
+    *rwT = c.machine().eq(c.unit()).now() - t1;
 }
 
 TEST(Core, SharedRwBypassesTheL1)

@@ -39,24 +39,26 @@ seconds and are wired into CI ahead of the build:
                        includes (all includes are src/-rooted).
   6. persist-scope     PM writes are charged (pmWrites / pmBitsWritten
                        incremented) only in src/durability/ (the WAL)
-                       and src/syncron/ (the SE-state images), plus the
-                       shard merge in src/common/stats.cc; other
+                       and src/syncron/ (the SE-state images), plus
+                       SystemStats::operator+= in src/common/stats.cc
+                       (perfbench sums cells with it); other
                        simulation code goes through
                        SystemConfig::persistMode.
   7. shard-scope       Under --sim-shards the machine has one timing
                        wheel per shard and only the PDES coordinator
-                       may touch a queue it does not own. Scheduling on
-                       the bare shard-0 queue (`eq().schedule[In]`) or
-                       grabbing the full queue set (`shardQueues()`) is
-                       scoped to src/sim/ and src/system/machine.* —
+                       may touch a queue it does not own. Machine has
+                       no unit-less queue accessor; a bare
+                       `eq().schedule[In]` (a reintroduced shard-0
+                       shortcut) or grabbing the full queue set
+                       (`shardQueues()`) is scoped to src/sim/ and
+                       src/system/machine.* (plus the system driver
+                       that hands the set to the coordinator) —
                        everyone else goes through eq(unit),
                        postMessage(), or memoryAccessAsync(), which
-                       keep every event on its unit's own shard. The
-                       allow-listed exceptions are single-queue-by-mode
-                       paths (MiSAR overflow fallback, durability log)
-                       that are guarded at runtime. Filing a keyed
-                       cross-unit delivery (`scheduleDelivery(`) is
-                       confined to src/sim/ and src/system/machine.*:
+                       keep every event on its unit's own shard.
+                       Filing a keyed cross-unit delivery
+                       (`scheduleDelivery(`) is confined to src/sim/
+                       and src/system/machine.*:
                        its key orders it against the destination's
                        window, which only the Machine's message path
                        keeps consistent.
@@ -128,10 +130,10 @@ STD_FUNCTION_ALLOW = {
     "src/harness/report.cc",
 }
 # Where PM writes may be charged: the durability subsystem (WAL records)
-# and the SynCron engine (SE-state images), plus the shard-stats merge.
+# and the SynCron engine (SE-state images), plus SystemStats::operator+=.
 PERSIST_SCOPE_ALLOW_PREFIXES = ("src/durability/", "src/syncron/")
 PERSIST_SCOPE_ALLOW = {
-    "src/common/stats.cc",  # SystemStats::merge folds shard counters
+    "src/common/stats.cc",  # operator+= sums cells (perfbench)
 }
 # Where the per-shard queue topology may be touched directly: the PDES
 # kernel itself, the Machine (postMessage() files deliveries onto
@@ -142,9 +144,6 @@ SHARD_SCOPE_ALLOW = {
     "src/system/machine.hh",   # eq()/shardQueues() definitions
     "src/system/machine.cc",   # keyed deliveries + queue-set accessor
     "src/system/system.cc",    # builds the ShardedKernel from the set
-    # Single-queue-by-mode paths, each guarded at runtime:
-    "src/syncron/overflow.cc",   # MiSAR fallback asserts numShards()==1
-    "src/durability/backend.cc", # durability log requires --sim-shards=1
 }
 # Where keyed cross-unit deliveries may be filed: the kernel and the
 # Machine's message path (postMessage()).
