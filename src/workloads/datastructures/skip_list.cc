@@ -10,11 +10,27 @@ namespace syncron::workloads {
 using core::Core;
 using core::MemKind;
 
-SimSkipList::SimSkipList(NdpSystem &sys, unsigned initialSize)
-    : sys_(sys), heap_(sys, 64, false)
+namespace {
+
+/** Tallest tower of a list of @p initialSize nodes: log2 of its size. */
+unsigned
+maxTowerLevel(unsigned initialSize)
 {
-    maxLevel_ = std::max(2u, log2Exact(std::bit_ceil(
-                                  std::uint64_t{initialSize} + 1)));
+    return std::max(2u, log2Exact(std::bit_ceil(
+                            std::uint64_t{initialSize} + 1)));
+}
+
+} // namespace
+
+SimSkipList::SimSkipList(NdpSystem &sys, unsigned initialSize)
+    : sys_(sys), maxLevel_(maxTowerLevel(initialSize)),
+      // One 8-byte next pointer per level, in whole cache lines, so a
+      // tall tower's unlink stores stay inside its own node (and under
+      // its own lock) instead of spilling into the next node.
+      heap_(sys, static_cast<std::uint32_t>(lineAlign(
+                     Addr{8} * maxLevel_ + kCacheLineBytes - 1)),
+            false)
+{
     Rng rng(sys.config().seed * 31 + 7);
     std::map<std::uint64_t, unsigned> levels; ///< key -> tower height
     while (levels.size() < initialSize) {

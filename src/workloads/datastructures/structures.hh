@@ -144,9 +144,9 @@ class SimSkipList
     };
 
     NdpSystem &sys_;
+    unsigned maxLevel_; ///< tower height cap; sizes heap_'s nodes
     NodeHeap heap_;
     std::map<std::uint64_t, Node> nodes_; ///< key -> node; run-immutable
-    unsigned maxLevel_;
     /// Keys unlinked by any worker — host bookkeeping for size() only,
     /// never read during the run (a set union is commutative, so the
     /// quiescent contents do not depend on host thread interleaving).

@@ -23,6 +23,7 @@
 #include "trace/format.hh"
 #include "trace/replay.hh"
 #include "trace/scenario.hh"
+#include "workloads/datastructures/structures.hh"
 
 namespace syncron::analysis {
 namespace {
@@ -580,6 +581,29 @@ TEST(AnalysisClean, AllNineStructuresOnSynCronAndCentral)
             EXPECT_GT(out.ops, 0u)
                 << harness::dsName(kind) << " on " << schemeName(scheme);
         }
+    }
+}
+
+TEST(AnalysisClean, SkipListTowersTallerThanEightLevels)
+{
+    // 640 nodes cap towers at 10 levels: a tower's upper next pointers
+    // (level >= 8) lie past the first 64 bytes of its node. Unless the
+    // node holds them all, those unlink stores land in the next node,
+    // which another lock guards — an empty-lockset race.
+    for (Scheme scheme : {Scheme::Central, Scheme::SynCron}) {
+        SystemConfig cfg = SystemConfig::make(scheme, 1, 15);
+        cfg.analyze = true;
+        cfg.analyzeFatal = false;
+        NdpSystem sys(cfg);
+        workloads::SimSkipList sl(sys, 640);
+        for (unsigned i = 0; i < sys.numClientCores(); ++i)
+            sys.spawn(sl.worker(sys.clientCore(i), 16));
+        sys.run();
+        ASSERT_NE(sys.analyzer(), nullptr);
+        const AnalysisReport &r = sys.analyzer()->report();
+        std::ostringstream os;
+        r.print(os);
+        EXPECT_TRUE(r.clean()) << schemeName(scheme) << "\n" << os.str();
     }
 }
 
