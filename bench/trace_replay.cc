@@ -15,9 +15,11 @@
  *      phased barrier/lock mix, reader-heavy semaphore) — contention
  *      regimes no Table 6 structure exercises.
  *   3. Replay. Every trace replays through the typed api on SynCron,
- *      Central, and SynCron-flat; the capture trace is additionally
- *      checked to reproduce the original per-OpKind operation counts
- *      exactly on the capturing backend (exit non-zero otherwise).
+ *      Central, and SynCron-flat, with --analyze and --sim-shards
+ *      carried over (capture always runs unsharded); the capture trace
+ *      is additionally checked to reproduce the original per-OpKind
+ *      operation counts exactly on the capturing backend (exit non-zero
+ *      otherwise).
  *
  * Emits BENCH_trace_replay.json with --json; CI smokes a small
  * generate+replay grid and gates it with tools/perf_trend.py.
@@ -60,6 +62,9 @@ run(harness::Bench &bench)
                                         : opts.traceOut;
         SystemConfig capCfg = opts.makeConfig(Scheme::SynCron, 2, 4);
         capCfg.tracePath = capPath;
+        // Capture records one global op order, so it runs unsharded;
+        // --sim-shards applies to the replay cells below.
+        capCfg.simShards = 1;
         // --backend overrides the capture scheme like any other cell;
         // label the run with the backend that actually executed it.
         const std::string capBackend = opts.backend.empty()
@@ -100,6 +105,8 @@ run(harness::Bench &bench)
                            SystemConfig cfg =
                                trace::replayConfig(*t, scheme);
                            cfg.backendName = opts.backend;
+                           cfg.analyze = opts.analyze;
+                           cfg.simShards = opts.simShards;
                            return harness::runTrace(cfg, *t);
                        });
         }

@@ -16,20 +16,18 @@ static_assert(kNumSyncOpKinds
 namespace detail {
 
 void
-recordCompletion(Machine &machine, SyncApi *api, CoreId core,
+recordCompletion(Machine &machine, SyncApi &api, CoreId core,
                  const SyncRequest &req, Tick issued, Tick completed)
 {
     machine.stats().recordSyncLatency(
         static_cast<unsigned>(req.kind()), completed - issued);
-    if (api != nullptr)
-        api->notifyOp(core, req, issued, completed);
+    api.notifyOp(core, req, issued, completed);
 }
 
 void
-recordIssue(SyncApi *api, CoreId core, const SyncRequest &req, Tick issued)
+recordIssue(SyncApi &api, CoreId core, const SyncRequest &req, Tick issued)
 {
-    if (api != nullptr)
-        api->notifyIssue(core, req, issued);
+    api.notifyIssue(core, req, issued);
 }
 
 } // namespace detail
@@ -281,7 +279,7 @@ SyncApi::makeOp(core::Core &c, const SyncPrimitive &prim,
 {
     checkLive(prim);
     ++machine_.stats().syncOps;
-    return SyncOp{c, backend_, req, this};
+    return SyncOp{c, backend_, req, *this};
 }
 
 std::unique_ptr<detail::FutureState>
@@ -292,7 +290,7 @@ SyncApi::makeFutureState(core::Core &c, const SyncRequest &req)
                    "the blocking SyncApi::wait(core, cond, lock)");
     ++machine_.stats().syncOps;
     auto state = std::make_unique<detail::FutureState>(machine_, c.id(),
-                                                       c.unit(), req, this);
+                                                       c.unit(), req, *this);
     state->issuedAt = machine_.eq(c.unit()).now();
     notifyIssue(c.id(), req, state->issuedAt);
     return state;
@@ -364,18 +362,6 @@ SyncFuture
 SyncApi::submitPost(core::Core &c, const Semaphore &sem)
 {
     return submit(c, sem, SyncRequest::semPost(sem.addr));
-}
-
-SyncFuture
-SyncApi::submitSignal(core::Core &c, const CondVar &cond)
-{
-    return submit(c, cond, SyncRequest::condSignal(cond.addr));
-}
-
-SyncFuture
-SyncApi::submitBroadcast(core::Core &c, const CondVar &cond)
-{
-    return submit(c, cond, SyncRequest::condBroadcast(cond.addr));
 }
 
 void

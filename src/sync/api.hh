@@ -74,14 +74,13 @@ namespace detail {
  * statistics and fans it out through SyncApi::notifyOp() to every
  * registered observer. Shared by the blocking SyncOp awaitable and the
  * asynchronous SyncFuture so both forms are indistinguishable to
- * observers. @p api may be nullptr (an api-less SyncOp built directly
- * against a backend, as some unit tests do).
+ * observers.
  */
-void recordCompletion(Machine &machine, SyncApi *api, CoreId core,
+void recordCompletion(Machine &machine, SyncApi &api, CoreId core,
                       const SyncRequest &req, Tick issued, Tick completed);
 
-/** Forwards an operation-issue event to the api's observers, if any. */
-void recordIssue(SyncApi *api, CoreId core, const SyncRequest &req,
+/** Forwards an operation-issue event to the api's observers. */
+void recordIssue(SyncApi &api, CoreId core, const SyncRequest &req,
                  Tick issued);
 
 /**
@@ -93,7 +92,7 @@ void recordIssue(SyncApi *api, CoreId core, const SyncRequest &req,
 struct FutureState
 {
     FutureState(Machine &machine, CoreId core, UnitId unit,
-                const SyncRequest &req, SyncApi *api)
+                const SyncRequest &req, SyncApi &api)
         : machine(machine), gate(machine.eq(unit)), req(req), api(api),
           core(core), unit(unit)
     {}
@@ -101,7 +100,7 @@ struct FutureState
     Machine &machine;
     sim::Gate gate; ///< lives on the issuing core's shard queue
     SyncRequest req;
-    SyncApi *api;
+    SyncApi &api;
     CoreId core;
     UnitId unit; ///< issuing core's unit (shard-local clock reads)
     Tick issuedAt = 0;
@@ -256,7 +255,7 @@ class SyncOp
 {
   public:
     SyncOp(core::Core &core, SyncBackend &backend, const SyncRequest &req,
-           SyncApi *api = nullptr)
+           SyncApi &api)
         : core_(core), backend_(backend),
           gate_(core.machine().eq(core.unit())), req_(req), api_(api)
     {}
@@ -295,7 +294,7 @@ class SyncOp
     SyncBackend &backend_;
     sim::Gate gate_;
     SyncRequest req_;
-    SyncApi *api_;
+    SyncApi &api_;
     Tick issuedAt_ = 0;
 };
 
@@ -364,7 +363,7 @@ class ScopedLockOp
     ScopedLockOp(SyncApi &api, core::Core &core, const Lock &lock,
                  SyncBackend &backend)
         : api_(api), core_(core), lock_(lock),
-          inner_(core, backend, SyncRequest::lockAcquire(lock.addr), &api)
+          inner_(core, backend, SyncRequest::lockAcquire(lock.addr), api)
     {}
 
     ScopedLockOp(const ScopedLockOp &) = delete;
@@ -512,8 +511,6 @@ class SyncApi : private Machine::WindowListener
     SyncFuture submitWait(core::Core &c, const Barrier &barrier);
     SyncFuture submitWait(core::Core &c, const Semaphore &sem);
     SyncFuture submitPost(core::Core &c, const Semaphore &sem);
-    SyncFuture submitSignal(core::Core &c, const CondVar &cond);
-    SyncFuture submitBroadcast(core::Core &c, const CondVar &cond);
 
     /**
      * Issues every request of a batch in one backend call

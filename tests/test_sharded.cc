@@ -32,6 +32,8 @@
 #include "sim/event_queue.hh"
 #include "sim/sharded_kernel.hh"
 #include "system/system.hh"
+#include "trace/replay.hh"
+#include "trace/scenario.hh"
 #include "workloads/datastructures/structures.hh"
 
 namespace syncron {
@@ -379,6 +381,32 @@ TEST_P(ShardIdentityTest, ReplicationIsBitIdentical)
         expectIdentical(ref, out,
                         "replication @" + std::to_string(shards)
                             + " shards");
+    }
+}
+
+TEST_P(ShardIdentityTest, ScenarioReplaysAreBitIdentical)
+{
+    // Each replayed core paces its trace timestamps on its own unit's
+    // clock; a clock read from any other shard's queue drifts with the
+    // shard count.
+    for (trace::ScenarioFamily family : trace::kAllScenarioFamilies) {
+        trace::ScenarioSpec spec;
+        spec.family = family;
+        spec.numUnits = 8;
+        spec.clientCoresPerUnit = 2;
+        spec.opsPerCore = 8;
+        const trace::Trace t = trace::ScenarioGenerator(spec).generate();
+        const auto replay = [&t](unsigned shards) {
+            SystemConfig cfg = trace::replayConfig(t, GetParam());
+            cfg.simShards = shards;
+            cfg.analyze = true;
+            return harness::runTrace(cfg, t);
+        };
+        const harness::RunOutput ref = replay(1);
+        EXPECT_EQ(ref.ops, t.records.size());
+        expectIdentical(ref, replay(4),
+                        std::string(trace::scenarioFamilyName(family))
+                            + " @4 shards");
     }
 }
 
