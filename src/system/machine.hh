@@ -11,28 +11,26 @@
  *     message, DRAM access at the owning unit, response message.
  *
  * Sharded simulation (SystemConfig::simShards): units are split into
- * contiguous blocks, one per shard, each owning a private EventQueue;
- * the shards are windows stepped on one thread
- * (sim/sharded_kernel.hh), and every unit charges the one SystemStats
- * block. The synchronous routeMessage()/memoryAccess()
- * above stay valid only within one unit (or at one shard); sharded-aware
- * agents use the asynchronous forms — postMessage() /
- * memoryAccessAsync() — whose cross-unit leg is a delivery keyed by the
- * window it was posted in (the queue's seq is a window key, see
+ * contiguous blocks, one per shard, each owning a private EventQueue; the
+ * shards are windows stepped on one thread (sim/sharded_kernel.hh), and
+ * every unit charges the machine's one SystemStats block. The synchronous
+ * routeMessage()/memoryAccess() above stay valid only within one unit (or at
+ * one shard); sharded-aware agents use the asynchronous forms —
+ * postMessage() / memoryAccessAsync() — whose cross-unit leg is a delivery
+ * keyed by the window it was posted in (the queue's seq is a window key, see
  * sim/event_queue.hh): it sorts after every same-tick event scheduled in
  * that window and before any scheduled later, same-tick deliveries by
  * (source unit, post order). Every post is keyed straight into the
  * destination unit's wheel, on its own shard or another, moving its
- * continuation once. At the arrival tick the queue calls arrive(),
- * which charges the destination crossbar, and refiles the same node at
- * the crossbar exit. The order is the key at every shard count, so a
- * sharded run replays exactly the per-unit event order of a single-
- * queue one — the bit-identity contract the sharded tests enforce.
- * eq(unit) reads a per-unit queue table; there is no unit-less queue
- * accessor, so every caller names the unit whose queue it means. A
- * configuration whose lookahead is zero (zero crossbar period and zero
- * link latency) leaves no conservative window and is rejected at
- * construction.
+ * continuation once. At the arrival tick the queue calls arrive(), which
+ * charges the destination crossbar, and refiles the same node at the
+ * crossbar exit. The order is the key at every shard count, so a sharded run
+ * replays exactly the per-unit event order of a single-queue one — the
+ * bit-identity contract the sharded tests enforce. eq(unit) reads a per-unit
+ * queue table; there is no unit-less queue accessor, so every caller names
+ * the unit whose queue it means. A configuration whose lookahead is zero
+ * (zero crossbar period and zero link latency) leaves no conservative window
+ * and is rejected at construction.
  */
 
 #ifndef SYNCRON_SYSTEM_MACHINE_HH
