@@ -13,15 +13,17 @@
  *   device  — 56-byte captures (engine/overflow-style callbacks: this,
  *             station, typed request, gate); the legacy kernel heap-
  *             allocates every one of these.
- *   far     — half the devices reschedule beyond the wheel's epoch
- *             (EventQueue::kEpochTicks), so each of their events goes
- *             through the overflow heap and an epoch promotion. A far
- *             device fires once per epoch while a near one fires every
- *             few ns, so the heap carries only a small share of the
- *             events; the wheel's promotion count is printed so a
- *             geometry change cannot silently drop the heap path.
+ *   far     — half the devices reschedule 5.2 us ahead, beyond the
+ *             wheel's span (EventQueue::kSpanTicks), so each of their
+ *             events is filed in and served from the overflow heap. A
+ *             far device fires once per 5.2 us while a near one fires
+ *             every few ns, so the heap carries only a small share of
+ *             the events.
  *
- * The overall events/sec ratio is the PR-gating number (>= 2x).
+ * The overall events/sec ratio is the gating number (>= 2x). The
+ * events the wheel serves from its overflow heap are printed, and the
+ * bench also fails when the far scenario serves none, so a geometry
+ * change cannot silently drop the heap path.
  */
 
 #include <chrono>
@@ -137,7 +139,7 @@ struct ScenarioResult
 {
     std::uint64_t events = 0;
     double seconds = 0.0;
-    std::uint64_t promotions = 0; ///< wheel epoch promotions (wheel only)
+    std::uint64_t heapEvents = 0; ///< served from the heap (wheel only)
 
     double
     eventsPerSec() const
@@ -151,12 +153,13 @@ struct ScenarioResult
 constexpr unsigned kDevices = 1024;
 
 /** Device-model latencies in ticks (core cycle, SPU cycle, xbar hop,
- *  pipelined DRAM, row miss); all within one wheel epoch. */
+ *  pipelined DRAM, row miss); all within the wheel's span. */
 constexpr Tick kNearDeltas[] = {400, 1000, 1600, 2800, 12000};
 
-/** Beyond one wheel epoch from any now(): overflow-heap territory. */
-constexpr Tick kFarDelta =
-    sim::EventQueue::kEpochTicks + sim::EventQueue::kEpochTicks / 4;
+/** 5.2 us: beyond the wheel's span from any now(), so overflow-heap
+ *  territory. */
+constexpr Tick kFarDelta = Tick{5} << 20;
+static_assert(kFarDelta > sim::EventQueue::kSpanTicks);
 
 template <typename Q, typename Seed>
 ScenarioResult
@@ -174,8 +177,8 @@ runScenario(std::uint64_t events, Seed seed)
     r.events = events;
     r.seconds =
         std::chrono::duration<double>(stop - start).count();
-    if constexpr (requires { q.promotions(); })
-        r.promotions = q.promotions();
+    if constexpr (requires { q.heapEvents(); })
+        r.heapEvents = q.heapEvents();
     return r;
 }
 
@@ -233,24 +236,26 @@ run(harness::Bench &bench)
         const char *name;
         ScenarioResult (*legacy)(std::uint64_t);
         ScenarioResult (*wheel)(std::uint64_t);
+        bool usesHeap; ///< the wheel must serve some events from its heap
     };
     const Scenario scenarios[] = {
         {"resume (8B capture)", runResume<LegacyEventQueue>,
-         runResume<sim::EventQueue>},
+         runResume<sim::EventQueue>, false},
         {"device (56B capture)", runDevice<LegacyEventQueue>,
-         runDevice<sim::EventQueue>},
+         runDevice<sim::EventQueue>, false},
         {"far (overflow heap)", runFar<LegacyEventQueue>,
-         runFar<sim::EventQueue>},
+         runFar<sim::EventQueue>, true},
     };
 
     harness::TablePrinter table(
         "kernel_micro: host events/sec, seed kernel vs timing wheel",
         {"scenario", "legacy [Mev/s]", "wheel [Mev/s]", "speedup",
-         "promotions"});
+         "heap events"});
 
     bench.metric("eventsPerScenario", static_cast<double>(events));
     double legacySec = 0, wheelSec = 0;
     std::uint64_t totalEvents = 0;
+    bool heapPathRan = true;
 
     for (const Scenario &s : scenarios) {
         // Warm each kernel once (page-faults, pool growth), then time.
@@ -262,15 +267,17 @@ run(harness::Bench &bench)
         bench.metric(key + "legacyEventsPerSec", l.eventsPerSec());
         bench.metric(key + "wheelEventsPerSec", w.eventsPerSec());
         bench.metric(key + "speedup", l.seconds / w.seconds);
-        bench.metric(key + "wheelPromotions",
-                     static_cast<double>(w.promotions));
+        bench.metric(key + "wheelHeapEvents",
+                     static_cast<double>(w.heapEvents));
+        if (s.usesHeap && w.heapEvents == 0)
+            heapPathRan = false;
         legacySec += l.seconds;
         wheelSec += w.seconds;
         totalEvents += events;
         table.addRow({s.name, fmt(l.eventsPerSec() / 1e6, 2),
                       fmt(w.eventsPerSec() / 1e6, 2),
                       fmtX(l.seconds / w.seconds),
-                      std::to_string(w.promotions)});
+                      std::to_string(w.heapEvents)});
     }
 
     const double legacyRate =
@@ -282,11 +289,14 @@ run(harness::Bench &bench)
     table.print(std::cout);
     std::cout << "kernel_micro overall speedup: "
               << fmtX(wheelRate / legacyRate) << " (gate: >= 2.00x)\n";
+    if (!heapPathRan)
+        std::cout << "kernel_micro: the far scenario served no event "
+                     "from the overflow heap (gate: > 0)\n";
 
     bench.metric("overall/legacyEventsPerSec", legacyRate);
     bench.metric("overall/wheelEventsPerSec", wheelRate);
     bench.metric("overall/speedup", wheelRate / legacyRate);
-    return wheelRate / legacyRate >= 2.0 ? 0 : 1;
+    return wheelRate / legacyRate >= 2.0 && heapPathRan ? 0 : 1;
 }
 
 } // namespace

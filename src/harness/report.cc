@@ -134,7 +134,7 @@ BenchReport::writeJson() const
         j.field("events", r.out.hostEvents);
         j.field("eventsPerSec", r.out.hostEventsPerSec());
         j.field("windows", r.out.hostWindows);
-        j.field("promotions", r.out.hostPromotions);
+        j.field("heapEvents", r.out.hostHeapEvents);
         if (r.out.totalReqs > 0)
             j.field("overflowFrac", r.out.overflowFrac());
         if (r.out.offeredOps > 0) {

@@ -383,7 +383,7 @@ struct SystemRun
         out.ops = ops;
         out.hostEvents = sys.machine().executedEvents();
         out.hostWindows = sys.kernelWindows();
-        out.hostPromotions = sys.machine().promotions();
+        out.hostHeapEvents = sys.machine().heapEvents();
         out.stats = sys.stats();
         out.energy = computeEnergy(sys.stats(), sys.config());
         if (engine::SynCronBackend *eng = sys.syncronBackend()) {

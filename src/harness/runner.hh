@@ -158,7 +158,7 @@ struct RunOutput
     // -- Host-side perf accounting (the simulator's own speed)
     std::uint64_t hostEvents = 0; ///< kernel events executed by the run
     std::uint64_t hostWindows = 0;    ///< sharded-kernel lookahead windows
-    std::uint64_t hostPromotions = 0; ///< event-queue epoch promotions
+    std::uint64_t hostHeapEvents = 0; ///< events run from the heap
     std::uint64_t hostNs = 0;     ///< host wall-clock of the run
 
     /** Fig. 11 metric. */

@@ -19,8 +19,7 @@ maskFrom(unsigned b)
 
 } // namespace
 
-EventQueue::EventQueue()
-    : slots_(kWheelSlots), bitsL0_(kWheelSlots / 64, 0)
+EventQueue::EventQueue() : slots_(kWheelSlots)
 {
     nodes_.reserve(256);
     heap_.reserve(64);
@@ -49,7 +48,7 @@ EventQueue::releaseNode(std::uint32_t idx)
 }
 
 // --------------------------------------------------------------------
-// Near wheel
+// Wheel
 // --------------------------------------------------------------------
 
 void
@@ -57,8 +56,7 @@ EventQueue::markSlot(std::size_t slot)
 {
     const std::size_t word = slot >> 6;
     bitsL0_[word] |= std::uint64_t{1} << (slot & 63);
-    bitsL1_[word >> 6] |= std::uint64_t{1} << (word & 63);
-    bitsL2_ |= std::uint64_t{1} << (word >> 6);
+    bitsL1_ |= std::uint64_t{1} << word;
 }
 
 void
@@ -66,11 +64,8 @@ EventQueue::clearSlot(std::size_t slot)
 {
     const std::size_t word = slot >> 6;
     bitsL0_[word] &= ~(std::uint64_t{1} << (slot & 63));
-    if (bitsL0_[word] == 0) {
-        bitsL1_[word >> 6] &= ~(std::uint64_t{1} << (word & 63));
-        if (bitsL1_[word >> 6] == 0)
-            bitsL2_ &= ~(std::uint64_t{1} << (word >> 6));
-    }
+    if (bitsL0_[word] == 0)
+        bitsL1_ &= ~(std::uint64_t{1} << word);
 }
 
 void
@@ -78,11 +73,10 @@ EventQueue::pushSlot(std::uint32_t idx)
 {
     // A fresh local event carries the largest key of its window, so it
     // appends whenever it is not earlier than the slot's tail — every
-    // same-tick local event and all of promotion (heap pops are
-    // ordered). A local event landing on a tick that already holds a
-    // delivery posted in the same window, or a delivery filed behind a
-    // later-window event, is inserted behind the last node that
-    // precedes it.
+    // same-tick local event. A local event landing on a tick that
+    // already holds a delivery posted in the same window, or a delivery
+    // filed behind a later-window event, is inserted behind the last
+    // node that precedes it.
     Node &e = nodes_[idx];
     const std::size_t slot = slotOf(e.when);
     Slot &s = slots_[slot];
@@ -119,89 +113,57 @@ EventQueue::popSlot(std::size_t slot)
 }
 
 std::size_t
-EventQueue::nextSlotFrom(std::size_t from) const
-{
-    if (from >= kWheelSlots)
-        return kWheelSlots;
-    std::size_t word = from >> 6;
-    std::uint64_t w = bitsL0_[word] & maskFrom(from & 63);
-    if (w == 0) {
-        // Climb the summary levels to the next non-empty L0 word.
-        std::size_t l1w = word >> 6;
-        std::uint64_t u =
-            bitsL1_[l1w] & maskFrom(static_cast<unsigned>(word & 63) + 1);
-        if (u == 0) {
-            const std::uint64_t v =
-                bitsL2_ & maskFrom(static_cast<unsigned>(l1w) + 1);
-            if (v == 0)
-                return kWheelSlots;
-            l1w = static_cast<std::size_t>(std::countr_zero(v));
-            u = bitsL1_[l1w];
-        }
-        word = l1w * 64
-               + static_cast<std::size_t>(std::countr_zero(u));
-        w = bitsL0_[word];
-    }
-    return word * 64 + static_cast<std::size_t>(std::countr_zero(w));
-}
-
-// --------------------------------------------------------------------
-// Overflow heap and epoch promotion
-// --------------------------------------------------------------------
-
-void
-EventQueue::promoteNextEpoch()
-{
-    SYNCRON_ASSERT(wheelCount_ == 0 && !heap_.empty(),
-                   "promotion with events still in the wheel");
-    epoch_ = heap_.front().when >> kEpochBits;
-    ++promotions_;
-    // Heap pops come out ordered by (when, seq), so every promoted event
-    // appends at its slot's tail and (when, seq) order is preserved.
-    while (!heap_.empty() && (heap_.front().when >> kEpochBits) == epoch_) {
-        std::pop_heap(heap_.begin(), heap_.end());
-        const HeapEntry e = heap_.back();
-        heap_.pop_back();
-        pushSlot(e.idx);
-    }
-}
-
-std::size_t
 EventQueue::headSlot() const
 {
-    // All wheel events live in epoch_, which now_ has entered (or not
-    // reached yet, right after construction / a promotion).
-    const std::size_t from =
-        (now_ >> kEpochBits) == epoch_ ? slotOf(now_) : 0;
-    const std::size_t slot = nextSlotFrom(from);
-    SYNCRON_ASSERT(slot < kWheelSlots, "wheel count/bitmap disagree");
-    return slot;
+    // Wheel events lie within one lap ahead of now_'s slot, so circular
+    // order from that slot is time order: its word from now_'s bit, the
+    // later words, then the earlier words and the word's own low bits.
+    const std::size_t from = slotOf(now_);
+    const std::size_t word = from >> 6;
+    const std::uint64_t w = bitsL0_[word] & (~std::uint64_t{0} << (from & 63));
+    if (w != 0)
+        return word * 64 + static_cast<std::size_t>(std::countr_zero(w));
+    std::uint64_t u = bitsL1_ & maskFrom(static_cast<unsigned>(word) + 1);
+    if (u == 0)
+        u = bitsL1_;
+    SYNCRON_ASSERT(u != 0, "wheel count/bitmap disagree");
+    const auto next = static_cast<std::size_t>(std::countr_zero(u));
+    return next * 64
+           + static_cast<std::size_t>(std::countr_zero(bitsL0_[next]));
 }
 
 Tick
 EventQueue::nextEventTime() const
 {
     // Slots are sorted, so a slot's head is its earliest event.
+    Tick next = heap_.empty() ? kTickNever : heap_.front().when;
     if (wheelCount_ > 0)
-        return nodes_[slots_[headSlot()].head].when;
-    if (!heap_.empty())
-        return heap_.front().when;
-    return kTickNever;
+        next = std::min(next, nodes_[slots_[headSlot()].head].when);
+    return next;
 }
 
 template <bool kSelfOpen>
 bool
 EventQueue::runNext(Tick until)
 {
-    if (wheelCount_ == 0) {
-        // Promote only an epoch that will run, so stopping early never
-        // strands state.
-        if (heap_.empty() || heap_.front().when > until)
-            return false;
-        promoteNextEpoch();
+    // The next event is the earlier, by (when, seq), of the wheel's
+    // head and the heap's front.
+    std::size_t slot = 0;
+    std::uint32_t idx = kNilIdx;
+    if (wheelCount_ > 0) {
+        slot = headSlot();
+        idx = slots_[slot].head;
     }
-    const std::size_t slot = headSlot();
-    const std::uint32_t idx = slots_[slot].head;
+    bool fromHeap = false;
+    if (!heap_.empty()) {
+        const HeapEntry &h = heap_.front();
+        fromHeap =
+            idx == kNilIdx || before(Node{h.when, h.seq}, nodes_[idx]);
+        if (fromHeap)
+            idx = h.idx;
+    }
+    if (idx == kNilIdx)
+        return false;
     const Tick when = nodes_[idx].when;
     if (when > until)
         return false;
@@ -211,7 +173,13 @@ EventQueue::runNext(Tick until)
                            ? until
                            : when + (lookahead_ - 1));
     }
-    popSlot(slot);
+    if (fromHeap) {
+        std::pop_heap(heap_.begin(), heap_.end());
+        heap_.pop_back();
+        ++heapEvents_;
+    } else {
+        popSlot(slot);
+    }
     now_ = when;
     --pending_;
     ++executed_;
@@ -300,12 +268,10 @@ void
 EventQueue::file(std::uint32_t idx)
 {
     const Node &n = nodes_[idx];
-    if ((n.when >> kEpochBits) == epoch_) {
+    // when >= now_, so the slot distance never wraps below zero.
+    if ((n.when >> kSlotBits) - (now_ >> kSlotBits) < kWheelSlots) {
         pushSlot(idx);
     } else {
-        // now_ is always inside epoch_ (or before it, right after
-        // construction), so when >= now_ puts later epochs (never
-        // earlier ones) in the heap.
         heap_.push_back(HeapEntry{n.when, n.seq, idx});
         std::push_heap(heap_.begin(), heap_.end());
     }

@@ -50,19 +50,23 @@
  * metadata the wheel walks — when, seq, next — sits in its own dense
  * array.
  *
- * Wheel layout: simulated time is divided into epochs of kEpochTicks
- * (2^22) ticks, and each epoch into 2^16 slots of 2^6 ticks. The wheel
- * holds exactly the pending events of the current epoch (slot =
- * (when >> 6) mod 2^16, with a three-level bitmap for O(1) next-slot
- * scans); all later events wait in the overflow heap, ordered by
- * (when, seq). Each slot is an intrusive list kept sorted by
+ * Wheel layout: a rotating wheel of 2^12 slots of 2^6 ticks spans the
+ * 2^18 ticks (262 ns) ahead of now(), with a two-level bitmap for O(1)
+ * next-slot scans; its slot array is 32 KB, small enough to stay in
+ * cache. An event is filed in the wheel when its slot lies fewer than
+ * 2^12 slots past now()'s slot (slot = (when >> 6) mod 2^12), and in
+ * the overflow heap, ordered by (when, seq), otherwise. Wheel events
+ * therefore lie within one lap of now(), so each slot holds a single
+ * 64-tick span and a scan from now()'s slot that wraps once meets them
+ * in time order. Each slot is an intrusive list kept sorted by
  * (when, seq): a new event appends in O(1) whenever it is not earlier
- * than the slot's tail — every same-tick local event and all of
- * promotion — and otherwise is inserted behind the last node that
- * precedes it. When the current epoch drains, the queue jumps to the
- * epoch of the heap's minimum and promotes that epoch's events into the
- * wheel in (when, seq) order. One epoch spans every device latency and
- * a whole sharded lookahead window, so promotions stay rare.
+ * than the slot's tail — every same-tick local event — and otherwise
+ * is inserted behind the last node that precedes it. Heap events stay
+ * in the heap until they run: the queue executes the earlier, by
+ * (when, seq), of the wheel's head and the heap's front, so execution
+ * order is exact by construction. Device latencies and sharded
+ * lookahead windows sit well inside the span, so the heap carries only
+ * far-future events such as open-loop arrivals.
  */
 
 #ifndef SYNCRON_SIM_EVENT_QUEUE_HH
@@ -212,23 +216,22 @@ class EventQueue
 
     /**
      * Tick of the earliest pending event, or kTickNever when empty.
-     * Pure (performs no epoch promotion), so a sharded coordinator can
-     * poll every shard's horizon between bounded windows without
-     * perturbing queue state.
+     * Pure, so a sharded coordinator can poll every shard's horizon
+     * between bounded windows without perturbing queue state.
      */
     Tick nextTime() const { return nextEventTime(); }
 
-    /** Host-side count of epoch promotions from the overflow heap into
-     *  the wheel (perf accounting). */
-    std::uint64_t promotions() const { return promotions_; }
+    /** Host-side count of events executed straight from the overflow
+     *  heap (perf accounting). */
+    std::uint64_t heapEvents() const { return heapEvents_; }
 
-    /** log2 of the wheel epoch: 2^22 ticks (4.2 us), which covers the
+    /** log2 of the wheel span: 2^18 ticks (262 ns), which covers the
      *  device latencies (core cycle 0.4 ns, SPU cycle 1 ns, links 40 ns,
-     *  DRAM tens of ns) and a whole sharded lookahead window. */
-    static constexpr unsigned kEpochBits = 22;
-    /** Ticks one wheel epoch spans; events beyond the current epoch
-     *  wait in the overflow heap until their epoch is promoted. */
-    static constexpr Tick kEpochTicks = Tick{1} << kEpochBits;
+     *  DRAM tens of ns) and a sharded lookahead window. */
+    static constexpr unsigned kSpanBits = 18;
+    /** Ticks the wheel spans ahead of now()'s slot; events filed
+     *  further out wait in the overflow heap. */
+    static constexpr Tick kSpanTicks = Tick{1} << kSpanBits;
     /** log2 of the ticks one wheel slot covers. */
     static constexpr unsigned kSlotBits = 6;
     /** Ticks one wheel slot covers; distinct ticks sharing a slot are
@@ -271,10 +274,12 @@ class EventQueue
     [[noreturn]] void keyOverflow(const char *field) const;
 
     // -- Geometry ------------------------------------------------------
-    /** log2 of the near-wheel slot count (2^16 slots per epoch). */
-    static constexpr unsigned kWheelBits = kEpochBits - kSlotBits;
+    /** log2 of the wheel slot count (2^12 slots per span). */
+    static constexpr unsigned kWheelBits = kSpanBits - kSlotBits;
     static constexpr std::size_t kWheelSlots = std::size_t{1} << kWheelBits;
     static constexpr Tick kSlotMask = Tick{kWheelSlots - 1};
+    static_assert(kWheelSlots <= 64 * 64,
+                  "the two-level slot bitmap covers at most 64^2 slots");
 
     static std::size_t
     slotOf(Tick when)
@@ -307,7 +312,7 @@ class EventQueue
         return a.when < b.when || (a.when == b.when && a.seq < b.seq);
     }
 
-    /** One near-wheel slot: intrusive list of pool indices, sorted by
+    /** One wheel slot: intrusive list of pool indices, sorted by
      *  (when, seq). */
     struct Slot
     {
@@ -374,25 +379,19 @@ class EventQueue
     void pushSlot(std::uint32_t idx);
     /** Unlinks the head of @p slot. */
     void popSlot(std::size_t slot);
-    /** First non-empty slot index >= @p from, or kWheelSlots. */
-    std::size_t nextSlotFrom(std::size_t from) const;
     void markSlot(std::size_t slot);
     void clearSlot(std::size_t slot);
 
-    /** Jumps to the overflow heap's first epoch and promotes its events
-     *  into the (drained) wheel. Precondition: wheel empty, heap not. */
-    void promoteNextEpoch();
-
-    /** Earliest non-empty wheel slot. Precondition: wheel not empty. */
+    /** Earliest non-empty wheel slot: the first in circular order from
+     *  now()'s slot. Precondition: wheel not empty. */
     std::size_t headSlot() const;
 
-    /** Tick of the next pending event, or kTickNever. Pure: performs no
-     *  promotion. */
+    /** Tick of the next pending event, or kTickNever. */
     Tick nextEventTime() const;
 
     /** Pops and runs the next event if its tick is <= @p until;
-     *  returns false (promoting nothing) otherwise. With @p kSelfOpen
-     *  an event past the open window opens the next one. */
+     *  returns false otherwise. With @p kSelfOpen an event past the
+     *  open window opens the next one. */
     template <bool kSelfOpen>
     bool runNext(Tick until);
 
@@ -406,19 +405,17 @@ class EventQueue
     std::uint32_t freeHead_ = kNilIdx;
 
     std::vector<Slot> slots_;
-    /** Three-level occupancy bitmap over slots_ (64^3 >= 2^16). */
-    std::vector<std::uint64_t> bitsL0_;          ///< 1 bit per slot
-    std::array<std::uint64_t, 16> bitsL1_{};     ///< 1 bit per L0 word
-    std::uint64_t bitsL2_ = 0;                   ///< 1 bit per L1 word
+    /** Two-level occupancy bitmap over slots_ (64^2 = 2^12). */
+    std::array<std::uint64_t, kWheelSlots / 64> bitsL0_{}; ///< bit/slot
+    std::uint64_t bitsL1_ = 0; ///< 1 bit per L0 word
 
-    std::vector<HeapEntry> heap_; ///< far-future events (later epochs)
+    std::vector<HeapEntry> heap_; ///< events beyond the wheel's span
 
     Tick now_ = 0;
-    std::uint64_t epoch_ = 0; ///< epoch currently mapped onto the wheel
     std::size_t wheelCount_ = 0;
     std::size_t pending_ = 0;
     std::uint64_t executed_ = 0;
-    std::uint64_t promotions_ = 0;
+    std::uint64_t heapEvents_ = 0;
 
     // -- Windows -------------------------------------------------------
     std::uint64_t window_ = 0;     ///< index keys are stamped with

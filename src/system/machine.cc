@@ -117,11 +117,11 @@ Machine::executedEvents() const
 }
 
 std::uint64_t
-Machine::promotions() const
+Machine::heapEvents() const
 {
     std::uint64_t total = 0;
     for (const auto &q : queues_)
-        total += q->promotions();
+        total += q->heapEvents();
     return total;
 }
 

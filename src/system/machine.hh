@@ -121,8 +121,9 @@ class Machine : public sim::ShardedKernel::Client,
     /** Sum of executed events across all shard queues (host perf). */
     std::uint64_t executedEvents() const;
 
-    /** Sum of epoch promotions across all shard queues (host perf). */
-    std::uint64_t promotions() const;
+    /** Sum of events executed straight from the overflow heap across
+     *  all shard queues (host perf). */
+    std::uint64_t heapEvents() const;
 
     /** Max now() across shard queues. */
     Tick maxNow() const;

@@ -1,5 +1,6 @@
 #include "workloads/datastructures/structures.hh"
 
+#include <algorithm>
 #include <bit>
 #include <set>
 
@@ -22,18 +23,16 @@ SimBstDrachsler::SimBstDrachsler(NdpSystem &sys, unsigned initialSize)
     for (std::size_t i = 0; i < keys.size(); ++i)
         addrs.push_back(heap_.alloc());
     const sync::LockSet locks = sys.api().createLockSetByAddr(addrs);
-    std::size_t i = 0;
-    for (std::uint64_t key : keys) {
-        nodes_.emplace(key, Node{addrs[i], locks[i]});
-        ++i;
-    }
+    keys_.assign(keys.begin(), keys.end());
+    nodes_.reserve(keys_.size());
+    for (std::size_t i = 0; i < keys_.size(); ++i)
+        nodes_.push_back(Node{addrs[i], locks[i]});
 }
 
 std::size_t
 SimBstDrachsler::size() const
 {
-    std::lock_guard<std::mutex> lock(deletedMu_);
-    return nodes_.size() - deleted_.size();
+    return nodes_.size() - deleted_;
 }
 
 sim::Process
@@ -46,35 +45,35 @@ SimBstDrachsler::worker(Core &c, unsigned ops)
     // synchronization schemes perform similarly here (Section 6.1.2).
     //
     // Victim choice depends only on this worker's rng stream, the
-    // run-immutable node map, and its own past unlinks, keeping the
+    // run-immutable node table, and its own past unlinks, keeping the
     // operation stream identical at every --sim-shards count (see
     // SimSkipList).
     sync::SyncApi &api = sys_.api();
-    std::set<std::uint64_t> mine; ///< keys this worker has unlinked
+    const std::size_t n = nodes_.size();
+    std::vector<bool> mine(n); ///< nodes this worker has unlinked
+    std::size_t mineCount = 0;
+    const std::size_t pathLen = 3 * (63 - std::countl_zero(n | 1));
+    std::vector<Addr> path;
+    path.reserve(pathLen);
     for (unsigned i = 0; i < ops; ++i) {
-        if (mine.size() + 2 > nodes_.size())
+        if (mineCount + 2 > n)
             break;
-        // Snapshot key/victim/pred/path before the first suspension.
-        auto it = nodes_.lower_bound(c.rng().next() >> 8);
-        if (it == nodes_.end())
-            it = std::prev(nodes_.end());
-        while (mine.count(it->first) != 0) {
-            ++it;
-            if (it == nodes_.end())
-                it = nodes_.begin();
-        }
-        const std::uint64_t key = it->first;
-        const Node victim = it->second;
-        auto predIt = it == nodes_.begin() ? it : std::prev(it);
-        const bool havePred = predIt != it;
-        const Node pred = predIt->second;
-        const std::size_t pathLen =
-            3 * (63 - std::countl_zero(nodes_.size() | 1));
-        std::vector<Addr> path;
-        path.reserve(pathLen);
-        for (auto walk = it;; --walk) {
-            path.push_back(walk->second.addr);
-            if (path.size() >= pathLen || walk == nodes_.begin())
+        // Fix victim/pred/path before the first suspension.
+        std::size_t v = static_cast<std::size_t>(
+            std::lower_bound(keys_.begin(), keys_.end(),
+                             c.rng().next() >> 8)
+            - keys_.begin());
+        if (v == n)
+            v = n - 1;
+        while (mine[v])
+            v = v + 1 == n ? 0 : v + 1;
+        const Node &victim = nodes_[v];
+        const bool havePred = v > 0;
+        const Node &pred = nodes_[havePred ? v - 1 : v];
+        path.clear();
+        for (std::size_t walk = v;; --walk) {
+            path.push_back(nodes_[walk].addr);
+            if (path.size() >= pathLen || walk == 0)
                 break;
         }
 
@@ -99,10 +98,11 @@ SimBstDrachsler::worker(Core &c, unsigned ops)
             api.accessHint(c, pred.addr, true);
             co_await c.store(pred.addr, 16, MemKind::SharedRW);
         }
-        mine.insert(key);
-        {
-            std::lock_guard<std::mutex> lock(deletedMu_);
-            deleted_.insert(key);
+        mine[v] = true;
+        ++mineCount;
+        if (!nodes_[v].deleted) {
+            nodes_[v].deleted = true;
+            ++deleted_;
         }
         co_await api.release(c, victim.lock);
         if (havePred)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
 
 #include "common/bits.hh"
 
@@ -52,9 +53,12 @@ SimSkipList::SimSkipList(NdpSystem &sys, unsigned initialSize)
             static_cast<UnitId>(key % sys.config().numUnits)));
     }
     const sync::LockSet locks = sys.api().createLockSetByAddr(addrs);
+    keys_.reserve(levels.size());
+    nodes_.reserve(levels.size());
     std::size_t i = 0;
     for (const auto &[key, level] : levels) {
-        nodes_.emplace(key, Node{addrs[i], locks[i], level});
+        keys_.push_back(key);
+        nodes_.push_back(Node{addrs[i], locks[i], level});
         ++i;
     }
 }
@@ -62,45 +66,45 @@ SimSkipList::SimSkipList(NdpSystem &sys, unsigned initialSize)
 std::size_t
 SimSkipList::size() const
 {
-    std::lock_guard<std::mutex> lock(deletedMu_);
-    return nodes_.size() - deleted_.size();
+    return nodes_.size() - deleted_;
 }
 
 sim::Process
 SimSkipList::worker(Core &c, unsigned ops)
 {
     // Victim choice uses only this worker's rng stream, the
-    // run-immutable node map, and this worker's own past unlinks —
+    // run-immutable node table, and this worker's own past unlinks —
     // never the instantaneous shared state — so the operation stream is
     // identical at every --sim-shards count. Other cores' concurrent
     // deletions stay invisible until the locked section, matching an
     // optimistic traversal over not-yet-reclaimed nodes.
     sync::SyncApi &api = sys_.api();
-    std::set<std::uint64_t> mine; ///< keys this worker has unlinked
+    const std::size_t n = nodes_.size();
+    std::vector<bool> mine(n); ///< nodes this worker has unlinked
+    std::size_t mineCount = 0;
+    std::vector<Addr> path;
+    path.reserve(maxLevel_);
     for (unsigned i = 0; i < ops; ++i) {
-        if (mine.size() >= nodes_.size())
+        if (mineCount >= n)
             break;
         // Pick a random key this worker still considers present
-        // (deterministic per-core stream); snapshot everything before
-        // the first suspension.
-        auto it = nodes_.lower_bound(c.rng().next() >> 8);
-        if (it == nodes_.end())
-            it = std::prev(nodes_.end());
-        while (mine.count(it->first) != 0) {
-            ++it;
-            if (it == nodes_.end())
-                it = nodes_.begin();
-        }
-        const std::uint64_t key = it->first;
-        const Node victim = it->second;
-        auto predIt = it == nodes_.begin() ? it : std::prev(it);
-        const Node pred = predIt->second;
-        const bool havePred = predIt != it;
-        std::vector<Addr> path;
-        path.reserve(maxLevel_);
-        for (auto walk = it;; --walk) {
-            path.push_back(walk->second.addr);
-            if (path.size() >= maxLevel_ || walk == nodes_.begin())
+        // (deterministic per-core stream); fix everything the op reads
+        // of the table before the first suspension.
+        std::size_t v = static_cast<std::size_t>(
+            std::lower_bound(keys_.begin(), keys_.end(),
+                             c.rng().next() >> 8)
+            - keys_.begin());
+        if (v == n)
+            v = n - 1;
+        while (mine[v])
+            v = v + 1 == n ? 0 : v + 1;
+        const Node &victim = nodes_[v];
+        const bool havePred = v > 0;
+        const Node &pred = nodes_[havePred ? v - 1 : v];
+        path.clear();
+        for (std::size_t walk = v;; --walk) {
+            path.push_back(nodes_[walk].addr);
+            if (path.size() >= maxLevel_ || walk == 0)
                 break;
         }
 
@@ -131,10 +135,11 @@ SimSkipList::worker(Core &c, unsigned ops)
             co_await c.load(victim.addr + lvl * 8, 8,
                             MemKind::SharedRW);
         }
-        mine.insert(key);
-        {
-            std::lock_guard<std::mutex> lock(deletedMu_);
-            deleted_.insert(key);
+        mine[v] = true;
+        ++mineCount;
+        if (!nodes_[v].deleted) {
+            nodes_[v].deleted = true;
+            ++deleted_;
         }
 
         co_await api.release(c, victim.lock);

@@ -35,9 +35,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <set>
 #include <vector>
 
 #include "workloads/datastructures/node_heap.hh"
@@ -119,7 +116,7 @@ class SimPriorityQueue
 /**
  * Skip list with per-node locks (optimistic search, locked delete).
  *
- * Sharded-simulation discipline: the node map is immutable during the
+ * Sharded-simulation discipline: the node table is immutable during the
  * run and each worker tracks its own unlinks privately, so a worker
  * traverses a stale-but-deterministic view of the list (it cannot see
  * other cores' deletions — the optimistic-search behavior over
@@ -141,17 +138,17 @@ class SimSkipList
         Addr addr;
         sync::Lock lock;
         unsigned level;
+        /// Unlinked by some worker — host bookkeeping for size() only,
+        /// never read during the run.
+        bool deleted = false;
     };
 
     NdpSystem &sys_;
     unsigned maxLevel_; ///< tower height cap; sizes heap_'s nodes
     NodeHeap heap_;
-    std::map<std::uint64_t, Node> nodes_; ///< key -> node; run-immutable
-    /// Keys unlinked by any worker — host bookkeeping for size() only,
-    /// never read during the run (a set union is commutative, so the
-    /// quiescent contents do not depend on host thread interleaving).
-    std::set<std::uint64_t> deleted_;
-    mutable std::mutex deletedMu_;
+    std::vector<std::uint64_t> keys_; ///< sorted; run-immutable
+    std::vector<Node> nodes_;         ///< nodes_[i] holds keys_[i]
+    std::size_t deleted_ = 0;         ///< nodes with `deleted` set
 };
 
 /** Chained hash table with per-bucket locks. */
@@ -231,7 +228,7 @@ class SimBstFg
  * (lock requests are ~0.1% of memory requests).
  *
  * Follows the same sharded-simulation discipline as SimSkipList: the
- * node map is run-immutable, deletions are tracked per worker, and
+ * node table is run-immutable, deletions are tracked per worker, and
  * reclamation is deferred to teardown.
  */
 class SimBstDrachsler
@@ -248,14 +245,15 @@ class SimBstDrachsler
     {
         Addr addr;
         sync::Lock lock;
+        /// Unlinked by some worker — host bookkeeping for size() only.
+        bool deleted = false;
     };
 
     NdpSystem &sys_;
     NodeHeap heap_;
-    std::map<std::uint64_t, Node> nodes_; ///< run-immutable
-    /// Unlinked keys — host bookkeeping for size(), quiescence only.
-    std::set<std::uint64_t> deleted_;
-    mutable std::mutex deletedMu_;
+    std::vector<std::uint64_t> keys_; ///< sorted; run-immutable
+    std::vector<Node> nodes_;         ///< nodes_[i] holds keys_[i]
+    std::size_t deleted_ = 0;         ///< nodes with `deleted` set
 };
 
 } // namespace syncron::workloads

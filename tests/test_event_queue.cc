@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the timing-wheel event queue: same-tick FIFO determinism,
- * (when, seq) order inside one coarse wheel slot, wheel/overflow-heap
- * promotion at far-future horizons, run(until) boundary semantics,
+ * (when, seq) order inside one coarse wheel slot, order between the
+ * rotating wheel and the overflow heap at and past the wheel's span
+ * (including many laps of wrap-around), run(until) boundary semantics,
  * in-place callbacks (stable while the pool grows, recycled when they
  * throw), allocation-freedom of steady-state scheduling and of the
  * machine's cross-unit message path (via a counting global operator
@@ -36,9 +37,9 @@
 namespace syncron::sim {
 namespace {
 
-// The wheel covers one epoch; anything further sits in the overflow
-// heap until its epoch is promoted.
-constexpr Tick kHorizon = EventQueue::kEpochTicks;
+// The wheel spans this far ahead of now()'s slot; anything further is
+// filed in the overflow heap and served from there.
+constexpr Tick kHorizon = EventQueue::kSpanTicks;
 
 TEST(TimingWheel, SameTickFifoAcrossManyEvents)
 {
@@ -53,15 +54,15 @@ TEST(TimingWheel, SameTickFifoAcrossManyEvents)
     EXPECT_EQ(eq.now(), 5000u);
 }
 
-TEST(TimingWheel, SameTickFifoSurvivesHeapPromotion)
+TEST(TimingWheel, SameTickFifoAcrossHeapAndWheel)
 {
     EventQueue eq;
-    const Tick far = 10 * kHorizon + 123; // several epochs out
+    const Tick far = 10 * kHorizon + 123; // several spans out
     std::vector<int> order;
 
-    // 1 and 2 are scheduled while `far` is beyond the wheel horizon
+    // 1 and 2 are scheduled while `far` is beyond the wheel's span
     // (overflow heap); 3 is scheduled at the same tick from a callback
-    // running after promotion (directly into the wheel).
+    // running at `far` (directly into the wheel).
     eq.schedule(far, [&] {
         order.push_back(1);
         eq.schedule(far, [&] { order.push_back(3); });
@@ -72,7 +73,7 @@ TEST(TimingWheel, SameTickFifoSurvivesHeapPromotion)
     EXPECT_EQ(eq.now(), far);
 }
 
-TEST(TimingWheel, OrderHoldsAcrossEpochBoundaries)
+TEST(TimingWheel, OrderHoldsAcrossSpanBoundaries)
 {
     EventQueue eq;
     std::vector<Tick> fired;
@@ -90,7 +91,7 @@ TEST(TimingWheel, OrderHoldsAcrossEpochBoundaries)
 
 TEST(TimingWheel, RandomizedOrderMatchesWhenSeqSort)
 {
-    // Deterministic LCG spray over several epochs; execution order must
+    // Deterministic LCG spray over several spans; execution order must
     // equal (when, schedule-order) lexicographic order.
     EventQueue eq;
     std::uint64_t lcg = 12345;
@@ -199,6 +200,70 @@ TEST(TimingWheel, SchedulingIntoTheDrainingSlotKeepsFifo)
     EXPECT_EQ(log.fired.size(), 11u);
 }
 
+/** A chain of events that each reschedule the next about one wheel
+ *  span ahead, logged through an OrderLog. */
+struct LapChain
+{
+    OrderLog *log;
+    std::uint64_t *lcg;
+    unsigned hopsLeft;
+
+    void
+    hop()
+    {
+        if (hopsLeft == 0)
+            return;
+        --hopsLeft;
+        *lcg = *lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        const std::uint64_t r = *lcg >> 33;
+        // Span - 1 slot, span, or span + 1 slot, jittered by +-3 ticks;
+        // one hop in four is a short device-like delay instead.
+        const Tick deltas[] = {kHorizon - EventQueue::kSlotTicks, kHorizon,
+                               kHorizon + EventQueue::kSlotTicks};
+        const Tick delta = r % 4 == 3
+                               ? 1 + (r >> 2) % 2000
+                               : deltas[(r >> 2) % 3] + (r >> 4) % 7 - 3;
+        log->at(log->eq.now() + delta, [this] { hop(); });
+    }
+};
+
+TEST(TimingWheel, SelfReschedulingAcrossManyLapsKeepsWhenSeqOrder)
+{
+    // 48 chains that start on a handful of shared ticks and hop about
+    // one span at a time, for well over 16 laps of the wheel. The hops
+    // land just inside and just outside the wheel, so the wheel wraps
+    // many times, and wheel and heap events keep meeting on one tick.
+    OrderLog log;
+    std::uint64_t lcg = 2024;
+    std::vector<LapChain> chains(48, LapChain{&log, &lcg, 40});
+    for (std::size_t i = 0; i < chains.size(); ++i)
+        log.at(5 * (i % 8), [c = &chains[i]] { c->hop(); });
+    log.eq.run();
+    log.expectWhenSeqOrder();
+    EXPECT_EQ(log.fired.size(), 48u * 41u);
+    EXPECT_GE(log.eq.now(), 16 * kHorizon);
+    EXPECT_GT(log.eq.heapEvents(), 0u);
+    EXPECT_LT(log.eq.heapEvents(), log.eq.executed());
+}
+
+TEST(TimingWheel, HeapEventRunsBeforeALaterWheelEventAtItsTick)
+{
+    // Events 0 and 2 are filed beyond the span, in the heap. Event 1
+    // runs half a span before their tick and schedules 3 at it, which
+    // is then inside the span, in the wheel. Same-tick order is key
+    // order: 0, 2, then 3.
+    OrderLog log;
+    const Tick t = 3 * kHorizon + 5;
+    log.at(t);
+    log.at(t - kHorizon / 2, [&log, t] { log.at(t); });
+    log.at(t);
+    log.eq.run();
+    log.expectWhenSeqOrder();
+    EXPECT_EQ(log.fired, (std::vector<int>{1, 0, 2, 3}));
+    EXPECT_EQ(log.eq.heapEvents(), 3u);
+    EXPECT_EQ(log.eq.executed(), 4u);
+}
+
 TEST(TimingWheel, RunUntilBoundarySemantics)
 {
     EventQueue eq;
@@ -216,7 +281,7 @@ TEST(TimingWheel, RunUntilBoundarySemantics)
     EXPECT_EQ(eq.now(), 20u);
     EXPECT_EQ(eq.pending(), 2u);
 
-    // Stopping early must not disturb later scheduling or promotion:
+    // Stopping early must not disturb later scheduling or the heap:
     // a fresh event between now and the far event still runs first.
     eq.schedule(50, [&] { ++count; });
     EXPECT_EQ(eq.run(2 * kHorizon), 50u);
@@ -226,12 +291,11 @@ TEST(TimingWheel, RunUntilBoundarySemantics)
     EXPECT_TRUE(eq.empty());
 }
 
-TEST(TimingWheel, RunUntilStopsExactlyAtEpochEdges)
+TEST(TimingWheel, RunUntilStopsExactlyAtSpanEdges)
 {
-    // The sharded coordinator drives run(until) with window limits that
-    // routinely land on (or next to) the 2^16-tick epoch boundary; the
-    // wheel must stop exactly there, neither executing the next epoch's
-    // events nor promoting them prematurely.
+    // Window limits may land on (or next to) a multiple of the wheel's
+    // span, where events switch between wheel and heap; the queue must
+    // stop exactly there, executing nothing past the limit.
     EventQueue eq;
     std::vector<Tick> fired;
     const Tick ticks[] = {kHorizon - 1, kHorizon, kHorizon + 1,
@@ -239,7 +303,7 @@ TEST(TimingWheel, RunUntilStopsExactlyAtEpochEdges)
     for (Tick t : ticks)
         eq.schedule(t, [&fired, t] { fired.push_back(t); });
 
-    // Stop one tick before the first epoch edge.
+    // Stop one tick before the first span edge.
     EXPECT_EQ(eq.run(kHorizon - 1), kHorizon - 1);
     EXPECT_EQ(fired, (std::vector<Tick>{kHorizon - 1}));
     EXPECT_EQ(eq.nextTime(), kHorizon);
@@ -259,12 +323,12 @@ TEST(TimingWheel, RunUntilStopsExactlyAtEpochEdges)
     EXPECT_TRUE(eq.empty());
 }
 
-TEST(TimingWheel, RunUntilInsideEmptyEpochGap)
+TEST(TimingWheel, RunUntilInsideAnEmptyGap)
 {
-    // Stop inside an epoch that holds no events at all (limit between
-    // two far-apart events). nextTime() must keep reporting the heap
-    // minimum without promoting it, and scheduling new near events
-    // after the early stop must still execute them in order.
+    // Stop inside a gap several spans wide that holds no events at all
+    // (limit between two far-apart events). nextTime() must keep
+    // reporting the heap minimum, and scheduling new events after the
+    // early stop must still execute them in order.
     EventQueue eq;
     std::vector<Tick> fired;
     eq.schedule(10, [&] { fired.push_back(10); });
@@ -273,11 +337,11 @@ TEST(TimingWheel, RunUntilInsideEmptyEpochGap)
 
     EXPECT_EQ(eq.run(2 * kHorizon + 7), 10u); // now() = last executed
     EXPECT_EQ(fired, (std::vector<Tick>{10}));
-    EXPECT_EQ(eq.nextTime(), 5 * kHorizon + 3); // pure: no promotion
+    EXPECT_EQ(eq.nextTime(), 5 * kHorizon + 3); // pure
     EXPECT_EQ(eq.pending(), 1u);
 
-    // A fresh event earlier than the parked far event (but in a later
-    // epoch than now()) must run first on resume.
+    // A fresh event earlier than the parked far event (but beyond the
+    // span from now()) must run first on resume.
     eq.schedule(3 * kHorizon, [&] { fired.push_back(3 * kHorizon); });
     EXPECT_EQ(eq.run(), 5 * kHorizon + 3);
     EXPECT_EQ(fired, (std::vector<Tick>{10, 3 * kHorizon,
@@ -289,7 +353,7 @@ TEST(TimingWheel, RunUntilRepeatedWindowsMatchOneShot)
     // Driving the queue in lookahead-sized windows (the sharded
     // coordinator's access pattern) must execute the exact sequence a
     // single unbounded run() produces — including events that schedule
-    // follow-ups landing in later windows and later epochs.
+    // follow-ups landing in later windows and beyond the span.
     auto spray = [](EventQueue &q, std::vector<Tick> &fired) {
         std::uint64_t lcg = 99;
         for (int i = 0; i < 300; ++i) {
@@ -312,7 +376,7 @@ TEST(TimingWheel, RunUntilRepeatedWindowsMatchOneShot)
     EventQueue win;
     std::vector<Tick> winFired;
     spray(win, winFired);
-    const Tick window = kHorizon / 2 - 7; // misaligned with epochs
+    const Tick window = kHorizon / 2 - 7; // misaligned with the span
     for (Tick limit = window;; limit += window) {
         win.run(limit);
         if (win.empty())
@@ -765,6 +829,31 @@ TEST(WindowKey, DeliveriesFollowTheirWindowsLocalEvents)
     EXPECT_EQ(eq.windows(), 2u);
     // Arrival and callback each count as an executed event.
     EXPECT_EQ(eq.executed(), 2u + 3u * 2u + 2u);
+}
+
+TEST(WindowKey, WheelEventRunsBeforeAnEarlierKeyedHeapDelivery)
+{
+    // One window spans two wheel spans. At tick 0 a delivery is posted
+    // to tick span + 100, beyond the span: the heap. Half a span later,
+    // still in the same window, a local event is scheduled at the same
+    // tick, now inside the span: the wheel. The local key sorts before
+    // the window's deliveries, so the wheel event runs first.
+    EventQueue eq;
+    std::vector<int> order;
+    ArrivalHook hook;
+    hook.q = &eq;
+    hook.log = &order;
+    eq.setDeliveryHook(&hook);
+    eq.setLookahead(2 * kHorizon);
+    const Tick t = kHorizon + 100;
+    eq.schedule(0, [&eq, t] { eq.scheduleDelivery(t, 3, 1, [] {}); });
+    eq.schedule(kHorizon / 2, [&eq, &order, t] {
+        eq.schedule(t, [&order] { order.push_back(0); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(eq.windows(), 1u);
+    EXPECT_EQ(eq.heapEvents(), 1u); // the delivery's arrival
 }
 
 // -- Reference delivery order ------------------------------------------
