@@ -13,17 +13,20 @@
  *   device  — 56-byte captures (engine/overflow-style callbacks: this,
  *             station, typed request, gate); the legacy kernel heap-
  *             allocates every one of these.
- *   far     — half the devices reschedule 5.2 us ahead, beyond the
+ *   far     — the traffic of perfbench's lock_openloop, which files
+ *             about 8.6 % of its events in the overflow heap and keeps
+ *             it about 180 deep: 184 devices reschedule just past the
  *             wheel's span (EventQueue::kSpanTicks), so each of their
- *             events is filed in and served from the overflow heap. A
- *             far device fires once per 5.2 us while a near one fires
- *             every few ns, so the heap carries only a small share of
- *             the events.
+ *             events is filed in and served from the heap, next to 8
+ *             near devices. A far device fires once per ~0.27 us, a
+ *             near one about every 1 ns, so the heap serves about 7 %
+ *             of the events.
  *
  * The overall events/sec ratio is the gating number (>= 2x). The
- * events the wheel serves from its overflow heap are printed, and the
- * bench also fails when the far scenario serves none, so a geometry
- * change cannot silently drop the heap path.
+ * share of events the wheel serves from its overflow heap is printed,
+ * and the bench also fails when the far scenario's share is below 5 %,
+ * so a geometry change cannot silently turn "far" into a near-only
+ * measurement.
  */
 
 #include <chrono>
@@ -156,10 +159,16 @@ constexpr unsigned kDevices = 1024;
  *  pipelined DRAM, row miss); all within the wheel's span. */
 constexpr Tick kNearDeltas[] = {400, 1000, 1600, 2800, 12000};
 
-/** 5.2 us: beyond the wheel's span from any now(), so overflow-heap
- *  territory. */
-constexpr Tick kFarDelta = Tick{5} << 20;
-static_assert(kFarDelta > sim::EventQueue::kSpanTicks);
+/** The far scenario's devices: a few near ones among many far ones. */
+constexpr unsigned kFarNearDevices = 8;
+constexpr unsigned kFarDevices = 184;
+
+/** Just past the wheel's span from any now(): overflow-heap territory.
+ *  Device i adds 1000 * (i % 7) ticks on top. */
+constexpr Tick kFarDelta = sim::EventQueue::kSpanTicks;
+
+/** The least share of far-scenario events the heap must serve. */
+constexpr double kMinFarHeapShare = 0.05;
 
 template <typename Q, typename Seed>
 ScenarioResult
@@ -215,10 +224,11 @@ ScenarioResult
 runFar(std::uint64_t events)
 {
     return runScenario<Q>(events, [&](Q &q, std::uint64_t &remaining) {
-        for (unsigned i = 0; i < kDevices; ++i) {
+        for (unsigned i = 0; i < kFarNearDevices + kFarDevices; ++i) {
             const Tick delta =
-                i % 2 == 0 ? kNearDeltas[i % std::size(kNearDeltas)]
-                           : kFarDelta + 1000 * (i % 7);
+                i < kFarNearDevices
+                    ? kNearDeltas[i % std::size(kNearDeltas)]
+                    : kFarDelta + 1000 * (i % 7);
             deviceEvent(q, remaining, delta,
                         DevicePayload{{i, i + 1, i + 2, i + 3}});
         }
@@ -236,7 +246,8 @@ run(harness::Bench &bench)
         const char *name;
         ScenarioResult (*legacy)(std::uint64_t);
         ScenarioResult (*wheel)(std::uint64_t);
-        bool usesHeap; ///< the wheel must serve some events from its heap
+        bool usesHeap; ///< the wheel must serve kMinFarHeapShare from
+                       ///< its heap
     };
     const Scenario scenarios[] = {
         {"resume (8B capture)", runResume<LegacyEventQueue>,
@@ -250,7 +261,7 @@ run(harness::Bench &bench)
     harness::TablePrinter table(
         "kernel_micro: host events/sec, seed kernel vs timing wheel",
         {"scenario", "legacy [Mev/s]", "wheel [Mev/s]", "speedup",
-         "heap events"});
+         "heap share"});
 
     bench.metric("eventsPerScenario", static_cast<double>(events));
     double legacySec = 0, wheelSec = 0;
@@ -267,9 +278,12 @@ run(harness::Bench &bench)
         bench.metric(key + "legacyEventsPerSec", l.eventsPerSec());
         bench.metric(key + "wheelEventsPerSec", w.eventsPerSec());
         bench.metric(key + "speedup", l.seconds / w.seconds);
+        const double heapShare = static_cast<double>(w.heapEvents)
+                                 / static_cast<double>(w.events);
         bench.metric(key + "wheelHeapEvents",
                      static_cast<double>(w.heapEvents));
-        if (s.usesHeap && w.heapEvents == 0)
+        bench.metric(key + "wheelHeapShare", heapShare);
+        if (s.usesHeap && heapShare < kMinFarHeapShare)
             heapPathRan = false;
         legacySec += l.seconds;
         wheelSec += w.seconds;
@@ -277,7 +291,7 @@ run(harness::Bench &bench)
         table.addRow({s.name, fmt(l.eventsPerSec() / 1e6, 2),
                       fmt(w.eventsPerSec() / 1e6, 2),
                       fmtX(l.seconds / w.seconds),
-                      std::to_string(w.heapEvents)});
+                      fmt(100.0 * heapShare, 1) + " %"});
     }
 
     const double legacyRate =
@@ -290,8 +304,9 @@ run(harness::Bench &bench)
     std::cout << "kernel_micro overall speedup: "
               << fmtX(wheelRate / legacyRate) << " (gate: >= 2.00x)\n";
     if (!heapPathRan)
-        std::cout << "kernel_micro: the far scenario served no event "
-                     "from the overflow heap (gate: > 0)\n";
+        std::cout << "kernel_micro: the far scenario served too few "
+                     "events from the overflow heap (gate: >= "
+                  << fmt(100.0 * kMinFarHeapShare, 0) << " %)\n";
 
     bench.metric("overall/legacyEventsPerSec", legacyRate);
     bench.metric("overall/wheelEventsPerSec", wheelRate);

@@ -7,19 +7,15 @@
 
 namespace syncron::analysis {
 
-namespace {
-
-/** @p v[@p i], growing the per-core vector @p v to cover it. */
-template <typename T>
-T &
-grown(std::vector<T> &v, std::size_t i)
+Addr
+AnalysisEngine::pairKey(std::uint32_t core, std::uint64_t prim)
 {
-    if (i >= v.size())
-        v.resize(i + 1);
-    return v[i];
+    // Core below 2^31 keeps the key off AddrMap's reserved all-ones.
+    SYNCRON_ASSERT(core < (1u << 31) && prim <= 0xffffffffULL,
+                   "(core " << core << ", prim " << prim
+                            << ") does not pack into one table key");
+    return (Addr{core} << 32) | prim;
 }
-
-} // namespace
 
 // --------------------------------------------------------------------
 // Shared held-lock tracking
@@ -104,7 +100,7 @@ AnalysisEngine::onIssue(const OpEvent &ev)
         // a superset of nothing: a completed acquire adds the same
         // edges again and the per-edge map keeps the first witness.
         addOrderEdges(ev.core, ev.prim, ev.issued);
-        ++inflightAcquires_[{ev.core, ev.prim}];
+        ++inflightAcquires_[pairKey(ev.core, ev.prim)];
         break;
       case sync::OpKind::LockRelease:
         // The SE commits a release when it is issued; pipelined record
@@ -129,19 +125,19 @@ AnalysisEngine::onComplete(const OpEvent &ev)
 
     switch (ev.kind) {
       case sync::OpKind::LockAcquire: {
-        if (auto it = inflightAcquires_.find({ev.core, ev.prim});
-            it != inflightAcquires_.end() && --it->second == 0) {
-            inflightAcquires_.erase(it);
+        const Addr key = pairKey(ev.core, ev.prim);
+        if (unsigned *n = inflightAcquires_.find(key);
+            n != nullptr && --*n == 0) {
+            inflightAcquires_.erase(key);
         }
         addOrderEdges(ev.core, ev.prim, ev.completed);
         heldOf(ev.core).push_back(HeldLock{ev.prim, ev.completed});
         // A coalesced acquire+release pair: the release was issued
         // while this acquire was still in flight and parked; commit it
         // now that the grant has landed.
-        if (auto it = preIssuedReleases_.find({ev.core, ev.prim});
-            it != preIssuedReleases_.end()) {
-            if (--it->second == 0)
-                preIssuedReleases_.erase(it);
+        if (unsigned *n = preIssuedReleases_.find(key)) {
+            if (--*n == 0)
+                preIssuedReleases_.erase(key);
             commitRelease(ev.core, ev.prim, ev.completed);
         }
         break;
@@ -183,8 +179,8 @@ AnalysisEngine::commitRelease(std::uint32_t core, std::uint64_t prim,
     bool held = false;
     for (const HeldLock &h : heldOf(core))
         held = held || h.prim == prim;
-    if (!held && inflightAcquires_.count({core, prim}) != 0) {
-        ++preIssuedReleases_[{core, prim}];
+    if (!held && inflightAcquires_.contains(pairKey(core, prim))) {
+        ++preIssuedReleases_[pairKey(core, prim)];
         return;
     }
 

@@ -44,11 +44,11 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "analysis/report.hh"
 #include "analysis/state_model.hh"
+#include "common/addr_map.hh"
 #include "common/types.hh"
 
 namespace syncron::analysis {
@@ -131,6 +131,10 @@ class AnalysisEngine
 
     void lintStaleGeneration(const OpEvent &ev, Tick tick);
 
+    /** One flat-table key for a (core, lock) pair; panics when the
+     *  pair does not pack (core >= 2^31 or prim >= 2^32). */
+    static Addr pairKey(std::uint32_t core, std::uint64_t prim);
+
     // -- Lockset race checker ------------------------------------------
     enum class AccessState
     {
@@ -163,12 +167,10 @@ class AnalysisEngine
     /// live only: per-core outstanding (issued - completed) op count
     std::vector<std::int64_t> outstanding_;
     /// live only: (core, lock) -> acquires issued but not yet completed
-    std::map<std::pair<std::uint32_t, std::uint64_t>, unsigned>
-        inflightAcquires_;
+    common::AddrMap<unsigned> inflightAcquires_;
     /// live only: (core, lock) -> releases issued before their own
     /// acquire completed (coalesced pairs); consumed at that completion
-    std::map<std::pair<std::uint32_t, std::uint64_t>, unsigned>
-        preIssuedReleases_;
+    common::AddrMap<unsigned> preIssuedReleases_;
     bool sawIssues_ = false;
 
     // -- Crash/recovery generation tracking ----------------------------

@@ -7,10 +7,10 @@ namespace syncron::analysis {
 std::uint64_t
 LiveAnalyzer::idOf(Addr addr)
 {
-    auto [it, inserted] = ids_.try_emplace(addr, nextId_);
-    if (inserted)
-        ++nextId_;
-    return it->second;
+    if (const std::uint64_t *id = ids_.find(addr))
+        return *id;
+    ids_[addr] = nextId_;
+    return nextId_++;
 }
 
 OpEvent

@@ -17,10 +17,10 @@
 #define SYNCRON_ANALYSIS_LIVE_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "analysis/analyzers.hh"
 #include "analysis/report.hh"
+#include "common/addr_map.hh"
 #include "sync/observer.hh"
 #include "system/config.hh"
 
@@ -77,7 +77,7 @@ class LiveAnalyzer final : public sync::OpObserver
     AnalysisEngine engine_;
     AnalysisReport report_;
     bool finished_ = false;
-    std::unordered_map<Addr, std::uint64_t> ids_;
+    common::AddrMap<std::uint64_t> ids_;
     std::uint64_t nextId_ = 0;
 };
 

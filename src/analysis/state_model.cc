@@ -98,7 +98,7 @@ SyncStateModel::onComplete(const OpEvent &ev)
 void
 SyncStateModel::grant(std::uint32_t core, std::uint64_t prim, Tick tick)
 {
-    LockState &s = locks_[prim];
+    LockState &s = grown(locks_, prim);
     if (s.owned && s.owner != core) {
         if (live_) {
             report(FindingKind::DoubleGrant,
@@ -144,7 +144,7 @@ void
 SyncStateModel::release(std::uint32_t core, std::uint64_t prim,
                         Tick issued, Tick completed)
 {
-    LockState &s = locks_[prim];
+    LockState &s = grown(locks_, prim);
     if (dropOwnership(s, core, completed))
         return;
 
@@ -177,7 +177,7 @@ SyncStateModel::condRelease(const OpEvent &ev)
     // Consumes the waiter's displaced-owner entry too: after a handoff
     // (the signaler's grant displaced the waiter) the entry is the
     // waiter's, and leaving it would absorb a later bogus release.
-    if (dropOwnership(locks_[ev.assoc], ev.core, ev.issued))
+    if (dropOwnership(grown(locks_, ev.assoc), ev.core, ev.issued))
         return;
     report(FindingKind::ReleaseWithoutAcquire,
            "cond_wait on " + primName(ev.prim) + " releases associated lock "
@@ -192,7 +192,7 @@ SyncStateModel::condRelease(const OpEvent &ev)
 void
 SyncStateModel::lintBarrier(const OpEvent &ev)
 {
-    BarrierState &b = barriers_[ev.prim];
+    BarrierState &b = grown(barriers_, ev.prim);
     if (b.reported)
         return;
 
@@ -229,7 +229,7 @@ SyncStateModel::lintBarrier(const OpEvent &ev)
 void
 SyncStateModel::arrive(const OpEvent &ev)
 {
-    BarrierState &b = barriers_[ev.prim];
+    BarrierState &b = grown(barriers_, ev.prim);
     const bool withinUnit =
         ev.kind == sync::OpKind::BarrierWaitWithinUnit;
     const std::uint32_t scope = withinUnit ? shape_.clientCoresPerUnit
@@ -280,7 +280,7 @@ SyncStateModel::arrive(const OpEvent &ev)
 void
 SyncStateModel::semaphore(const OpEvent &ev, bool wait)
 {
-    SemState &s = sems_[ev.prim];
+    SemState &s = grown(sems_, ev.prim);
     if (s.balance.size() <= ev.core) {
         s.balance.resize(std::max<std::size_t>(shape_.totalClientCores(),
                                                ev.core + std::size_t{1}));
@@ -306,7 +306,8 @@ SyncStateModel::semaphore(const OpEvent &ev, bool wait)
 void
 SyncStateModel::checkInvariants(bool teardown)
 {
-    for (const auto &[prim, s] : locks_) {
+    for (std::uint64_t prim = 0; prim < locks_.size(); ++prim) {
+        const LockState &s = locks_[prim];
         if (!teardown || !s.owned)
             continue;
         report(FindingKind::LockHeldAtTeardown,
@@ -315,7 +316,8 @@ SyncStateModel::checkInvariants(bool teardown)
                s.owner, prim, s.ownedSince);
     }
 
-    for (auto &[prim, s] : sems_) {
+    for (std::uint64_t prim = 0; prim < sems_.size(); ++prim) {
+        SemState &s = sems_[prim];
         if (s.grants.empty())
             continue;
         std::sort(s.postTicks.begin(), s.postTicks.end());
@@ -359,11 +361,11 @@ SyncStateModel::checkInvariants(bool teardown)
 bool
 SyncStateModel::idle() const
 {
-    for (const auto &[prim, s] : locks_) {
+    for (const LockState &s : locks_) {
         if (s.owned || !s.pendingReleases.empty())
             return false;
     }
-    for (const auto &[prim, s] : sems_) {
+    for (const SemState &s : sems_) {
         if (std::accumulate(s.balance.begin(), s.balance.end(),
                             std::int64_t{0})
             != 0) {
@@ -390,7 +392,8 @@ SyncStateModel::logicalState() const
             }
         }
     };
-    for (const auto &[prim, s] : locks_) {
+    for (std::uint64_t prim = 0; prim < locks_.size(); ++prim) {
+        const LockState &s = locks_[prim];
         if (s.owned) {
             out.insert(out.end(), {0, static_cast<std::int64_t>(prim),
                                    s.owner, 1});
@@ -399,10 +402,12 @@ SyncStateModel::logicalState() const
             out.insert(out.end(),
                        {1, static_cast<std::int64_t>(prim), core, n});
     }
-    for (const auto &[prim, s] : sems_)
-        nonZero(2, prim, s.balance, 0);
-    for (const auto &[prim, b] : barriers_)
+    for (std::uint64_t prim = 0; prim < sems_.size(); ++prim)
+        nonZero(2, prim, sems_[prim].balance, 0);
+    for (std::uint64_t prim = 0; prim < barriers_.size(); ++prim) {
+        const BarrierState &b = barriers_[prim];
         nonZero(3, prim, b.arrivals, b.firstCore);
+    }
     return out;
 }
 

@@ -33,6 +33,7 @@
 #ifndef SYNCRON_ANALYSIS_STATE_MODEL_HH
 #define SYNCRON_ANALYSIS_STATE_MODEL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -69,6 +70,20 @@ struct OpEvent
     std::uint32_t participants = 0; ///< barrier arity (barrier_wait)
     std::uint32_t resources = 0;    ///< initial resources (sem_wait)
 };
+
+/**
+ * @p v[@p i], growing @p v to cover it: the analysis tables indexed by
+ * dense core or primitive id. Growing moves every entry, so hold no
+ * reference across a call.
+ */
+template <typename T>
+T &
+grown(std::vector<T> &v, std::size_t i)
+{
+    if (i >= v.size())
+        v.resize(i + 1);
+    return v[i];
+}
 
 /** Lock/barrier/semaphore state of one stream; see the file comment. */
 class SyncStateModel
@@ -168,9 +183,12 @@ class SyncStateModel
 
     MachineShape shape_;
     bool live_ = false;
-    std::map<std::uint64_t, LockState> locks_;
-    std::map<std::uint64_t, BarrierState> barriers_;
-    std::map<std::uint64_t, SemState> sems_;
+    /// Per primitive, by dense id. An id the stream has not touched
+    /// holds default state, which every check and logicalState() read
+    /// as absent; loops run in ascending id.
+    std::vector<LockState> locks_;
+    std::vector<BarrierState> barriers_;
+    std::vector<SemState> sems_;
     std::vector<Finding> findings_;
 };
 

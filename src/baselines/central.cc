@@ -176,6 +176,8 @@ CentralBackend::completeFront()
     Job job = queue_.front();
     queue_.pop_front();
     const Tick when = machine_.eq(serverUnit_).now();
+    // Each grant leaves through postMessage(), so nothing re-enters
+    // apply() while the grants are walked.
     auto grants = state_.apply(job.req, job.core, job.gate);
     pending_.dec(job.req.var());
     for (const sync::SyncGrant &g : grants) {

@@ -77,7 +77,9 @@ FlatSynCronBackend::process(UnitId se, const sync::SyncRequest &req,
         const Tick when = machine_.eq(se).now();
         // A cond op's associated-lock manipulation is emitted here and
         // forwarded below to the LOCK's Master SE: the condition and
-        // its lock may be homed at different units.
+        // its lock may be homed at different units. Forwards and grants
+        // both leave through postMessage(), so nothing re-enters
+        // apply() while the grants are walked.
         std::vector<sync::FlatSyncState::LockOp> fwd;
         auto grants = state_[se].apply(req, core, gate, &fwd);
         pending_.dec(req.var());

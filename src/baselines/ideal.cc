@@ -10,6 +10,8 @@ IdealBackend::request(core::Core &requester, const sync::SyncRequest &req,
                       sim::Gate *gate)
 {
     const bool acquire = req.acquireType();
+    // Opening a gate only schedules its waiter's resume, so nothing
+    // re-enters apply() while the grants are walked.
     auto grants = state_.apply(req, requester.id(),
                                acquire ? gate : nullptr);
     if (!acquire)

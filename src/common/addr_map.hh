@@ -2,7 +2,10 @@
  * @file
  * Open-addressing hash map keyed by a physical address — the per-message
  * lookup structure of the Synchronization Engine model (ST index,
- * in-flight and redirect counters).
+ * in-flight and redirect counters) and of every layer that watches or
+ * serves an op: SyncApi's handle generations, FlatSyncState's variable
+ * index and PendingOps, TraceCapture's and LiveAnalyzer's primitive
+ * ids, and AnalysisEngine's (core, lock) tables under a packed key.
  *
  * Every simulated SE message probes these tables, so they avoid what a
  * std::unordered_map costs per operation: a 64-bit prime modulo per
@@ -45,6 +48,10 @@ class AddrMap
     V *
     find(Addr key)
     {
+        // Many tables are empty on most lookups (handle generations,
+        // pending counts); answer those without touching the slots.
+        if (size_ == 0)
+            return nullptr;
         for (std::size_t i = homeSlot(key);; i = (i + 1) & mask_) {
             Slot &s = slots_[i];
             if (s.key == key)

@@ -11,25 +11,24 @@
 
 namespace syncron::durability {
 
-using trace::putVarint;
-
 void
 writeImage(std::ostream &os, const PersistedImage &img)
 {
-    os.write(kImageMagic, sizeof(kImageMagic));
-    putVarint(os, kImageVersion);
-
-    putVarint(os, static_cast<std::uint64_t>(img.mode));
-    putVarint(os, img.epochOps);
-    putVarint(os, img.crashTick);
     SYNCRON_ASSERT(img.appended >= img.durable(),
                    "image appended count " << img.appended
                                            << " below durable count "
                                            << img.durable());
-    putVarint(os, img.appended);
-
-    // fatal()s on stream errors, the header's included.
-    trace::TraceWriter(os).write(img.log);
+    trace::VarintWriter out(os);
+    out.bytes(kImageMagic, sizeof(kImageMagic));
+    out.varint(kImageVersion);
+    out.varint(static_cast<std::uint64_t>(img.mode));
+    out.varint(img.epochOps);
+    out.varint(img.crashTick);
+    out.varint(img.appended);
+    trace::encodeTrace(out, img.log);
+    out.flush();
+    if (!os)
+        SYNCRON_FATAL("stream error while writing persisted image");
 }
 
 PersistedImage

@@ -246,8 +246,8 @@ void
 SyncApi::checkLive(const SyncPrimitive &prim) const
 {
     SYNCRON_ASSERT(prim.valid(), "operation on invalid primitive handle");
-    auto it = generations_.find(prim.addr);
-    const std::uint32_t current = it == generations_.end() ? 0 : it->second;
+    const std::uint32_t *gen = generations_.find(prim.addr);
+    const std::uint32_t current = gen == nullptr ? 0 : *gen;
     SYNCRON_ASSERT(prim.gen == current,
                    "stale primitive handle @" << prim.addr << " (gen "
                        << prim.gen << ", line is at gen " << current

@@ -51,10 +51,10 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/addr_map.hh"
 #include "core/core.hh"
 #include "sim/process.hh"
 #include "sync/backend.hh"
@@ -678,8 +678,9 @@ class SyncApi : private Machine::WindowListener
     std::vector<Lane> lanes_;
     std::vector<LaneEvent> merged_; ///< flush buffer, capacity kept
     std::vector<std::vector<Addr>> freeLists_; ///< per-unit recycled lines
-    /// Current allocation generation per line (absent = 0).
-    std::unordered_map<Addr, std::uint32_t> generations_;
+    /// Current allocation generation per line (absent = 0); looked up
+    /// by checkLive() on every operation.
+    common::AddrMap<std::uint32_t> generations_;
     unsigned rr_ = 0;    ///< createLockInterleaved / allocVarInterleaved
     unsigned rrSet_ = 0; ///< createLockSet's own round-robin cursor
 };

@@ -13,23 +13,61 @@ FlatSyncState::VarState::idle() const
 }
 
 void
-FlatSyncState::lockAcquire(VarState &st, CoreId core, sim::Gate *gate,
-                           std::vector<SyncGrant> &out)
+FlatSyncState::VarState::reset()
+{
+    locked = false;
+    owner = kInvalidCore;
+    lockWaiters.clear();
+    barrierArrived = 0;
+    barrierWaiters.clear();
+    semDelta = 0;
+    semWaiters.clear();
+    condWaiters.clear();
+}
+
+FlatSyncState::VarState &
+FlatSyncState::state(Addr var)
+{
+    if (const std::uint32_t *slot = index_.find(var))
+        return vars_[*slot];
+    std::uint32_t slot;
+    if (!freeSlots_.empty()) {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(vars_.size());
+        vars_.emplace_back();
+    }
+    index_[var] = slot;
+    return vars_[slot];
+}
+
+void
+FlatSyncState::destroy(Addr var)
+{
+    const std::uint32_t *slot = index_.find(var);
+    if (slot == nullptr)
+        return;
+    vars_[*slot].reset();
+    freeSlots_.push_back(*slot);
+    index_.erase(var);
+}
+
+void
+FlatSyncState::lockAcquire(VarState &st, CoreId core, sim::Gate *gate)
 {
     if (!st.locked) {
         st.locked = true;
         st.owner = core;
-        out.push_back(SyncGrant{core, gate});
+        grants_.push_back(SyncGrant{core, gate});
     } else {
         st.lockWaiters.push_back(SyncGrant{core, gate});
     }
 }
 
 void
-FlatSyncState::lockRelease(Addr var, CoreId core,
-                           std::vector<SyncGrant> &out)
+FlatSyncState::lockRelease(VarState &st, Addr var, CoreId core)
 {
-    VarState &st = state(var);
     SYNCRON_ASSERT(st.locked, "release of unlocked lock @" << var
                                   << " by core " << core);
     SYNCRON_ASSERT(st.owner == core, "release by non-owner core "
@@ -39,28 +77,29 @@ FlatSyncState::lockRelease(Addr var, CoreId core,
         SyncGrant next = st.lockWaiters.front();
         st.lockWaiters.pop_front();
         st.owner = next.core;
-        out.push_back(next);
+        grants_.push_back(next);
     } else {
         st.locked = false;
         st.owner = kInvalidCore;
     }
 }
 
-std::vector<SyncGrant>
+FlatSyncState::Grants
 FlatSyncState::apply(const SyncRequest &req, CoreId core, sim::Gate *gate,
                      std::vector<LockOp> *forward)
 {
-    std::vector<SyncGrant> out;
+    ++applies_;
+    grants_.clear();
     const Addr var = req.var();
     VarState &st = state(var);
 
     switch (req.kind()) {
       case OpKind::LockAcquire:
-        lockAcquire(st, core, gate, out);
+        lockAcquire(st, core, gate);
         break;
 
       case OpKind::LockRelease:
-        lockRelease(var, core, out);
+        lockRelease(st, var, core);
         break;
 
       case OpKind::BarrierWaitWithinUnit:
@@ -68,8 +107,7 @@ FlatSyncState::apply(const SyncRequest &req, CoreId core, sim::Gate *gate,
         ++st.barrierArrived;
         st.barrierWaiters.push_back(SyncGrant{core, gate});
         if (st.barrierArrived >= req.participants()) {
-            out = std::move(st.barrierWaiters);
-            st.barrierWaiters.clear();
+            grants_.swap(st.barrierWaiters);
             st.barrierArrived = 0; // barrier is reusable
         }
         break;
@@ -78,7 +116,7 @@ FlatSyncState::apply(const SyncRequest &req, CoreId core, sim::Gate *gate,
       case OpKind::SemWait: {
         if (static_cast<std::int64_t>(req.resources()) + st.semDelta > 0) {
             --st.semDelta;
-            out.push_back(SyncGrant{core, gate});
+            grants_.push_back(SyncGrant{core, gate});
         } else {
             st.semWaiters.push_back(SyncGrant{core, gate});
         }
@@ -89,7 +127,7 @@ FlatSyncState::apply(const SyncRequest &req, CoreId core, sim::Gate *gate,
         if (!st.semWaiters.empty()) {
             SyncGrant next = st.semWaiters.front();
             st.semWaiters.pop_front();
-            out.push_back(next);
+            grants_.push_back(next);
         } else {
             ++st.semDelta;
         }
@@ -103,7 +141,7 @@ FlatSyncState::apply(const SyncRequest &req, CoreId core, sim::Gate *gate,
         if (forward != nullptr)
             forward->push_back(LockOp{lockAddr, core, nullptr, false});
         else
-            lockRelease(lockAddr, core, out);
+            lockRelease(state(lockAddr), lockAddr, core);
         break;
       }
 
@@ -117,33 +155,34 @@ FlatSyncState::apply(const SyncRequest &req, CoreId core, sim::Gate *gate,
                 forward->push_back(LockOp{w.lockAddr, w.core, w.gate,
                                           true});
             else
-                lockAcquire(state(w.lockAddr), w.core, w.gate, out);
+                lockAcquire(state(w.lockAddr), w.core, w.gate);
         }
         break;
       }
 
       case OpKind::CondBroadcast: {
-        std::deque<CondWaiter> waiters = std::move(st.condWaiters);
-        st.condWaiters.clear();
-        for (const CondWaiter &w : waiters) {
+        // lockAcquire() touches only lock fields, so the waiter list
+        // stays put while it is walked.
+        for (const CondWaiter &w : st.condWaiters) {
             if (forward != nullptr)
                 forward->push_back(LockOp{w.lockAddr, w.core, w.gate,
                                           true});
             else
-                lockAcquire(state(w.lockAddr), w.core, w.gate, out);
+                lockAcquire(state(w.lockAddr), w.core, w.gate);
         }
+        st.condWaiters.clear();
         break;
       }
     }
 
-    return out;
+    return Grants(*this);
 }
 
 bool
 FlatSyncState::idle(Addr var) const
 {
-    auto it = vars_.find(var);
-    return it == vars_.end() || it->second.idle();
+    const std::uint32_t *slot = index_.find(var);
+    return slot == nullptr || vars_[*slot].idle();
 }
 
 } // namespace syncron::sync

@@ -627,6 +627,8 @@ SynCronBackend::misarProcess(SoftServer &server, const SyncRequest &req,
                                              gate] {
         const Addr var = req.var();
         const Tick when = machine_.eq(server.unit).now();
+        // Opening a gate only schedules its waiter's resume, so nothing
+        // re-enters apply() while the grants are walked.
         auto grants = misarState_.apply(req, core, gate);
         for (const sync::SyncGrant &g : grants) {
             const UnitId coreUnit = g.core / machine_.config().coresPerUnit;

@@ -14,24 +14,21 @@ TraceCapture::TraceCapture(const SystemConfig &cfg) : cfg_(cfg)
 std::uint32_t
 TraceCapture::primId(Addr addr, PrimKind kind)
 {
-    auto [it, inserted] = addrToPrim_.try_emplace(
-        addr, static_cast<std::uint32_t>(trace_.primitives.size()));
-    if (!inserted && trace_.primitives[it->second].kind != kind) {
-        // Defensive: generation boundaries normally arrive through
-        // onDestroy() (which erases the mapping), but a capture that
-        // missed the destroy must still split on a kind flip rather
-        // than conflate two unrelated primitives.
-        it->second =
-            static_cast<std::uint32_t>(trace_.primitives.size());
-        inserted = true;
+    if (const std::uint32_t *id = addrToPrim_.find(addr);
+        id != nullptr && trace_.primitives[*id].kind == kind) {
+        return *id;
     }
-    if (inserted) {
-        TracePrimitive p;
-        p.kind = kind;
-        p.home = mem::unitOfAddr(addr);
-        trace_.primitives.push_back(p);
-    }
-    return it->second;
+    // First sight, or defensively a kind flip: generation boundaries
+    // normally arrive through onDestroy() (which erases the mapping),
+    // but a capture that missed the destroy must still split rather
+    // than conflate two unrelated primitives.
+    const auto id = static_cast<std::uint32_t>(trace_.primitives.size());
+    addrToPrim_[addr] = id;
+    TracePrimitive p;
+    p.kind = kind;
+    p.home = mem::unitOfAddr(addr);
+    trace_.primitives.push_back(p);
+    return id;
 }
 
 void

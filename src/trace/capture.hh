@@ -24,8 +24,8 @@
 #define SYNCRON_TRACE_CAPTURE_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/addr_map.hh"
 #include "sync/observer.hh"
 #include "system/config.hh"
 #include "trace/format.hh"
@@ -58,7 +58,7 @@ class TraceCapture final : public sync::OpObserver
     std::uint32_t primId(Addr addr, PrimKind kind);
 
     Trace trace_;
-    std::unordered_map<Addr, std::uint32_t> addrToPrim_;
+    common::AddrMap<std::uint32_t> addrToPrim_;
     const SystemConfig &cfg_;
 };
 

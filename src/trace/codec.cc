@@ -13,19 +13,21 @@ rejectField(const VarintCursor &cur, const char *field, std::uint64_t raw)
                              << " value " << raw);
 }
 
+namespace {
+
+/** Writes the primitive table: count, then kind/home/param/scope. */
 void
-encodePrimitives(std::ostream &os, const std::vector<TracePrimitive> &prims)
+encodePrimitives(VarintWriter &out,
+                 const std::vector<TracePrimitive> &prims)
 {
-    putVarint(os, prims.size());
+    out.varint(prims.size());
     for (const TracePrimitive &p : prims) {
-        putVarint(os, static_cast<std::uint64_t>(p.kind));
-        putVarint(os, p.home);
-        putVarint(os, p.param);
-        putVarint(os, static_cast<std::uint64_t>(p.scope));
+        out.varint(static_cast<std::uint64_t>(p.kind));
+        out.varint(p.home);
+        out.varint(p.param);
+        out.varint(static_cast<std::uint64_t>(p.scope));
     }
 }
-
-namespace {
 
 /** Decodes the primitive table encodePrimitives() wrote into @p out. */
 void
@@ -51,6 +53,49 @@ decodePrimitives(VarintCursor &cur, std::uint32_t numUnits,
 }
 
 } // namespace
+
+void
+encodeTrace(VarintWriter &out, const Trace &trace)
+{
+    out.bytes(kTraceMagic.data(), kTraceMagic.size());
+    out.varint(kTraceVersion);
+    out.varint(trace.numUnits);
+    out.varint(trace.clientCoresPerUnit);
+
+    encodePrimitives(out, trace.primitives);
+
+    out.varint(trace.records.size());
+    Tick prevIssued = 0;
+    for (const TraceRecord &r : trace.records) {
+        SYNCRON_ASSERT(r.completed >= r.issued,
+                       "record completed before it was issued");
+        // Modular subtraction, read back as signed: the delta of any
+        // two ticks up to INT64_MAX, without signed overflow.
+        out.varint(
+            zigzag(static_cast<std::int64_t>(r.issued - prevIssued)));
+        out.varint(r.completed - r.issued);
+        out.varint(r.core);
+        out.varint(static_cast<std::uint64_t>(r.kind));
+        out.varint(r.prim);
+        // v2: the associated lock is a mandatory cond_wait-only field;
+        // consumers (the offline deadlock analyzer) rely on it, so an
+        // unset or dangling value is a writer error, not a reader one.
+        if (r.kind == sync::OpKind::CondWait) {
+            if (r.assocPrim >= trace.primitives.size()
+                || trace.primitives[r.assocPrim].kind != PrimKind::Lock) {
+                SYNCRON_FATAL("cond_wait record without a valid "
+                              "associated lock (assocPrim "
+                              << r.assocPrim << ")");
+            }
+            out.varint(r.assocPrim);
+        } else if (r.assocPrim != 0) {
+            SYNCRON_FATAL("record carries an associated primitive but "
+                          "is not a cond_wait ("
+                          << sync::opKindName(r.kind) << ")");
+        }
+        prevIssued = r.issued;
+    }
+}
 
 std::uint64_t
 decodeTraceHeader(VarintCursor &cur, Trace &shape)

@@ -1,8 +1,9 @@
 /**
  * @file
  * The one decoder of the `SYNCTRC` byte layout (trace/format.hh
- * documents the layout), plus the primitive-table encoder TraceWriter
- * runs.
+ * documents the layout), and its one encoder, encodeTrace(), which
+ * TraceWriter and durability::writeImage run over a buffered
+ * VarintWriter.
  *
  * Every reader runs these functions over a VarintCursor:
  * MappedTraceReader over the mmap'd file, durability::readImage over
@@ -22,7 +23,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <ostream>
 #include <vector>
 
 #include "trace/format.hh"
@@ -62,9 +62,13 @@ getU32(VarintCursor &cur, const char *field)
     return static_cast<std::uint32_t>(raw);
 }
 
-/** Writes the primitive table: count, then kind/home/param/scope. */
-void encodePrimitives(std::ostream &os,
-                      const std::vector<TracePrimitive> &prims);
+/**
+ * Encodes @p trace as one complete `SYNCTRC` container into @p out:
+ * the only encoder of the layout, run by TraceWriter and by
+ * durability::writeImage for the container a `SYNCDUR` image embeds.
+ * The caller flushes @p out and checks its stream.
+ */
+void encodeTrace(VarintWriter &out, const Trace &trace);
 
 /**
  * Decodes a `SYNCTRC` container up to its record stream — magic,

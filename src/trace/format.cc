@@ -76,45 +76,9 @@ Trace::hottestLockShare() const
 void
 TraceWriter::write(const Trace &trace)
 {
-    os_.write(kTraceMagic.data(), kTraceMagic.size());
-    putVarint(os_, kTraceVersion);
-    putVarint(os_, trace.numUnits);
-    putVarint(os_, trace.clientCoresPerUnit);
-
-    encodePrimitives(os_, trace.primitives);
-
-    putVarint(os_, trace.records.size());
-    Tick prevIssued = 0;
-    for (const TraceRecord &r : trace.records) {
-        SYNCRON_ASSERT(r.completed >= r.issued,
-                       "record completed before it was issued");
-        // Modular subtraction, read back as signed: the delta of any
-        // two ticks up to INT64_MAX, without signed overflow.
-        putVarint(os_, zigzag(static_cast<std::int64_t>(r.issued
-                                                        - prevIssued)));
-        putVarint(os_, r.completed - r.issued);
-        putVarint(os_, r.core);
-        putVarint(os_, static_cast<std::uint64_t>(r.kind));
-        putVarint(os_, r.prim);
-        // v2: the associated lock is a mandatory cond_wait-only field;
-        // consumers (the offline deadlock analyzer) rely on it, so an
-        // unset or dangling value is a writer error, not a reader one.
-        if (r.kind == sync::OpKind::CondWait) {
-            if (r.assocPrim >= trace.primitives.size()
-                || trace.primitives[r.assocPrim].kind != PrimKind::Lock) {
-                SYNCRON_FATAL("cond_wait record without a valid "
-                              "associated lock (assocPrim "
-                              << r.assocPrim << ")");
-            }
-            putVarint(os_, r.assocPrim);
-        } else if (r.assocPrim != 0) {
-            SYNCRON_FATAL("record carries an associated primitive but "
-                          "is not a cond_wait ("
-                          << sync::opKindName(r.kind) << ")");
-        }
-        prevIssued = r.issued;
-    }
-
+    VarintWriter out(os_);
+    encodeTrace(out, trace);
+    out.flush();
     if (!os_)
         SYNCRON_FATAL("stream error while writing trace");
 }

@@ -467,6 +467,79 @@ TEST(SyncStateModel, CleanLockStreamIsIdleAndSelfEqual)
     EXPECT_FALSE(a.sameStateAs(held));
 }
 
+/** Touches locks, a barrier and semaphores with ids first seen in the
+ *  order 5, 2, 9, leaving every one of them non-idle. */
+void
+feedOutOfOrderIds(SyncStateModel &m)
+{
+    m.onComplete(ev(sync::OpKind::LockAcquire, 0, 5, 10));
+    m.onComplete(ev(sync::OpKind::LockAcquire, 1, 2, 20));
+    m.onComplete(ev(sync::OpKind::LockAcquire, 2, 9, 30));
+    for (std::uint64_t prim : {7u, 3u}) {
+        OpEvent wait = ev(sync::OpKind::SemWait, 1, prim, 40);
+        wait.resources = 0; // underflows: no resources, no post
+        m.onComplete(wait);
+    }
+    OpEvent bar = ev(sync::OpKind::BarrierWaitAcrossUnits, 3, 4, 50);
+    bar.participants = 4;
+    m.onComplete(bar);
+}
+
+TEST(SyncStateModel, FindingsComeOutInAscendingPrimitiveId)
+{
+    SyncStateModel m(MachineShape{2, 2});
+    feedOutOfOrderIds(m);
+    m.checkInvariants(true);
+    std::vector<std::pair<FindingKind, std::uint64_t>> got;
+    for (const Finding &f : m.findings())
+        got.emplace_back(f.kind, f.prim);
+    const std::vector<std::pair<FindingKind, std::uint64_t>> want = {
+        {FindingKind::LockHeldAtTeardown, 2},
+        {FindingKind::LockHeldAtTeardown, 5},
+        {FindingKind::LockHeldAtTeardown, 9},
+        {FindingKind::SemaphoreUnderflow, 3},
+        {FindingKind::SemaphoreUnderflow, 7},
+    };
+    EXPECT_EQ(got, want);
+
+    // The same stream in another model compares equal; one more
+    // arrival on the barrier does not.
+    SyncStateModel same(MachineShape{2, 2});
+    feedOutOfOrderIds(same);
+    EXPECT_TRUE(m.sameStateAs(same));
+    EXPECT_TRUE(same.sameStateAs(m));
+    OpEvent bar = ev(sync::OpKind::BarrierWaitAcrossUnits, 0, 4, 60);
+    bar.participants = 4;
+    same.onComplete(bar);
+    EXPECT_FALSE(m.sameStateAs(same));
+}
+
+TEST(AnalysisEngine, TeardownFindingsComeOutInAscendingPrimitiveId)
+{
+    // Live stream: acquires in flight on the flat (core, prim) table
+    // while locks 5, 2 and 9 are first touched out of order.
+    AnalysisEngine eng(MachineShape{1, 4});
+    for (auto [core, prim] : {std::pair{0u, 5u}, {1u, 2u}, {2u, 9u}}) {
+        eng.onIssue(ev(sync::OpKind::LockAcquire, core, prim, 10));
+        eng.onComplete(ev(sync::OpKind::LockAcquire, core, prim, 10));
+    }
+    // A release issued before its own acquire completes is parked and
+    // committed at that completion: lock 2 ends up free again.
+    eng.onIssue(ev(sync::OpKind::LockRelease, 1, 2, 20));
+    eng.onIssue(ev(sync::OpKind::LockAcquire, 3, 2, 30));
+    eng.onIssue(ev(sync::OpKind::LockRelease, 3, 2, 31));
+    eng.onComplete(ev(sync::OpKind::LockRelease, 1, 2, 20));
+    eng.onComplete(ev(sync::OpKind::LockAcquire, 3, 2, 32));
+    eng.onComplete(ev(sync::OpKind::LockRelease, 3, 2, 33));
+    const AnalysisReport r = eng.finish();
+    std::vector<std::uint64_t> held;
+    for (const Finding &f : r.findings) {
+        EXPECT_EQ(f.kind, FindingKind::LockHeldAtTeardown) << f.message;
+        held.push_back(f.prim);
+    }
+    EXPECT_EQ(held, (std::vector<std::uint64_t>{5, 9}));
+}
+
 TEST(SyncStateModel, DetectsSemaphoreUnderflow)
 {
     SyncStateModel m(MachineShape{1, 2});

@@ -175,6 +175,34 @@ TEST(PersistedImage, RejectsVersion1ByName)
         << why;
 }
 
+TEST(PersistedImage, EncodesPinnedBytes)
+{
+    // Header varints at their edges (epoch size 2^32 - 1, crash tick
+    // UINT64_MAX, appended 2^63) around a small embedded trace with a
+    // negative issue delta. Bytes as written before the encoder was
+    // buffered; a change here needs a kImageVersion bump.
+    static const unsigned char kPinned[] = {
+        0x53, 0x59, 0x4e, 0x43, 0x44, 0x55, 0x52, 0x00, 0x02, 0x02, 0xff, 0xff,
+        0xff, 0xff, 0x0f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+        0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x53,
+        0x59, 0x4e, 0x43, 0x54, 0x52, 0x43, 0x00, 0x02, 0x02, 0x03, 0x02, 0x00,
+        0x00, 0x00, 0x01, 0x02, 0x01, 0x04, 0x01, 0x04, 0xc8, 0x01, 0x05, 0x00,
+        0x04, 0x01, 0xc8, 0x01, 0x05, 0x00, 0x00, 0x00, 0xc8, 0x01, 0x05, 0x00,
+        0x01, 0x00, 0xd7, 0x02, 0x05, 0x05, 0x00, 0x00,
+    };
+    PersistedImage img = sampleImage();
+    img.mode = PersistMode::Epoch;
+    img.epochOps = 0xffffffffU;
+    img.crashTick = ~Tick{0};
+    img.appended = std::uint64_t{1} << 63;
+    img.log.records.push_back(rec(sync::OpKind::LockAcquire, 5, 0, 128));
+    std::stringstream ss;
+    writeImage(ss, img);
+    EXPECT_EQ(ss.str(), std::string(reinterpret_cast<const char *>(kPinned),
+                                    sizeof(kPinned)));
+    EXPECT_EQ(readImage(ss), img);
+}
+
 TEST(PersistedImage, RejectsRecordOfTheWrongPrimitiveKind)
 {
     // The writer serializes whatever it is given; the embedded trace

@@ -128,6 +128,76 @@ TEST_F(FlatStateTest, BroadcastWakesAllWaiters)
     ASSERT_EQ(g2.size(), 1u);
 }
 
+TEST_F(FlatStateTest, DestroyedLineIsReusedFromIdleState)
+{
+    // Leave every kind of residue on kVarA: an owner and a queued
+    // waiter, a partial barrier round, a semaphore balance, a cond
+    // waiter. destroy() must not let any of it leak into the line's
+    // next primitive, nor into a fresh line that takes the slot.
+    st.apply(SyncRequest::lockAcquire(kVarA), 1, gate());
+    st.apply(SyncRequest::lockAcquire(kVarA), 2, gate());
+    st.apply(SyncRequest::barrierWait(kVarA, BarrierScope::AcrossUnits, 3),
+             3, gate());
+    st.apply(SyncRequest::semPost(kVarA), 4, nullptr);
+    st.apply(SyncRequest::lockAcquire(kLockVar), 5, gate());
+    st.apply(SyncRequest::condWait(kVarA, kLockVar), 5, gate());
+    EXPECT_FALSE(st.idle(kVarA));
+    st.destroy(kVarA);
+    EXPECT_TRUE(st.idle(kVarA));
+
+    for (const Addr var : {kVarA, kVarB}) {
+        // A lock: uncontended grant, then a clean release.
+        auto g = st.apply(SyncRequest::lockAcquire(var), 6, gate());
+        ASSERT_EQ(g.size(), 1u);
+        EXPECT_EQ(g[0].core, 6u);
+        EXPECT_TRUE(
+            st.apply(SyncRequest::lockRelease(var), 6, nullptr).empty());
+        // A semaphore with zero resources: no stale post lets it pass.
+        EXPECT_TRUE(
+            st.apply(SyncRequest::semWait(var, 0), 7, gate()).empty());
+        EXPECT_EQ(st.apply(SyncRequest::semPost(var), 8, nullptr).size(),
+                  1u);
+        // A barrier of two: no stale arrival completes it early.
+        const SyncRequest bar =
+            SyncRequest::barrierWait(var, BarrierScope::AcrossUnits, 2);
+        EXPECT_TRUE(st.apply(bar, 1, gate()).empty());
+        EXPECT_EQ(st.apply(bar, 2, gate()).size(), 2u);
+        // No stale cond waiter to wake.
+        EXPECT_TRUE(
+            st.apply(SyncRequest::condSignal(var), 3, nullptr).empty());
+        EXPECT_TRUE(st.idle(var));
+        st.destroy(var);
+    }
+}
+
+TEST_F(FlatStateTest, GrantsReadAfterALaterApplyPanic)
+{
+    auto first = st.apply(SyncRequest::lockAcquire(kVarA), 1, gate());
+    ASSERT_EQ(first.size(), 1u);
+    st.apply(SyncRequest::lockAcquire(kVarB), 2, gate());
+    EXPECT_THROW(first.size(), std::logic_error);
+    EXPECT_THROW(first[0], std::logic_error);
+}
+
+TEST(PendingOps, AnyWhileACountIsInFlight)
+{
+    PendingOps p;
+    EXPECT_FALSE(p.any(kVarA));
+    p.inc(kVarA);
+    p.inc(kVarA);
+    p.inc(kVarB);
+    EXPECT_TRUE(p.any(kVarA));
+    p.dec(kVarA);
+    EXPECT_TRUE(p.any(kVarA)) << "one of two still in flight";
+    p.dec(kVarA);
+    EXPECT_FALSE(p.any(kVarA));
+    EXPECT_TRUE(p.any(kVarB));
+    p.dec(kVarB);
+    EXPECT_FALSE(p.any(kVarB));
+    p.dec(kVarC); // a stray decrement is a no-op
+    EXPECT_FALSE(p.any(kVarC));
+}
+
 TEST_F(FlatStateTest, RequestPayloadAccessorsAreKindChecked)
 {
     const SyncRequest bar =
@@ -168,7 +238,7 @@ TEST_P(FlatStateProperty, RandomLockTrafficConserved)
     std::vector<bool> waiting(cores, false);
     int grants = 0, acquires = 0;
 
-    auto noteGrants = [&](const std::vector<SyncGrant> &gs) {
+    auto noteGrants = [&](const FlatSyncState::Grants &gs) {
         for (const SyncGrant &g : gs) {
             EXPECT_TRUE(waiting[g.core]);
             waiting[g.core] = false;

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -98,6 +99,49 @@ randomTrace(Rng &rng)
         t.records.push_back(r);
     }
     return t;
+}
+
+/**
+ * LEB128 of @p v, built one byte at a time: the unbuffered reference
+ * the writer's buffered encoder must reproduce byte for byte.
+ */
+std::string
+varint(std::uint64_t v)
+{
+    std::string out;
+    while (v >= 0x80) {
+        out += static_cast<char>((v & 0x7f) | 0x80);
+        v >>= 7;
+    }
+    out += static_cast<char>(v);
+    return out;
+}
+
+/** The `SYNCTRC` container of @p t, encoded field by field with
+ *  varint() straight from the layout in trace/format.hh. */
+std::string
+referenceEncode(const Trace &t)
+{
+    std::string b(kTraceMagic.begin(), kTraceMagic.end());
+    b += varint(kTraceVersion) + varint(t.numUnits)
+         + varint(t.clientCoresPerUnit) + varint(t.primitives.size());
+    for (const TracePrimitive &p : t.primitives) {
+        b += varint(static_cast<std::uint64_t>(p.kind)) + varint(p.home)
+             + varint(p.param)
+             + varint(static_cast<std::uint64_t>(p.scope));
+    }
+    b += varint(t.records.size());
+    Tick prev = 0;
+    for (const TraceRecord &r : t.records) {
+        b += varint(zigzag(static_cast<std::int64_t>(r.issued - prev)))
+             + varint(r.completed - r.issued) + varint(r.core)
+             + varint(static_cast<std::uint64_t>(r.kind))
+             + varint(r.prim);
+        if (r.kind == sync::OpKind::CondWait)
+            b += varint(r.assocPrim);
+        prev = r.issued;
+    }
+    return b;
 }
 
 std::string
@@ -253,14 +297,6 @@ TEST(TraceFormat, RejectsDanglingReferences)
 
 // -- Crafted containers: values the encoder never writes --------------
 
-std::string
-varint(std::uint64_t v)
-{
-    std::ostringstream os;
-    putVarint(os, v);
-    return os.str();
-}
-
 /**
  * Header of a 1-unit, 1-core container whose primitive table holds a
  * lock (id 0) and a condvar (id 1), announcing @p records records.
@@ -378,6 +414,120 @@ TEST(TraceFormat, WriteToFullDiskIsFatal)
     // Small enough to sit in the stream buffer until close.
     const Trace t = randomTrace(rng);
     EXPECT_THROW(writeTraceFile(t, "/dev/full"), std::runtime_error);
+}
+
+// -- Pinned bytes: the encoder's output must never move ----------------
+
+/** @p bytes as a C array body, for re-pinning after a version bump. */
+std::string
+hexBytes(const std::string &bytes)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        const auto b = static_cast<unsigned char>(bytes[i]);
+        out += i % 12 == 0 ? "\n    " : " ";
+        out += {'0', 'x', kDigits[b >> 4], kDigits[b & 0xf], ','};
+    }
+    return out;
+}
+
+/**
+ * Varint edge values in every field that allows them: 0, 127, 128,
+ * 2^32 - 1, 2^63 and UINT64_MAX, a negative issue delta, the most
+ * negative one, and a cond_wait with its associated lock.
+ */
+Trace
+edgeValueTrace()
+{
+    constexpr std::uint64_t kU32Max = 0xffffffffULL;
+    Trace t;
+    t.numUnits = 2;
+    t.clientCoresPerUnit = 64; // core 127 is a 1-byte varint
+    t.primitives = {
+        {PrimKind::Lock, 0, 0, sync::BarrierScope::AcrossUnits},
+        {PrimKind::Barrier, 1, 128, sync::BarrierScope::WithinUnit},
+        {PrimKind::Semaphore, 1, kU32Max,
+         sync::BarrierScope::AcrossUnits},
+        {PrimKind::CondVar, 0, 127, sync::BarrierScope::AcrossUnits},
+    };
+    auto add = [&t](Tick issued, Tick latency, std::uint32_t core,
+                    sync::OpKind kind, std::uint32_t prim,
+                    std::uint32_t assoc = 0) {
+        t.records.push_back(
+            TraceRecord{issued, issued + latency, core, kind, prim, assoc});
+    };
+    add(0, 0, 0, sync::OpKind::LockAcquire, 0);
+    add(127, 128, 127, sync::OpKind::BarrierWaitWithinUnit, 1);
+    add(128, kU32Max, 1, sync::OpKind::SemWait, 2);
+    add(100, 127, 2, sync::OpKind::CondWait, 3, 0); // negative delta
+    add(Tick{1} << 62, Tick{1} << 63, 3, sync::OpKind::SemPost, 2);
+    add(0x7fffffffffffffffULL, 0, 4, sync::OpKind::CondSignal, 3);
+    add(0, ~0ULL, 5, sync::OpKind::LockRelease, 0); // INT64_MIN + 1
+    return t;
+}
+
+TEST(TraceFormat, EncodesPinnedBytes)
+{
+    // Bytes of edgeValueTrace() as written before the encoder was
+    // buffered. A change here is a container-layout change: bump
+    // kTraceVersion, never the pin alone.
+    static const unsigned char kPinned[] = {
+        0x53, 0x59, 0x4e, 0x43, 0x54, 0x52, 0x43, 0x00, 0x02, 0x02, 0x40, 0x04,
+        0x00, 0x00, 0x00, 0x01, 0x01, 0x01, 0x80, 0x01, 0x00, 0x02, 0x01, 0xff,
+        0xff, 0xff, 0xff, 0x0f, 0x01, 0x03, 0x00, 0x7f, 0x01, 0x07, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0xfe, 0x01, 0x80, 0x01, 0x7f, 0x02, 0x01, 0x02, 0xff,
+        0xff, 0xff, 0xff, 0x0f, 0x01, 0x04, 0x02, 0x37, 0x7f, 0x02, 0x06, 0x03,
+        0x00, 0xb8, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x80, 0x80,
+        0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x03, 0x05, 0x02, 0xfe,
+        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00, 0x04, 0x07, 0x03,
+        0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0xff, 0xff,
+        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x05, 0x01, 0x00,
+    };
+    const Trace t = edgeValueTrace();
+    const std::string bytes = encode(t);
+    EXPECT_EQ(bytes, std::string(reinterpret_cast<const char *>(kPinned),
+                                 sizeof(kPinned)))
+        << "encoded:" << hexBytes(bytes);
+    EXPECT_EQ(bytes, referenceEncode(t));
+    EXPECT_EQ(decode(bytes), t);
+}
+
+TEST(TraceFormat, TraceLargerThanTheEncoderBufferMatchesReference)
+{
+    // Far more than one encoder buffer of records, with field widths
+    // varying record to record, so flushes land mid-record.
+    Rng rng(4242);
+    Trace t;
+    t.numUnits = 4;
+    t.clientCoresPerUnit = 15;
+    t.primitives.assign(300, TracePrimitive{});
+    Tick issued = 0;
+    for (unsigned i = 0; i < 40'000; ++i) {
+        TraceRecord r;
+        issued = rng.chance(0.1) ? issued - std::min<Tick>(issued, 999)
+                                 : issued + rng.below(1ULL << (i % 40));
+        r.issued = issued;
+        r.completed = issued + rng.below(1ULL << (i % 33));
+        r.core = static_cast<std::uint32_t>(rng.below(60));
+        r.kind = rng.chance(0.5) ? sync::OpKind::LockAcquire
+                                 : sync::OpKind::LockRelease;
+        r.prim = static_cast<std::uint32_t>(rng.below(300));
+        t.records.push_back(r);
+    }
+    const std::string bytes = encode(t);
+    ASSERT_GT(bytes.size(), std::size_t{4} << 16);
+    EXPECT_TRUE(bytes == referenceEncode(t));
+    EXPECT_EQ(decode(bytes), t);
+
+    // The file path (writeTraceFile) writes the same bytes.
+    const std::string path = "test_trace_large.trc";
+    writeTraceFile(t, path);
+    std::ifstream in(path, std::ios::binary);
+    const std::string file{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    EXPECT_TRUE(file == bytes);
+    std::remove(path.c_str());
 }
 
 // --------------------------------------------------------------------

@@ -93,7 +93,9 @@ std::string
 varint(std::uint64_t v)
 {
     std::ostringstream os;
-    putVarint(os, v);
+    VarintWriter out(os);
+    out.varint(v);
+    out.flush();
     return os.str();
 }
 

@@ -73,6 +73,13 @@ seconds and are wired into CI ahead of the build:
                        file under bench/ may call BenchOptions::parse,
                        construct a BenchReport, or call runGrid(
                        directly.
+ 10. flat-op-path      The per-op observer and flat-state path stays
+                       flat: src/sync/api.hh, src/sync/flat_state.hh,
+                       src/trace/capture.hh and src/analysis/live.hh
+                       hold no std::map, std::unordered_map or
+                       std::mutex (address-keyed tables are
+                       common::AddrMap; every shard runs on one
+                       thread).
 
 Usage:
   lint_contracts.py [--root DIR]   lint the tree, exit 1 on violations
@@ -108,6 +115,9 @@ SHARD0_SCHEDULE_RE = re.compile(
     r"\beq\s*\(\s*\)\s*\.\s*schedule(In)?\s*\(")
 SHARD_QUEUES_RE = re.compile(r"\bshardQueues\s*\(\s*\)")
 DELIVERY_SCHEDULE_RE = re.compile(r"\bscheduleDelivery\s*\(")
+NODE_MAP_RE = re.compile(
+    r"\bstd::(unordered_map|map|mutex)\b"
+    r"|#\s*include\s*<(unordered_map|map|mutex)>")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once", re.MULTILINE)
 RELATIVE_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"\.\./', re.MULTILINE)
 GUARD_RE = re.compile(r"^\s*#\s*ifndef\s+(\w+)", re.MULTILINE)
@@ -150,6 +160,13 @@ SHARD_SCOPE_ALLOW = {
 DELIVERY_SCOPE_ALLOW = {
     "src/system/machine.hh",
     "src/system/machine.cc",
+}
+# Headers of the per-op observer and flat-state path (flat-op-path).
+FLAT_OP_PATH = {
+    "src/sync/api.hh",
+    "src/sync/flat_state.hh",
+    "src/trace/capture.hh",
+    "src/analysis/live.hh",
 }
 OLD_OBSERVER_CALL_ALLOW = {
     "src/sync/api.hh",  # the forwarding definitions
@@ -265,6 +282,14 @@ def lint_tree(root):
                        "- cross-unit messages go through postMessage() "
                        "or memoryAccessAsync()")
 
+        if rel in FLAT_OP_PATH:
+            for m in NODE_MAP_RE.finditer(text):
+                report(rel, line_of(text, m), "flat-op-path",
+                       "%s on the per-op observer path - key by address "
+                       "with common::AddrMap or by dense id with a "
+                       "vector; shards share one thread, so no mutex"
+                       % (m.group(1) or m.group(2)))
+
         if rel.startswith("src/") and rel.endswith(".hh"):
             m = PRAGMA_ONCE_RE.search(text)
             if m:
@@ -334,6 +359,10 @@ FIXTURES = [
      " auto qs = m.shardQueues(); }\n"),
     ("shard-scope", "src/system/system.cc",
      "void f(Machine &m) { m.eq(1).scheduleDelivery(5, 0, 0, [] {}); }\n"),
+    ("flat-op-path", "src/sync/flat_state.hh",
+     "#include <mutex>\nstd::unordered_map<Addr, VarState> vars_;\n"),
+    ("flat-op-path", "src/analysis/live.hh",
+     "std::map<Addr, std::uint64_t> ids_;\n"),
 ]
 
 
