@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "coherence/mesi.hh"
+#include "common/units.hh"
 #include "harness/report.hh"
 #include "harness/table.hh"
 #include "mem/allocator.hh"
@@ -207,4 +208,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig02_coherence_motivation", run)
+SYNCRON_BENCH("fig02_coherence_motivation", run)

@@ -51,22 +51,17 @@ run(harness::Bench &bench)
     const harness::BenchOptions &opts = bench.opts();
     const unsigned ops = static_cast<unsigned>(16 * opts.scale);
 
-    const Scheme schemes[] = {Scheme::Central, Scheme::Hier,
-                              Scheme::SynCron, Scheme::Ideal};
     const Primitive prims[] = {Primitive::Lock, Primitive::Barrier,
                                Primitive::Semaphore, Primitive::CondVar};
 
     for (Primitive p : prims) {
         for (unsigned interval : intervalsFor(p)) {
-            for (Scheme scheme : schemes) {
+            for (Scheme scheme : harness::kPaperSchemes) {
                 bench.cell(std::string(workloads::primitiveName(p)) + "/"
                                + std::to_string(interval) + "/"
                                + schemeName(scheme),
-                           [&opts, p, interval, scheme, ops] {
-                               return harness::runPrimitive(
-                                   opts.makeConfig(scheme), p, interval,
-                                   ops);
-                           });
+                           {opts.makeConfig(scheme),
+                            harness::CellSpec::Primitive{p, interval, ops}});
             }
         }
     }
@@ -112,4 +107,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig10_primitives", run)
+SYNCRON_BENCH("fig10_primitives", run)

@@ -26,23 +26,17 @@ int
 run(harness::Bench &bench)
 {
     const harness::BenchOptions &opts = bench.opts();
-    const Scheme schemes[] = {Scheme::Central, Scheme::Hier,
-                              Scheme::SynCron, Scheme::Ideal};
 
     for (harness::DsKind kind : harness::kAllDsKinds) {
+        const harness::DsParams p = harness::dsDefaults(kind, opts.scale);
         for (unsigned units = 1; units <= 4; ++units) {
-            for (Scheme scheme : schemes) {
+            for (Scheme scheme : harness::kPaperSchemes) {
                 bench.cell(std::string(harness::dsName(kind)) + "/"
                                + std::to_string(units * 15) + "cores/"
                                + schemeName(scheme),
-                           [&opts, kind, units, scheme] {
-                               const harness::DsParams params =
-                                   harness::dsDefaults(kind, opts.scale);
-                               return harness::runDataStructure(
-                                   opts.makeConfig(scheme, units, 15),
-                                   kind, params.initialSize,
-                                   params.opsPerCore);
-                           });
+                           {opts.makeConfig(scheme, units, 15),
+                            harness::CellSpec::Ds{kind, p.initialSize,
+                                                  p.opsPerCore}});
             }
         }
     }
@@ -61,7 +55,7 @@ run(harness::Bench &bench)
         for (unsigned units = 1; units <= 4; ++units) {
             std::vector<std::string> row{
                 std::to_string(units * 15)};
-            for (std::size_t s = 0; s < std::size(schemes); ++s)
+            for (std::size_t s = 0; s < std::size(harness::kPaperSchemes); ++s)
                 row.push_back(fmt(results[i++].opsPerMs(), 1));
             table.addRow(std::move(row));
         }
@@ -72,4 +66,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig11_data_structures", run)
+SYNCRON_BENCH("fig11_data_structures", run)

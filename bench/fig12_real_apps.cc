@@ -32,21 +32,12 @@ run(harness::Bench &bench)
         "Fig. 12: real-application speedup vs Central",
         {"app.input", "Central", "Hier", "SynCron", "Ideal"});
 
-    const Scheme schemes[] = {Scheme::Central, Scheme::Hier,
-                              Scheme::SynCron, Scheme::Ideal};
     const auto appInputs = harness::allAppInputs();
-    harness::SharedInputs inputs;
-    inputs.prepare(appInputs, scale);
-    inputs.preparePartitions(appInputs, 4);
-
     for (const harness::AppInput &ai : appInputs) {
-        for (Scheme scheme : schemes) {
+        for (Scheme scheme : harness::kPaperSchemes) {
             bench.cell(ai.app + "." + ai.input + "/" + schemeName(scheme),
-                       [&opts, &inputs, ai, scheme] {
-                           return harness::runAppInput(
-                               opts.makeConfig(scheme, 4, 15), ai,
-                               inputs);
-                       });
+                       {opts.makeConfig(scheme, 4, 15),
+                        harness::CellSpec::App{ai.app, ai.input, scale}});
         }
     }
     const auto results = bench.run();
@@ -86,4 +77,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig12_real_apps", run)
+SYNCRON_BENCH("fig12_real_apps", run)

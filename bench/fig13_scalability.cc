@@ -26,24 +26,13 @@ run(harness::Bench &bench)
     const harness::BenchOptions &opts = bench.opts();
     const double scale = 0.35 * opts.scale;
 
-    const std::vector<harness::AppInput> combos = {
-        {"bfs", "sl"}, {"cc", "sx"},  {"sssp", "co"}, {"pr", "wk"},
-        {"tf", "sl"},  {"tc", "sx"},  {"ts", "air"},  {"ts", "pow"},
-    };
-    harness::SharedInputs inputs;
-    inputs.prepare(combos, scale);
-    for (unsigned units = 1; units <= 4; ++units)
-        inputs.preparePartitions(combos, units);
-
+    const auto combos = harness::sampleAppInputs();
     for (const harness::AppInput &ai : combos) {
         for (unsigned units = 1; units <= 4; ++units) {
             bench.cell(ai.app + "." + ai.input + "/"
                            + std::to_string(units * 15) + "cores",
-                       [&opts, &inputs, ai, units] {
-                           return harness::runAppInput(
-                               opts.makeConfig(Scheme::SynCron, units, 15),
-                               ai, inputs);
-                       });
+                       {opts.makeConfig(Scheme::SynCron, units, 15),
+                        harness::CellSpec::App{ai.app, ai.input, scale}});
         }
     }
     const auto results = bench.run();
@@ -74,4 +63,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig13_scalability", run)
+SYNCRON_BENCH("fig13_scalability", run)

@@ -26,25 +26,14 @@ run(harness::Bench &bench)
     const harness::BenchOptions &opts = bench.opts();
     const double scale = 0.35 * opts.scale;
 
-    const std::vector<harness::AppInput> combos = {
-        {"bfs", "sl"}, {"cc", "sx"},  {"sssp", "co"}, {"pr", "wk"},
-        {"tf", "sl"},  {"tc", "sx"},  {"ts", "air"},  {"ts", "pow"},
-    };
-    const Scheme schemes[] = {Scheme::Central, Scheme::Hier,
-                              Scheme::SynCron, Scheme::Ideal};
+    const auto combos = harness::sampleAppInputs();
     const char *tag[] = {"C", "H", "SC", "I"};
-    harness::SharedInputs inputs;
-    inputs.prepare(combos, scale);
-    inputs.preparePartitions(combos, 4);
 
     for (const harness::AppInput &ai : combos) {
-        for (Scheme scheme : schemes) {
+        for (Scheme scheme : harness::kPaperSchemes) {
             bench.cell(ai.app + "." + ai.input + "/" + schemeName(scheme),
-                       [&opts, &inputs, ai, scheme] {
-                           return harness::runAppInput(
-                               opts.makeConfig(scheme, 4, 15), ai,
-                               inputs);
-                       });
+                       {opts.makeConfig(scheme, 4, 15),
+                        harness::CellSpec::App{ai.app, ai.input, scale}});
         }
     }
     const auto results = bench.run();
@@ -86,4 +75,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig14_energy_breakdown", run)
+SYNCRON_BENCH("fig14_energy_breakdown", run)

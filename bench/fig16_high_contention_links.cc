@@ -12,6 +12,7 @@
 #include <iostream>
 #include <vector>
 
+#include "common/units.hh"
 #include "harness/report.hh"
 #include "harness/table.hh"
 
@@ -25,27 +26,19 @@ run(harness::Bench &bench)
 {
     const harness::BenchOptions &opts = bench.opts();
     const double latenciesUs[] = {0.04, 0.1, 0.2, 0.5, 1, 2, 4.5, 9};
-    const Scheme schemes[] = {Scheme::Central, Scheme::Hier,
-                              Scheme::SynCron, Scheme::Ideal};
     const harness::DsKind kinds[] = {harness::DsKind::Stack,
                                      harness::DsKind::PriorityQueue};
 
     for (harness::DsKind kind : kinds) {
+        const harness::DsParams p = harness::dsDefaults(kind, opts.scale);
         for (double us : latenciesUs) {
-            for (Scheme scheme : schemes) {
+            for (Scheme scheme : harness::kPaperSchemes) {
+                SystemConfig cfg = opts.makeConfig(scheme, 4, 15);
+                cfg.link.flightTicks = static_cast<Tick>(us * kTicksPerUs);
                 bench.cell(std::string(harness::dsName(kind)) + "/"
                                + fmt(us, 2) + "us/" + schemeName(scheme),
-                           [&opts, kind, us, scheme] {
-                               const harness::DsParams params =
-                                   harness::dsDefaults(kind, opts.scale);
-                               SystemConfig cfg =
-                                   opts.makeConfig(scheme, 4, 15);
-                               cfg.link.flightTicks =
-                                   static_cast<Tick>(us * kTicksPerUs);
-                               return harness::runDataStructure(
-                                   cfg, kind, params.initialSize,
-                                   params.opsPerCore);
-                           });
+                           {cfg, harness::CellSpec::Ds{kind, p.initialSize,
+                                                       p.opsPerCore}});
             }
         }
     }
@@ -60,7 +53,7 @@ run(harness::Bench &bench)
 
         for (double us : latenciesUs) {
             std::vector<std::string> row{fmt(us, 2)};
-            for (std::size_t s = 0; s < std::size(schemes); ++s)
+            for (std::size_t s = 0; s < std::size(harness::kPaperSchemes); ++s)
                 row.push_back(fmt(results[i++].opsPerMs(), 1));
             table.addRow(std::move(row));
         }
@@ -73,4 +66,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig16_high_contention_links", run)
+SYNCRON_BENCH("fig16_high_contention_links", run)

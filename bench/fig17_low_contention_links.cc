@@ -12,6 +12,7 @@
 #include <iostream>
 #include <vector>
 
+#include "common/units.hh"
 #include "harness/report.hh"
 #include "harness/table.hh"
 
@@ -29,24 +30,13 @@ run(harness::Bench &bench)
     const Scheme schemes[] = {Scheme::Ideal, Scheme::SynCron,
                               Scheme::Hier, Scheme::Central};
 
-    harness::SharedInputs inputs;
-    inputs.prepareGraph("wk", scale);
-    inputs.preparePartition("wk", 4);
-
     for (unsigned ns : latenciesNs) {
         for (Scheme scheme : schemes) {
+            SystemConfig cfg = opts.makeConfig(scheme, 4, 15);
+            cfg.link.flightTicks = static_cast<Tick>(ns) * kTicksPerNs;
             bench.cell("pr.wk/" + std::to_string(ns) + "ns/"
                            + schemeName(scheme),
-                       [&opts, &inputs, ns, scheme] {
-                           SystemConfig cfg =
-                               opts.makeConfig(scheme, 4, 15);
-                           cfg.link.flightTicks =
-                               static_cast<Tick>(ns) * kTicksPerNs;
-                           return harness::runGraph(
-                               cfg, inputs.graph("wk"),
-                               workloads::GraphApp::Pr,
-                               inputs.partition("wk", 4));
-                       });
+                       {cfg, harness::CellSpec::App{"pr", "wk", scale}});
         }
     }
     const auto results = bench.run();
@@ -72,4 +62,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig17_low_contention_links", run)
+SYNCRON_BENCH("fig17_low_contention_links", run)

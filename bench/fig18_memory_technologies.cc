@@ -32,26 +32,17 @@ run(harness::Bench &bench)
     const mem::DramTech techs[] = {mem::DramTech::Hbm,
                                    mem::DramTech::Hmc,
                                    mem::DramTech::Ddr4};
-    const Scheme schemes[] = {Scheme::Central, Scheme::Hier,
-                              Scheme::SynCron, Scheme::Ideal};
-
-    harness::SharedInputs inputs;
-    inputs.prepare(combos, scale);
-    inputs.preparePartitions(combos, 4);
 
     for (const harness::AppInput &ai : combos) {
         for (mem::DramTech tech : techs) {
-            for (Scheme scheme : schemes) {
+            for (Scheme scheme : harness::kPaperSchemes) {
+                SystemConfig cfg = opts.makeConfig(scheme, 4, 15);
+                cfg.dramTech = tech;
                 bench.cell(ai.app + "." + ai.input + "/"
                                + mem::dramTechName(tech) + "/"
                                + schemeName(scheme),
-                           [&opts, &inputs, ai, tech, scheme] {
-                               SystemConfig cfg =
-                                   opts.makeConfig(scheme, 4, 15);
-                               cfg.dramTech = tech;
-                               return harness::runAppInput(cfg, ai,
-                                                           inputs);
-                           });
+                           {cfg, harness::CellSpec::App{ai.app, ai.input,
+                                                        scale}});
             }
         }
     }
@@ -84,4 +75,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig18_memory_technologies", run)
+SYNCRON_BENCH("fig18_memory_technologies", run)

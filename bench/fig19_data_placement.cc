@@ -25,30 +25,17 @@ run(harness::Bench &bench)
 {
     const harness::BenchOptions &opts = bench.opts();
     const double scale = 0.35 * opts.scale;
-    const Scheme schemes[] = {Scheme::Central, Scheme::Hier,
-                              Scheme::SynCron, Scheme::Ideal};
     const char *inputs[] = {"wk", "sl", "sx", "co"};
-
-    harness::SharedInputs shared;
-    for (const char *input : inputs) {
-        shared.prepareGraph(input, scale);
-        for (bool metis : {false, true})
-            shared.preparePartition(input, 4, metis);
-    }
 
     for (const char *input : inputs) {
         for (bool metis : {false, true}) {
-            for (Scheme scheme : schemes) {
+            for (Scheme scheme : harness::kPaperSchemes) {
                 bench.cell(std::string("pr.") + input + "/"
                                + (metis ? "greedy" : "range") + "/"
                                + schemeName(scheme),
-                           [&opts, &shared, input, metis, scheme] {
-                               return harness::runGraph(
-                                   opts.makeConfig(scheme, 4, 15),
-                                   shared.graph(input),
-                                   workloads::GraphApp::Pr,
-                                   shared.partition(input, 4, metis));
-                           });
+                           {opts.makeConfig(scheme, 4, 15),
+                            harness::CellSpec::App{"pr", input, scale,
+                                                   metis}});
             }
         }
     }
@@ -69,7 +56,7 @@ run(harness::Bench &bench)
             double time[4];
             for (int s = 0; s < 4; ++s, ++i) {
                 time[s] = static_cast<double>(results[i].time);
-                if (schemes[s] == Scheme::SynCron)
+                if (harness::kPaperSchemes[s] == Scheme::SynCron)
                     (metis ? occYes : occNo) = results[i].stMaxFrac;
             }
             if (!metis)
@@ -90,4 +77,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig19_data_placement", run)
+SYNCRON_BENCH("fig19_data_placement", run)

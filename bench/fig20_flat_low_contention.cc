@@ -35,18 +35,11 @@ run(harness::Bench &bench)
             combos.push_back(ai);
     }
 
-    harness::SharedInputs inputs;
-    inputs.prepare(combos, scale);
-    inputs.preparePartitions(combos, 4);
-
     for (const harness::AppInput &ai : combos) {
         for (Scheme scheme : schemes) {
             bench.cell(ai.app + "." + ai.input + "/" + schemeName(scheme),
-                       [&opts, &inputs, ai, scheme] {
-                           return harness::runAppInput(
-                               opts.makeConfig(scheme, 4, 15), ai,
-                               inputs);
-                       });
+                       {opts.makeConfig(scheme, 4, 15),
+                        harness::CellSpec::App{ai.app, ai.input, scale}});
         }
     }
     const auto results = bench.run();
@@ -76,4 +69,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig20_flat_low_contention", run)
+SYNCRON_BENCH("fig20_flat_low_contention", run)

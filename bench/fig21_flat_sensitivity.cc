@@ -13,6 +13,7 @@
 #include <iostream>
 #include <vector>
 
+#include "common/units.hh"
 #include "harness/report.hh"
 #include "harness/table.hh"
 
@@ -30,48 +31,33 @@ run(harness::Bench &bench)
     const char *inputs[] = {"air", "pow"};
     const unsigned unitCounts[] = {2, 4};
 
-    harness::SharedInputs shared;
-    for (const char *input : inputs)
-        shared.prepareSeries(input, 0.35 * opts.scale);
-
     // (a) time series cells, then (b) queue cells, flat before hier.
     for (const char *input : inputs) {
         for (unsigned ns : latenciesNs) {
             for (Scheme scheme : schemes) {
+                SystemConfig cfg = opts.makeConfig(scheme, 4, 15);
+                cfg.link.flightTicks = static_cast<Tick>(ns) * kTicksPerNs;
                 bench.cell(std::string("ts.") + input + "/"
                                + std::to_string(ns) + "ns/"
                                + schemeName(scheme),
-                           [&opts, &shared, input, ns, scheme] {
-                               SystemConfig cfg =
-                                   opts.makeConfig(scheme, 4, 15);
-                               cfg.link.flightTicks =
-                                   static_cast<Tick>(ns) * kTicksPerNs;
-                               return harness::runTimeSeries(
-                                   cfg, shared.series(input));
-                           });
+                           {cfg, harness::CellSpec::App{
+                                     "ts", input, 0.35 * opts.scale}});
             }
         }
     }
+    const harness::DsParams queue =
+        harness::dsDefaults(harness::DsKind::Queue, opts.scale);
     for (unsigned units : unitCounts) {
         for (unsigned ns : latenciesNs) {
             for (Scheme scheme : schemes) {
+                SystemConfig cfg = opts.makeConfig(scheme, units, 15);
+                cfg.link.flightTicks = static_cast<Tick>(ns) * kTicksPerNs;
                 bench.cell("queue/" + std::to_string(units * 15)
                                + "cores/" + std::to_string(ns) + "ns/"
                                + schemeName(scheme),
-                           [&opts, units, ns, scheme] {
-                               const harness::DsParams params =
-                                   harness::dsDefaults(
-                                       harness::DsKind::Queue,
-                                       opts.scale);
-                               SystemConfig cfg =
-                                   opts.makeConfig(scheme, units, 15);
-                               cfg.link.flightTicks =
-                                   static_cast<Tick>(ns) * kTicksPerNs;
-                               return harness::runDataStructure(
-                                   cfg, harness::DsKind::Queue,
-                                   params.initialSize,
-                                   params.opsPerCore);
-                           });
+                           {cfg, harness::CellSpec::Ds{
+                                     harness::DsKind::Queue,
+                                     queue.initialSize, queue.opsPerCore}});
             }
         }
     }
@@ -117,4 +103,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig21_flat_sensitivity", run)
+SYNCRON_BENCH("fig21_flat_sensitivity", run)

@@ -30,20 +30,14 @@ run(harness::Bench &bench)
     const unsigned sizes[] = {64, 48, 32, 16, 8};
     const std::vector<harness::AppInput> combos = {
         {"cc", "wk"}, {"pr", "wk"}, {"ts", "air"}, {"ts", "pow"}};
-    harness::SharedInputs inputs;
-    inputs.prepare(combos, scale);
-    inputs.preparePartitions(combos, 4);
-
     for (const harness::AppInput &ai : combos) {
         for (unsigned entries : sizes) {
+            SystemConfig cfg = opts.makeConfig(Scheme::SynCron, 4, 15);
+            cfg.stEntries = entries;
             bench.cell(ai.app + "." + ai.input + "/ST_"
                            + std::to_string(entries),
-                       [&opts, &inputs, ai, entries] {
-                           SystemConfig cfg =
-                               opts.makeConfig(Scheme::SynCron, 4, 15);
-                           cfg.stEntries = entries;
-                           return harness::runAppInput(cfg, ai, inputs);
-                       });
+                       {cfg, harness::CellSpec::App{ai.app, ai.input,
+                                                    scale}});
         }
     }
     const auto results = bench.run();
@@ -74,4 +68,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig22_st_size", run)
+SYNCRON_BENCH("fig22_st_size", run)

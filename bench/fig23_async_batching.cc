@@ -57,12 +57,9 @@ run(harness::Bench &bench)
                 bench.cell("fanout/" + std::string(contended ? "high" : "low")
                                + "/w" + std::to_string(width) + "/"
                                + schemeName(scheme),
-                           [&opts, width, rounds, contended, scheme] {
-                               SystemConfig cfg =
-                                   opts.makeConfig(scheme, 4, 15);
-                               return harness::runSemFanout(
-                                   cfg, width, rounds, contended);
-                           });
+                           {opts.makeConfig(scheme, 4, 15),
+                            harness::CellSpec::SemFanout{width, rounds,
+                                                         contended}});
             }
         }
     }
@@ -123,4 +120,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig23_async_batching", run)
+SYNCRON_BENCH("fig23_async_batching", run)

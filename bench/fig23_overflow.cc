@@ -36,16 +36,13 @@ run(harness::Bench &bench)
 
     for (unsigned entries : sizes) {
         for (Scheme scheme : schemes) {
+            SystemConfig cfg = opts.makeConfig(scheme, 4, 15);
+            cfg.stEntries = entries;
             bench.cell("BST_FG/ST_" + std::to_string(entries) + "/"
                            + schemeName(scheme),
-                       [&opts, entries, scheme, params] {
-                           SystemConfig cfg =
-                               opts.makeConfig(scheme, 4, 15);
-                           cfg.stEntries = entries;
-                           return harness::runDataStructure(
-                               cfg, harness::DsKind::BstFg,
-                               params.initialSize, params.opsPerCore);
-                       });
+                       {cfg, harness::CellSpec::Ds{harness::DsKind::BstFg,
+                                                   params.initialSize,
+                                                   params.opsPerCore}});
         }
     }
     const auto results = bench.run();
@@ -78,4 +75,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig23_overflow", run)
+SYNCRON_BENCH("fig23_overflow", run)

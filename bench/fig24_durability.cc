@@ -237,4 +237,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("fig24_durability", run)
+SYNCRON_BENCH("fig24_durability", run)

@@ -316,4 +316,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("kernel_micro", run)
+SYNCRON_BENCH("kernel_micro", run)

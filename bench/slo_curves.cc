@@ -221,4 +221,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("slo_curves", run)
+SYNCRON_BENCH("slo_curves", run)

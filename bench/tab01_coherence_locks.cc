@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "coherence/mesi.hh"
+#include "common/units.hh"
 #include "harness/report.hh"
 #include "harness/table.hh"
 #include "mem/allocator.hh"
@@ -127,4 +128,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("tab01_coherence_locks", run)
+SYNCRON_BENCH("tab01_coherence_locks", run)

@@ -25,15 +25,10 @@ run(harness::Bench &bench)
     const harness::BenchOptions &opts = bench.opts();
     const double scale = 0.35 * opts.scale;
     const auto appInputs = harness::allAppInputs();
-    harness::SharedInputs inputs;
-    inputs.prepare(appInputs, scale);
-    inputs.preparePartitions(appInputs, 4);
-
     for (const harness::AppInput &ai : appInputs) {
-        bench.cell(ai.app + "." + ai.input, [&opts, &inputs, ai] {
-            return harness::runAppInput(
-                opts.makeConfig(Scheme::SynCron, 4, 15), ai, inputs);
-        });
+        bench.cell(ai.app + "." + ai.input,
+                   {opts.makeConfig(Scheme::SynCron, 4, 15),
+                    harness::CellSpec::App{ai.app, ai.input, scale}});
     }
     const auto results = bench.run();
 
@@ -56,4 +51,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("tab07_st_occupancy", run)
+SYNCRON_BENCH("tab07_st_occupancy", run)

@@ -55,4 +55,4 @@ run(harness::Bench &)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("tab08_area_power", run)
+SYNCRON_BENCH("tab08_area_power", run)

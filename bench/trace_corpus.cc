@@ -289,4 +289,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("trace_corpus", run)
+SYNCRON_BENCH("trace_corpus", run)

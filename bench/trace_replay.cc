@@ -74,11 +74,10 @@ run(harness::Bench &bench)
             harness::dsDefaults(harness::DsKind::Queue, 0.05 * scale);
         // "capture.run" (not "capture.queue") so the label can never
         // collide with the replay cells of the same trace below.
-        bench.cell("capture.run/" + capBackend, [capCfg, params] {
-            return harness::runDataStructure(
-                capCfg, harness::DsKind::Queue, params.initialSize,
-                params.opsPerCore);
-        });
+        bench.cell("capture.run/" + capBackend,
+                   {capCfg, harness::CellSpec::Ds{harness::DsKind::Queue,
+                                                  params.initialSize,
+                                                  params.opsPerCore}});
         bench.run();
 
         trace::Trace captured = trace::readTraceFile(capPath);
@@ -157,4 +156,4 @@ run(harness::Bench &bench)
 
 } // namespace
 
-SYNCRON_BENCH_MAIN("trace_replay", run)
+SYNCRON_BENCH("trace_replay", run)

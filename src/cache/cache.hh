@@ -35,6 +35,8 @@ struct CacheParams
     std::uint32_t ways = 2;              ///< Table 5: 2-way
     std::uint32_t lineBytes = kCacheLineBytes;
     std::uint32_t hitCycles = 4;         ///< Table 5: 4-cycle (core cycles)
+
+    friend bool operator==(const CacheParams &, const CacheParams &) = default;
 };
 
 /** Outcome of a cache access; timing is composed by the caller. */

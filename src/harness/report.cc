@@ -1,9 +1,11 @@
 #include "harness/report.hh"
 
+#include <algorithm>
 #include <array>
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <memory>
 
 #include "common/log.hh"
 #include "common/units.hh"
@@ -14,32 +16,216 @@
 
 namespace syncron::harness {
 
-BenchReport::BenchReport(std::string name, const BenchOptions &opts)
-    : name_(std::move(name)), opts_(opts)
-{}
+namespace {
 
-void
-BenchReport::add(std::string label, const RunOutput &out)
+/** Every spec simulated in this process, with its output. */
+std::vector<std::pair<CellSpec, RunOutput>> memo;
+
+/** The memoized output of @p spec, or nullptr. */
+const RunOutput *
+memoized(const CellSpec &spec)
 {
-    records_.push_back(Record{std::move(label), out});
+    for (const auto &[simulated, out] : memo) {
+        if (simulated == spec)
+            return &out;
+    }
+    return nullptr;
+}
+
+/** Nanoseconds since @p start. */
+std::uint64_t
+nsSince(std::chrono::steady_clock::time_point start)
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+}
+
+/** Writes one config record of the JSON "configs" array. */
+void
+writeConfig(JsonWriter &j, const std::string &label, const RunOutput &out)
+{
+    j.beginObject();
+    j.field("label", label);
+    j.field("simTicks", out.time);
+    j.field("ops", out.ops);
+    j.field("opsPerMs", out.opsPerMs());
+    j.field("hostMs", static_cast<double>(out.hostNs) * 1e-6);
+    j.field("events", out.hostEvents);
+    j.field("eventsPerSec", out.hostEventsPerSec());
+    j.field("windows", out.hostWindows);
+    j.field("heapEvents", out.hostHeapEvents);
+    if (out.totalReqs > 0)
+        j.field("overflowFrac", out.overflowFrac());
+    if (out.offeredOps > 0) {
+        j.key("load");
+        j.beginObject()
+            .field("ratePerUs", out.offeredRatePerUs)
+            .field("offered", out.offeredOps)
+            .field("issued", out.issuedOps)
+            .field("dropped", out.droppedOps)
+            .field("queued", out.queuedOps)
+            .field("queueDelayTicks", out.queueDelayTicks)
+            .endObject();
+    }
+    if (out.stats.pmWrites > 0) {
+        j.field("pmWrites", out.stats.pmWrites);
+        j.field("pmBitsWritten", out.stats.pmBitsWritten);
+        j.field("pmFlushes", out.stats.pmFlushes);
+    }
+
+    // Per-OpKind latency histograms (log2 ns buckets, trailing zeros
+    // trimmed), only for kinds the run actually exercised.
+    bool anyLatency = false;
+    for (const SyncOpLatency &l : out.stats.syncLatency)
+        anyLatency = anyLatency || l.count > 0;
+    if (anyLatency) {
+        j.key("syncLatency");
+        j.beginArray();
+        for (unsigned k = 0; k < kNumSyncOpKinds; ++k) {
+            const SyncOpLatency &l = out.stats.syncLatency[k];
+            if (l.count == 0)
+                continue;
+            j.beginObject();
+            j.field("op", sync::opKindName(static_cast<sync::OpKind>(k)));
+            j.field("count", l.count);
+            j.field("avgTicks", l.avgTicks());
+            j.field("minTicks", l.minTicks);
+            j.field("maxTicks", l.maxTicks);
+            // Tail percentiles in ns (log-interpolated): the values
+            // perf_trend.py's p99 gate compares across commits.
+            j.field("p50Ns", l.percentileTicks(0.50)
+                                 / static_cast<double>(kTicksPerNs));
+            j.field("p99Ns", l.percentileTicks(0.99)
+                                 / static_cast<double>(kTicksPerNs));
+            j.field("p999Ns", l.percentileTicks(0.999)
+                                  / static_cast<double>(kTicksPerNs));
+            j.key("histLog2Ticks");
+            j.beginArray();
+            unsigned last = 0;
+            for (unsigned b = 0; b < kSyncLatencyBuckets; ++b) {
+                if (l.hist[b] != 0)
+                    last = b + 1;
+            }
+            for (unsigned b = 0; b < last; ++b)
+                j.value(l.hist[b]);
+            j.endArray();
+            j.endObject();
+        }
+        j.endArray();
+    }
+    j.endObject();
+}
+
+/** Prints @p e's message unless SYNCRON_FATAL/PANIC already did. */
+void
+printUnlessReported(const std::exception &e)
+{
+    const std::string what = e.what();
+    if (what.rfind("fatal: ", 0) != 0 && what.rfind("panic: ", 0) != 0)
+        std::cerr << "error: " << what << "\n";
+}
+
+/** argv[0] without its directory and "bench_" prefix. */
+std::string
+programName(int argc, char **argv)
+{
+    std::string name = argc > 0 ? argv[0] : "bench";
+    name = name.substr(name.find_last_of('/') + 1);
+    if (name.rfind("bench_", 0) == 0)
+        name = name.substr(6);
+    return name;
+}
+
+} // namespace
+
+std::vector<BenchEntry> &
+registeredBenches()
+{
+    static std::vector<BenchEntry> benches;
+    return benches;
+}
+
+BenchRegistration::BenchRegistration(const char *name, BenchBody body)
+{
+    registeredBenches().push_back(BenchEntry{name, body});
 }
 
 void
-BenchReport::addMetric(std::string label, double value)
+Bench::cell(std::string label, CellSpec spec)
+{
+    queue_.push_back(Cell{std::move(label), std::move(spec), {}});
+}
+
+void
+Bench::cell(std::string label, std::function<RunOutput()> task)
+{
+    queue_.push_back(Cell{std::move(label), std::nullopt, std::move(task)});
+}
+
+std::vector<RunOutput>
+Bench::run()
+{
+    const std::vector<Cell> cells = std::exchange(queue_, {});
+
+    // The specs new to this process, each once, and the tasks, each
+    // listed with its first cell in submission order.
+    std::vector<CellSpec> specs;
+    std::vector<std::function<RunOutput()>> tasks;
+    std::vector<std::size_t> specCell, taskCell;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const Cell &c = cells[i];
+        if (!c.spec) {
+            tasks.push_back(c.task);
+            taskCell.push_back(i);
+        } else if (memoized(*c.spec) == nullptr
+                   && std::find(specs.begin(), specs.end(), *c.spec)
+                          == specs.end()) {
+            specs.push_back(*c.spec);
+            specCell.push_back(i);
+        }
+    }
+
+    // Specs run first, then tasks; a failure names the first failing
+    // cell of the grid it happens in.
+    std::vector<RunOutput> specOut, taskOut;
+    const std::vector<std::size_t> *cellOf = &specCell;
+    std::size_t failed = 0;
+    try {
+        specOut = runCells(specs, opts_.jobs, &failed);
+        cellOf = &taskCell;
+        taskOut = runGrid(std::move(tasks), opts_.jobs, &failed);
+    } catch (...) {
+        failedCell_ = cells[(*cellOf)[failed]].label;
+        throw;
+    }
+    for (std::size_t k = 0; k < specs.size(); ++k)
+        memo.emplace_back(std::move(specs[k]), specOut[k]);
+    for (const std::vector<RunOutput> *outs : {&specOut, &taskOut}) {
+        simulations_ += outs->size();
+        for (const RunOutput &out : *outs)
+            simulatedEvents_ += out.hostEvents;
+    }
+
+    std::vector<RunOutput> results;
+    std::size_t task = 0;
+    for (const Cell &c : cells) {
+        results.push_back(c.spec ? *memoized(*c.spec) : taskOut[task++]);
+        records_.push_back(Record{c.label, results.back()});
+    }
+    return results;
+}
+
+void
+Bench::metric(std::string label, double value)
 {
     metrics_.emplace_back(std::move(label), value);
 }
 
 void
-BenchReport::finish(std::ostream &os)
+Bench::finish(std::ostream &os)
 {
-    if (records_.empty() && metrics_.empty() && opts_.json.empty())
-        return;
-    wallNs_ = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
-
     // -- Aggregated per-OpKind latency distribution over all configs
     std::array<SyncOpLatency, kNumSyncOpKinds> agg{};
     for (const Record &r : records_) {
@@ -68,37 +254,32 @@ BenchReport::finish(std::ostream &os)
         t.print(os);
     }
 
-    // -- Host-side perf summary
-    std::uint64_t events = 0;
-    for (const Record &r : records_)
-        events += r.out.hostEvents;
-    const double wallSec = static_cast<double>(wallNs_) * 1e-9;
-    os << "harness: " << records_.size() << " configs, jobs="
-       << opts_.jobs << ", host " << fmt(wallSec, 2) << " s";
-    if (events > 0 && wallSec > 0.0) {
-        os << ", " << events << " kernel events ("
-           << fmt(static_cast<double>(events) / wallSec / 1e6, 2)
-           << " M events/s)";
-    }
-    os << "\n";
-
-    if (!opts_.json.empty()) {
-        writeJson();
-        os << "wrote " << opts_.json << "\n";
-    }
+    printSummary(os, "");
 }
 
 void
-BenchReport::writeJson() const
+Bench::printSummary(std::ostream &os, const std::string &what) const
+{
+    const double wallSec = static_cast<double>(nsSince(start_)) * 1e-9;
+    os << "harness: " << what << records_.size() << " configs, "
+       << simulations_ << " simulated, jobs=" << opts_.jobs << ", host "
+       << fmt(wallSec, 2) << " s";
+    if (simulatedEvents_ > 0 && wallSec > 0.0) {
+        os << ", " << simulatedEvents_ << " kernel events ("
+           << fmt(static_cast<double>(simulatedEvents_) / wallSec / 1e6, 2)
+           << " M events/s)";
+    }
+    os << "\n";
+}
+
+void
+Bench::writeJson() const
 {
     std::ofstream f(opts_.json);
     if (!f)
         SYNCRON_FATAL("cannot write --json file '" << opts_.json << "'");
-
-    std::uint64_t events = 0;
-    for (const Record &r : records_)
-        events += r.out.hostEvents;
-    const double wallSec = static_cast<double>(wallNs_) * 1e-9;
+    const std::uint64_t wallNs = nsSince(start_);
+    const double wallSec = static_cast<double>(wallNs) * 1e-9;
 
     JsonWriter j(f);
     j.beginObject();
@@ -116,89 +297,17 @@ BenchReport::writeJson() const
         .endObject();
     j.key("host");
     j.beginObject()
-        .field("wallMs", static_cast<double>(wallNs_) * 1e-6)
-        .field("events", events)
+        .field("wallMs", static_cast<double>(wallNs) * 1e-6)
+        .field("events", simulatedEvents_)
         .field("eventsPerSec",
-               wallSec > 0.0 ? static_cast<double>(events) / wallSec
+               wallSec > 0.0 ? static_cast<double>(simulatedEvents_) / wallSec
                              : 0.0)
+        .field("simulations", simulations_)
         .endObject();
     j.key("configs");
     j.beginArray();
-    for (const Record &r : records_) {
-        j.beginObject();
-        j.field("label", r.label);
-        j.field("simTicks", r.out.time);
-        j.field("ops", r.out.ops);
-        j.field("opsPerMs", r.out.opsPerMs());
-        j.field("hostMs", static_cast<double>(r.out.hostNs) * 1e-6);
-        j.field("events", r.out.hostEvents);
-        j.field("eventsPerSec", r.out.hostEventsPerSec());
-        j.field("windows", r.out.hostWindows);
-        j.field("heapEvents", r.out.hostHeapEvents);
-        if (r.out.totalReqs > 0)
-            j.field("overflowFrac", r.out.overflowFrac());
-        if (r.out.offeredOps > 0) {
-            j.key("load");
-            j.beginObject()
-                .field("ratePerUs", r.out.offeredRatePerUs)
-                .field("offered", r.out.offeredOps)
-                .field("issued", r.out.issuedOps)
-                .field("dropped", r.out.droppedOps)
-                .field("queued", r.out.queuedOps)
-                .field("queueDelayTicks", r.out.queueDelayTicks)
-                .endObject();
-        }
-        if (r.out.stats.pmWrites > 0) {
-            j.field("pmWrites", r.out.stats.pmWrites);
-            j.field("pmBitsWritten", r.out.stats.pmBitsWritten);
-            j.field("pmFlushes", r.out.stats.pmFlushes);
-        }
-
-        // Per-OpKind latency histograms (log2 ns buckets, trailing
-        // zeros trimmed), only for kinds the run actually exercised.
-        bool anyLatency = false;
-        for (const SyncOpLatency &l : r.out.stats.syncLatency)
-            anyLatency = anyLatency || l.count > 0;
-        if (anyLatency) {
-            j.key("syncLatency");
-            j.beginArray();
-            for (unsigned k = 0; k < kNumSyncOpKinds; ++k) {
-                const SyncOpLatency &l = r.out.stats.syncLatency[k];
-                if (l.count == 0)
-                    continue;
-                j.beginObject();
-                j.field("op",
-                        sync::opKindName(static_cast<sync::OpKind>(k)));
-                j.field("count", l.count);
-                j.field("avgTicks", l.avgTicks());
-                j.field("minTicks", l.minTicks);
-                j.field("maxTicks", l.maxTicks);
-                // Tail percentiles in ns (log-interpolated): the
-                // values perf_trend.py's p99 gate compares across
-                // commits.
-                j.field("p50Ns", l.percentileTicks(0.50)
-                                     / static_cast<double>(kTicksPerNs));
-                j.field("p99Ns", l.percentileTicks(0.99)
-                                     / static_cast<double>(kTicksPerNs));
-                j.field("p999Ns",
-                        l.percentileTicks(0.999)
-                            / static_cast<double>(kTicksPerNs));
-                j.key("histLog2Ticks");
-                j.beginArray();
-                unsigned last = 0;
-                for (unsigned b = 0; b < kSyncLatencyBuckets; ++b) {
-                    if (l.hist[b] != 0)
-                        last = b + 1;
-                }
-                for (unsigned b = 0; b < last; ++b)
-                    j.value(l.hist[b]);
-                j.endArray();
-                j.endObject();
-            }
-            j.endArray();
-        }
-        j.endObject();
-    }
+    for (const Record &r : records_)
+        writeConfig(j, r.label, r.out);
     j.endArray();
     if (!metrics_.empty()) {
         j.key("metrics");
@@ -211,53 +320,18 @@ BenchReport::writeJson() const
     f << "\n";
 }
 
-void
-Bench::cell(std::string label, std::function<RunOutput()> task)
-{
-    labels_.push_back(std::move(label));
-    tasks_.push_back(std::move(task));
-}
-
-std::vector<RunOutput>
-Bench::run(unsigned jobs)
-{
-    std::vector<std::string> labels = std::exchange(labels_, {});
-    std::vector<RunOutput> results;
-    std::size_t failed = 0;
-    try {
-        results = runGrid(std::exchange(tasks_, {}),
-                          jobs != 0 ? jobs : opts_.jobs, &failed);
-    } catch (...) {
-        failedCell_ = labels[failed];
-        throw;
-    }
-    for (std::size_t i = 0; i < results.size(); ++i)
-        report_.add(std::move(labels[i]), results[i]);
-    return results;
-}
-
-void
-Bench::metric(std::string label, double value)
-{
-    report_.addMetric(std::move(label), value);
-}
-
-namespace {
-
-/** Prints @p e's message unless SYNCRON_FATAL/PANIC already did. */
-void
-printUnlessReported(const std::exception &e)
-{
-    const std::string what = e.what();
-    if (what.rfind("fatal: ", 0) != 0 && what.rfind("panic: ", 0) != 0)
-        std::cerr << "error: " << what << "\n";
-}
-
-} // namespace
-
 int
-benchMain(const char *name, int argc, char **argv, BenchBody body)
+benchMain(std::vector<BenchEntry> benches, int argc, char **argv)
 {
+    std::sort(benches.begin(), benches.end(),
+              [](const BenchEntry &a, const BenchEntry &b) {
+                  return a.name < b.name;
+              });
+    const bool several = benches.size() > 1;
+    const std::string name = several || benches.empty()
+                                 ? programName(argc, argv)
+                                 : benches.front().name;
+
     BenchOptions opts;
     try {
         opts = BenchOptions::parse(argc, argv);
@@ -267,10 +341,38 @@ benchMain(const char *name, int argc, char **argv, BenchBody body)
         return 2;
     }
 
-    Bench bench(name, opts);
+    // The binary's record: every bench's cells, "<bench>/"-prefixed
+    // when there are several.
+    Bench binary(name, opts);
+    std::unique_ptr<Bench> bench;
     try {
-        const int rc = body(bench);
-        bench.report_.finish(std::cout);
+        int rc = 0;
+        for (const BenchEntry &entry : benches) {
+            bench.reset(new Bench(entry.name, opts));
+            rc = std::max(rc, entry.body(*bench));
+            // A bench with nothing to report stays silent, unless it is
+            // the binary's only bench and --json asks for its record.
+            if (!bench->records_.empty() || !bench->metrics_.empty()
+                || (!several && !opts.json.empty()))
+                bench->finish(std::cout);
+
+            const std::string prefix = several ? entry.name + "/" : "";
+            for (const Bench::Record &r : bench->records_)
+                binary.records_.push_back({prefix + r.label, r.out});
+            for (const auto &[label, value] : bench->metrics_)
+                binary.metrics_.emplace_back(prefix + label, value);
+            binary.simulations_ += bench->simulations_;
+            binary.simulatedEvents_ += bench->simulatedEvents_;
+        }
+        bench.reset();
+        if (several) {
+            binary.printSummary(
+                std::cout, std::to_string(benches.size()) + " benches, ");
+        }
+        if (!opts.json.empty()) {
+            binary.writeJson();
+            std::cout << "wrote " << opts.json << "\n";
+        }
         return rc;
     } catch (const std::exception &e) {
         printUnlessReported(e);
@@ -278,8 +380,10 @@ benchMain(const char *name, int argc, char **argv, BenchBody body)
         std::cerr << "error: unknown exception\n";
     }
     std::cerr << "error: " << name << " failed";
-    if (!bench.failedCell_.empty())
-        std::cerr << " in cell '" << bench.failedCell_ << "'";
+    if (bench && !bench->failedCell_.empty()) {
+        std::cerr << " in cell '" << (several ? bench->name_ + "/" : "")
+                  << bench->failedCell_ << "'";
+    }
     std::cerr << " (--backend="
               << (opts.backend.empty() ? "default" : opts.backend)
               << " --scale=" << opts.scale

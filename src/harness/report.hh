@@ -1,36 +1,31 @@
 /**
  * @file
- * The one bench driver and its report. Every bench binary ends in
+ * The one bench driver. A bench TU defines a body run(Bench &) and
+ * registers it with SYNCRON_BENCH("fig11_data_structures", run). The
+ * shared main() (bench/main/main.cc) passes every bench linked into the
+ * binary to benchMain, which parses the BenchOptions once and runs the
+ * bodies in name order. A body queues labeled cells with Bench::cell()
+ * and runs them with Bench::run(); a CellSpec already simulated in this
+ * process is served from a process-wide memo. Each bench then prints
+ * its aggregated per-OpKind latency table and a "harness:" line;
+ * --json=<path> writes one BENCH_*.json record for the binary, whose
+ * labels and metric names are "<bench>/"-prefixed when it runs several.
  *
- *     SYNCRON_BENCH_MAIN("fig11_data_structures", run)
- *
- * whose main() calls harness::benchMain. That parses the BenchOptions,
- * hands run(Bench &) a labeled grid (Bench::cell() queues a cell,
- * Bench::run() runs the queue), and returns run's exit code: 0 ok, 1
- * the bench's own gate failed. An exception escaping the parse or the
- * body (a SYNCRON_FATAL in a cell, a failed check) ends in one stderr
- * line naming the bench, the first failing cell in submission order
- * (the same cell for any --jobs) and --backend/--scale/--sim-shards,
- * and exit code 2. The message itself appears once: SYNCRON_FATAL and
- * SYNCRON_PANIC print when they throw.
- *
- * Every finished cell lands in the bench's BenchReport, which
- *
- *   - prints the aggregated per-OpKind synchronization-latency table
- *     (SystemStats::syncLatency surfaced on the terminal),
- *   - prints a host-side perf summary (kernel events/sec — the number
- *     the fast-kernel work optimizes), and
- *   - optionally (--json=<path>) writes a machine-readable BENCH_*.json
- *     record with per-config simulated results, host perf, and latency
- *     histograms, starting the perf trajectory across PRs.
+ * Exit codes: 0 ok; 1 when a body returned 1 (its own gate; the other
+ * benches still run); 2 on an error. An exception escaping the parse or
+ * a body stops the binary with one stderr line naming it, the first
+ * failing cell (the same cell for any --jobs) and --backend/--scale/
+ * --sim-shards. SYNCRON_FATAL/PANIC messages print once, when thrown.
  */
 
 #ifndef SYNCRON_HARNESS_REPORT_HH
 #define SYNCRON_HARNESS_REPORT_HH
 
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,60 +34,42 @@
 
 namespace syncron::harness {
 
-/** Collects labeled RunOutputs and renders the perf/latency epilogue. */
-class BenchReport
-{
-  public:
-    /** @p name is the bench identity recorded in the JSON ("fig11"). */
-    BenchReport(std::string name, const BenchOptions &opts);
-
-    /** Adds one completed grid cell. */
-    void add(std::string label, const RunOutput &out);
-
-    /** Adds a named derived metric (e.g. an overhead percentage); lands
-     *  in the JSON record's "metrics" object. */
-    void addMetric(std::string label, double value);
-
-    /**
-     * Prints the latency table and host perf summary to @p os and, when
-     * --json was given, writes the JSON record. Call once, last. A
-     * report with no cells and no metrics prints nothing unless --json
-     * asks for its record.
-     */
-    void finish(std::ostream &os);
-
-  private:
-    struct Record
-    {
-        std::string label;
-        RunOutput out;
-    };
-
-    void writeJson() const;
-
-    std::string name_;
-    const BenchOptions &opts_;
-    std::vector<Record> records_;
-    std::vector<std::pair<std::string, double>> metrics_;
-    std::chrono::steady_clock::time_point start_ =
-        std::chrono::steady_clock::now();
-    std::uint64_t wallNs_ = 0; ///< set by finish()
-};
-
 class Bench;
 
-/** A bench binary's body; returns its exit code (0, or 1 for a gate). */
+/** A bench's body; returns its exit code (0, or 1 for a gate). */
 using BenchBody = int (*)(Bench &);
 
-/** Runs @p body as bench @p name; returns the process exit code. */
-int benchMain(const char *name, int argc, char **argv, BenchBody body);
+/** One bench linked into a binary. */
+struct BenchEntry
+{
+    std::string name;
+    BenchBody body;
+};
 
-/** Defines a bench binary's main(): benchMain(@p name, ..., @p body). */
-#define SYNCRON_BENCH_MAIN(name, body)                                      \
-    int main(int argc, char **argv)                                         \
-    {                                                                       \
-        return ::syncron::harness::benchMain(name, argc, argv, body);       \
-    }
+/** The benches SYNCRON_BENCH registered in this binary. */
+std::vector<BenchEntry> &registeredBenches();
+
+/** Adds a bench to registeredBenches() (see SYNCRON_BENCH). */
+struct BenchRegistration
+{
+    BenchRegistration(const char *name, BenchBody body);
+};
+
+/** Registers @p body as bench @p name of whatever binary links it. */
+#define SYNCRON_BENCH(name, body)                                           \
+    static const ::syncron::harness::BenchRegistration                      \
+        SYNCRON_BENCH_CAT(syncronBench_, __LINE__)(name, body);
+#define SYNCRON_BENCH_CAT(a, b) SYNCRON_BENCH_CAT2(a, b)
+#define SYNCRON_BENCH_CAT2(a, b) a##b
+
+/**
+ * Runs @p benches in name order under one set of options parsed from
+ * argv; returns the process exit code (0, 1, or 2; see the file
+ * comment). A binary running one bench reports under that bench's
+ * name; one running several reports under its program name (argv[0]
+ * without directory and "bench_" prefix).
+ */
+int benchMain(std::vector<BenchEntry> benches, int argc, char **argv);
 
 /** A bench body's view of the driver: the options and a labeled grid. */
 class Bench
@@ -101,29 +78,63 @@ class Bench
     const BenchOptions &opts() const { return opts_; }
 
     /** Queues one grid cell; its result is reported under @p label. */
+    void cell(std::string label, CellSpec spec);
+
+    /** Queues a cell that is not a CellSpec value (coherence models,
+     *  prebuilt schedules, trace inputs); it is never memoized. */
     void cell(std::string label, std::function<RunOutput()> task);
 
     /**
-     * Runs the queued cells through runGrid() on --jobs workers (or
-     * @p jobs when nonzero), reports each result under its cell's label
-     * and returns the results in submission order. Empties the queue.
+     * Runs the queued cells on --jobs workers: first the specs not yet
+     * in the process memo, each once, through runCells(), then the tasks
+     * through runGrid(). Reports each result under its cell's label and
+     * returns the results in submission order. Empties the queue. When
+     * a cell throws, the first failing cell of that grid is reported.
      */
-    std::vector<RunOutput> run(unsigned jobs = 0);
+    std::vector<RunOutput> run();
 
-    /** BenchReport::addMetric(). */
+    /** Adds a named derived metric (e.g. an overhead percentage); lands
+     *  in the JSON record's "metrics" object. */
     void metric(std::string label, double value);
 
   private:
-    friend int benchMain(const char *, int, char **, BenchBody);
+    friend int benchMain(std::vector<BenchEntry>, int, char **);
+
+    struct Cell
+    {
+        std::string label;
+        std::optional<CellSpec> spec;
+        std::function<RunOutput()> task;
+    };
+
+    struct Record
+    {
+        std::string label;
+        RunOutput out;
+    };
 
     Bench(std::string name, const BenchOptions &opts)
-        : opts_(opts), report_(std::move(name), opts_)
+        : name_(std::move(name)), opts_(opts)
     {}
 
-    const BenchOptions opts_;
-    BenchReport report_;
-    std::vector<std::string> labels_;
-    std::vector<std::function<RunOutput()>> tasks_;
+    /** Prints the latency table and host summary to @p os. */
+    void finish(std::ostream &os);
+
+    /** Prints the "harness:" host summary, counts after @p what. */
+    void printSummary(std::ostream &os, const std::string &what) const;
+
+    /** Writes the --json record of every cell and metric. */
+    void writeJson() const;
+
+    std::string name_;
+    const BenchOptions &opts_;
+    std::vector<Cell> queue_;
+    std::vector<Record> records_;
+    std::vector<std::pair<std::string, double>> metrics_;
+    std::size_t simulations_ = 0;     ///< cells not served by the memo
+    std::uint64_t simulatedEvents_ = 0; ///< their kernel events
+    std::chrono::steady_clock::time_point start_ =
+        std::chrono::steady_clock::now();
     std::string failedCell_; ///< first failing cell's label, if any
 };
 

@@ -6,13 +6,18 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <map>
+#include <tuple>
+#include <utility>
 
 #include "common/log.hh"
+#include "harness/grid.hh"
 #include "load/openloop.hh"
 #include "sync/registry.hh"
 #include "system/system.hh"
 #include "trace/replay.hh"
 #include "workloads/datastructures/structures.hh"
+#include "workloads/graph/kernels.hh"
 #include "workloads/timeseries/scrimp.hh"
 
 namespace syncron::harness {
@@ -486,131 +491,6 @@ runReplication(const SystemConfig &cfg,
     return run.finish(run.sys.elapsed(), run.sys.stats().syncOps);
 }
 
-void
-SharedInputs::prepare(const std::vector<AppInput> &combos, double scale)
-{
-    for (const AppInput &ai : combos) {
-        if (ai.app == "ts")
-            prepareSeries(ai.input, scale);
-        else
-            prepareGraph(ai.input, scale);
-    }
-}
-
-void
-SharedInputs::prepareGraph(const std::string &input, double scale)
-{
-    if (!graphs_.count(input))
-        graphs_.emplace(input, workloads::makeProxyInput(input, scale));
-}
-
-void
-SharedInputs::prepareSeries(const std::string &input, double scale)
-{
-    if (!series_.count(input))
-        series_.emplace(input, workloads::makeProxySeries(input, scale));
-}
-
-std::string
-SharedInputs::partitionKey(const std::string &input, unsigned numUnits,
-                           bool metis)
-{
-    return input + "/" + std::to_string(numUnits)
-           + (metis ? "/greedy" : "/range");
-}
-
-void
-SharedInputs::preparePartition(const std::string &input,
-                               unsigned numUnits, bool metis)
-{
-    const std::string key = partitionKey(input, numUnits, metis);
-    if (partitions_.count(key))
-        return;
-    const workloads::Graph &g = graph(input);
-    partitions_.emplace(key, metis
-                                 ? workloads::greedyPartition(g, numUnits)
-                                 : workloads::rangePartition(g, numUnits));
-}
-
-void
-SharedInputs::preparePartitions(const std::vector<AppInput> &combos,
-                                unsigned numUnits, bool metis)
-{
-    for (const AppInput &ai : combos) {
-        if (ai.app != "ts")
-            preparePartition(ai.input, numUnits, metis);
-    }
-}
-
-const workloads::Graph &
-SharedInputs::graph(const std::string &input) const
-{
-    auto it = graphs_.find(input);
-    if (it == graphs_.end())
-        SYNCRON_FATAL("graph input '" << input << "' was not prepared");
-    return it->second;
-}
-
-const workloads::ProxySeries &
-SharedInputs::series(const std::string &input) const
-{
-    auto it = series_.find(input);
-    if (it == series_.end())
-        SYNCRON_FATAL("series input '" << input << "' was not prepared");
-    return it->second;
-}
-
-const std::vector<UnitId> &
-SharedInputs::partition(const std::string &input, unsigned numUnits,
-                        bool metis) const
-{
-    auto it = partitions_.find(partitionKey(input, numUnits, metis));
-    if (it == partitions_.end()) {
-        SYNCRON_FATAL("partition of '"
-                      << input << "' over " << numUnits << " units ("
-                      << (metis ? "greedy" : "range")
-                      << ") was not prepared");
-    }
-    return it->second;
-}
-
-
-RunOutput
-runGraph(const SystemConfig &cfg, const workloads::Graph &g,
-         workloads::GraphApp app, const std::vector<UnitId> &partition)
-{
-    // Pre-computed (shared) partitions arrive from the caller: catch a
-    // partition prepared for another graph or unit count here instead
-    // of deep inside placement.
-    if (partition.size() != g.numVertices)
-        SYNCRON_FATAL("partition covers " << partition.size()
-                                          << " vertices, graph has "
-                                          << g.numVertices);
-    for (UnitId u : partition) {
-        if (u >= cfg.numUnits)
-            SYNCRON_FATAL("partition places a vertex in unit "
-                          << u << " of a " << cfg.numUnits
-                          << "-unit system (partition prepared for a "
-                             "different unit count?)");
-    }
-
-    SystemRun run(cfg);
-    workloads::PlacedGraph placed(run.sys, g, partition);
-    const workloads::GraphRunResult r =
-        workloads::runGraphApp(run.sys, placed, app);
-    return run.finish(r.time, r.updates);
-}
-
-RunOutput
-runTimeSeries(const SystemConfig &cfg,
-              const workloads::ProxySeries &input)
-{
-    SystemRun run(cfg);
-    workloads::ScrimpWorkload ts(run.sys, input);
-    const Tick time = ts.run();
-    return run.finish(time, ts.updates());
-}
-
 std::vector<AppInput>
 allAppInputs()
 {
@@ -624,16 +504,124 @@ allAppInputs()
     return all;
 }
 
-RunOutput
-runAppInput(const SystemConfig &cfg, const AppInput &ai,
-            const SharedInputs &inputs, bool metisPartition)
+std::vector<AppInput>
+sampleAppInputs()
 {
-    if (ai.app == "ts")
-        return runTimeSeries(cfg, inputs.series(ai.input));
-    return runGraph(cfg, inputs.graph(ai.input),
-                    workloads::graphAppFromName(ai.app),
-                    inputs.partition(ai.input, cfg.numUnits,
-                                     metisPartition));
+    return {
+        {"bfs", "sl"}, {"cc", "sx"},  {"sssp", "co"}, {"pr", "wk"},
+        {"tf", "sl"},  {"tc", "sx"},  {"ts", "air"},  {"ts", "pow"},
+    };
+}
+
+namespace {
+
+/** Runs one graph application on a shared input and partition. */
+RunOutput
+runGraph(const SystemConfig &cfg, const workloads::Graph &g,
+         workloads::GraphApp app, const std::vector<UnitId> &partition)
+{
+    SystemRun run(cfg);
+    workloads::PlacedGraph placed(run.sys, g, partition);
+    const workloads::GraphRunResult r =
+        workloads::runGraphApp(run.sys, placed, app);
+    return run.finish(r.time, r.updates);
+}
+
+/** Runs SCRIMP on a shared series. */
+RunOutput
+runTimeSeries(const SystemConfig &cfg,
+              const workloads::ProxySeries &input)
+{
+    SystemRun run(cfg);
+    workloads::ScrimpWorkload ts(run.sys, input);
+    const Tick time = ts.run();
+    return run.finish(time, ts.updates());
+}
+
+/**
+ * One batch of cells. The proxy graphs, series and partitions its app
+ * cells name are generated once, up front; grid workers only read them.
+ */
+class CellBatch
+{
+  public:
+    explicit CellBatch(const std::vector<CellSpec> &specs)
+    {
+        for (const CellSpec &spec : specs) {
+            const auto *app = std::get_if<CellSpec::App>(&spec.work);
+            if (app == nullptr)
+                continue;
+            const Input in{app->input, app->inputScale};
+            if (app->app == "ts") {
+                if (!series_.count(in)) {
+                    series_.emplace(in, workloads::makeProxySeries(
+                                            app->input, app->inputScale));
+                }
+                continue;
+            }
+            if (!graphs_.count(in)) {
+                graphs_.emplace(in, workloads::makeProxyInput(
+                                        app->input, app->inputScale));
+            }
+            const unsigned units = spec.cfg.numUnits;
+            const Placement at{in, units, app->metis};
+            if (!partitions_.count(at)) {
+                const workloads::Graph &g = graphs_.at(in);
+                partitions_.emplace(
+                    at, app->metis ? workloads::greedyPartition(g, units)
+                                   : workloads::rangePartition(g, units));
+            }
+        }
+    }
+
+    /** Simulates @p spec; safe from any number of grid workers. */
+    RunOutput
+    run(const CellSpec &spec) const
+    {
+        const SystemConfig &cfg = spec.cfg;
+        if (const auto *ds = std::get_if<CellSpec::Ds>(&spec.work)) {
+            return runDataStructure(cfg, ds->kind, ds->initialSize,
+                                    ds->opsPerCore);
+        }
+        if (const auto *p = std::get_if<CellSpec::Primitive>(&spec.work)) {
+            return runPrimitive(cfg, p->primitive, p->interval,
+                                p->opsPerCore);
+        }
+        if (const auto *f = std::get_if<CellSpec::SemFanout>(&spec.work))
+            return runSemFanout(cfg, f->width, f->rounds, f->contended);
+        const auto &app = std::get<CellSpec::App>(spec.work);
+        const Input in{app.input, app.inputScale};
+        if (app.app == "ts")
+            return runTimeSeries(cfg, series_.at(in));
+        return runGraph(cfg, graphs_.at(in),
+                        workloads::graphAppFromName(app.app),
+                        partitions_.at(Placement{in, cfg.numUnits,
+                                                 app.metis}));
+    }
+
+  private:
+    using Input = std::pair<std::string, double>; ///< (name, scale)
+    using Placement = std::tuple<Input, unsigned, bool>; ///< units, metis
+
+    std::map<Input, workloads::Graph> graphs_;
+    std::map<Input, workloads::ProxySeries> series_;
+    std::map<Placement, std::vector<UnitId>> partitions_;
+};
+
+} // namespace
+
+std::vector<RunOutput>
+runCells(const std::vector<CellSpec> &specs, unsigned jobs,
+         std::size_t *failedIndex)
+{
+    const CellBatch batch(specs);
+    auto taskFor = [&batch](const CellSpec &spec) {
+        return [&batch, &spec] { return batch.run(spec); };
+    };
+    std::vector<decltype(taskFor(specs.front()))> tasks;
+    for (const CellSpec &spec : specs)
+        tasks.push_back(taskFor(spec));
+    return runGrid(std::move(tasks), jobs, failedIndex);
 }
 
 RunOutput

@@ -10,9 +10,10 @@
 #ifndef SYNCRON_HARNESS_RUNNER_HH
 #define SYNCRON_HARNESS_RUNNER_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/stats.hh"
@@ -21,10 +22,8 @@
 #include "system/config.hh"
 #include "system/energy.hh"
 #include "trace/format.hh"
-#include "workloads/graph/kernels.hh"
 #include "workloads/micro/primitives.hh"
 #include "workloads/replication/replication.hh"
-#include "workloads/timeseries/scrimp.hh"
 
 namespace syncron::harness {
 
@@ -99,6 +98,10 @@ struct BenchOptions
     SystemConfig makeConfig(Scheme scheme, unsigned numUnits = 4,
                             unsigned clientCoresPerUnit = 15) const;
 };
+
+/** The four schemes most figures compare, in the paper's order. */
+inline constexpr Scheme kPaperSchemes[] = {Scheme::Central, Scheme::Hier,
+                                           Scheme::SynCron, Scheme::Ideal};
 
 /** The nine Table 6 data structures. */
 enum class DsKind
@@ -195,80 +198,77 @@ struct AppInput
 };
 std::vector<AppInput> allAppInputs();
 
+/** The eight combinations Figs. 13-15 plot: one per graph app, plus
+ *  both time series. */
+std::vector<AppInput> sampleAppInputs();
+
 /**
- * Proxy inputs generated once per bench and shared read-only by every
- * grid cell. Benches prepare() the inputs they sweep — and
- * preparePartitions() the graph partitions their cells place with —
- * before queuing their grid cells; the cells then receive const
- * references instead of regenerating the same CSR/series/partition per
- * cell. Preparation is not thread-safe (call it from the main thread,
- * before Bench::run()); the lookups are const and safe from any number of
- * grid workers.
+ * One grid cell as a value: the full machine configuration and the
+ * workload it runs. Two equal specs are the same simulation, so
+ * Bench::run() simulates each distinct spec once per process and serves
+ * repeats from a memo. Equality is defaulted field by field (here and in
+ * SystemConfig and its parameter structs), so a field added anywhere is
+ * compared without further code.
  */
-class SharedInputs
+struct CellSpec
 {
-  public:
-    /** Generates the graph/series of every combination, once each. */
-    void prepare(const std::vector<AppInput> &combos, double scale);
+    /** A Table 6 data structure (runDataStructure). */
+    struct Ds
+    {
+        DsKind kind;
+        unsigned initialSize;
+        unsigned opsPerCore;
+        bool operator==(const Ds &) const = default;
+    };
 
-    /** Generates (if absent) the named proxy graph. */
-    void prepareGraph(const std::string &input, double scale);
-
-    /** Generates (if absent) the named proxy series. */
-    void prepareSeries(const std::string &input, double scale);
+    /** A Fig. 10 primitive microbenchmark (runPrimitive). */
+    struct Primitive
+    {
+        workloads::Primitive primitive;
+        unsigned interval;
+        unsigned opsPerCore;
+        bool operator==(const Primitive &) const = default;
+    };
 
     /**
-     * Computes (if absent) the partition of a prepared graph over
-     * @p numUnits units — rangePartition, or greedyPartition when
-     * @p metis. The graph must be prepared first.
+     * A Fig. 12 application on a proxy input generated at
+     * @p inputScale; graph inputs are placed by rangePartition, or by
+     * greedyPartition when @p metis, over cfg.numUnits units.
      */
-    void preparePartition(const std::string &input, unsigned numUnits,
-                          bool metis = false);
+    struct App
+    {
+        std::string app;   ///< "bfs".."tc" or "ts"
+        std::string input; ///< "wk"/"sl"/"sx"/"co" or "air"/"pow"
+        double inputScale;
+        bool metis = false;
+        bool operator==(const App &) const = default;
+    };
 
-    /** preparePartition() for every graph combination (ts skipped). */
-    void preparePartitions(const std::vector<AppInput> &combos,
-                           unsigned numUnits, bool metis = false);
+    /** The batched semaphore fan-out (runSemFanout). */
+    struct SemFanout
+    {
+        unsigned width;
+        unsigned rounds;
+        bool contended;
+        bool operator==(const SemFanout &) const = default;
+    };
 
-    /** Prepared graph; fatal when prepare was never called for it. */
-    const workloads::Graph &graph(const std::string &input) const;
+    SystemConfig cfg;
+    std::variant<Ds, Primitive, App, SemFanout> work;
 
-    /** Prepared series; fatal when prepare was never called for it. */
-    const workloads::ProxySeries &series(const std::string &input) const;
-
-    /** Prepared partition; fatal when preparePartition was never
-     *  called for the (input, numUnits, metis) combination. */
-    const std::vector<UnitId> &partition(const std::string &input,
-                                         unsigned numUnits,
-                                         bool metis = false) const;
-
-  private:
-    static std::string partitionKey(const std::string &input,
-                                    unsigned numUnits, bool metis);
-
-    std::map<std::string, workloads::Graph> graphs_;
-    std::map<std::string, workloads::ProxySeries> series_;
-    std::map<std::string, std::vector<UnitId>> partitions_;
+    bool operator==(const CellSpec &) const = default;
 };
 
-/** Runs one graph application on a shared input with a pre-computed
- *  (shared) partition — the zero-recompute grid-cell path. */
-RunOutput runGraph(const SystemConfig &cfg, const workloads::Graph &g,
-                   workloads::GraphApp app,
-                   const std::vector<UnitId> &partition);
-
-/** Runs SCRIMP on a pre-generated (shared) series. */
-RunOutput runTimeSeries(const SystemConfig &cfg,
-                        const workloads::ProxySeries &input);
-
 /**
- * Runs one Fig. 12 combination on prepared shared inputs. Graph
- * combinations use the shared partition for (input, cfg.numUnits,
- * metisPartition) — fatal when preparePartition was never called for
- * it, so grid cells can never silently fall back to recomputing.
+ * Simulates @p specs on @p jobs grid workers (runGrid) and returns
+ * their outputs in order. Every proxy graph, series and partition the
+ * specs name is generated once, before the grid starts, and read by all
+ * the cells that use it. When a cell throws, @p failedIndex receives the
+ * lowest failing index and that cell's exception is rethrown.
  */
-RunOutput runAppInput(const SystemConfig &cfg, const AppInput &ai,
-                      const SharedInputs &inputs,
-                      bool metisPartition = false);
+std::vector<RunOutput> runCells(const std::vector<CellSpec> &specs,
+                                unsigned jobs,
+                                std::size_t *failedIndex = nullptr);
 
 /**
  * Replays a synchronization-operation trace (captured or synthesized)

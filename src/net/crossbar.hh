@@ -32,6 +32,9 @@ struct CrossbarParams
     std::uint32_t flitBits = 128;    ///< datapath width per cycle
     Tick cyclePeriod = 400;          ///< 2.5 GHz compute-die clock
     double pjPerBitHop = 0.4;        ///< Table 5: 0.4 pJ/bit per hop
+
+    friend bool operator==(const CrossbarParams &,
+                           const CrossbarParams &) = default;
 };
 
 /** One NDP unit's crossbar. */

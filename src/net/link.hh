@@ -31,6 +31,8 @@ struct LinkParams
     std::uint32_t ctrlCycles = 20; ///< Table 5: 20-cycle
     Tick cyclePeriod = 400;        ///< controller runs at core clock
     double pjPerBit = 4.0;         ///< Table 5: 4 pJ/bit
+
+    friend bool operator==(const LinkParams &, const LinkParams &) = default;
 };
 
 /** All inter-unit links of the system. */

@@ -169,6 +169,10 @@ struct SystemConfig
      */
     unsigned simShards = 1;
 
+    /** Field by field: equal configs build the same machine. */
+    friend bool operator==(const SystemConfig &,
+                           const SystemConfig &) = default;
+
     /** Total number of client cores in the system. */
     unsigned
     totalClientCores() const

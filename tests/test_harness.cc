@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -23,7 +24,9 @@
 #include "harness/table.hh"
 #include "scratch_file.hh"
 #include "sync/registry.hh"
-#include "workloads/graph/csr.hh"
+#include "system/system.hh"
+#include "workloads/graph/kernels.hh"
+#include "workloads/timeseries/scrimp.hh"
 
 namespace syncron::harness {
 namespace {
@@ -468,17 +471,60 @@ TEST(Runner, DataStructureRunProducesConsistentOutput)
     EXPECT_EQ(out.overflowFrac(), 0.0);
 }
 
+/** The cells specBody() queues, and what its Bench::run() returned. */
+std::vector<std::pair<std::string, CellSpec>> gCells;
+std::vector<RunOutput> gResults;
+
+int
+specBody(Bench &bench)
+{
+    for (const auto &[label, spec] : gCells)
+        bench.cell(label, spec);
+    gResults = bench.run();
+    return 0;
+}
+
+/**
+ * Runs @p cells as one bench on two grid workers; returns how many of
+ * them it simulated (the rest came from the process-wide memo), as its
+ * "harness:" line states. Their outputs land in @p results.
+ */
+std::size_t
+runSpecs(std::vector<std::pair<std::string, CellSpec>> cells,
+         std::vector<RunOutput> *results = nullptr)
+{
+    gCells = std::move(cells);
+    const char *argv[] = {"bench", "--jobs=2"};
+    ::testing::internal::CaptureStdout();
+    const int rc = benchMain({{"demo_bench", specBody}}, 2,
+                             const_cast<char **>(argv));
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0) << out;
+    if (results != nullptr)
+        *results = gResults;
+    std::size_t configs = 0, simulated = 0;
+    const std::size_t at = out.find("harness: ");
+    EXPECT_NE(at, std::string::npos) << out;
+    EXPECT_EQ(std::sscanf(out.c_str() + at, "harness: %zu configs, %zu",
+                          &configs, &simulated),
+              2)
+        << out;
+    EXPECT_EQ(configs, gCells.size());
+    return simulated;
+}
+
+// Each test below uses an input scale of its own, so that no spec is
+// already in the memo from another test.
+
 TEST(Runner, GraphRunRespectsPartitioningFlag)
 {
-    SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 4);
-    SharedInputs inputs;
-    inputs.prepareGraph("wk", 0.1);
-    inputs.preparePartition("wk", 4, false);
-    inputs.preparePartition("wk", 4, true);
-    auto range = runGraph(cfg, inputs.graph("wk"), workloads::GraphApp::Tf,
-                          inputs.partition("wk", 4, false));
-    auto metis = runGraph(cfg, inputs.graph("wk"), workloads::GraphApp::Tf,
-                          inputs.partition("wk", 4, true));
+    const SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 4);
+    std::vector<RunOutput> out;
+    runSpecs({{"range", {cfg, CellSpec::App{"tf", "wk", 0.1}}},
+              {"greedy", {cfg, CellSpec::App{"tf", "wk", 0.1, true}}}},
+             &out);
+    ASSERT_EQ(out.size(), 2u);
+    const RunOutput &range = out[0], &metis = out[1];
     EXPECT_GT(range.ops, 0u);
     EXPECT_EQ(range.ops, metis.ops) << "same updates, different layout";
     // Better placement must not increase cross-unit traffic.
@@ -488,12 +534,15 @@ TEST(Runner, GraphRunRespectsPartitioningFlag)
 
 TEST(Runner, TimeSeriesRunReportsOccupancy)
 {
-    SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 4);
-    auto out = runTimeSeries(cfg, workloads::makeProxySeries("air", 0.3));
-    EXPECT_GT(out.ops, 0u);
-    EXPECT_GT(out.stMaxFrac, 0.0);
-    EXPECT_LE(out.stMaxFrac, 1.0);
-    EXPECT_GT(out.stAvgFrac, 0.0);
+    std::vector<RunOutput> out;
+    runSpecs({{"ts.air", {SystemConfig::make(Scheme::SynCron, 4, 4),
+                          CellSpec::App{"ts", "air", 0.3}}}},
+             &out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_GT(out[0].ops, 0u);
+    EXPECT_GT(out[0].stMaxFrac, 0.0);
+    EXPECT_LE(out[0].stMaxFrac, 1.0);
+    EXPECT_GT(out[0].stAvgFrac, 0.0);
 }
 
 TEST(Runner, DeterministicAcrossInvocations)
@@ -506,72 +555,96 @@ TEST(Runner, DeterministicAcrossInvocations)
     EXPECT_EQ(a.stats.dramReads, b.stats.dramReads);
 }
 
-TEST(Runner, SharedInputsMatchPerCellGeneration)
+TEST(Runner, EqualSpecsSimulateOnce)
 {
-    // A grid cell fed a prepared (shared) input must produce exactly
-    // the result of the regenerate-per-cell path it replaced.
-    SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 4);
-    SharedInputs inputs;
-    inputs.prepare({{"tf", "wk"}, {"ts", "air"}}, 0.1);
-    inputs.preparePartitions({{"tf", "wk"}, {"ts", "air"}}, 4);
-
-    auto tfShared = runAppInput(cfg, {"tf", "wk"}, inputs);
-    const workloads::Graph wk = workloads::makeProxyInput("wk", 0.1);
-    auto tfFresh = runGraph(cfg, wk, workloads::GraphApp::Tf,
-                            workloads::rangePartition(wk, 4));
-    EXPECT_EQ(tfShared.time, tfFresh.time);
-    EXPECT_EQ(tfShared.ops, tfFresh.ops);
-
-    auto tsShared = runAppInput(cfg, {"ts", "air"}, inputs);
-    auto tsFresh =
-        runTimeSeries(cfg, workloads::makeProxySeries("air", 0.1));
-    EXPECT_EQ(tsShared.time, tsFresh.time);
-    EXPECT_EQ(tsShared.ops, tsFresh.ops);
-
-    // Unprepared inputs are a hard error, not a silent regeneration.
-    EXPECT_THROW(inputs.graph("co"), std::runtime_error);
-    EXPECT_THROW(inputs.series("pow"), std::runtime_error);
+    const CellSpec spec{SystemConfig::make(Scheme::SynCron, 2, 4),
+                        CellSpec::Ds{DsKind::HashTable, 72, 5}};
+    std::vector<RunOutput> out;
+    EXPECT_EQ(runSpecs({{"a", spec}, {"b", spec}}, &out), 1u);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_GT(out[0].ops, 0u);
+    EXPECT_EQ(out[0].time, out[1].time);
+    EXPECT_EQ(out[0].ops, out[1].ops);
+    EXPECT_EQ(out[0].hostEvents, out[1].hostEvents);
+    EXPECT_EQ(out[0].stats.syncOps, out[1].stats.syncOps);
+    EXPECT_EQ(out[0].stats.syncLocalMsgs, out[1].stats.syncLocalMsgs);
+    EXPECT_EQ(out[0].energy.total(), out[1].energy.total());
+    for (unsigned k = 0; k < kNumSyncOpKinds; ++k) {
+        EXPECT_EQ(out[0].stats.syncLatency[k].hist,
+                  out[1].stats.syncLatency[k].hist);
+    }
+    // A later bench in the same process is served from the memo.
+    EXPECT_EQ(runSpecs({{"c", spec}}), 0u);
 }
 
-TEST(Runner, SharedInputsCachePartitions)
+TEST(Runner, SpecsDifferingInOneFieldEachSimulate)
 {
-    SharedInputs inputs;
-    inputs.prepareGraph("wk", 0.1);
-    inputs.preparePartition("wk", 4);
-    inputs.preparePartition("wk", 4, /*metis=*/true);
-    inputs.preparePartition("wk", 2);
+    const CellSpec base{SystemConfig::make(Scheme::SynCron, 2, 4),
+                        CellSpec::App{"tf", "wk", 0.07}};
+    std::vector<std::pair<std::string, CellSpec>> cells{{"base", base}};
+    auto vary = [&](const char *label, void (*edit)(CellSpec &)) {
+        CellSpec spec = base;
+        edit(spec);
+        ASSERT_FALSE(spec == base) << label;
+        cells.emplace_back(label, spec);
+    };
+    vary("scheme", [](CellSpec &s) { s.cfg.scheme = Scheme::Hier; });
+    vary("numUnits", [](CellSpec &s) { s.cfg.numUnits = 4; });
+    vary("flightTicks", [](CellSpec &s) { ++s.cfg.link.flightTicks; });
+    vary("stEntries", [](CellSpec &s) { s.cfg.stEntries = 32; });
+    vary("dramTech",
+         [](CellSpec &s) { s.cfg.dramTech = mem::DramTech::Ddr4; });
+    vary("backendName",
+         [](CellSpec &s) { s.cfg.backendName = "SynCron"; });
+    vary("analyze", [](CellSpec &s) { s.cfg.analyze = true; });
+    vary("metis", [](CellSpec &s) {
+        std::get<CellSpec::App>(s.work).metis = true;
+    });
+    vary("inputScale", [](CellSpec &s) {
+        std::get<CellSpec::App>(s.work).inputScale = 0.08;
+    });
+    EXPECT_EQ(runSpecs(cells), cells.size());
+}
 
-    // The cached partitions are exactly what the per-cell path
-    // computed before.
-    const workloads::Graph &g = inputs.graph("wk");
-    EXPECT_EQ(inputs.partition("wk", 4),
-              workloads::rangePartition(g, 4));
-    EXPECT_EQ(inputs.partition("wk", 4, true),
-              workloads::greedyPartition(g, 4));
-    EXPECT_EQ(inputs.partition("wk", 2),
-              workloads::rangePartition(g, 2));
+TEST(Runner, MemoServedAppCellsMatchFreshInputs)
+{
+    // A memo-served app cell must equal the same spec run standalone on
+    // an input, series and partition generated afresh.
+    const SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 4);
+    const std::vector<std::pair<std::string, CellSpec>> cells = {
+        {"tf.wk/range", {cfg, CellSpec::App{"tf", "wk", 0.12}}},
+        {"tf.wk/greedy", {cfg, CellSpec::App{"tf", "wk", 0.12, true}}},
+        {"ts.air", {cfg, CellSpec::App{"ts", "air", 0.12}}},
+    };
+    EXPECT_EQ(runSpecs(cells), cells.size());
+    std::vector<RunOutput> served;
+    EXPECT_EQ(runSpecs(cells, &served), 0u);
+    ASSERT_EQ(served.size(), cells.size());
 
-    // Unprepared (input, units, policy) combinations are a hard
-    // error, not a silent recomputation — including a policy or unit
-    // count that differs from a prepared one.
-    EXPECT_THROW(inputs.partition("wk", 3), std::runtime_error);
-    EXPECT_THROW(inputs.partition("wk", 2, true), std::runtime_error);
-    EXPECT_THROW(inputs.partition("sl", 4), std::runtime_error);
-    // Partitioning an unprepared graph is equally fatal.
-    EXPECT_THROW(inputs.preparePartition("sl", 4),
-                 std::runtime_error);
+    const workloads::Graph wk = workloads::makeProxyInput("wk", 0.12);
+    for (bool metis : {false, true}) {
+        NdpSystem sys(cfg);
+        workloads::PlacedGraph placed(
+            sys, wk,
+            metis ? workloads::greedyPartition(wk, 4)
+                  : workloads::rangePartition(wk, 4));
+        const workloads::GraphRunResult fresh =
+            workloads::runGraphApp(sys, placed, workloads::GraphApp::Tf);
+        const RunOutput &memo = served[metis ? 1 : 0];
+        EXPECT_EQ(memo.time, fresh.time) << metis;
+        EXPECT_EQ(memo.ops, fresh.updates) << metis;
+        EXPECT_EQ(memo.stats.bytesAcrossUnits,
+                  sys.stats().bytesAcrossUnits)
+            << metis;
+    }
 
-    // The shared-partition run path matches a freshly computed
-    // partition bit for bit.
-    SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 4);
-    auto shared = runGraph(cfg, g, workloads::GraphApp::Tf,
-                           inputs.partition("wk", 4, true));
-    auto fresh = runGraph(cfg, g, workloads::GraphApp::Tf,
-                          workloads::greedyPartition(g, 4));
-    EXPECT_EQ(shared.time, fresh.time);
-    EXPECT_EQ(shared.ops, fresh.ops);
-    EXPECT_EQ(shared.stats.bytesAcrossUnits,
-              fresh.stats.bytesAcrossUnits);
+    NdpSystem sys(cfg);
+    workloads::ScrimpWorkload ts(sys,
+                                 workloads::makeProxySeries("air", 0.12));
+    const Tick time = ts.run();
+    EXPECT_EQ(served[2].time, time);
+    EXPECT_EQ(served[2].ops, ts.updates());
+    EXPECT_EQ(served[2].stats.syncOps, sys.stats().syncOps);
 }
 
 TEST(Grid, UnevenTasksKeepAllWorkersBusyAndResultsOrdered)
@@ -679,9 +752,8 @@ TEST(BenchMainDeathTest, FailingCellExitsTwoNamingTheFirstFailingCell)
     for (const char *jobs : {"--jobs=1", "--jobs=4"}) {
         const char *argv[] = {"bench", jobs, "--scale=0.5"};
         EXPECT_EXIT(
-            std::exit(benchMain("demo_bench", 3,
-                                const_cast<char **>(argv),
-                                failingCellsBody)),
+            std::exit(benchMain({{"demo_bench", failingCellsBody}}, 3,
+                                const_cast<char **>(argv))),
             ::testing::ExitedWithCode(2),
             stderrWhere([](const std::string &err) {
                 const std::string last = lastLine(err);
@@ -703,8 +775,8 @@ TEST(BenchMainDeathTest, UnknownFlagExitsTwoWithOneMessage)
 {
     const char *argv[] = {"bench", "--bogus"};
     EXPECT_EXIT(
-        std::exit(benchMain("demo_bench", 2, const_cast<char **>(argv),
-                            [](Bench &) { return 0; })),
+        std::exit(benchMain({{"demo_bench", [](Bench &) { return 0; }}}, 2,
+                            const_cast<char **>(argv))),
         ::testing::ExitedWithCode(2),
         stderrWhere([](const std::string &err) {
             return countOf(err, "unknown argument '--bogus'") == 1
@@ -717,14 +789,15 @@ TEST(BenchMainDeathTest, GateFailureExitsOne)
 {
     const char *argv[] = {"bench"};
     EXPECT_EXIT(
-        std::exit(benchMain("demo_bench", 1, const_cast<char **>(argv),
-                            [](Bench &bench) {
-                                bench.cell("only", [] {
-                                    return cellOutput(1);
-                                });
-                                bench.run();
-                                return 1;
-                            })),
+        std::exit(benchMain({{"demo_bench",
+                              [](Bench &bench) {
+                                  bench.cell("only", [] {
+                                      return cellOutput(1);
+                                  });
+                                  bench.run();
+                                  return 1;
+                              }}},
+                            1, const_cast<char **>(argv))),
         ::testing::ExitedWithCode(1), "");
 }
 
@@ -746,28 +819,47 @@ labeledBody(Bench &bench)
     return 0;
 }
 
-/** The report's labels, in record order, with @p jobs grid workers. */
+/** The values of every @p key string field in @p text, in order. */
 std::vector<std::string>
-reportedLabels(const char *jobs)
+jsonStrings(const std::string &text, const std::string &key)
+{
+    std::vector<std::string> values;
+    const std::string field = "\"" + key + "\": \"";
+    for (std::size_t at = text.find(field); at != std::string::npos;
+         at = text.find(field, at + 1)) {
+        const std::size_t begin = at + field.size();
+        values.push_back(text.substr(begin, text.find('"', begin) - begin));
+    }
+    return values;
+}
+
+/**
+ * Runs @p benches as a binary named @p argv0 with @p jobs workers and
+ * --json; returns the record's text and stores the exit code in @p rc.
+ */
+std::string
+jsonRecord(std::vector<BenchEntry> benches, const char *argv0,
+           const char *jobs, int *rc)
 {
     trace::ScratchFile json;
     const std::string path = json.write("");
     const std::string jsonArg = "--json=" + path;
-    const char *argv[] = {"bench", jobs, jsonArg.c_str()};
-    EXPECT_EQ(benchMain("demo_bench", 3, const_cast<char **>(argv),
-                        labeledBody),
-              0);
+    const char *argv[] = {argv0, jobs, jsonArg.c_str()};
+    *rc = benchMain(std::move(benches), 3, const_cast<char **>(argv));
     std::stringstream ss;
     ss << std::ifstream(path).rdbuf();
-    const std::string text = ss.str();
-    std::vector<std::string> labels;
-    const std::string key = "\"label\": \"";
-    for (std::size_t at = text.find(key); at != std::string::npos;
-         at = text.find(key, at + 1)) {
-        const std::size_t begin = at + key.size();
-        labels.push_back(text.substr(begin, text.find('"', begin) - begin));
-    }
-    return labels;
+    return ss.str();
+}
+
+/** The report's labels, in record order, with @p jobs grid workers. */
+std::vector<std::string>
+reportedLabels(const char *jobs)
+{
+    int rc = -1;
+    const std::string text =
+        jsonRecord({{"demo_bench", labeledBody}}, "bench", jobs, &rc);
+    EXPECT_EQ(rc, 0);
+    return jsonStrings(text, "label");
 }
 
 TEST(BenchMain, ReportLabelsFollowSubmissionOrderForAnyJobs)
@@ -777,6 +869,84 @@ TEST(BenchMain, ReportLabelsFollowSubmissionOrderForAnyJobs)
         want.push_back("cell" + std::to_string(99 - i));
     EXPECT_EQ(reportedLabels("--jobs=1"), want);
     EXPECT_EQ(reportedLabels("--jobs=4"), want);
+}
+
+/** How alphaBody behaves, and which demo benches ran, in order. */
+int gAlphaRc = 0;
+bool gAlphaFails = false;
+std::vector<std::string> gRan;
+
+int
+alphaBody(Bench &bench)
+{
+    gRan.push_back("alpha_demo");
+    SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 1, 2);
+    bench.cell("ok", {cfg, CellSpec::Ds{DsKind::Stack, 16, 2}});
+    if (gAlphaFails) {
+        cfg.backendName = "Bogus";
+        bench.cell("bad", {cfg, CellSpec::Ds{DsKind::Stack, 16, 2}});
+    }
+    bench.run();
+    return gAlphaRc;
+}
+
+int
+zetaBody(Bench &bench)
+{
+    gRan.push_back("zeta_demo");
+    bench.cell("only", [] { return cellOutput(1); });
+    bench.run();
+    return 0;
+}
+
+// Registered out of name order; the driver runs them sorted.
+SYNCRON_BENCH("zeta_demo", zetaBody)
+SYNCRON_BENCH("alpha_demo", alphaBody)
+
+const std::vector<std::string> kBothDemos = {"alpha_demo", "zeta_demo"};
+
+TEST(BenchRegistry, BenchesRunInNameOrderUnderPrefixedLabels)
+{
+    ASSERT_EQ(registeredBenches().size(), 2u);
+    EXPECT_EQ(registeredBenches()[0].name, "zeta_demo");
+    gRan.clear();
+    int rc = -1;
+    const std::string text = jsonRecord(
+        registeredBenches(), "/some/dir/bench_demo", "--jobs=2", &rc);
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(gRan, kBothDemos);
+    EXPECT_EQ(jsonStrings(text, "bench"), std::vector<std::string>{"demo"});
+    EXPECT_EQ(jsonStrings(text, "label"),
+              (std::vector<std::string>{"alpha_demo/ok", "zeta_demo/only"}));
+}
+
+TEST(BenchRegistry, GateFailureRunsTheRestAndExitsOne)
+{
+    gRan.clear();
+    gAlphaRc = 1;
+    int rc = -1;
+    jsonRecord(registeredBenches(), "bench_demo", "--jobs=1", &rc);
+    gAlphaRc = 0;
+    EXPECT_EQ(rc, 1);
+    EXPECT_EQ(gRan, kBothDemos);
+}
+
+TEST(BenchRegistryDeathTest, FailingCellExitsTwoNamingBenchAndCell)
+{
+    gAlphaFails = true;
+    const char *argv[] = {"bench_demo", "--jobs=2"};
+    EXPECT_EXIT(std::exit(benchMain(registeredBenches(), 2,
+                                    const_cast<char **>(argv))),
+                ::testing::ExitedWithCode(2),
+                stderrWhere([](const std::string &err) {
+                    return countOf(lastLine(err),
+                                   "error: demo failed in cell "
+                                   "'alpha_demo/bad'")
+                               == 1
+                           && countOf(err, "Bogus") > 0
+                           && countOf(err, "terminate called") == 0;
+                }));
+    gAlphaFails = false;
 }
 
 } // namespace

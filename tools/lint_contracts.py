@@ -71,8 +71,13 @@ seconds and are wired into CI ahead of the build:
                        harness::benchMain, which parses the options,
                        owns the report and runs the labeled grid. No
                        file under bench/ may call BenchOptions::parse,
-                       construct a BenchReport, or call runGrid(
-                       directly.
+                       name BenchReport or SharedInputs, or call
+                       runGrid( directly. Nor may it call the runners
+                       a CellSpec stands for (harness::runDataStructure,
+                       runPrimitive, runAppInput, runGraph,
+                       runTimeSeries, runSemFanout): such cells go
+                       through Bench::cell(label, spec), so none can
+                       bypass the process-wide memo.
  10. flat-op-path      The per-op observer and flat-state path stays
                        flat: src/sync/api.hh, src/sync/flat_state.hh,
                        src/trace/capture.hh and src/analysis/live.hh
@@ -105,7 +110,10 @@ RETIRED_RE = re.compile(
     r"|(?:Hier|CentralOvrfl|DistribOvrfl)Backend|Shadow(?:Oracle))\b")
 OLD_OBSERVER_CALL_RE = re.compile(r"\b(setObserver|addAuxObserver)\s*\(")
 BENCH_PLUMBING_RE = re.compile(
-    r"\bBenchOptions::parse\b|\bBenchReport\b|\brunGrid\s*\(")
+    r"\bBenchOptions::parse\b|\bBenchReport\b|\bSharedInputs\b"
+    r"|\brunGrid\s*\("
+    r"|\bharness::run(?:DataStructure|Primitive|AppInput|Graph|TimeSeries"
+    r"|SemFanout)\s*\(")
 SCHEME_SWITCH_RE = re.compile(r"\bcase\s+Scheme::")
 INPLACE_INST_RE = re.compile(r"\bInplaceCallback\s*<")
 STD_FUNCTION_RE = re.compile(r"\bstd::function\b")
@@ -227,7 +235,8 @@ def lint_tree(root):
                 report(rel, line_of(text, m), "one-bench-entry",
                        "%s in a bench - run the bench through "
                        "harness::benchMain and queue its grid with "
-                       "Bench::cell()/run()" % m.group(0).strip())
+                       "Bench::cell()/run(), as a CellSpec where the "
+                       "cell is one" % m.group(0).strip())
 
         if rel not in SCHEME_SWITCH_ALLOW:
             for m in SCHEME_SWITCH_RE.finditer(text):
@@ -342,6 +351,11 @@ FIXTURES = [
      "auto opts = harness::BenchOptions::parse(argc, argv);\n"
      "harness::BenchReport report(\"x\", opts);\n"
      "auto r = harness::runGrid(std::move(tasks), opts.jobs);\n"),
+    ("one-bench-entry", "bench/fixture.cc",
+     "harness::SharedInputs inputs;\n"
+     "bench.cell(\"x\", [&] { return harness::runDataStructure(\n"
+     "    cfg, kind, 64, 8); });\n"
+     "auto g = harness::runGraph (cfg, g, app, part);\n"),
     ("no-scheme-switch", "src/fixture.cc",
      "int f(Scheme s){switch(s){case Scheme::Ideal: return 1;}return 0;}\n"),
     ("callback-bound", "src/fixture.cc",

@@ -2,11 +2,11 @@
 """Diff two BENCH_*.json perf records and flag regressions.
 
 Every bench binary writes a machine-readable record with --json=<path>
-(see harness::BenchReport): per-config simulated throughput (opsPerMs),
-host kernel speed (eventsPerSec), an aggregate host events/sec, and —
-for open-loop load points — per-OpKind tail-latency percentiles. This
-tool compares a baseline record against a current one and exits
-non-zero when a metric regresses beyond the threshold:
+(see harness::Bench::writeJson): per-config simulated throughput
+(opsPerMs), host kernel speed (eventsPerSec), an aggregate host
+events/sec, and — for open-loop load points — per-OpKind tail-latency
+percentiles. This tool compares a baseline record against a current
+one and exits non-zero when a metric regresses beyond the threshold:
 
   - opsPerMs is simulated throughput: deterministic for a given commit,
     so any drop is a real behavioral/performance change.
