@@ -66,12 +66,14 @@ pointFrom(const harness::RunOutput &out, double rate)
 std::string
 rateLabel(double rate)
 {
-    std::string s = "r" + fmt(rate, 3);
-    while (s.size() > 2 && s.back() == '0')
-        s.pop_back();
-    if (s.back() == '.')
-        s.pop_back();
-    return s;
+    // fmt(rate, 3) always has a '.', so trailing zeros stop there.
+    const std::string num = fmt(rate, 3);
+    std::size_t len = num.find_last_not_of('0') + 1;
+    if (num[len - 1] == '.')
+        --len;
+    std::string label(1, 'r');
+    label.append(num, 0, len);
+    return label;
 }
 
 int

@@ -2,12 +2,13 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "common/log.hh"
@@ -34,10 +35,8 @@ BenchOptions::usage()
            "name\n"
            "  --trace-out=<path> capture the sync-op stream to a trace "
            "file (needs --jobs=1)\n"
-           "  --trace-in=<path>  replay an existing trace file (needs "
-           "--jobs=1)\n"
-           "  --trace-corpus=<d> mmap-replay every *.trc in directory d "
-           "back-to-back\n"
+           "  --trace-in=<path>  replay a trace file, or every *.trc in "
+           "a directory\n"
            "  --analyze          run the sync-correctness analyses on "
            "every cell (fatal on findings)\n"
            "  --persist=<m>      SE-state durability: off, eager, or "
@@ -59,6 +58,10 @@ BenchOptions::usage()
 
 namespace {
 
+/** Lower bound of the options that need a positive number. */
+constexpr double kMinPositive = std::numeric_limits<double>::denorm_min();
+constexpr unsigned kMaxUnsigned = std::numeric_limits<unsigned>::max();
+
 /** Value of "--opt=value"-style @p arg, or nullptr if no match. */
 const char *
 optValue(const char *arg, const char *prefix)
@@ -67,6 +70,33 @@ optValue(const char *arg, const char *prefix)
     if (std::strncmp(arg, prefix, n) != 0)
         return nullptr;
     return arg + n;
+}
+
+/**
+ * Parses all of @p val as a number in [@p lo, @p hi] into @p out
+ * (decimal for integer types); false when it is empty, malformed, out
+ * of range, or not finite. @p out is untouched on failure.
+ */
+template <typename T>
+bool
+parseBounded(const char *val, T lo, T hi, T &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+        const double v = std::strtod(val, &end);
+        if (*val == '\0' || *end != '\0' || errno != 0
+            || !(v >= lo && v <= hi))
+            return false;
+        out = v;
+    } else {
+        const unsigned long long v = std::strtoull(val, &end, 10);
+        if (*val == '\0' || *end != '\0' || errno != 0 || v < lo
+            || v > hi)
+            return false;
+        out = static_cast<T>(v);
+    }
+    return true;
 }
 
 } // namespace
@@ -82,30 +112,19 @@ BenchOptions::parse(int argc, char **argv)
             std::cout << usage() << '\n';
             std::exit(0);
         } else if ((val = optValue(arg, "--scale="))) {
-            char *end = nullptr;
-            errno = 0;
-            opts.scale = std::strtod(val, &end);
-            if (*val == '\0' || end == nullptr || *end != '\0'
-                || errno != 0 || !std::isfinite(opts.scale)
-                || !(opts.scale > 0.0) || opts.scale > kMaxScale) {
+            if (!parseBounded(val, kMinPositive, kMaxScale, opts.scale)) {
                 SYNCRON_FATAL("bad --scale value '"
                               << val << "' (need a number in (0, "
                               << kMaxScale << "])\n"
                               << usage());
             }
         } else if ((val = optValue(arg, "--jobs="))) {
-            char *end = nullptr;
-            errno = 0;
-            const long jobs = std::strtol(val, &end, 10);
-            if (*val == '\0' || end == nullptr || *end != '\0'
-                || errno != 0 || jobs < 1
-                || jobs > static_cast<long>(kMaxJobs)) {
+            if (!parseBounded(val, 1u, kMaxJobs, opts.jobs)) {
                 SYNCRON_FATAL("bad --jobs value '"
                               << val << "' (need 1.." << kMaxJobs
                               << ")\n"
                               << usage());
             }
-            opts.jobs = static_cast<unsigned>(jobs);
         } else if ((val = optValue(arg, "--json="))) {
             if (*val == '\0')
                 SYNCRON_FATAL("--json needs a path\n" << usage());
@@ -129,12 +148,6 @@ BenchOptions::parse(int argc, char **argv)
             if (*val == '\0')
                 SYNCRON_FATAL("--trace-in needs a path\n" << usage());
             opts.traceIn = val;
-        } else if ((val = optValue(arg, "--trace-corpus="))) {
-            if (*val == '\0') {
-                SYNCRON_FATAL("--trace-corpus needs a directory\n"
-                              << usage());
-            }
-            opts.traceCorpus = val;
         } else if (std::strcmp(arg, "--analyze") == 0) {
             opts.analyze = true;
         } else if ((val = optValue(arg, "--persist="))) {
@@ -143,16 +156,12 @@ BenchOptions::parse(int argc, char **argv)
             if (colon != std::string::npos) {
                 const std::string count = mode.substr(colon + 1);
                 mode.resize(colon);
-                char *end = nullptr;
-                errno = 0;
-                const long n = std::strtol(count.c_str(), &end, 10);
-                if (count.empty() || end == nullptr || *end != '\0'
-                    || errno != 0 || n < 1) {
+                if (!parseBounded(count.c_str(), 1u, kMaxUnsigned,
+                                  opts.persistEpochOps)) {
                     SYNCRON_FATAL("bad --persist epoch count '"
                                   << count << "' (need >= 1)\n"
                                   << usage());
                 }
-                opts.persistEpochOps = static_cast<unsigned>(n);
             }
             if (!durability::persistModeFromName(mode, opts.persist)
                 || (colon != std::string::npos
@@ -163,40 +172,26 @@ BenchOptions::parse(int argc, char **argv)
                               << usage());
             }
         } else if ((val = optValue(arg, "--crash-at="))) {
-            char *end = nullptr;
-            errno = 0;
-            const unsigned long long t = std::strtoull(val, &end, 10);
-            if (*val == '\0' || end == nullptr || *end != '\0'
-                || errno != 0 || t == 0) {
+            if (!parseBounded(val, Tick{1}, std::numeric_limits<Tick>::max(),
+                              opts.crashAt)) {
                 SYNCRON_FATAL("bad --crash-at value '"
                               << val << "' (need a tick >= 1)\n"
                               << usage());
             }
-            opts.crashAt = static_cast<Tick>(t);
         } else if ((val = optValue(arg, "--crash-sweep="))) {
-            char *end = nullptr;
-            errno = 0;
-            const long n = std::strtol(val, &end, 10);
-            if (*val == '\0' || end == nullptr || *end != '\0'
-                || errno != 0 || n < 1) {
+            if (!parseBounded(val, 1u, kMaxUnsigned,
+                              opts.crashSweepEvery)) {
                 SYNCRON_FATAL("bad --crash-sweep value '"
                               << val << "' (need >= 1)\n"
                               << usage());
             }
-            opts.crashSweepEvery = static_cast<unsigned>(n);
         } else if ((val = optValue(arg, "--sim-shards="))) {
-            char *end = nullptr;
-            errno = 0;
-            const long n = std::strtol(val, &end, 10);
-            if (*val == '\0' || end == nullptr || *end != '\0'
-                || errno != 0 || n < 1
-                || n > static_cast<long>(kMaxShards)) {
+            if (!parseBounded(val, 1u, kMaxShards, opts.simShards)) {
                 SYNCRON_FATAL("bad --sim-shards value '"
                               << val << "' (need 1.." << kMaxShards
                               << ")\n"
                               << usage());
             }
-            opts.simShards = static_cast<unsigned>(n);
         } else if ((val = optValue(arg, "--load="))) {
             std::string error;
             if (!load::LoadSpec::fromString(val, opts.loadSpec,
@@ -207,17 +202,14 @@ BenchOptions::parse(int argc, char **argv)
             }
             opts.hasLoad = true;
         } else if ((val = optValue(arg, "--slo-p99="))) {
-            char *end = nullptr;
-            errno = 0;
-            const double ns = std::strtod(val, &end);
-            if (*val == '\0' || end == nullptr || *end != '\0'
-                || errno != 0 || !std::isfinite(ns) || !(ns > 0.0)) {
+            if (!parseBounded(val, kMinPositive,
+                              std::numeric_limits<double>::max(),
+                              opts.sloP99Ns)) {
                 SYNCRON_FATAL("bad --slo-p99 value '"
                               << val
                               << "' (need a positive latency in ns)\n"
                               << usage());
             }
-            opts.sloP99Ns = ns;
         } else {
             SYNCRON_FATAL("unknown argument '" << arg << "'\n"
                                                << usage());
@@ -230,21 +222,12 @@ BenchOptions::parse(int argc, char **argv)
                       "exclusive (capture or replay, not both)\n"
                       << usage());
     }
-    // Capture (and, for symmetry, replay-from-file) is single-job only:
-    // parallel grid cells all inherit the same tracePath and would race
-    // writing the one file.
-    if ((!opts.traceOut.empty() || !opts.traceIn.empty())
-        && opts.jobs > 1) {
-        SYNCRON_FATAL("--trace-out/--trace-in require --jobs=1 "
-                      "(parallel grid cells would race on the trace "
-                      "file)\n"
-                      << usage());
-    }
-    // A corpus IS a replay source; combining it with a single replay
-    // file is ambiguous.
-    if (!opts.traceCorpus.empty() && !opts.traceIn.empty()) {
-        SYNCRON_FATAL("--trace-corpus and --trace-in are mutually "
-                      "exclusive (one replay source)\n"
+    // Capture is single-job only: parallel grid cells all inherit the
+    // same tracePath and would race writing the one file. (Replay cells
+    // only read their trace, so --trace-in runs at any --jobs.)
+    if (!opts.traceOut.empty() && opts.jobs > 1) {
+        SYNCRON_FATAL("--trace-out requires --jobs=1 (parallel grid "
+                      "cells would race on the trace file)\n"
                       << usage());
     }
     // Crash injection tears the (single) machine down mid-run; a

@@ -37,13 +37,10 @@ struct BenchOptions
     /// --trace-out=<path>: capture the sync-op stream to a trace file.
     /// Requires --jobs=1 (parallel grid cells would race on the file).
     std::string traceOut;
-    /// --trace-in=<path>: replay an existing trace file (trace benches).
-    /// Requires --jobs=1 for symmetry with capture.
+    /// --trace-in=<path>: replay a trace file, or every *.trc in a
+    /// directory (trace benches; see trace::Corpus). Exclusive with
+    /// --trace-out.
     std::string traceIn;
-    /// --trace-corpus=<dir>: mmap-replay every *.trc in a directory
-    /// back-to-back (trace benches; see trace::Corpus). Exclusive with
-    /// --trace-in.
-    std::string traceCorpus;
     /// --analyze: run the sync-correctness analyses on every cell
     /// (fatal on findings). Works with --jobs>1: each grid cell's
     /// system owns an independent analysis::LiveAnalyzer.

@@ -7,9 +7,9 @@
  * generated scenario lands as one more `.trc` file in a directory, and
  * the corpus abstraction gives all consumers the same view of it —
  * deterministic enumeration (sorted by file name, so replay order never
- * depends on readdir order), per-file validation through the zero-copy
- * MappedTraceReader, and back-to-back replay via harness::runCorpus.
- * tools/analyze_trace accepts a corpus directory through the same
+ * depends on readdir order) and per-file validation through the zero-copy
+ * MappedTraceReader. bench_trace_replay --trace-in=<dir> replays a
+ * corpus and tools/analyze_trace analyzes one, both through the same
  * enumeration.
  */
 
@@ -45,7 +45,7 @@ struct CorpusFileStatus
 };
 
 /**
- * An enumerated trace-corpus directory. Enumeration is eager and
+ * An enumerated trace corpus directory. Enumeration is eager and
  * deterministic; file contents are only touched by validate() /
  * consumers, so opening a corpus of thousands of traces is cheap.
  */

@@ -116,9 +116,9 @@ class ScenarioGenerator
 };
 
 /**
- * The three scenario specs exercised by bench/trace_replay.cc and CI's
- * smoke (Zipf contention, bursty arrivals, phased barrier/lock mix),
- * scaled so opsPerCore ~ 32 * scale.
+ * One spec per scenario family (kAllScenarioFamilies order) on the
+ * default 4x15 machine, scaled so opsPerCore ~ 32 * scale; part of the
+ * trace set bench/trace_replay.cc replays.
  */
 std::vector<ScenarioSpec> benchScenarioSpecs(double scale);
 

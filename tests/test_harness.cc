@@ -187,26 +187,25 @@ TEST(BenchOptions, RejectsTraceFlagsWithParallelJobs)
         BenchOptions::parse(2, const_cast<char **>(argvEmpty2)),
         std::runtime_error);
 
-    // Capture (and replay-from-file) races parallel grid workers on
-    // the one trace file; the error must say so and show usage.
-    for (const char *flag : {"--trace-out=cap.trc",
-                             "--trace-in=cap.trc"}) {
-        try {
-            parse2(flag, "--jobs=2");
-            FAIL() << "expected fatal for " << flag << " --jobs=2";
-        } catch (const std::runtime_error &e) {
-            const std::string what = e.what();
-            EXPECT_NE(what.find("--jobs=1"), std::string::npos)
-                << what;
-            EXPECT_NE(what.find("--trace-out=<path>"),
-                      std::string::npos)
-                << "error should include usage: " << what;
-        }
-        // Order of flags must not matter.
-        EXPECT_THROW(parse2("--jobs=4", flag), std::runtime_error);
-        // jobs=1 is explicitly fine.
-        EXPECT_NO_THROW(parse2(flag, "--jobs=1"));
+    // Capture races parallel grid workers on the one trace file; the
+    // error must say so and show usage.
+    try {
+        parse2("--trace-out=cap.trc", "--jobs=2");
+        FAIL() << "expected fatal for --trace-out --jobs=2";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("--jobs=1"), std::string::npos) << what;
+        EXPECT_NE(what.find("--trace-out=<path>"), std::string::npos)
+            << "error should include usage: " << what;
     }
+    // Order of flags must not matter.
+    EXPECT_THROW(parse2("--jobs=4", "--trace-out=cap.trc"),
+                 std::runtime_error);
+    // jobs=1 is explicitly fine.
+    EXPECT_NO_THROW(parse2("--trace-out=cap.trc", "--jobs=1"));
+    // Replay cells only read their trace, so they run in parallel.
+    EXPECT_NO_THROW(parse2("--trace-in=cap.trc", "--jobs=2"));
+    EXPECT_NO_THROW(parse2("--jobs=4", "--trace-in=traces"));
 
     // Capture and replay-from-file are mutually exclusive; combining
     // them would silently drop --trace-out.
@@ -218,25 +217,6 @@ TEST(BenchOptions, RejectsTraceFlagsWithParallelJobs)
                   std::string::npos)
             << e.what();
     }
-}
-
-TEST(BenchOptions, ParsesTraceCorpus)
-{
-    auto parse1 = [](const char *a) {
-        const char *argv[] = {"bench", a};
-        return BenchOptions::parse(2, const_cast<char **>(argv));
-    };
-    auto parse2 = [](const char *a, const char *b) {
-        const char *argv[] = {"bench", a, b};
-        return BenchOptions::parse(3, const_cast<char **>(argv));
-    };
-
-    EXPECT_EQ(parse1("--trace-corpus=traces").traceCorpus, "traces");
-    EXPECT_THROW(parse1("--trace-corpus="), std::runtime_error);
-
-    // One replay source: a corpus directory or a single file, not both.
-    EXPECT_THROW(parse2("--trace-corpus=traces", "--trace-in=a.trc"),
-                 std::runtime_error);
 }
 
 TEST(BenchOptions, ParsesSimShards)

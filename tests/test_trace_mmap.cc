@@ -1,7 +1,8 @@
 /**
  * @file
  * Zero-copy trace reading and corpus tests: the writeTraceFile ->
- * MappedTraceReader round trip on every scenario family, the full
+ * MappedTraceReader round trip on every scenario family, the
+ * allocation-free record loop (the zero-copy contract), the full
  * rejection surface at mmap boundaries (truncation at every byte, bad
  * magic/version, trailing bytes, dangling refs, empty and short
  * files), and corpus enumeration/validation.
@@ -21,6 +22,7 @@
 #include "trace/mmap_reader.hh"
 #include "trace/scenario.hh"
 
+#include "counting_alloc.hh"
 #include "scratch_file.hh"
 
 namespace syncron::trace {
@@ -121,6 +123,27 @@ TEST(MmapReader, CursorYieldsRecordsInOrder)
     EXPECT_EQ(cursor.index(), t.records.size());
     // The cursor is exhausted; further calls keep returning false.
     EXPECT_FALSE(cursor.next(rec));
+}
+
+TEST(MmapReader, RecordLoopAllocatesNothing)
+{
+    // The zero-copy contract: the cursor decodes each record from views
+    // into the mapping, so the steady-state record loop makes no heap
+    // allocation on any family's trace.
+    const ScratchFile file;
+    for (ScenarioFamily family : kAllScenarioFamilies) {
+        const Trace t = familyTrace(family);
+        const MappedTraceReader reader(file.write(encode(t)));
+        auto cursor = reader.records();
+        TraceRecord rec;
+        std::size_t n = 0;
+        const std::uint64_t before = allocCount();
+        while (cursor.next(rec))
+            ++n;
+        const std::uint64_t allocs = allocCount() - before;
+        EXPECT_EQ(allocs, 0u) << scenarioFamilyName(family);
+        EXPECT_EQ(n, t.records.size()) << scenarioFamilyName(family);
+    }
 }
 
 TEST(MmapReader, RejectsTruncationAtEveryBoundary)

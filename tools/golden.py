@@ -15,8 +15,17 @@ type and --jobs value. A golden changes only with the model: a change
 that updates one says in CHANGES.md which model change moved it and
 why, and never rides along with a refactor.
 
+--shards=1,4 runs the binary once per shard count against the same
+goldens (a count above 1 adds --sim-shards=N). Sharded results are
+bit-identical to one-shard ones except heapEvents, the number of events
+the kernel's timing wheels deferred to their overflow heaps, which
+depends on how the machine is split; sharded runs are compared without
+it.
+
 Usage:
   golden.py BINARY GOLDEN           check; exit 1 on a difference
+  golden.py BINARY GOLDEN --shards=1,4
+                                    check at each shard count
   golden.py BINARY GOLDEN --update  rewrite GOLDEN.json and GOLDEN.txt
   golden.py --self-test             prove the checker ignores host
                                     fields and catches simulated ones
@@ -31,21 +40,22 @@ import tempfile
 
 RUN_ARGS = ["--scale=0.25", "--jobs=4"]
 HOST_FIELDS = {"host", "hostMs", "eventsPerSec", "wallMs"}
+SHARD_LAYOUT_FIELDS = {"heapEvents"}
 HOST_LINE_PREFIXES = ("harness:", "wrote ")
 
 
-def strip_host(value):
-    """The record without its host fields, recursively."""
+def strip(value, fields):
+    """The record without the named fields, recursively."""
     if isinstance(value, dict):
-        return {k: strip_host(v) for k, v in value.items()
-                if k not in HOST_FIELDS}
+        return {k: strip(v, fields) for k, v in value.items()
+                if k not in fields}
     if isinstance(value, list):
-        return [strip_host(v) for v in value]
+        return [strip(v, fields) for v in value]
     return value
 
 
 def normalize_record(record):
-    record = strip_host(record)
+    record = strip(record, HOST_FIELDS)
     record.get("options", {}).pop("jobs", None)
     record.pop("sanitizer", None)
     return record
@@ -102,10 +112,14 @@ def first_difference(want, got, path="$"):
     return None
 
 
-def compare(golden_record, golden_text, record, text):
+def compare(golden_record, golden_text, record, text, sharded=False):
     """Differences between a run and the goldens, as messages."""
     problems = []
-    diff = first_difference(golden_record, normalize_record(record))
+    record = normalize_record(record)
+    if sharded:
+        golden_record = strip(golden_record, SHARD_LAYOUT_FIELDS)
+        record = strip(record, SHARD_LAYOUT_FIELDS)
+    diff = first_difference(golden_record, record)
     if diff:
         problems.append("JSON record differs: " + diff)
     want, got = golden_text, normalize_text(text)
@@ -120,13 +134,15 @@ def compare(golden_record, golden_text, record, text):
     return problems
 
 
-def run_bench(binary):
+def run_bench(binary, shards=1):
+    args = RUN_ARGS + (["--sim-shards=%d" % shards] if shards > 1 else [])
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "record.json")
-        proc = subprocess.run([binary] + RUN_ARGS + ["--json=" + path],
+        proc = subprocess.run([binary] + args + ["--json=" + path],
                               stdout=subprocess.PIPE, text=True)
         if proc.returncode != 0:
-            sys.exit("golden: %s exited %d" % (binary, proc.returncode))
+            sys.exit("golden: %s %s exited %d"
+                     % (binary, " ".join(args), proc.returncode))
         with open(path, encoding="utf-8") as f:
             return json.load(f), proc.stdout
 
@@ -135,7 +151,8 @@ def self_test():
     record = {"bench": "demo", "options": {"scale": 0.25, "jobs": 4},
               "host": {"wallMs": 1.0},
               "configs": [{"label": "a/x", "simTicks": 10, "hostMs": 2.0,
-                           "eventsPerSec": 5.0, "events": 7}]}
+                           "eventsPerSec": 5.0, "events": 7,
+                           "heapEvents": 3}]}
     text = "table row 1\nharness: 1 configs, host 0.1 s\nwrote r.json\n"
     golden = load_record(dump_record(normalize_record(record)))
     golden_text = normalize_text(text)
@@ -148,18 +165,27 @@ def self_test():
     host_moved["configs"][0]["eventsPerSec"] = 9.0
     sim_moved = json.loads(json.dumps(record))
     sim_moved["configs"][0]["simTicks"] = 11
+    heap_moved = json.loads(json.dumps(record))
+    heap_moved["configs"][0]["heapEvents"] = 4
+    sim_moved_sharded = json.loads(json.dumps(heap_moved))
+    sim_moved_sharded["configs"][0]["events"] = 8
+    # (name, run record, run stdout, sharded run, should fail)
     cases = [
-        ("identical run", record, text, False),
+        ("identical run", record, text, False, False),
         ("host fields and lines moved", host_moved,
          text.replace("0.1 s", "0.7 s").replace("r.json", "s.json"),
-         False),
-        ("simulated field moved", sim_moved, text, True),
-        ("table line moved", record, text.replace("row 1", "row 2"), True),
-        ("config missing", dict(record, configs=[]), text, True),
+         False, False),
+        ("simulated field moved", sim_moved, text, False, True),
+        ("table line moved", record, text.replace("row 1", "row 2"),
+         False, True),
+        ("config missing", dict(record, configs=[]), text, False, True),
+        ("heapEvents moved", heap_moved, text, False, True),
+        ("heapEvents moved, sharded", heap_moved, text, True, False),
+        ("events moved, sharded", sim_moved_sharded, text, True, True),
     ]
     failures = 0
-    for name, rec, out, should_fail in cases:
-        problems = compare(golden, golden_text, rec, out)
+    for name, rec, out, sharded, should_fail in cases:
+        problems = compare(golden, golden_text, rec, out, sharded)
         ok = bool(problems) == should_fail
         failures += not ok
         print("self-test: %-28s %s" % (name, "ok" if ok else "WRONG"))
@@ -176,8 +202,12 @@ def main():
     ap.add_argument("binary", nargs="?")
     ap.add_argument("golden", nargs="?",
                     help="golden path without .json/.txt")
+    ap.add_argument("--shards", default=[1],
+                    type=lambda s: [int(n) for n in s.split(",")],
+                    help="comma-separated shard counts to check at "
+                         "(default 1)")
     ap.add_argument("--update", action="store_true",
-                    help="rewrite the goldens from this run")
+                    help="rewrite the goldens from the one-shard run")
     ap.add_argument("--self-test", action="store_true",
                     help="check the checker on synthetic records")
     args = ap.parse_args()
@@ -186,8 +216,8 @@ def main():
     if not args.binary or not args.golden:
         ap.error("need BINARY and GOLDEN")
 
-    record, text = run_bench(args.binary)
     if args.update:
+        record, text = run_bench(args.binary)
         with open(args.golden + ".json", "w", encoding="utf-8") as f:
             f.write(dump_record(normalize_record(record)))
         with open(args.golden + ".txt", "w", encoding="utf-8") as f:
@@ -200,17 +230,22 @@ def main():
         golden = load_record(f.read())
     with open(args.golden + ".txt", encoding="utf-8") as f:
         golden_text = f.read().splitlines()
-    problems = compare(golden, golden_text, record, text)
-    for p in problems:
-        print("golden: " + p)
-    if problems:
-        print("golden: %s differs from %s.{json,txt}; a golden changes "
-              "only with the model" % (args.binary, args.golden),
-              file=sys.stderr)
-        return 1
-    print("golden: %s matches %s (%d configs)"
-          % (args.binary, args.golden, len(golden["configs"])))
-    return 0
+    failed = False
+    for shards in args.shards:
+        record, text = run_bench(args.binary, shards)
+        problems = compare(golden, golden_text, record, text, shards > 1)
+        for p in problems:
+            print("golden: %d shard(s): %s" % (shards, p))
+        if problems:
+            print("golden: %s at %d shard(s) differs from %s.{json,txt}; "
+                  "a golden changes only with the model"
+                  % (args.binary, shards, args.golden), file=sys.stderr)
+            failed = True
+        else:
+            print("golden: %s at %d shard(s) matches %s (%d configs)"
+                  % (args.binary, shards, args.golden,
+                     len(golden["configs"])))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
