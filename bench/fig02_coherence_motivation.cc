@@ -146,46 +146,32 @@ runStack(unsigned numUnits, unsigned coresPerUnit, unsigned totalCores,
 int
 run(harness::Bench &bench)
 {
-    const harness::BenchOptions &opts = bench.opts();
     const unsigned ops =
-        static_cast<unsigned>(12 * opts.scale);
-    const unsigned coreCounts[] = {15, 30, 45, 60};
-    const unsigned unitCounts[] = {1, 2, 3, 4};
+        static_cast<unsigned>(12 * bench.opts().scale);
 
-    // (a) cells (ideal, mesi per core count), then (b) cells.
-    for (unsigned cores : coreCounts) {
+    // The MESI model runs on a bare Machine, not an NdpSystem cell, so
+    // each run reports its simulated time and pushes as metrics.
+    auto slowdown = [&](const std::string &label, unsigned units,
+                        unsigned cores) {
+        double time[2];
         for (bool mesiLock : {false, true}) {
-            bench.cell(std::to_string(cores) + "cores/"
-                           + (mesiLock ? "mesi-lock" : "ideal-lock"),
-                       [cores, ops, mesiLock] {
-                           return runStack(1, cores, cores, ops,
-                                           mesiLock);
-                       });
+            const harness::RunOutput out =
+                runStack(units, cores / units, cores, ops, mesiLock);
+            const std::string cell =
+                label + (mesiLock ? "/mesi-lock" : "/ideal-lock");
+            bench.metric("simTicks/" + cell, out.time);
+            bench.metric("ops/" + cell, out.ops);
+            time[mesiLock] = out.time;
         }
-    }
-    for (unsigned units : unitCounts) {
-        for (bool mesiLock : {false, true}) {
-            bench.cell(std::to_string(units) + "units/"
-                           + (mesiLock ? "mesi-lock" : "ideal-lock"),
-                       [units, ops, mesiLock] {
-                           return runStack(units, 60 / units, 60, ops,
-                                           mesiLock);
-                       });
-        }
-    }
-    const auto results = bench.run();
+        return fmt(time[1] / time[0], 2);
+    };
 
-    std::size_t i = 0;
     harness::TablePrinter a(
         "Fig. 2a: stack slowdown, mesi-lock vs ideal-lock, one NDP unit",
         {"cores", "ideal-lock", "mesi-lock slowdown"});
-    for (unsigned cores : coreCounts) {
-        const harness::RunOutput &ideal = results[i++];
-        const harness::RunOutput &mesi = results[i++];
+    for (unsigned cores : {15, 30, 45, 60}) {
         a.addRow({std::to_string(cores), fmt(1.0, 2),
-                  fmt(static_cast<double>(mesi.time)
-                          / static_cast<double>(ideal.time),
-                      2)});
+                  slowdown(std::to_string(cores) + "cores", 1, cores)});
     }
     a.addNote("paper: 2.03x slowdown at 60 cores");
     a.print(std::cout);
@@ -193,13 +179,9 @@ run(harness::Bench &bench)
     harness::TablePrinter b(
         "Fig. 2b: stack slowdown at 60 cores, varying NDP units",
         {"units", "ideal-lock", "mesi-lock slowdown"});
-    for (unsigned units : unitCounts) {
-        const harness::RunOutput &ideal = results[i++];
-        const harness::RunOutput &mesi = results[i++];
+    for (unsigned units : {1, 2, 3, 4}) {
         b.addRow({std::to_string(units), fmt(1.0, 2),
-                  fmt(static_cast<double>(mesi.time)
-                          / static_cast<double>(ideal.time),
-                      2)});
+                  slowdown(std::to_string(units) + "units", units, 60)});
     }
     b.addNote("paper: slowdown grows to 2.66x at 4 units");
     b.print(std::cout);

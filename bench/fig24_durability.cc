@@ -12,7 +12,8 @@
  * crash consistency; epoch batching amortizes the WAL writes and the
  * overhead shrinks with the batch. The JSON record carries the
  * overhead percentages as explicit metrics plus per-cell PM write
- * counters, feeding tools/perf_trend.py.
+ * counters, feeding tools/perf_trend.py. The grid always runs on one
+ * shard: --sim-shards does not apply to it.
  *
  * With --crash-sweep=<n> the bench instead runs the crash-injection
  * sweep (harness::runCrashSweep) at every nth sync-op boundary on both
@@ -169,15 +170,14 @@ run(harness::Bench &bench)
 
     for (Scheme scheme : schemes) {
         for (const ModeSpec &m : kModes) {
+            SystemConfig cfg = opts.makeConfig(scheme, 4, 15);
+            cfg.persistMode = m.mode;
+            cfg.persistEpochOps = m.epochOps;
+            // The durability log records the 1-shard sync-op order.
+            cfg.simShards = 1;
             bench.cell(std::string("replication/") + schemeName(scheme)
                            + "/" + m.label,
-                       [&opts, scheme, m, params] {
-                           SystemConfig cfg =
-                               opts.makeConfig(scheme, 4, 15);
-                           cfg.persistMode = m.mode;
-                           cfg.persistEpochOps = m.epochOps;
-                           return harness::runReplication(cfg, params);
-                       });
+                       {cfg, harness::CellSpec::Replication{params}});
         }
     }
     const auto results = bench.run();

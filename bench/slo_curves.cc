@@ -13,7 +13,8 @@
  *
  * Inline guarantees (the bench exits non-zero when violated):
  *   - determinism: the first curve point of every backend is re-run at
- *     --sim-shards=1 and must serialize to byte-identical curve JSON —
+ *     --sim-shards=1, outside the process memo, and must serialize to
+ *     byte-identical curve JSON —
  *     which, when the sweep itself ran sharded, is also the PR 8
  *     cross-shard bit-identity check for the open-loop engine.
  *
@@ -104,30 +105,16 @@ run(harness::Bench &bench)
             backends.emplace_back(s, schemeName(s));
     }
 
-    // One schedule expansion per rate, shared read-only by every
-    // backend's cell at that rate (and by the SLO probes' rerun of the
-    // same spec in spirit — probes expand their own rates).
-    const unsigned numCores =
-        opts.makeConfig(Scheme::SynCron).totalClientCores();
     std::vector<load::LoadSpec> specs;
-    std::vector<load::ArrivalSchedule> schedules;
     for (double rate : kRates) {
-        load::LoadSpec spec = base;
-        spec.ratePerUs = rate;
-        specs.push_back(spec);
-        schedules.push_back(
-            load::buildArrivalSchedule(spec, numCores));
+        specs.push_back(base);
+        specs.back().ratePerUs = rate;
     }
-
     for (const auto &[scheme, name] : backends) {
         for (unsigned r = 0; r < std::size(kRates); ++r) {
             bench.cell(name + "/" + rateLabel(kRates[r]),
-                       [&, scheme = scheme, r] {
-                           const SystemConfig cfg =
-                               opts.makeConfig(scheme);
-                           return harness::runOpenLoop(cfg, specs[r],
-                                                       schedules[r]);
-                       });
+                       {opts.makeConfig(scheme),
+                        harness::CellSpec::OpenLoop{specs[r]}});
         }
     }
     const std::vector<harness::RunOutput> results = bench.run();
@@ -142,13 +129,13 @@ run(harness::Bench &bench)
     }
 
     // -- Inline determinism / cross-shard identity check --------------
-    // Re-run the first rate point of every backend single-sharded; its
-    // curve JSON must match the sweep's byte for byte.
+    // Re-run the first rate point of every backend single-sharded,
+    // bypassing the memo; its curve JSON must match the sweep's byte for
+    // byte.
     for (unsigned b = 0; b < backends.size(); ++b) {
         SystemConfig cfg = opts.makeConfig(backends[b].first);
         cfg.simShards = 1;
-        const harness::RunOutput rerun =
-            harness::runOpenLoop(cfg, specs[0], schedules[0]);
+        const harness::RunOutput rerun = harness::runOpenLoop(cfg, specs[0]);
         load::SloCurve a{curves[b].backend, {curves[b].points[0]}};
         load::SloCurve c{curves[b].backend,
                          {pointFrom(rerun, kRates[0])}};
@@ -173,6 +160,8 @@ run(harness::Bench &bench)
         {"backend", "max rate[/us/core]", "p99@max[ns]", "probes"});
     for (unsigned b = 0; b < backends.size(); ++b) {
         const Scheme scheme = backends[b].first;
+        // Each probe's rate depends on the last one's result, so the
+        // search runs its points itself rather than as grid cells.
         auto probe = [&](double rate) {
             load::LoadSpec spec = base;
             spec.ratePerUs = rate;

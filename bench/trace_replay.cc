@@ -21,13 +21,14 @@
  * With --trace-in=<path>, the file, or every *.trc in the directory, is
  * replayed instead, and nothing is captured or generated.
  *
- *   3. Replay. Every trace is read back through trace::MappedTraceReader
- *      and replayed through the typed api on SynCron, Central, and
- *      SynCron-flat as cell <trace>/<scheme> (<trace> is the file name
- *      without .trc), with --analyze and --sim-shards carried over
- *      (capture always runs unsharded). Each replay must execute
- *      exactly its trace's per-OpKind operation mix; a miss is fatal
- *      (exit 2) and names the cell.
+ *   3. Replay. Every trace is validated through
+ *      trace::MappedTraceReader and replayed through the typed api on
+ *      SynCron, Central, and SynCron-flat as cell <trace>/<scheme>
+ *      (<trace> is the file name without .trc; a CellSpec::Replay, so
+ *      each file is read once for all three), with --analyze and
+ *      --sim-shards carried over (capture always runs unsharded). Each
+ *      replay must execute exactly its trace's per-OpKind operation
+ *      mix; a miss is fatal (exit 2) and names the cell.
  *
  * Emits BENCH_trace_replay.json with --json. The ctest
  * golden_trace_replay pins its simulated output at 1 and 4 shards; CI
@@ -37,6 +38,8 @@
 #include <stdlib.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <filesystem>
 #include <iostream>
 #include <optional>
@@ -50,7 +53,6 @@
 #include "trace/corpus.hh"
 #include "trace/format.hh"
 #include "trace/mmap_reader.hh"
-#include "trace/replay.hh"
 #include "trace/scenario.hh"
 
 using namespace syncron;
@@ -153,43 +155,6 @@ generate(const std::string &dir, double scale)
     }
 }
 
-/**
- * Replays trace file @p path on @p scheme: mmap-read, materialized, and
- * driven through runTrace() on the machine shape the trace dictates,
- * with only the CLI-wide knobs carried over. Fatal unless the run
- * executes exactly the operation mix the mmap validation walk counted.
- */
-harness::RunOutput
-replay(const harness::BenchOptions &opts, const std::string &path,
-       const std::string &name, Scheme scheme)
-{
-    const trace::MappedTraceReader reader(path);
-    const auto want = reader.validateAll();
-    const trace::Trace t = reader.materialize();
-    SystemConfig cfg = trace::replayConfig(t, scheme);
-    cfg.backendName = opts.backend;
-    cfg.analyze = opts.analyze;
-    cfg.simShards = opts.simShards;
-    harness::RunOutput out = harness::runTrace(cfg, t);
-
-    if (out.ops != t.records.size()) {
-        SYNCRON_FATAL("replay of '" << name << "' on " << schemeName(scheme)
-                                    << " executed " << out.ops << " of "
-                                    << t.records.size() << " records");
-    }
-    for (unsigned k = 0; k < kNumSyncOpKinds; ++k) {
-        const std::uint64_t got = out.stats.syncLatency[k].count;
-        if (got != want[k]) {
-            SYNCRON_FATAL("replay of '"
-                          << name << "' on " << schemeName(scheme)
-                          << " performed " << got << " "
-                          << sync::opKindName(static_cast<sync::OpKind>(k))
-                          << " ops, trace has " << want[k]);
-        }
-    }
-    return out;
-}
-
 int
 run(harness::Bench &bench)
 {
@@ -211,27 +176,58 @@ run(harness::Bench &bench)
     }
 
     // -- Stage 3: replay every trace on every backend ------------------
+    // Each cell runs on the machine shape its trace dictates, with only
+    // the CLI-wide knobs carried over.
     std::vector<std::string> names;
+    std::vector<std::array<std::uint64_t, kNumSyncOpKinds>> wants;
     for (const trace::CorpusFile &file : files) {
         names.push_back(fs::path(file.name).stem().string());
+        const trace::MappedTraceReader reader(file.path);
+        wants.push_back(reader.validateAll());
         for (Scheme scheme : kReplaySchemes) {
+            SystemConfig cfg = SystemConfig::make(
+                scheme, reader.numUnits(), reader.clientCoresPerUnit());
+            cfg.backendName = opts.backend;
+            cfg.analyze = opts.analyze;
+            cfg.simShards = opts.simShards;
             bench.cell(names.back() + "/" + schemeName(scheme),
-                       [&opts, &file, name = names.back(), scheme] {
-                           return replay(opts, file.path, name, scheme);
-                       });
+                       {cfg, harness::CellSpec::Replay{file.path}});
         }
     }
     const auto results = bench.run();
 
+    // Every replay must execute exactly the operation mix the mmap
+    // validation walk counted.
     harness::TablePrinter table(
         "Trace replay: throughput [ops/ms] per backend",
         {"trace", "records", "SynCron", "Central", "SynCron-flat"});
     std::size_t i = 0;
-    for (const std::string &name : names) {
-        std::vector<std::string> row{name,
+    for (std::size_t f = 0; f < names.size(); ++f) {
+        std::vector<std::string> row{names[f],
                                      std::to_string(results[i].ops)};
-        for (std::size_t s = 0; s < std::size(kReplaySchemes); ++s)
-            row.push_back(fmt(results[i++].opsPerMs(), 1));
+        for (Scheme scheme : kReplaySchemes) {
+            const harness::RunOutput &out = results[i++];
+            std::uint64_t records = 0;
+            for (unsigned k = 0; k < kNumSyncOpKinds; ++k) {
+                const std::uint64_t got = out.stats.syncLatency[k].count;
+                records += wants[f][k];
+                if (got != wants[f][k]) {
+                    SYNCRON_FATAL(
+                        "replay of '"
+                        << names[f] << "' on " << schemeName(scheme)
+                        << " performed " << got << " "
+                        << sync::opKindName(static_cast<sync::OpKind>(k))
+                        << " ops, trace has " << wants[f][k]);
+                }
+            }
+            if (out.ops != records) {
+                SYNCRON_FATAL("replay of '"
+                              << names[f] << "' on " << schemeName(scheme)
+                              << " executed " << out.ops << " of "
+                              << records << " records");
+            }
+            row.push_back(fmt(out.opsPerMs(), 1));
+        }
         table.addRow(std::move(row));
     }
     table.addNote("every replay reproduces its trace's per-OpKind "

@@ -9,7 +9,6 @@
 
 #include "common/log.hh"
 #include "common/units.hh"
-#include "harness/grid.hh"
 #include "harness/json.hh"
 #include "harness/table.hh"
 #include "sync/opcodes.hh"
@@ -155,13 +154,7 @@ BenchRegistration::BenchRegistration(const char *name, BenchBody body)
 void
 Bench::cell(std::string label, CellSpec spec)
 {
-    queue_.push_back(Cell{std::move(label), std::move(spec), {}});
-}
-
-void
-Bench::cell(std::string label, std::function<RunOutput()> task)
-{
-    queue_.push_back(Cell{std::move(label), std::nullopt, std::move(task)});
+    queue_.push_back(Cell{std::move(label), std::move(spec)});
 }
 
 std::vector<RunOutput>
@@ -169,49 +162,36 @@ Bench::run()
 {
     const std::vector<Cell> cells = std::exchange(queue_, {});
 
-    // The specs new to this process, each once, and the tasks, each
-    // listed with its first cell in submission order.
+    // The specs new to this process, each once, listed with its first
+    // cell in submission order.
     std::vector<CellSpec> specs;
-    std::vector<std::function<RunOutput()>> tasks;
-    std::vector<std::size_t> specCell, taskCell;
+    std::vector<std::size_t> specCell;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const Cell &c = cells[i];
-        if (!c.spec) {
-            tasks.push_back(c.task);
-            taskCell.push_back(i);
-        } else if (memoized(*c.spec) == nullptr
-                   && std::find(specs.begin(), specs.end(), *c.spec)
-                          == specs.end()) {
-            specs.push_back(*c.spec);
+        const CellSpec &spec = cells[i].spec;
+        if (memoized(spec) == nullptr
+            && std::find(specs.begin(), specs.end(), spec) == specs.end()) {
+            specs.push_back(spec);
             specCell.push_back(i);
         }
     }
 
-    // Specs run first, then tasks; a failure names the first failing
-    // cell of the grid it happens in.
-    std::vector<RunOutput> specOut, taskOut;
-    const std::vector<std::size_t> *cellOf = &specCell;
+    std::vector<RunOutput> outs;
     std::size_t failed = 0;
     try {
-        specOut = runCells(specs, opts_.jobs, &failed);
-        cellOf = &taskCell;
-        taskOut = runGrid(std::move(tasks), opts_.jobs, &failed);
+        outs = runCells(specs, opts_.jobs, &failed);
     } catch (...) {
-        failedCell_ = cells[(*cellOf)[failed]].label;
+        failedCell_ = cells[specCell[failed]].label;
         throw;
     }
-    for (std::size_t k = 0; k < specs.size(); ++k)
-        memo.emplace_back(std::move(specs[k]), specOut[k]);
-    for (const std::vector<RunOutput> *outs : {&specOut, &taskOut}) {
-        simulations_ += outs->size();
-        for (const RunOutput &out : *outs)
-            simulatedEvents_ += out.hostEvents;
+    simulations_ += outs.size();
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+        simulatedEvents_ += outs[k].hostEvents;
+        memo.emplace_back(std::move(specs[k]), std::move(outs[k]));
     }
 
     std::vector<RunOutput> results;
-    std::size_t task = 0;
     for (const Cell &c : cells) {
-        results.push_back(c.spec ? *memoized(*c.spec) : taskOut[task++]);
+        results.push_back(*memoized(c.spec));
         records_.push_back(Record{c.label, results.back()});
     }
     return results;
@@ -327,10 +307,11 @@ benchMain(std::vector<BenchEntry> benches, int argc, char **argv)
               [](const BenchEntry &a, const BenchEntry &b) {
                   return a.name < b.name;
               });
-    const bool several = benches.size() > 1;
-    const std::string name = several || benches.empty()
-                                 ? programName(argc, argv)
-                                 : benches.front().name;
+    auto binaryName = [&] {
+        return benches.size() == 1 ? benches.front().name
+                                   : programName(argc, argv);
+    };
+    std::string name = binaryName();
 
     BenchOptions opts;
     try {
@@ -340,6 +321,27 @@ benchMain(std::vector<BenchEntry> benches, int argc, char **argv)
         std::cerr << "error: " << name << ": bad arguments\n";
         return 2;
     }
+
+    // --bench keeps the named benches, still in name order.
+    for (const std::string &want : opts.benches) {
+        if (std::none_of(benches.begin(), benches.end(),
+                         [&](const BenchEntry &b) { return b.name == want; })) {
+            std::cerr << "error: unknown --bench '" << want << "' (known:";
+            for (const BenchEntry &b : benches)
+                std::cerr << ' ' << b.name;
+            std::cerr << ")\n";
+            return 2;
+        }
+    }
+    if (!opts.benches.empty()) {
+        std::erase_if(benches, [&](const BenchEntry &b) {
+            return std::count(opts.benches.begin(), opts.benches.end(),
+                              b.name)
+                   == 0;
+        });
+        name = binaryName();
+    }
+    const bool several = benches.size() > 1;
 
     // The binary's record: every bench's cells, "<bench>/"-prefixed
     // when there are several.

@@ -4,18 +4,21 @@
  * registers it with SYNCRON_BENCH("fig11_data_structures", run). The
  * shared main() (bench/main/main.cc) passes every bench linked into the
  * binary to benchMain, which parses the BenchOptions once and runs the
- * bodies in name order. A body queues labeled cells with Bench::cell()
- * and runs them with Bench::run(); a CellSpec already simulated in this
- * process is served from a process-wide memo. Each bench then prints
- * its aggregated per-OpKind latency table and a "harness:" line;
+ * bodies in name order (--bench=<name>[,...] keeps only the named
+ * ones). A body queues labeled CellSpec cells with Bench::cell() and
+ * runs them with Bench::run(); a spec already simulated in this process
+ * is served from a process-wide memo. Each bench then prints its
+ * aggregated per-OpKind latency table and a "harness:" line;
  * --json=<path> writes one BENCH_*.json record for the binary, whose
  * labels and metric names are "<bench>/"-prefixed when it runs several.
  *
  * Exit codes: 0 ok; 1 when a body returned 1 (its own gate; the other
- * benches still run); 2 on an error. An exception escaping the parse or
- * a body stops the binary with one stderr line naming it, the first
- * failing cell (the same cell for any --jobs) and --backend/--scale/
- * --sim-shards. SYNCRON_FATAL/PANIC messages print once, when thrown.
+ * benches still run); 2 on an error, including an unknown --bench name
+ * (one stderr line listing the known ones). An exception escaping the
+ * parse or a body stops the binary with one stderr line naming it, the
+ * first failing cell (the same cell for any --jobs) and --backend/
+ * --scale/--sim-shards. SYNCRON_FATAL/PANIC messages print once, when
+ * thrown.
  */
 
 #ifndef SYNCRON_HARNESS_REPORT_HH
@@ -23,9 +26,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,16 +81,12 @@ class Bench
     /** Queues one grid cell; its result is reported under @p label. */
     void cell(std::string label, CellSpec spec);
 
-    /** Queues a cell that is not a CellSpec value (coherence models,
-     *  prebuilt schedules, trace inputs); it is never memoized. */
-    void cell(std::string label, std::function<RunOutput()> task);
-
     /**
-     * Runs the queued cells on --jobs workers: first the specs not yet
-     * in the process memo, each once, through runCells(), then the tasks
-     * through runGrid(). Reports each result under its cell's label and
-     * returns the results in submission order. Empties the queue. When
-     * a cell throws, the first failing cell of that grid is reported.
+     * Runs the specs of the queued cells not yet in the process memo,
+     * each once, through runCells() on --jobs workers. Reports each
+     * cell's result under its label and returns the results in
+     * submission order. Empties the queue. When a cell throws, the
+     * first failing cell is reported.
      */
     std::vector<RunOutput> run();
 
@@ -103,8 +100,7 @@ class Bench
     struct Cell
     {
         std::string label;
-        std::optional<CellSpec> spec;
-        std::function<RunOutput()> task;
+        CellSpec spec;
     };
 
     struct Record

@@ -1,5 +1,6 @@
 #include "harness/runner.hh"
 
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -16,6 +17,7 @@
 #include "load/openloop.hh"
 #include "sync/registry.hh"
 #include "system/system.hh"
+#include "trace/mmap_reader.hh"
 #include "trace/replay.hh"
 #include "workloads/datastructures/structures.hh"
 #include "workloads/graph/kernels.hh"
@@ -28,6 +30,8 @@ BenchOptions::usage()
 {
     return "options:\n"
            "  -h, --help         print this usage and exit\n"
+           "  --bench=<list>     run only the named benches "
+           "(comma-separated; default all)\n"
            "  --scale=<f>        input-size multiplier (f > 0)\n"
            "  --jobs=<n>         parallel grid workers (1..256)\n"
            "  --json=<path>      write a machine-readable BENCH_*.json\n"
@@ -74,8 +78,9 @@ optValue(const char *arg, const char *prefix)
 
 /**
  * Parses all of @p val as a number in [@p lo, @p hi] into @p out
- * (decimal for integer types); false when it is empty, malformed, out
- * of range, or not finite. @p out is untouched on failure.
+ * (decimal digits for integer types, so a sign never wraps); false when
+ * it is empty, malformed, out of range, or not finite. @p out is
+ * untouched on failure.
  */
 template <typename T>
 bool
@@ -91,8 +96,8 @@ parseBounded(const char *val, T lo, T hi, T &out)
         out = v;
     } else {
         const unsigned long long v = std::strtoull(val, &end, 10);
-        if (*val == '\0' || *end != '\0' || errno != 0 || v < lo
-            || v > hi)
+        if (!std::isdigit(static_cast<unsigned char>(*val))
+            || *end != '\0' || errno != 0 || v < lo || v > hi)
             return false;
         out = static_cast<T>(v);
     }
@@ -111,6 +116,16 @@ BenchOptions::parse(int argc, char **argv)
         if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
             std::cout << usage() << '\n';
             std::exit(0);
+        } else if ((val = optValue(arg, "--bench="))) {
+            // Every comma-separated name, empty ones included, so that
+            // benchMain rejects "--bench=" and "a,,b" by name.
+            std::string list = val;
+            std::size_t comma;
+            while ((comma = list.find(',')) != std::string::npos) {
+                opts.benches.push_back(list.substr(0, comma));
+                list.erase(0, comma + 1);
+            }
+            opts.benches.push_back(list);
         } else if ((val = optValue(arg, "--scale="))) {
             if (!parseBounded(val, kMinPositive, kMaxScale, opts.scale)) {
                 SYNCRON_FATAL("bad --scale value '"
@@ -523,7 +538,8 @@ runTimeSeries(const SystemConfig &cfg,
 
 /**
  * One batch of cells. The proxy graphs, series and partitions its app
- * cells name are generated once, up front; grid workers only read them.
+ * cells name are generated, and the trace files its replay cells name
+ * are read, once, up front; grid workers only read them.
  */
 class CellBatch
 {
@@ -531,6 +547,12 @@ class CellBatch
     explicit CellBatch(const std::vector<CellSpec> &specs)
     {
         for (const CellSpec &spec : specs) {
+            if (const auto *r = std::get_if<CellSpec::Replay>(&spec.work)) {
+                if (!traces_.count(r->path)) {
+                    traces_.emplace(r->path, trace::MappedTraceReader(r->path)
+                                                 .materialize());
+                }
+            }
             const auto *app = std::get_if<CellSpec::App>(&spec.work);
             if (app == nullptr)
                 continue;
@@ -572,6 +594,12 @@ class CellBatch
         }
         if (const auto *f = std::get_if<CellSpec::SemFanout>(&spec.work))
             return runSemFanout(cfg, f->width, f->rounds, f->contended);
+        if (const auto *o = std::get_if<CellSpec::OpenLoop>(&spec.work))
+            return runOpenLoop(cfg, o->load);
+        if (const auto *r = std::get_if<CellSpec::Replication>(&spec.work))
+            return runReplication(cfg, r->params);
+        if (const auto *r = std::get_if<CellSpec::Replay>(&spec.work))
+            return runTrace(cfg, traces_.at(r->path));
         const auto &app = std::get<CellSpec::App>(spec.work);
         const Input in{app.input, app.inputScale};
         if (app.app == "ts")
@@ -589,6 +617,7 @@ class CellBatch
     std::map<Input, workloads::Graph> graphs_;
     std::map<Input, workloads::ProxySeries> series_;
     std::map<Placement, std::vector<UnitId>> partitions_;
+    std::map<std::string, trace::Trace> traces_; ///< by file path
 };
 
 } // namespace
@@ -608,9 +637,10 @@ runCells(const std::vector<CellSpec> &specs, unsigned jobs,
 }
 
 RunOutput
-runOpenLoop(const SystemConfig &cfg, const load::LoadSpec &spec,
-            const load::ArrivalSchedule &sched)
+runOpenLoop(const SystemConfig &cfg, const load::LoadSpec &spec)
 {
+    const load::ArrivalSchedule sched =
+        load::buildArrivalSchedule(spec, cfg.totalClientCores());
     SystemRun run(cfg);
     load::OpenLoopWorkload workload(run.sys, spec, sched);
     run.sys.run();
@@ -624,14 +654,6 @@ runOpenLoop(const SystemConfig &cfg, const load::LoadSpec &spec,
     out.queueDelayTicks = totals.queueDelayTicks;
     out.offeredRatePerUs = spec.ratePerUs;
     return out;
-}
-
-RunOutput
-runOpenLoop(const SystemConfig &cfg, const load::LoadSpec &spec)
-{
-    const load::ArrivalSchedule sched =
-        load::buildArrivalSchedule(spec, cfg.totalClientCores());
-    return runOpenLoop(cfg, spec, sched);
 }
 
 RunOutput

@@ -70,6 +70,9 @@ struct BenchOptions
     /// --slo-p99=<ns>: p99 latency SLO for the max-sustainable-rate
     /// search (0 = bench default).
     double sloP99Ns = 0.0;
+    /// --bench=<name>[,...]: the linked benches to run (all when
+    /// empty); benchMain rejects a name it does not know.
+    std::vector<std::string> benches;
 
     /** Maximum accepted --jobs value. */
     static constexpr unsigned kMaxJobs = 256;
@@ -250,18 +253,43 @@ struct CellSpec
         bool operator==(const SemFanout &) const = default;
     };
 
+    /** One open-loop load point (runOpenLoop). */
+    struct OpenLoop
+    {
+        load::LoadSpec load;
+        bool operator==(const OpenLoop &) const = default;
+    };
+
+    /** The replication workload (runReplication). */
+    struct Replication
+    {
+        workloads::ReplicationParams params;
+        bool operator==(const Replication &) const = default;
+    };
+
+    /** The trace file at @p path, replayed through runTrace(); cfg's
+     *  machine shape must match its header. */
+    struct Replay
+    {
+        std::string path;
+        bool operator==(const Replay &) const = default;
+    };
+
     SystemConfig cfg;
-    std::variant<Ds, Primitive, App, SemFanout> work;
+    std::variant<Ds, Primitive, App, SemFanout, OpenLoop, Replication,
+                 Replay>
+        work;
 
     bool operator==(const CellSpec &) const = default;
 };
 
 /**
  * Simulates @p specs on @p jobs grid workers (runGrid) and returns
- * their outputs in order. Every proxy graph, series and partition the
- * specs name is generated once, before the grid starts, and read by all
- * the cells that use it. When a cell throws, @p failedIndex receives the
- * lowest failing index and that cell's exception is rethrown.
+ * their outputs in order. Every proxy graph, series, partition and
+ * trace file the specs name is generated or read once, before the grid
+ * starts, and shared by all the cells that use it. When a cell throws,
+ * @p failedIndex receives the lowest failing index and that cell's
+ * exception is rethrown.
  */
 std::vector<RunOutput> runCells(const std::vector<CellSpec> &specs,
                                 unsigned jobs,
@@ -275,16 +303,10 @@ std::vector<RunOutput> runCells(const std::vector<CellSpec> &specs,
 RunOutput runTrace(const SystemConfig &cfg, const trace::Trace &t);
 
 /**
- * Runs one open-loop load point: @p sched (prebuilt, so grid cells
- * sweeping backends at the same rate share one expansion) issued
- * through @p cfg's backend under @p spec's window/policy. The schedule
- * must cover exactly cfg's client cores.
+ * Runs one open-loop load point: expands @p spec's arrival schedule over
+ * @p cfg's client cores and issues it through cfg's backend under the
+ * spec's window/policy.
  */
-RunOutput runOpenLoop(const SystemConfig &cfg,
-                      const load::LoadSpec &spec,
-                      const load::ArrivalSchedule &sched);
-
-/** Convenience: expands the spec for cfg's core count, then runs. */
 RunOutput runOpenLoop(const SystemConfig &cfg,
                       const load::LoadSpec &spec);
 

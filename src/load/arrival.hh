@@ -84,6 +84,8 @@ struct LoadSpec
     unsigned diurnalPhases = 2;   ///< full sine periods over the run
     double diurnalAmplitude = 0.75; ///< rate swing fraction, in [0, 1)
 
+    bool operator==(const LoadSpec &) const = default;
+
     /** Maximum accepted in-flight window. */
     static constexpr unsigned kMaxWindow = 64;
 

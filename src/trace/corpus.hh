@@ -8,9 +8,9 @@
  * the corpus abstraction gives all consumers the same view of it —
  * deterministic enumeration (sorted by file name, so replay order never
  * depends on readdir order) and per-file validation through the zero-copy
- * MappedTraceReader. bench_trace_replay --trace-in=<dir> replays a
- * corpus and tools/analyze_trace analyzes one, both through the same
- * enumeration.
+ * MappedTraceReader. bench_all --bench=trace_replay --trace-in=<dir>
+ * replays a corpus and tools/analyze_trace analyzes one, both through
+ * the same enumeration.
  */
 
 #ifndef SYNCRON_TRACE_CORPUS_HH

@@ -49,6 +49,8 @@ struct ReplicationParams
     unsigned semResources = 4; ///< admission pipeline depth
     unsigned interval = 200;   ///< mean compute instructions between ops
     std::uint64_t seed = 1;
+
+    bool operator==(const ReplicationParams &) const = default;
 };
 
 /**

@@ -706,23 +706,33 @@ stderrWhere(bool (*pred)(const std::string &))
     return ::testing::Matcher<const std::string &>(new Impl(pred));
 }
 
-RunOutput
-cellOutput(Tick time)
+/** A small Stack cell on one unit of two client cores. */
+CellSpec
+stackCell(unsigned initialSize = 16, unsigned opsPerCore = 2)
 {
-    RunOutput out;
-    out.time = time;
-    out.ops = 1;
-    return out;
+    return {SystemConfig::make(Scheme::SynCron, 1, 2),
+            CellSpec::Ds{DsKind::Stack, initialSize, opsPerCore}};
 }
 
-/** Two failing cells between good ones: the lower one is at fault. */
+/**
+ * Two failing cells between good ones: the lower one is at fault. Each
+ * fails its machine's validation: A's crossbar and links are free (a
+ * zero cross-unit lookahead), B has no ST entries.
+ */
 int
 failingCellsBody(Bench &bench)
 {
-    bench.cell("good/0", [] { return cellOutput(1); });
-    bench.cell("bad/A", []() -> RunOutput { SYNCRON_FATAL("boom-A"); });
-    bench.cell("good/1", [] { return cellOutput(2); });
-    bench.cell("bad/B", []() -> RunOutput { SYNCRON_FATAL("boom-B"); });
+    CellSpec badA = stackCell();
+    badA.cfg.numUnits = 2;
+    badA.cfg.xbar.cyclePeriod = 0;
+    badA.cfg.link.ctrlCycles = 0;
+    badA.cfg.link.flightTicks = 0;
+    CellSpec badB = stackCell();
+    badB.cfg.stEntries = 0;
+    bench.cell("good/0", stackCell(17));
+    bench.cell("bad/A", badA);
+    bench.cell("good/1", stackCell(18));
+    bench.cell("bad/B", badB);
     bench.run();
     return 0;
 }
@@ -737,8 +747,8 @@ TEST(BenchMainDeathTest, FailingCellExitsTwoNamingTheFirstFailingCell)
             ::testing::ExitedWithCode(2),
             stderrWhere([](const std::string &err) {
                 const std::string last = lastLine(err);
-                return countOf(err, "boom-A") == 1
-                       && countOf(err, "boom-B") == 1
+                return countOf(err, "zero cross-unit lookahead") == 1
+                       && countOf(err, "stEntries must be >= 1") == 1
                        && countOf(err, "demo_bench") == 1
                        && countOf(last, "demo_bench") == 1
                        && countOf(last, "'bad/A'") == 1
@@ -765,15 +775,43 @@ TEST(BenchMainDeathTest, UnknownFlagExitsTwoWithOneMessage)
         }));
 }
 
+/** The value the next death test's stderr must quote exactly once. */
+std::string gQuoted;
+
+TEST(BenchMainDeathTest, SignedIntegerOptionsExitTwoWithOneMessage)
+{
+    // strtoull accepts a sign and wraps a '-': --crash-at=-1 would be
+    // 2^64-1, a crash that never comes, and the --jobs value 1.
+    for (const char *arg :
+         {"--crash-at=-1", "--jobs=-18446744073709551615",
+          "--crash-sweep=-2", "--persist=epoch:-1", "--sim-shards=+2",
+          "--jobs= 2"}) {
+        const std::string text = arg;
+        gQuoted.assign(1, '\'')
+            .append(text, text.find_last_of("=:") + 1)
+            .append(1, '\'');
+        const char *argv[] = {"bench", arg};
+        EXPECT_EXIT(
+            std::exit(benchMain({{"demo_bench", [](Bench &) { return 0; }}},
+                                2, const_cast<char **>(argv))),
+            ::testing::ExitedWithCode(2),
+            stderrWhere([](const std::string &err) {
+                return countOf(err, "fatal: bad --") == 1
+                       && countOf(err, gQuoted) == 1
+                       && countOf(lastLine(err), "demo_bench") == 1
+                       && countOf(err, "terminate called") == 0;
+            }))
+            << arg;
+    }
+}
+
 TEST(BenchMainDeathTest, GateFailureExitsOne)
 {
     const char *argv[] = {"bench"};
     EXPECT_EXIT(
         std::exit(benchMain({{"demo_bench",
                               [](Bench &bench) {
-                                  bench.cell("only", [] {
-                                      return cellOutput(1);
-                                  });
+                                  bench.cell("only", stackCell());
                                   bench.run();
                                   return 1;
                               }}},
@@ -781,21 +819,21 @@ TEST(BenchMainDeathTest, GateFailureExitsOne)
         ::testing::ExitedWithCode(1), "");
 }
 
-/** Twelve cells whose labels sort opposite to submission order. */
+/**
+ * Twelve cells whose labels sort opposite to submission order. Early
+ * cells run the most ops, so they finish last under parallel workers;
+ * the input size differs per --jobs value, so no run is served from the
+ * memo of another.
+ */
 int
 labeledBody(Bench &bench)
 {
-    for (int i = 0; i < 12; ++i) {
-        bench.cell("cell" + std::to_string(99 - i), [i] {
-            // Early cells finish last under parallel workers.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(12 - i));
-            return cellOutput(static_cast<Tick>(i + 1));
-        });
-    }
+    const unsigned size = 20 + bench.opts().jobs;
+    for (unsigned i = 0; i < 12; ++i)
+        bench.cell("cell" + std::to_string(99 - i), stackCell(size, 12 - i));
     const std::vector<RunOutput> results = bench.run();
-    for (int i = 0; i < 12; ++i)
-        EXPECT_EQ(results[i].time, static_cast<Tick>(i + 1));
+    for (unsigned i = 0; i < 12; ++i)
+        EXPECT_EQ(results[i].ops, 2u * (12 - i));
     return 0;
 }
 
@@ -874,7 +912,7 @@ int
 zetaBody(Bench &bench)
 {
     gRan.push_back("zeta_demo");
-    bench.cell("only", [] { return cellOutput(1); });
+    bench.cell("only", stackCell());
     bench.run();
     return 0;
 }
@@ -909,6 +947,47 @@ TEST(BenchRegistry, GateFailureRunsTheRestAndExitsOne)
     gAlphaRc = 0;
     EXPECT_EQ(rc, 1);
     EXPECT_EQ(gRan, kBothDemos);
+}
+
+TEST(BenchRegistry, BenchOptionRunsTheNamedBenches)
+{
+    // One selected bench reports under its own name, unprefixed, as its
+    // own binary would.
+    gRan.clear();
+    int rc = -1;
+    std::string text = jsonRecord(registeredBenches(), "bench_demo",
+                                  "--bench=zeta_demo", &rc);
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(gRan, std::vector<std::string>{"zeta_demo"});
+    EXPECT_EQ(jsonStrings(text, "bench"),
+              std::vector<std::string>{"zeta_demo"});
+    EXPECT_EQ(jsonStrings(text, "label"), std::vector<std::string>{"only"});
+
+    // Several run in name order, whatever order the list gives.
+    gRan.clear();
+    text = jsonRecord(registeredBenches(), "bench_demo",
+                      "--bench=zeta_demo,alpha_demo", &rc);
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(gRan, kBothDemos);
+    EXPECT_EQ(jsonStrings(text, "bench"), std::vector<std::string>{"demo"});
+}
+
+TEST(BenchRegistryDeathTest, UnknownBenchExitsTwoWithOneLineNamingTheKnown)
+{
+    for (const char *arg :
+         {"--bench=nope", "--bench=", "--bench=zeta_demo,"}) {
+        const char *argv[] = {"bench_demo", arg};
+        EXPECT_EXIT(std::exit(benchMain(registeredBenches(), 2,
+                                        const_cast<char **>(argv))),
+                    ::testing::ExitedWithCode(2),
+                    stderrWhere([](const std::string &err) {
+                        return countOf(err, "\n") == 1
+                               && countOf(err, "unknown --bench '") == 1
+                               && countOf(err, "alpha_demo") == 1
+                               && countOf(err, "zeta_demo") == 1;
+                    }))
+            << arg;
+    }
 }
 
 TEST(BenchRegistryDeathTest, FailingCellExitsTwoNamingBenchAndCell)

@@ -29,10 +29,9 @@ seconds and are wired into CI ahead of the build:
                        EventQueue::Callback alias, never instantiate
                        InplaceCallback<N> with their own bound.
   4. no-std-function   std::function allocates per capture and is banned
-                       from simulation code (src/); the registry factory,
-                       the cold stats visitor and the bench driver's grid
-                       cells are the only allowed uses. Bench/test driver
-                       code is exempt.
+                       from simulation code (src/); the registry factory
+                       and the cold stats visitor are the only allowed
+                       uses. Bench/test driver code is exempt.
   5. header-hygiene    Every header under src/ carries an include guard
                        derived from its path (SYNCRON_<DIR>_<NAME>_HH),
                        no `#pragma once`, and no `../` relative
@@ -75,9 +74,14 @@ seconds and are wired into CI ahead of the build:
                        runGrid( directly. Nor may it call the runners
                        a CellSpec stands for (harness::runDataStructure,
                        runPrimitive, runAppInput, runGraph,
-                       runTimeSeries, runSemFanout): such cells go
-                       through Bench::cell(label, spec), so none can
-                       bypass the process-wide memo.
+                       runTimeSeries, runSemFanout, runReplication,
+                       runTrace): such cells go through
+                       Bench::cell(label, spec), so none can bypass the
+                       process-wide memo. (runOpenLoop stays callable:
+                       slo_curves' SLO probes and its determinism re-run
+                       must bypass the memo.) No file under src/ or
+                       bench/ may build a std::function<RunOutput...>
+                       cell task: every cell is a CellSpec value.
  10. flat-op-path      The per-op observer and flat-state path stays
                        flat: src/sync/api.hh, src/sync/flat_state.hh,
                        src/trace/capture.hh and src/analysis/live.hh
@@ -113,7 +117,9 @@ BENCH_PLUMBING_RE = re.compile(
     r"\bBenchOptions::parse\b|\bBenchReport\b|\bSharedInputs\b"
     r"|\brunGrid\s*\("
     r"|\bharness::run(?:DataStructure|Primitive|AppInput|Graph|TimeSeries"
-    r"|SemFanout)\s*\(")
+    r"|SemFanout|Replication|Trace)\s*\(")
+RUN_OUTPUT_TASK_RE = re.compile(
+    r"\bstd::function\s*<\s*(?:(?:syncron::)?harness::)?RunOutput\b")
 SCHEME_SWITCH_RE = re.compile(r"\bcase\s+Scheme::")
 INPLACE_INST_RE = re.compile(r"\bInplaceCallback\s*<")
 STD_FUNCTION_RE = re.compile(r"\bstd::function\b")
@@ -144,8 +150,6 @@ STD_FUNCTION_ALLOW = {
     "src/common/stats.hh",             # cold end-of-run visitor
     "src/common/stats.cc",
     "src/sync/registry.hh",            # backend factory, cold
-    "src/harness/report.hh",           # bench driver: one task per cell
-    "src/harness/report.cc",
 }
 # Where PM writes may be charged: the durability subsystem (WAL records)
 # and the SynCron engine (SE-state images), plus SystemStats::operator+=.
@@ -237,6 +241,12 @@ def lint_tree(root):
                        "harness::benchMain and queue its grid with "
                        "Bench::cell()/run(), as a CellSpec where the "
                        "cell is one" % m.group(0).strip())
+        if rel.startswith(("src/", "bench/")):
+            for m in RUN_OUTPUT_TASK_RE.finditer(text):
+                report(rel, line_of(text, m), "one-bench-entry",
+                       "%s cell task - describe the cell as a "
+                       "harness::CellSpec value so the process-wide memo "
+                       "can serve it" % m.group(0))
 
         if rel not in SCHEME_SWITCH_ALLOW:
             for m in SCHEME_SWITCH_RE.finditer(text):
@@ -351,6 +361,13 @@ FIXTURES = [
      "auto opts = harness::BenchOptions::parse(argc, argv);\n"
      "harness::BenchReport report(\"x\", opts);\n"
      "auto r = harness::runGrid(std::move(tasks), opts.jobs);\n"),
+    ("one-bench-entry", "bench/fixture.cc",
+     "bench.cell(\"r\", [&] { return harness::runReplication(cfg, p); });\n"
+     "auto out = harness::runTrace (cfg, t);\n"),
+    ("one-bench-entry", "src/harness/fixture.hh",
+     "void cell(std::string label, std::function<RunOutput()> task);\n"),
+    ("one-bench-entry", "bench/fixture.cc",
+     "std::vector<std::function<harness::RunOutput()>> tasks;\n"),
     ("one-bench-entry", "bench/fixture.cc",
      "harness::SharedInputs inputs;\n"
      "bench.cell(\"x\", [&] { return harness::runDataStructure(\n"
